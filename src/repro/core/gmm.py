@@ -141,16 +141,29 @@ class GaussianMixture:
         return float(result) if np.isscalar(x) else result
 
     def cdf(self, x: float | np.ndarray) -> np.ndarray | float:
-        """Cumulative distribution of the mixture at ``x`` (the paper's ``F``)."""
+        """Cumulative distribution of the mixture at ``x`` (the paper's ``F``).
+
+        A scalar ``x`` is evaluated with ``math.erf`` directly, in the
+        same component order and arithmetic as the array path, so both
+        return the same float; the threshold optimiser calls this with
+        one scalar at a time.
+        """
         self._require_fitted()
+        if np.isscalar(x):
+            point = float(x)
+            total = 0.0
+            for component in self._components:
+                std = math.sqrt(component.variance)
+                z = (point - component.mean) / (std * math.sqrt(2.0))
+                total = total + component.weight * 0.5 * (1.0 + math.erf(z))
+            return min(max(total, 0.0), 1.0)
         values = np.asarray(x, dtype=float)
         result = np.zeros_like(values, dtype=float)
         for component in self._components:
             std = math.sqrt(component.variance)
             z = (values - component.mean) / (std * math.sqrt(2.0))
             result = result + component.weight * 0.5 * (1.0 + _erf(z))
-        result = np.clip(result, 0.0, 1.0)
-        return float(result) if np.isscalar(x) else result
+        return np.clip(result, 0.0, 1.0)
 
     def sample(self, size: int, seed: int = 0) -> np.ndarray:
         """Draw samples from the fitted mixture (for tests and simulations)."""

@@ -49,7 +49,8 @@ from ..resilience.faults import fault_point
 #: Ticks between checkpoints when the caller does not choose.
 DEFAULT_CHECKPOINT_INTERVAL = 25
 
-_FORMAT_VERSION = 1
+# 2: pickled ``Route`` objects carry per-order stop positions.
+_FORMAT_VERSION = 2
 
 _LOCK_TYPE = type(threading.Lock())
 _RLOCK_TYPE = type(threading.RLock())

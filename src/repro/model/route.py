@@ -62,6 +62,15 @@ class Route:
             leg = network.travel_time(previous.node, current.node)
             self._leg_times.append(leg)
             self._cumulative.append(self._cumulative[-1] + leg)
+        # First position of each order's pickup and dropoff stop, so the
+        # per-order lookups below are O(1) instead of a scan per call.
+        self._pickup_at: dict[int, int] = {}
+        self._dropoff_at: dict[int, int] = {}
+        for idx, stop in enumerate(self._stops):
+            positions = (
+                self._pickup_at if stop.kind is StopKind.PICKUP else self._dropoff_at
+            )
+            positions.setdefault(stop.order_id, idx)
 
     # ------------------------------------------------------------------
     # structure
@@ -86,11 +95,7 @@ class Route:
 
     def order_ids(self) -> list[int]:
         """Distinct order ids touched by the route, in first-visit order."""
-        seen: list[int] = []
-        for stop in self._stops:
-            if stop.order_id not in seen:
-                seen.append(stop.order_id)
-        return seen
+        return list(dict.fromkeys(stop.order_id for stop in self._stops))
 
     # ------------------------------------------------------------------
     # costs
@@ -106,17 +111,21 @@ class Route:
 
     def pickup_index(self, order_id: int) -> int:
         """Index of the pickup stop of an order."""
-        for idx, stop in enumerate(self._stops):
-            if stop.order_id == order_id and stop.kind is StopKind.PICKUP:
-                return idx
-        raise RoutingError(f"order {order_id} has no pickup stop on this route")
+        try:
+            return self._pickup_at[order_id]
+        except KeyError:
+            raise RoutingError(
+                f"order {order_id} has no pickup stop on this route"
+            ) from None
 
     def dropoff_index(self, order_id: int) -> int:
         """Index of the dropoff stop of an order."""
-        for idx, stop in enumerate(self._stops):
-            if stop.order_id == order_id and stop.kind is StopKind.DROPOFF:
-                return idx
-        raise RoutingError(f"order {order_id} has no dropoff stop on this route")
+        try:
+            return self._dropoff_at[order_id]
+        except KeyError:
+            raise RoutingError(
+                f"order {order_id} has no dropoff stop on this route"
+            ) from None
 
     def sub_route_time(self, order_id: int) -> float:
         """``T(L^{(i)})``: travel time from the first stop to the order's dropoff."""

@@ -11,12 +11,22 @@ A route is feasible for a group served by a worker when:
 
 The checks are separated from the planner so baselines (GDP's greedy
 insertion, GAS's additive tree) can reuse them verbatim.
+
+Two forms of the same constraints live here.  ``check_route`` verifies a
+materialised :class:`Route` and explains every violation; it is the
+public verifier.  ``sequence_cost`` prices a candidate stop order held
+as integers against a stop x stop travel-time matrix and answers only
+"feasible, and at what cost"; the insertion search runs it per
+candidate and the planner's exact search applies the same rules one stop
+at a time, so no ``Route`` exists until a winner does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TYPE_CHECKING
+
+from ..exceptions import RoutingError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..model.order import Order
@@ -52,7 +62,7 @@ def check_sequential(route: "Route", orders: Sequence["Order"]) -> list[str]:
         try:
             pickup_idx = route.pickup_index(order.order_id)
             dropoff_idx = route.dropoff_index(order.order_id)
-        except Exception:  # missing stop: reported as a violation, not a crash
+        except RoutingError:  # missing stop: a violation, not a crash
             violations.append(f"order {order.order_id} missing a stop on the route")
             continue
         if pickup_idx >= dropoff_idx:
@@ -118,3 +128,49 @@ def check_route(
     if violations:
         return FeasibilityReport.fail(*violations)
     return FeasibilityReport.ok()
+
+
+def sequence_cost(
+    sequence: Sequence[int],
+    times: Sequence[Sequence[float]],
+    load_change: Sequence[int],
+    due: Sequence[float],
+    capacity: int,
+    start: float,
+) -> float | None:
+    """Travel time of a stop order, or ``None`` if it breaks a constraint.
+
+    The array form of building a ``Route`` and running ``check_route``
+    on it, with the same arithmetic in the same order: legs accumulate
+    left to right from ``0.0`` and a stop is late when ``start +
+    elapsed`` exceeds its due time.
+
+    Parameters
+    ----------
+    sequence:
+        Stop indices in visiting order.
+    times:
+        ``times[a][b]`` is the travel time from stop ``a`` to stop ``b``.
+    load_change:
+        Riders boarding (positive) or alighting (negative) per stop.
+    due:
+        Latest arrival per stop: the order's deadline at a dropoff,
+        ``inf`` at a pickup.
+    capacity:
+        Vehicle capacity.
+    start:
+        Time the vehicle reaches the first stop (dispatch time plus the
+        approach leg).
+    """
+    previous = sequence[0]
+    onboard = load_change[previous]
+    if onboard > capacity or start > due[previous]:
+        return None
+    elapsed = 0.0
+    for stop in sequence[1:]:
+        elapsed = elapsed + times[previous][stop]
+        onboard += load_change[stop]
+        if onboard > capacity or start + elapsed > due[stop]:
+            return None
+        previous = stop
+    return elapsed

@@ -2,37 +2,42 @@
 
 Given a set of orders, ``RoutePlanner`` finds the feasible route with
 minimal total travel time (the quantity ``T(L)`` that Definition 3 of
-the paper prices).  For the small groups the paper considers (vehicle
-capacities 2-5, so groups of 2-5 orders) exhaustive enumeration of all
-valid pickup/dropoff interleavings is cheap; larger groups fall back to
-a greedy insertion construction.
+the paper prices).  A plan never leaves integer land until it has a
+winner: the group's stops are numbered ``2i`` (pickup of member ``i``)
+and ``2i + 1`` (its dropoff), their leg times are fetched once into a
+stop x stop matrix, and candidates are stop-index sequences priced off
+that matrix.  For the small groups the paper considers (vehicle
+capacities 2-5, so groups of 2-5 orders) a depth-first branch-and-bound
+over the interleavings is exact and cheap; larger groups fall back to a
+greedy insertion construction over the same matrix.  Only the winning
+sequence is materialised as a :class:`Route`.
 
 The planner is the single source of feasible routes for the whole
 library: the shareability graph, the WATTER dispatcher and the GAS
 baseline all call into it, which keeps the constraint semantics in one
-place.
+place.  ``routing.feasibility.check_route`` stays the public verifier
+of a finished route; it no longer runs per candidate.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TYPE_CHECKING
+from math import inf
+from typing import Sequence, TYPE_CHECKING
 
 from ..exceptions import InfeasibleGroupError
 from ..model.route import Route, RouteStop, StopKind
-from .feasibility import check_route
-from .insertion import insert_order_into_route
+from .feasibility import sequence_cost
+from .insertion import cheapest_insertion, price_new_stops
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..model.order import Order
     from ..network.graph import RoadNetwork
 
 
-# Exhaustive enumeration explores (2k)! / 2^k stop orders for k orders;
-# k=3 means 90 permutations per plan which keeps pool updates cheap, while
-# k=4 would already cost 2520 permutations per candidate group.  Larger
-# groups fall back to the greedy-insertion construction.
+# The exact search visits at most (2k)! / 2^k stop orders for k orders
+# (90 for k=3, 2520 for k=4) before pruning; larger groups fall back to
+# the greedy-insertion construction.
 _EXACT_GROUP_LIMIT = 3
 
 
@@ -44,6 +49,73 @@ class PlannedGroup:
     total_travel_time: float
 
 
+def _cheapest_stop_order(
+    times: Sequence[Sequence[float]],
+    load_change: Sequence[int],
+    due: Sequence[float],
+    capacity: int,
+    start_time: float,
+    approaches: Sequence[float],
+) -> tuple[float, list[int]] | None:
+    """Exact minimum-travel-time feasible stop order and its cost, or ``None``.
+
+    Depth-first branch-and-bound: a prefix is extended by every unused
+    stop in ascending index, which visits complete orders in
+    lexicographic order.  A branch is cut when the stop's pickup has not
+    been visited, the pickup would overfill the vehicle, the dropoff
+    would arrive after its deadline, or the prefix already costs at
+    least as much as the incumbent.  Legs are non-negative and adding a
+    non-negative float never decreases a sum, so the last cut loses no
+    strictly cheaper completion and the first order found at the
+    minimal cost is the one returned.
+
+    ``approaches[i]`` is the worker's travel time to member ``i``'s
+    pickup; it delays every arrival on orders starting there but is not
+    part of the cost.
+    """
+    n = len(load_change)
+    used = [False] * n
+    order = [0] * n
+    best_cost = inf
+    best_order: list[int] | None = None
+
+    def extend(last: int, depth: int, elapsed: float, onboard: int, start: float) -> None:
+        nonlocal best_cost, best_order
+        row = times[last]
+        for stop in range(n):
+            if used[stop]:
+                continue
+            if stop & 1:
+                if not used[stop - 1]:
+                    continue
+                reach = elapsed + row[stop]
+                if reach >= best_cost or start + reach > due[stop]:
+                    continue
+            else:
+                if onboard + load_change[stop] > capacity:
+                    continue
+                reach = elapsed + row[stop]
+                if reach >= best_cost:
+                    continue
+            order[depth] = stop
+            if depth == n - 1:
+                best_cost = reach
+                best_order = order[:]
+            else:
+                used[stop] = True
+                extend(stop, depth + 1, reach, onboard + load_change[stop], start)
+                used[stop] = False
+
+    for first in range(0, n, 2):
+        if load_change[first] > capacity:
+            continue
+        used[first] = True
+        order[0] = first
+        extend(first, 1, 0.0, load_change[first], start_time + approaches[first >> 1])
+        used[first] = False
+    return None if best_order is None else (best_cost, best_order)
+
+
 class RoutePlanner:
     """Finds minimum-travel-time feasible routes for order groups.
 
@@ -52,8 +124,8 @@ class RoutePlanner:
     network:
         Road network used to price route legs.
     exact_group_limit:
-        Largest group size for which all stop interleavings are
-        enumerated exactly; larger groups use greedy insertion.
+        Largest group size planned by the exact search; larger groups
+        use greedy insertion.
     """
 
     def __init__(
@@ -101,15 +173,37 @@ class RoutePlanner:
         members = list(orders)
         if not members:
             raise InfeasibleGroupError("cannot plan a route for an empty group")
-        if len(members) <= self._exact_group_limit:
-            planned = self._plan_exact(members, capacity, start_time, start_node)
-        else:
-            planned = self._plan_by_insertion(members, capacity, start_time, start_node)
-        if planned is None:
+        self._prefetch(members, start_node)
+        exact = len(members) <= self._exact_group_limit
+        if not exact:
+            members.sort(key=lambda order: order.release_time)
+        nodes: list[int] = []
+        load_change: list[int] = []
+        due: list[float] = []
+        for order in members:
+            nodes += (order.pickup, order.dropoff)
+            load_change += (order.riders, -order.riders)
+            due += (inf, order.deadline)
+        times = [[0.0] * len(nodes) for _ in nodes]
+        build = self._search if exact else self._grow_by_insertion
+        found = build(times, nodes, load_change, due, capacity, start_time, start_node)
+        if found is None:
             raise InfeasibleGroupError(
                 f"no feasible route for orders {[o.order_id for o in members]}"
             )
-        return planned
+        cost, sequence = found
+        route = Route(
+            [
+                RouteStop(
+                    nodes[stop],
+                    members[stop >> 1].order_id,
+                    StopKind.DROPOFF if stop & 1 else StopKind.PICKUP,
+                )
+                for stop in sequence
+            ],
+            self._network,
+        )
+        return PlannedGroup(route, cost)
 
     def try_plan(
         self,
@@ -141,95 +235,83 @@ class RoutePlanner:
         return self.try_plan([first, second], capacity, start_time)
 
     # ------------------------------------------------------------------
-    # exact enumeration
+    # exact search
     # ------------------------------------------------------------------
-    def _plan_exact(
+    def _search(
         self,
-        orders: Sequence["Order"],
+        times: list[list[float]],
+        nodes: Sequence[int],
+        load_change: Sequence[int],
+        due: Sequence[float],
         capacity: int,
         start_time: float,
         start_node: int | None,
-    ) -> PlannedGroup | None:
-        self._prefetch(orders, start_node)
-        best: PlannedGroup | None = None
-        for stops in self._candidate_stop_orders(orders):
-            route = Route(stops, self._network)
-            approach = self._approach_time(start_node, route)
-            report = check_route(route, orders, capacity, start_time, approach)
-            if not report.feasible:
-                continue
-            if best is None or route.total_travel_time < best.total_travel_time:
-                best = PlannedGroup(route, route.total_travel_time)
-        return best
-
-    def _candidate_stop_orders(
-        self, orders: Sequence["Order"]
-    ) -> Iterable[list[RouteStop]]:
-        """Yield every stop permutation where pickups precede dropoffs."""
-        stops = []
-        for order in orders:
-            stops.append(RouteStop(order.pickup, order.order_id, StopKind.PICKUP))
-            stops.append(RouteStop(order.dropoff, order.order_id, StopKind.DROPOFF))
-        for permutation in itertools.permutations(stops):
-            if self._pickups_precede_dropoffs(permutation):
-                yield list(permutation)
-
-    @staticmethod
-    def _pickups_precede_dropoffs(stops: Sequence[RouteStop]) -> bool:
-        picked: set[int] = set()
-        for stop in stops:
-            if stop.kind is StopKind.PICKUP:
-                picked.add(stop.order_id)
-            elif stop.order_id not in picked:
-                return False
-        return True
+    ) -> tuple[float, list[int]] | None:
+        """Price every leg and approach, then search all stop orders."""
+        travel_time = self._network.travel_time
+        for pickup in range(0, len(nodes), 2):
+            price_new_stops(times, nodes, pickup, travel_time)
+        if start_node is None:
+            approaches = [0.0] * (len(nodes) // 2)
+        else:
+            approaches = [travel_time(start_node, node) for node in nodes[::2]]
+        return _cheapest_stop_order(
+            times, load_change, due, capacity, start_time, approaches
+        )
 
     # ------------------------------------------------------------------
     # insertion fallback for larger groups
     # ------------------------------------------------------------------
-    def _plan_by_insertion(
+    def _grow_by_insertion(
         self,
-        orders: Sequence["Order"],
+        times: list[list[float]],
+        nodes: Sequence[int],
+        load_change: Sequence[int],
+        due: Sequence[float],
         capacity: int,
         start_time: float,
         start_node: int | None,
-    ) -> PlannedGroup | None:
-        self._prefetch(orders, start_node)
-        seed, *rest = sorted(orders, key=lambda order: order.release_time)
-        stops = [
-            RouteStop(seed.pickup, seed.order_id, StopKind.PICKUP),
-            RouteStop(seed.dropoff, seed.order_id, StopKind.DROPOFF),
-        ]
-        route = Route(stops, self._network)
-        placed = [seed]
-        for order in rest:
-            result = insert_order_into_route(
-                route, order, placed, capacity, start_time, self._network
-            )
-            if result is None:
-                return None
-            route = result.route
-            placed.append(order)
-        approach = self._approach_time(start_node, route)
-        report = check_route(route, placed, capacity, start_time, approach)
-        if not report.feasible:
-            return None
-        return PlannedGroup(route, route.total_travel_time)
+    ) -> tuple[float, list[int]] | None:
+        """Insert the members one by one, earliest release first.
 
-    def _approach_time(self, start_node: int | None, route: Route) -> float:
-        if start_node is None:
-            return 0.0
-        return self._network.travel_time(start_node, route.start_node)
+        Each member goes where it adds the least travel time to the
+        sequence built so far; the approach leg is only charged to the
+        finished sequence, as the last check.  A member's legs are
+        priced when its turn comes, so a group that fails early never
+        asks about the rest.
+        """
+        travel_time = self._network.travel_time
+        price_new_stops(times, nodes, 0, travel_time)
+        sequence = [0, 1]
+        cost = times[0][1]
+        for pickup in range(2, len(nodes), 2):
+            price_new_stops(times, nodes, pickup, travel_time)
+            found = cheapest_insertion(
+                sequence, cost, pickup, pickup + 1,
+                times, load_change, due, capacity, start_time,
+            )
+            if found is None:
+                return None
+            sequence, cost = found.sequence, found.cost
+        approach = 0.0
+        if start_node is not None:
+            approach = travel_time(start_node, nodes[sequence[0]])
+        start = start_time + approach
+        if sequence_cost(sequence, times, load_change, due, capacity, start) is None:
+            return None
+        return cost, sequence
 
     def _prefetch(self, orders: Sequence["Order"], start_node: int | None) -> None:
-        """Warm the distance oracle for every leg the plan can touch.
+        """Ask the oracle for the plan's whole leg block in one call.
 
-        One ``travel_times_many`` call covers the whole stop-node block,
-        so precomputing backends answer it as a batch (one refresh)
-        instead of being hit with scalar queries from inside the
-        permutation loop.  Dropoffs only become leg *sources* when
-        several orders interleave, so the singleton case stays as cheap
-        as before for the lazy backend.
+        One ``travel_times_many`` call covers every stop-node pair the
+        matrix will hold, so precomputing backends answer it as a batch
+        (one refresh) and searching backends run their searches here;
+        the scalar reads that fill the matrix (``price_new_stops``) are
+        then cache hits.
+        Dropoffs only become leg *sources* when several orders
+        interleave, so the singleton case stays as cheap as before for
+        the lazy backend.
         """
         pickups = {order.pickup for order in orders}
         dropoffs = {order.dropoff for order in orders}

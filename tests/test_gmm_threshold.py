@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compat import HAVE_NUMPY, np
-from repro.core.gmm import GaussianMixture
+from repro.core.gmm import GaussianComponent, GaussianMixture
 from repro.core.threshold import ThresholdOptimizer, fit_extra_time_distribution
 from repro.exceptions import LearningError
 from tests.conftest import make_order
@@ -79,6 +81,65 @@ class TestGaussianMixture:
         draws = mixture.sample(2000, seed=8)
         assert draws.shape == (2000,)
         assert float(draws.mean()) == pytest.approx(mixture.mean(), rel=0.15)
+
+
+class _ArrayPathMixture(GaussianMixture):
+    """A mixture whose scalar ``cdf`` goes through the array evaluation."""
+
+    def cdf(self, x):
+        return float(super().cdf(np.array([x]))[0])
+
+
+def _mixture_of(cls, components):
+    """A mixture with exactly these (weight, mean, variance) components."""
+    mixture = cls(n_components=len(components))
+    mixture._components = [GaussianComponent(*entry) for entry in components]
+    return mixture
+
+
+#: Unimodal, well-separated bimodal, and a three-mode mixture with a
+#: near-degenerate spike (variance at the fitting floor).
+_PINNED_MIXTURES = (
+    ((1.0, 180.0, 3600.0),),
+    ((0.35, 60.0, 100.0), (0.65, 300.0, 1600.0)),
+    ((0.2, 5.0, 1e-6), (0.5, 120.0, 900.0), (0.3, 480.0, 14400.0)),
+)
+
+
+class TestScalarCdf:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        components=st.integers(min_value=1, max_value=4),
+        points=st.lists(
+            st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_scalar_cdf_equals_array_cdf(self, seed, components, points):
+        mixture = GaussianMixture(n_components=components, seed=seed).fit(
+            _bimodal_samples(seed=seed % 1000, size=120)
+        )
+        batch = mixture.cdf(np.array(points))
+        for point, expected in zip(points, batch):
+            for scalar in (point, np.float64(point)):
+                value = mixture.cdf(scalar)
+                assert type(value) is float
+                assert value == mixture.cdf(np.array([point]))[0] == expected
+        assert mixture.cdf(7) == mixture.cdf(np.array([7]))[0]
+
+    def test_scalar_cdf_saturates_like_the_array_path(self):
+        mixture = _mixture_of(GaussianMixture, _PINNED_MIXTURES[2])
+        for point in (-1e9, 5.0, 1e9, float("inf"), float("-inf")):
+            assert mixture.cdf(point) == mixture.cdf(np.array([point]))[0]
+
+    @pytest.mark.parametrize("components", _PINNED_MIXTURES)
+    def test_optimal_threshold_is_unchanged(self, components):
+        fast = ThresholdOptimizer(_mixture_of(GaussianMixture, components))
+        slow = ThresholdOptimizer(_mixture_of(_ArrayPathMixture, components))
+        for penalty in (0.5, 37.0, 180.0, 450.0, 2000.0):
+            assert fast.optimal_threshold(penalty) == slow.optimal_threshold(penalty)
 
 
 class TestFitExtraTimeDistribution:

@@ -1,0 +1,372 @@
+"""Differential tests of the array-state planner against the brute force.
+
+``tests/reference/bruteforce_planner.py`` is the planner the library
+used to ship (every permutation, one ``Route`` per candidate, the public
+``check_route`` verifier).  The production planner must agree with it
+exactly: same feasibility verdict, the same stop sequence, ``==`` on the
+travel time, and the same error when a leg is unreachable.
+
+Each hypothesis example plans a *series* of groups on one graph, each
+planner on its own network over that graph, with fleet-style
+many-to-one batches in between, so the ``lazy`` oracle's caches pass
+through mixed states: a scalar query may be answered by a forward map
+where the batched block of the same plan came from a reverse map, and
+the two searches differ in the last bit on about one pair in eight of
+these graphs (pinned in
+``test_search_cost_is_the_scalar_cost_where_the_block_disagrees``).
+"""
+
+from __future__ import annotations
+
+import random
+
+import networkx as nx
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import InfeasibleGroupError, UnreachableError
+from repro.model.order import Order
+from repro.model.route import Route, RouteStop, StopKind
+from repro.network.generators import grid_city
+from repro.network.graph import RoadNetwork
+from repro.routing.feasibility import check_route, check_sequential, sequence_cost
+from repro.routing.insertion import insert_order_into_route
+from repro.routing.planner import RoutePlanner
+from tests.conftest import make_order
+from tests.reference.bruteforce_planner import BruteForcePlanner, insert_by_enumeration
+
+
+def _random_graph(num_nodes: int, seed: int, connected: bool) -> nx.DiGraph:
+    """Directed graph with irrational-ish asymmetric weights.
+
+    ``connected`` closes a random cycle through every node; without it
+    the graph is a random orientation of a tree plus chords, so many
+    ordered pairs are unreachable.
+    """
+    rng = random.Random(seed)
+    graph = nx.DiGraph()
+    for node in range(num_nodes):
+        graph.add_node(node, x=rng.uniform(0.0, 10.0), y=rng.uniform(0.0, 10.0))
+    if connected:
+        cycle = list(range(num_nodes))
+        rng.shuffle(cycle)
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            graph.add_edge(u, v, travel_time=rng.uniform(1.0, 10.0))
+    else:
+        for node in range(1, num_nodes):
+            parent = rng.randrange(node)
+            u, v = (parent, node) if rng.random() < 0.5 else (node, parent)
+            graph.add_edge(u, v, travel_time=rng.uniform(1.0, 10.0))
+    for _ in range(2 * num_nodes):
+        u, v = rng.randrange(num_nodes), rng.randrange(num_nodes)
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, travel_time=rng.uniform(1.0, 10.0))
+    return graph
+
+
+def _random_group(rng: random.Random, num_nodes: int, size: int, id_base: int) -> list[Order]:
+    """``size`` orders over few distinct nodes, deadlines hopeless to slack."""
+    # A small node palette makes coincident pickups/dropoffs (zero legs,
+    # exact cost ties between stop orders) the common case.
+    palette = [rng.randrange(num_nodes) for _ in range(rng.randint(2, 2 * size + 1))]
+    slack = rng.choice([0.0, 4.0, 12.0, 30.0, 80.0, 1e9])
+    orders = []
+    for index in range(size):
+        release = rng.uniform(0.0, 5.0)
+        orders.append(
+            Order(
+                pickup=rng.choice(palette),
+                dropoff=rng.choice(palette),
+                release_time=release,
+                shortest_time=1.0,
+                deadline=release + slack * rng.uniform(0.5, 1.5),
+                wait_limit=1.0,
+                riders=rng.randint(1, 3),
+                order_id=id_base + index,
+            )
+        )
+    return orders
+
+
+def _outcome(call):
+    """``("route", stops, cost)``, ``("infeasible",)`` or ``("unreachable", s, t)``."""
+    try:
+        route = call()
+    except UnreachableError as exc:
+        return ("unreachable", exc.source, exc.target)
+    except InfeasibleGroupError:
+        return ("infeasible",)
+    if route is None:
+        return ("infeasible",)
+    return ("route", route.stops, route.total_travel_time)
+
+
+def _planned_route(planned):
+    """The planned route, having checked the cost the search minimised.
+
+    The search sums matrix entries; the route sums the scalar
+    ``travel_time`` answers of its own legs.  They must be one float.
+    """
+    if planned is None:
+        return None
+    assert planned.total_travel_time == planned.route.total_travel_time
+    return planned.route
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    num_nodes=st.integers(min_value=4, max_value=14),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    connected=st.booleans(),
+)
+def test_planner_matches_bruteforce(num_nodes, seed, connected):
+    graph = _random_graph(num_nodes, seed, connected)
+    ours = RoutePlanner(RoadNetwork(graph))
+    reference = BruteForcePlanner(RoadNetwork(graph))
+    rng = random.Random(seed ^ 0x5EED)
+    verdicts = set()
+    for round_index in range(6):
+        size = rng.randint(1, 5)
+        orders = _random_group(rng, num_nodes, size, id_base=10 * round_index)
+        capacity = rng.randint(2, 5)
+        start_time = rng.uniform(0.0, 5.0)
+        start_node = rng.choice([None, rng.randrange(num_nodes)])
+        args = (orders, capacity, start_time, start_node)
+        # What a worker search does between plans: reverse maps for a
+        # few of the nodes the next block will ask about.
+        for order in orders:
+            if rng.random() < 0.5:
+                workers = [rng.randrange(num_nodes) for _ in range(4)]
+                target = rng.choice([order.pickup, order.dropoff])
+                for network in (ours.network, reference.network):
+                    network.travel_times_many(workers, [target])
+        expected = _outcome(lambda: reference.plan(*args))
+        actual = _outcome(lambda: _planned_route(ours.plan(*args)))
+        if expected[0] == "unreachable":
+            # Both name an unreachable leg of the group; which one is
+            # met first depends on the order the legs are priced in.
+            assert actual[0] == "unreachable"
+            assert not ours.network.is_reachable(actual[1], actual[2])
+        else:
+            assert actual == expected
+        assert _outcome(lambda: _planned_route(ours.try_plan(*args))) == actual
+        if actual[0] == "route":
+            stops = actual[1]
+            approach = (
+                0.0 if start_node is None
+                else ours.network.travel_time(start_node, stops[0].node)
+            )
+            route = Route(list(stops), ours.network)
+            assert check_route(route, orders, capacity, start_time, approach).feasible
+        verdicts.add(actual[0])
+    assert verdicts  # every round produced a verdict
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_search_of_four_orders_matches_bruteforce(seed):
+    """The search is exact past the default limit (2520 stop orders here)."""
+    graph = _random_graph(9, seed, connected=True)
+    ours = RoutePlanner(RoadNetwork(graph), exact_group_limit=4)
+    reference = BruteForcePlanner(RoadNetwork(graph), exact_group_limit=4)
+    rng = random.Random(seed)
+    orders = _random_group(rng, 9, 4, id_base=0)
+    for order in orders:
+        order.deadline = order.release_time + rng.choice([25.0, 60.0, 1e9])
+    args = (orders, rng.randint(3, 6), 1.0, rng.choice([None, rng.randrange(9)]))
+    assert _outcome(lambda: _planned_route(ours.plan(*args))) == _outcome(
+        lambda: reference.plan(*args)
+    )
+
+
+def test_every_verdict_is_exercised():
+    """The generators above reach all three outcomes and both plan paths."""
+    seen = set()
+    for seed in range(40):
+        connected = seed % 2 == 0
+        graph = _random_graph(8, seed, connected)
+        planner = RoutePlanner(RoadNetwork(graph))
+        rng = random.Random(seed)
+        for round_index in range(6):
+            size = rng.randint(1, 5)
+            orders = _random_group(rng, 8, size, id_base=10 * round_index)
+            outcome = _outcome(
+                lambda: _planned_route(planner.plan(orders, rng.randint(2, 5), 0.0, None))
+            )
+            seen.add((outcome[0], size > 3))
+    assert {kind for kind, _ in seen} == {"route", "infeasible", "unreachable"}
+    assert ("route", True) in seen and ("route", False) in seen
+
+
+@pytest.mark.parametrize("seed", [29, 43, 47])
+def test_search_cost_is_the_scalar_cost_where_the_block_disagrees(seed):
+    """The ``lazy`` hazard, pinned: block and scalar differ on a winning leg.
+
+    The pickup of the first order has a forward map (it was planned
+    alone), the other three stops have reverse maps (worker searches),
+    so the pair's block is answered from reverse maps while a scalar
+    query from that pickup reads its forward map.
+    """
+    graph = _random_graph(10, seed, connected=True)
+    network = RoadNetwork(graph)
+    p1, d1, p2, d2 = random.Random(seed).sample(range(10), 4)
+    first = Order(p1, d1, 0.0, 1.0, deadline=1e9, wait_limit=1.0, order_id=1)
+    second = Order(p2, d2, 0.0, 1.0, deadline=1e9, wait_limit=1.0, order_id=2)
+    planner = RoutePlanner(network)
+    planner.plan([first], 4, 0.0)
+    workers = [node for node in range(10) if node not in (p1, d1, p2, d2)][:4]
+    for target in (d1, p2, d2):
+        network.travel_times_many(workers, [target])
+    stops = {p1, d1, p2, d2}
+    block = network.travel_times_many(stops, stops)
+    planned = planner.plan([first, second], 4, 0.0)
+    nodes = [stop.node for stop in planned.route.stops]
+    assert any(
+        block[(a, b)] != network.travel_time(a, b) for a, b in zip(nodes, nodes[1:])
+    ), "the pinned graph no longer reproduces the forward/reverse disagreement"
+    assert planned.total_travel_time == planned.route.total_travel_time
+    expected = BruteForcePlanner(network).plan([first, second], 4, 0.0)
+    assert planned.route.stops == expected.stops
+    assert planned.total_travel_time == expected.total_travel_time
+
+
+def test_arrival_exactly_at_the_deadline_is_on_time(small_network):
+    """Late means strictly after the deadline, as ``check_deadlines`` has it."""
+    order = make_order(small_network, 0, 5, order_id=1)
+    order.deadline = 10.0 + small_network.travel_time(0, 5)
+    planner = RoutePlanner(small_network)
+    assert planner.try_plan([order], 4, start_time=10.0) is not None
+    order.deadline = order.deadline - 1e-9
+    assert planner.try_plan([order], 4, start_time=10.0) is None
+
+
+def test_cost_ties_keep_the_first_stop_order():
+    """Coincident stops tie every interleaving; the lexicographic first wins."""
+    network = grid_city(rows=3, cols=3, edge_travel_time=60.0, jitter=0.0, seed=0)
+    first = make_order(network, 0, 8, deadline_scale=5.0, order_id=1)
+    second = make_order(network, 0, 8, deadline_scale=5.0, order_id=2)
+    planned = RoutePlanner(network).plan([first, second], capacity=4, start_time=0.0)
+    expected = BruteForcePlanner(network).plan([first, second], 4, 0.0)
+    assert planned.route.stops == expected.stops
+    assert [(s.order_id, s.kind) for s in planned.route.stops] == [
+        (1, StopKind.PICKUP), (2, StopKind.PICKUP),
+        (1, StopKind.DROPOFF), (2, StopKind.DROPOFF),
+    ]
+
+
+def test_unreachable_leg_raises_even_when_the_group_is_infeasible():
+    """An infeasible deadline does not hide a leg the oracle cannot price."""
+    graph = nx.DiGraph()
+    for node in range(4):
+        graph.add_node(node, x=float(node), y=0.0)
+    for u, v in [(0, 1), (1, 2), (2, 3)]:  # one-way street: no way back
+        graph.add_edge(u, v, travel_time=5.0)
+    network = RoadNetwork(graph)
+    first = Order(0, 1, 0.0, 5.0, deadline=0.1, wait_limit=1.0, order_id=1)
+    second = Order(2, 3, 0.0, 5.0, deadline=0.1, wait_limit=1.0, order_id=2)
+    with pytest.raises(UnreachableError):
+        RoutePlanner(network).try_plan([first, second], 4, 0.0)
+    with pytest.raises(UnreachableError):
+        BruteForcePlanner(RoadNetwork(graph)).plan([first, second], 4, 0.0)
+    # A dropoff never drives back to its own pickup, so a lone order is fine.
+    assert RoutePlanner(network).try_plan([second], 4, 0.0) is None
+    second.deadline = 100.0
+    assert RoutePlanner(network).plan([second], 4, 0.0).total_travel_time == 5.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_nodes=st.integers(min_value=4, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_insertion_matches_enumeration(num_nodes, seed):
+    """``insert_order_into_route`` agrees with one-``Route``-per-candidate."""
+    graph = _random_graph(num_nodes, seed, connected=True)
+    network = RoadNetwork(graph)
+    rng = random.Random(seed)
+    orders = _random_group(rng, num_nodes, rng.randint(2, 4), id_base=0)
+    capacity = rng.randint(2, 5)
+    start_time = rng.uniform(0.0, 5.0)
+    approach = rng.choice([0.0, rng.uniform(0.0, 20.0)])
+    route, placed = None, []
+    for order in orders:
+        expected = insert_by_enumeration(
+            route, order, placed, capacity, start_time, network, approach
+        )
+        actual = insert_order_into_route(
+            route, order, placed, capacity, start_time, network, approach
+        )
+        if expected is None:
+            assert actual is None
+            return
+        assert actual is not None
+        assert actual.route.stops == expected[0].stops
+        assert actual.route.total_travel_time == expected[0].total_travel_time
+        assert (
+            actual.added_travel_time,
+            actual.pickup_position,
+            actual.dropoff_position,
+        ) == expected[1:]
+        route = actual.route
+        placed.append(order)
+
+
+def test_sequence_cost_is_route_plus_check_route(small_network):
+    """The array function and the ``Route`` verifier are the same predicate."""
+    orders = [
+        make_order(small_network, 0, 14, riders=2, order_id=1),
+        make_order(small_network, 1, 15, riders=2, order_id=2),
+    ]
+    nodes = [0, 14, 1, 15]
+    times = [[small_network.travel_time(a, b) for b in nodes] for a in nodes]
+    load_change = [2, -2, 2, -2]
+    due = [float("inf"), orders[0].deadline, float("inf"), orders[1].deadline]
+    kinds = [StopKind.PICKUP, StopKind.DROPOFF] * 2
+    for sequence in ([0, 1, 2, 3], [0, 2, 1, 3], [2, 0, 3, 1], [0, 2, 3, 1]):
+        route = Route(
+            [RouteStop(nodes[s], orders[s // 2].order_id, kinds[s]) for s in sequence],
+            small_network,
+        )
+        for capacity in (2, 3, 4):
+            for start in (0.0, 200.0, 5000.0):
+                cost = sequence_cost(sequence, times, load_change, due, capacity, start)
+                report = check_route(route, orders, capacity, start)
+                assert (cost is not None) == report.feasible
+                if cost is not None:
+                    assert cost == route.total_travel_time
+
+
+class TestRouteModel:
+    def test_stop_positions_are_the_first_occurrence(self, small_network):
+        stops = [
+            RouteStop(0, 7, StopKind.PICKUP),
+            RouteStop(1, 7, StopKind.PICKUP),
+            RouteStop(2, 7, StopKind.DROPOFF),
+            RouteStop(3, 7, StopKind.DROPOFF),
+            RouteStop(4, 9, StopKind.PICKUP),
+        ]
+        route = Route(stops, small_network)
+        assert route.pickup_index(7) == 0
+        assert route.dropoff_index(7) == 2
+        assert route.sub_route_time(7) == route.time_to_stop(2)
+        assert route.order_ids() == [7, 9]
+
+    def test_only_a_missing_stop_is_reported_as_missing(self, small_network):
+        order = make_order(small_network, 0, 2)
+
+        class Broken(Route):
+            def pickup_index(self, order_id):
+                raise ZeroDivisionError("a bug, not a missing stop")
+
+        stops = [
+            RouteStop(0, order.order_id, StopKind.PICKUP),
+            RouteStop(2, order.order_id, StopKind.DROPOFF),
+        ]
+        with pytest.raises(ZeroDivisionError):
+            check_sequential(Broken(stops, small_network), [order])
+        other = make_order(small_network, 1, 3)
+        assert check_sequential(Route(stops, small_network), [other])
