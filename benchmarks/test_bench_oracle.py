@@ -116,7 +116,7 @@ def ch_cache_bench():
 
     The cold build contracts the graph and writes the preprocessing
     cache; the warm build restores from that file (what a fresh process
-    with a warm ``oracle_cache_dir`` does).  Answers are cross-checked
+    with a warm ``oracle.cache_dir`` does).  Answers are cross-checked
     inside the benchmark.
     """
     return benchmark_ch_preprocessing_cache(grid_dim=32)

@@ -25,8 +25,8 @@ Quick start::
     from repro.api import ScenarioSpec, Session
 
     spec = ScenarioSpec(dataset="CDC", num_orders=300, num_workers=30,
-                        oracle_backend="ch", oracle_cache_dir=".oracle-cache")
-    session = Session()
+                        oracle={"backend": "ch"})
+    session = Session(oracle_cache_dir=".oracle-cache")
     result = session.run(spec)                     # one algorithm
     table = session.compare(spec, algorithms=("WATTER-expect", "GDP"))
     print(result.metrics.service_rate, result.graph_hash[:12])
@@ -52,11 +52,11 @@ from ..experiments.runner import ALGORITHMS
 from ..learning.trainer import ValueFunctionTrainer, generate_experience
 from ..network.generators import grid_city, manhattan_like_city, radial_city
 from ..network.grid import GridIndex
-from ..network.oracle import available_backends, graph_signature
+from ..network.oracle import OracleSpec, available_backends, graph_signature
 from ..simulation.hooks import CompositeHooks, SimulationHooks
 from .facade import SweepPoint, compare, load_spec, run_scenario, save_spec, sweep
 from .session import RunResult, Session
-from .spec import NETWORK_SOURCES, WORKLOAD_SOURCES, OracleSpec, ScenarioSpec
+from .spec import NETWORK_SOURCES, WORKLOAD_SOURCES, ScenarioSpec
 
 __all__ = [
     # the facade proper

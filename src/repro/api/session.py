@@ -32,7 +32,7 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 from ..config import SimulationConfig
@@ -56,7 +56,12 @@ from ..model.order import OrderOutcome
 from ..model.worker import Worker
 from ..network.generators import grid_city
 from ..network.graph import RoadNetwork
-from ..network.oracle import configure_oracle, graph_signature
+from ..network.oracle import (
+    ORACLE_OPTIONS_BY_BACKEND,
+    OracleSpec,
+    configure_oracle,
+    graph_signature,
+)
 from ..resilience.cancellation import CancellationToken, RunCancelled
 from ..resilience.degradation import DegradationLog
 from ..simulation.engine import Simulator
@@ -142,10 +147,11 @@ class Session:
     ----------
     oracle_cache_dir:
         Default on-disk oracle-preprocessing cache applied to every
-        scenario that does not set its own ``oracle_cache_dir``.  With
-        a warm directory, a brand-new process constructing the ``ch``
-        backend loads the persisted contraction order instead of
-        re-contracting the graph.
+        scenario whose oracle backend persists its preprocessing
+        (``ch``, ``overlay``) and whose spec does not set its own
+        ``oracle.cache_dir``.  With a warm directory, a brand-new
+        process constructing the ``ch`` backend loads the persisted
+        contraction order instead of re-contracting the graph.
     """
 
     def __init__(self, *, oracle_cache_dir: str | None = None) -> None:
@@ -496,9 +502,16 @@ class Session:
     # ------------------------------------------------------------------
     def _effective(self, spec: ScenarioSpec) -> ScenarioSpec:
         """Apply session-level defaults (today: the oracle cache dir)."""
-        if self._oracle_cache_dir and spec.oracle_cache_dir is None:
-            return spec.with_overrides(oracle_cache_dir=self._oracle_cache_dir)
-        return spec
+        if not self._oracle_cache_dir:
+            return spec
+        oracle = spec.oracle or OracleSpec()
+        if oracle.cache_dir is not None or "cache_dir" not in (
+            ORACLE_OPTIONS_BY_BACKEND.get(oracle.backend, ())
+        ):
+            return spec
+        return spec.with_overrides(
+            oracle=replace(oracle, cache_dir=self._oracle_cache_dir)
+        )
 
     def _attach_oracle(
         self,

@@ -36,254 +36,10 @@ from ..config import ExtraTimeWeights, SimulationConfig
 from ..exceptions import ConfigurationError
 from ..experiments.config import DATASET_DEFAULTS, default_config
 from ..experiments.runner import ALGORITHMS
+from ..network.oracle import OracleSpec
 
 #: Valid road-network sources.
 NETWORK_SOURCES = ("dataset", "grid")
-
-#: Options each built-in oracle backend actually consumes (beyond
-#: ``backend`` itself).  :class:`OracleSpec` validates eagerly against
-#: this table; backends registered at runtime accept any option.
-ORACLE_OPTIONS_BY_BACKEND: dict[str, tuple[str, ...]] = {
-    "lazy": ("cache_size",),
-    "landmark": ("landmarks",),
-    "matrix": ("kernel", "shared_memory"),
-    "ch": (
-        "cache_size",
-        "witness_hops",
-        "cache_dir",
-        "kernel",
-        "shared_memory",
-        "contraction_order",
-        "coarsen_levels",
-        "coarsen_alpha",
-        "coarsen_beta",
-    ),
-    "overlay": (
-        "cache_size",
-        "witness_hops",
-        "cache_dir",
-        "kernel",
-        "coarsen_levels",
-        "coarsen_alpha",
-        "coarsen_beta",
-        "coarsen_error_bound",
-        "coarsen_refine",
-    ),
-}
-
-#: OracleSpec option -> the flat ScenarioSpec / SimulationConfig field
-#: it supersedes (the flat fields remain as deprecation shims).
-_ORACLE_FIELD_MAP = {
-    "backend": "oracle_backend",
-    "cache_size": "oracle_cache_size",
-    "landmarks": "oracle_landmarks",
-    "witness_hops": "oracle_witness_hops",
-    "cache_dir": "oracle_cache_dir",
-    "kernel": "oracle_kernel",
-    "shared_memory": "oracle_shared_memory",
-    "coarsen_levels": "oracle_coarsen_levels",
-    "coarsen_alpha": "oracle_coarsen_alpha",
-    "coarsen_beta": "oracle_coarsen_beta",
-    "coarsen_error_bound": "oracle_coarsen_error_bound",
-    "coarsen_refine": "oracle_coarsen_refine",
-    "contraction_order": "oracle_contraction_order",
-}
-
-
-@dataclass(frozen=True)
-class OracleSpec:
-    """Typed description of the distance-oracle backend and its options.
-
-    The preferred replacement for the flat ``oracle_backend`` /
-    ``oracle_cache_size`` / ``oracle_witness_hops`` plumbing: one
-    frozen value naming the backend and exactly the options it
-    consumes, validated eagerly.  ``None`` means "use the default".
-
-    Attributes
-    ----------
-    backend:
-        Registry name (``"lazy"``, ``"landmark"``, ``"matrix"``,
-        ``"ch"``, or a custom registered backend).  ``None`` keeps the
-        scenario's flat/default backend.
-    cache_size:
-        LRU bound (lazy per-source cache, ch per-target bucket cache).
-    landmarks:
-        ALT landmark count (landmark backend).
-    witness_hops:
-        Witness-search hop limit of CH contraction.
-    cache_dir:
-        On-disk preprocessing cache directory (ch backend).
-    kernel:
-        ``"dict"`` | ``"csr"`` | ``"auto"`` — inner-loop implementation
-        of the ch/matrix backends (csr = vectorised numpy kernels).
-    shared_memory:
-        Whether process-mode dispatch shards attach to one
-        shared-memory copy of the oracle's prepared arrays.
-    coarsen_levels, coarsen_alpha, coarsen_beta:
-        Multilevel-coarsening knobs of the overlay backend (and of the
-        ch backend's ``contraction_order="coarsening"`` variant).
-    coarsen_error_bound:
-        Certified relative error ceiling of overlay estimates.
-    coarsen_refine:
-        ``True`` makes the overlay answer every query exactly.
-    contraction_order:
-        ``"edge_difference"`` | ``"coarsening"`` — node-ordering
-        strategy of the ch backend's contraction.
-
-    Setting an option a *built-in* backend does not consume raises a
-    :class:`ConfigurationError` listing the backend's valid options at
-    construction time.
-    """
-
-    backend: str | None = None
-    cache_size: int | None = None
-    landmarks: int | None = None
-    witness_hops: int | None = None
-    cache_dir: str | None = None
-    kernel: str | None = None
-    shared_memory: bool | None = None
-    coarsen_levels: int | None = None
-    coarsen_alpha: float | None = None
-    coarsen_beta: float | None = None
-    coarsen_error_bound: float | None = None
-    coarsen_refine: bool | None = None
-    contraction_order: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.backend is not None:
-            if not isinstance(self.backend, str) or not self.backend:
-                raise ConfigurationError(
-                    f"OracleSpec.backend must be a non-empty string, "
-                    f"got {self.backend!r}"
-                )
-            from ..network.oracle.registry import ORACLE_BACKENDS
-
-            if self.backend not in ORACLE_BACKENDS:
-                raise ConfigurationError(
-                    f"unknown oracle backend {self.backend!r}; available: "
-                    f"{tuple(sorted(ORACLE_BACKENDS))}"
-                )
-        for option in (
-            "cache_size",
-            "landmarks",
-            "witness_hops",
-            "coarsen_levels",
-        ):
-            value = getattr(self, option)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"OracleSpec.{option} must be an integer, got {value!r}"
-                )
-            if value < 1:
-                raise ConfigurationError(
-                    f"OracleSpec.{option} must be at least 1, got {value}"
-                )
-        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
-            raise ConfigurationError(
-                f"OracleSpec.cache_dir must be a path string, "
-                f"got {self.cache_dir!r}"
-            )
-        if self.kernel is not None:
-            from ..network.oracle.csr import KERNELS
-
-            if self.kernel not in KERNELS:
-                raise ConfigurationError(
-                    f"OracleSpec.kernel must be one of {KERNELS}, "
-                    f"got {self.kernel!r}"
-                )
-        if self.shared_memory is not None and not isinstance(
-            self.shared_memory, bool
-        ):
-            raise ConfigurationError(
-                f"OracleSpec.shared_memory must be a boolean, "
-                f"got {self.shared_memory!r}"
-            )
-        for option in ("coarsen_alpha", "coarsen_beta", "coarsen_error_bound"):
-            value = getattr(self, option)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"OracleSpec.{option} must be a number, got {value!r}"
-                )
-            if value < 0:
-                raise ConfigurationError(
-                    f"OracleSpec.{option} must be non-negative, got {value}"
-                )
-            object.__setattr__(self, option, float(value))
-        if self.coarsen_refine is not None and not isinstance(
-            self.coarsen_refine, bool
-        ):
-            raise ConfigurationError(
-                f"OracleSpec.coarsen_refine must be a boolean, "
-                f"got {self.coarsen_refine!r}"
-            )
-        if self.contraction_order is not None:
-            from ..network.coarsen.order import CONTRACTION_ORDERS
-
-            if self.contraction_order not in CONTRACTION_ORDERS:
-                raise ConfigurationError(
-                    f"OracleSpec.contraction_order must be one of "
-                    f"{CONTRACTION_ORDERS}, got {self.contraction_order!r}"
-                )
-        self._check_backend_options()
-
-    def _check_backend_options(self) -> None:
-        """Reject options the named built-in backend does not consume."""
-        if self.backend is None:
-            return
-        valid = ORACLE_OPTIONS_BY_BACKEND.get(self.backend)
-        if valid is None:  # custom registered backend: accept anything
-            return
-        set_options = [
-            option
-            for option in _ORACLE_FIELD_MAP
-            if option != "backend" and getattr(self, option) is not None
-        ]
-        invalid = sorted(set(set_options) - set(valid))
-        if invalid:
-            raise ConfigurationError(
-                f"oracle backend {self.backend!r} does not take option(s) "
-                f"{invalid}; valid options for {self.backend!r}: "
-                f"{sorted(valid)}"
-            )
-
-    def config_overrides(self) -> dict[str, Any]:
-        """The set options as ``SimulationConfig`` field overrides."""
-        overrides: dict[str, Any] = {}
-        for option, config_field in _ORACLE_FIELD_MAP.items():
-            value = getattr(self, option)
-            if value is not None:
-                overrides[config_field] = value
-        return overrides
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-able view; unset (``None``) options are omitted."""
-        return {
-            spec_field.name: getattr(self, spec_field.name)
-            for spec_field in fields(self)
-            if getattr(self, spec_field.name) is not None
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OracleSpec":
-        """Rebuild from :meth:`to_dict` output; unknown keys fail loudly."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"an OracleSpec document must be a mapping, got "
-                f"{type(data).__name__}"
-            )
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown OracleSpec keys: {unknown}; known keys: "
-                f"{sorted(known)}"
-            )
-        return cls(**dict(data))
-
 
 #: Valid workload sources.
 WORKLOAD_SOURCES = ("synthetic", "csv")
@@ -302,11 +58,7 @@ _CONFIG_FIELDS = (
     "horizon",
     "max_group_size",
     "seed",
-    "oracle_backend",
-    "oracle_cache_size",
-    "oracle_landmarks",
-    "oracle_witness_hops",
-    "oracle_cache_dir",
+    "oracle",
     "dispatch_workers",
     "dispatch_mode",
 )
@@ -320,9 +72,6 @@ _INT_FIELDS = (
     "max_capacity",
     "grid_size",
     "max_group_size",
-    "oracle_cache_size",
-    "oracle_landmarks",
-    "oracle_witness_hops",
     "dispatch_workers",
 )
 
@@ -347,8 +96,6 @@ _REQUIRED_STR_FIELDS = ("name", "network", "dataset", "workload", "algorithm")
 _OPTIONAL_STR_FIELDS = (
     "orders_csv",
     "workers_csv",
-    "oracle_backend",
-    "oracle_cache_dir",
     "dispatch_mode",
 )
 
@@ -358,10 +105,16 @@ _ARG_FIELDS = (
     ("workers", "num_workers"),
     ("horizon", "horizon"),
     ("seed", "seed"),
-    ("oracle", "oracle_backend"),
-    ("oracle_cache", "oracle_cache_dir"),
     ("dispatch_workers", "dispatch_workers"),
     ("dispatch_mode", "dispatch_mode"),
+)
+
+#: CLI argument name -> :class:`OracleSpec` option (``from_args``).
+_ORACLE_ARG_OPTIONS = (
+    ("oracle", "backend"),
+    ("oracle_kernel", "kernel"),
+    ("coarsen_levels", "coarsen_levels"),
+    ("coarsen_alpha", "coarsen_alpha"),
 )
 
 _CANONICAL_ALGORITHMS = {name.lower(): name for name in ALGORITHMS}
@@ -401,19 +154,13 @@ class ScenarioSpec:
         instead of using the GMM threshold fit.
     oracle:
         Typed :class:`OracleSpec` naming the distance-oracle backend
-        and its validated options (including the ``kernel`` and
-        ``shared_memory`` toggles).  This is the preferred spelling;
-        the flat ``oracle_*`` fields below remain as deprecation shims
-        and must agree with it when both are set.
+        and its validated options (a mapping is accepted and parsed);
+        ``None`` keeps the default ``lazy`` backend.
     num_orders .. dispatch_mode:
         Optional overrides of the corresponding
         :class:`~repro.config.SimulationConfig` fields; ``None`` keeps
         the resolved default.  ``alpha``/``beta`` expand into the
-        extra-time weights.  The flat ``oracle_backend`` /
-        ``oracle_cache_size`` / ``oracle_landmarks`` /
-        ``oracle_witness_hops`` / ``oracle_cache_dir`` fields are
-        deprecated in favour of :attr:`oracle` (they keep working and
-        resolve identically).
+        extra-time weights.
     deadline_seconds:
         Wall-clock budget for one execution of this scenario,
         enforced cooperatively at tick boundaries (see
@@ -449,11 +196,6 @@ class ScenarioSpec:
     alpha: float | None = None
     beta: float | None = None
     oracle: OracleSpec | None = None
-    oracle_backend: str | None = None
-    oracle_cache_size: int | None = None
-    oracle_landmarks: int | None = None
-    oracle_witness_hops: int | None = None
-    oracle_cache_dir: str | None = None
     dispatch_workers: int | None = None
     dispatch_mode: str | None = None
     deadline_seconds: float | None = None
@@ -525,22 +267,10 @@ class ScenarioSpec:
                 f"ScenarioSpec.oracle must be an OracleSpec (or a mapping), "
                 f"got {self.oracle!r}"
             )
-        if self.oracle is not None:
-            # The flat fields are shims for the nested spec; both set
-            # and disagreeing is a contradiction, not a precedence case.
-            for option, flat_field in _ORACLE_FIELD_MAP.items():
-                nested = getattr(self.oracle, option)
-                flat = getattr(self, flat_field, None)
-                if nested is not None and flat is not None and nested != flat:
-                    raise ConfigurationError(
-                        f"ScenarioSpec.oracle.{option}={nested!r} contradicts "
-                        f"the deprecated flat field {flat_field}={flat!r}; "
-                        f"set one of them (prefer ScenarioSpec.oracle)"
-                    )
         # Resolving the SimulationConfig eagerly surfaces every numeric
-        # constraint violation (negative order counts, unknown oracle
-        # backends, bad dispatch modes, ...) with the library's precise
-        # ConfigurationError messages at *spec construction* time.
+        # constraint violation (negative order counts, bad dispatch
+        # modes, ...) with the library's precise ConfigurationError
+        # messages at *spec construction* time.
         self.config()
 
     def _check_types(self) -> None:
@@ -595,10 +325,6 @@ class ScenarioSpec:
             value = getattr(self, field_name)
             if value is not None:
                 overrides[field_name] = value
-        if self.oracle is not None:
-            # The typed spec wins where set (__post_init__ guarantees it
-            # never silently disagrees with a set flat field).
-            overrides.update(self.oracle.config_overrides())
         if self.alpha is not None or self.beta is not None:
             overrides["weights"] = ExtraTimeWeights(
                 alpha=self.alpha if self.alpha is not None else 1.0,
@@ -642,29 +368,6 @@ class ScenarioSpec:
             field_name: getattr(config, field_name)
             for field_name in _CONFIG_FIELDS
         }
-        # Kernel / shared-memory / coarsening knobs only exist on the
-        # typed spec; capture them there when the config strays from the
-        # defaults so ``spec.config() == config`` stays exact.
-        defaults = SimulationConfig()
-        oracle_kwargs: dict[str, Any] = {}
-        if (
-            config.oracle_kernel != "auto"
-            or config.oracle_shared_memory is not True
-        ):
-            oracle_kwargs["kernel"] = config.oracle_kernel
-            oracle_kwargs["shared_memory"] = config.oracle_shared_memory
-        for option, config_field in (
-            ("coarsen_levels", "oracle_coarsen_levels"),
-            ("coarsen_alpha", "oracle_coarsen_alpha"),
-            ("coarsen_beta", "oracle_coarsen_beta"),
-            ("coarsen_error_bound", "oracle_coarsen_error_bound"),
-            ("coarsen_refine", "oracle_coarsen_refine"),
-            ("contraction_order", "oracle_contraction_order"),
-        ):
-            value = getattr(config, config_field, None)
-            if value is not None and value != getattr(defaults, config_field):
-                oracle_kwargs[option] = value
-        oracle = OracleSpec(**oracle_kwargs) if oracle_kwargs else None
         return cls(
             name=name,
             network="dataset",
@@ -673,7 +376,6 @@ class ScenarioSpec:
             use_rl=use_rl,
             alpha=config.weights.alpha,
             beta=config.weights.beta,
-            oracle=oracle,
             **values,
         )
 
@@ -681,30 +383,24 @@ class ScenarioSpec:
     def from_args(cls, args: argparse.Namespace) -> "ScenarioSpec":
         """Build a spec from the CLI's parsed workload arguments.
 
-        Mirrors the CLI's legacy ``_config_from_args`` exactly:
-        ``ScenarioSpec.from_args(args).config()`` equals the config the
-        CLI used to assemble by hand.
+        ``--oracle``, ``--oracle-kernel``, ``--coarsen-levels`` and
+        ``--coarsen-alpha`` build one :class:`OracleSpec`, so a kernel
+        or coarsening flag on a backend that does not take it is
+        rejected exactly like the same option in a spec document.
         """
         overrides: dict[str, Any] = {}
         for arg_name, field_name in _ARG_FIELDS:
             value = getattr(args, arg_name, None)
             if value is not None:
                 overrides[field_name] = value
-        # Kernel and coarsening knobs have no flat shim fields: they
-        # ride on the typed spec.
-        oracle_kwargs: dict[str, Any] = {}
-        for arg_name, option in (
-            ("oracle_kernel", "kernel"),
-            ("coarsen_levels", "coarsen_levels"),
-            ("coarsen_alpha", "coarsen_alpha"),
-        ):
-            value = getattr(args, arg_name, None)
-            if value is not None:
-                oracle_kwargs[option] = value
-        if oracle_kwargs:
-            overrides["oracle"] = OracleSpec(**oracle_kwargs)
-        spec = cls(dataset=getattr(args, "dataset", "CDC"))
-        return spec.with_overrides(**overrides) if overrides else spec
+        oracle_options = {
+            option: getattr(args, arg_name)
+            for arg_name, option in _ORACLE_ARG_OPTIONS
+            if getattr(args, arg_name, None) is not None
+        }
+        if oracle_options:
+            overrides["oracle"] = OracleSpec(**oracle_options)
+        return cls(dataset=getattr(args, "dataset", "CDC"), **overrides)
 
     # ------------------------------------------------------------------
     # serialization
@@ -771,8 +467,8 @@ class ScenarioSpec:
             "network": self.network,
             "workload": self.workload,
             "algorithm": self.algorithm,
-            "oracle_backend": config.oracle_backend,
-            "oracle_kernel": config.oracle_kernel,
+            "oracle_backend": config.oracle.backend,
+            "oracle_kernel": config.oracle.kernel or "auto",
             "seed": config.seed,
             "num_orders": config.num_orders,
             "num_workers": config.num_workers,

@@ -60,7 +60,6 @@ from .experiments.benchmarking import (
     format_parallel_bench_lines,
     write_dispatch_trajectory,
 )
-from .experiments.config import default_config
 from .experiments.reporting import (
     format_comparison_table,
     format_full_sweep_report,
@@ -436,45 +435,11 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _config_from_args(args: argparse.Namespace):
-    """Legacy flag-to-config assembly.
-
-    The commands themselves now go through
-    :meth:`repro.api.ScenarioSpec.from_args`; this helper is kept (and
-    tested) as the reference the spec path must stay equivalent to:
-    ``_config_from_args(args) == ScenarioSpec.from_args(args).config()``.
-    """
-    overrides = {}
-    if args.orders is not None:
-        overrides["num_orders"] = args.orders
-    if args.workers is not None:
-        overrides["num_workers"] = args.workers
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "oracle", None) is not None:
-        overrides["oracle_backend"] = args.oracle
-    if getattr(args, "oracle_cache", None) is not None:
-        overrides["oracle_cache_dir"] = args.oracle_cache
-    if getattr(args, "oracle_kernel", None) is not None:
-        overrides["oracle_kernel"] = args.oracle_kernel
-    if getattr(args, "coarsen_levels", None) is not None:
-        overrides["oracle_coarsen_levels"] = args.coarsen_levels
-    if getattr(args, "coarsen_alpha", None) is not None:
-        overrides["oracle_coarsen_alpha"] = args.coarsen_alpha
-    if getattr(args, "dispatch_workers", None) is not None:
-        overrides["dispatch_workers"] = args.dispatch_workers
-    if getattr(args, "dispatch_mode", None) is not None:
-        overrides["dispatch_mode"] = args.dispatch_mode
-    return default_config(args.dataset, **overrides)
-
-
 def _scenario_line(run: RunResult) -> str:
     """One self-describing identity line appended to comparison output."""
     config = run.spec.config()
     return (
-        f"scenario: {run.spec.describe()} oracle={config.oracle_backend} "
+        f"scenario: {run.spec.describe()} oracle={config.oracle.backend} "
         f"seed={config.seed} dispatch_workers={config.dispatch_workers} "
         f"graph={run.graph_hash[:12]}"
     )
@@ -493,7 +458,7 @@ def _comparison_output(results: list[RunResult], title: str) -> str:
 def _run_compare(args: argparse.Namespace) -> str:
     spec = ScenarioSpec.from_args(args)
     config = spec.config()
-    results = Session().compare(
+    results = Session(oracle_cache_dir=args.oracle_cache).compare(
         spec, algorithms=args.algorithms, use_rl=args.use_rl
     )
     title = f"Algorithm comparison ({args.dataset}, n={config.num_orders}, m={config.num_workers})"
@@ -557,9 +522,14 @@ def _run_spec_durable(args: argparse.Namespace, spec: ScenarioSpec) -> str:
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
-    config = _config_from_args(args)
+    config = ScenarioSpec.from_args(args).config()
     sweep_fn = _FIGURES[args.figure]
-    sweep = sweep_fn(args.dataset, base_config=config, algorithms=args.algorithms)
+    sweep = sweep_fn(
+        args.dataset,
+        base_config=config,
+        algorithms=args.algorithms,
+        session=Session(oracle_cache_dir=args.oracle_cache),
+    )
     header = f"=== {args.figure}: {sweep.parameter} sweep on {args.dataset} ==="
     return header + "\n" + format_full_sweep_report(sweep)
 
@@ -573,7 +543,7 @@ def _run_example1() -> str:
 
 
 def _run_bench(args: argparse.Namespace) -> str:
-    config = _config_from_args(args)
+    config = ScenarioSpec.from_args(args).config()
     if args.dispatch:
         return _run_dispatch_bench(args, config)
     results = benchmark_oracles(

@@ -17,42 +17,11 @@ scaled down so a full sweep finishes on a laptop-class machine:
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from .exceptions import ConfigurationError
-
-_DEPRECATION_MESSAGE = (
-    "constructing SimulationConfig directly is deprecated as a public "
-    "entry point: describe the run with repro.api.ScenarioSpec and execute "
-    "it with repro.api.Session (SimulationConfig remains the validated "
-    "internal parameter carrier and keeps working unchanged)"
-)
-
-
-def _constructed_externally() -> bool:
-    """Whether the nearest relevant caller frame lives outside the library.
-
-    The facade (``repro.api``) and every internal helper construct
-    ``SimulationConfig`` freely; only *direct* construction from user
-    code should raise the deprecation pointer at ``repro.api``.  Frames
-    belonging to :mod:`dataclasses`/:mod:`copy` (``replace`` and the
-    generated ``__init__``) and to this module are skipped so
-    ``with_overrides`` attributes the construction to *its* caller.
-    """
-    try:
-        frame = sys._getframe(2)
-    except ValueError:  # pragma: no cover - no caller frame at all
-        return False
-    while frame is not None:
-        name = frame.f_globals.get("__name__", "")
-        if name in ("dataclasses", "copy", "repro.config"):
-            frame = frame.f_back
-            continue
-        return not (name == "repro" or name.startswith("repro."))
-    return False
+from .network.oracle.spec import OracleSpec
 
 
 @dataclass(frozen=True)
@@ -105,55 +74,10 @@ class SimulationConfig:
         one passenger, Section VII-A).
     seed:
         Seed for every random decision made during the simulation.
-    oracle_backend:
-        Name of the distance-oracle backend answering shortest-path
-        queries (``"lazy"``, ``"landmark"``, ``"matrix"``, ``"ch"``, or
-        any name registered via ``repro.network.register_oracle``).
-    oracle_cache_size:
-        LRU bound of the lazy backend's per-source Dijkstra cache (the
-        ``ch`` backend uses it for its per-target bucket cache).
-    oracle_landmarks:
-        Number of ALT landmarks precomputed by the landmark backend.
-    oracle_witness_hops:
-        Hop limit of the witness searches run while the ``ch`` backend
-        contracts the graph (higher = fewer shortcuts, slower setup).
-    oracle_cache_dir:
-        Directory for persisted oracle preprocessing (``None`` = no
-        persistence).  The ``ch`` backend stores its contraction order
-        and shortcuts there keyed by a stable graph hash, so a warm
-        directory lets a fresh process skip the contraction pass.
-    oracle_kernel:
-        Inner-loop implementation of the ``ch`` and ``matrix`` backends:
-        ``"csr"`` runs the vectorised numpy kernels (level-grouped PHAST
-        sweeps over flat CSR arrays, array bucket scans, bulk row
-        refresh), ``"dict"`` the pure-Python originals, ``"auto"``
-        (default) picks csr when numpy is importable and dict otherwise.
-        Both kernels produce identical answers (property-tested); lazy
-        and landmark always use their dict paths.
-    oracle_coarsen_levels / oracle_coarsen_alpha / oracle_coarsen_beta:
-        Multilevel-coarsening knobs of the ``overlay`` backend (and of
-        the ``ch`` backend's coarsening-derived contraction order):
-        number of matching passes and the merge-cost weights of
-        ``D_ij = alpha*tau_ij + beta*temporal_slack``.
-    oracle_coarsen_error_bound:
-        Certified relative error ceiling of the ``overlay`` backend's
-        estimated answers; queries whose certified gap exceeds it are
-        refined exactly.
-    oracle_coarsen_refine:
-        ``True`` makes the ``overlay`` backend answer every query with
-        the exact (pruned-Dijkstra) distance — same answers as Dijkstra,
-        city-scale readiness cost.
-    oracle_contraction_order:
-        Node-ordering strategy of the ``ch`` backend's contraction:
-        ``"edge_difference"`` (classic lazy-heap priority, default) or
-        ``"coarsening"`` (absorbed-first order derived from the
-        multilevel hierarchy; queries stay exact either way).
-    oracle_shared_memory:
-        Whether process-mode dispatch shards attach to one
-        ``multiprocessing.shared_memory`` copy of the oracle's prepared
-        arrays (csr kernel only) instead of duplicating them per fork.
-        On by default; a no-op for thread mode, the dict kernel, and
-        backends with nothing to share.
+    oracle:
+        The distance-oracle backend answering shortest-path queries and
+        its options, as one :class:`~repro.network.oracle.OracleSpec`
+        (default: the ``lazy`` backend with its own defaults).
     dispatch_workers:
         Number of shards the periodic check's oracle blocks are
         partitioned across (1 = fully serial, no engine).  Parallel
@@ -182,19 +106,7 @@ class SimulationConfig:
     weights: ExtraTimeWeights = field(default_factory=ExtraTimeWeights)
     max_group_size: int = 4
     seed: int = 7
-    oracle_backend: str = "lazy"
-    oracle_cache_size: int = 1024
-    oracle_landmarks: int = 8
-    oracle_witness_hops: int = 5
-    oracle_cache_dir: str | None = None
-    oracle_kernel: str = "auto"
-    oracle_coarsen_levels: int = 3
-    oracle_coarsen_alpha: float = 1.0
-    oracle_coarsen_beta: float = 1.0
-    oracle_coarsen_error_bound: float = 0.25
-    oracle_coarsen_refine: bool = False
-    oracle_contraction_order: str = "edge_difference"
-    oracle_shared_memory: bool = True
+    oracle: OracleSpec = field(default_factory=OracleSpec)
     dispatch_workers: int = 1
     dispatch_mode: str = "thread"
 
@@ -222,15 +134,9 @@ class SimulationConfig:
             raise ConfigurationError("horizon must be positive")
         if self.max_group_size < 1:
             raise ConfigurationError("max_group_size must be at least 1")
-        if self.oracle_cache_size < 1:
-            raise ConfigurationError("oracle_cache_size must be at least 1")
-        if self.oracle_landmarks < 1:
-            raise ConfigurationError("oracle_landmarks must be at least 1")
-        if self.oracle_witness_hops < 1:
-            raise ConfigurationError("oracle_witness_hops must be at least 1")
         if self.dispatch_workers < 1:
             raise ConfigurationError("dispatch_workers must be at least 1")
-        # Deferred import, same reasoning as the oracle registry below.
+        # Deferred import: the simulation layer imports this module.
         from .simulation.parallel import DISPATCH_MODES
 
         if self.dispatch_mode not in DISPATCH_MODES:
@@ -238,51 +144,11 @@ class SimulationConfig:
                 f"unknown dispatch_mode {self.dispatch_mode!r}; "
                 f"available: {DISPATCH_MODES}"
             )
-        # Deferred import: the registry lives in the network layer, which
-        # does not import this module, so there is no cycle — but keep it
-        # local so merely importing repro.config stays dependency-free.
-        from .network.oracle.registry import ORACLE_BACKENDS
-
-        if self.oracle_backend not in ORACLE_BACKENDS:
+        if not isinstance(self.oracle, OracleSpec):
             raise ConfigurationError(
-                f"unknown oracle backend {self.oracle_backend!r}; "
-                f"available: {tuple(sorted(ORACLE_BACKENDS))}"
+                f"SimulationConfig.oracle must be an OracleSpec, "
+                f"got {self.oracle!r}"
             )
-        if self.oracle_cache_dir is not None and not isinstance(
-            self.oracle_cache_dir, str
-        ):
-            raise ConfigurationError("oracle_cache_dir must be a path string")
-        from .network.oracle.csr import KERNELS
-
-        if self.oracle_kernel not in KERNELS:
-            raise ConfigurationError(
-                f"unknown oracle_kernel {self.oracle_kernel!r}; "
-                f"available: {KERNELS}"
-            )
-        if not isinstance(self.oracle_shared_memory, bool):
-            raise ConfigurationError("oracle_shared_memory must be a bool")
-        if self.oracle_coarsen_levels < 1:
-            raise ConfigurationError("oracle_coarsen_levels must be at least 1")
-        if self.oracle_coarsen_alpha < 0 or self.oracle_coarsen_beta < 0:
-            raise ConfigurationError(
-                "oracle coarsening weights must be non-negative"
-            )
-        if self.oracle_coarsen_error_bound < 0:
-            raise ConfigurationError(
-                "oracle_coarsen_error_bound must be non-negative"
-            )
-        if not isinstance(self.oracle_coarsen_refine, bool):
-            raise ConfigurationError("oracle_coarsen_refine must be a bool")
-        from .network.coarsen.order import CONTRACTION_ORDERS
-
-        if self.oracle_contraction_order not in CONTRACTION_ORDERS:
-            raise ConfigurationError(
-                f"unknown oracle_contraction_order "
-                f"{self.oracle_contraction_order!r}; "
-                f"available: {CONTRACTION_ORDERS}"
-            )
-        if _constructed_externally():
-            warnings.warn(_DEPRECATION_MESSAGE, DeprecationWarning, stacklevel=3)
 
     def with_overrides(self, **overrides: Any) -> "SimulationConfig":
         """Return a copy with the given fields replaced.

@@ -50,7 +50,8 @@ from ..resilience.faults import fault_point
 DEFAULT_CHECKPOINT_INTERVAL = 25
 
 # 2: pickled ``Route`` objects carry per-order stop positions.
-_FORMAT_VERSION = 2
+# 3: the pickled ``SimulationConfig`` carries one ``oracle`` OracleSpec.
+_FORMAT_VERSION = 3
 
 _LOCK_TYPE = type(threading.Lock())
 _RLOCK_TYPE = type(threading.RLock())

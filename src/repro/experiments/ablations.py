@@ -20,7 +20,7 @@ from ..datasets.workloads import build_workload
 from ..learning.trainer import ValueFunctionTrainer, generate_experience
 from ..network.grid import GridIndex
 from .config import PARAMETER_GRID, default_config
-from .runner import ExperimentRun, _run_on_workload, run_comparison
+from .runner import ExperimentRun, _simulate, run_comparison
 from .sweeps import SweepResult
 
 _WATTER_VARIANTS = ("WATTER-expect", "WATTER-online", "WATTER-timeout")
@@ -131,7 +131,7 @@ def vary_loss_weight(
     learning = learning_config or LearningConfig(epochs=3)
     workload = build_workload(dataset, base)
 
-    bootstrap = _run_on_workload("WATTER-online", workload, base)
+    bootstrap = _simulate("WATTER-online", workload, base)
     extra_times = [
         outcome.extra_time
         for outcome in bootstrap.collector.outcomes
@@ -164,7 +164,7 @@ def vary_loss_weight(
         trainer.add_experience(transitions)
         report = trainer.train()
         provider = trainer.build_provider()
-        result = _run_on_workload("WATTER-expect", workload, base, provider)
+        result = _simulate("WATTER-expect", workload, base, provider)
         ablation.rows.append(
             {
                 "omega": float(omega),

@@ -124,8 +124,6 @@ def benchmark_oracles(
             name,
             graph,
             nodes=hint,
-            cache_size=config.oracle_cache_size,
-            num_landmarks=config.oracle_landmarks,
             seed=config.seed,
         )
         setup = time.perf_counter() - started
@@ -593,7 +591,7 @@ def benchmark_ch_preprocessing_cache(
     the "cold" measurement into a second restore and fake a ~1x
     ratio) and persists its node order and shortcuts to ``cache_dir``
     (a temporary directory by default); the warm build — what a *fresh
-    process* with a warm ``oracle_cache_dir`` does — restores the
+    process* with a warm ``oracle.cache_dir`` does — restores the
     hierarchy from that file instead of re-contracting.  Both oracles
     answer the same sampled query set and are cross-checked
     pair-for-pair, so the cache can only ever be a speedup, never a

@@ -17,7 +17,6 @@ workload and uses ``theta = p - V(s)`` online.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,12 +30,10 @@ from ..datasets.synthetic import Workload
 from ..datasets.workloads import build_workload
 from ..exceptions import ConfigurationError
 from ..network.grid import GridIndex
-from ..network.oracle import configure_oracle
 from ..routing.planner import RoutePlanner
 from ..simulation.dispatcher import Dispatcher
 from ..simulation.engine import SimulationResult, Simulator
 from ..simulation.fleet import WorkerFleet
-from ..simulation.hooks import SimulationHooks
 from ..simulation.metrics import SimulationMetrics
 
 ALGORITHMS = (
@@ -65,22 +62,6 @@ def _fresh_fleet(workload: Workload, config: SimulationConfig) -> WorkerFleet:
     grid = GridIndex(workload.network, size=config.grid_size)
     return WorkerFleet(
         [worker.clone() for worker in workload.workers], workload.network, grid
-    )
-
-
-def active_nodes(workload: Workload) -> list[int]:
-    """Nodes the dispatch hot path will query (see ``Workload.active_nodes``)."""
-    return workload.active_nodes()
-
-
-def prepare_network(workload: Workload, config: SimulationConfig):
-    """Attach the configured distance-oracle backend to the workload's network.
-
-    ``Simulator`` does this automatically; the helper exists for callers
-    that want the oracle warm (or inspectable) before a run starts.
-    """
-    return configure_oracle(
-        workload.network, config, nodes=workload.active_nodes(), reuse=True
     )
 
 
@@ -141,7 +122,7 @@ def _build_expect_provider(
     # dominated by *shared* groups, so the recorded extra times cover the
     # range the threshold must discriminate over (an online bootstrap would
     # record mostly near-zero extra times and collapse the fit).
-    bootstrap = _run_on_workload("WATTER-timeout", training_workload, training_config)
+    bootstrap = _simulate("WATTER-timeout", training_workload, training_config)
     extra_times = [
         outcome.extra_time
         for outcome in bootstrap.collector.outcomes
@@ -210,40 +191,15 @@ def make_dispatcher(
     )
 
 
-def _run_on_workload(
+def _simulate(
     algorithm: str,
     workload: Workload,
     config: SimulationConfig,
     provider: ThresholdProvider | None = None,
-    hooks: SimulationHooks | None = None,
 ) -> SimulationResult:
     """Run one algorithm over an already-generated workload (internal)."""
     dispatcher = make_dispatcher(algorithm, workload, config, provider)
-    return Simulator(workload, dispatcher, config, hooks=hooks).run()
-
-
-def run_on_workload(
-    algorithm: str,
-    workload: Workload,
-    config: SimulationConfig,
-    provider: ThresholdProvider | None = None,
-):
-    """Run one algorithm over an already-generated workload.
-
-    .. deprecated::
-        Describe the run with :class:`repro.api.ScenarioSpec` and
-        execute it through :class:`repro.api.Session` (which also
-        accepts a pre-built ``workload=`` for custom demand models).
-        This shim keeps working and produces identical metrics.
-    """
-    warnings.warn(
-        "run_on_workload is deprecated: describe the run with "
-        "repro.api.ScenarioSpec and execute it with repro.api.Session.run "
-        "(pass workload=... for custom workloads); results are identical",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_on_workload(algorithm, workload, config, provider)
+    return Simulator(workload, dispatcher, config).run()
 
 
 def run_algorithm(

@@ -11,17 +11,21 @@ The sweeps are thin adapters over :func:`repro.api.sweep`: every
 parameter value becomes one :class:`~repro.api.ScenarioSpec`, and the
 whole sweep shares a single :class:`~repro.api.Session` so the road
 network (and any heavyweight oracle preprocessing) is built once
-instead of once per value.
+instead of once per value (pass ``session=`` to share one further,
+or to give it an on-disk oracle cache).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, TYPE_CHECKING
 
 from ..config import SimulationConfig
 from .config import PARAMETER_GRID, default_config, worker_counts_scaled
 from .runner import ALGORITHMS, ExperimentRun
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..api import Session
 
 
 @dataclass
@@ -67,6 +71,7 @@ def _run_sweep(
     algorithms: Sequence[str],
     config_for_value,
     use_rl: bool = False,
+    session: "Session | None" = None,
 ) -> SweepResult:
     from ..api import ScenarioSpec, sweep as api_sweep
 
@@ -83,6 +88,7 @@ def _run_sweep(
         values,
         algorithms=algorithms,
         use_rl=use_rl,
+        session=session,
         spec_for_value=spec_for_value,
     )
     result = SweepResult(parameter=parameter, dataset=dataset)
@@ -106,6 +112,7 @@ def vary_num_orders(
     base_config: SimulationConfig | None = None,
     algorithms: Sequence[str] = ALGORITHMS,
     use_rl: bool = False,
+    session: "Session | None" = None,
 ) -> SweepResult:
     """Figure 3: performance while varying the number of riders ``n``."""
     base = base_config or default_config(dataset)
@@ -116,7 +123,7 @@ def vary_num_orders(
         )
 
     return _run_sweep(
-        "num_orders", fractions, dataset, base, algorithms, with_value, use_rl
+        "num_orders", fractions, dataset, base, algorithms, with_value, use_rl, session
     )
 
 
@@ -126,6 +133,7 @@ def vary_num_workers(
     base_config: SimulationConfig | None = None,
     algorithms: Sequence[str] = ALGORITHMS,
     use_rl: bool = False,
+    session: "Session | None" = None,
 ) -> SweepResult:
     """Figure 4: performance while varying the number of workers ``m``."""
     base = base_config or default_config(dataset)
@@ -135,7 +143,7 @@ def vary_num_workers(
         return config.with_overrides(num_workers=max(int(count), 1))
 
     return _run_sweep(
-        "num_workers", counts, dataset, base, algorithms, with_value, use_rl
+        "num_workers", counts, dataset, base, algorithms, with_value, use_rl, session
     )
 
 
@@ -145,6 +153,7 @@ def vary_deadline(
     base_config: SimulationConfig | None = None,
     algorithms: Sequence[str] = ALGORITHMS,
     use_rl: bool = False,
+    session: "Session | None" = None,
 ) -> SweepResult:
     """Figure 5: performance while varying the deadline scale ``tau``."""
     base = base_config or default_config(dataset)
@@ -153,7 +162,7 @@ def vary_deadline(
         return config.with_overrides(deadline_scale=float(scale))
 
     return _run_sweep(
-        "deadline_scale", deadline_scales, dataset, base, algorithms, with_value, use_rl
+        "deadline_scale", deadline_scales, dataset, base, algorithms, with_value, use_rl, session
     )
 
 
@@ -163,6 +172,7 @@ def vary_capacity(
     base_config: SimulationConfig | None = None,
     algorithms: Sequence[str] = ALGORITHMS,
     use_rl: bool = False,
+    session: "Session | None" = None,
 ) -> SweepResult:
     """Figure 6: performance while varying the maximum vehicle capacity ``Kw``."""
     base = base_config or default_config(dataset)
@@ -172,5 +182,5 @@ def vary_capacity(
         return config.with_overrides(max_capacity=value, max_group_size=value)
 
     return _run_sweep(
-        "max_capacity", capacities, dataset, base, algorithms, with_value, use_rl
+        "max_capacity", capacities, dataset, base, algorithms, with_value, use_rl, session
     )

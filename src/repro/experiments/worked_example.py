@@ -24,7 +24,7 @@ from ..datasets.synthetic import Workload
 from ..model.order import Order
 from ..model.worker import Worker
 from ..network.generators import example_network, example_node
-from .runner import _run_on_workload
+from .runner import _simulate
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def run_worked_example() -> WorkedExampleResult:
     totals = {}
     for name in ("NonSharing", "WATTER-online", "GAS", "WATTER-timeout"):
         workload = example_workload()
-        result = _run_on_workload(name, workload, config)
+        result = _simulate(name, workload, config)
         totals[name] = result.metrics.worker_travel_time
     return WorkedExampleResult(
         non_sharing=totals["NonSharing"],

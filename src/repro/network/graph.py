@@ -15,7 +15,7 @@ unseen source and cache the distance map (LRU-bounded) — which matches
 the access pattern of small workloads.  Heavier workloads swap in the
 ``landmark`` (ALT bidirectional A*), ``matrix`` (precomputed dense
 rows) or ``ch`` (contraction hierarchy) backend via
-:meth:`use_backend`, ``SimulationConfig`` or the CLI without any
+:meth:`use_backend`, ``SimulationConfig.oracle`` or the CLI without any
 dispatcher code changing.
 """
 
@@ -29,6 +29,7 @@ import networkx as nx
 from ..exceptions import NetworkError, UnknownNodeError, UnreachableError
 from .oracle.base import CacheInfo, OracleStats
 from .oracle.lazy import DEFAULT_MAX_SOURCES, LazyDijkstraOracle
+from .oracle.spec import OracleSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .oracle.base import DistanceOracle
@@ -75,11 +76,14 @@ class RoadNetwork:
                 raise NetworkError(f"node {node!r} is missing x/y coordinates")
         self._graph = directed
         self._nearest_index: "_NearestNodeIndex | None" = None
-        self._oracle: "DistanceOracle" = (
-            oracle
-            if oracle is not None
-            else LazyDijkstraOracle(directed, max_sources=cache_size)
-        )
+        if oracle is None:
+            oracle = LazyDijkstraOracle(directed, max_sources=cache_size)
+            if cache_size == DEFAULT_MAX_SOURCES:
+                # Exactly what ``configure_oracle`` builds for the
+                # all-defaults spec: a default-configured run keeps this
+                # oracle and the cache workload generation warmed in it.
+                oracle.built_from = OracleSpec()
+        self._oracle: "DistanceOracle" = oracle
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -135,8 +139,8 @@ class RoadNetwork:
     def use_backend(self, name: str, **options) -> "DistanceOracle":
         """Build the named registry backend over this graph and attach it.
 
-        ``options`` are forwarded to the backend factory (``nodes``,
-        ``cache_size``, ``num_landmarks``, ``seed``).  Returns the new
+        ``options`` are forwarded to the backend factory (see
+        :func:`~repro.network.oracle.create_oracle`).  Returns the new
         oracle.
         """
         from .oracle.registry import create_oracle

@@ -21,7 +21,7 @@ name        setup                    point-to-point query
             scale readiness)         (exact refinement when it is not)
 ==========  =======================  =====================================
 
-Select a backend through ``SimulationConfig(oracle_backend=...)``, the
+Select a backend through ``SimulationConfig(oracle=OracleSpec(...))``, the
 ``--oracle`` CLI flag, or directly via ``RoadNetwork.use_backend(name)``.
 
 All backends also answer the dispatch hot path's many-sources-to-
@@ -59,6 +59,7 @@ from .registry import (
     create_oracle,
     register_oracle,
 )
+from .spec import ORACLE_OPTIONS_BY_BACKEND, OracleSpec
 
 __all__ = [
     "CacheInfo",
@@ -80,6 +81,8 @@ __all__ = [
     "LandmarkOracle",
     "MatrixOracle",
     "ORACLE_BACKENDS",
+    "ORACLE_OPTIONS_BY_BACKEND",
+    "OracleSpec",
     "available_backends",
     "configure_oracle",
     "create_oracle",

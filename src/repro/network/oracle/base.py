@@ -13,7 +13,7 @@ several ways with very different cost profiles:
 :class:`DistanceOracle` is the interface that hides this choice from the
 routing, pooling and dispatching layers.  Backends register themselves
 in :mod:`repro.network.oracle.registry` and are selected through
-``SimulationConfig.oracle_backend`` (or the ``--oracle`` CLI flag)
+``SimulationConfig.oracle.backend`` (or the ``--oracle`` CLI flag)
 without touching any dispatcher code.
 
 All oracles answer in *seconds of travel time* on the directed graph
@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, TYPE_CHECKING
 
 import networkx as nx
 
 from ...exceptions import UnreachableError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .spec import OracleSpec
 
 
 #: Version of the flat oracle-stats schema produced by
@@ -182,6 +185,12 @@ class DistanceOracle(abc.ABC):
     #: state set this to ``True`` and the parallel dispatch engine then
     #: skips its serialising lock in thread mode.
     thread_safe_queries: bool = False
+
+    #: The resolved :class:`~repro.network.oracle.OracleSpec` this
+    #: oracle answers to — what ``configure_oracle`` compares before
+    #: reusing an attached oracle.  ``None`` for an oracle constructed
+    #: by hand, which is therefore never mistaken for a configured one.
+    built_from: "OracleSpec | None" = None
 
     def __init__(self, graph: nx.DiGraph) -> None:
         self._graph = graph

@@ -30,7 +30,7 @@ mismatches (another graph, an older format) are *not* failures — they
 are ordinary misses, and the rebuild overwrites the stale file anyway.
 
 The registry's ``ch`` factory wires this up behind the ``cache_dir``
-option (``SimulationConfig.oracle_cache_dir`` / ``--oracle-cache``), so
+option (``OracleSpec.cache_dir`` / ``--oracle-cache``), so
 a warm cache directory makes a fresh process skip preprocessing
 entirely: the ROADMAP's "persist the contraction order" item.
 """

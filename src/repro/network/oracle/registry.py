@@ -1,14 +1,14 @@
 """Backend registry: names -> oracle factories, plus config-driven setup.
 
 The registry is what makes backends swappable without touching any
-dispatcher code: ``SimulationConfig.oracle_backend`` (or the CLI's
-``--oracle`` flag) names a backend, and :func:`configure_oracle` builds
-and attaches it to the workload's :class:`RoadNetwork` before the run
-starts.  Five backends are built in — ``lazy``, ``landmark``,
-``matrix``, the contraction-hierarchy ``ch`` and the coarsening-based
-``overlay`` — and libraries embedding the reproduction can plug in
-their own (e.g. an osmnx/igraph-backed oracle for real map extracts)
-via :func:`register_oracle`.
+dispatcher code: ``SimulationConfig.oracle`` (an :class:`OracleSpec`;
+the CLI's ``--oracle`` flag sets its ``backend``) names a backend, and
+:func:`configure_oracle` builds and attaches it to the workload's
+:class:`RoadNetwork` before the run starts.  Five backends are built
+in — ``lazy``, ``landmark``, ``matrix``, the contraction-hierarchy
+``ch`` and the coarsening-based ``overlay`` — and libraries embedding
+the reproduction can plug in their own (e.g. an osmnx/igraph-backed
+oracle for real map extracts) via :func:`register_oracle`.
 """
 
 from __future__ import annotations
@@ -22,21 +22,20 @@ from ...resilience.degradation import DegradationLog
 from ...resilience.faults import fault_point
 from .base import DistanceOracle
 from .ch import DEFAULT_BUCKET_CACHE_SIZE, DEFAULT_WITNESS_HOP_LIMIT, CHOracle
-from .csr import resolve_kernel
 from .landmark import DEFAULT_NUM_LANDMARKS, LandmarkOracle
 from .lazy import DEFAULT_MAX_SOURCES, LazyDijkstraOracle
 from .matrix import MatrixOracle
+from .spec import OracleSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...config import SimulationConfig
     from ..graph import RoadNetwork
 
 #: Factory signature: (graph, **options) -> DistanceOracle.  Factories
-#: must tolerate the uniform option names produced by
-#: :func:`configure_oracle` (``nodes``, ``cache_size``,
-#: ``reverse_cache_size``, ``num_landmarks``, ``witness_hop_limit``,
-#: ``cache_dir``, ``seed``, ``degradations``) and ignore the ones they
-#: do not use.
+#: must tolerate the uniform option names :func:`create_oracle`
+#: documents (``nodes``, ``seed``, ``cache_size``, ``num_landmarks``,
+#: ``witness_hop_limit``, ``cache_dir``, ``degradations``, ...) and
+#: ignore the ones they do not use.
 OracleFactory = Callable[..., DistanceOracle]
 
 
@@ -139,29 +138,31 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
     if order_strategy != "edge_difference":
         # Deferred import: coarsen imports the registry back (for the
         # overlay's inner oracle), so a top-level import would cycle.
-        from ..coarsen import CONTRACTION_ORDERS, coarsening_contraction_order
+        from ..coarsen import (
+            CONTRACTION_ORDERS,
+            DEFAULT_ALPHA,
+            DEFAULT_BETA,
+            DEFAULT_LEVELS,
+            coarsening_contraction_order,
+        )
 
         if order_strategy not in CONTRACTION_ORDERS:
             raise ConfigurationError(
                 f"unknown contraction_order {order_strategy!r}; "
                 f"available: {CONTRACTION_ORDERS}"
             )
-        levels = options.get("coarsen_levels")
-        order_kwargs = {} if levels is None else {"levels": levels}
-        for name, key in (
-            ("alpha", "coarsen_alpha"),
-            ("beta", "coarsen_beta"),
-        ):
-            if options.get(key) is not None:
-                order_kwargs[name] = options[key]
+        levels = options.get("coarsen_levels", DEFAULT_LEVELS)
         # Computed eagerly even when the disk cache may hit: CHOracle
         # ignores ``node_order`` when restoring from ``preprocessing``,
         # and the cache file is keyed per order strategy (``variant``)
         # so the two strategies never satisfy each other's loads.
         kwargs["node_order"] = coarsening_contraction_order(
-            graph, **order_kwargs
+            graph,
+            levels=levels,
+            alpha=options.get("coarsen_alpha", DEFAULT_ALPHA),
+            beta=options.get("coarsen_beta", DEFAULT_BETA),
         )
-        variant = "co" if levels is None else f"co{levels}"
+        variant = f"co{levels}"
     cache_dir = options.get("cache_dir")
     if not cache_dir:
         fault_point("oracle.ch.build")
@@ -335,39 +336,22 @@ def create_oracle(
     graph: nx.DiGraph,
     *,
     nodes: Iterable[int] | None = None,
-    cache_size: int | None = None,
-    reverse_cache_size: int | None = None,
-    num_landmarks: int | None = None,
-    witness_hop_limit: int | None = None,
-    cache_dir: str | None = None,
     seed: int = 0,
-    kernel: str | None = None,
-    coarsen_levels: int | None = None,
-    coarsen_alpha: float | None = None,
-    coarsen_beta: float | None = None,
-    coarsen_error_bound: float | None = None,
-    coarsen_refine: bool | None = None,
-    contraction_order: str | None = None,
-    degradations: DegradationLog | None = None,
+    **options,
 ) -> DistanceOracle:
     """Instantiate a registered backend over ``graph``.
 
-    Unspecified options fall back to the backend's own defaults; options
-    a backend has no use for are ignored (a matrix oracle does not care
-    about ``num_landmarks``).  ``reverse_cache_size`` bounds the lazy
-    backend's per-target reverse distance-map cache (defaults to
-    ``cache_size``); ``witness_hop_limit`` caps the witness searches of
-    the contraction-hierarchy backend's preprocessing; ``cache_dir``
-    points the ``ch`` backend at an on-disk preprocessing cache keyed by
-    a stable graph hash (see :mod:`repro.network.oracle.cache`), so warm
-    directories skip the contraction pass.  The ``coarsen_*`` options
-    shape the ``overlay`` backend's hierarchy and certified error bound
-    (``coarsen_levels``/``coarsen_alpha``/``coarsen_beta`` also shape
-    the ``ch`` backend's coarsening-derived order when
-    ``contraction_order="coarsening"``).  ``degradations`` is the
-    run's :class:`~repro.resilience.degradation.DegradationLog`;
-    factories record recoverable fallbacks (corrupt cache -> rebuild,
-    failed save -> skip) into it.
+    ``options`` are the factory keywords: ``cache_size``,
+    ``reverse_cache_size`` (the lazy backend's per-target reverse
+    distance-map bound, defaults to ``cache_size``), ``num_landmarks``,
+    ``witness_hop_limit``, ``cache_dir``, ``kernel``,
+    ``contraction_order``, the ``coarsen_*`` knobs and ``degradations``
+    (the run's :class:`~repro.resilience.degradation.DegradationLog`;
+    factories record recoverable fallbacks — corrupt cache -> rebuild,
+    failed save -> skip — into it).  An option left out or passed as
+    ``None`` falls back to the backend's own default; options a backend
+    has no use for are ignored (a matrix oracle does not care about
+    ``num_landmarks``).
     """
     try:
         factory = ORACLE_BACKENDS[name]
@@ -375,34 +359,39 @@ def create_oracle(
         raise ConfigurationError(
             f"unknown oracle backend {name!r}; available: {available_backends()}"
         ) from exc
-    options = {"nodes": nodes, "seed": seed}
-    if cache_size is not None:
-        options["cache_size"] = cache_size
-    if reverse_cache_size is not None:
-        options["reverse_cache_size"] = reverse_cache_size
-    if num_landmarks is not None:
-        options["num_landmarks"] = num_landmarks
-    if witness_hop_limit is not None:
-        options["witness_hop_limit"] = witness_hop_limit
-    if cache_dir is not None:
-        options["cache_dir"] = cache_dir
-    if kernel is not None:
-        options["kernel"] = kernel
-    if coarsen_levels is not None:
-        options["coarsen_levels"] = coarsen_levels
-    if coarsen_alpha is not None:
-        options["coarsen_alpha"] = coarsen_alpha
-    if coarsen_beta is not None:
-        options["coarsen_beta"] = coarsen_beta
-    if coarsen_error_bound is not None:
-        options["coarsen_error_bound"] = coarsen_error_bound
-    if coarsen_refine is not None:
-        options["coarsen_refine"] = coarsen_refine
-    if contraction_order is not None:
-        options["contraction_order"] = contraction_order
-    if degradations is not None:
-        options["degradations"] = degradations
-    return factory(graph, **options)
+    given = {key: value for key, value in options.items() if value is not None}
+    return factory(graph, nodes=nodes, seed=seed, **given)
+
+
+#: OracleSpec option -> factory keyword, where the two differ.
+_FACTORY_KEYWORDS = {
+    "landmarks": "num_landmarks",
+    "witness_hops": "witness_hop_limit",
+}
+
+
+def _build(
+    spec: OracleSpec,
+    network: "RoadNetwork",
+    nodes: Iterable[int] | None,
+    seed: int,
+    degradations: DegradationLog | None,
+) -> DistanceOracle:
+    """Build ``spec``'s oracle and stamp it with the identity it answers to."""
+    options = {
+        _FACTORY_KEYWORDS.get(option, option): value
+        for option, value in spec.options().items()
+    }
+    oracle = create_oracle(
+        spec.backend,
+        network.graph,
+        nodes=nodes,
+        seed=seed,
+        degradations=degradations,
+        **options,
+    )
+    oracle.built_from = spec.resolved()
+    return oracle
 
 
 def configure_oracle(
@@ -412,24 +401,23 @@ def configure_oracle(
     reuse: bool = True,
     degradations: DegradationLog | None = None,
 ) -> DistanceOracle:
-    """Build the backend named by ``config`` and attach it to ``network``.
+    """Build the oracle ``config.oracle`` describes and attach it to ``network``.
 
     Parameters
     ----------
     network:
         The road network whose queries should go through the backend.
     config:
-        Supplies ``oracle_backend``, ``oracle_cache_size``,
-        ``oracle_landmarks`` and ``seed``.
+        Supplies ``oracle`` (the :class:`OracleSpec`) and ``seed``.
     nodes:
         Active-node hint for precomputing backends (pickup/dropoff and
         worker nodes of the workload about to run).
     reuse:
-        When true (default) an already attached oracle of the requested
-        backend *and settings* is kept, so several runs over one
-        workload share warm caches — mirroring how the seed shared one
-        Dijkstra cache.  An attached oracle whose settings differ from
-        the config (e.g. a different ``oracle_cache_size``) is rebuilt.
+        When true (default) an attached oracle built from the same
+        *resolved* spec (:meth:`OracleSpec.resolved`) is kept, so
+        several runs over one workload share warm caches — mirroring
+        how the seed shared one Dijkstra cache.  Any other attached
+        oracle (another backend, any option changed) is replaced.
     degradations:
         The run's degradation log.  When the requested backend's
         *construction itself* fails (not a config error — e.g. CH
@@ -441,102 +429,38 @@ def configure_oracle(
     with ``degraded_from`` so later ``reuse=True`` calls for the failed
     backend keep it instead of re-running the failing build every time.
     """
+    spec = config.oracle
     current = network.oracle
-    if (
-        reuse
-        and current.name == config.oracle_backend
-        and _options_match(current, config)
-    ):
-        return current
-    if reuse and getattr(current, "degraded_from", None) == config.oracle_backend:
+    if reuse and (
+        current.built_from == spec.resolved()
         # The attached oracle is the recorded stand-in for the backend
         # this config asks for — rebuilding would rerun the failing
         # construction on every request.
+        or getattr(current, "degraded_from", None) == spec.backend
+    ):
         return current
     try:
-        oracle = create_oracle(
-            config.oracle_backend,
-            network.graph,
-            nodes=nodes,
-            cache_size=config.oracle_cache_size,
-            num_landmarks=config.oracle_landmarks,
-            witness_hop_limit=config.oracle_witness_hops,
-            cache_dir=config.oracle_cache_dir,
-            seed=config.seed,
-            kernel=getattr(config, "oracle_kernel", None),
-            coarsen_levels=getattr(config, "oracle_coarsen_levels", None),
-            coarsen_alpha=getattr(config, "oracle_coarsen_alpha", None),
-            coarsen_beta=getattr(config, "oracle_coarsen_beta", None),
-            coarsen_error_bound=getattr(
-                config, "oracle_coarsen_error_bound", None
-            ),
-            coarsen_refine=getattr(config, "oracle_coarsen_refine", None),
-            contraction_order=getattr(
-                config, "oracle_contraction_order", None
-            ),
-            degradations=degradations,
-        )
+        oracle = _build(spec, network, nodes, config.seed, degradations)
     except ConfigurationError:
         raise
     except Exception as exc:  # noqa: BLE001 - degrade, record, keep serving
-        if degradations is None or config.oracle_backend == "lazy":
+        if degradations is None or spec.backend == "lazy":
             raise
         degradations.record(
             "oracle.backend",
-            config.oracle_backend,
+            spec.backend,
             "lazy",
-            f"{config.oracle_backend!r} oracle construction failed "
+            f"{spec.backend!r} oracle construction failed "
             f"({type(exc).__name__}: {exc}); serving exact answers from "
             f"the lazy backend",
         )
-        oracle = create_oracle(
-            "lazy",
-            network.graph,
-            nodes=nodes,
-            cache_size=config.oracle_cache_size,
-            seed=config.seed,
+        oracle = _build(
+            OracleSpec(cache_size=spec.cache_size),
+            network,
+            nodes,
+            config.seed,
+            None,
         )
-        oracle.degraded_from = config.oracle_backend  # type: ignore[attr-defined]
+        oracle.degraded_from = spec.backend  # type: ignore[attr-defined]
     network.set_oracle(oracle)
     return oracle
-
-
-def _options_match(oracle: DistanceOracle, config: "SimulationConfig") -> bool:
-    """Whether an attached oracle already honours the config's settings.
-
-    Only the knobs a backend actually consumes are compared; custom
-    registry backends (whose options the registry cannot know) match on
-    name alone.
-    """
-    if isinstance(oracle, LazyDijkstraOracle):
-        return oracle.cache_info().maxsize == config.oracle_cache_size
-    if isinstance(oracle, LandmarkOracle):
-        return oracle.requested_landmarks == config.oracle_landmarks
-    wanted_kernel = resolve_kernel(getattr(config, "oracle_kernel", "auto"))
-    if isinstance(oracle, CHOracle):
-        return (
-            oracle.witness_hop_limit == config.oracle_witness_hops
-            and oracle.bucket_cache_size == config.oracle_cache_size
-            and oracle.kernel == wanted_kernel
-            and getattr(oracle, "contraction_order", "edge_difference")
-            == getattr(config, "oracle_contraction_order", "edge_difference")
-        )
-    if isinstance(oracle, MatrixOracle):
-        return oracle.kernel == wanted_kernel
-    from ..coarsen.overlay import OverlayOracle
-
-    if isinstance(oracle, OverlayOracle):
-        return (
-            oracle.coarsen_levels
-            == getattr(config, "oracle_coarsen_levels", oracle.coarsen_levels)
-            and oracle.coarsen_alpha
-            == getattr(config, "oracle_coarsen_alpha", oracle.coarsen_alpha)
-            and oracle.coarsen_beta
-            == getattr(config, "oracle_coarsen_beta", oracle.coarsen_beta)
-            and oracle.error_bound
-            == getattr(config, "oracle_coarsen_error_bound", oracle.error_bound)
-            and oracle.refine_mode
-            == getattr(config, "oracle_coarsen_refine", oracle.refine_mode)
-            and oracle.kernel == wanted_kernel
-        )
-    return True

@@ -1,0 +1,251 @@
+"""Typed oracle configuration: the one carrier of a backend and its options.
+
+:class:`OracleSpec` is what ``SimulationConfig.oracle``,
+``ScenarioSpec.oracle`` and :func:`~repro.network.oracle.configure_oracle`
+all speak.  It lives in the network layer (below ``repro.config``) so the
+configuration dataclasses can hold one; ``repro.api`` re-exports it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields, replace
+from typing import Any, Mapping
+
+from ...exceptions import ConfigurationError
+from .csr import KERNELS, resolve_kernel
+
+#: Options each built-in oracle backend actually consumes (beyond
+#: ``backend`` itself).  :class:`OracleSpec` validates eagerly against
+#: this table; backends registered at runtime accept any option.
+ORACLE_OPTIONS_BY_BACKEND: dict[str, tuple[str, ...]] = {
+    "lazy": ("cache_size",),
+    "landmark": ("landmarks",),
+    "matrix": ("kernel", "shared_memory"),
+    "ch": (
+        "cache_size",
+        "witness_hops",
+        "cache_dir",
+        "kernel",
+        "shared_memory",
+        "contraction_order",
+        "coarsen_levels",
+        "coarsen_alpha",
+        "coarsen_beta",
+    ),
+    "overlay": (
+        "cache_size",
+        "witness_hops",
+        "cache_dir",
+        "kernel",
+        "coarsen_levels",
+        "coarsen_alpha",
+        "coarsen_beta",
+        "coarsen_error_bound",
+        "coarsen_refine",
+    ),
+}
+
+
+@dataclass(frozen=True)
+class OracleSpec:
+    """Typed description of the distance-oracle backend and its options.
+
+    One frozen value naming the backend and exactly the options it
+    consumes, validated eagerly.  ``None`` on any option means "the
+    backend's own default constant".
+
+    Attributes
+    ----------
+    backend:
+        Registry name (``"lazy"``, ``"landmark"``, ``"matrix"``,
+        ``"ch"``, ``"overlay"``, or a custom registered backend).
+    cache_size:
+        LRU bound (lazy per-source cache, ch per-target bucket cache).
+    landmarks:
+        ALT landmark count (landmark backend).
+    witness_hops:
+        Witness-search hop limit of CH contraction (higher = fewer
+        shortcuts, slower setup).
+    cache_dir:
+        On-disk preprocessing cache directory: the ``ch`` backend
+        stores its contraction order and shortcuts there keyed by a
+        stable graph hash (the ``overlay`` backend its hierarchy too),
+        so a warm directory lets a fresh process skip the build.
+    kernel:
+        ``"dict"`` | ``"csr"`` | ``"auto"`` — inner-loop implementation
+        of the ch/matrix backends (csr = vectorised numpy kernels, auto
+        = csr when numpy is importable; identical answers either way).
+    shared_memory:
+        Whether process-mode dispatch shards attach to one
+        shared-memory copy of the oracle's prepared arrays (csr kernel
+        only; on unless set to ``False``).
+    coarsen_levels, coarsen_alpha, coarsen_beta:
+        Multilevel-coarsening knobs of the overlay backend (and of the
+        ch backend's ``contraction_order="coarsening"`` variant):
+        matching passes and the merge-cost weights of
+        ``D_ij = alpha*tau_ij + beta*temporal_slack``.
+    coarsen_error_bound:
+        Certified relative error ceiling of overlay estimates; queries
+        whose certified gap exceeds it are refined exactly.
+    coarsen_refine:
+        ``True`` makes the overlay answer every query exactly.
+    contraction_order:
+        ``"edge_difference"`` | ``"coarsening"`` — node-ordering
+        strategy of the ch backend's contraction.
+
+    Setting an option a *built-in* backend does not consume raises a
+    :class:`ConfigurationError` listing the backend's valid options at
+    construction time.
+    """
+
+    backend: str = "lazy"
+    cache_size: int | None = None
+    landmarks: int | None = None
+    witness_hops: int | None = None
+    cache_dir: str | None = None
+    kernel: str | None = None
+    shared_memory: bool | None = None
+    coarsen_levels: int | None = None
+    coarsen_alpha: float | None = None
+    coarsen_beta: float | None = None
+    coarsen_error_bound: float | None = None
+    coarsen_refine: bool | None = None
+    contraction_order: str | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.backend, str) or not self.backend:
+            raise ConfigurationError(
+                f"OracleSpec.backend must be a non-empty string, "
+                f"got {self.backend!r}"
+            )
+        # Deferred imports: the registry (and the coarsening package it
+        # pulls in) imports this module back.
+        from .registry import ORACLE_BACKENDS
+
+        if self.backend not in ORACLE_BACKENDS:
+            raise ConfigurationError(
+                f"unknown oracle backend {self.backend!r}; available: "
+                f"{tuple(sorted(ORACLE_BACKENDS))}"
+            )
+        for option in (
+            "cache_size",
+            "landmarks",
+            "witness_hops",
+            "coarsen_levels",
+        ):
+            value = getattr(self, option)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"OracleSpec.{option} must be an integer, got {value!r}"
+                )
+            if value < 1:
+                raise ConfigurationError(
+                    f"OracleSpec.{option} must be at least 1, got {value}"
+                )
+        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
+            raise ConfigurationError(
+                f"OracleSpec.cache_dir must be a path string, "
+                f"got {self.cache_dir!r}"
+            )
+        if self.kernel is not None and self.kernel not in KERNELS:
+            raise ConfigurationError(
+                f"OracleSpec.kernel must be one of {KERNELS}, "
+                f"got {self.kernel!r}"
+            )
+        if self.shared_memory is not None and not isinstance(
+            self.shared_memory, bool
+        ):
+            raise ConfigurationError(
+                f"OracleSpec.shared_memory must be a boolean, "
+                f"got {self.shared_memory!r}"
+            )
+        for option in ("coarsen_alpha", "coarsen_beta", "coarsen_error_bound"):
+            value = getattr(self, option)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(
+                    f"OracleSpec.{option} must be a number, got {value!r}"
+                )
+            if value < 0:
+                raise ConfigurationError(
+                    f"OracleSpec.{option} must be non-negative, got {value}"
+                )
+            object.__setattr__(self, option, float(value))
+        if self.coarsen_refine is not None and not isinstance(
+            self.coarsen_refine, bool
+        ):
+            raise ConfigurationError(
+                f"OracleSpec.coarsen_refine must be a boolean, "
+                f"got {self.coarsen_refine!r}"
+            )
+        if self.contraction_order is not None:
+            from ..coarsen.order import CONTRACTION_ORDERS
+
+            if self.contraction_order not in CONTRACTION_ORDERS:
+                raise ConfigurationError(
+                    f"OracleSpec.contraction_order must be one of "
+                    f"{CONTRACTION_ORDERS}, got {self.contraction_order!r}"
+                )
+        self._check_backend_options()
+
+    def _check_backend_options(self) -> None:
+        """Reject options the named built-in backend does not consume."""
+        valid = ORACLE_OPTIONS_BY_BACKEND.get(self.backend)
+        if valid is None:  # custom registered backend: accept anything
+            return
+        invalid = sorted(set(self.options()) - set(valid))
+        if invalid:
+            raise ConfigurationError(
+                f"oracle backend {self.backend!r} does not take option(s) "
+                f"{invalid}; valid options for {self.backend!r}: "
+                f"{sorted(valid)}"
+            )
+
+    def options(self) -> dict[str, Any]:
+        """The set (non-``None``) options, without ``backend``."""
+        options = self.to_dict()
+        del options["backend"]
+        return options
+
+    def resolved(self) -> "OracleSpec":
+        """The spec as oracle identity: equal iff the same oracle is asked for.
+
+        ``kernel`` goes through :func:`resolve_kernel` on the backends
+        that take one (``None``, ``"auto"`` and the kernel they pick
+        compare equal); a runtime-registered backend, whose options the
+        registry cannot know, resolves to its name alone.
+        """
+        consumed = ORACLE_OPTIONS_BY_BACKEND.get(self.backend)
+        if consumed is None:
+            return OracleSpec(backend=self.backend)
+        if "kernel" in consumed:
+            return replace(self, kernel=resolve_kernel(self.kernel or "auto"))
+        return self
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-able view; unset (``None``) options are omitted."""
+        return {
+            spec_field.name: getattr(self, spec_field.name)
+            for spec_field in fields(self)
+            if getattr(self, spec_field.name) is not None
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "OracleSpec":
+        """Rebuild from :meth:`to_dict` output; unknown keys fail loudly."""
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"an OracleSpec document must be a mapping, got "
+                f"{type(data).__name__}"
+            )
+        known = {spec_field.name for spec_field in fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown OracleSpec keys: {unknown}; known keys: "
+                f"{sorted(known)}"
+            )
+        return cls(**dict(data))

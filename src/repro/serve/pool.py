@@ -18,7 +18,7 @@ workloads apart.  The seed *is* part of the identity — network
 generation (grid jitter, dataset city sampling) is seeded, so a
 different seed is a different graph and a different oracle.  The pool is LRU-bounded: evicting a session drops its
 in-memory preparation, while any on-disk oracle cache
-(``oracle_cache_dir``) keeps even a re-built session warm.
+(``oracle.cache_dir``) keeps even a re-built session warm.
 
 Each pool entry additionally carries a
 :class:`~repro.resilience.degradation.CircuitBreaker`: a session whose
@@ -48,11 +48,12 @@ def pool_key(spec: ScenarioSpec) -> tuple:
     Everything that determines *which network object* is built and
     *which oracle* is attached to it: the network source (dataset
     preset or grid shape), the resolved seed (networks are generated
-    from it), and the resolved oracle backend with every option that
-    :func:`~repro.network.oracle.configure_oracle` compares before
-    reusing an attached oracle.  Fields that only shape the workload or
-    the dispatch (order counts, algorithm, dispatch workers) are
-    deliberately absent — they share the pooled session.
+    from it), and the resolved :class:`~repro.api.OracleSpec` — the
+    same value :func:`~repro.network.oracle.configure_oracle` compares
+    before reusing an attached oracle, so two specs share a session
+    exactly when they would share its oracle.  Fields that only shape
+    the workload or the dispatch (order counts, algorithm, dispatch
+    workers) are deliberately absent — they share the pooled session.
     """
     config = spec.config()
     if spec.network == "dataset":
@@ -65,15 +66,7 @@ def pool_key(spec: ScenarioSpec) -> tuple:
             spec.grid_edge_travel_time,
             spec.grid_jitter,
         )
-    return (
-        network_part,
-        config.seed,
-        config.oracle_backend,
-        config.oracle_cache_size,
-        config.oracle_landmarks,
-        config.oracle_witness_hops,
-        config.oracle_cache_dir,
-    )
+    return (network_part, config.seed, config.oracle.resolved())
 
 
 class SessionPool:

@@ -608,7 +608,7 @@ class ScenarioService:
         stats = result.oracle_stats
         if not stats:
             return
-        backend = result.spec.config().oracle_backend
+        backend = result.spec.config().oracle.backend
         with self._lock:
             counters = self._oracle_counters.setdefault(backend, {})
             counters["runs"] = counters.get("runs", 0) + 1

@@ -156,7 +156,7 @@ class Simulator:
             num_shards=self._config.dispatch_workers,
             mode=self._config.dispatch_mode,
             degradations=self._degradations,
-            shared_memory=self._config.oracle_shared_memory,
+            shared_memory=self._config.oracle.shared_memory is not False,
         )
         attach_fleet(self._engine)
         attach_dispatcher(self._engine)

@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ExtraTimeWeights, SimulationConfig
+from repro.experiments.runner import make_dispatcher
 from repro.model.order import Order
 from repro.model.worker import Worker
 from repro.network.generators import example_network, grid_city
 from repro.network.grid import GridIndex
 from repro.routing.planner import RoutePlanner
+from repro.simulation.engine import run_simulation
 from repro.simulation.fleet import WorkerFleet
 
 
@@ -74,6 +76,12 @@ def make_order(
     if order_id is not None:
         kwargs["order_id"] = order_id
     return Order(**kwargs)
+
+
+def run_on_workload(algorithm, workload, config, provider=None):
+    """Run one algorithm over a pre-built workload, straight on the engine."""
+    dispatcher = make_dispatcher(algorithm, workload, config, provider)
+    return run_simulation(workload, dispatcher, config)
 
 
 @pytest.fixture

@@ -1,10 +1,9 @@
 """Tests for the Session facade: legacy equivalence, oracle reuse and
-persistence, event hooks, CSV replay, and the deprecation shims."""
+persistence, event hooks and CSV replay."""
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -18,11 +17,10 @@ from repro.api import (
     sweep,
     workers_to_csv,
 )
-from repro.config import SimulationConfig
 from repro.datasets.workloads import build_workload
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import default_config
-from repro.experiments.runner import run_on_workload
+from repro.experiments.runner import make_dispatcher
 from repro.network.oracle import HAVE_NUMPY, available_backends, create_oracle
 from repro.network.oracle.cache import (
     ch_cache_path,
@@ -30,6 +28,7 @@ from repro.network.oracle.cache import (
     load_ch_preprocessing,
 )
 from repro.network.generators import grid_city
+from repro.simulation.engine import run_simulation
 
 
 def _small_spec(**overrides) -> ScenarioSpec:
@@ -72,11 +71,12 @@ class TestLegacyEquivalence:
     @pytest.mark.parametrize("backend", sorted(available_backends()))
     @pytest.mark.parametrize("workers", (1, 2))
     def test_run_on_workload_matches_session_run(self, backend, workers):
-        spec = _small_spec(oracle_backend=backend, dispatch_workers=workers)
+        spec = _small_spec(oracle={"backend": backend}, dispatch_workers=workers)
         config = spec.config()
         workload = build_workload("CDC", config)
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            legacy = run_on_workload("WATTER-timeout", workload, config)
+        legacy = run_simulation(
+            workload, make_dispatcher("WATTER-timeout", workload, config), config
+        )
         facade = Session().run(spec)
         assert _deterministic(facade.metrics) == _deterministic(legacy.metrics)
         # The per-order accounting agrees too, not just the aggregates.
@@ -99,27 +99,10 @@ class TestLegacyEquivalence:
         ]
 
 
-class TestDeprecationShims:
-    def test_direct_config_construction_warns_once(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.ScenarioSpec"):
-            SimulationConfig(num_orders=10)
-
-    def test_internal_construction_does_not_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            default_config("CDC", num_orders=10)
-            ScenarioSpec(num_orders=10).config()
-            Session().network(ScenarioSpec(network="grid", grid_rows=4, grid_cols=4))
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert not deprecations
-
-
 class TestSessionReuse:
     def test_ch_oracle_built_once_for_two_scenarios(self):
         session = Session()
-        spec = _small_spec(oracle_backend="ch", num_orders=16)
+        spec = _small_spec(oracle={"backend": "ch"}, num_orders=16)
         first = session.run(spec)
         oracle_after_first = session.network(spec).oracle
         second = session.run(spec.with_overrides(num_orders=20))
@@ -178,8 +161,7 @@ class TestOracleCachePersistence:
             num_workers=3,
             horizon=600.0,
             seed=5,
-            oracle_backend="ch",
-            oracle_cache_dir=str(tmp_path),
+            oracle={"backend": "ch", "cache_dir": str(tmp_path)},
         )
         cold = Session()
         cold.prepare(spec)
@@ -198,11 +180,15 @@ class TestOracleCachePersistence:
             num_orders=10,
             num_workers=3,
             horizon=600.0,
-            oracle_backend="ch",
+            oracle={"backend": "ch"},
         )
         session = Session(oracle_cache_dir=str(tmp_path))
         session.prepare(spec)
         assert list(tmp_path.glob("ch-*.json"))
+        # A backend that persists nothing takes no cache_dir: the
+        # session default must not turn its spec into an invalid one.
+        result = session.run(spec.with_overrides(oracle={"backend": "landmark"}))
+        assert result.spec.oracle.cache_dir is None
 
     def test_restored_oracle_answers_identically(self, tmp_path):
         graph = grid_city(rows=7, cols=7, seed=2, jitter=0.2).graph

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.api import OracleSpec, ScenarioSpec, load_spec, save_spec
-from repro.cli import _config_from_args, build_parser
+from repro.cli import build_parser
 from repro.config import ExtraTimeWeights, SimulationConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import default_config
@@ -38,11 +38,12 @@ class TestRoundTrip:
                 max_group_size=3,
                 alpha=2.0,
                 beta=0.5,
-                oracle_backend="ch",
-                oracle_cache_size=256,
-                oracle_landmarks=4,
-                oracle_witness_hops=3,
-                oracle_cache_dir="/tmp/oracle-cache",
+                oracle=OracleSpec(
+                    backend="ch",
+                    cache_size=256,
+                    witness_hops=3,
+                    cache_dir="/tmp/oracle-cache",
+                ),
                 dispatch_workers=2,
                 dispatch_mode="thread",
             ),
@@ -73,7 +74,7 @@ class TestRoundTrip:
     def test_to_dict_omits_unset_fields(self):
         data = ScenarioSpec().to_dict()
         assert "num_orders" not in data
-        assert "oracle_backend" not in data
+        assert "oracle" not in data
         assert data["network"] == "dataset"
 
     def test_to_dict_is_json_serializable(self):
@@ -89,7 +90,9 @@ class TestRoundTrip:
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_spec_file_round_trip(self, tmp_path):
-        spec = ScenarioSpec(name="file", num_orders=25, oracle_backend="matrix")
+        spec = ScenarioSpec(
+            name="file", num_orders=25, oracle={"backend": "matrix"}
+        )
         path = save_spec(spec, tmp_path / "scenario.json")
         assert load_spec(path) == spec
 
@@ -117,7 +120,7 @@ class TestValidation:
             ({"horizon": "long"}, "horizon"),
             ({"use_rl": "yes"}, "use_rl"),
             ({"deadline_scale": 0.5}, "deadline_scale"),
-            ({"oracle_backend": "teleport"}, "oracle"),
+            ({"oracle": {"backend": "teleport"}}, "oracle"),
             ({"dispatch_mode": "fiber"}, "dispatch_mode"),
             ({"network": "grid", "grid_rows": 1}, "lattice"),
             ({"network": "grid", "grid_jitter": 1.5}, "grid_jitter"),
@@ -187,22 +190,11 @@ class TestOracleSpec:
         with pytest.raises(ConfigurationError, match="OracleSpec"):
             ScenarioSpec(oracle="ch")
 
-    def test_contradicting_flat_field_rejected(self):
-        with pytest.raises(ConfigurationError, match="contradicts"):
-            ScenarioSpec(
-                oracle=OracleSpec(backend="ch"), oracle_backend="lazy"
-            )
-        with pytest.raises(ConfigurationError, match="contradicts"):
-            ScenarioSpec(
-                oracle=OracleSpec(backend="ch", cache_size=32),
-                oracle_cache_size=64,
-            )
-
-    def test_agreeing_flat_field_accepted(self):
-        spec = ScenarioSpec(
-            oracle=OracleSpec(backend="ch"), oracle_backend="ch"
-        )
-        assert spec.config().oracle_backend == "ch"
+    def test_removed_flat_keys_are_unknown_keys(self):
+        with pytest.raises(
+            ConfigurationError, match="unknown ScenarioSpec keys.*oracle_backend"
+        ):
+            ScenarioSpec.from_dict({"oracle_backend": "ch"})
 
     def test_overrides_reach_the_config(self):
         spec = ScenarioSpec(
@@ -213,19 +205,13 @@ class TestOracleSpec:
                 witness_hops=2,
             )
         )
-        config = spec.config()
-        assert config.oracle_backend == "ch"
-        assert config.oracle_kernel == "csr"
-        assert config.oracle_shared_memory is False
-        assert config.oracle_witness_hops == 2
+        assert spec.config().oracle == spec.oracle
 
     def test_unset_options_keep_config_defaults(self):
-        base = ScenarioSpec().config()
-        spec = ScenarioSpec(oracle=OracleSpec(backend="ch"))
-        config = spec.config()
-        assert config.oracle_backend == "ch"
-        assert config.oracle_kernel == base.oracle_kernel
-        assert config.oracle_shared_memory == base.oracle_shared_memory
+        assert ScenarioSpec().config().oracle == OracleSpec()
+        config = ScenarioSpec(oracle=OracleSpec(backend="ch")).config()
+        assert config.oracle.backend == "ch"
+        assert config.oracle.options() == {}
 
 
 class TestResolution:
@@ -236,16 +222,15 @@ class TestResolution:
     def test_overrides_reach_the_config(self):
         spec = ScenarioSpec(
             num_orders=33,
-            oracle_backend="matrix",
+            oracle={"backend": "ch", "cache_dir": "/tmp/cache"},
             dispatch_workers=2,
-            oracle_cache_dir="/tmp/cache",
             alpha=2.0,
         )
         config = spec.config()
         assert config.num_orders == 33
-        assert config.oracle_backend == "matrix"
+        assert config.oracle.backend == "ch"
         assert config.dispatch_workers == 2
-        assert config.oracle_cache_dir == "/tmp/cache"
+        assert config.oracle.cache_dir == "/tmp/cache"
         assert config.weights == ExtraTimeWeights(alpha=2.0, beta=1.0)
 
     def test_grid_network_uses_class_defaults(self):
@@ -262,12 +247,18 @@ class TestResolution:
                     "NYC",
                     num_orders=40,
                     num_workers=9,
-                    oracle_backend="ch",
-                    oracle_witness_hops=3,
+                    oracle=OracleSpec(
+                        backend="ch",
+                        witness_hops=3,
+                        cache_dir="/tmp/x",
+                        kernel="dict",
+                        shared_memory=False,
+                        contraction_order="coarsening",
+                        coarsen_levels=2,
+                    ),
                     dispatch_workers=2,
                     dispatch_mode="process",
                     weights=ExtraTimeWeights(alpha=0.5, beta=2.0),
-                    oracle_cache_dir="/tmp/x",
                 ),
             ),
         ],
@@ -281,59 +272,94 @@ class TestResolution:
 
 
 class TestCliParity:
-    """`_config_from_args` and `ScenarioSpec.from_args` must agree exactly."""
+    """`ScenarioSpec.from_args` resolves each flag set to the expected config."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, dataset, overrides",
         [
-            ["compare"],
-            ["compare", "--dataset", "NYC", "--orders", "50", "--workers", "10"],
-            [
-                "compare",
-                "--dataset",
+            (["compare"], "CDC", {}),
+            (
+                ["compare", "--dataset", "NYC", "--orders", "50", "--workers", "10"],
+                "NYC",
+                {"num_orders": 50, "num_workers": 10},
+            ),
+            (
+                [
+                    "compare",
+                    "--dataset",
+                    "XIA",
+                    "--seed",
+                    "3",
+                    "--horizon",
+                    "1200",
+                    "--oracle",
+                    "ch",
+                    "--oracle-cache",
+                    "/tmp/oracle-cache",
+                    "--dispatch-workers",
+                    "2",
+                    "--dispatch-mode",
+                    "thread",
+                ],
                 "XIA",
-                "--seed",
-                "3",
-                "--horizon",
-                "1200",
-                "--oracle",
-                "ch",
-                "--oracle-cache",
-                "/tmp/oracle-cache",
-                "--dispatch-workers",
-                "2",
-                "--dispatch-mode",
-                "thread",
-            ],
-            ["bench", "--dataset", "CDC", "--orders", "40", "--oracle", "matrix"],
-            [
-                "compare",
-                "--oracle",
-                "ch",
-                "--oracle-kernel",
-                "csr",
-            ],
-            ["sweep", "--dataset", "CDC", "--workers", "8"],
+                {
+                    "seed": 3,
+                    "horizon": 1200.0,
+                    # --oracle-cache rides on the Session, not the spec.
+                    "oracle": OracleSpec(backend="ch"),
+                    "dispatch_workers": 2,
+                    "dispatch_mode": "thread",
+                },
+            ),
+            (
+                ["bench", "--dataset", "CDC", "--orders", "40", "--oracle", "matrix"],
+                "CDC",
+                {"num_orders": 40, "oracle": OracleSpec(backend="matrix")},
+            ),
+            (
+                ["compare", "--oracle", "ch", "--oracle-kernel", "csr"],
+                "CDC",
+                {"oracle": OracleSpec(backend="ch", kernel="csr")},
+            ),
+            (["sweep", "--dataset", "CDC", "--workers", "8"], "CDC", {"num_workers": 8}),
         ],
+        ids=[f"argv{index}" for index in range(6)],
     )
-    def test_spec_matches_legacy_config_assembly(self, argv):
+    def test_spec_matches_legacy_config_assembly(self, argv, dataset, overrides):
         args = build_parser().parse_args(argv)
-        assert ScenarioSpec.from_args(args).config() == _config_from_args(args)
+        assert ScenarioSpec.from_args(args).config() == default_config(
+            dataset, **overrides
+        )
 
     def test_oracle_cache_flag_parsed(self):
         args = build_parser().parse_args(
             ["compare", "--oracle-cache", "/tmp/oracle-cache"]
         )
-        assert _config_from_args(args).oracle_cache_dir == "/tmp/oracle-cache"
+        assert args.oracle_cache == "/tmp/oracle-cache"
+        assert ScenarioSpec.from_args(args).oracle is None
 
     def test_oracle_kernel_flag_parsed(self):
         args = build_parser().parse_args(
             ["compare", "--oracle", "ch", "--oracle-kernel", "dict"]
         )
-        assert _config_from_args(args).oracle_kernel == "dict"
         spec = ScenarioSpec.from_args(args)
-        assert spec.oracle is not None
-        assert spec.oracle.kernel == "dict"
+        assert spec.oracle == OracleSpec(backend="ch", kernel="dict")
+        assert spec.config().oracle.kernel == "dict"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--oracle-kernel", "csr"],
+            ["compare", "--oracle", "landmark", "--oracle-kernel", "dict"],
+            ["compare", "--oracle", "matrix", "--coarsen-levels", "2"],
+            ["compare", "--oracle", "lazy", "--coarsen-alpha", "2.0"],
+        ],
+    )
+    def test_flag_the_backend_does_not_take_is_rejected(self, argv):
+        """Same rule as a spec document: no silently dropped options."""
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ConfigurationError, match="does not take option"):
+            ScenarioSpec.from_args(args)
 
     def test_oracle_kernel_flag_rejects_unknown(self, capsys):
         with pytest.raises(SystemExit):
@@ -351,9 +377,10 @@ class TestIdentity:
 
     def test_identity_is_self_describing(self):
         identity = ScenarioSpec(
-            dataset="NYC", oracle_backend="ch", seed=4, num_orders=30
+            dataset="NYC", oracle={"backend": "ch"}, seed=4, num_orders=30
         ).identity()
         assert identity["dataset"] == "NYC"
         assert identity["oracle_backend"] == "ch"
+        assert identity["oracle_kernel"] == "auto"
         assert identity["seed"] == 4
         assert identity["num_orders"] == 30

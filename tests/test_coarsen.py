@@ -325,11 +325,13 @@ class TestRegistryAndSpec:
             coarsen_refine=True,
         )
         config = ScenarioSpec(dataset="CDC", oracle=spec).config()
-        assert config.oracle_backend == "overlay"
-        assert config.oracle_coarsen_levels == 4
-        assert config.oracle_coarsen_alpha == 2.0
-        assert config.oracle_coarsen_error_bound == 0.1
-        assert config.oracle_coarsen_refine is True
+        assert config.oracle == spec
+        assert config.oracle.options() == {
+            "coarsen_levels": 4,
+            "coarsen_alpha": 2.0,
+            "coarsen_error_bound": 0.1,
+            "coarsen_refine": True,
+        }
 
     def test_oracle_spec_rejects_coarsen_options_on_lazy(self):
         with pytest.raises(ConfigurationError):
@@ -344,18 +346,27 @@ class TestRegistryAndSpec:
             OracleSpec(backend="ch", contraction_order="alphabetical")
 
     def test_config_validates_coarsen_fields(self):
+        """The config carries an OracleSpec, so its checks are the config's."""
         with pytest.raises(ConfigurationError):
-            SimulationConfig(oracle_coarsen_levels=0)
+            SimulationConfig(
+                oracle=OracleSpec(backend="overlay", coarsen_levels=0)
+            )
         with pytest.raises(ConfigurationError):
-            SimulationConfig(oracle_coarsen_beta=-0.5)
+            SimulationConfig(
+                oracle=OracleSpec(backend="overlay", coarsen_beta=-0.5)
+            )
         with pytest.raises(ConfigurationError):
-            SimulationConfig(oracle_contraction_order="random")
+            SimulationConfig(
+                oracle=OracleSpec(backend="ch", contraction_order="random")
+            )
+        with pytest.raises(ConfigurationError):
+            SimulationConfig(oracle={"backend": "overlay"})
 
     def test_spec_config_round_trip_with_coarsen_fields(self):
         config = SimulationConfig(
-            oracle_backend="overlay",
-            oracle_coarsen_levels=4,
-            oracle_coarsen_error_bound=0.05,
+            oracle=OracleSpec(
+                backend="overlay", coarsen_levels=4, coarsen_error_bound=0.05
+            )
         )
         spec = ScenarioSpec.from_config("CDC", config)
         assert spec.config() == config

@@ -194,7 +194,7 @@ def test_session_concurrent_prepare_builds_oracle_once():
     spec = ScenarioSpec(
         network="grid", grid_rows=5, grid_cols=5, num_orders=16,
         num_workers=4, horizon=300.0, seed=11, algorithm="GDP",
-        oracle_backend="ch",
+        oracle={"backend": "ch"},
     )
     session = Session()
     barrier = threading.Barrier(_NUM_THREADS)

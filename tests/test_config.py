@@ -66,6 +66,21 @@ class TestSimulationConfig:
         assert "weights" not in data
 
 
+class TestOneOracleSurface:
+    def test_oracle_spec_is_the_only_carrier(self):
+        import dataclasses
+
+        from repro.api import OracleSpec, ScenarioSpec
+
+        config_fields = {f.name for f in dataclasses.fields(SimulationConfig)}
+        spec_fields = {f.name for f in dataclasses.fields(ScenarioSpec)}
+        for names in (config_fields, spec_fields):
+            assert "oracle" in names
+            assert not [name for name in names if name.startswith("oracle_")]
+        assert isinstance(SimulationConfig().oracle, OracleSpec)
+        assert len(dataclasses.fields(OracleSpec)) == 13
+
+
 class TestLearningConfig:
     def test_default_is_valid(self):
         LearningConfig()

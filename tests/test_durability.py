@@ -77,7 +77,7 @@ def _spec(algorithm: str = "GDP", oracle: str = "lazy", **overrides) -> Scenario
         horizon=600.0,
         seed=11,
         algorithm=algorithm,
-        oracle_backend=oracle,
+        oracle={"backend": oracle},
     )
     base.update(overrides)
     return ScenarioSpec(**base)
@@ -246,6 +246,23 @@ class TestCheckpointFiles:
         _interrupt_and_checkpoint(session, spec, path, cut=3)
         with pytest.raises(CheckpointError, match="GDP"):
             session.run(spec.with_overrides(algorithm="WATTER-online"), resume_from=path)
+
+    def test_older_format_version_is_refused(self, tmp_path):
+        """A v2 checkpoint pickles a config with no ``.oracle``; the
+        header check refuses it before anything is unpickled."""
+        session = Session()
+        spec = _spec()
+        path = tmp_path / "run.ckpt"
+        _interrupt_and_checkpoint(session, spec, path, cut=3)
+        header_line, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(header_line)
+        assert header["format"] == 3
+        header["format"] = 2
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + blob)
+        with pytest.raises(CheckpointError, match="unsupported format 2"):
+            read_checkpoint_header(path)
+        with pytest.raises(CheckpointError, match="unsupported format 2"):
+            session.run(spec, resume_from=path)
 
     def test_missing_checkpoint_file_is_refused(self, tmp_path):
         with pytest.raises(CheckpointError):

@@ -10,11 +10,11 @@ from repro.experiments.runner import (
     ALGORITHMS,
     build_expect_provider,
     make_dispatcher,
-    run_on_workload,
 )
 from repro.exceptions import ConfigurationError
 from repro.network.oracle import HAVE_NUMPY
 from repro.simulation.engine import Simulator
+from tests.conftest import run_on_workload
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ Covers:
 
 from __future__ import annotations
 
+import fnmatch
 import random
 
 import networkx as nx
@@ -30,10 +31,12 @@ from repro.network.oracle import (
     LandmarkOracle,
     LazyDijkstraOracle,
     MatrixOracle,
+    OracleSpec,
     available_backends,
     configure_oracle,
     create_oracle,
     register_oracle,
+    resolve_kernel,
 )
 from repro.network.oracle.registry import ORACLE_BACKENDS
 
@@ -567,8 +570,8 @@ class TestRegistry:
         try:
             oracle = create_oracle("echo", networks["grid"].graph)
             assert oracle.name == "echo"
-            config = SimulationConfig(oracle_backend="echo")
-            assert config.oracle_backend == "echo"
+            config = SimulationConfig(oracle=OracleSpec(backend="echo"))
+            assert config.oracle.backend == "echo"
         finally:
             ORACLE_BACKENDS.pop("echo", None)
 
@@ -583,61 +586,57 @@ class TestRegistry:
 class TestConfigSelection:
     def test_config_validates_backend_name(self):
         with pytest.raises(ConfigurationError):
-            SimulationConfig(oracle_backend="nope")
+            OracleSpec(backend="nope")
         with pytest.raises(ConfigurationError):
-            SimulationConfig(oracle_cache_size=0)
+            OracleSpec(cache_size=0)
         with pytest.raises(ConfigurationError):
-            SimulationConfig(oracle_landmarks=0)
+            OracleSpec(backend="landmark", landmarks=0)
         with pytest.raises(ConfigurationError):
-            SimulationConfig(oracle_witness_hops=0)
-        assert SimulationConfig(oracle_backend="ch").oracle_backend == "ch"
+            OracleSpec(backend="ch", witness_hops=0)
+        with pytest.raises(ConfigurationError, match="OracleSpec"):
+            SimulationConfig(oracle="ch")
+        assert SimulationConfig().oracle == OracleSpec(backend="lazy")
 
     def test_configure_oracle_attaches_named_backend(self):
         network = grid_city(5, 5, seed=2)
-        config = SimulationConfig(oracle_backend="matrix")
+        config = SimulationConfig(oracle=OracleSpec(backend="matrix"))
         oracle = configure_oracle(network, config, nodes=[0, 1, 2])
         assert network.oracle is oracle
         assert isinstance(oracle, MatrixOracle)
         # Same backend requested again: the warm oracle is reused.
         assert configure_oracle(network, config) is oracle
         # Different backend: swapped out.
-        lazy = configure_oracle(network, config.with_overrides(oracle_backend="lazy"))
+        lazy = configure_oracle(network, config.with_overrides(oracle=OracleSpec()))
         assert network.oracle is lazy
         assert isinstance(lazy, LazyDijkstraOracle)
 
     def test_changed_options_rebuild_the_oracle(self):
         network = grid_city(5, 5, seed=2)
-        config = SimulationConfig(oracle_backend="lazy", oracle_cache_size=1024)
-        first = configure_oracle(network, config)
-        bigger = configure_oracle(
-            network, config.with_overrides(oracle_cache_size=4096)
-        )
+        def configure(**options):
+            return configure_oracle(
+                network, SimulationConfig(oracle=OracleSpec(**options))
+            )
+
+        first = configure(backend="lazy", cache_size=1024)
+        bigger = configure(backend="lazy", cache_size=4096)
         assert bigger is not first
         assert bigger.cache_info().maxsize == 4096
-        landmark_config = config.with_overrides(
-            oracle_backend="landmark", oracle_landmarks=4
-        )
-        small = configure_oracle(network, landmark_config)
-        grown = configure_oracle(
-            network, landmark_config.with_overrides(oracle_landmarks=6)
-        )
+        small = configure(backend="landmark", landmarks=4)
+        grown = configure(backend="landmark", landmarks=6)
         assert grown is not small
-        ch_config = config.with_overrides(
-            oracle_backend="ch", oracle_witness_hops=3
-        )
-        shallow = configure_oracle(network, ch_config)
+        shallow = configure(backend="ch", witness_hops=3)
         assert isinstance(shallow, CHOracle)
-        assert configure_oracle(network, ch_config) is shallow
-        deeper = configure_oracle(
-            network, ch_config.with_overrides(oracle_witness_hops=6)
+        assert configure(backend="ch", witness_hops=3) is shallow
+        # "auto" and the kernel it resolves to are the same oracle.
+        assert configure(backend="ch", witness_hops=3, kernel="auto") is shallow
+        assert (
+            configure(backend="ch", witness_hops=3, kernel=shallow.kernel)
+            is shallow
         )
+        deeper = configure(backend="ch", witness_hops=6)
         assert deeper is not shallow
         assert deeper.witness_hop_limit == 6
-        rebucketed = configure_oracle(
-            network, ch_config.with_overrides(
-                oracle_witness_hops=6, oracle_cache_size=8
-            )
-        )
+        rebucketed = configure(backend="ch", witness_hops=6, cache_size=8)
         assert rebucketed is not deeper
         assert rebucketed.bucket_cache_size == 8
 
@@ -653,7 +652,7 @@ class TestConfigSelection:
             num_orders=15,
             num_workers=4,
             horizon=900.0,
-            oracle_backend="matrix",
+            oracle=OracleSpec(backend="matrix"),
         )
         workload = build_workload("CDC", config)
         dispatcher = make_dispatcher("NonSharing", workload, config)
@@ -665,12 +664,12 @@ class TestConfigSelection:
         """Lazy and matrix backends produce bit-identical simulations."""
         from repro.datasets.workloads import build_workload
         from repro.experiments.config import default_config
-        from repro.experiments.runner import run_on_workload
+        from tests.conftest import run_on_workload
 
         base = default_config("CDC", num_orders=25, num_workers=6, horizon=900.0)
         outcomes = {}
         for backend in ("lazy", "matrix"):
-            config = base.with_overrides(oracle_backend=backend)
+            config = base.with_overrides(oracle=OracleSpec(backend=backend))
             workload = build_workload("CDC", config)
             result = run_on_workload("WATTER-online", workload, config)
             metrics = result.metrics
@@ -695,12 +694,12 @@ class TestConfigSelection:
         """
         from repro.datasets.workloads import build_workload
         from repro.experiments.config import default_config
-        from repro.experiments.runner import run_on_workload
+        from tests.conftest import run_on_workload
 
         base = default_config("CDC", num_orders=25, num_workers=6, horizon=900.0)
         outcomes = {}
         for backend in ("lazy", "ch"):
-            config = base.with_overrides(oracle_backend=backend)
+            config = base.with_overrides(oracle=OracleSpec(backend=backend))
             workload = build_workload("CDC", config)
             metrics = run_on_workload("WATTER-online", workload, config).metrics
             assert metrics.oracle_stats["backend"] == backend
@@ -715,6 +714,177 @@ class TestConfigSelection:
         )
         assert ch.unified_cost == pytest.approx(lazy.unified_cost, rel=1e-9)
         assert ch.oracle_stats["ch.shortcuts_added"] > 0
+
+
+#: What the built oracle reports for an all-defaults spec, per backend.
+#: ``kernel`` holds the *requested* kernel; the oracle reports
+#: ``resolve_kernel`` of it.
+_DEFAULT_SETTINGS = {
+    "lazy": {"maxsize": 1024},
+    "landmark": {"requested_landmarks": 8},
+    "matrix": {"kernel": "auto"},
+    "ch": {
+        "witness_hop_limit": 5,
+        "bucket_cache_size": 1024,
+        "kernel": "auto",
+        "contraction_order": "edge_difference",
+    },
+    "overlay": {
+        "kernel": "auto",
+        "coarsen_levels": 3,
+        "coarsen_alpha": 1.0,
+        "coarsen_beta": 1.0,
+        "error_bound": 0.25,
+        "refine_mode": False,
+        "inner.witness_hop_limit": 5,
+        "inner.bucket_cache_size": 1024,
+    },
+}
+
+#: (backend, spec options, settings that differ from the defaults row):
+#: every option each backend consumes, with the values the flat
+#: ``oracle_*`` configuration path produced for the same spec.
+#: ``coarsening`` = the (levels, alpha, beta) the ch contraction order
+#: is derived with; ``cache_files`` = what lands in ``cache_dir``.
+_SETTINGS_ROWS = [
+    ("lazy", {}, {}),
+    ("lazy", {"cache_size": 64}, {"maxsize": 64}),
+    ("landmark", {}, {}),
+    ("landmark", {"landmarks": 4}, {"requested_landmarks": 4}),
+    ("matrix", {}, {}),
+    ("matrix", {"kernel": "dict"}, {"kernel": "dict"}),
+    ("matrix", {"kernel": "csr"}, {"kernel": "csr"}),
+    ("matrix", {"shared_memory": False}, {}),
+    ("ch", {}, {}),
+    ("ch", {"cache_size": 8}, {"bucket_cache_size": 8}),
+    ("ch", {"witness_hops": 3}, {"witness_hop_limit": 3}),
+    ("ch", {"kernel": "dict"}, {"kernel": "dict"}),
+    ("ch", {"kernel": "csr"}, {"kernel": "csr"}),
+    ("ch", {"shared_memory": False}, {}),
+    ("ch", {"cache_dir": "TMP"}, {"cache_files": ["ch-*-w5.json"]}),
+    (
+        "ch",
+        {"contraction_order": "coarsening"},
+        {"contraction_order": "coarsening", "coarsening": (3, 1.0, 1.0)},
+    ),
+    (
+        "ch",
+        {"contraction_order": "coarsening", "coarsen_levels": 2},
+        {"contraction_order": "coarsening", "coarsening": (2, 1.0, 1.0)},
+    ),
+    (
+        "ch",
+        {"contraction_order": "coarsening", "coarsen_alpha": 2.0},
+        {"contraction_order": "coarsening", "coarsening": (3, 2.0, 1.0)},
+    ),
+    (
+        "ch",
+        {"contraction_order": "coarsening", "coarsen_beta": 0.5},
+        {"contraction_order": "coarsening", "coarsening": (3, 1.0, 0.5)},
+    ),
+    (
+        "ch",
+        {"contraction_order": "coarsening", "cache_dir": "TMP"},
+        {
+            "contraction_order": "coarsening",
+            "coarsening": (3, 1.0, 1.0),
+            "cache_files": ["ch-*-w5-co3.json"],
+        },
+    ),
+    ("overlay", {}, {}),
+    ("overlay", {"cache_size": 8}, {"inner.bucket_cache_size": 8}),
+    ("overlay", {"witness_hops": 3}, {"inner.witness_hop_limit": 3}),
+    ("overlay", {"kernel": "dict"}, {"kernel": "dict"}),
+    ("overlay", {"coarsen_levels": 2}, {"coarsen_levels": 2}),
+    ("overlay", {"coarsen_alpha": 2.0}, {"coarsen_alpha": 2.0}),
+    ("overlay", {"coarsen_beta": 0.5}, {"coarsen_beta": 0.5}),
+    ("overlay", {"coarsen_error_bound": 0.5}, {"error_bound": 0.5}),
+    ("overlay", {"coarsen_refine": True}, {"refine_mode": True}),
+    (
+        "overlay",
+        {"cache_dir": "TMP"},
+        {"cache_files": ["ch-*-w5.json", "coarsen-*-L3-a1-b1-r0.95.json"]},
+    ),
+]
+
+
+def _reported_settings(oracle: DistanceOracle) -> dict:
+    reported = {}
+    if isinstance(oracle, LazyDijkstraOracle):
+        reported["maxsize"] = oracle.cache_info().maxsize
+    for name in (
+        "requested_landmarks",
+        "witness_hop_limit",
+        "bucket_cache_size",
+        "kernel",
+        "contraction_order",
+        "coarsen_levels",
+        "coarsen_alpha",
+        "coarsen_beta",
+        "error_bound",
+        "refine_mode",
+    ):
+        if hasattr(oracle, name):
+            reported[name] = getattr(oracle, name)
+    inner = getattr(oracle, "inner", None)
+    if inner is not None:
+        reported["inner.witness_hop_limit"] = inner.witness_hop_limit
+        reported["inner.bucket_cache_size"] = inner.bucket_cache_size
+    return reported
+
+
+class TestSpecToOracleSettings:
+    """Differential guard for the one configuration surface: a spec
+    builds the oracle the removed flat fields built for it."""
+
+    @pytest.mark.parametrize(
+        "backend, options, changed",
+        _SETTINGS_ROWS,
+        ids=[
+            "-".join([backend, *options]) or backend
+            for backend, options, _ in _SETTINGS_ROWS
+        ],
+    )
+    def test_spec_builds_the_same_oracle(self, backend, options, changed, tmp_path):
+        from repro.api import ScenarioSpec
+        from repro.network.coarsen import coarsening_contraction_order
+
+        options = {
+            option: str(tmp_path) if value == "TMP" else value
+            for option, value in options.items()
+        }
+        spec = ScenarioSpec(
+            network="grid",
+            grid_rows=6,
+            grid_cols=6,
+            oracle={"backend": backend, **options},
+        )
+        network = grid_city(6, 6, seed=3)
+        oracle = configure_oracle(network, spec.config())
+
+        expected = {**_DEFAULT_SETTINGS[backend], **changed}
+        cache_files = expected.pop("cache_files", None)
+        coarsening = expected.pop("coarsening", None)
+        if "kernel" in expected:
+            expected["kernel"] = resolve_kernel(expected["kernel"])
+        assert isinstance(oracle, BACKEND_CLASSES.get(backend, DistanceOracle))
+        assert _reported_settings(oracle) == expected
+        if coarsening is not None:
+            levels, alpha, beta = coarsening
+            assert oracle.export_preprocessing()["order"] == (
+                coarsening_contraction_order(
+                    network.graph, levels=levels, alpha=alpha, beta=beta
+                )
+            )
+        if cache_files is not None:
+            written = sorted(
+                path.name
+                for path in tmp_path.iterdir()
+                if path.suffix == ".json"
+            )
+            assert len(written) == len(cache_files)
+            for name, pattern in zip(written, cache_files):
+                assert fnmatch.fnmatch(name, pattern), (name, pattern)
 
 
 class TestCliSelection:

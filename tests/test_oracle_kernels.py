@@ -243,7 +243,7 @@ def test_serial_vs_shared_memory_sharded_metrics():
     steer a pair down a different query path), so float metrics compare
     at 1e-9 relative while counts stay exact — the same contract the
     serial-vs-parallel suite holds.  The private-copy fallback
-    (``oracle_shared_memory=False``) must land on the same metrics too.
+    (``shared_memory=False``) must land on the same metrics too.
     """
     csr = OracleSpec(backend="ch", kernel="csr")
     serial = _run(_kernel_spec(csr))

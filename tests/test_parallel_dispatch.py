@@ -19,14 +19,14 @@ import pytest
 from repro.config import SimulationConfig
 from repro.datasets.workloads import build_workload
 from repro.exceptions import ConfigurationError
-from repro.experiments.runner import run_on_workload
-from repro.network.oracle import available_backends
+from repro.network.oracle import OracleSpec, available_backends
 from repro.simulation.parallel import (
     DISPATCH_MODES,
     ParallelDispatchEngine,
     merge_shard_results,
     partition_shards,
 )
+from tests.conftest import run_on_workload
 
 BACKENDS = ("lazy", "landmark", "matrix", "ch")
 
@@ -102,12 +102,14 @@ def _run(config: SimulationConfig, algorithm: str = "WATTER-timeout"):
 def test_parallel_dispatch_matches_serial_all_backends(backend):
     """Thread-sharded runs equal serial runs on every oracle backend."""
     assert set(BACKENDS) <= set(available_backends())
-    serial = _run(_small_config(oracle_backend=backend))
+    serial = _run(_small_config(oracle=OracleSpec(backend=backend)))
     reference = _core_metrics(serial.metrics)
     assert serial.metrics.served_orders > 0  # the workload is non-trivial
     for shards in SHARD_COUNTS:
         parallel = _run(
-            _small_config(oracle_backend=backend, dispatch_workers=shards)
+            _small_config(
+                oracle=OracleSpec(backend=backend), dispatch_workers=shards
+            )
         )
         _assert_metrics_equal(
             _core_metrics(parallel.metrics),
@@ -120,10 +122,10 @@ def test_parallel_dispatch_matches_serial_all_backends(backend):
 @pytest.mark.parametrize("backend", ("lazy", "ch"))
 def test_process_sharded_dispatch_matches_serial(backend):
     """Forked per-shard oracle handles reproduce serial metrics exactly."""
-    serial = _run(_small_config(oracle_backend=backend))
+    serial = _run(_small_config(oracle=OracleSpec(backend=backend)))
     parallel = _run(
         _small_config(
-            oracle_backend=backend,
+            oracle=OracleSpec(backend=backend),
             dispatch_workers=4,
             dispatch_mode="process",
         )
@@ -295,13 +297,13 @@ def test_cli_dispatch_worker_flags():
     )
     assert args.dispatch_workers == 4
     assert args.dispatch_mode == "process"
-    from repro.cli import _config_from_args
+    from repro.api import ScenarioSpec
 
-    config = _config_from_args(args)
+    config = ScenarioSpec.from_args(args).config()
     assert config.dispatch_workers == 4
     assert config.dispatch_mode == "process"
     # Defaults stay fully serial.
     args = parser.parse_args(["compare"])
-    assert _config_from_args(args).dispatch_workers == 1
+    assert ScenarioSpec.from_args(args).config().dispatch_workers == 1
     with pytest.raises(SystemExit):
         parser.parse_args(["compare", "--dispatch-workers", "0"])

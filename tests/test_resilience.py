@@ -311,7 +311,7 @@ class TestFaultInjector:
             {
                 "expect": "identical",
                 "seed": 9,
-                "spec_overrides": {"oracle_backend": "ch"},
+                "spec_overrides": {"oracle": {"backend": "ch"}},
                 "faults": {"oracle.cache.load": {"fail_first": 1}},
             }
         )
@@ -446,7 +446,7 @@ class TestCacheFailureHandling:
 class TestOracleBackendFallback:
     def test_ch_build_failure_degrades_to_lazy_and_stays_sticky(self):
         session = Session()
-        spec = _grid_spec(oracle_backend="ch")
+        spec = _grid_spec(oracle={"backend": "ch"})
         injector = FaultInjector(
             {"oracle.ch.build": {"fail_first": 8, "exception": "runtime"}}
         )

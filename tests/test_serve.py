@@ -115,7 +115,7 @@ class TestProtocol:
 # ----------------------------------------------------------------------
 class TestSessionPool:
     def test_key_ignores_workload_and_dispatch_fields(self):
-        base = _grid_spec(oracle_backend="ch")
+        base = _grid_spec(oracle={"backend": "ch"})
         same = base.with_overrides(
             num_orders=30, num_workers=8, algorithm="GAS", dispatch_workers=2
         )
@@ -126,13 +126,44 @@ class TestSessionPool:
         (
             {"seed": 8},  # network generation is seeded
             {"grid_rows": 5},
-            {"oracle_backend": "lazy"},
-            {"oracle_cache_size": 123},
+            {"oracle": {"backend": "lazy"}},
+            {"oracle": {"backend": "ch", "cache_size": 123}},
         ),
     )
     def test_key_tracks_network_and_oracle_identity(self, overrides):
-        base = _grid_spec(oracle_backend="ch")
+        base = _grid_spec(oracle={"backend": "ch"})
         assert pool_key(base) != pool_key(base.with_overrides(**overrides))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        (
+            (
+                {"backend": "overlay", "coarsen_refine": True},
+                {"backend": "overlay", "coarsen_error_bound": 0.5},
+            ),
+            pytest.param(
+                {"backend": "ch", "kernel": "dict"},
+                {"backend": "ch", "kernel": "csr"},
+                marks=pytest.mark.skipif(
+                    not HAVE_NUMPY, reason="csr resolves to dict without numpy"
+                ),
+            ),
+        ),
+        ids=("overlay-coarsen", "ch-kernel"),
+    )
+    def test_key_tracks_every_option_the_oracle_is_built_from(self, first, second):
+        """Specs that would not share an oracle must not share a session."""
+        base = _grid_spec(grid_rows=8, grid_cols=8)
+        assert pool_key(base.with_overrides(oracle=first)) != pool_key(
+            base.with_overrides(oracle=second)
+        )
+
+    def test_key_resolves_the_kernel(self):
+        base = _grid_spec()
+        auto = pool_key(base.with_overrides(oracle={"backend": "ch"}))
+        for kernel in ("auto", "csr" if HAVE_NUMPY else "dict"):
+            spec = base.with_overrides(oracle={"backend": "ch", "kernel": kernel})
+            assert pool_key(spec) == auto
 
     def test_acquire_hits_and_misses(self):
         pool = SessionPool(max_sessions=2)
@@ -296,7 +327,7 @@ class TestSinks:
 # ----------------------------------------------------------------------
 class TestScenarioService:
     def test_served_metrics_match_direct_run(self):
-        spec = _grid_spec(oracle_backend="ch")
+        spec = _grid_spec(oracle={"backend": "ch"})
         direct = run_scenario(spec)
         with ScenarioService(max_runs=2) as service:
             record = service.wait(service.submit_spec(spec).run_id, timeout=_WAIT)
@@ -327,7 +358,7 @@ class TestScenarioService:
     def test_concurrent_submissions_share_one_oracle(self):
         """The acceptance bar: two concurrent requests naming the same
         network/oracle identity build the oracle exactly once."""
-        spec_a = _grid_spec(oracle_backend="ch")
+        spec_a = _grid_spec(oracle={"backend": "ch"})
         spec_b = spec_a.with_overrides(num_orders=16, algorithm="GAS")
         with ScenarioService(max_runs=2) as service:
             record_a = service.submit_spec(spec_a)
@@ -339,6 +370,34 @@ class TestScenarioService:
         assert pool["hits"] == 1
         assert pool["sessions"] == 1
         assert pool["oracle_builds"] == 1
+
+    def test_concurrent_overlay_variants_do_not_share_an_oracle(self):
+        """Two overlay configurations of one grid, served side by side,
+        each answer from their own oracle: a shared session would swap
+        ``network.oracle`` under the run that attached first."""
+        base = _grid_spec(grid_rows=8, grid_cols=8, num_orders=40, horizon=600.0)
+        specs = [
+            base.with_overrides(
+                oracle={"backend": "overlay", "coarsen_refine": True}
+            ),
+            base.with_overrides(
+                oracle={"backend": "overlay", "coarsen_error_bound": 0.5}
+            ),
+        ]
+        direct = [run_scenario(spec) for spec in specs]
+        with ScenarioService(max_runs=2) as service:
+            records = [service.submit_spec(spec) for spec in specs]
+            records = [
+                service.wait(record.run_id, timeout=_WAIT) for record in records
+            ]
+            pool = service.metrics()["pool"]
+        assert pool["sessions"] == 2
+        assert pool["oracle_builds"] == 2
+        for record, run in zip(records, direct):
+            assert record.status == COMPLETED, record.error
+            assert _deterministic(record.result["metrics"]) == (
+                _deterministic(run.metrics.summary_row())
+            )
 
     def test_malformed_submission_is_refused_eagerly(self):
         with ScenarioService() as service:
