@@ -463,6 +463,16 @@ def test_spatial_index_speeds_up_find_worker_for():
         f"ring search took {spatial.indexed_seconds:.4f}s, "
         f"scan {spatial.scan_seconds:.4f}s"
     )
+    # The mix a real run is made of — half the fleet booked, deadlines
+    # most searches cannot meet — is cross-checked and must win too.
+    assert spatial.busy_found < 60 // 2
+    assert (
+        spatial.busy_indexed_seconds * SPATIAL_ACCEPTANCE_SPEEDUP
+        <= spatial.busy_scan_seconds
+    ), (
+        f"busy phase: ring search took {spatial.busy_indexed_seconds:.4f}s, "
+        f"scan {spatial.busy_scan_seconds:.4f}s"
+    )
 
 
 def test_oracle_query_benchmark(benchmark):

@@ -51,7 +51,8 @@ DEFAULT_CHECKPOINT_INTERVAL = 25
 
 # 2: pickled ``Route`` objects carry per-order stop positions.
 # 3: the pickled ``SimulationConfig`` carries one ``oracle`` OracleSpec.
-_FORMAT_VERSION = 3
+# 4: the pickled ``WorkerFleet`` carries a release heap; its index holds the idle only.
+_FORMAT_VERSION = 4
 
 _LOCK_TYPE = type(threading.Lock())
 _RLOCK_TYPE = type(threading.RLock())

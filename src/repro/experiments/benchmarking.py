@@ -192,6 +192,12 @@ class SpatialBenchResult:
     scan_seconds: float
     indexed_seconds: float
     candidates_examined: int
+    #: The same searches with half the fleet booked and deadlines so
+    #: tight that most of them find nobody (``busy_found`` do) — the mix
+    #: an end-to-end run spends its time on.
+    busy_scan_seconds: float = 0.0
+    busy_indexed_seconds: float = 0.0
+    busy_found: int = 0
 
     @property
     def speedup(self) -> float:
@@ -199,6 +205,13 @@ class SpatialBenchResult:
         if self.indexed_seconds <= 0.0:
             return float("inf")
         return self.scan_seconds / self.indexed_seconds
+
+    @property
+    def busy_speedup(self) -> float:
+        """The same ratio over the half-booked, tight-deadline searches."""
+        if self.busy_indexed_seconds <= 0.0:
+            return float("inf")
+        return self.busy_scan_seconds / self.busy_indexed_seconds
 
     @property
     def candidates_fraction(self) -> float:
@@ -320,6 +333,13 @@ def benchmark_dispatch_queries(
     return results
 
 
+#: Deadline over shortest time in ``benchmark_spatial_index``'s busy
+#: phase.  At 1.1 most searches still succeed on its dense fleet (128
+#: idle workers on 1 024 nodes); at 1.03 about one in eight does, close
+#: to the 0.096 of the end-to-end ``cdc_expect_lazy`` trace.
+_TIGHT_DEADLINE_SCALE = 1.03
+
+
 def benchmark_spatial_index(
     grid_dim: int = 32,
     num_workers: int = 256,
@@ -332,38 +352,52 @@ def benchmark_spatial_index(
     Builds a ``grid_dim x grid_dim`` city (>=1k nodes at the default),
     scatters ``num_workers`` idle workers, and replays the same
     singleton-group searches against a ring-expanding fleet and a
-    full-scan fleet.  Both fleets see identical warmed oracle caches so
-    the measured difference is candidate pruning, and the chosen
-    workers are cross-checked per search.
+    full-scan fleet, twice: first with everyone idle and deadlines at
+    3x the shortest time (every search finds a worker), then with a
+    seeded half of both fleets booked and deadlines at 1.03x (about one
+    search in eight finds a worker, as in an end-to-end run).  Both
+    fleets see identical warmed oracle caches so the measured
+    difference is candidate pruning, and the chosen workers are
+    cross-checked per search in both phases.
     """
     network = grid_city(rows=grid_dim, cols=grid_dim, seed=seed, jitter=0.25)
     nodes = network.nodes_sorted()
     rng = random.Random(seed)
     locations = [rng.choice(nodes) for _ in range(num_workers)]
     planner = RoutePlanner(network)
-    groups: list[Group] = []
-    while len(groups) < num_searches:
-        pickup, dropoff = rng.sample(nodes, 2)
+
+    def singleton(
+        pickup: int, dropoff: int, deadline_scale: float
+    ) -> Group | None:
         shortest = network.travel_time(pickup, dropoff)
         order = Order(
             pickup=pickup,
             dropoff=dropoff,
             release_time=0.0,
             shortest_time=shortest,
-            deadline=3.0 * shortest,
+            deadline=deadline_scale * shortest,
             wait_limit=shortest,
         )
         planned = planner.try_plan([order], 4, 0.0)
         if planned is None:
-            continue
-        groups.append(
-            Group(
-                orders=(order,),
-                route=planned.route,
-                created_at=0.0,
-                weights=ExtraTimeWeights(),
-            )
+            return None
+        return Group(
+            orders=(order,),
+            route=planned.route,
+            created_at=0.0,
+            weights=ExtraTimeWeights(),
         )
+
+    groups: list[Group] = []
+    tight_groups: list[Group] = []
+    while len(groups) < num_searches:
+        pickup, dropoff = rng.sample(nodes, 2)
+        loose = singleton(pickup, dropoff, 3.0)
+        tight = singleton(pickup, dropoff, _TIGHT_DEADLINE_SCALE)
+        if loose is not None and tight is not None:
+            groups.append(loose)
+            tight_groups.append(tight)
+    booked = rng.sample(range(num_workers), num_workers // 2)
 
     def build_fleet(use_spatial_index: bool) -> WorkerFleet:
         workers = [
@@ -377,7 +411,9 @@ def benchmark_spatial_index(
             use_spatial_index=use_spatial_index,
         )
 
-    def timed(fleet: WorkerFleet) -> tuple[float, list[int | None]]:
+    def timed(
+        fleet: WorkerFleet, groups: list[Group]
+    ) -> tuple[float, list[int | None]]:
         for group in groups:  # warm the oracle caches outside the timer
             fleet.find_worker_for(group, 0.0)
         chosen: list[int | None] = []
@@ -391,20 +427,34 @@ def benchmark_spatial_index(
             ]
         return time.perf_counter() - started, chosen
 
-    scan_seconds, scan_chosen = timed(build_fleet(False))
-    indexed_fleet = build_fleet(True)
-    indexed_seconds, indexed_chosen = timed(indexed_fleet)
+    def book_half(fleet: WorkerFleet) -> None:
+        for position, wid in enumerate(booked):
+            fleet.assign(fleet.worker(wid), groups[position % len(groups)], 0.0)
+
+    scan_fleet, indexed_fleet = build_fleet(False), build_fleet(True)
+    scan_seconds, scan_chosen = timed(scan_fleet, groups)
+    indexed_seconds, indexed_chosen = timed(indexed_fleet, groups)
     if indexed_chosen != scan_chosen:
         raise AssertionError("spatial index changed the selected workers")
     index = indexed_fleet.spatial_index
     assert index is not None
+    searches, candidates = index.searches, index.candidates_yielded
+    book_half(scan_fleet)
+    book_half(indexed_fleet)
+    busy_scan_seconds, scan_chosen = timed(scan_fleet, tight_groups)
+    busy_indexed_seconds, indexed_chosen = timed(indexed_fleet, tight_groups)
+    if indexed_chosen != scan_chosen:
+        raise AssertionError("spatial index changed the busy-phase workers")
     return SpatialBenchResult(
         num_nodes=len(network),
         num_workers=num_workers,
-        num_searches=index.searches,
+        num_searches=searches,
         scan_seconds=scan_seconds,
         indexed_seconds=indexed_seconds,
-        candidates_examined=index.candidates_yielded,
+        candidates_examined=candidates,
+        busy_scan_seconds=busy_scan_seconds,
+        busy_indexed_seconds=busy_indexed_seconds,
+        busy_found=sum(wid is not None for wid in indexed_chosen),
     )
 
 
@@ -950,6 +1000,7 @@ def write_dispatch_trajectory(
             **asdict(spatial_result),
             "speedup": spatial_result.speedup,
             "candidates_fraction": spatial_result.candidates_fraction,
+            "busy_speedup": spatial_result.busy_speedup,
         }
         acceptance["spatial_index_speedup"] = {
             "value": spatial_result.speedup,
@@ -1086,7 +1137,10 @@ def format_dispatch_bench_table(
             f"{spatial.num_workers} workers: scan {spatial.scan_seconds:.3f}s, "
             f"ring search {spatial.indexed_seconds:.3f}s "
             f"({spatial.speedup:.1f}x, examined "
-            f"{100.0 * spatial.candidates_fraction:.0f}% of the fleet)"
+            f"{100.0 * spatial.candidates_fraction:.0f}% of the fleet); "
+            f"half the fleet booked, tight deadlines: scan "
+            f"{spatial.busy_scan_seconds:.3f}s, ring search "
+            f"{spatial.busy_indexed_seconds:.3f}s ({spatial.busy_speedup:.1f}x)"
         )
     return output
 

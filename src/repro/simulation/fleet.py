@@ -14,15 +14,18 @@ restricts nearest-worker searches to expanding rings of cells around the
 group's first pickup, mirroring the paper's use of a grid index "to
 speed up workers and riders search" (Section VII-A); each ring is priced
 with one many-to-one oracle batch (a single reverse-graph search on the
-lazy backend).  The index is maintained incrementally as workers are
-assigned and released, and the search stops as soon as the best feasible
-worker found cannot be beaten by any farther ring.
+lazy backend).  The index holds idle workers only: ``assign`` takes the
+worker out and pushes its finish time on a heap, ``release_finished``
+pops what is due and puts the worker back at its route's end node.  The
+search stops at the first ring whose travel-time lower bound already
+exceeds the best worker found or already misses the group's deadline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
+from heapq import heapify, heappop, heappush
+from typing import Callable, Iterator, Sequence, TYPE_CHECKING
 
 from ..exceptions import ConfigurationError
 from ..model.worker import Worker
@@ -59,8 +62,9 @@ class WorkerFleet:
         Optional spatial index; built from the network when omitted.
     use_spatial_index:
         When true (default) nearest-worker searches expand grid rings
-        around the pickup and stop early; when false every search scans
-        the whole fleet (kept for benchmarking the pruning win).
+        of idle workers around the pickup and stop early; when false
+        every search scans the whole fleet (the independent reference
+        the ring search is tested and benchmarked against).
     """
 
     def __init__(
@@ -83,8 +87,18 @@ class WorkerFleet:
         self._spatial: WorkerSpatialIndex | None = None
         if use_spatial_index:
             self._spatial = WorkerSpatialIndex(network, self._grid)
-            for worker in self._workers.values():
-                self._spatial.insert(worker.worker_id, worker.location)
+            for worker in workers:
+                if worker.is_idle:
+                    self._spatial.insert(worker.worker_id, worker.location)
+        # Busy workers as (busy_until, fleet position, worker), soonest
+        # first; the position keeps equal finish times from comparing
+        # workers.  ``release_finished`` looks at the top only.
+        self._release_heap = [
+            (worker.busy_until, position, worker)
+            for position, worker in enumerate(workers)
+            if not worker.is_idle
+        ]
+        heapify(self._release_heap)
         self._total_travel_time = 0.0
         # Optional parallel dispatch engine; when attached, the worker
         # searches' many-to-one oracle blocks are served through it
@@ -152,10 +166,14 @@ class WorkerFleet:
     # ------------------------------------------------------------------
     def release_finished(self, now: float) -> int:
         """Return workers whose routes have finished to the idle pool."""
+        heap = self._release_heap
         released = 0
-        for worker in self._workers.values():
+        while heap and heap[0][0] <= now:
+            worker = heappop(heap)[2]
             if worker.release_if_done(now):
                 released += 1
+                if self._spatial is not None:
+                    self._spatial.insert(worker.worker_id, worker.location)
         if released:
             self._find_memo = None
         return released
@@ -201,8 +219,11 @@ class WorkerFleet:
         route_time = group.route.total_travel_time
         finish = now + approach + route_time
         worker.assign(end_location=group.route.end_node, finish_time=finish)
+        heappush(
+            self._release_heap, (finish, self._order_index[worker.worker_id], worker)
+        )
         if self._spatial is not None:
-            self._spatial.move(worker.worker_id, worker.location)
+            self._spatial.remove(worker.worker_id)
         self._find_memo = None
         self._total_travel_time += approach + route_time
         return Assignment(
@@ -223,32 +244,36 @@ class WorkerFleet:
             raise ConfigurationError("cannot add negative travel time")
         self._total_travel_time += amount
 
-    def earliest_available_time(self) -> float:
-        """The earliest time at which some worker will be idle."""
-        return min(
-            (0.0 if worker.is_idle else worker.busy_until)
-            for worker in self._workers.values()
-        )
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _find_by_rings(self, group: "Group", now: float) -> Worker | None:
-        """Ring-expanding nearest-worker search over the spatial index."""
+        """Ring-expanding nearest-worker search over the idle-worker index.
+
+        Lateness only grows with the approach time, so the nearest
+        worker with enough seats is feasible or nobody at its distance
+        or beyond is: each ring tests its nearest candidate alone, and a
+        ring whose lower bound is already late ends the search.
+        """
         riders = group.total_riders()
         start_node = group.route.start_node
+        too_late = self._lateness_test(group, now)
+        workers = self._workers
+        order_index = self._order_index
         best_worker: Worker | None = None
         best_key = (float("inf"), float("inf"))
+
+        def cut(bound: float) -> bool:
+            # Every worker from this ring on is at least ``bound`` away:
+            # farther than the incumbent, or too late for the group.
+            return bound > best_key[0] or too_late(bound)
+
         assert self._spatial is not None
-        for bound, worker_ids in self._spatial.rings(start_node):
-            # Later rings cannot beat the incumbent once their travel
-            # time lower bound exceeds its approach time.
-            if best_worker is not None and bound > best_key[0]:
-                break
+        for _bound, worker_ids in self._spatial.rings(start_node, cut):
             candidates = [
                 worker
-                for worker in (self._workers[wid] for wid in worker_ids)
-                if worker.is_idle and worker.capacity >= riders
+                for worker in map(workers.__getitem__, worker_ids)
+                if worker.capacity >= riders
             ]
             if not candidates:
                 continue
@@ -257,25 +282,48 @@ class WorkerFleet:
             approaches = self._query_many(
                 (worker.location for worker in candidates), [start_node]
             )
+            nearest: Worker | None = None
+            nearest_key = best_key
             for worker in candidates:
                 approach = approaches.get((worker.location, start_node))
                 if approach is None:
                     continue
-                key = (approach, self._order_index[worker.worker_id])
-                if key >= best_key:
-                    continue
-                if not self._group_feasible_with_approach(group, now, approach):
-                    continue
-                best_worker = worker
-                best_key = key
+                key = (approach, order_index[worker.worker_id])
+                if key < nearest_key:
+                    nearest, nearest_key = worker, key
+            if nearest is not None and not too_late(nearest_key[0]):
+                best_worker, best_key = nearest, nearest_key
         return best_worker
 
+    @staticmethod
+    def _lateness_test(group: "Group", now: float) -> Callable[[float], bool]:
+        """``approach -> bool``: would some member's deadline be missed?
+
+        Float addition rounds monotonically, so the answer never flips
+        back to false as ``approach`` grows; the ring search uses it both
+        on a ring's lower bound and on the winning worker.
+        """
+        route = group.route
+        limits = [
+            (route.sub_route_time(order.order_id), order.deadline)
+            for order in group.orders
+        ]
+
+        def too_late(approach: float) -> bool:
+            for sub_route_time, deadline in limits:
+                if now + approach + sub_route_time > deadline:
+                    return True
+            return False
+
+        return too_late
+
     def _find_by_scan(self, group: "Group", now: float) -> Worker | None:
-        """Full-fleet scan (the pre-index behaviour, kept for benchmarks)."""
+        """Full-fleet scan: the reference the ring search must agree with."""
+        riders = group.total_riders()
         candidates = [
             worker
             for worker in self._workers.values()
-            if worker.is_idle and worker.capacity >= group.total_riders()
+            if worker.is_idle and worker.capacity >= riders
         ]
         if not candidates:
             return None
@@ -312,9 +360,3 @@ class WorkerFleet:
                 return False
         return True
 
-
-def fleet_from_workers(
-    workers: Iterable[Worker], network: "RoadNetwork", grid_size: int = 10
-) -> WorkerFleet:
-    """Convenience constructor building the grid index at the given size."""
-    return WorkerFleet(list(workers), network, GridIndex(network, size=grid_size))

@@ -5,18 +5,21 @@ travel time) to this pickup node?".  Scanning the whole fleet answers
 that in O(fleet) oracle probes; on city-scale fleets only a handful of
 workers are plausibly closest.  :class:`WorkerSpatialIndex` buckets
 workers by the grid cell of their current node (the paper's Section
-VII-A grid index, maintained *incrementally* as workers are assigned
-and released) and serves candidates in Chebyshev rings of increasing
-distance around a query node.
+VII-A grid index) and serves them in Chebyshev rings of increasing
+distance around a query node.  The index holds whoever its owner puts
+in it; the fleet keeps *idle* workers only — out on ``assign``, back in
+at the route's end node on release — so a search never reads a worker
+that could not take the group.
 
 Each ring comes with a *lower bound* on the travel time of any worker
 in it: a worker in a cell at Chebyshev ring ``r`` is at least
 ``(r - 1) * min_cell_extent`` Euclidean units away, and no road path
 can cover Euclidean distance faster than the network's fastest edge, so
-``travel_time >= euclidean / max_speed``.  Once the best feasible
-worker found so far beats the next ring's bound, the search stops —
-turning the O(fleet) scan into an O(nearby) one without changing the
-selected worker.
+``travel_time >= euclidean / max_speed``.  The caller hands the search
+a ``cut`` on that bound — the best worker found so far is nearer, or
+the group's deadline is already out of reach from that far — and the
+search stops at the first ring it rules out, turning the O(fleet) scan
+into an O(nearby) one without changing the selected worker.
 
 Graphs with teleport-like edges (zero travel time over positive
 distance) degrade gracefully: the bound collapses to zero and the
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from typing import Iterator, TYPE_CHECKING
+from typing import Callable, Iterator, TYPE_CHECKING
 
 from ..network.grid import GridIndex
 
@@ -58,12 +61,16 @@ class WorkerSpatialIndex:
             ((max_y - min_y) or 1.0) / grid.size,
         )
         self._max_speed = self._fastest_edge_speed(network)
-        # The grid geometry, cell extents and edge-speed bound above are
-        # all pre-materialised here — queries never lazily build state —
-        # so concurrent readers only share immutable data plus the two
-        # benchmark counters below, which this lock guards.  Maintenance
-        # (insert / move / remove) is *not* concurrency-safe and must
-        # stay on the owning thread, which is how the fleet drives it.
+        # ``(lower bound, cells)`` per ring of a centre cell, nearest
+        # first.  It never changes, so it is built on the first search
+        # from that cell and kept; building it twice stores the same
+        # value, so concurrent readers need no lock for it.
+        self._ring_geometry: dict[int, tuple[tuple[float, tuple[int, ...]], ...]] = {}
+        # Concurrent readers share that memo, immutable geometry and the
+        # two benchmark counters below, which this lock guards.
+        # Maintenance (insert / remove) is *not* concurrency-safe and
+        # must stay on the owning thread, which is how the fleet drives
+        # it.
         self._counter_lock = threading.Lock()
         #: Number of ring-expanding searches served (for benchmarks).
         self.searches = 0
@@ -114,9 +121,6 @@ class WorkerSpatialIndex:
         self._worker_cell[worker_id] = cell
         self._cell_workers[cell].add(worker_id)
 
-    # ``move`` is the intent-revealing alias used on assignment updates.
-    move = insert
-
     def remove(self, worker_id: int) -> None:
         """Drop a worker from the index (no-op when absent)."""
         cell = self._worker_cell.pop(worker_id, None)
@@ -130,42 +134,61 @@ class WorkerSpatialIndex:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def rings(self, node: int) -> Iterator[tuple[float, list[int]]]:
+    def rings(
+        self, node: int, cut: Callable[[float], bool] | None = None
+    ) -> Iterator[tuple[float, list[int]]]:
         """Yield ``(travel_time_lower_bound, worker_ids)`` per ring.
 
         Rings are visited nearest first and the bounds are
-        non-decreasing, so a caller tracking the best travel time found
-        so far can stop as soon as the bound of the next non-empty ring
-        can no longer beat it.  Every indexed worker is yielded exactly
-        once; empty rings are skipped.
+        non-decreasing.  ``cut``, when given, is asked before each ring
+        is read whether workers at least that ring's bound away have
+        stopped mattering to the caller; the first yes ends the search,
+        so ``cut`` must stay true once true as the bound grows.  Without
+        it every indexed worker is yielded exactly once; empty rings are
+        skipped.
 
         Safe for concurrent read-only use: the geometry is immutable,
         each search works off a snapshot of the bucket contents, and
-        the benchmark counters are updated under a lock.
+        the benchmark counters are updated under a lock, once per
+        search, when the generator finishes or is closed.
         """
-        with self._counter_lock:
-            self.searches += 1
+        center = self._grid.cell_of(node)
+        geometry = self._ring_geometry.get(center)
+        if geometry is None:
+            geometry = self._ring_geometry[center] = self._build_rings(center)
+        cell_workers = self._cell_workers
+        remaining = len(self._worker_cell)
+        yielded = 0
+        try:
+            for bound, cells in geometry:
+                if remaining <= 0 or (cut is not None and cut(bound)):
+                    return
+                ids: list[int] = []
+                for cell in cells:
+                    bucket = cell_workers.get(cell)
+                    if bucket:
+                        ids.extend(bucket)
+                if not ids:
+                    continue
+                ids.sort()  # deterministic order within a ring
+                remaining -= len(ids)
+                yielded += len(ids)
+                yield bound, ids
+        finally:
+            with self._counter_lock:
+                self.searches += 1
+                self.candidates_yielded += yielded
+
+    def _build_rings(self, center: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
+        """``(lower bound, cells)`` of every ring around ``center``."""
         grid = self._grid
-        center = grid.cell_of(node)
         row, col = grid.cell_coordinates(center)
         size = grid.size
         max_radius = max(row, col, size - 1 - row, size - 1 - col)
-        remaining = len(self._worker_cell)
-        for radius in range(max_radius + 1):
-            if remaining <= 0:
-                return
-            ids: list[int] = []
-            for cell in grid.ring(center, radius):
-                bucket = self._cell_workers.get(cell)
-                if bucket:
-                    ids.extend(bucket)
-            if not ids:
-                continue
-            ids.sort()  # deterministic order within a ring
-            remaining -= len(ids)
-            with self._counter_lock:
-                self.candidates_yielded += len(ids)
-            yield self.ring_lower_bound(radius), ids
+        return tuple(
+            (self.ring_lower_bound(radius), tuple(grid.ring(center, radius)))
+            for radius in range(max_radius + 1)
+        )
 
     def ring_lower_bound(self, radius: int) -> float:
         """Lower bound (seconds) on travel time from a query node to any

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -179,6 +180,42 @@ def test_spatial_index_concurrent_rings_match_serial(city):
         per_query_yield[node] for _, queried in results for node in queried
     )
     assert index.candidates_yielded == yielded_before + expected_yield
+
+
+def test_spatial_index_cold_ring_geometry_built_under_contention(city):
+    """Threads racing the first search from a cell agree with a serial index.
+
+    The per-cell ring geometry is memoised on first use without a lock;
+    every thread that builds it builds the same value, so whichever
+    write lands the rings served are the serial ones.
+    """
+    grid = GridIndex(city, size=4)
+    nodes = city.nodes_sorted()
+    rng = random.Random(17)
+    placements = [(worker_id, rng.choice(nodes)) for worker_id in range(40)]
+    serial = WorkerSpatialIndex(city, grid)
+    for worker_id, node in placements:
+        serial.insert(worker_id, node)
+    reference = {node: list(serial.rings(node)) for node in nodes}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(_ROUNDS_PER_THREAD):
+            index = WorkerSpatialIndex(city, grid)  # cold: no geometry yet
+            for worker_id, node in placements:
+                index.insert(worker_id, node)
+            barrier = threading.Barrier(_NUM_THREADS)
+
+            def hammer(_thread: int) -> bool:
+                barrier.wait(timeout=30)
+                return all(list(index.rings(node)) == reference[node] for node in nodes)
+
+            with ThreadPoolExecutor(max_workers=_NUM_THREADS) as executor:
+                assert all(executor.map(hammer, range(_NUM_THREADS), timeout=60))
+            assert index.searches == _NUM_THREADS * len(nodes)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_session_concurrent_prepare_builds_oracle_once():

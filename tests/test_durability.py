@@ -248,21 +248,23 @@ class TestCheckpointFiles:
             session.run(spec.with_overrides(algorithm="WATTER-online"), resume_from=path)
 
     def test_older_format_version_is_refused(self, tmp_path):
-        """A v2 checkpoint pickles a config with no ``.oracle``; the
-        header check refuses it before anything is unpickled."""
+        """A v2 checkpoint pickles a config with no ``.oracle``, a v3 one
+        a fleet with no release heap; the header check refuses both
+        before anything is unpickled."""
         session = Session()
         spec = _spec()
         path = tmp_path / "run.ckpt"
         _interrupt_and_checkpoint(session, spec, path, cut=3)
         header_line, _, blob = path.read_bytes().partition(b"\n")
         header = json.loads(header_line)
-        assert header["format"] == 3
-        header["format"] = 2
-        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + blob)
-        with pytest.raises(CheckpointError, match="unsupported format 2"):
-            read_checkpoint_header(path)
-        with pytest.raises(CheckpointError, match="unsupported format 2"):
-            session.run(spec, resume_from=path)
+        assert header["format"] == 4
+        for older in (2, 3):
+            header["format"] = older
+            path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + blob)
+            with pytest.raises(CheckpointError, match=f"unsupported format {older}"):
+                read_checkpoint_header(path)
+            with pytest.raises(CheckpointError, match=f"unsupported format {older}"):
+                session.run(spec, resume_from=path)
 
     def test_missing_checkpoint_file_is_refused(self, tmp_path):
         with pytest.raises(CheckpointError):

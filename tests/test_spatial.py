@@ -2,8 +2,8 @@
 
 Covers:
 
-* bucket maintenance (insert / move / remove) and the incremental
-  updates driven by ``WorkerFleet.assign`` / ``release_finished``,
+* bucket maintenance (insert / re-insert / remove) and the idle-only
+  policy ``WorkerFleet.assign`` / ``release_finished`` keep it to,
 * soundness of the ring lower bounds (never above the true travel
   time) and monotonicity of the ring expansion,
 * exact equivalence of the ring-expanding ``find_worker_for`` with the
@@ -54,7 +54,7 @@ class TestIndexMaintenance:
         index.insert(7, 0)
         assert 7 in index and len(index) == 1
         assert 7 in index.workers_in_cell(grid.cell_of(0))
-        index.move(7, 63)
+        index.insert(7, 63)  # re-indexing moves the worker
         assert 7 not in index.workers_in_cell(grid.cell_of(0))
         assert 7 in index.workers_in_cell(grid.cell_of(63))
         index.remove(7)
@@ -71,13 +71,21 @@ class TestIndexMaintenance:
         group = _singleton_group(network, order)
         worker = fleet.find_worker_for(group, 0.0)
         assert worker is workers[0]
+        grid = GridIndex(network, size=4)
+        start_cell = grid.cell_of(0)
+        end_cell = grid.cell_of(group.route.end_node)
         assignment = fleet.assign(worker, group, 0.0)
-        # The busy worker is indexed at the route's end node already.
-        end_cell = GridIndex(network, size=4).cell_of(group.route.end_node)
-        assert worker.worker_id in index.workers_in_cell(end_cell)
-        # Release keeps the location, so the bucket does not change.
-        fleet.release_finished(assignment.finish_time + 1.0)
+        # The index holds idle workers only: a busy one is in no bucket.
+        assert worker.worker_id not in index and len(index) == 1
+        assert worker.worker_id not in index.workers_in_cell(start_cell)
+        assert worker.worker_id not in index.workers_in_cell(end_cell)
+        # Not before its route has finished ...
+        assert fleet.release_finished(assignment.finish_time - 1.0) == 0
+        assert worker.worker_id not in index and len(index) == 1
+        # ... and from then on at the route's end node.
+        assert fleet.release_finished(assignment.finish_time) == 1
         assert worker.is_idle
+        assert worker.worker_id in index and len(index) == 2
         assert worker.worker_id in index.workers_in_cell(end_cell)
 
 
