@@ -272,7 +272,6 @@ class GDPDispatcher(Dispatcher):
         plan.available_at = max(plan.available_at, now)
         order.status = OrderStatus.DISPATCHED
         self._fleet.add_travel_time(max(insertion.added_travel_time, 0.0))
-        group_size = len({stop.order_id for stop in insertion.new_stops})
         self._scheduled_dropoffs[order.order_id] = (
             order,
             insertion.dropoff_time,
@@ -289,7 +288,6 @@ class GDPDispatcher(Dispatcher):
                         stop.arrival_time,
                         entry[2],
                     )
-        del group_size
 
     def _emit_completed(self, now: float) -> DispatchResult:
         served = []

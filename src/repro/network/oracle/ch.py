@@ -35,12 +35,17 @@ The dispatch hot-path shapes are served natively:
   without touching the reversed original graph;
 * ``travel_times_many`` uses RPHAST-style **node buckets**: the
   backward upward search from each target deposits ``(target,
-  distance)`` entries on the nodes it settles (memoised per target, LRU
-  bounded), and one small forward upward search per source scans the
-  buckets it meets — constant-ish per-pair cost after the one
-  target-side sweep, exactly what the fleet's batched worker-to-pickup
-  blocks need;
-* ``travel_times_from(source)`` is the symmetric forward PHAST sweep.
+  distance)`` entries on the nodes it settles, and the forward upward
+  search space of each source scans the buckets it meets.  Both search
+  spaces are *labels* — pure functions of (node, hierarchy) — memoised
+  per distinct target and per distinct source in two LRUs under one
+  bound, in the running kernel's native form (a dict, or ``(node
+  index, distance)`` arrays under ``csr``), so a pair the pair cache
+  does not hold is a merge of two labels the oracle already has, not a
+  graph search — exactly what the fleet's batched worker-to-pickup
+  blocks, which re-ask the same sources block after block, need;
+* ``travel_times_from(source)`` is the symmetric forward PHAST sweep,
+  seeded from the same memoised source label.
 
 All distances are exact: witness searches are conservative (a pruned
 search just adds a shortcut it might not have needed), so no shortest
@@ -66,8 +71,8 @@ from .base import CacheInfo, DistanceOracle
 from .csr import (
     CHSweepKernel,
     SharedArrayPack,
-    bucket_arrays,
     finite_entries,
+    label_arrays,
     resolve_kernel,
 )
 
@@ -77,7 +82,7 @@ def _locked(method):
 
     The hierarchy itself (ranks, augmented adjacency, shortcut middles)
     is pre-materialised at construction and never mutated, but queries
-    memoise into the pair / bucket / arrival caches — ``OrderedDict``s
+    memoise into the pair / label / arrival caches — ``OrderedDict``s
     whose ``move_to_end`` / ``popitem`` bookkeeping corrupts under
     concurrent mutation.  Guarding the entry points makes the oracle
     safe to share across the parallel dispatch engine's shard threads;
@@ -107,9 +112,10 @@ _WITNESS_SETTLE_LIMIT = 200
 #: Default bound on memoised point-to-point results.
 DEFAULT_PAIR_CACHE_SIZE = 200_000
 
-#: Default bound on memoised per-target bucket maps (each is the
-#: target's backward upward search space, typically far smaller than a
-#: full reverse distance map).
+#: Default bound on each of the two label caches (a label is one
+#: node's upward search space — a target's backward one, its buckets,
+#: or a source's forward one — typically far smaller than a full
+#: distance map).
 DEFAULT_BUCKET_CACHE_SIZE = 1024
 
 #: Default bound on memoised full arrival maps (reverse-PHAST products).
@@ -140,8 +146,8 @@ class CHOracle(DistanceOracle):
         LRU bound on memoised point-to-point results (``None`` =
         unbounded).
     bucket_cache_size:
-        LRU bound on memoised per-target bucket maps used by the
-        many-to-one query path.
+        LRU bound on each label cache of the batched query path: the
+        per-target bucket maps and the per-source forward search spaces.
     arrival_cache_size:
         LRU bound on memoised full arrival maps (each O(num_nodes));
         kept small by default so the backend never approaches the dense
@@ -203,15 +209,20 @@ class CHOracle(DistanceOracle):
         #: :attr:`bucket_cache_size`) to decide whether a cached oracle
         #: can be reused for a config's settings.
         self.witness_hop_limit = witness_hop_limit
-        #: LRU bound of the per-target bucket cache (the registry maps
-        #: ``cache_size`` onto it).
+        #: LRU bound of the source and the target label cache, each
+        #: (the registry maps ``cache_size`` onto it).
         self.bucket_cache_size = bucket_cache_size
         self._pair_cache_size = pair_cache_size
         self._arrival_cache_size = arrival_cache_size
         # `None` marks a memoised *unreachable* verdict.
         self._pair_cache: OrderedDict[tuple[int, int], float | None] = OrderedDict()
-        # target node -> {node index: descending-path distance to target}
-        self._bucket_cache: OrderedDict[int, dict[int, float]] = OrderedDict()
+        # Labels, in the kernel's native form: {node index: distance}
+        # under dict, (node index int64, distance float64) arrays under
+        # csr.  source node -> its forward upward search space (distances
+        # of ascending paths from it); target node -> its backward one,
+        # the buckets (distances of descending paths to it).
+        self._source_labels: OrderedDict[int, object] = OrderedDict()
+        self._target_labels: OrderedDict[int, object] = OrderedDict()
         # target node -> [dense row | None, arrival map | None], the
         # reverse-PHAST product used by wide many-to-one batches.  The
         # csr kernel memoises the sweep row and materialises the
@@ -579,16 +590,18 @@ class CHOracle(DistanceOracle):
         """One-to-all distances via PHAST (upward search + downward sweep)."""
         self._queries += 1
         self._sssp_runs += 1
+        label = self._source_label(source)
         if self._sweeps is not None:
-            seeds = self._upward_search(self._index[source], self._up_out)
-            arr = self._sweeps.run(self._sweeps.forward, seeds)
+            arr = self._sweeps.run(self._sweeps.forward, *label)
             idxs, values = finite_entries(arr)
             nodes = self._nodes
             return {
                 nodes[idx]: value
                 for idx, value in zip(idxs.tolist(), values.tolist())
             }
-        dist = self._forward_upward_array(self._index[source])
+        dist = [_INF] * len(self._nodes)
+        for idx, d in label.items():
+            dist[idx] = d
         for u in self._order_desc:
             du = dist[u]
             if du == _INF:
@@ -641,7 +654,9 @@ class CHOracle(DistanceOracle):
         ``csr_many_to_one_speedup`` acceptance bar.
         """
         if self._sweeps is not None:
-            return self._sweeps.run(self._sweeps.reverse, seeds).copy()
+            return self._sweeps.run(
+                self._sweeps.reverse, *label_arrays(seeds)
+            ).copy()
         dist = [_INF] * len(self._nodes)
         for idx, d in seeds.items():
             dist[idx] = d
@@ -710,10 +725,12 @@ class CHOracle(DistanceOracle):
         """Batched product queries via RPHAST-style target buckets.
 
         Every target contributes its (memoised) backward upward search
-        space as bucket entries ``node -> (target, distance)``; one
-        forward upward search per source then scans the buckets of the
-        nodes it settles, so each additional pair costs a handful of
-        bucket lookups instead of a graph search.  Wide single-target
+        space as bucket entries ``node -> (target, distance)``; the
+        (equally memoised) forward upward search space of each source
+        then scans the buckets of the nodes it settled, so a pending
+        pair costs a handful of bucket lookups — a merge of two labels
+        — and a graph search runs only for a source or target the label
+        caches do not hold.  Wide single-target
         batches — the dispatch shape, many idle workers against one
         pickup — switch to one reverse-PHAST sweep instead, which is
         linear in the augmented graph and beats per-source searches past
@@ -721,10 +738,11 @@ class CHOracle(DistanceOracle):
         point-to-point cache skip their share of the work, and every
         answered pair is folded back into it.
 
-        Miss accounting follows the one-miss-per-search convention: one
-        per forward upward search run and one per target-side map built
-        (inside the helpers) — not one per pending pair — so hit rates
-        stay comparable with the lazy backend's.
+        Miss accounting follows the one-miss-per-search convention, all
+        of it inside the helpers: one miss per label or arrival map
+        actually built and one hit per reuse of one — not one per
+        pending pair — so hit rates stay comparable with the lazy
+        backend's.
         """
         source_list = list(dict.fromkeys(sources))
         target_list = list(dict.fromkeys(targets))
@@ -781,21 +799,19 @@ class CHOracle(DistanceOracle):
                 else:
                     bucket_targets.append(t_node)
             buckets: dict[int, list[tuple[int, float]]] = {}
-            csr_buckets: list[tuple[int, object, object]] = []
             if use_csr:
                 # Per-target (nodes, dists) arrays: one vectorised
                 # gather-and-min per (source, target) pair instead of a
                 # Python loop over settled nodes.  Entries at nodes the
                 # forward search never settles contribute +inf and drop
                 # out of the min — exactly the pairs the dict scan skips.
-                for t_node in bucket_targets:
-                    nodes_arr, dists_arr = bucket_arrays(
-                        self._target_buckets(t_node)
-                    )
-                    csr_buckets.append((t_node, nodes_arr, dists_arr))
+                csr_buckets = {
+                    t_node: self._target_label(t_node)
+                    for t_node in bucket_targets
+                }
             else:
                 for t_node in bucket_targets:
-                    for idx, d in self._target_buckets(t_node).items():
+                    for idx, d in self._target_label(t_node).items():
                         buckets.setdefault(idx, []).append((t_node, d))
             for s_node, pending in pending_by_source.items():
                 bucket_pending = []
@@ -814,18 +830,12 @@ class CHOracle(DistanceOracle):
                         result[(s_node, t_node)] = value
                 if not bucket_pending:
                     continue
-                # One miss per graph search actually run, mirroring the
-                # lazy backend's one-miss-per-map-built convention (the
-                # target-side maps charge their own inside the helpers).
-                self._cache_misses += 1
                 best: dict[int, float] = {}
-                forward = self._upward_search(self._index[s_node], self._up_out)
+                forward = self._source_label(s_node)
                 if use_csr:
-                    pending_set = set(bucket_pending)
-                    dist_f = self._sweeps.seed_buffer(forward)
-                    for t_node, nodes_arr, dists_arr in csr_buckets:
-                        if t_node not in pending_set or not len(nodes_arr):
-                            continue
+                    dist_f = self._sweeps.seed_buffer(*forward)
+                    for t_node in bucket_pending:
+                        nodes_arr, dists_arr = csr_buckets[t_node]
                         self._bucket_scans += len(nodes_arr)
                         value = float((dist_f[nodes_arr] + dists_arr).min())
                         if value != _INF:
@@ -897,17 +907,20 @@ class CHOracle(DistanceOracle):
     @_locked
     def clear(self) -> None:
         self._pair_cache.clear()
-        self._bucket_cache.clear()
+        self._source_labels.clear()
+        self._target_labels.clear()
         self._arrival_cache.clear()
 
     @_locked
     def cache_info(self) -> CacheInfo:
         """Summary of the point-to-point result cache.
 
-        ``hits``/``misses`` cover the pair cache and the per-target
-        bucket cache (the uniform counters); ``maxsize``/``currsize``
-        describe the pair cache, with the bucket cache's occupancy
-        reported through ``stats().extras`` (``bucket_cached_targets``).
+        ``hits``/``misses`` cover the pair cache, the two label caches
+        (per-source forward search spaces, per-target buckets) and the
+        arrival cache (the uniform counters); ``maxsize``/``currsize``
+        describe the pair cache, with the other caches' occupancy
+        reported through ``stats().extras`` (``label_cached_sources``,
+        ``bucket_cached_targets``, ``arrival_cached_targets``).
         """
         return CacheInfo(
             hits=self._cache_hits,
@@ -974,7 +987,8 @@ class CHOracle(DistanceOracle):
             "shortcuts_added": float(self._shortcuts_added),
             "upward_settles": float(self._upward_settles),
             "bucket_scans": float(self._bucket_scans),
-            "bucket_cached_targets": float(len(self._bucket_cache)),
+            "label_cached_sources": float(len(self._source_labels)),
+            "bucket_cached_targets": float(len(self._target_labels)),
             "arrival_cached_targets": float(len(self._arrival_cache)),
             "preprocessing_from_cache": float(self._loaded_from_cache),
             "cache_load_failures": float(self.cache_load_failures),
@@ -1018,44 +1032,44 @@ class CHOracle(DistanceOracle):
         self._upward_settles += settles
         return dist
 
-    def _forward_upward_array(self, start: int) -> list[float]:
-        """Forward upward search into a dense array (PHAST's first phase)."""
-        dist = [_INF] * len(self._nodes)
-        dist[start] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, start)]
-        up_out = self._up_out
-        settles = 0
-        while heap:
-            d, u = heappop(heap)
-            if d > dist[u]:
-                continue
-            settles += 1
-            for v, w in up_out[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-        self._upward_settles += settles
-        return dist
+    def _label(self, cache: OrderedDict, node: int, adjacency):
+        """Memoised upward search space of ``node`` over ``adjacency``.
 
-    def _target_buckets(self, target: int) -> dict[int, float]:
-        """Memoised backward upward search space of ``target``."""
-        cached = self._bucket_cache.get(target)
-        if cached is not None:
+        A label is a pure function of (node, the immutable hierarchy),
+        so it is searched once and reused until the LRU (bounded by
+        :attr:`bucket_cache_size`) drops it: one miss per search
+        actually run, one hit per reuse.  It is stored in the running
+        kernel's native form — the search's own dict, or its ``(node
+        index, distance)`` arrays under ``csr`` — so no caller converts
+        it again.  Unlocked: reached only from ``_locked`` entry points.
+        """
+        label = cache.get(node)
+        if label is not None:
             self._cache_hits += 1
-            self._bucket_cache.move_to_end(target)
-            return cached
+            cache.move_to_end(node)
+            return label
         self._cache_misses += 1
-        self._reverse_sssp_runs += 1
-        buckets = self._upward_search(self._index[target], self._down_in)
-        self._bucket_cache[target] = buckets
+        label = self._upward_search(self._index[node], adjacency)
+        if self._sweeps is not None:
+            label = label_arrays(label)
+        cache[node] = label
         if (
             self.bucket_cache_size is not None
-            and len(self._bucket_cache) > self.bucket_cache_size
+            and len(cache) > self.bucket_cache_size
         ):
-            self._bucket_cache.popitem(last=False)
+            cache.popitem(last=False)
             self._evictions += 1
-        return buckets
+        return label
+
+    def _source_label(self, source: int):
+        """Memoised forward upward search space of ``source``."""
+        return self._label(self._source_labels, source, self._up_out)
+
+    def _target_label(self, target: int):
+        """Memoised backward upward search space of ``target`` (its buckets)."""
+        if target not in self._target_labels:
+            self._reverse_sssp_runs += 1
+        return self._label(self._target_labels, target, self._down_in)
 
     def _bidirectional_upward(
         self, s: int, t: int, with_parents: bool = False

@@ -220,29 +220,21 @@ class CHSweepKernel:
         self._num_nodes = num_nodes
         self._dist = np.empty(num_nodes, dtype=np.float64)
 
-    def run(self, sweep: LevelSweep, seeds: Mapping[int, float]):
-        """Seed the buffer from ``seeds`` and run one sweep over it.
+    def run(self, sweep: LevelSweep, nodes, dists):
+        """Seed the buffer from a label's arrays and run one sweep over it.
 
         Returns the buffer itself (valid until the next ``run``); use
         :func:`finite_entries` to extract the reachable part.
         """
-        dist = self._dist
-        dist.fill(np.inf)
-        if seeds:
-            idx = np.fromiter(seeds.keys(), dtype=np.int64, count=len(seeds))
-            val = np.fromiter(seeds.values(), dtype=np.float64, count=len(seeds))
-            dist[idx] = val
+        dist = self.seed_buffer(nodes, dists)
         sweep.sweep(dist)
         return dist
 
-    def seed_buffer(self, seeds: Mapping[int, float]):
-        """Fill the buffer from ``seeds`` without sweeping (bucket scans)."""
+    def seed_buffer(self, nodes, dists):
+        """Fill the buffer from a label's arrays without sweeping (bucket scans)."""
         dist = self._dist
         dist.fill(np.inf)
-        if seeds:
-            idx = np.fromiter(seeds.keys(), dtype=np.int64, count=len(seeds))
-            val = np.fromiter(seeds.values(), dtype=np.float64, count=len(seeds))
-            dist[idx] = val
+        dist[nodes] = dists
         return dist
 
     # -- shared-memory support -----------------------------------------
@@ -269,10 +261,14 @@ def finite_entries(dist):
     return idx, dist[idx]
 
 
-def bucket_arrays(bucket: Mapping[int, float]):
-    """A target bucket ``{node_idx: dist}`` as ``(nodes, dists)`` arrays."""
-    nodes = np.fromiter(bucket.keys(), dtype=np.int64, count=len(bucket))
-    dists = np.fromiter(bucket.values(), dtype=np.float64, count=len(bucket))
+def label_arrays(label: Mapping[int, float]):
+    """An upward search space ``{node_idx: dist}`` as ``(nodes, dists)`` arrays.
+
+    ``int64`` indices and ``float64`` distances in the mapping's order —
+    the csr kernel's native label form, built once per memoised label.
+    """
+    nodes = np.fromiter(label.keys(), dtype=np.int64, count=len(label))
+    dists = np.fromiter(label.values(), dtype=np.float64, count=len(label))
     return nodes, dists
 
 

@@ -60,7 +60,8 @@ class OracleSpec:
         Registry name (``"lazy"``, ``"landmark"``, ``"matrix"``,
         ``"ch"``, ``"overlay"``, or a custom registered backend).
     cache_size:
-        LRU bound (lazy per-source cache, ch per-target bucket cache).
+        LRU bound (lazy per-source cache; ch source and target label
+        caches, each).
     landmarks:
         ALT landmark count (landmark backend).
     witness_hops:

@@ -519,6 +519,119 @@ class TestContractionHierarchy:
         assert oracle.cache_info().currsize == 0
 
 
+def _block_stream(pool: list[int], seed: int, count: int):
+    """Shuffled overlapping (sources, targets) blocks over a small pool.
+
+    Blocks stay below the reverse-PHAST cutoff (at most 6 sources), so
+    every pending pair is answered by the label merge under test, never
+    by an arrival row whose sums associate differently.
+    """
+    rng = random.Random(seed)
+    blocks = [
+        (
+            rng.sample(pool, rng.randint(1, 6)),
+            rng.sample(pool, rng.randint(1, 4)),
+        )
+        for _ in range(count)
+    ]
+    # Re-ask a third of them later in the stream.
+    blocks += rng.sample(blocks, count // 3)
+    rng.shuffle(blocks)
+    return blocks
+
+
+class TestLabelMemo:
+    """A CH pair miss is a merge of two memoised labels, never a re-search."""
+
+    @pytest.mark.parametrize("kernel", ["dict", "csr"])
+    @pytest.mark.parametrize("bucket_cache_size", [1024, 2])
+    @pytest.mark.parametrize("seed", [5, 23, 61])
+    def test_memoised_answers_equal_a_fresh_oracle(
+        self, kernel, bucket_cache_size, seed
+    ):
+        graph = _random_digraph(30, seed=seed, strongly_connected=False)
+        pool = random.Random(seed).sample(sorted(graph.nodes), 12)
+        # One pool node is a sink, whatever the seed left reachable.
+        graph.remove_edges_from(list(graph.out_edges(pool[0])))
+        payload = CHOracle(graph, kernel=kernel).export_preprocessing()
+
+        def fresh(**kwargs) -> CHOracle:
+            return CHOracle(
+                graph, kernel=kernel, preprocessing=payload, **kwargs
+            )
+
+        # A pair cache of one forces pairs to be re-derived from labels.
+        long_lived = fresh(
+            pair_cache_size=1, bucket_cache_size=bucket_cache_size
+        )
+        scalar = fresh()
+        unreachable = 0
+        for sources, targets in _block_stream(pool, seed, count=30):
+            got = long_lived.travel_times_many(sources, targets)
+            assert got == fresh().travel_times_many(sources, targets)
+            for source in sources:
+                for target in targets:
+                    try:
+                        want = scalar.travel_time(source, target)
+                    except UnreachableError:
+                        unreachable += 1
+                        assert (source, target) not in got
+                    else:
+                        assert got[(source, target)] == want
+            extras = long_lived.stats().extras
+            assert extras["label_cached_sources"] <= bucket_cache_size
+            assert extras["bucket_cached_targets"] <= bucket_cache_size
+        assert unreachable > 0
+        stats = long_lived.stats()
+        if bucket_cache_size == 2:
+            # Both label LRUs evicted mid-stream: more searches than
+            # distinct endpoints, i.e. some label was dropped and redone.
+            assert stats.evictions > 0
+            assert stats.cache_misses > 24
+        else:
+            # Twelve distinct sources and targets: at most one search each.
+            assert stats.cache_misses <= 24
+
+    @pytest.mark.parametrize("kernel", ["dict", "csr"])
+    def test_reasking_evicted_pairs_runs_no_search(self, networks, kernel):
+        graph = networks["grid"].graph
+        nodes = sorted(graph.nodes)
+        oracle = CHOracle(graph, kernel=kernel, pair_cache_size=1)
+        sources, targets = nodes[:3], [nodes[-1], nodes[-2]]
+        first = oracle.travel_times_many(sources, targets)
+        before = oracle.stats()
+        # One search per distinct source and per distinct target.
+        assert before.cache_misses == 5
+        assert before.extras["label_cached_sources"] == 3.0
+        assert before.extras["bucket_cached_targets"] == 2.0
+        assert oracle.cache_info().currsize == 1
+        assert oracle.travel_times_many(sources, targets) == first
+        after = oracle.stats()
+        assert after.extras["upward_settles"] == before.extras["upward_settles"]
+        assert after.cache_misses == before.cache_misses
+        assert after.cache_hits > before.cache_hits
+        assert after.evictions > before.evictions  # the pair cache's own
+        # clear() drops the labels too: the next ask searches again.
+        oracle.clear()
+        assert oracle.stats().extras["label_cached_sources"] == 0.0
+        assert oracle.stats().extras["bucket_cached_targets"] == 0.0
+        assert oracle.travel_times_many(sources, targets) == first
+        again = oracle.stats()
+        assert again.extras["upward_settles"] > after.extras["upward_settles"]
+        assert again.cache_misses == after.cache_misses + 5
+
+    @pytest.mark.parametrize("kernel", ["dict", "csr"])
+    def test_phast_seed_shares_the_source_label(self, networks, kernel):
+        graph = networks["grid"].graph
+        nodes = sorted(graph.nodes)
+        oracle = CHOracle(graph, kernel=kernel)
+        oracle.travel_times_many([nodes[0]], [nodes[-1]])
+        settles = oracle.stats().extras["upward_settles"]
+        row = oracle.travel_times_from(nodes[0])
+        assert oracle.stats().extras["upward_settles"] == settles
+        assert row == CHOracle(graph, kernel=kernel).travel_times_from(nodes[0])
+
+
 class TestRegistry:
     def test_builtin_backends_registered(self):
         assert set(available_backends()) >= {"lazy", "landmark", "matrix", "ch"}
@@ -1006,6 +1119,7 @@ class TestStatsDelta:
                 "bucket_scans": 100.0,
                 "upward_settles": 50.0,
                 "shortcuts_added": 7.0,
+                "label_cached_sources": 2.0,
                 "bucket_cached_targets": 3.0,
             },
         )
@@ -1016,6 +1130,7 @@ class TestStatsDelta:
                 "bucket_scans": 160.0,
                 "upward_settles": 80.0,
                 "shortcuts_added": 7.0,
+                "label_cached_sources": 4.0,
                 "bucket_cached_targets": 5.0,
             },
         )
@@ -1026,4 +1141,5 @@ class TestStatsDelta:
         assert delta.extras["upward_settles"] == 30.0
         # ...while structural constants and gauges keep their snapshot.
         assert delta.extras["shortcuts_added"] == 7.0
+        assert delta.extras["label_cached_sources"] == 4.0
         assert delta.extras["bucket_cached_targets"] == 5.0
