@@ -7,19 +7,15 @@ meaningfully slower:
 
 * **Ratio regressions** — every recorded speedup *ratio* (per-backend
   many-to-one speedup, the CH cold point-to-point speedup, the
-  spatial-index speedup, the sharded periodic-check speedup) must not
-  degrade by more than ``--tolerance`` (default 30%) versus the
-  baseline.  Ratios divide out absolute machine speed, so a faster or
-  slower runner does not trip the gate — only a change in the *shape*
-  of the performance does.  The parallel-dispatch ratios additionally
-  depend on the core count, so they are only compared when baseline
-  and candidate ran with the same number of usable CPUs.
+  spatial-index speedup) must not degrade by more than ``--tolerance``
+  (default 30%) versus the baseline.  Ratios divide out absolute
+  machine speed, so a faster or slower runner does not trip the gate —
+  only a change in the *shape* of the performance does.
 * **Acceptance flips** — every bar in the trajectory's ``acceptance``
   section (value, threshold, met, applicable) that the baseline met
   while applicable must still be met by an applicable candidate.
-  A bar that is not applicable on either side (e.g. the >=2x
-  process-shard bar on a single-core container, or the csr-kernel bar
-  without numpy) is reported, not failed.
+  A bar that is not applicable on either side (e.g. the csr-kernel
+  bar without numpy) is reported, not failed.
 
 The report keeps the three outcomes visibly distinct: ``ok:`` lines are
 comparisons that ran and passed, ``skip:`` lines are comparisons that
@@ -95,28 +91,15 @@ def collect_ratios(trajectory: dict) -> dict[str, float]:
     return ratios
 
 
-def collect_parallel_ratios(trajectory: dict) -> dict[str, tuple[float, int]]:
-    """Sharded periodic-check speedups with the CPU count they ran on."""
-    ratios: dict[str, tuple[float, int]] = {}
-    modes = trajectory.get("parallel_dispatch", {}).get("modes", {})
-    for mode, entry in modes.items():
-        if "speedup" in entry:
-            ratios[f"parallel_dispatch.{mode}.speedup"] = (
-                entry["speedup"],
-                int(entry.get("available_cpus", 0)),
-            )
-    return ratios
-
-
 def compare(
     baseline: dict, candidate: dict, tolerance: float
 ) -> tuple[list[str], list[str], list[str]]:
     """Return ``(failures, skips, notes)`` of candidate vs baseline.
 
     ``failures`` are genuine regressions; ``skips`` are comparisons
-    that could not meaningfully run on this machine (CPU-count
-    mismatch, bar not applicable) with the reason; ``notes`` are
-    comparisons that ran and passed.
+    that could not meaningfully run on this machine (bar not
+    applicable) with the reason; ``notes`` are comparisons that ran and
+    passed.
     """
     failures: list[str] = []
     skips: list[str] = []
@@ -157,32 +140,6 @@ def compare(
                 f"{name}: {cand_value:.2f} vs baseline {base_value:.2f} ok"
             )
 
-    base_parallel = collect_parallel_ratios(baseline)
-    cand_parallel = collect_parallel_ratios(candidate)
-    for name, (base_value, base_cpus) in sorted(base_parallel.items()):
-        entry = cand_parallel.get(name)
-        if entry is None:
-            failures.append(f"{name}: missing from candidate trajectory")
-            continue
-        cand_value, cand_cpus = entry
-        if base_cpus != cand_cpus:
-            skips.append(
-                f"{name}: baseline ran on {base_cpus} CPUs, candidate on "
-                f"{cand_cpus} — shard speedups only compare like-for-like"
-            )
-            continue
-        floor = base_value * (1.0 - tolerance)
-        if cand_value < floor:
-            failures.append(
-                f"{name}: {cand_value:.2f} degraded more than "
-                f"{tolerance:.0%} below baseline {base_value:.2f} "
-                f"(floor {floor:.2f}, {cand_cpus} CPUs both sides)"
-            )
-        else:
-            notes.append(
-                f"{name}: {cand_value:.2f} vs baseline {base_value:.2f} ok"
-            )
-
     base_acceptance = baseline.get("acceptance", {})
     cand_acceptance = candidate.get("acceptance", {})
     for name, base_block in sorted(base_acceptance.items()):
@@ -209,12 +166,12 @@ def compare(
                     f"{_fmt(cand_block.get('value'))}"
                 )
             else:
-                # The baseline machine never held this bar (e.g. a
-                # 1-CPU container for the process-shard bar), so there
-                # is no flip to detect.  The absolute bar itself is
-                # asserted by the benchmark suite that produced the
-                # candidate trajectory — failing here too would double-
-                # report the same measurement; warn loudly instead.
+                # The baseline machine never held this bar (e.g. no
+                # numpy for the csr-kernel bar), so there is no flip
+                # to detect.  The absolute bar itself is asserted by
+                # the benchmark suite that produced the candidate
+                # trajectory — failing here too would double-report
+                # the same measurement; warn loudly instead.
                 skips.append(
                     f"acceptance.{name}: WARNING — applicable here but "
                     f"below the {cand_block.get('threshold')} bar "

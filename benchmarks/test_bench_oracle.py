@@ -31,9 +31,6 @@ from repro.experiments.benchmarking import (
     COARSEN_READINESS_ACCEPTANCE_SPEEDUP,
     CSR_MANY_TO_ONE_ACCEPTANCE_SPEEDUP,
     MANY_TO_ONE_ACCEPTANCE_SPEEDUP,
-    PARALLEL_ACCEPTANCE_MIN_CPUS,
-    PARALLEL_ACCEPTANCE_SHARDS,
-    PARALLEL_ACCEPTANCE_SPEEDUP,
     SPATIAL_ACCEPTANCE_SPEEDUP,
     bench_scenario_identity,
     benchmark_ch_preprocessing_cache,
@@ -41,15 +38,12 @@ from repro.experiments.benchmarking import (
     benchmark_csr_kernel,
     benchmark_dispatch_queries,
     benchmark_oracles,
-    benchmark_parallel_dispatch,
     benchmark_spatial_index,
     format_dispatch_bench_table,
     format_oracle_bench_table,
-    format_parallel_bench_lines,
     write_dispatch_trajectory,
 )
 from repro.network.generators import grid_city
-from repro.simulation.parallel import usable_cpu_count
 
 from .conftest import bench_config
 
@@ -88,26 +82,6 @@ def test_oracle_backends_speedup(dataset):
     )
     # The precomputed backend never runs graph searches at query time.
     assert matrix.hit_rate == pytest.approx(1.0)
-
-
-@pytest.fixture(scope="module")
-def parallel_bench():
-    """The sharded periodic-check benchmark, thread and process modes.
-
-    The 1024-node / 256-worker mix of the acceptance bar: one periodic
-    check's worth of many-to-one blocks, serial vs 4 shards, results
-    cross-checked pair-for-pair (the benchmark itself raises when the
-    deterministic reducer's merge diverges from the serial answers).
-    """
-    return [
-        benchmark_parallel_dispatch(
-            grid_dim=32,
-            num_workers=256,
-            num_shards=PARALLEL_ACCEPTANCE_SHARDS,
-            mode=mode,
-        )
-        for mode in ("thread", "process")
-    ]
 
 
 @pytest.fixture(scope="module")
@@ -159,18 +133,18 @@ def coarsen_bench():
 
 
 @pytest.fixture(scope="module")
-def dispatch_bench(parallel_bench, ch_cache_bench, csr_kernel_bench, coarsen_bench):
+def dispatch_bench(ch_cache_bench, csr_kernel_bench, coarsen_bench):
     """One shared dispatch benchmark run over every registered backend.
 
     The query mix is the dispatch hot path: >=32 idle worker locations
     against one pickup node, each round on nodes no earlier round
     touched (one genuinely cold dispatch decision per round).  The
-    timings — including each backend's honest ``precompute_seconds``,
-    the CH acceptance ratios and the sharded periodic-check numbers —
-    land in ``BENCH_dispatch.fresh.json`` next to the repository root
-    (untracked) so the CI regression gate can compare them against the
-    *committed* ``BENCH_dispatch.json`` baseline, which stays immutable
-    unless a maintainer deliberately replaces it.
+    timings — including each backend's honest ``precompute_seconds``
+    and the CH acceptance ratios — land in ``BENCH_dispatch.fresh.json``
+    next to the repository root (untracked) so the CI regression gate
+    can compare them against the *committed* ``BENCH_dispatch.json``
+    baseline, which stays immutable unless a maintainer deliberately
+    replaces it.
     """
     graph = grid_city(rows=32, cols=32, seed=3, jitter=0.3).graph
     results = benchmark_dispatch_queries(
@@ -179,7 +153,6 @@ def dispatch_bench(parallel_bench, ch_cache_bench, csr_kernel_bench, coarsen_ben
     spatial = benchmark_spatial_index(grid_dim=32, num_workers=256, num_searches=50)
     print()
     print(format_dispatch_bench_table(results, spatial))
-    print(format_parallel_bench_lines(parallel_bench))
     trajectory = Path(__file__).parent.parent / "BENCH_dispatch.fresh.json"
     # The scenario block makes the artifact self-describing: which
     # graph, seed and backend set produced these numbers (same schema
@@ -197,7 +170,6 @@ def dispatch_bench(parallel_bench, ch_cache_bench, csr_kernel_bench, coarsen_ben
         trajectory,
         results,
         spatial,
-        parallel_bench,
         ch_cache=ch_cache_bench,
         csr_kernel=csr_kernel_bench,
         coarsen=coarsen_bench,
@@ -278,66 +250,6 @@ def test_ch_many_to_one_competitive(dispatch_bench):
     assert ch.batched_seconds <= 2.0 * best, (
         f"ch many-to-one took {ch.batched_seconds:.4f}s, best other "
         f"backend {best:.4f}s"
-    )
-
-
-def test_parallel_dispatch_recorded_and_consistent(parallel_bench, dispatch_bench):
-    """The sharded benchmark ran at 4 shards and landed in the trajectory.
-
-    Machine-independent properties: shard count, workload shape, the
-    pair-for-pair serial/parallel agreement (checked inside the
-    benchmark), and the acceptance block being recorded honestly —
-    including the CPU count that decides whether the >=2x bar applies.
-    """
-    by_mode = {result.mode: result for result in parallel_bench}
-    assert set(by_mode) == {"thread", "process"}
-    for result in parallel_bench:
-        assert result.num_shards == PARALLEL_ACCEPTANCE_SHARDS
-        assert result.num_nodes >= 1024
-        assert result.num_workers == 256
-        # Workers share parking nodes; the oracle is queried per
-        # distinct location and the trajectory records that honestly.
-        assert 0 < result.num_unique_locations <= result.num_workers
-        assert result.serial_seconds > 0.0 and result.parallel_seconds > 0.0
-    trajectory = json.loads(
-        (Path(__file__).parent.parent / "BENCH_dispatch.fresh.json").read_text()
-    )
-    recorded = trajectory["parallel_dispatch"]["modes"]
-    assert set(recorded) == {"thread", "process"}
-    block = trajectory["acceptance"]["parallel_dispatch_speedup_4_shards"]
-    assert block["threshold"] == PARALLEL_ACCEPTANCE_SPEEDUP
-    assert block["value"] == pytest.approx(by_mode["process"].speedup)
-    assert block["available_cpus"] == by_mode["process"].available_cpus
-    assert block["applicable"] == (
-        by_mode["process"].effective_mode == "process"
-        and by_mode["process"].available_cpus >= PARALLEL_ACCEPTANCE_MIN_CPUS
-    )
-
-
-def test_parallel_periodic_check_speedup(parallel_bench):
-    """4 process shards must >=2x the periodic-check throughput.
-
-    Process shards are hardware parallelism — four forked oracle
-    handles working one check's many-to-one blocks concurrently — so
-    the bar only means something where four shards can actually run at
-    once.  On smaller machines the measured number is still recorded in
-    ``BENCH_dispatch.fresh.json`` (with its CPU count) by the fixture above;
-    the assertion itself needs the cores.
-    """
-    cpus = usable_cpu_count()
-    process = next(r for r in parallel_bench if r.mode == "process")
-    if process.effective_mode != "process":
-        pytest.skip("fork unavailable: process shards degraded to threads")
-    if cpus < PARALLEL_ACCEPTANCE_MIN_CPUS:
-        pytest.skip(
-            f"{PARALLEL_ACCEPTANCE_SHARDS} process shards need >= "
-            f"{PARALLEL_ACCEPTANCE_MIN_CPUS} usable CPUs, have {cpus}"
-        )
-    assert process.speedup >= PARALLEL_ACCEPTANCE_SPEEDUP, (
-        f"4-shard periodic check ran {process.parallel_seconds:.4f}s vs "
-        f"serial {process.serial_seconds:.4f}s "
-        f"({process.speedup:.2f}x, needed >= "
-        f"{PARALLEL_ACCEPTANCE_SPEEDUP}x on {cpus} CPUs)"
     )
 
 

@@ -5,7 +5,7 @@ lives behind this package:
 
 * :class:`ScenarioSpec` — a declarative, serializable description of
   one scenario (network source, workload source, fleet and workload
-  shape, dispatcher, oracle backend + options, parallelism), valid
+  shape, dispatcher, oracle backend + options), valid
   JSON/YAML-file material via ``to_dict``/``from_dict`` and
   :func:`load_spec`/:func:`save_spec`;
 * :class:`Session` — a reusable execution context that prepares the

@@ -4,9 +4,8 @@ A :class:`ScenarioSpec` captures *everything* that defines one
 simulation scenario — where the road network comes from (a dataset
 preset or a generated grid), where the workload comes from (the
 synthetic demand model or a replayed CSV order log), the fleet and
-workload shape, the dispatcher, the distance-oracle backend and its
-options, and the parallelism settings — as one flat, frozen,
-serializable value.
+workload shape, the dispatcher, and the distance-oracle backend and
+its options — as one flat, frozen, serializable value.
 
 Specs are plain data:
 
@@ -59,8 +58,6 @@ _CONFIG_FIELDS = (
     "max_group_size",
     "seed",
     "oracle",
-    "dispatch_workers",
-    "dispatch_mode",
 )
 
 _INT_FIELDS = (
@@ -72,7 +69,6 @@ _INT_FIELDS = (
     "max_capacity",
     "grid_size",
     "max_group_size",
-    "dispatch_workers",
 )
 
 _FLOAT_FIELDS = (
@@ -89,6 +85,15 @@ _FLOAT_FIELDS = (
     "deadline_seconds",
 )
 
+#: Numeric fields with a concrete default, for which ``None`` is not
+#: "unset" but a wrong value.
+_REQUIRED_NUMBER_FIELDS = (
+    "grid_rows",
+    "grid_cols",
+    "grid_edge_travel_time",
+    "grid_jitter",
+)
+
 #: String fields that must always be set (the spec's structural axes).
 _REQUIRED_STR_FIELDS = ("name", "network", "dataset", "workload", "algorithm")
 
@@ -96,7 +101,6 @@ _REQUIRED_STR_FIELDS = ("name", "network", "dataset", "workload", "algorithm")
 _OPTIONAL_STR_FIELDS = (
     "orders_csv",
     "workers_csv",
-    "dispatch_mode",
 )
 
 #: CLI argument name -> spec field name (shared with ``from_args``).
@@ -105,8 +109,6 @@ _ARG_FIELDS = (
     ("workers", "num_workers"),
     ("horizon", "horizon"),
     ("seed", "seed"),
-    ("dispatch_workers", "dispatch_workers"),
-    ("dispatch_mode", "dispatch_mode"),
 )
 
 #: CLI argument name -> :class:`OracleSpec` option (``from_args``).
@@ -156,7 +158,7 @@ class ScenarioSpec:
         Typed :class:`OracleSpec` naming the distance-oracle backend
         and its validated options (a mapping is accepted and parsed);
         ``None`` keeps the default ``lazy`` backend.
-    num_orders .. dispatch_mode:
+    num_orders .. max_group_size:
         Optional overrides of the corresponding
         :class:`~repro.config.SimulationConfig` fields; ``None`` keeps
         the resolved default.  ``alpha``/``beta`` expand into the
@@ -196,8 +198,6 @@ class ScenarioSpec:
     alpha: float | None = None
     beta: float | None = None
     oracle: OracleSpec | None = None
-    dispatch_workers: int | None = None
-    dispatch_mode: str | None = None
     deadline_seconds: float | None = None
 
     # ------------------------------------------------------------------
@@ -268,12 +268,17 @@ class ScenarioSpec:
                 f"got {self.oracle!r}"
             )
         # Resolving the SimulationConfig eagerly surfaces every numeric
-        # constraint violation (negative order counts, bad dispatch
-        # modes, ...) with the library's precise ConfigurationError
-        # messages at *spec construction* time.
+        # constraint violation (negative order counts, a deadline scale
+        # no order can meet, ...) with the library's precise
+        # ConfigurationError messages at *spec construction* time.
         self.config()
 
     def _check_types(self) -> None:
+        for field_name in _REQUIRED_NUMBER_FIELDS:
+            if getattr(self, field_name) is None:
+                raise ConfigurationError(
+                    f"ScenarioSpec.{field_name} must be a number, got None"
+                )
         for field_name in _INT_FIELDS:
             value = getattr(self, field_name)
             if value is None:
@@ -291,7 +296,12 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     f"ScenarioSpec.{field_name} must be a number, got {value!r}"
                 )
-            object.__setattr__(self, field_name, float(value))
+            try:
+                object.__setattr__(self, field_name, float(value))
+            except OverflowError:
+                raise ConfigurationError(
+                    f"ScenarioSpec.{field_name} does not fit a float"
+                ) from None
         for field_name in _REQUIRED_STR_FIELDS:
             value = getattr(self, field_name)
             if not isinstance(value, str):
@@ -457,9 +467,8 @@ class ScenarioSpec:
         """Self-describing scenario identity for benchmark artifacts.
 
         The resolved values that determine what a run measured: the
-        source, the oracle backend, the seed and the parallelism —
-        callers append the network's ``graph_hash`` once a graph
-        exists.
+        source, the oracle backend and the seed — callers append the
+        network's ``graph_hash`` once a graph exists.
         """
         config = self.config()
         identity: dict[str, Any] = {
@@ -472,7 +481,6 @@ class ScenarioSpec:
             "seed": config.seed,
             "num_orders": config.num_orders,
             "num_workers": config.num_workers,
-            "dispatch_workers": config.dispatch_workers,
         }
         if self.network == "dataset":
             identity["dataset"] = self.dataset

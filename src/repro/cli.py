@@ -47,17 +47,14 @@ from typing import Sequence
 
 from .api import RunResult, ScenarioSpec, Session, load_spec
 from .experiments.benchmarking import (
-    PARALLEL_ACCEPTANCE_SHARDS,
     bench_scenario_identity,
     benchmark_ch_preprocessing_cache,
     benchmark_csr_kernel,
     benchmark_dispatch_queries,
     benchmark_oracles,
-    benchmark_parallel_dispatch,
     benchmark_spatial_index,
     format_dispatch_bench_table,
     format_oracle_bench_table,
-    format_parallel_bench_lines,
     write_dispatch_trajectory,
 )
 from .experiments.reporting import (
@@ -68,7 +65,6 @@ from .experiments.reporting import (
 from .experiments.runner import ALGORITHMS
 from .datasets.workloads import build_workload
 from .network.oracle import KERNELS, available_backends
-from .simulation.parallel import DISPATCH_MODES
 from .experiments.sweeps import (
     vary_capacity,
     vary_deadline,
@@ -322,15 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="idle worker locations per dispatch round (with --dispatch)",
     )
     bench.add_argument(
-        "--dispatch-shards",
-        type=_positive_int,
-        default=4,
-        help=(
-            "shard count of the parallel periodic-check benchmark run "
-            "with --dispatch (thread and process modes are both timed)"
-        ),
-    )
-    bench.add_argument(
         "--json",
         default=None,
         metavar="PATH",
@@ -413,26 +400,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
             "D_ij = alpha*tau_ij + beta*temporal_slack (default 1)"
         ),
     )
-    parser.add_argument(
-        "--dispatch-workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "shard the periodic check's oracle work across N workers "
-            "(results are identical to the serial run; default 1)"
-        ),
-    )
-    parser.add_argument(
-        "--dispatch-mode",
-        default=None,
-        choices=list(DISPATCH_MODES),
-        help=(
-            "how dispatch shards execute: threads (safe everywhere) or "
-            "forked processes with per-shard oracle handles (scales "
-            "with cores; Linux only)"
-        ),
-    )
 
 
 def _scenario_line(run: RunResult) -> str:
@@ -440,8 +407,7 @@ def _scenario_line(run: RunResult) -> str:
     config = run.spec.config()
     return (
         f"scenario: {run.spec.describe()} oracle={config.oracle.backend} "
-        f"seed={config.seed} dispatch_workers={config.dispatch_workers} "
-        f"graph={run.graph_hash[:12]}"
+        f"seed={config.seed} graph={run.graph_hash[:12]}"
     )
 
 
@@ -567,10 +533,6 @@ def _run_dispatch_bench(args: argparse.Namespace, config) -> str:
         graph=workload.network.graph,
     )
     spatial = benchmark_spatial_index()
-    parallel = [
-        benchmark_parallel_dispatch(num_shards=args.dispatch_shards, mode=mode)
-        for mode in ("thread", "process")
-    ]
     ch_cache = benchmark_ch_preprocessing_cache(graph=workload.network.graph)
     csr_kernel = benchmark_csr_kernel()
     title = (
@@ -578,7 +540,6 @@ def _run_dispatch_bench(args: argparse.Namespace, config) -> str:
         f"{args.dispatch_sources} workers per round)"
     )
     output = format_dispatch_bench_table(results, spatial, title=title)
-    output += "\n\n" + format_parallel_bench_lines(parallel)
     output += (
         f"\nch preprocessing cache: cold {ch_cache.cold_seconds:.3f}s, "
         f"warm {ch_cache.warm_seconds:.3f}s ({ch_cache.speedup:.1f}x)"
@@ -604,20 +565,10 @@ def _run_dispatch_bench(args: argparse.Namespace, config) -> str:
             num_workers=config.num_workers,
         )
         path = write_dispatch_trajectory(
-            args.json, results, spatial, parallel, ch_cache=ch_cache,
+            args.json, results, spatial, ch_cache=ch_cache,
             csr_kernel=csr_kernel, scenario=scenario,
         )
         output += f"\n\ntrajectory written to {path}"
-        if args.dispatch_shards != PARALLEL_ACCEPTANCE_SHARDS:
-            # The regression gate tracks the canonical 4-shard bar; a
-            # trajectory measured at another shard count cannot carry
-            # that acceptance block, which matters if this file is
-            # meant to replace the committed baseline.
-            output += (
-                f"\nnote: the parallel-dispatch acceptance block is only "
-                f"recorded at {PARALLEL_ACCEPTANCE_SHARDS} shards; this "
-                f"trajectory (at {args.dispatch_shards}) omits it"
-            )
     return output
 
 

@@ -78,19 +78,6 @@ class SimulationConfig:
         The distance-oracle backend answering shortest-path queries and
         its options, as one :class:`~repro.network.oracle.OracleSpec`
         (default: the ``lazy`` backend with its own defaults).
-    dispatch_workers:
-        Number of shards the periodic check's oracle blocks are
-        partitioned across (1 = fully serial, no engine).  Parallel
-        runs produce the same assignments and metrics as serial runs —
-        the shards only precompute travel times.  (Bitwise on the
-        ``lazy``/``matrix``/``landmark`` backends; ``ch`` carries its
-        documented last-ulp distance-assembly slack — see
-        :mod:`repro.simulation.parallel`.)
-    dispatch_mode:
-        ``"thread"`` (default, safe everywhere) or ``"process"``
-        (forked per-shard oracle handles; scales with cores on
-        CPU-bound backends, Linux/fork only — other platforms fall
-        back to threads).
     """
 
     num_orders: int = 2000
@@ -107,8 +94,6 @@ class SimulationConfig:
     max_group_size: int = 4
     seed: int = 7
     oracle: OracleSpec = field(default_factory=OracleSpec)
-    dispatch_workers: int = 1
-    dispatch_mode: str = "thread"
 
     def __post_init__(self) -> None:
         if self.num_orders <= 0:
@@ -134,16 +119,6 @@ class SimulationConfig:
             raise ConfigurationError("horizon must be positive")
         if self.max_group_size < 1:
             raise ConfigurationError("max_group_size must be at least 1")
-        if self.dispatch_workers < 1:
-            raise ConfigurationError("dispatch_workers must be at least 1")
-        # Deferred import: the simulation layer imports this module.
-        from .simulation.parallel import DISPATCH_MODES
-
-        if self.dispatch_mode not in DISPATCH_MODES:
-            raise ConfigurationError(
-                f"unknown dispatch_mode {self.dispatch_mode!r}; "
-                f"available: {DISPATCH_MODES}"
-            )
         if not isinstance(self.oracle, OracleSpec):
             raise ConfigurationError(
                 f"SimulationConfig.oracle must be an OracleSpec, "

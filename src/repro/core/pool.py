@@ -117,10 +117,6 @@ class OrderPool:
         """The dispatch strategy consulted on every check."""
         return self._strategy
 
-    def attach_dispatch_engine(self, engine) -> None:
-        """Forward the sharded dispatch engine to the shareability graph."""
-        self._graph.attach_dispatch_engine(engine)
-
     @property
     def statistics(self) -> PoolStatistics:
         """Activity counters accumulated so far."""
@@ -139,42 +135,6 @@ class OrderPool:
     def best_group(self, order_id: int) -> Group | None:
         """The order's current best group (``Gb[i]``)."""
         return self._graph.best_group(order_id)
-
-    def probe_targets(self, now: float) -> list[int]:
-        """Route-start nodes the next :meth:`check` will probe workers for.
-
-        The shardable face of the periodic check: every pooled order
-        whose best group the strategy wants dispatched will ask "is
-        there a worker near this group's first stop?", and every
-        unpaired order due to dispatch alone will ask the same of its
-        pickup.  Collecting those nodes up front (deduplicated, in pool
-        order) lets a parallel dispatch engine answer all of the
-        check's many-to-one oracle blocks across shards before the
-        serial decision loop runs.  The strategy filter mirrors the
-        ``wants_dispatch`` gate of :meth:`check` — ``should_dispatch``
-        is a pure predicate, so consulting it here costs nothing the
-        check would not pay anyway — keeping held groups out of the
-        prefetch.  Expired edges are pruned first so the targets match
-        what ``check`` will actually examine; the extra
-        ``prune_expired`` is idempotent.
-        """
-        self.prune_expired(now)
-        targets: list[int] = []
-        seen: set[int] = set()
-        for order in self._graph.orders():
-            group = self._graph.best_group(order.order_id)
-            if group is not None:
-                if not self._strategy.should_dispatch(group, now):
-                    continue
-                node = group.route.start_node
-            elif self._dispatch_alone_now(order, now):
-                node = order.pickup
-            else:
-                continue
-            if node not in seen:
-                seen.add(node)
-                targets.append(node)
-        return targets
 
     # ------------------------------------------------------------------
     # Algorithm 1

@@ -81,20 +81,6 @@ class TemporalShareabilityGraph:
         self._orders: dict[int, Order] = {}
         self._adjacency: dict[int, dict[int, float]] = {}
         self._best_groups: dict[int, Group | None] = {}
-        self._engine = None
-
-    def attach_dispatch_engine(self, engine) -> None:
-        """Route the insertion-time batched probes through ``engine``.
-
-        With a :class:`~repro.simulation.parallel.ParallelDispatchEngine`
-        attached, :meth:`_shareable_candidates` asks the engine instead
-        of the network directly — in process mode that serves pickup
-        gaps already prefetched into the overlay by the periodic check
-        (and retains fresh ones), so arrival-time insertion shares the
-        same sharded answer store the check warms.  Detach with
-        ``None``; answers are identical either way.
-        """
-        self._engine = engine
 
     # ------------------------------------------------------------------
     # introspection
@@ -283,14 +269,10 @@ class TemporalShareabilityGraph:
             partners.append((other, max(slack_new, slack_other)))
         if not partners:
             return []
-        # The engine answers from its overlay (process mode) or
-        # delegates to the network — same values, same keys.
-        backend = (
-            self._engine if self._engine is not None else self._planner.network
-        )
+        network = self._planner.network
         pickups = [other.pickup for other, _ in partners]
-        outward = backend.travel_times_many([order.pickup], pickups)
-        inward = backend.travel_times_many(pickups, [order.pickup])
+        outward = network.travel_times_many([order.pickup], pickups)
+        inward = network.travel_times_many(pickups, [order.pickup])
         inf = float("inf")
         candidates = []
         for other, budget in partners:

@@ -42,7 +42,6 @@ from .strategies import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..model.group import Group
-    from ..simulation.parallel import ParallelDispatchEngine
 
 
 class WatterDispatcher(Dispatcher):
@@ -82,7 +81,6 @@ class WatterDispatcher(Dispatcher):
             check_period=config.check_period,
         )
         self._orders: dict[int, Order] = {}
-        self._engine: "ParallelDispatchEngine | None" = None
         self.name = strategy.name
 
     # ------------------------------------------------------------------
@@ -132,23 +130,6 @@ class WatterDispatcher(Dispatcher):
         """The hold-or-dispatch strategy in use."""
         return self._strategy
 
-    def attach_dispatch_engine(
-        self, engine: "ParallelDispatchEngine | None"
-    ) -> None:
-        """Enable the sharded prefetch that precedes each periodic check.
-
-        With an engine attached, :meth:`tick` first answers every
-        many-to-one oracle block the check is about to need — each
-        pooled order's probe target against the idle workers — across
-        the engine's shards, then runs the unchanged serial decision
-        loop over the precomputed travel times.  The fleet should be
-        attached to the same engine so its searches read the results.
-        The order pool's shareability graph is attached too, so
-        arrival-time insertion probes read the overlay as well.
-        """
-        self._engine = engine
-        self._pool.attach_dispatch_engine(engine)
-
     # ------------------------------------------------------------------
     # Dispatcher interface
     # ------------------------------------------------------------------
@@ -166,8 +147,6 @@ class WatterDispatcher(Dispatcher):
         worker instead of searching the fleet a second time.
         """
         self._fleet.release_finished(now)
-        if self._engine is not None:
-            self._prefetch_check(now)
         decisions = self._pool.check(now, can_assign=self._fleet.can_serve)
         served = []
         rejected = []
@@ -201,33 +180,6 @@ class WatterDispatcher(Dispatcher):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _prefetch_check(self, now: float) -> None:
-        """Shard this check's worker-approach blocks across the engine.
-
-        The check will probe, per dispatchable group, every idle
-        worker's approach leg to the group's first stop; those blocks
-        are independent, so they are answered up front across shards.
-        The serial loop that follows reads the same values (engine
-        overlay in process mode, warmed oracle caches in thread mode)
-        and therefore makes the same decisions a serial run makes.
-        """
-        assert self._engine is not None
-        if not self._engine.prefetch_worthwhile:
-            # No process pool: prefetching would do the full product's
-            # work on this thread where the ring search prunes most of
-            # it.  The engine still serves the fleet's queries (as a
-            # transparent passthrough), so skipping costs nothing.
-            return
-        targets = self._pool.probe_targets(now)
-        if not targets:
-            return
-        sources = sorted(
-            {worker.location for worker in self._fleet.idle_workers(now)}
-        )
-        if not sources:
-            return
-        self._engine.prefetch_many_to_one(sources, targets)
-
     def _assign_group(self, group: "Group", now: float):
         # Answered from the fleet's (group, now) memo when the idle pool
         # has not changed since the can_serve probe in the pool check.

@@ -18,11 +18,10 @@ File layout (single file, atomic tmp + rename):
 
 Shared/unpicklable infrastructure is *externalized* through pickle
 persistent ids rather than serialized: the road network (and its
-``networkx`` graph), the attached distance oracle, any parallel
-dispatch engine (re-attached fresh on resume) and bare ``threading``
-locks.  A checkpoint is therefore small — algorithm state only — and
-resuming binds it to the resume-time network, whose oracle may even be
-a different warm cache of the same graph.
+``networkx`` graph), the attached distance oracle and bare
+``threading`` locks.  A checkpoint is therefore small — algorithm
+state only — and resuming binds it to the resume-time network, whose
+oracle may even be a different warm cache of the same graph.
 
 Loads verify the CRC before unpickling and raise
 :class:`CheckpointError` on any mismatch, so a torn or corrupt file is
@@ -52,7 +51,8 @@ DEFAULT_CHECKPOINT_INTERVAL = 25
 # 2: pickled ``Route`` objects carry per-order stop positions.
 # 3: the pickled ``SimulationConfig`` carries one ``oracle`` OracleSpec.
 # 4: the pickled ``WorkerFleet`` carries a release heap; its index holds the idle only.
-_FORMAT_VERSION = 4
+# 5: ``SimulationConfig`` lost its dispatch fields; no ``("engine",)`` persistent id.
+_FORMAT_VERSION = 5
 
 _LOCK_TYPE = type(threading.Lock())
 _RLOCK_TYPE = type(threading.RLock())
@@ -135,7 +135,6 @@ class _ExternalizingPickler(pickle.Pickler):
     def persistent_id(self, obj: Any):  # noqa: ANN201 - pickle protocol
         from ..network.graph import RoadNetwork
         from ..network.oracle.base import DistanceOracle
-        from ..simulation.parallel import ParallelDispatchEngine
 
         if isinstance(obj, RoadNetwork):
             return ("network",)
@@ -143,8 +142,6 @@ class _ExternalizingPickler(pickle.Pickler):
             return ("graph",)
         if isinstance(obj, DistanceOracle):
             return ("oracle",)
-        if isinstance(obj, ParallelDispatchEngine):
-            return ("engine",)
         if isinstance(obj, _RLOCK_TYPE):
             return ("lock", "rlock")
         if isinstance(obj, _LOCK_TYPE):
@@ -167,10 +164,6 @@ class _ResolvingUnpickler(pickle.Unpickler):
             return self._network.graph
         if kind == "oracle":
             return self._network.oracle
-        if kind == "engine":
-            # Parallel dispatch engines are per-run scaffolding; the
-            # resuming Simulator attaches a fresh one when configured.
-            return None
         if kind == "lock":
             return threading.RLock() if pid[1] == "rlock" else threading.Lock()
         raise CheckpointError(f"unknown persistent id in checkpoint: {pid!r}")

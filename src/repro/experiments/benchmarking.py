@@ -38,7 +38,6 @@ from ..network.oracle import available_backends, create_oracle
 from ..network.oracle.ch import CHOracle
 from ..routing.planner import RoutePlanner
 from ..simulation.fleet import WorkerFleet
-from ..simulation.parallel import ParallelDispatchEngine, usable_cpu_count
 from .config import default_config
 from .reporting import render_aligned_table
 
@@ -458,42 +457,6 @@ def benchmark_spatial_index(
     )
 
 
-@dataclass(frozen=True)
-class ParallelDispatchBenchResult:
-    """Periodic-check throughput of the sharded engine vs the serial path."""
-
-    mode: str
-    effective_mode: str
-    num_shards: int
-    num_nodes: int
-    num_workers: int
-    #: Distinct parking nodes of those workers — the actual source
-    #: count of every many-to-one block (several workers share a node,
-    #: and the oracle answers per location, not per worker).
-    num_unique_locations: int
-    num_targets: int
-    serial_seconds: float
-    parallel_seconds: float
-    #: CPUs the measuring process may run on — hardware parallelism is
-    #: bounded by this, so a 1-CPU container cannot (and honestly does
-    #: not) show a process-shard speedup.
-    available_cpus: int
-
-    @property
-    def speedup(self) -> float:
-        """Periodic-check throughput ratio (serial time / sharded time)."""
-        if self.parallel_seconds <= 0.0:
-            return float("inf")
-        return self.serial_seconds / self.parallel_seconds
-
-    @property
-    def checks_per_second(self) -> float:
-        """Whole periodic checks the sharded engine sustains per second."""
-        if self.parallel_seconds <= 0.0:
-            return float("inf")
-        return 1.0 / self.parallel_seconds
-
-
 #: Acceptance bars of the dispatch benchmarks, shared between the
 #: trajectory writer (the recorded ``met`` flags) and the benchmark
 #: suite's assertions so the two can never silently disagree.
@@ -835,102 +798,10 @@ def bench_scenario_identity(graph, backends: Sequence[str], **source) -> dict:
     }
 
 
-#: The ISSUE's acceptance bar: 4 process shards must at least double
-#: periodic-check throughput — *when the machine has the cores to run
-#: four shards concurrently*.  Below this many usable CPUs the bar is
-#: recorded as not applicable rather than silently failed or faked.
-PARALLEL_ACCEPTANCE_SHARDS = 4
-PARALLEL_ACCEPTANCE_SPEEDUP = 2.0
-PARALLEL_ACCEPTANCE_MIN_CPUS = 4
-
-
-def benchmark_parallel_dispatch(
-    grid_dim: int = 32,
-    num_workers: int = 256,
-    num_targets: int = 96,
-    num_shards: int = 4,
-    mode: str = "process",
-    seed: int = 7,
-) -> ParallelDispatchBenchResult:
-    """Time one periodic check's oracle work, serial vs sharded.
-
-    The workload is the check's real shape on the 1024-node /
-    256-worker mix: ``num_targets`` pooled-order probe nodes, each
-    needing every idle worker's approach time — one many-to-one
-    ``travel_times_many`` block per target.  The serial measurement
-    replays those blocks one by one (exactly what the serial dispatcher
-    issues); the sharded measurement answers the same blocks through
-    ``ParallelDispatchEngine.prefetch_many_to_one`` at ``num_shards``
-    shards.  Both sides run an unmeasured warm-up round over a separate
-    target set first — a simulation's engine lives for hundreds of
-    checks, so the one-time costs (pool spin-up, the forked children
-    faulting their copy-on-write pages, reverse-graph materialisation)
-    are steady-state-irrelevant and kept out of the timer, while every
-    *measured* target still needs its full reverse search on both
-    sides.  The merged shard results are cross-checked pair-for-pair
-    against the serial answers — the determinism the engine's reducer
-    guarantees.
-    """
-    serial_network = grid_city(rows=grid_dim, cols=grid_dim, seed=seed, jitter=0.25)
-    sharded_network = grid_city(rows=grid_dim, cols=grid_dim, seed=seed, jitter=0.25)
-    nodes = serial_network.nodes_sorted()
-    rng = random.Random(seed)
-    # A real fleet parks several workers on the same node; the oracle
-    # works per *location*, so the deduplicated source list is what
-    # both measured paths actually query (and what gets recorded).
-    worker_nodes = [rng.choice(nodes) for _ in range(num_workers)]
-    location_set = set(worker_nodes)
-    locations = sorted(location_set)
-    remaining = [node for node in nodes if node not in location_set]
-    rng.shuffle(remaining)
-    if len(remaining) < 2 * num_targets:
-        raise ConfigurationError(
-            f"grid too small for {num_targets} probe targets"
-        )
-    warmup_targets = sorted(remaining[:num_targets])
-    targets = sorted(remaining[num_targets : 2 * num_targets])
-
-    for target in warmup_targets:
-        serial_network.travel_times_many(locations, [target])
-    started = time.perf_counter()
-    serial_answers: dict[tuple[int, int], float] = {}
-    for target in targets:
-        serial_answers.update(
-            serial_network.travel_times_many(locations, [target])
-        )
-    serial_seconds = time.perf_counter() - started
-
-    with ParallelDispatchEngine(
-        sharded_network, num_shards=num_shards, mode=mode
-    ) as engine:
-        engine.prefetch_many_to_one(locations, warmup_targets)
-        started = time.perf_counter()
-        parallel_answers = engine.prefetch_many_to_one(locations, targets)
-        parallel_seconds = time.perf_counter() - started
-        effective_mode = engine.effective_mode
-    if parallel_answers != serial_answers:
-        raise AssertionError(
-            "sharded periodic-check answers diverged from the serial path"
-        )
-    return ParallelDispatchBenchResult(
-        mode=mode,
-        effective_mode=effective_mode,
-        num_shards=num_shards,
-        num_nodes=len(serial_network),
-        num_workers=num_workers,
-        num_unique_locations=len(locations),
-        num_targets=num_targets,
-        serial_seconds=serial_seconds,
-        parallel_seconds=parallel_seconds,
-        available_cpus=usable_cpu_count(),
-    )
-
-
 def write_dispatch_trajectory(
     path: str | Path,
     dispatch_results: Sequence[DispatchBenchResult],
     spatial_result: SpatialBenchResult | None = None,
-    parallel_results: Sequence[ParallelDispatchBenchResult] = (),
     ch_cache: CHCacheBenchResult | None = None,
     csr_kernel: KernelBenchResult | None = None,
     coarsen: CoarsenBenchResult | None = None,
@@ -939,16 +810,16 @@ def write_dispatch_trajectory(
     """Write the dispatch benchmark trajectory file (``BENCH_dispatch.json``).
 
     The file records, per backend, the timings of the forward and
-    batched many-to-one paths, the spatial-index microbenchmark, the
-    sharded-engine periodic-check benchmark, the CH preprocessing-cache
-    benchmark and the dict-vs-csr sweep-kernel benchmark, so CI runs
-    leave a machine-readable trace of the hot path's speedups.  A ``scenario`` block (spec
-    identity: backends, seed, graph hash) makes the artifact
-    self-describing.  An ``acceptance`` section restates every bar the
-    benchmark suite asserts (value, threshold, met, applicable) — the
-    CI regression gate (``benchmarks/check_regression.py``) fails the
-    build when a recorded ratio degrades or an applicable bar flips
-    from met to not met.
+    batched many-to-one paths, the spatial-index microbenchmark, the CH
+    preprocessing-cache benchmark and the dict-vs-csr sweep-kernel
+    benchmark, so CI runs leave a machine-readable trace of the hot
+    path's speedups.  A ``scenario`` block (spec identity: backends,
+    seed, graph hash) makes the artifact self-describing.  An
+    ``acceptance`` section restates every bar the benchmark suite
+    asserts (value, threshold, met, applicable) — the CI regression
+    gate (``benchmarks/check_regression.py``) fails the build when a
+    recorded ratio degrades or an applicable bar flips from met to not
+    met.
     """
     payload: dict = {
         "benchmark": "dispatch_many_to_one",
@@ -1008,39 +879,6 @@ def write_dispatch_trajectory(
             "met": spatial_result.speedup >= SPATIAL_ACCEPTANCE_SPEEDUP,
             "applicable": True,
         }
-    if parallel_results:
-        modes = {}
-        for result in parallel_results:
-            modes[result.mode] = {
-                **asdict(result),
-                "speedup": result.speedup,
-                "checks_per_second": result.checks_per_second,
-            }
-        payload["parallel_dispatch"] = {"modes": modes}
-        process = next(
-            (
-                r
-                for r in parallel_results
-                if r.mode == "process"
-                and r.num_shards == PARALLEL_ACCEPTANCE_SHARDS
-            ),
-            None,
-        )
-        if process is not None:
-            # The >=2x bar needs the cores to run four shards at once;
-            # on smaller machines the measured number is recorded but
-            # the bar is marked not applicable instead of failed.
-            applicable = (
-                process.effective_mode == "process"
-                and process.available_cpus >= PARALLEL_ACCEPTANCE_MIN_CPUS
-            )
-            acceptance["parallel_dispatch_speedup_4_shards"] = {
-                "value": process.speedup,
-                "threshold": PARALLEL_ACCEPTANCE_SPEEDUP,
-                "met": process.speedup >= PARALLEL_ACCEPTANCE_SPEEDUP,
-                "applicable": applicable,
-                "available_cpus": process.available_cpus,
-            }
     if ch_cache is not None:
         payload["ch_cache"] = {
             **asdict(ch_cache),
@@ -1087,28 +925,6 @@ def write_dispatch_trajectory(
     destination = Path(path)
     destination.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return destination
-
-
-def format_parallel_bench_lines(
-    results: Sequence[ParallelDispatchBenchResult],
-) -> str:
-    """Render the sharded periodic-check timings as report lines."""
-    lines = []
-    for result in results:
-        mode = result.mode
-        if result.effective_mode != result.mode:
-            mode = f"{result.mode}->{result.effective_mode}"
-        lines.append(
-            f"periodic check x{result.num_targets} targets, "
-            f"{result.num_workers} workers "
-            f"({result.num_unique_locations} distinct nodes) "
-            f"on {result.num_nodes} nodes: "
-            f"serial {result.serial_seconds:.3f}s, "
-            f"{result.num_shards} {mode} shards "
-            f"{result.parallel_seconds:.3f}s "
-            f"({result.speedup:.2f}x, {result.available_cpus} cpus)"
-        )
-    return "\n".join(lines)
 
 
 def format_dispatch_bench_table(

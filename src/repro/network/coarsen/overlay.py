@@ -107,11 +107,6 @@ class OverlayOracle(DistanceOracle):
 
     name = "overlay"
 
-    #: Queries memoise into LRU caches guarded by a reentrant lock, so
-    #: the parallel dispatch engine's thread shards can share one
-    #: overlay oracle without external locking.
-    thread_safe_queries = True
-
     def __init__(
         self,
         graph: nx.DiGraph,

@@ -178,14 +178,6 @@ class DistanceOracle(abc.ABC):
     #: Registry name; subclasses override.
     name: str = "oracle"
 
-    #: Whether this backend's query methods may be called from several
-    #: threads at once.  Most backends memoise on query (LRU caches,
-    #: lazily materialised tables) and are **not** safe without external
-    #: locking; backends that guard or pre-materialise their mutable
-    #: state set this to ``True`` and the parallel dispatch engine then
-    #: skips its serialising lock in thread mode.
-    thread_safe_queries: bool = False
-
     #: The resolved :class:`~repro.network.oracle.OracleSpec` this
     #: oracle answers to — what ``configure_oracle`` compares before
     #: reusing an attached oracle.  ``None`` for an oracle constructed
@@ -307,32 +299,6 @@ class DistanceOracle(abc.ABC):
         disconnected pairs — ``None`` strictly means "not supported".
         """
         return None
-
-    # ------------------------------------------------------------------
-    # shared-memory protocol (optional)
-    # ------------------------------------------------------------------
-    def share_memory(self) -> dict | None:
-        """Move shareable prepared state into shared-memory segments.
-
-        Returns a small picklable handle a forked/spawned worker passes
-        to :meth:`adopt_shared`, or ``None`` when this backend has
-        nothing to share (the default) — callers then fall back to
-        fork-inherited private copies.  Implementations must be
-        idempotent and must keep answering queries from the shared
-        views themselves (one copy of the data, every process attached).
-        """
-        return None
-
-    def adopt_shared(self, handle) -> None:
-        """Attach this oracle to segments described by ``handle`` (no-op default)."""
-
-    def release_shared(self) -> None:
-        """Detach from shared state and destroy owned segments (no-op default).
-
-        Only the process that called :meth:`share_memory` destroys
-        segments; the implementation restores private copies first so
-        the oracle keeps working afterwards.
-        """
 
     # ------------------------------------------------------------------
     # cache management and instrumentation

@@ -70,7 +70,6 @@ from ...exceptions import UnreachableError
 from .base import CacheInfo, DistanceOracle
 from .csr import (
     CHSweepKernel,
-    SharedArrayPack,
     finite_entries,
     label_arrays,
     resolve_kernel,
@@ -85,8 +84,8 @@ def _locked(method):
     memoise into the pair / label / arrival caches — ``OrderedDict``s
     whose ``move_to_end`` / ``popitem`` bookkeeping corrupts under
     concurrent mutation.  Guarding the entry points makes the oracle
-    safe to share across the parallel dispatch engine's shard threads;
-    callers see queries serialise, never torn state.
+    safe to share across the serving layer's run threads; callers see
+    queries serialise, never torn state.
     """
 
     @functools.wraps(method)
@@ -177,11 +176,6 @@ class CHOracle(DistanceOracle):
     """
 
     name = "ch"
-
-    #: Queries are guarded by a reentrant lock (see :func:`_locked`),
-    #: so concurrent readers are safe — the parallel dispatch engine's
-    #: thread shards query a shared CH oracle without external locking.
-    thread_safe_queries = True
 
     def __init__(
         self,
@@ -409,7 +403,6 @@ class CHOracle(DistanceOracle):
         # arrays.  Built once here; the dict adjacency above stays the
         # source of truth for searches and path unpacking either way.
         self._sweeps: CHSweepKernel | None = None
-        self._shared_pack: SharedArrayPack | None = None
         if self.kernel == "csr":
             self._sweeps = CHSweepKernel(
                 n, self._order_desc, self._down_out, self._up_in
@@ -928,58 +921,6 @@ class CHOracle(DistanceOracle):
             maxsize=self._pair_cache_size,
             currsize=len(self._pair_cache),
         )
-
-    # ------------------------------------------------------------------
-    # shared-memory protocol (process-mode dispatch shards)
-    # ------------------------------------------------------------------
-    @_locked
-    def share_memory(self) -> dict | None:
-        """Move the sweep arrays into shared memory; return the handle.
-
-        Only the csr kernel has flat arrays to share; the dict kernel
-        answers ``None`` and shards fall back to fork-inherited copies.
-        Idempotent: a second call returns the existing handle.
-        """
-        if self._sweeps is None:
-            return None
-        if self._shared_pack is None:
-            pack = SharedArrayPack.create(self._sweeps.export_arrays())
-            # The parent serves its own queries from the shared views
-            # too — one copy of the arrays, every process attached.
-            self._sweeps.replace_arrays(pack.arrays)
-            self._shared_pack = pack
-        return {
-            "kind": "ch-sweeps",
-            "segments": self._shared_pack.handle(),
-        }
-
-    @_locked
-    def adopt_shared(self, handle: Mapping) -> None:
-        """Attach this (child-process) oracle to shared sweep arrays."""
-        if self._sweeps is None or handle.get("kind") != "ch-sweeps":
-            return
-        pack = SharedArrayPack.attach(handle["segments"])
-        self._sweeps.replace_arrays(pack.arrays)
-        # Keep the pack referenced so the mappings outlive this call;
-        # the child's copy dies with the process, the parent unlinks.
-        self._shared_pack = pack
-
-    @_locked
-    def release_shared(self) -> None:
-        """Detach from shared memory and destroy the segments (creator).
-
-        The parent copies the arrays back to private memory first, so
-        the oracle keeps answering after the engine that shared it shuts
-        down; segments are unlinked exactly once.
-        """
-        if self._shared_pack is None:
-            return
-        pack = self._shared_pack
-        self._shared_pack = None
-        if self._sweeps is not None:
-            self._sweeps.replace_arrays(pack.copies())
-        pack.close()
-        pack.unlink()
 
     @_locked
     def _extra_stats(self) -> dict[str, float]:

@@ -14,11 +14,7 @@ arrays so the hot kernels become a handful of vectorised operations:
   (longest dependency-path depth) turns the sweep into one
   ``np.minimum.at`` scatter-relaxation per level — identical results to
   the node-by-node dict sweep, since every tail distance is final
-  before its level is relaxed;
-* :class:`SharedArrayPack` places named arrays into
-  ``multiprocessing.shared_memory`` segments and re-attaches views from
-  a small picklable handle, so process-mode dispatch shards map one
-  copy of the prepared arrays instead of duplicating them per fork.
+  before its level is relaxed.
 
 numpy is optional: when it is absent ``HAVE_NUMPY`` is ``False``,
 :func:`resolve_kernel` answers ``"dict"`` for every request, and the
@@ -126,9 +122,6 @@ class LevelSweep:
         self.weights = weights
         #: Python list of slice boundaries, one entry per level + 1.
         self.level_ptr = level_ptr
-        self._rebuild_views()
-
-    def _rebuild_views(self) -> None:
         # Slicing per level inside the sweep costs three array-view
         # constructions per level per query; on small graphs that
         # overhead rivals the relaxation itself.  The views are cheap to
@@ -184,19 +177,6 @@ class LevelSweep:
         for tails, heads, weights in self._level_views:
             minimum_at(dist, heads, dist[tails] + weights)
 
-    def export_arrays(self) -> dict:
-        """The big arrays, for shared-memory placement (keyed by slot)."""
-        return {"tails": self.tails, "heads": self.heads, "weights": self.weights}
-
-    def replace_arrays(self, arrays: Mapping) -> None:
-        """Swap the edge arrays for (shared-memory) views of equal shape."""
-        self.tails = arrays["tails"]
-        self.heads = arrays["heads"]
-        self.weights = arrays["weights"]
-        # The per-level views alias the old arrays; rebuild them so the
-        # sweep reads the (shared-memory) replacements.
-        self._rebuild_views()
-
 
 class CHSweepKernel:
     """Both PHAST sweep directions of one contraction hierarchy.
@@ -237,23 +217,6 @@ class CHSweepKernel:
         dist[nodes] = dists
         return dist
 
-    # -- shared-memory support -----------------------------------------
-    def export_arrays(self) -> dict[str, object]:
-        out = {}
-        for prefix, sweep in (("fwd", self.forward), ("rev", self.reverse)):
-            for key, arr in sweep.export_arrays().items():
-                out[f"{prefix}_{key}"] = arr
-        return out
-
-    def replace_arrays(self, arrays: Mapping) -> None:
-        for prefix, sweep in (("fwd", self.forward), ("rev", self.reverse)):
-            sweep.replace_arrays(
-                {
-                    key: arrays[f"{prefix}_{key}"]
-                    for key in ("tails", "heads", "weights")
-                }
-            )
-
 
 def finite_entries(dist):
     """Indices and values of the finite entries of a distance buffer."""
@@ -270,95 +233,3 @@ def label_arrays(label: Mapping[int, float]):
     nodes = np.fromiter(label.keys(), dtype=np.int64, count=len(label))
     dists = np.fromiter(label.values(), dtype=np.float64, count=len(label))
     return nodes, dists
-
-
-class SharedArrayPack:
-    """Named numpy arrays backed by ``multiprocessing.shared_memory``.
-
-    ``create`` copies the arrays into fresh segments and returns a pack
-    whose ``arrays`` are views into them; ``handle()`` is a small
-    picklable description (segment name, dtype, shape per array) a child
-    process turns back into views with ``attach`` — the handle's size is
-    independent of the array sizes, which is the whole point.  The
-    creator calls ``unlink()`` exactly once when the arrays are done;
-    every attacher (and the creator) calls ``close()`` to drop its own
-    mapping.
-    """
-
-    def __init__(self, segments: dict, arrays: dict, owner: bool = True) -> None:
-        self._segments = segments
-        self.arrays = arrays
-        #: Only the creating process may unlink; attachers' ``unlink()``
-        #: is a no-op so a confused teardown can never destroy segments
-        #: other processes still map.
-        self._owner = owner
-        self._unlinked = False
-
-    @classmethod
-    def create(cls, arrays: Mapping) -> "SharedArrayPack":
-        from multiprocessing import shared_memory
-
-        segments: dict = {}
-        views: dict = {}
-        try:
-            for key, arr in arrays.items():
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(1, int(arr.nbytes))
-                )
-                segments[key] = shm
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-                view[...] = arr
-                views[key] = view
-        except Exception:
-            for shm in segments.values():
-                shm.close()
-                shm.unlink()
-            raise
-        return cls(segments, views)
-
-    @classmethod
-    def attach(cls, handle: Mapping) -> "SharedArrayPack":
-        from multiprocessing import shared_memory
-
-        segments: dict = {}
-        views: dict = {}
-        try:
-            for key, (name, dtype, shape) in handle.items():
-                shm = shared_memory.SharedMemory(name=name, create=False)
-                segments[key] = shm
-                views[key] = np.ndarray(
-                    tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf
-                )
-        except Exception:
-            for shm in segments.values():
-                shm.close()
-            raise
-        return cls(segments, views, owner=False)
-
-    def handle(self) -> dict:
-        """Picklable description sufficient to :meth:`attach` elsewhere."""
-        return {
-            key: (shm.name, str(self.arrays[key].dtype), self.arrays[key].shape)
-            for key, shm in self._segments.items()
-        }
-
-    def copies(self) -> dict:
-        """Private (non-shared) copies of every array."""
-        return {key: np.array(arr, copy=True) for key, arr in self.arrays.items()}
-
-    def close(self) -> None:
-        """Drop this process's mapping (views become invalid)."""
-        self.arrays = {}
-        for shm in self._segments.values():
-            shm.close()
-
-    def unlink(self) -> None:
-        """Destroy the segments (creator only; idempotent)."""
-        if self._unlinked or not self._owner:
-            return
-        self._unlinked = True
-        for shm in self._segments.values():
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass

@@ -31,7 +31,7 @@ import networkx as nx
 from ...compat import np
 from ...exceptions import UnreachableError
 from .base import CacheInfo, DistanceOracle
-from .csr import SharedArrayPack, resolve_kernel
+from .csr import resolve_kernel
 
 _INF = float("inf")
 
@@ -65,9 +65,8 @@ class MatrixOracle(DistanceOracle):
     ) -> None:
         super().__init__(graph)
         #: Requested and resolved kernel: "csr" stores rows as float64
-        #: numpy vectors with vectorised refresh (and can place them in
-        #: shared memory for process shards); "dict" stores plain Python
-        #: lists — same indexing, no numpy dependency.
+        #: numpy vectors with vectorised refresh; "dict" stores plain
+        #: Python lists — same indexing, no numpy dependency.
         self.requested_kernel = kernel
         self.kernel = resolve_kernel(kernel)
         started = time.perf_counter()
@@ -77,7 +76,6 @@ class MatrixOracle(DistanceOracle):
         }
         self._num_nodes = len(self._columns)
         self._rows: dict[int, "np.ndarray | list[float]"] = {}
-        self._shared_pack: SharedArrayPack | None = None
         # Reverse arrival maps (target -> {source: seconds}) built for
         # many-to-one batches whose sources have no rows; memoised (LRU
         # bounded, each map is O(V)) so repeated dispatch probes against
@@ -239,60 +237,6 @@ class MatrixOracle(DistanceOracle):
             "matrix_refreshes": float(self._refreshes),
             "reverse_cached_targets": float(len(self._reverse_maps)),
         }
-
-    # ------------------------------------------------------------------
-    # shared-memory protocol (process-mode dispatch shards)
-    # ------------------------------------------------------------------
-    def share_memory(self) -> dict | None:
-        """Stack the built rows into one shared 2D segment; return handle.
-
-        Rows built *after* sharing stay private to whichever process
-        builds them (exactly as forked copies behave today); the shared
-        block covers the rows that exist at pool start — the bulk of
-        the memory for a prewarmed oracle.
-        """
-        if self.kernel != "csr" or not self._rows:
-            return None
-        if self._shared_pack is None:
-            order = list(self._rows)
-            stacked = np.stack([self._rows[source] for source in order])
-            pack = SharedArrayPack.create({"rows": stacked})
-            shared = pack.arrays["rows"]
-            for i, source in enumerate(order):
-                self._rows[source] = shared[i]
-            self._shared_pack = pack
-            self._shared_order = order
-        return {
-            "kind": "matrix-rows",
-            "order": list(self._shared_order),
-            "segments": self._shared_pack.handle(),
-        }
-
-    def adopt_shared(self, handle) -> None:
-        """Attach this (child-process) oracle to the shared row block."""
-        if self.kernel != "csr" or handle.get("kind") != "matrix-rows":
-            return
-        pack = SharedArrayPack.attach(handle["segments"])
-        shared = pack.arrays["rows"]
-        for i, source in enumerate(handle["order"]):
-            self._rows[source] = shared[i]
-        self._shared_pack = pack
-
-    def release_shared(self) -> None:
-        """Copy shared rows back to private memory and unlink (creator)."""
-        if self._shared_pack is None:
-            return
-        pack = self._shared_pack
-        self._shared_pack = None
-        order = getattr(self, "_shared_order", [])
-        self._shared_order = []
-        shared = pack.arrays.get("rows")
-        if shared is not None:
-            for i, source in enumerate(order):
-                if source in self._rows:
-                    self._rows[source] = np.array(shared[i], copy=True)
-        pack.close()
-        pack.unlink()
 
     # ------------------------------------------------------------------
     # internals

@@ -20,13 +20,12 @@ from .csr import KERNELS, resolve_kernel
 ORACLE_OPTIONS_BY_BACKEND: dict[str, tuple[str, ...]] = {
     "lazy": ("cache_size",),
     "landmark": ("landmarks",),
-    "matrix": ("kernel", "shared_memory"),
+    "matrix": ("kernel",),
     "ch": (
         "cache_size",
         "witness_hops",
         "cache_dir",
         "kernel",
-        "shared_memory",
         "contraction_order",
         "coarsen_levels",
         "coarsen_alpha",
@@ -76,10 +75,6 @@ class OracleSpec:
         ``"dict"`` | ``"csr"`` | ``"auto"`` — inner-loop implementation
         of the ch/matrix backends (csr = vectorised numpy kernels, auto
         = csr when numpy is importable; identical answers either way).
-    shared_memory:
-        Whether process-mode dispatch shards attach to one
-        shared-memory copy of the oracle's prepared arrays (csr kernel
-        only; on unless set to ``False``).
     coarsen_levels, coarsen_alpha, coarsen_beta:
         Multilevel-coarsening knobs of the overlay backend (and of the
         ch backend's ``contraction_order="coarsening"`` variant):
@@ -105,7 +100,6 @@ class OracleSpec:
     witness_hops: int | None = None
     cache_dir: str | None = None
     kernel: str | None = None
-    shared_memory: bool | None = None
     coarsen_levels: int | None = None
     coarsen_alpha: float | None = None
     coarsen_beta: float | None = None
@@ -155,13 +149,6 @@ class OracleSpec:
                 f"OracleSpec.kernel must be one of {KERNELS}, "
                 f"got {self.kernel!r}"
             )
-        if self.shared_memory is not None and not isinstance(
-            self.shared_memory, bool
-        ):
-            raise ConfigurationError(
-                f"OracleSpec.shared_memory must be a boolean, "
-                f"got {self.shared_memory!r}"
-            )
         for option in ("coarsen_alpha", "coarsen_beta", "coarsen_error_bound"):
             value = getattr(self, option)
             if value is None:
@@ -174,7 +161,12 @@ class OracleSpec:
                 raise ConfigurationError(
                     f"OracleSpec.{option} must be non-negative, got {value}"
                 )
-            object.__setattr__(self, option, float(value))
+            try:
+                object.__setattr__(self, option, float(value))
+            except OverflowError:
+                raise ConfigurationError(
+                    f"OracleSpec.{option} does not fit a float"
+                ) from None
         if self.coarsen_refine is not None and not isinstance(
             self.coarsen_refine, bool
         ):

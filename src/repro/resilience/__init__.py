@@ -1,17 +1,17 @@
 """``repro.resilience`` — the stdlib-only fault-tolerance runtime.
 
-Four building blocks, threaded through the serve, api, oracle and
-dispatch layers:
+Four building blocks, threaded through the serve, api and oracle
+layers:
 
 * **Deadlines & cancellation** (:mod:`~repro.resilience.cancellation`)
   — a :class:`CancellationToken` the engine checks cooperatively at
   tick boundaries; expiry or an explicit cancel raises
-  :class:`RunCancelled`, which unwinds cleanly (pools torn down,
-  partial timings preserved).
+  :class:`RunCancelled`, which unwinds cleanly (partial timings
+  preserved).
 * **Retry with backoff + jitter** (:mod:`~repro.resilience.retry`) —
   a frozen :class:`RetryPolicy` applied at the runtime's transient
-  failure points (oracle cache IO, shard dispatch, session
-  preparation); jitter is seeded, so retried runs stay reproducible.
+  failure points (oracle cache IO, session preparation); jitter is
+  seeded, so retried runs stay reproducible.
 * **Degradation chains** (:mod:`~repro.resilience.degradation`) —
   recorded fallbacks (:class:`DegradationLog` travels with each run
   into ``RunResult.degradations`` and ``/metrics``) plus a

@@ -9,9 +9,8 @@ check` at every tick boundary (and before every order submission).  A
 token that has been cancelled — explicitly via :meth:`CancellationToken.
 cancel` (``POST /runs/<id>/cancel``) or implicitly because its
 wall-clock deadline expired — makes the next ``check()`` raise
-:class:`RunCancelled`, which unwinds the run cleanly through the
-engine's ``finally`` blocks (worker pools are torn down, nothing
-leaks).
+:class:`RunCancelled`, which unwinds the run (the engine leaves one
+forced checkpoint behind on the way out).
 
 The deadline clock starts at :meth:`CancellationToken.start` — stamped
 when the run actually begins executing, not when it was submitted — so

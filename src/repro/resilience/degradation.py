@@ -2,10 +2,9 @@
 
 When a component of the runtime fails persistently, the run should
 *degrade*, not die — a corrupt CH cache rebuilds from scratch, a CH
-contraction that itself fails falls back to the ``lazy`` backend, a
-process-mode dispatch pool whose workers keep dying falls back to
-serial execution.  Every such fallback is an observable event: the run
-that degraded still answers, but its :class:`~repro.api.RunResult`
+contraction that itself fails falls back to the ``lazy`` backend.
+Every such fallback is an observable event: the run that degraded
+still answers, but its :class:`~repro.api.RunResult`
 (``degradations``) and the service ``/metrics`` say exactly what was
 given up, where, and why.
 
@@ -48,9 +47,9 @@ class DegradationEvent:
 class DegradationLog:
     """Thread-safe, append-only record of a run's degradation events.
 
-    One log travels with one run (session -> oracle registry ->
-    dispatch engine); the serving layer folds the events into the run
-    summary and the ``/metrics`` counters.
+    One log travels with one run (session -> oracle registry); the
+    serving layer folds the events into the run summary and the
+    ``/metrics`` counters.
     """
 
     def __init__(self) -> None:

@@ -19,7 +19,6 @@ site                        where it fires
 ``oracle.cache.file``       corruption hook: garbles the cache file on disk
 ``oracle.ch.build``         each from-scratch CH contraction
 ``session.prepare``         each serve-layer session preparation attempt
-``dispatch.shard``          each shard task (thread or forked process)
 ``journal.append``          each write-ahead run-journal append attempt
 ``checkpoint.write``        each run-checkpoint file write attempt
 ``cache.lock``              each cross-process cache-lock acquisition
@@ -36,10 +35,8 @@ mis-targeted schedule can never kill the test process), and
 file).  Injected exceptions carry ``site`` and ``call`` so errors stay
 attributable end to end.
 
-Counters are per-process: a forked shard worker inherits the installed
-injector and its counts at fork time, then counts its own calls — which
-is exactly what makes ``kill_calls`` on ``dispatch.shard``
-deterministic per worker.
+Counters are per-process: a forked child inherits the installed
+injector and its counts at fork time, then counts its own calls.
 
 Install an injector process-wide with :func:`install_injector` /
 :func:`uninstall_injector`, scoped with :func:`injected_faults`, or
@@ -95,7 +92,7 @@ _SITE_KEYS = frozenset(
     }
 )
 
-#: Exit code a killed worker dies with (visible in worker-death tests).
+#: Exit code a killed worker dies with.
 KILLED_EXIT_CODE = 113
 
 

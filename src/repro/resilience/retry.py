@@ -1,10 +1,10 @@
 """Retry with exponential backoff and deterministic jitter.
 
 The transient-failure points of the runtime — oracle cache IO, session
-preparation, a process-pool shard whose worker died — share one retry
-vocabulary: a frozen :class:`RetryPolicy` describing *how often* and
-*how patiently* to retry, applied either explicitly
-(:func:`retry_call`) or as a decorator (:func:`retrying`).
+preparation — share one retry vocabulary: a frozen
+:class:`RetryPolicy` describing *how often* and *how patiently* to
+retry, applied either explicitly (:func:`retry_call`) or as a
+decorator (:func:`retrying`).
 
 Backoff is the standard exponential ramp capped at ``max_delay``;
 jitter is a symmetric fraction of each delay drawn from a **seeded**

@@ -12,15 +12,12 @@ pickups).
 :class:`OracleBatcher` turns the mutex into a **group-commit**: every
 ``travel_times_many`` call enqueues its block and then competes for
 the flush lock.  Whoever wins drains the whole queue, merges the
-queued blocks into one aggregated block
-(:func:`~repro.simulation.parallel.merge_block_requests` — the PR 4
-shard machinery's union mirror), answers it with a single oracle call
-(chunked through :func:`~repro.simulation.parallel.partition_shards`
-and recombined with
-:func:`~repro.simulation.parallel.merge_shard_results` so one giant
-union cannot blow up a single call), and hands every waiter exactly
-the pairs it asked for.  Followers that queued while the leader was
-flushing never touch the oracle at all.
+queued blocks into one aggregated block (the sorted union of their
+sources and of their targets), answers it with a single oracle call
+(split into contiguous target chunks and recombined when the union is
+large, so one giant union cannot blow up a single call), and hands
+every waiter exactly the pairs it asked for.  Followers that queued
+while the leader was flushing never touch the oracle at all.
 
 The answers are the same floats a serial run computes — batching
 changes *when* the oracle is asked, never *what it answers* — so a
@@ -40,19 +37,75 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Mapping, Sequence
 
+from ..exceptions import ConfigurationError
 from ..network.graph import RoadNetwork
 from ..network.oracle.base import CacheInfo, DistanceOracle, OracleStats
-from ..simulation.parallel import (
-    merge_block_requests,
-    merge_shard_results,
-    partition_shards,
-)
 
 #: Aggregated-call chunk bound: a union block with more targets than
 #: this is answered in several oracle calls (chunked deterministically
-#: with ``partition_shards``) so one flush cannot hold the lock for an
+#: with ``_partition_shards``) so one flush cannot hold the lock for an
 #: unbounded stretch.
 DEFAULT_MAX_TARGETS_PER_CALL = 256
+
+
+def _partition_shards(items: Sequence, num_shards: int) -> list[list]:
+    """Split ``items`` into ``num_shards`` contiguous, near-even chunks.
+
+    The partition depends only on ``(items, num_shards)`` — never on
+    thread scheduling or machine load — so a given chunk always sees
+    the same work.  Chunk sizes differ by at most one (earlier chunks
+    get the remainder); with fewer items than chunks the tail chunks
+    are empty.
+    """
+    if num_shards < 1:
+        raise ConfigurationError("num_shards must be at least 1")
+    items = list(items)
+    base, extra = divmod(len(items), num_shards)
+    chunks: list[list] = []
+    start = 0
+    for shard in range(num_shards):
+        size = base + (1 if shard < extra else 0)
+        chunks.append(items[start : start + size])
+        start += size
+    return chunks
+
+
+def _merge_shard_results(
+    shard_maps: Iterable[Mapping[tuple[int, int], float]],
+) -> dict[tuple[int, int], float]:
+    """Deterministically merge per-chunk ``(source, target) -> seconds`` maps.
+
+    Chunks partition the *targets*, so their key sets must be disjoint;
+    an overlap means the partition was wrong (duplicated work at best,
+    a changed answer at worst), so it raises — even when the duplicate
+    values happen to agree.  Merging in chunk order keeps the result
+    independent of completion order.
+    """
+    merged: dict[tuple[int, int], float] = {}
+    for shard_map in shard_maps:
+        for key, value in shard_map.items():
+            if key in merged:
+                raise AssertionError(f"shard results overlap on {key}")
+            merged[key] = value
+    return merged
+
+
+def _merge_block_requests(
+    blocks: Iterable[tuple[Sequence[int], Sequence[int]]],
+) -> tuple[list[int], list[int]]:
+    """Union several ``(sources, targets)`` blocks into one aggregate block.
+
+    The unions are deduplicated and sorted so the aggregate depends
+    only on the *set* of queued blocks, never on arrival order.
+    """
+    sources: dict[int, None] = {}
+    targets: dict[int, None] = {}
+    for block_sources, block_targets in blocks:
+        for source in block_sources:
+            sources.setdefault(source)
+        for target in block_targets:
+            targets.setdefault(target)
+    return sorted(sources), sorted(targets)
 
 
 class _PendingBlock:
@@ -137,15 +190,15 @@ class OracleBatcher:
             return
         self._batches += 1
         self._coalesced += len(batch) - 1
-        sources, targets = merge_block_requests(
+        sources, targets = _merge_block_requests(
             (block.sources, block.targets) for block in batch
         )
         self._pairs_computed += len(sources) * len(targets)
         if len(targets) > self._max_targets_per_call:
             num_chunks = -(-len(targets) // self._max_targets_per_call)
-            merged = merge_shard_results(
+            merged = _merge_shard_results(
                 self._network.travel_times_many(sources, chunk)
-                for chunk in partition_shards(targets, num_chunks)
+                for chunk in _partition_shards(targets, num_chunks)
                 if chunk
             )
         else:

@@ -125,7 +125,10 @@ class RunRecord:
     """
 
     run_id: str
-    spec: ScenarioSpec
+    #: The parsed spec — or, for a run recovered from durable state
+    #: whose spec this build no longer parses, the stored document
+    #: verbatim (such a record is always terminal).
+    spec: ScenarioSpec | dict[str, Any]
     status: str = QUEUED
     submitted_at: float = field(default_factory=time.time)
     started_at: float | None = None
@@ -240,12 +243,20 @@ class RunRecord:
 
     def as_dict(self, *, include_result: bool = True) -> dict[str, Any]:
         """The JSON-able view both transports return."""
+        if isinstance(self.spec, ScenarioSpec):
+            scenario: str | None = self.spec.describe()
+            algorithm = self.spec.algorithm
+            spec_document = self.spec.to_dict()
+        else:
+            scenario = None
+            algorithm = self.spec.get("algorithm")
+            spec_document = dict(self.spec)
         data: dict[str, Any] = {
             "run_id": self.run_id,
             "status": self.status,
-            "scenario": self.spec.describe(),
-            "algorithm": self.spec.algorithm,
-            "spec": self.spec.to_dict(),
+            "scenario": scenario,
+            "algorithm": algorithm,
+            "spec": spec_document,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,

@@ -186,6 +186,7 @@ class ScenarioService:
             "requeued": 0,
             "resumed": 0,
             "interrupted": 0,
+            "failed": 0,
         }
         if self._state_dir is not None:
             self._state_dir.mkdir(parents=True, exist_ok=True)
@@ -300,7 +301,9 @@ class ScenarioService:
         Invariant this enforces (and the SIGKILL test asserts): every
         run the previous process journaled as ``submitted`` is either
         served from the result store, re-enqueued, resumed from its
-        checkpoint, or reported ``interrupted`` — never silently lost.
+        checkpoint, reported ``interrupted``, or — when this build no
+        longer parses its spec — reported ``failed``; never silently
+        lost.
         """
         assert self._journal is not None and self._results is not None
         entries = self._journal.replay()
@@ -340,6 +343,10 @@ class ScenarioService:
             record = self._recovered_record(run_id, info["spec"])
             if record is None:
                 continue
+            if record.status == FAILED:
+                self._register_recovered(record, "failed")
+                self._finalize_durable(record)
+                continue
             if clean or last is None:
                 # A clean shutdown deliberately left this run behind
                 # (shutdown without drain); account for it, don't rerun.
@@ -375,13 +382,23 @@ class ScenarioService:
     def _recovered_record(
         self, run_id: str, spec_document: Any
     ) -> RunRecord | None:
-        """A fresh QUEUED record for a journaled run (None if unusable)."""
+        """A fresh QUEUED record for a journaled run.
+
+        ``None`` when the journal kept no spec for it.  A spec that was
+        accepted by an earlier build but no longer parses (a removed
+        key) yields a terminal FAILED record carrying the parse error,
+        so the run id keeps answering instead of turning into a 404.
+        """
         if not isinstance(spec_document, Mapping):
             return None
         try:
             spec = ScenarioSpec.from_dict(spec_document)
-        except ConfigurationError:
-            return None
+        except ConfigurationError as exc:
+            record = RunRecord(run_id=run_id, spec=dict(spec_document))
+            record.mark_failed(
+                "invalid-spec", f"the journaled spec no longer parses: {exc}"
+            )
+            return record
         deadline = spec.deadline_seconds
         if deadline is None:
             deadline = self._default_deadline
@@ -864,16 +881,17 @@ def _run_number(run_id: str) -> int | None:
 
 
 def _record_from_document(run_id: str, document: Mapping[str, Any]) -> RunRecord:
-    """Rehydrate a terminal record from its durable result document."""
+    """Rehydrate a terminal record from its durable result document.
+
+    A stored spec this build no longer parses is echoed verbatim: the
+    run happened (or was refused) under the build that accepted it, and
+    its record must keep answering.
+    """
+    stored_spec = document.get("spec") or {}
     try:
-        spec = ScenarioSpec.from_dict(document.get("spec") or {})
-    except ConfigurationError as exc:
-        raise ProtocolError(
-            404,
-            "unknown-run",
-            f"run {run_id!r} has a stored result but its spec no longer "
-            f"parses: {exc}",
-        ) from exc
+        spec: Any = ScenarioSpec.from_dict(stored_spec)
+    except ConfigurationError:
+        spec = dict(stored_spec) if isinstance(stored_spec, Mapping) else {}
     record = RunRecord(run_id=run_id, spec=spec)
     record.status = document.get("status", COMPLETED)
     record.submitted_at = document.get("submitted_at") or record.submitted_at

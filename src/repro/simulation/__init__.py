@@ -6,13 +6,6 @@ from .dispatcher import Dispatcher, ServedOrder, DispatchResult, served_orders_f
 from .hooks import SimulationHooks
 from .metrics import MetricsCollector, SimulationMetrics
 from .engine import Simulator, SimulationResult
-from .parallel import (
-    DISPATCH_MODES,
-    ParallelDispatchEngine,
-    merge_shard_results,
-    partition_shards,
-    usable_cpu_count,
-)
 
 __all__ = [
     "WorkerFleet",
@@ -27,9 +20,4 @@ __all__ = [
     "SimulationMetrics",
     "Simulator",
     "SimulationResult",
-    "DISPATCH_MODES",
-    "ParallelDispatchEngine",
-    "merge_shard_results",
-    "partition_shards",
-    "usable_cpu_count",
 ]

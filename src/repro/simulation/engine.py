@@ -25,7 +25,6 @@ from ..resilience.degradation import DegradationLog
 from .dispatcher import Dispatcher, DispatchResult
 from .hooks import SimulationHooks
 from .metrics import MetricsCollector, SimulationMetrics
-from .parallel import ParallelDispatchEngine
 
 
 @dataclass(frozen=True)
@@ -63,13 +62,11 @@ class Simulator:
         CancellationToken` checked cooperatively at every tick boundary
         and before every order submission; a cancelled token (explicit
         or deadline expiry) raises
-        :class:`~repro.resilience.cancellation.RunCancelled`, which
-        unwinds through ``run()``'s ``finally`` — the dispatch engine
-        is torn down, nothing leaks.
+        :class:`~repro.resilience.cancellation.RunCancelled`.
     degradations:
         Optional :class:`~repro.resilience.degradation.DegradationLog`
-        handed to the oracle attach and the parallel dispatch engine so
-        their fallbacks are recorded against this run.
+        handed to the oracle attach so its fallbacks are recorded
+        against this run.
     resume:
         Optional :class:`~repro.durability.checkpoint.LoadedCheckpoint`
         to continue from.  The caller passes the checkpoint's restored
@@ -97,7 +94,6 @@ class Simulator:
         self._config = config
         self._hooks = hooks
         self._cancellation = cancellation
-        self._degradations = degradations
         self._resume = resume
         # The config names the distance-oracle backend; attach it here so
         # every entry point (run_simulation, direct Simulator use, the
@@ -118,71 +114,12 @@ class Simulator:
                 weights=config.weights, penalty_factor=config.penalty_factor
             )
         )
-        self._engine: ParallelDispatchEngine | None = None
 
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Replay the whole workload and return the aggregated metrics."""
-        self._attach_engine()
-        try:
-            return self._run()
-        finally:
-            self._detach_engine()
-
-    def _attach_engine(self) -> None:
-        """Stand the sharded dispatch engine up for this run, if asked.
-
-        With ``dispatch_workers > 1`` and a dispatcher that knows how
-        to prefetch its periodic checks (and whose fleet can read the
-        results), the engine is created *here* — not in the
-        constructor — so a never-run ``Simulator`` forks no worker
-        pool, and dispatchers without a prefetch hook (the baselines)
-        never pay for an idle one.  The engine only precomputes travel
-        times; the dispatch decisions are made by the same serial code
-        either way, so results match serial runs exactly.
-        """
-        if self._engine is not None or self._config.dispatch_workers <= 1:
-            return
-        dispatcher = self._dispatcher
-        attach_dispatcher = getattr(dispatcher, "attach_dispatch_engine", None)
-        fleet = getattr(dispatcher, "fleet", None)
-        attach_fleet = getattr(fleet, "attach_dispatch_engine", None)
-        if not (callable(attach_dispatcher) and callable(attach_fleet)):
-            return
-        self._engine = ParallelDispatchEngine(
-            self._workload.network,
-            num_shards=self._config.dispatch_workers,
-            mode=self._config.dispatch_mode,
-            degradations=self._degradations,
-            shared_memory=self._config.oracle.shared_memory is not False,
-        )
-        attach_fleet(self._engine)
-        attach_dispatcher(self._engine)
-
-    def _detach_engine(self) -> None:
-        """Tear the run's engine down and detach it everywhere.
-
-        Resetting ``self._engine`` (not just closing it) matters: a
-        second ``run()`` then builds a fresh engine instead of silently
-        degrading to inline serial execution while still reporting
-        sharded counters.
-        """
-        if self._engine is None:
-            return
-        self._engine.close()
-        dispatcher = self._dispatcher
-        fleet = getattr(dispatcher, "fleet", None)
-        detach_fleet = getattr(fleet, "attach_dispatch_engine", None)
-        if callable(detach_fleet):
-            detach_fleet(None)
-        detach_dispatcher = getattr(dispatcher, "attach_dispatch_engine", None)
-        if callable(detach_dispatcher):
-            detach_dispatcher(None)
-        self._engine = None
-
-    def _run(self) -> SimulationResult:
         if self._cancellation is not None:
             # The deadline clock starts when the run starts executing —
             # queue time never eats a run's budget (idempotent: the
@@ -327,20 +264,11 @@ class Simulator:
         return stats_fn() if callable(stats_fn) else None
 
     def _oracle_delta(self, before):
-        """Per-run oracle counters (caches persist across runs on one network).
-
-        With a parallel dispatch engine attached, its scheduling
-        counters and the per-shard oracle work (queries answered by
-        forked shard handles, which the main oracle never saw) are
-        folded in alongside the uniform counters.
-        """
+        """Per-run oracle counters (caches persist across runs on one network)."""
         after = self._oracle_snapshot()
         if before is None or after is None:
             return None
-        stats = (after - before).as_dict()
-        if self._engine is not None:
-            stats.update(self._engine.stats())
-        return stats
+        return (after - before).as_dict()
 
 
 def run_simulation(

@@ -35,7 +35,6 @@ from .spatial import WorkerSpatialIndex
 if TYPE_CHECKING:  # pragma: no cover
     from ..model.group import Group
     from ..network.graph import RoadNetwork
-    from .parallel import ParallelDispatchEngine
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,6 @@ class WorkerFleet:
         ]
         heapify(self._release_heap)
         self._total_travel_time = 0.0
-        # Optional parallel dispatch engine; when attached, the worker
-        # searches' many-to-one oracle blocks are served through it
-        # (shard-prefetched results in process mode, warmed caches in
-        # thread mode) instead of hitting the network directly.
-        self._engine: "ParallelDispatchEngine | None" = None
         # Memo of the last nearest-worker search: (group, now, worker).
         # ``can_serve`` and the immediately following ``assign`` used to
         # run the same search twice per dispatch decision; any change to
@@ -133,24 +127,6 @@ class WorkerFleet:
     def spatial_index(self) -> WorkerSpatialIndex | None:
         """The worker spatial index (``None`` when scanning is forced)."""
         return self._spatial
-
-    @property
-    def dispatch_engine(self) -> "ParallelDispatchEngine | None":
-        """The attached parallel dispatch engine, if any."""
-        return self._engine
-
-    def attach_dispatch_engine(
-        self, engine: "ParallelDispatchEngine | None"
-    ) -> None:
-        """Route the worker searches' oracle batches through ``engine``.
-
-        Pass ``None`` to detach.  The search logic itself is unchanged
-        — same rings, same feasibility checks, same tie-breaks — only
-        the travel-time values arrive through the engine, which serves
-        them from shard-prefetched results when covered and falls back
-        to the exact serial network call otherwise.
-        """
-        self._engine = engine
 
     def idle_workers(self, now: float) -> list[Worker]:
         """Workers available for a new assignment at ``now``."""
@@ -279,7 +255,7 @@ class WorkerFleet:
                 continue
             # One many-to-one oracle batch per ring: every candidate's
             # approach leg against the single pickup node.
-            approaches = self._query_many(
+            approaches = self._network.travel_times_many(
                 (worker.location for worker in candidates), [start_node]
             )
             nearest: Worker | None = None
@@ -330,7 +306,7 @@ class WorkerFleet:
         start_node = group.route.start_node
         # One batched oracle call for every candidate's approach leg;
         # workers parked at unreachable locations are simply skipped.
-        approaches = self._query_many(
+        approaches = self._network.travel_times_many(
             (worker.location for worker in candidates), [start_node]
         )
         best_worker: Worker | None = None
@@ -344,12 +320,6 @@ class WorkerFleet:
             best_worker = worker
             best_approach = approach
         return best_worker
-
-    def _query_many(self, sources, targets) -> dict[tuple[int, int], float]:
-        """The searches' oracle batches, through the engine when attached."""
-        if self._engine is not None:
-            return self._engine.travel_times_many(sources, targets)
-        return self._network.travel_times_many(sources, targets)
 
     def _group_feasible_with_approach(
         self, group: "Group", now: float, approach: float

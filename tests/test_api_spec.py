@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import OracleSpec, ScenarioSpec, load_spec, save_spec
 from repro.cli import build_parser
 from repro.config import ExtraTimeWeights, SimulationConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import default_config
+from repro.serve.protocol import ProtocolError, parse_submission
 
 
 class TestRoundTrip:
@@ -44,8 +48,6 @@ class TestRoundTrip:
                     witness_hops=3,
                     cache_dir="/tmp/oracle-cache",
                 ),
-                dispatch_workers=2,
-                dispatch_mode="thread",
             ),
             ScenarioSpec(
                 network="grid",
@@ -121,7 +123,7 @@ class TestValidation:
             ({"use_rl": "yes"}, "use_rl"),
             ({"deadline_scale": 0.5}, "deadline_scale"),
             ({"oracle": {"backend": "teleport"}}, "oracle"),
-            ({"dispatch_mode": "fiber"}, "dispatch_mode"),
+            ({"grid_size": 0}, "grid_size"),
             ({"network": "grid", "grid_rows": 1}, "lattice"),
             ({"network": "grid", "grid_jitter": 1.5}, "grid_jitter"),
         ],
@@ -170,7 +172,7 @@ class TestOracleSpec:
             ({"landmarks": 2.5}, "landmarks must be an integer"),
             ({"cache_dir": 7}, "path string"),
             ({"kernel": "simd"}, "kernel must be one of"),
-            ({"shared_memory": 1}, "shared_memory must be a boolean"),
+            ({"coarsen_refine": 1}, "coarsen_refine must be a boolean"),
             # Options the named backend does not consume are rejected
             # eagerly, naming the valid set.
             ({"backend": "lazy", "kernel": "csr"}, "does not take option"),
@@ -196,12 +198,37 @@ class TestOracleSpec:
         ):
             ScenarioSpec.from_dict({"oracle_backend": "ch"})
 
+    @pytest.mark.parametrize(
+        "document, match",
+        [
+            ({"dispatch_workers": 2}, "unknown ScenarioSpec keys.*dispatch_workers"),
+            ({"dispatch_mode": "process"}, "unknown ScenarioSpec keys.*dispatch_mode"),
+            (
+                {"oracle": {"backend": "ch", "shared_memory": False}},
+                "unknown OracleSpec keys.*shared_memory",
+            ),
+        ],
+    )
+    def test_removed_dispatch_keys_are_unknown_keys(self, document, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioSpec.from_dict(document)
+        with pytest.raises(ProtocolError, match=match) as exc_info:
+            parse_submission(document)
+        assert exc_info.value.status == 400
+
+    def test_removed_keyword_arguments_name_the_key(self):
+        # No shim translates a removed keyword: the dataclass constructor
+        # refuses it the way it refuses any other unknown keyword.
+        with pytest.raises(TypeError, match="shared_memory"):
+            OracleSpec(backend="ch", shared_memory=False)
+        with pytest.raises(TypeError, match="dispatch_workers"):
+            ScenarioSpec(dispatch_workers=2)
+
     def test_overrides_reach_the_config(self):
         spec = ScenarioSpec(
             oracle=OracleSpec(
                 backend="ch",
                 kernel="csr",
-                shared_memory=False,
                 witness_hops=2,
             )
         )
@@ -223,13 +250,11 @@ class TestResolution:
         spec = ScenarioSpec(
             num_orders=33,
             oracle={"backend": "ch", "cache_dir": "/tmp/cache"},
-            dispatch_workers=2,
             alpha=2.0,
         )
         config = spec.config()
         assert config.num_orders == 33
         assert config.oracle.backend == "ch"
-        assert config.dispatch_workers == 2
         assert config.oracle.cache_dir == "/tmp/cache"
         assert config.weights == ExtraTimeWeights(alpha=2.0, beta=1.0)
 
@@ -252,12 +277,9 @@ class TestResolution:
                         witness_hops=3,
                         cache_dir="/tmp/x",
                         kernel="dict",
-                        shared_memory=False,
                         contraction_order="coarsening",
                         coarsen_levels=2,
                     ),
-                    dispatch_workers=2,
-                    dispatch_mode="process",
                     weights=ExtraTimeWeights(alpha=0.5, beta=2.0),
                 ),
             ),
@@ -296,10 +318,6 @@ class TestCliParity:
                     "ch",
                     "--oracle-cache",
                     "/tmp/oracle-cache",
-                    "--dispatch-workers",
-                    "2",
-                    "--dispatch-mode",
-                    "thread",
                 ],
                 "XIA",
                 {
@@ -307,8 +325,6 @@ class TestCliParity:
                     "horizon": 1200.0,
                     # --oracle-cache rides on the Session, not the spec.
                     "oracle": OracleSpec(backend="ch"),
-                    "dispatch_workers": 2,
-                    "dispatch_mode": "thread",
                 },
             ),
             (
@@ -384,3 +400,120 @@ class TestIdentity:
         assert identity["oracle_kernel"] == "auto"
         assert identity["seed"] == 4
         assert identity["num_orders"] == 30
+
+
+# ----------------------------------------------------------------------
+# fuzz: a spec document is a spec or a ConfigurationError, nothing else
+# ----------------------------------------------------------------------
+_SPEC_KEYS = sorted(f.name for f in dataclasses.fields(ScenarioSpec))
+_ORACLE_KEYS = sorted(f.name for f in dataclasses.fields(OracleSpec))
+#: Keys earlier builds accepted and this one must refuse by name.
+_REMOVED_SPEC_KEYS = ["dispatch_workers", "dispatch_mode", "oracle_backend"]
+_REMOVED_ORACLE_KEYS = ["shared_memory"]
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 5),
+    st.integers(),
+    st.just(10**400),  # JSON carries ints no float can hold
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        ["", "CDC", "nyc", "grid", "csv", "GDP", "watter-expect", "ch", "lazy",
+         "overlay", "csr", "coarsening", "thread", "x.csv"]
+    ),
+    st.text(max_size=6),
+)
+_values = st.one_of(
+    _scalars,
+    st.lists(_scalars, max_size=3),
+    st.dictionaries(st.text(max_size=4), _scalars, max_size=3),
+)
+_junk_oracle_documents = st.dictionaries(
+    st.one_of(
+        st.sampled_from(_ORACLE_KEYS + _REMOVED_ORACLE_KEYS), st.text(max_size=6)
+    ),
+    _values,
+    max_size=4,
+)
+_junk_documents = st.dictionaries(
+    st.one_of(st.sampled_from(_SPEC_KEYS + _REMOVED_SPEC_KEYS), st.text(max_size=6)),
+    st.one_of(_values, _junk_oracle_documents),
+    max_size=3,
+)
+#: Right-typed values straddling each field's valid range, so a good
+#: share of the documents parse and reach the round-trip assertion.
+_plausible_oracle_documents = st.fixed_dictionaries(
+    {"backend": st.sampled_from(["lazy", "landmark", "matrix", "ch", "overlay"])},
+    optional={
+        "cache_size": st.integers(0, 9),
+        "landmarks": st.integers(0, 4),
+        "kernel": st.sampled_from(["auto", "dict", "csr", "simd"]),
+        "coarsen_levels": st.integers(0, 3),
+        "coarsen_alpha": st.one_of(st.integers(-1, 2), st.floats(-1.0, 2.0)),
+        "coarsen_refine": st.booleans(),
+        "contraction_order": st.sampled_from(["edge_difference", "coarsening", "x"]),
+    },
+)
+_plausible_documents = st.fixed_dictionaries(
+    {},
+    optional={
+        "name": st.text(max_size=4),
+        "network": st.sampled_from(["dataset", "grid", "GRID", "hex"]),
+        "dataset": st.sampled_from(["CDC", "nyc", "XIA", "LONDON"]),
+        "grid_rows": st.integers(1, 6),
+        "grid_cols": st.integers(1, 6),
+        "grid_edge_travel_time": st.one_of(st.integers(-1, 90), st.floats(-1.0, 90.0)),
+        "grid_jitter": st.floats(-0.5, 1.5),
+        "workload": st.sampled_from(["synthetic", "csv"]),
+        "orders_csv": st.sampled_from([None, "orders.csv"]),
+        "algorithm": st.sampled_from(["GDP", "gas", "WATTER-expect", "NonSharing", "?"]),
+        "use_rl": st.booleans(),
+        "num_orders": st.integers(-1, 50),
+        "num_workers": st.integers(-1, 9),
+        "horizon": st.one_of(st.integers(-1, 4000), st.floats(-1.0, 4000.0)),
+        "seed": st.integers(-5, 5),
+        "deadline_scale": st.floats(0.5, 3.0),
+        "watch_window_scale": st.floats(-0.5, 2.0),
+        "max_capacity": st.integers(0, 6),
+        "check_period": st.floats(-1.0, 30.0),
+        "time_slot": st.floats(-1.0, 30.0),
+        "grid_size": st.integers(-1, 12),
+        "penalty_factor": st.floats(-1.0, 20.0),
+        "max_group_size": st.integers(-1, 5),
+        "alpha": st.floats(-1.0, 2.0),
+        "beta": st.floats(-1.0, 2.0),
+        "oracle": st.one_of(st.none(), _plausible_oracle_documents),
+        "deadline_seconds": st.one_of(st.none(), st.floats(-1.0, 5.0)),
+    },
+)
+_spec_documents = st.builds(
+    lambda plausible, junk: {**plausible, **junk},
+    _plausible_documents,
+    _junk_documents,
+)
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(document=_spec_documents)
+    def test_from_dict_yields_a_round_tripping_spec_or_a_configuration_error(
+        self, document
+    ):
+        try:
+            spec = ScenarioSpec.from_dict(document)
+        except ConfigurationError:
+            spec = None
+        else:
+            assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        # The serving front door agrees: the same spec, or a 400.
+        for payload in (document, {"spec": document, "wait": True}):
+            try:
+                served, _ = parse_submission(payload)
+            except ProtocolError as exc:
+                assert exc.status == 400
+                # A bare document with a "spec" key is read as a wrapper,
+                # which is the one way the two doors may legitimately differ.
+                assert spec is None or (payload is document and "spec" in document)
+            else:
+                assert served == spec or (payload is document and "spec" in document)

@@ -3,8 +3,8 @@
 ``benchmarks/check_regression.py`` is deliberately dependency-free and
 lives outside the package, so these tests load it by path.  What they
 pin down is the reporting contract: a comparison that cannot run on
-this machine (CPU-count mismatch, bar not applicable, csr kernel
-missing because the candidate had no numpy) is a *skip* with a reason,
+this machine (bar not applicable, csr kernel missing because the
+candidate had no numpy) is a *skip* with a reason,
 never a silent pass and never a spurious failure — and the summary
 counts all three buckets so a half-skipped build is visible.
 """
@@ -27,19 +27,12 @@ def _trajectory(
     *,
     csr_speedup: float | None = 4.5,
     csr_applicable: bool = True,
-    shard_speedup: float = 2.4,
-    cpus: int = 4,
     bar_value: float = 4.5,
     bar_met: bool = True,
     bar_applicable: bool = True,
 ) -> dict:
     data = {
         "backends": [{"backend": "ch", "speedup": 20.0}],
-        "parallel_dispatch": {
-            "modes": {
-                "process": {"speedup": shard_speedup, "available_cpus": cpus}
-            }
-        },
         "acceptance": {
             "csr_many_to_one_speedup": {
                 "value": bar_value,
@@ -62,7 +55,7 @@ def test_identical_trajectories_all_pass():
     failures, skips, notes = check_regression.compare(base, _trajectory(), 0.3)
     assert failures == []
     assert skips == []
-    assert len(notes) == 4  # ch ratio, csr ratio, shard ratio, bar
+    assert len(notes) == 3  # ch ratio, csr ratio, bar
 
 
 def test_degraded_ratio_fails():
@@ -127,14 +120,6 @@ def test_degraded_coarsen_ratio_fails_when_both_sides_measured():
     candidate["coarsen"] = {"speedup": 12.0, "applicable": True}
     failures, _, _ = check_regression.compare(baseline, candidate, 0.3)
     assert any("coarsen.readiness_speedup" in failure for failure in failures)
-
-
-def test_cpu_count_mismatch_skips_the_shard_comparison():
-    failures, skips, _ = check_regression.compare(
-        _trajectory(cpus=4), _trajectory(cpus=1, shard_speedup=0.6), 0.3
-    )
-    assert failures == []
-    assert any("CPUs" in skip for skip in skips)
 
 
 def test_acceptance_flip_fails():

@@ -29,6 +29,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--algorithms", "FancyAlgo"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--dispatch-workers", "4"],
+            ["compare", "--dispatch-mode", "process"],
+            ["bench", "--dispatch", "--dispatch-shards", "4"],
+        ],
+    )
+    def test_removed_dispatch_flags_are_refused_by_name(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
     def test_workload_overrides_parsed(self):
         args = build_parser().parse_args(
             ["compare", "--orders", "50", "--workers", "10", "--seed", "3"]

@@ -1,7 +1,7 @@
-"""Concurrent-read safety of the structures the shard threads share.
+"""Concurrent-read safety of the structures served runs share.
 
-The parallel dispatch engine's thread mode queries one shared oracle
-from several threads at once.  The contraction-hierarchy backend
+Concurrent runs of a resident service query one pooled oracle from
+several threads at once.  The contraction-hierarchy backend
 memoises reverse-PHAST arrival maps, target buckets and point-to-point
 results on query — ``OrderedDict`` state that used to corrupt under
 concurrent mutation — and the worker spatial index bumps its benchmark
@@ -22,7 +22,7 @@ import pytest
 
 from repro.network.generators import grid_city
 from repro.network.grid import GridIndex
-from repro.network.oracle import CHOracle, LazyDijkstraOracle
+from repro.network.oracle import CHOracle
 from repro.simulation.spatial import WorkerSpatialIndex
 
 _NUM_THREADS = 8
@@ -37,13 +37,6 @@ def city():
 @pytest.fixture(scope="module")
 def ch_oracle(city):
     return CHOracle(city.graph)
-
-
-def test_ch_oracle_declares_thread_safety(ch_oracle):
-    assert ch_oracle.thread_safe_queries is True
-    # The guard is the backend's own; the default contract stays
-    # conservative for backends that memoise without one.
-    assert LazyDijkstraOracle.thread_safe_queries is False
 
 
 def _maps_close(got, want, rel=1e-9):

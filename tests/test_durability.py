@@ -55,6 +55,7 @@ from repro.resilience import (
 )
 from repro.serve import (
     COMPLETED,
+    FAILED,
     INTERRUPTED,
     JsonlSink,
     ProtocolError,
@@ -249,16 +250,17 @@ class TestCheckpointFiles:
 
     def test_older_format_version_is_refused(self, tmp_path):
         """A v2 checkpoint pickles a config with no ``.oracle``, a v3 one
-        a fleet with no release heap; the header check refuses both
-        before anything is unpickled."""
+        a fleet with no release heap, a v4 one a config with dispatch
+        fields and an engine persistent id; the header check refuses
+        all three before anything is unpickled."""
         session = Session()
         spec = _spec()
         path = tmp_path / "run.ckpt"
         _interrupt_and_checkpoint(session, spec, path, cut=3)
         header_line, _, blob = path.read_bytes().partition(b"\n")
         header = json.loads(header_line)
-        assert header["format"] == 4
-        for older in (2, 3):
+        assert header["format"] == 5
+        for older in (2, 3, 4):
             header["format"] = older
             path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + blob)
             with pytest.raises(CheckpointError, match=f"unsupported format {older}"):
@@ -429,6 +431,36 @@ class TestServiceRecovery:
             fresh = service.submit_spec(_spec())
             assert fresh.run_id == "run-000008"
             service.wait(fresh.run_id, timeout=_WAIT)
+
+    def test_journaled_run_with_a_removed_key_restarts_as_failed(self, tmp_path):
+        """An accepted run whose spec this build no longer parses must
+        not vanish: it restarts as ``failed`` with the parse error, is
+        journaled and stored, and keeps answering after a second
+        restart."""
+        state = tmp_path / "state"
+        state.mkdir()
+        journal = RunJournal(state / "journal.jsonl")
+        stale = {**_spec().to_dict(), "dispatch_workers": 2}
+        journal.append({"type": "submitted", "run_id": "run-000003", "spec": stale})
+        journal.close()
+        for restart in (1, 2):
+            with ScenarioService(max_runs=1, state_dir=state) as service:
+                record = service.get("run-000003")
+                assert record.status == FAILED
+                assert record.error["error"] == "invalid-spec"
+                assert "dispatch_workers" in record.error["detail"]
+                assert record.as_dict()["spec"] == stale
+                # Counted once; a later restart serves it from the store.
+                recovered = service.metrics()["durability"]["recovered"]
+                assert recovered["failed"] == (1 if restart == 1 else 0)
+                assert service.submit_spec(_spec()).run_id == f"run-{3 + restart:06d}"
+            if restart == 1:
+                types = [
+                    e.get("type")
+                    for e in read_jsonl_tolerant(state / "journal.jsonl")
+                    if e.get("run_id") == "run-000003"
+                ]
+                assert types == ["submitted", "failed"]
 
     def test_every_accepted_run_is_accounted_for_after_crash(self, tmp_path):
         state = tmp_path / "state"

@@ -867,13 +867,11 @@ _SETTINGS_ROWS = [
     ("matrix", {}, {}),
     ("matrix", {"kernel": "dict"}, {"kernel": "dict"}),
     ("matrix", {"kernel": "csr"}, {"kernel": "csr"}),
-    ("matrix", {"shared_memory": False}, {}),
     ("ch", {}, {}),
     ("ch", {"cache_size": 8}, {"bucket_cache_size": 8}),
     ("ch", {"witness_hops": 3}, {"witness_hop_limit": 3}),
     ("ch", {"kernel": "dict"}, {"kernel": "dict"}),
     ("ch", {"kernel": "csr"}, {"kernel": "csr"}),
-    ("ch", {"shared_memory": False}, {}),
     ("ch", {"cache_dir": "TMP"}, {"cache_files": ["ch-*-w5.json"]}),
     (
         "ch",

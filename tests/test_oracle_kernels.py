@@ -1,22 +1,17 @@
-"""dict-vs-csr kernel equivalence and shared-memory dispatch shards.
+"""dict-vs-csr kernel equivalence.
 
 The csr kernel's contract is that it is a pure representation change:
 every query path returns the same floats the dict kernel returns (the
-level sweep relaxes identical sums and ``min`` is order-independent),
-whole simulations produce identical metrics, and process-mode dispatch
-shards attach to one shared-memory copy of the sweep arrays instead of
-duplicating them per fork.  These tests pin all three properties, plus
-the pure-Python fallback that keeps ``kernel="csr"`` requests working
-when numpy is absent (the no-numpy CI leg runs this module with every
-``needs_numpy`` test skipped).
+level sweep relaxes identical sums and ``min`` is order-independent)
+and whole simulations produce identical metrics.  These tests pin both
+properties, plus the pure-Python fallback that keeps ``kernel="csr"``
+requests working when numpy is absent (the no-numpy CI leg runs this
+module with every ``needs_numpy`` test skipped).
 """
 
 from __future__ import annotations
 
-import glob
-import pickle
 import random
-import sys
 
 import networkx as nx
 import pytest
@@ -24,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import OracleSpec, ScenarioSpec, Session
-from repro.network.generators import grid_city
 from repro.network.oracle import (
     HAVE_NUMPY,
     KERNELS,
@@ -233,121 +227,3 @@ def test_simulation_metrics_identical_across_kernels():
     assert _core_metrics(csr_run.metrics) == _core_metrics(dict_run.metrics)
     assert dict_run.metrics.oracle_stats["kernel"] == "dict"
     assert csr_run.metrics.oracle_stats["kernel"] == "csr"
-
-
-@needs_numpy
-def test_serial_vs_shared_memory_sharded_metrics():
-    """Process shards on shared arrays reproduce the serial metrics.
-
-    The ch backend's documented last-ulp slack applies (prefetching can
-    steer a pair down a different query path), so float metrics compare
-    at 1e-9 relative while counts stay exact — the same contract the
-    serial-vs-parallel suite holds.  The private-copy fallback
-    (``shared_memory=False``) must land on the same metrics too.
-    """
-    csr = OracleSpec(backend="ch", kernel="csr")
-    serial = _run(_kernel_spec(csr))
-    shared = _run(
-        _kernel_spec(csr, dispatch_workers=4, dispatch_mode="process")
-    )
-    private = _run(
-        _kernel_spec(
-            OracleSpec(backend="ch", kernel="csr", shared_memory=False),
-            dispatch_workers=4,
-            dispatch_mode="process",
-        )
-    )
-    reference = _core_metrics(serial.metrics)
-    for run, label in ((shared, "shared"), (private, "private")):
-        got = _core_metrics(run.metrics)
-        assert set(got) == set(reference)
-        for name, want in reference.items():
-            value = got[name]
-            if isinstance(want, float):
-                assert value == pytest.approx(want, rel=1e-9), (
-                    f"{label} diverged at {name}: {value!r} != {want!r}"
-                )
-            else:
-                assert value == want, f"{label} diverged at {name}"
-    shared_stats = shared.metrics.oracle_stats
-    private_stats = private.metrics.oracle_stats
-    if shared_stats["dispatch_mode"] == "process":
-        assert shared_stats["shared_memory_active"] == 1
-    assert private_stats["shared_memory_active"] == 0
-
-
-# ---------------------------------------------------------------------------
-# shared-memory protocol
-# ---------------------------------------------------------------------------
-
-
-@needs_numpy
-def test_share_memory_handle_is_small_and_idempotent():
-    """The picklable handle's size does not grow with the oracle's."""
-    big = CHOracle(grid_city(16, 16, seed=5, jitter=0.2).graph, kernel="csr")
-    small = CHOracle(grid_city(4, 4, seed=5, jitter=0.2).graph, kernel="csr")
-    try:
-        big_handle = big.share_memory()
-        small_handle = small.share_memory()
-        assert big_handle is not None and small_handle is not None
-        assert big_handle["kind"] == "ch-sweeps"
-        # Idempotent: sharing twice reuses the same segments.
-        assert big.share_memory() == big_handle
-        big_size = len(pickle.dumps(big_handle))
-        small_size = len(pickle.dumps(small_handle))
-        # 16x the nodes, same handle size (segment names + dtypes +
-        # shapes) to within the digits of the shape integers.
-        assert abs(big_size - small_size) < 64
-    finally:
-        big.release_shared()
-        small.release_shared()
-
-
-@needs_numpy
-def test_adopted_oracle_answers_from_shared_arrays():
-    """An attached oracle serves identical answers off the shared copy."""
-    graph = grid_city(8, 8, seed=13, jitter=0.25).graph
-    owner = CHOracle(graph, kernel="csr")
-    attacher = CHOracle(graph, kernel="csr")
-    try:
-        handle = owner.share_memory()
-        attacher.adopt_shared(handle)
-        nodes = sorted(graph.nodes)
-        for target in nodes[:3]:
-            assert dict(attacher.travel_times_to(target)) == dict(
-                owner.travel_times_to(target)
-            )
-    finally:
-        attacher.release_shared()
-        owner.release_shared()
-
-
-@needs_numpy
-@pytest.mark.skipif(sys.platform != "linux", reason="/dev/shm is Linux-only")
-def test_release_shared_unlinks_segments_and_keeps_answering():
-    """No shared-memory segments leak, and the oracle survives release."""
-    graph = grid_city(8, 8, seed=13, jitter=0.25).graph
-    before = set(glob.glob("/dev/shm/psm_*"))
-    oracle = CHOracle(graph, kernel="csr")
-    oracle.share_memory()
-    created = set(glob.glob("/dev/shm/psm_*")) - before
-    assert created, "share_memory created no segments"
-    want = dict(oracle.travel_times_to(sorted(graph.nodes)[7]))
-    oracle.release_shared()
-    assert not (set(glob.glob("/dev/shm/psm_*")) & created), (
-        "release_shared left segments behind"
-    )
-    oracle.clear()
-    # Private copies took over: same answers after the segments died.
-    assert dict(oracle.travel_times_to(sorted(graph.nodes)[7])) == want
-    # Releasing twice is a no-op.
-    oracle.release_shared()
-
-
-def test_dict_kernel_share_memory_is_none():
-    """The dict kernel has no flat arrays to share; shards fork-inherit."""
-    graph = grid_city(4, 4, seed=5, jitter=0.2).graph
-    oracle = CHOracle(graph, kernel="dict")
-    assert oracle.share_memory() is None
-    oracle.adopt_shared({"kind": "ch-sweeps", "segments": {}})  # no-op
-    oracle.release_shared()  # no-op

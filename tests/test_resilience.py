@@ -2,18 +2,16 @@
 
 Covers the ``repro.resilience`` building blocks in isolation (retry,
 cancellation, circuit breaker, fault injector), the degradation chains
-threaded through the oracle registry and the dispatch engine, and the
-end-to-end contract the committed fault schedules in
-``tests/fault_schedules/`` pin down: under injected faults a run either
-completes with metrics identical to a fault-free baseline, or fails with
-a structured error naming the fault site — it never hangs and never
-silently returns different numbers.
+threaded through the oracle registry, and the end-to-end contract the
+committed fault schedules in ``tests/fault_schedules/`` pin down: under
+injected faults a run either completes with metrics identical to a
+fault-free baseline, or fails with a structured error naming the fault
+site — it never hangs and never silently returns different numbers.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import threading
 import time
 from pathlib import Path
@@ -335,9 +333,9 @@ class TestFaultInjector:
             injector.fire("build.site")
 
     def test_kill_outside_a_worker_raises_instead_of_exiting(self):
-        injector = FaultInjector({"dispatch.shard": {"kill_calls": [1]}})
+        injector = FaultInjector({"session.prepare": {"kill_calls": [1]}})
         with pytest.raises(InjectedRuntimeError, match="outside a worker"):
-            injector.fire("dispatch.shard")
+            injector.fire("session.prepare")
 
     def test_corrupt_file_is_deterministic(self, tmp_path):
         path_a = tmp_path / "a.json"
@@ -488,7 +486,8 @@ class TestDeadlines:
 
         token = CancellationToken(1.0, clock=ticking)
         session = Session()
-        spec = _grid_spec(dispatch_workers=2)
+        spec = _grid_spec()
+        threads_before = set(threading.enumerate())
         with pytest.raises(RunCancelled) as exc_info:
             session.run(spec, cancellation=token)
         assert "deadline" in exc_info.value.reason
@@ -501,12 +500,12 @@ class TestDeadlines:
         }
         assert partial["graph_hash"]
         assert isinstance(partial["degradations"], list)
-        # The engine's finally-close joined its shard executor: nothing
-        # named dispatch-shard may survive the unwound run.
+        # A direct run is single-threaded: the unwound run may leave no
+        # thread behind that was not there before it started.
         leaked = [
             thread
             for thread in threading.enumerate()
-            if thread.name.startswith("dispatch-shard") and thread.is_alive()
+            if thread not in threads_before and thread.is_alive()
         ]
         assert leaked == []
 
@@ -677,42 +676,3 @@ class TestFaultSchedules:
                 assert record.result["degradations"], (
                     "schedule promises a recorded degradation"
                 )
-
-
-# ----------------------------------------------------------------------
-# worker death mid-check (satellite: process dispatch equivalence)
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="process dispatch requires the fork start method",
-)
-class TestWorkerDeath:
-    def test_killed_workers_degrade_without_changing_metrics(self):
-        base = ScenarioSpec(
-            dataset="CDC",
-            num_orders=48,
-            num_workers=6,
-            horizon=1800.0,
-            seed=23,
-            check_period=15.0,
-            algorithm="WATTER-timeout",
-        )
-        session = Session()
-        serial = session.run(base)
-
-        # Every forked worker inherits a zeroed call counter, so each
-        # dies on its very first shard task: the first batch breaks the
-        # pool, the restarted pool breaks again, and the engine degrades
-        # to serial — which must answer with the exact same numbers.
-        injector = FaultInjector({"dispatch.shard": {"kill_calls": [1]}})
-        with injected_faults(injector):
-            faulted = session.run(
-                base.with_overrides(dispatch_workers=4, dispatch_mode="process")
-            )
-        _assert_rows_equal(
-            faulted.metrics.summary_row(), serial.metrics.summary_row()
-        )
-        assert any(
-            event["site"] == "dispatch.mode" and event["to"] == "serial"
-            for event in faulted.degradations
-        ), faulted.degradations

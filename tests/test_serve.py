@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.api import ScenarioSpec, run_scenario
+from repro.exceptions import ConfigurationError
 from repro.network.generators import grid_city
 from repro.network.oracle import HAVE_NUMPY
 from repro.serve import (
@@ -40,7 +41,11 @@ from repro.serve import (
     pool_key,
     serve_stdin,
 )
-from repro.simulation.parallel import merge_block_requests
+from repro.serve.batcher import (
+    _merge_block_requests,
+    _merge_shard_results,
+    _partition_shards,
+)
 
 _WAIT = 240.0  # generous per-run bound; small grids finish in well under a second
 
@@ -117,7 +122,7 @@ class TestSessionPool:
     def test_key_ignores_workload_and_dispatch_fields(self):
         base = _grid_spec(oracle={"backend": "ch"})
         same = base.with_overrides(
-            num_orders=30, num_workers=8, algorithm="GAS", dispatch_workers=2
+            num_orders=30, num_workers=8, algorithm="GAS"
         )
         assert pool_key(base) == pool_key(same)
 
@@ -255,11 +260,36 @@ class TestOracleBatcher:
         )
 
     def test_merge_block_requests_union(self):
-        sources, targets = merge_block_requests(
+        sources, targets = _merge_block_requests(
             [([3, 1], [10, 11]), ([1, 2], [11, 12])]
         )
         assert sources == [1, 2, 3]
         assert targets == [10, 11, 12]
+
+    def test_partition_shards_deterministic_and_even(self):
+        items = list(range(10))
+        chunks = _partition_shards(items, 3)
+        assert chunks == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        assert _partition_shards(items, 3) == chunks  # pure function
+        # More shards than items: tail shards are empty, nothing is lost.
+        chunks = _partition_shards([1, 2], 7)
+        assert [c for c in chunks if c] == [[1], [2]]
+        assert len(chunks) == 7
+        assert _partition_shards([], 4) == [[], [], [], []]
+        with pytest.raises(ConfigurationError):
+            _partition_shards(items, 0)
+
+    def test_merge_shard_results_is_order_independent_and_strict(self):
+        a = {(1, 9): 4.0, (2, 9): 5.0}
+        b = {(3, 8): 1.5}
+        assert _merge_shard_results([a, b]) == _merge_shard_results([b, a])
+        assert _merge_shard_results([a, b]) == {**a, **b}
+        # Any overlap means the target partition was wrong — refuse even
+        # when the duplicated values agree (that is silent double work).
+        with pytest.raises(AssertionError):
+            _merge_shard_results([a, {(1, 9): 4.0}])
+        with pytest.raises(AssertionError):
+            _merge_shard_results([a, {(1, 9): 4.25}])
 
 
 class TestBatchedNetworkView:
