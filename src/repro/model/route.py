@@ -49,18 +49,32 @@ class Route:
         the simulator).
     network:
         Road network used to price the legs.
+    leg_times:
+        Travel time of each leg, for a caller that already holds the
+        network's answers (the planner's ``leg_matrix``); by default
+        every leg is one ``network.travel_time`` read.
     """
 
-    def __init__(self, stops: Sequence[RouteStop], network: "RoadNetwork") -> None:
+    def __init__(
+        self,
+        stops: Sequence[RouteStop],
+        network: "RoadNetwork",
+        leg_times: Sequence[float] | None = None,
+    ) -> None:
         if not stops:
             raise RoutingError("a route needs at least one stop")
         self._stops = tuple(stops)
         self._network = network
-        self._leg_times: list[float] = []
+        if leg_times is None:
+            leg_times = [
+                network.travel_time(previous.node, current.node)
+                for previous, current in zip(self._stops, self._stops[1:])
+            ]
+        elif len(leg_times) != len(self._stops) - 1:
+            raise RoutingError("a route needs one leg time between consecutive stops")
+        self._leg_times = list(leg_times)
         self._cumulative: list[float] = [0.0]
-        for previous, current in zip(self._stops, self._stops[1:]):
-            leg = network.travel_time(previous.node, current.node)
-            self._leg_times.append(leg)
+        for leg in self._leg_times:
             self._cumulative.append(self._cumulative[-1] + leg)
         # First position of each order's pickup and dropoff stop, so the
         # per-order lookups below are O(1) instead of a scan per call.

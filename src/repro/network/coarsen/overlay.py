@@ -450,7 +450,7 @@ class OverlayOracle(DistanceOracle):
             self._pair_cache.clear()
             self._coarse_paths.clear()
             self._legs.clear()
-            self._drop_reverse_graph()
+            self._drop_adjacency()
             self.inner.clear()
 
     def cache_info(self) -> CacheInfo:

@@ -22,7 +22,7 @@ dispatcher code changing.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, TYPE_CHECKING
+from typing import Iterable, Iterator, Mapping, Sequence, TYPE_CHECKING
 
 import networkx as nx
 
@@ -191,9 +191,10 @@ class RoadNetwork:
         """Batched travel times over the ``sources x targets`` product.
 
         Returns ``(source, target) -> seconds``; unreachable pairs are
-        absent from the result.  This is the API the route planner, the
-        shareability graph and the fleet use so precomputing backends
-        can answer whole query blocks at once.
+        absent from the result.  This is the API the shareability
+        graph, the fleet and the baselines use so precomputing backends
+        can answer whole query blocks at once; the route planner asks
+        through :meth:`leg_matrix`.
         """
         source_list = list(dict.fromkeys(sources))
         target_list = list(dict.fromkeys(targets))
@@ -202,6 +203,23 @@ class RoadNetwork:
         for node in target_list:
             self._require_node(node)
         return self._oracle.travel_times_many(source_list, target_list)
+
+    def leg_matrix(
+        self, sources: Sequence[int], targets: Sequence[int]
+    ) -> list[list[float]]:
+        """Dense travel times: ``result[i][j]`` is ``sources[i]`` to ``targets[j]``.
+
+        Rows and columns follow argument order (duplicates allowed).  A
+        cell is ``0.0`` where source is target, ``math.inf`` where the
+        target is unreachable, and otherwise exactly what
+        :meth:`travel_time` answers for the pair after the call — one
+        oracle hop for every leg a route plan can use.
+        """
+        graph = self._graph
+        for node in set(sources).union(targets):
+            if node not in graph:
+                raise UnknownNodeError(node)
+        return self._oracle.leg_matrix(sources, targets)
 
     def shortest_path(self, source: int, target: int) -> list[int]:
         """Return the node sequence of a shortest path.

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, NamedTuple, TYPE_CHECKING
+from heapq import heappop, heappush
+from math import inf
+from typing import Iterable, Mapping, NamedTuple, Sequence, TYPE_CHECKING
 
 import networkx as nx
 
@@ -186,7 +188,8 @@ class DistanceOracle(abc.ABC):
 
     def __init__(self, graph: nx.DiGraph) -> None:
         self._graph = graph
-        self._reversed_graph: nx.DiGraph | None = None
+        self._successors: dict[int, list[tuple[int, float]]] | None = None
+        self._predecessors: dict[int, list[tuple[int, float]]] | None = None
         self._queries = 0
         self._batched_queries = 0
         self._cache_hits = 0
@@ -280,6 +283,42 @@ class DistanceOracle(abc.ABC):
         self._queries = queries_before + len(result)
         return result
 
+    def leg_matrix(
+        self, sources: Sequence[int], targets: Sequence[int]
+    ) -> list[list[float]]:
+        """Dense travel times: ``result[i][j]`` is ``sources[i]`` to ``targets[j]``.
+
+        Rows and columns follow argument order and duplicates get their
+        own row or column.  A cell is ``0.0`` where source is target,
+        ``math.inf`` where the target cannot be reached, and otherwise
+        *by definition* the float scalar :meth:`travel_time` answers for
+        that pair once the call returns — so a caller may price a route
+        off the matrix and off scalar reads interchangeably.  No cell
+        raises :class:`UnreachableError`; a caller that must fail on an
+        unreachable leg checks the cells it uses.
+
+        This default is the two-step every block consumer used to do by
+        hand: one :meth:`travel_times_many` for the cache evolution
+        (batched refresh, one search per label), then one scalar read
+        per cell.  Backends override it when they can read the cells
+        off their cached state directly.
+        """
+        self.travel_times_many(sources, targets)
+        travel_time = self.travel_time
+        rows: list[list[float]] = []
+        for source in sources:
+            row: list[float] = []
+            for target in targets:
+                if source == target:
+                    row.append(0.0)
+                    continue
+                try:
+                    row.append(travel_time(source, target))
+                except UnreachableError:
+                    row.append(inf)
+            rows.append(row)
+        return rows
+
     def is_reachable(self, source: int, target: int) -> bool:
         """Whether a path exists from ``source`` to ``target``."""
         try:
@@ -337,32 +376,72 @@ class DistanceOracle(abc.ABC):
     def _dijkstra_from(self, source: int) -> dict[int, float]:
         """One single-source Dijkstra in travel-time space (counted)."""
         self._sssp_runs += 1
-        return nx.single_source_dijkstra_path_length(
-            self._graph, source, weight="travel_time"
-        )
+        if self._successors is None:
+            self._successors = {
+                node: [(head, data.get("travel_time", 1)) for head, data in heads.items()]
+                for node, heads in self._graph.adj.items()
+            }
+        return _dijkstra(self._successors, source)
 
     def _dijkstra_to(self, target: int) -> dict[int, float]:
-        """One Dijkstra on the reversed graph: ``source -> d(source, target)``.
+        """One Dijkstra against the edges: ``source -> d(source, target)``.
 
         This is the reverse-SSSP batching primitive — a single run
         answers every many-to-one distance towards ``target``.
         """
         self._reverse_sssp_runs += 1
-        return nx.single_source_dijkstra_path_length(
-            self._reverse_graph(), target, weight="travel_time"
-        )
+        if self._predecessors is None:
+            # Filled in edge-iteration order, the order ``reverse(copy=True)``
+            # gives the reversed graph's adjacency, so equal-distance
+            # nodes settle in the order a search on that graph finds.
+            predecessors: dict[int, list[tuple[int, float]]] = {
+                node: [] for node in self._graph
+            }
+            for tail, heads in self._graph.adj.items():
+                for head, data in heads.items():
+                    predecessors[head].append((tail, data.get("travel_time", 1)))
+            self._predecessors = predecessors
+        return _dijkstra(self._predecessors, target)
 
-    def _reverse_graph(self) -> nx.DiGraph:
-        """The reversed graph, materialised once on first use.
+    def _drop_adjacency(self) -> None:
+        """Forget the adjacency tables; every :meth:`clear` calls this.
 
-        A materialised copy (not a ``reverse(copy=False)`` view) keeps
-        reverse Dijkstra as fast as forward; it is dropped by
-        :meth:`clear` implementations that call :meth:`_drop_reverse_graph`
-        so graph edits do not leave a stale copy behind.
+        The tables snapshot the edge weights, so they must not outlive a
+        graph edit any longer than the cached answers do.
         """
-        if self._reversed_graph is None:
-            self._reversed_graph = self._graph.reverse(copy=True)
-        return self._reversed_graph
+        self._successors = None
+        self._predecessors = None
 
-    def _drop_reverse_graph(self) -> None:
-        self._reversed_graph = None
+
+def _dijkstra(
+    adjacency: Mapping[int, list[tuple[int, float]]], source: int
+) -> dict[int, float]:
+    """Distances from ``source`` over ``adjacency``, in settling order.
+
+    The relaxation rule and the ``(distance, counter, node)`` heap key
+    are those of networkx's single-source Dijkstra, so the result
+    equals networkx's in values *and* in key order; only the
+    per-edge weight callback, the cutoff / target / predecessor
+    branches and the integer seed (a node is ``0.0`` from itself) are
+    gone.
+    """
+    dist: dict[int, float] = {}
+    seen = {source: 0.0}
+    fringe: list[tuple[float, int, int]] = [(0.0, 0, source)]
+    pushed = 1
+    while fringe:
+        reach, _, node = heappop(fringe)
+        if node in dist:
+            continue
+        dist[node] = reach
+        for head, cost in adjacency[node]:
+            through = reach + cost
+            known = seen.get(head)
+            # A settled head needs no test of its own: it settled no
+            # later than ``node`` and weights are non-negative, so
+            # ``through`` cannot undercut what is known for it.
+            if known is None or through < known:
+                seen[head] = through
+                heappush(fringe, (through, pushed, head))
+                pushed += 1
+    return dist

@@ -221,6 +221,7 @@ class LandmarkOracle(DistanceOracle):
     # ------------------------------------------------------------------
     def clear(self) -> None:
         self._pair_cache.clear()
+        self._drop_adjacency()
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(

@@ -17,7 +17,8 @@ query picks whichever direction needs fewer new Dijkstra runs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Mapping
+from math import inf
+from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
 
@@ -26,6 +27,11 @@ from .base import CacheInfo, DistanceOracle
 
 #: Default bound on the number of cached single-source distance maps.
 DEFAULT_MAX_SOURCES = 1024
+
+
+def _fits(count: int, bound: int | None) -> bool:
+    """Whether ``count`` maps fit an LRU of ``bound`` entries together."""
+    return bound is None or count <= bound
 
 
 class LazyDijkstraOracle(DistanceOracle):
@@ -132,13 +138,63 @@ class LazyDijkstraOracle(DistanceOracle):
         self._queries += len(result)
         return result
 
+    def leg_matrix(
+        self, sources: Sequence[int], targets: Sequence[int]
+    ) -> list[list[float]]:
+        """Dense leg times read straight off the cached distance maps.
+
+        The block runs Dijkstras in the direction :meth:`travel_times_many`
+        would pick, so the same maps exist afterwards.  Each row is then
+        priced by the rule scalar :meth:`travel_time` follows: off the
+        source's forward map when it is cached, else off the targets'
+        reverse maps.  The two may differ in the last bit, which is why
+        the rule and not the block's direction prices a cell.
+        ``queries`` and ``batched_queries`` count every cell, and each
+        map consulted counts one cache hit.
+
+        Maps are touched in argument order, so LRU *recency* inside one
+        call follows argument order rather than the order scalar reads
+        would have had.  That can only change an answer's last bit once
+        the LRU is full and evicting; a call naming more nodes than the
+        LRU holds takes the generic two-step instead, whose cells are
+        scalar reads.
+        """
+        if not (
+            _fits(len(sources), self._max_sources)
+            and _fits(len(targets), self._max_targets)
+        ):
+            return super().leg_matrix(sources, targets)
+        cells = len(sources) * len(targets)
+        if not cells:
+            return [[] for _ in sources]
+        self._batched_queries += cells
+        self._queries += cells
+        cache = self._cache
+        missing_forward = {s for s in sources if s not in cache}
+        missing_reverse = {t for t in targets if t not in self._rcache}
+        forward = len(missing_reverse) >= len(missing_forward)
+        arrival_maps = [] if forward else [self._arrivals_to(t) for t in targets]
+        rows: list[list[float]] = []
+        for source in sources:
+            distances = cache.get(source)
+            if distances is not None:
+                self._cache_hits += 1
+                cache.move_to_end(source)
+            elif forward:
+                distances = self._distances_from(source)
+            else:
+                rows.append([arrivals.get(source, inf) for arrivals in arrival_maps])
+                continue
+            rows.append([distances.get(target, inf) for target in targets])
+        return rows
+
     # ------------------------------------------------------------------
     # cache management
     # ------------------------------------------------------------------
     def clear(self) -> None:
         self._cache.clear()
         self._rcache.clear()
-        self._drop_reverse_graph()
+        self._drop_adjacency()
 
     def cache_info(self) -> CacheInfo:
         """Summary of the forward per-source cache.

@@ -221,7 +221,7 @@ class MatrixOracle(DistanceOracle):
         """Drop every row; they are rebuilt lazily on the next queries."""
         self._rows.clear()
         self._reverse_maps.clear()
-        self._drop_reverse_graph()
+        self._drop_adjacency()
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(

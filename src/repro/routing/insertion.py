@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Callable, Iterator, NamedTuple, Sequence, TYPE_CHECKING
 
 from ..model.route import Route, RouteStop, StopKind
 from .feasibility import check_sequential, sequence_cost
@@ -46,32 +46,38 @@ class SequenceInsertion(NamedTuple):
     dropoff_position: int
 
 
+def new_stop_legs(pickup: int) -> Iterator[tuple[int, int]]:
+    """The legs between stops ``pickup``, ``pickup + 1`` and all earlier stops.
+
+    These are the legs inserting that pickup/dropoff pair among stops
+    ``0 .. pickup - 1`` can use: pickup to dropoff, and every pairing of
+    a new stop with an earlier one, both ways.  Taken for each order in
+    turn this covers every leg a stop order over them can use, i.e. all
+    ordered stop pairs except a dropoff back to its own pickup.
+    """
+    dropoff = pickup + 1
+    yield pickup, dropoff
+    for other in range(pickup):
+        for stop in (pickup, dropoff):
+            yield other, stop
+            yield stop, other
+
+
 def price_new_stops(
     times: list[list[float]],
     nodes: Sequence[int],
     pickup: int,
     travel_time: Callable[[int, int], float],
 ) -> None:
-    """Fill the legs between stops ``pickup``, ``pickup + 1`` and all earlier stops.
+    """Fill the :func:`new_stop_legs` of ``pickup`` by scalar ``travel_time`` reads.
 
-    These are the legs inserting that pickup/dropoff pair among stops
-    ``0 .. pickup - 1`` can use: pickup to dropoff, and every pairing of
-    a new stop with an earlier one, both ways.  Priced for each order in
-    turn this covers every leg a stop order over them can use, i.e. all
-    ordered stop pairs except a dropoff back to its own pickup.
-
-    Values are scalar ``travel_time`` reads, the calls a ``Route`` is
-    priced by, not entries of a ``travel_times_many`` block: a backend
-    may answer the two through different searches (forward versus
-    reverse Dijkstra on ``lazy``) whose sums differ in the last bit.
+    Scalar reads are the calls a ``Route`` is priced by, not entries of
+    a ``travel_times_many`` block: a backend may answer the two through
+    different searches (forward versus reverse Dijkstra on ``lazy``)
+    whose sums differ in the last bit.
     """
-    dropoff = pickup + 1
-    times[pickup][dropoff] = travel_time(nodes[pickup], nodes[dropoff])
-    for other in range(pickup):
-        node = nodes[other]
-        for stop in (pickup, dropoff):
-            times[other][stop] = travel_time(node, nodes[stop])
-            times[stop][other] = travel_time(nodes[stop], node)
+    for source, target in new_stop_legs(pickup):
+        times[source][target] = travel_time(nodes[source], nodes[target])
 
 
 def cheapest_insertion(

@@ -4,13 +4,15 @@ Given a set of orders, ``RoutePlanner`` finds the feasible route with
 minimal total travel time (the quantity ``T(L)`` that Definition 3 of
 the paper prices).  A plan never leaves integer land until it has a
 winner: the group's stops are numbered ``2i`` (pickup of member ``i``)
-and ``2i + 1`` (its dropoff), their leg times are fetched once into a
-stop x stop matrix, and candidates are stop-index sequences priced off
-that matrix.  For the small groups the paper considers (vehicle
-capacities 2-5, so groups of 2-5 orders) a depth-first branch-and-bound
-over the interleavings is exact and cheap; larger groups fall back to a
-greedy insertion construction over the same matrix.  Only the winning
-sequence is materialised as a :class:`Route`.
+and ``2i + 1`` (its dropoff), one ``RoadNetwork.leg_matrix`` call
+returns their stop x stop leg times (and the worker's approach legs),
+and candidates are stop-index sequences priced off that matrix.  For
+the small groups the paper considers (vehicle capacities 2-5, so groups
+of 2-5 orders) a depth-first branch-and-bound over the interleavings is
+exact and cheap; larger groups fall back to a greedy insertion
+construction over the same matrix.  Only the winning sequence is
+materialised as a :class:`Route`, from the same matrix entries: a plan
+asks the oracle once.
 
 The planner is the single source of feasible routes for the whole
 library: the shareability graph, the WATTER dispatcher and the GAS
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 from math import inf
 from typing import Sequence, TYPE_CHECKING
 
-from ..exceptions import InfeasibleGroupError
+from ..exceptions import InfeasibleGroupError, UnreachableError
 from ..model.route import Route, RouteStop, StopKind
 from .feasibility import sequence_cost
-from .insertion import cheapest_insertion, price_new_stops
+from .insertion import cheapest_insertion, new_stop_legs
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..model.order import Order
@@ -173,7 +175,6 @@ class RoutePlanner:
         members = list(orders)
         if not members:
             raise InfeasibleGroupError("cannot plan a route for an empty group")
-        self._prefetch(members, start_node)
         exact = len(members) <= self._exact_group_limit
         if not exact:
             members.sort(key=lambda order: order.release_time)
@@ -184,9 +185,22 @@ class RoutePlanner:
             nodes += (order.pickup, order.dropoff)
             load_change += (order.riders, -order.riders)
             due += (inf, order.deadline)
-        times = [[0.0] * len(nodes) for _ in nodes]
-        build = self._search if exact else self._grow_by_insertion
-        found = build(times, nodes, load_change, due, capacity, start_time, start_node)
+        # Dropoffs only become leg *sources* when several orders
+        # interleave, so a lone order asks about its pickup's row alone.
+        sources = nodes[:1] if len(members) == 1 else list(nodes)
+        if start_node is not None:
+            sources.append(start_node)
+        times = self._network.leg_matrix(sources, nodes)
+        if start_node is None:
+            approaches = [0.0] * len(members)
+        else:
+            approaches = times.pop()[::2]
+        if len(members) == 1:
+            times.append([0.0, 0.0])  # the dropoff's row: never a leg
+        build = _search if exact else _grow_by_insertion
+        found = build(
+            times, approaches, nodes, load_change, due, capacity, start_time, start_node
+        )
         if found is None:
             raise InfeasibleGroupError(
                 f"no feasible route for orders {[o.order_id for o in members]}"
@@ -202,6 +216,7 @@ class RoutePlanner:
                 for stop in sequence
             ],
             self._network,
+            [times[a][b] for a, b in zip(sequence, sequence[1:])],
         )
         return PlannedGroup(route, cost)
 
@@ -234,89 +249,73 @@ class RoutePlanner:
             return None
         return self.try_plan([first, second], capacity, start_time)
 
-    # ------------------------------------------------------------------
-    # exact search
-    # ------------------------------------------------------------------
-    def _search(
-        self,
-        times: list[list[float]],
-        nodes: Sequence[int],
-        load_change: Sequence[int],
-        due: Sequence[float],
-        capacity: int,
-        start_time: float,
-        start_node: int | None,
-    ) -> tuple[float, list[int]] | None:
-        """Price every leg and approach, then search all stop orders."""
-        travel_time = self._network.travel_time
+
+def _require_legs(
+    times: Sequence[Sequence[float]], nodes: Sequence[int], pickup: int
+) -> None:
+    """Raise for an unreachable leg among the :func:`new_stop_legs` of ``pickup``."""
+    for source, target in new_stop_legs(pickup):
+        if times[source][target] == inf:
+            raise UnreachableError(nodes[source], nodes[target])
+
+
+def _search(
+    times: list[list[float]],
+    approaches: Sequence[float],
+    nodes: Sequence[int],
+    load_change: Sequence[int],
+    due: Sequence[float],
+    capacity: int,
+    start_time: float,
+    start_node: int | None,
+) -> tuple[float, list[int]] | None:
+    """Search all stop orders, having checked every leg and approach is priced."""
+    if any(inf in row for row in (approaches, *times)):
+        # Some cell is unreachable: fail if it is a leg the search can use.
         for pickup in range(0, len(nodes), 2):
-            price_new_stops(times, nodes, pickup, travel_time)
-        if start_node is None:
-            approaches = [0.0] * (len(nodes) // 2)
-        else:
-            approaches = [travel_time(start_node, node) for node in nodes[::2]]
-        return _cheapest_stop_order(
-            times, load_change, due, capacity, start_time, approaches
+            _require_legs(times, nodes, pickup)
+        for pickup, approach in zip(nodes[::2], approaches):
+            if approach == inf:
+                assert start_node is not None  # no start node, no approach legs
+                raise UnreachableError(start_node, pickup)
+    return _cheapest_stop_order(times, load_change, due, capacity, start_time, approaches)
+
+
+def _grow_by_insertion(
+    times: list[list[float]],
+    approaches: Sequence[float],
+    nodes: Sequence[int],
+    load_change: Sequence[int],
+    due: Sequence[float],
+    capacity: int,
+    start_time: float,
+    start_node: int | None,
+) -> tuple[float, list[int]] | None:
+    """Insert the members one by one, earliest release first.
+
+    Each member goes where it adds the least travel time to the
+    sequence built so far; the approach leg is only charged to the
+    finished sequence, as the last check.  A member's legs are checked
+    when its turn comes, so a group that fails early is infeasible
+    whatever the legs of the rest.
+    """
+    _require_legs(times, nodes, 0)
+    sequence = [0, 1]
+    cost = times[0][1]
+    for pickup in range(2, len(nodes), 2):
+        _require_legs(times, nodes, pickup)
+        found = cheapest_insertion(
+            sequence, cost, pickup, pickup + 1,
+            times, load_change, due, capacity, start_time,
         )
-
-    # ------------------------------------------------------------------
-    # insertion fallback for larger groups
-    # ------------------------------------------------------------------
-    def _grow_by_insertion(
-        self,
-        times: list[list[float]],
-        nodes: Sequence[int],
-        load_change: Sequence[int],
-        due: Sequence[float],
-        capacity: int,
-        start_time: float,
-        start_node: int | None,
-    ) -> tuple[float, list[int]] | None:
-        """Insert the members one by one, earliest release first.
-
-        Each member goes where it adds the least travel time to the
-        sequence built so far; the approach leg is only charged to the
-        finished sequence, as the last check.  A member's legs are
-        priced when its turn comes, so a group that fails early never
-        asks about the rest.
-        """
-        travel_time = self._network.travel_time
-        price_new_stops(times, nodes, 0, travel_time)
-        sequence = [0, 1]
-        cost = times[0][1]
-        for pickup in range(2, len(nodes), 2):
-            price_new_stops(times, nodes, pickup, travel_time)
-            found = cheapest_insertion(
-                sequence, cost, pickup, pickup + 1,
-                times, load_change, due, capacity, start_time,
-            )
-            if found is None:
-                return None
-            sequence, cost = found.sequence, found.cost
-        approach = 0.0
-        if start_node is not None:
-            approach = travel_time(start_node, nodes[sequence[0]])
-        start = start_time + approach
-        if sequence_cost(sequence, times, load_change, due, capacity, start) is None:
+        if found is None:
             return None
-        return cost, sequence
-
-    def _prefetch(self, orders: Sequence["Order"], start_node: int | None) -> None:
-        """Ask the oracle for the plan's whole leg block in one call.
-
-        One ``travel_times_many`` call covers every stop-node pair the
-        matrix will hold, so precomputing backends answer it as a batch
-        (one refresh) and searching backends run their searches here;
-        the scalar reads that fill the matrix (``price_new_stops``) are
-        then cache hits.
-        Dropoffs only become leg *sources* when several orders
-        interleave, so the singleton case stays as cheap as before for
-        the lazy backend.
-        """
-        pickups = {order.pickup for order in orders}
-        dropoffs = {order.dropoff for order in orders}
-        targets = pickups | dropoffs
-        sources = set(pickups) if len(orders) == 1 else set(targets)
-        if start_node is not None:
-            sources.add(start_node)
-        self._network.travel_times_many(sources, targets)
+        sequence, cost = found.sequence, found.cost
+    approach = approaches[sequence[0] >> 1]
+    if approach == inf:
+        assert start_node is not None  # no start node, no approach legs
+        raise UnreachableError(start_node, nodes[sequence[0]])
+    start = start_time + approach
+    if sequence_cost(sequence, times, load_change, due, capacity, start) is None:
+        return None
+    return cost, sequence

@@ -290,6 +290,11 @@ class BatchedNetworkView(RoadNetwork):
             self._require_node(node)
         return self._batcher.travel_times_many(source_list, target_list)
 
+    def leg_matrix(
+        self, sources: Sequence[int], targets: Sequence[int]
+    ) -> list[list[float]]:
+        return self._batcher.serial(self._parent.leg_matrix, sources, targets)
+
     def travel_time(self, source: int, target: int) -> float:
         return self._batcher.serial(self._parent.travel_time, source, target)
 

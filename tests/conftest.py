@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.config import ExtraTimeWeights, SimulationConfig
 from repro.experiments.runner import make_dispatcher
@@ -13,6 +16,12 @@ from repro.network.grid import GridIndex
 from repro.routing.planner import RoutePlanner
 from repro.simulation.engine import run_simulation
 from repro.simulation.fleet import WorkerFleet
+
+# CI sets HYPOTHESIS_PROFILE=ci: the same examples on every run, no
+# example database, and the reproduction blob printed with a failure,
+# so a red leg can be replayed from its log alone.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

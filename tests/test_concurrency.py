@@ -238,3 +238,64 @@ def test_session_concurrent_prepare_builds_oracle_once():
     first = workloads[0]
     assert all(workload is first for workload in workloads)
     assert session.oracle_builds == 1
+
+
+def test_plans_through_batched_views_are_serial_and_one_hop_each():
+    """Two runs planning on one pooled ``lazy`` network, one hop per plan.
+
+    A plan's whole oracle traffic is one ``leg_matrix`` call, which a
+    :class:`BatchedNetworkView` takes under the batcher's flush lock —
+    the shared LRU maps are never read or mutated outside it.  Uniform
+    edges make every leg an exact float sum whichever map prices it, so
+    the served plans must equal a serial planner's on its own network.
+    """
+    from repro.model.order import Order
+    from repro.routing.planner import RoutePlanner
+    from repro.serve import BatchedNetworkView, OracleBatcher
+
+    def uniform_city():
+        return grid_city(rows=7, cols=7, edge_travel_time=60.0, jitter=0.0, seed=0)
+
+    pooled = uniform_city()
+    nodes = pooled.nodes_sorted()
+    rng = random.Random(77)
+    groups = []
+    for index in range(120):
+        members = [
+            Order(
+                pickup=rng.choice(nodes), dropoff=rng.choice(nodes),
+                release_time=0.0, shortest_time=1.0,
+                deadline=rng.choice([400.0, 900.0, 1e9]), wait_limit=1.0,
+                riders=1, order_id=10 * index + member,
+            )
+            for member in range(rng.randint(1, 3))
+        ]
+        groups.append((members, rng.choice([None, rng.choice(nodes)])))
+
+    def outcome(planner, members, start_node):
+        planned = planner.try_plan(members, 4, 0.0, start_node)
+        return None if planned is None else (planned.route.stops, planned.total_travel_time)
+
+    serial = RoutePlanner(uniform_city())
+    expected = [outcome(serial, *group) for group in groups]
+    assert any(expected) and not all(expected)
+
+    batcher = OracleBatcher(pooled)
+    barrier = threading.Barrier(2)
+
+    def run(half: int):
+        planner = RoutePlanner(BatchedNetworkView(batcher))
+        barrier.wait(timeout=30)
+        return [outcome(planner, *group) for group in groups[half::2]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            evens, odds = executor.map(run, range(2), timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert evens == expected[0::2] and odds == expected[1::2]
+    stats = batcher.stats()
+    assert stats["serial_queries"] == len(groups)
+    assert stats["requests"] == 0  # no block went through the group commit

@@ -1,0 +1,279 @@
+"""The dense leg call and the Dijkstra kernel under it.
+
+Three contracts, each held to ``==``:
+
+* ``leg_matrix`` is the scalar answer: every cell equals what
+  ``travel_time`` returns for the pair straight after the call, on every
+  backend, whatever mix of forward and reverse maps ``lazy`` holds;
+* the oracle's own Dijkstra is networkx's, in values and in key order,
+  forward and against the edges, and does not outlive ``clear()``;
+* a distance is a ``float``, a node's distance to itself included.
+"""
+
+from __future__ import annotations
+
+import random
+from math import inf
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import UnknownNodeError, UnreachableError
+from repro.network.graph import RoadNetwork
+from repro.network.oracle import LazyDijkstraOracle, create_oracle
+
+#: name -> (registry backend, factory options): all five backends, the
+#: contraction hierarchy under both kernels.
+BACKENDS = {
+    "lazy": ("lazy", {}),
+    "matrix": ("matrix", {}),
+    "landmark": ("landmark", {"num_landmarks": 4}),
+    "ch-dict": ("ch", {"kernel": "dict"}),
+    "ch-csr": ("ch", {"kernel": "csr"}),
+    "overlay": ("overlay", {"coarsen_levels": 2}),
+}
+
+#: The backends whose full-map searches run on ``_dijkstra_from`` /
+#: ``_dijkstra_to``.
+KERNEL_BACKENDS = ["lazy", "matrix", "landmark", "overlay"]
+
+
+def _digraph(num_nodes: int, seed: int, weight=lambda rng: rng.uniform(1.0, 10.0)):
+    """Random digraph: an oriented tree plus one-way extras, so ordered
+    pairs are asymmetric and plenty of them unreachable."""
+    rng = random.Random(seed)
+    graph = nx.DiGraph()
+    for node in range(num_nodes):
+        graph.add_node(node, x=rng.uniform(0.0, 10.0), y=rng.uniform(0.0, 10.0))
+    for node in range(1, num_nodes):
+        parent = rng.randrange(node)
+        u, v = (parent, node) if rng.random() < 0.5 else (node, parent)
+        graph.add_edge(u, v, travel_time=weight(rng))
+    for _ in range(2 * num_nodes):
+        u, v = rng.randrange(num_nodes), rng.randrange(num_nodes)
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, travel_time=weight(rng))
+    return graph
+
+
+def _network(name: str, graph: nx.DiGraph) -> RoadNetwork:
+    backend, options = BACKENDS[name]
+    return RoadNetwork(graph, oracle=create_oracle(backend, graph, **options))
+
+
+def _scalar(network: RoadNetwork, source: int, target: int) -> float:
+    try:
+        return network.travel_time(source, target)
+    except UnreachableError:
+        return inf
+
+
+def _assert_matrix_is_scalar(network: RoadNetwork, sources, targets) -> list[list[float]]:
+    matrix = network.leg_matrix(sources, targets)
+    assert [len(row) for row in matrix] == [len(targets)] * len(sources)
+    for row, source in zip(matrix, sources):
+        for cell, target in zip(row, targets):
+            assert type(cell) is float
+            assert cell == _scalar(network, source, target), (source, target)
+            if source == target:
+                assert cell == 0.0
+    return matrix
+
+
+def _blocks(rng: random.Random, num_nodes: int, count: int, size: int):
+    """``count`` source / target lists with repeats and shared nodes."""
+    for _ in range(count):
+        palette = [rng.randrange(num_nodes) for _ in range(size)]
+        sources = [rng.choice(palette) for _ in range(rng.randint(1, size))]
+        targets = [rng.choice(palette) for _ in range(rng.randint(1, size))]
+        yield sources, targets
+
+
+class TestLegMatrixIsTheScalarAnswer:
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_every_cell_equals_travel_time(self, name, seed):
+        graph = _digraph(24, seed)
+        network = _network(name, graph)
+        rng = random.Random(seed)
+        unreachable = 0
+        for sources, targets in _blocks(rng, 24, count=12, size=6):
+            # What a worker search and a lone plan leave behind: reverse
+            # maps for some targets, forward maps for some sources.
+            for target in targets[::2]:
+                if rng.random() < 0.5:
+                    network.travel_times_to(target)
+            for source in sources[::3]:
+                if rng.random() < 0.5:
+                    network.travel_times_from(source)
+            matrix = _assert_matrix_is_scalar(network, sources, targets)
+            unreachable += sum(row.count(inf) for row in matrix)
+        assert unreachable  # the graphs do have one-way dead ends
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_argument_order_duplicates_and_empty_sides(self, name):
+        network = _network(name, _digraph(12, seed=9))
+        matrix = network.leg_matrix([5, 2, 5], [2, 7, 7, 5])
+        assert matrix[0] == matrix[2]
+        assert [row[1] for row in matrix] == [row[2] for row in matrix]
+        assert matrix[0][3] == 0.0 and matrix[1][0] == 0.0
+        assert network.leg_matrix([], [1, 2]) == []
+        assert network.leg_matrix([1, 2], []) == [[], []]
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_unknown_node_and_unreachable_pair(self, name):
+        graph = nx.DiGraph()
+        for node in range(3):
+            graph.add_node(node, x=float(node), y=0.0)
+        graph.add_edge(0, 1, travel_time=4.0)
+        graph.add_edge(1, 2, travel_time=2.5)
+        network = _network(name, graph)
+        assert network.leg_matrix([0, 2], [2, 0]) == [[6.5, 0.0], [0.0, inf]]
+        with pytest.raises(UnreachableError):
+            network.travel_time(2, 0)
+        for sources, targets in [([0, 99], [1]), ([0], [1, 99])]:
+            with pytest.raises(UnknownNodeError):
+                network.leg_matrix(sources, targets)
+
+    def test_lazy_prices_by_the_scalar_rule_not_the_block_direction(self):
+        """Forward map for one source, reverse maps for every target.
+
+        The block needs no new search in the reverse direction, so it is
+        answered there, yet the row of the source holding a forward map
+        must read that map, as a scalar query would.  On float weights
+        the two maps differ in the last bit for some pair.
+        """
+        disagreements = 0
+        for seed in range(40):
+            graph = _digraph(14, seed)
+            network = RoadNetwork(graph)
+            nodes = random.Random(seed).sample(range(14), 5)
+            network.travel_times_from(nodes[0])
+            for target in nodes:
+                network.travel_times_to(target)
+            before = network.oracle_stats()
+            matrix = _assert_matrix_is_scalar(network, nodes, nodes)
+            spent = network.oracle_stats() - before
+            assert spent.sssp_runs == spent.reverse_sssp_runs == 0
+            block = network.travel_times_many(nodes, nodes)
+            disagreements += sum(
+                block.get((nodes[0], target), inf) != cell
+                for target, cell in zip(nodes, matrix[0])
+            )
+        assert disagreements, "no graph reproduces the forward/reverse last-bit gap"
+
+    def test_lazy_runs_the_searches_the_block_would(self):
+        """Same Dijkstras, same cached maps as the two-step it replaces."""
+        graph = _digraph(30, seed=17)
+        dense, two_step = RoadNetwork(graph), RoadNetwork(graph)
+        rng = random.Random(17)
+        for sources, targets in _blocks(rng, 30, count=40, size=5):
+            workers = [rng.randrange(30) for _ in range(3)]
+            for network in (dense, two_step):
+                network.travel_times_many(workers, targets[:1])
+            two_step.travel_times_many(sources, targets)
+            expected = [[_scalar(two_step, s, t) for t in targets] for s in sources]
+            assert dense.leg_matrix(sources, targets) == expected
+            ours, theirs = dense.oracle_stats(), two_step.oracle_stats()
+            assert ours.sssp_runs == theirs.sssp_runs
+            assert ours.reverse_sssp_runs == theirs.reverse_sssp_runs
+            assert ours.extras == theirs.extras  # how many maps each cache holds
+        assert ours.sssp_runs and ours.reverse_sssp_runs
+
+    def test_lazy_with_an_evicting_lru(self):
+        """``max_sources=2``: maps are evicted between and inside calls."""
+        graph = _digraph(20, seed=23)
+        oracle = LazyDijkstraOracle(graph, max_sources=2)
+        network = RoadNetwork(graph, oracle=oracle)
+        rng = random.Random(23)
+        # Calls the LRU can hold: exact, on float weights.
+        for sources, targets in _blocks(rng, 20, count=30, size=2):
+            _assert_matrix_is_scalar(network, sources, targets)
+        assert oracle.stats().evictions > 0
+        # Calls it cannot: no map is sure to survive the call, so which
+        # direction prices a later scalar read is history; the answers
+        # still agree on reachability and to the last few bits.
+        for sources, targets in _blocks(rng, 20, count=10, size=6):
+            matrix = network.leg_matrix(sources, targets)
+            for row, source in zip(matrix, sources):
+                for cell, target in zip(row, targets):
+                    assert cell == pytest.approx(_scalar(network, source, target), rel=1e-12)
+        # ... and exactly where both directions sum the same floats.
+        whole = _digraph(20, seed=23, weight=lambda rng: float(rng.randint(1, 9)))
+        network = RoadNetwork(whole, oracle=LazyDijkstraOracle(whole, max_sources=2))
+        for sources, targets in _blocks(rng, 20, count=10, size=6):
+            _assert_matrix_is_scalar(network, sources, targets)
+
+
+class TestDistancesAreFloats:
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_full_maps_and_leg_matrix(self, name):
+        """A node is ``0.0`` from itself, not networkx's integer seed."""
+        network = _network(name, _digraph(10, seed=5))
+        for node in (0, 4, 9):
+            for distances in (
+                network.travel_times_from(node), network.travel_times_to(node)
+            ):
+                assert distances[node] == 0.0
+                assert {type(value) for value in distances.values()} == {float}
+        matrix = network.leg_matrix([0, 4, 9], [9, 4, 0])
+        assert {type(cell) for row in matrix for cell in row} == {float}
+
+
+@st.composite
+def weighted_digraphs(draw) -> nx.DiGraph:
+    """Small digraphs rich in ties: zero weights, repeated integer and
+    float weights (``0.1 + 0.2`` against ``0.3``), isolated nodes."""
+    num_nodes = draw(st.integers(min_value=1, max_value=10))
+    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    weight = st.sampled_from([0, 0.0, 1, 2, 3, 0.1, 0.2, 0.3, 0.5, 1.5, 2.25])
+    edges = draw(st.lists(st.tuples(node, node, weight), max_size=4 * num_nodes))
+    graph = nx.DiGraph()
+    for index in range(num_nodes):
+        graph.add_node(index, x=float(index), y=0.0)
+    for u, v, travel_time in edges:
+        graph.add_edge(u, v, travel_time=travel_time)
+    return graph
+
+
+class TestKernelIsNetworkx:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=weighted_digraphs())
+    def test_values_and_settling_order(self, graph):
+        oracle = LazyDijkstraOracle(graph)
+        reverse = graph.reverse(copy=True)
+        for node in graph:
+            assert list(oracle._dijkstra_from(node).items()) == list(
+                nx.single_source_dijkstra_path_length(
+                    graph, node, weight="travel_time"
+                ).items()
+            )
+            assert list(oracle._dijkstra_to(node).items()) == list(
+                nx.single_source_dijkstra_path_length(
+                    reverse, node, weight="travel_time"
+                ).items()
+            )
+
+    @pytest.mark.parametrize("name", KERNEL_BACKENDS)
+    def test_adjacency_does_not_outlive_clear(self, name):
+        graph = nx.DiGraph()
+        for node in range(3):
+            graph.add_node(node, x=float(node), y=0.0)
+        graph.add_edge(0, 1, travel_time=5.0)
+        graph.add_edge(1, 2, travel_time=5.0)
+        graph.add_edge(0, 2, travel_time=20.0)
+        oracle = _network(name, graph).oracle
+        assert oracle._dijkstra_from(0)[2] == 10.0
+        assert oracle._dijkstra_to(2)[0] == 10.0
+        graph[1][2]["travel_time"] = 50.0
+        oracle.clear()
+        assert oracle._dijkstra_from(0) == {0: 0.0, 1: 5.0, 2: 20.0}
+        assert oracle._dijkstra_to(2) == {2: 0.0, 0: 20.0, 1: 50.0}
+        if name in ("lazy", "matrix"):
+            # Backends that hold nothing else of the old graph answer
+            # the public queries with the new weight too.
+            assert oracle.travel_times_from(0)[2] == 20.0
+            assert oracle.travel_times_to(2)[1] == 50.0
+            assert oracle.travel_time(1, 2) == 50.0

@@ -105,13 +105,17 @@ def _outcome(call):
 def _planned_route(planned):
     """The planned route, having checked the cost the search minimised.
 
-    The search sums matrix entries; the route sums the scalar
-    ``travel_time`` answers of its own legs.  They must be one float.
+    The search sums ``leg_matrix`` entries and hands the route those
+    same entries; a route over the same stops priced by scalar
+    ``travel_time`` reads must come to the same float.
     """
     if planned is None:
         return None
-    assert planned.total_travel_time == planned.route.total_travel_time
-    return planned.route
+    route = planned.route
+    assert planned.total_travel_time == route.total_travel_time
+    rebuilt = Route(list(route.stops), route._network)
+    assert rebuilt.total_travel_time == planned.total_travel_time
+    return route
 
 
 @settings(
@@ -228,7 +232,7 @@ def test_search_cost_is_the_scalar_cost_where_the_block_disagrees(seed):
     assert any(
         block[(a, b)] != network.travel_time(a, b) for a, b in zip(nodes, nodes[1:])
     ), "the pinned graph no longer reproduces the forward/reverse disagreement"
-    assert planned.total_travel_time == planned.route.total_travel_time
+    assert planned.total_travel_time == Route(list(planned.route.stops), network).total_travel_time
     expected = BruteForcePlanner(network).plan([first, second], 4, 0.0)
     assert planned.route.stops == expected.stops
     assert planned.total_travel_time == expected.total_travel_time
