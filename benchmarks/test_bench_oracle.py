@@ -63,7 +63,7 @@ def test_oracle_backends_speedup(dataset):
     results = {
         result.backend: result
         for result in benchmark_oracles(
-            dataset, config, backends=("lazy", "landmark", "matrix", "ch"),
+            dataset, config, backends=("lazy", "matrix", "ch"),
             num_queries=_NUM_QUERIES,
         )
     }
@@ -236,11 +236,10 @@ def test_ch_cold_point_to_point_speedup(dispatch_bench):
 def test_ch_many_to_one_competitive(dispatch_bench):
     """CH's bucket/reverse-PHAST batch must stay with the best backend.
 
-    The PR-2 backends answer the 32-workers-one-pickup mix with one
-    reverse Dijkstra (lazy/matrix) or an early-terminating backward
-    search (landmark); CH replaces that with a backward upward search
-    plus a linear downward sweep.  It is measured fastest of the four
-    at this scale — the bar is <=2x the best of the others so a noisy
+    The PR-2 backends (lazy/matrix) answer the 32-workers-one-pickup
+    mix with one reverse Dijkstra; CH replaces that with a backward
+    upward search plus a linear downward sweep.  It is measured fastest
+    of the three at this scale — the bar is <=2x the best of the others so a noisy
     CI runner cannot flake the build.
     """
     ch = dispatch_bench["ch"]

@@ -38,7 +38,6 @@ from .network import (
     CHOracle,
     DistanceOracle,
     LazyDijkstraOracle,
-    LandmarkOracle,
     MatrixOracle,
     OracleStats,
     available_backends,
@@ -115,7 +114,6 @@ __all__ = [
     "CHOracle",
     "DistanceOracle",
     "LazyDijkstraOracle",
-    "LandmarkOracle",
     "MatrixOracle",
     "OracleStats",
     "available_backends",

@@ -52,16 +52,15 @@ class GASDispatcher(Dispatcher):
         fleet: WorkerFleet,
         config: SimulationConfig,
         batch_size: float | None = None,
-        max_batch_group: int | None = None,
     ) -> None:
         self._planner = planner
         self._fleet = fleet
         self._config = config
         self._batch_size = batch_size if batch_size is not None else config.check_period
         # Pairwise grouping dominates what the additive tree of [2] finds on
-        # sparse batches and keeps the enumeration polynomial; larger values
+        # sparse batches and keeps the enumeration polynomial; larger groups
         # reproduce the exponential blow-up the paper reports for GAS.
-        self._max_group = max_batch_group or min(config.max_group_size, 2)
+        self._max_group = min(config.max_group_size, 2)
         self._buffer: list[Order] = []
         self._next_batch_end: float | None = None
 

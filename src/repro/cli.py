@@ -22,8 +22,8 @@ Six subcommands cover the common workflows:
   recovered after a crash, and ``SIGTERM`` drains gracefully within
   ``--drain-grace`` seconds (see docs/DURABILITY.md).
 
-Every workload command accepts ``--oracle
-{lazy,landmark,matrix,ch,overlay}`` to pick the shortest-path backend
+Every workload command accepts ``--oracle {lazy,matrix,ch,overlay}``
+to pick the shortest-path backend
 (``overlay`` adds ``--coarsen-levels`` / ``--coarsen-alpha``) and
 ``--oracle-cache DIR`` to persist (and reuse) CH preprocessing and
 coarsening hierarchies on disk, without touching any code.

@@ -170,7 +170,7 @@ class DispatchBenchResult:
     reverse_sssp_runs: int
     #: Wall-clock construction time of one fresh oracle (the honest
     #: setup cost a reported speedup has to amortise — the CH backend's
-    #: contraction pass, the landmark backend's landmark Dijkstras).
+    #: contraction pass).
     precompute_seconds: float = 0.0
 
     @property
@@ -282,7 +282,7 @@ def benchmark_dispatch_queries(
         names = list(backends)
     results: list[DispatchBenchResult] = []
     for name in names:
-        kwargs = dict(nodes=[], num_landmarks=None, seed=0)
+        kwargs = dict(nodes=[], seed=0)
         started = time.perf_counter()
         forward_oracle = create_oracle(name, graph, **kwargs)
         precompute_seconds = time.perf_counter() - started

@@ -4,7 +4,6 @@ from .coarsen import (
     CoarseningHierarchy,
     MultilevelCoarsener,
     OverlayOracle,
-    coarsening_contraction_order,
 )
 from .graph import RoadNetwork, build_network
 from .grid import GridIndex
@@ -17,7 +16,6 @@ from .generators import (
 from .oracle import (
     CHOracle,
     DistanceOracle,
-    LandmarkOracle,
     LazyDijkstraOracle,
     MatrixOracle,
     OracleStats,
@@ -39,13 +37,11 @@ __all__ = [
     "CoarseningHierarchy",
     "DistanceOracle",
     "LazyDijkstraOracle",
-    "LandmarkOracle",
     "MatrixOracle",
     "MultilevelCoarsener",
     "OracleStats",
     "OverlayOracle",
     "available_backends",
-    "coarsening_contraction_order",
     "configure_oracle",
     "create_oracle",
     "register_oracle",

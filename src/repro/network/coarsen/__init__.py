@@ -6,10 +6,8 @@ thousand supernodes (matching-based merges under the spatio-temporal
 cost ``D_ij = alpha*tau_ij + beta*temporal_slack``), the
 :class:`OverlayOracle` answers full-graph distance queries from the
 coarse graph with a *certified* relative error bound (registered as
-the ``overlay`` backend), and
-:func:`coarsening_contraction_order` turns the hierarchy into a CH
-contraction order.  Hierarchies persist in the oracle cache keyed by
-graph signature + coarsening parameters (:mod:`.persist`).
+the ``overlay`` backend).  Hierarchies persist in the oracle cache keyed
+by graph signature + coarsening parameters (:mod:`.persist`).
 """
 
 from .coarsener import (
@@ -23,13 +21,11 @@ from .coarsener import (
     CoarseningParams,
     MultilevelCoarsener,
 )
-from .order import CONTRACTION_ORDERS, coarsening_contraction_order
 from .overlay import DEFAULT_ERROR_BOUND, OverlayOracle
 from .persist import coarsen_cache_path, load_hierarchy, save_hierarchy
 
 __all__ = [
     "COARSEN_FORMAT",
-    "CONTRACTION_ORDERS",
     "DEFAULT_ALPHA",
     "DEFAULT_BETA",
     "DEFAULT_ERROR_BOUND",
@@ -41,7 +37,6 @@ __all__ = [
     "MultilevelCoarsener",
     "OverlayOracle",
     "coarsen_cache_path",
-    "coarsening_contraction_order",
     "load_hierarchy",
     "save_hierarchy",
 ]

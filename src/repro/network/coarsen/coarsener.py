@@ -116,18 +116,13 @@ class CoarseningLevel:
 class CoarseningHierarchy:
     """The product of :class:`MultilevelCoarsener`: levels plus maps.
 
-    The hierarchy answers the three questions the overlay oracle and
-    the contraction-order provider need:
+    The hierarchy answers the two questions the overlay oracle needs:
 
     * ``representative(node)`` — which coarsest supernode a base node
       belongs to (its anchor, itself a base node id);
     * ``members(anchor)`` — the base nodes inside one coarsest
       supernode (the local-Dijkstra universe of offset precomputation
-      and route inflation);
-    * ``contraction_order()`` — base nodes ordered by how early their
-      chain stopped being a representative: nodes absorbed at level 1
-      first, the coarsest anchors last — a CH contraction order that
-      contracts locally-unimportant nodes before hub nodes.
+      and route inflation).
     """
 
     def __init__(
@@ -233,21 +228,6 @@ class CoarseningHierarchy:
                     dist[v] = nd
                     heappush(heap, (nd, v))
         return dist
-
-    def contraction_order(self) -> list:
-        """Base nodes ordered by coarsening survival (CH import order).
-
-        A node absorbed into someone else's supernode at level 1 is
-        locally unimportant — it goes first.  Anchors that survive all
-        the way to the coarsest level are the hierarchy's hubs — they
-        go last, exactly where CH wants its high-rank nodes.  Ties
-        break on node id, so the order is deterministic.
-        """
-        survival = {node: 0 for node in self.base_graph.nodes}
-        for depth, level in enumerate(self.levels, start=1):
-            for anchor in level.children:
-                survival[anchor] = depth
-        return sorted(survival, key=lambda node: (survival[node], node))
 
     # ------------------------------------------------------------------
     # persistence

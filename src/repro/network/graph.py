@@ -13,10 +13,9 @@ shortest-path question to a pluggable
 :class:`~repro.network.oracle.LazyDijkstraOracle` — run one Dijkstra per
 unseen source and cache the distance map (LRU-bounded) — which matches
 the access pattern of small workloads.  Heavier workloads swap in the
-``landmark`` (ALT bidirectional A*), ``matrix`` (precomputed dense
-rows) or ``ch`` (contraction hierarchy) backend via
-:meth:`use_backend`, ``SimulationConfig.oracle`` or the CLI without any
-dispatcher code changing.
+``matrix`` (precomputed dense rows) or ``ch`` (contraction hierarchy)
+backend via :meth:`use_backend`, ``SimulationConfig.oracle`` or the CLI
+without any dispatcher code changing.
 """
 
 from __future__ import annotations

@@ -1,14 +1,12 @@
 """Pluggable shortest-path distance oracles for the routing hot path.
 
-Five built-in backends cover the setup-cost/query-cost spectrum:
+Four built-in backends cover the setup-cost/query-cost spectrum:
 
 ==========  =======================  =====================================
 name        setup                    point-to-point query
 ==========  =======================  =====================================
 ``lazy``    none                     one Dijkstra per unseen source, then
                                      O(1) (LRU-bounded per-source cache)
-``landmark``  ``O(k)`` Dijkstras     bidirectional A* guided by landmark
-                                     (ALT) lower bounds
 ``matrix``  one Dijkstra per         O(1) dense-row lookup, batched
             active source            refresh for unseen sources
 ``ch``      one node contraction     bidirectional *upward* search over
@@ -27,9 +25,8 @@ Select a backend through ``SimulationConfig(oracle=OracleSpec(...))``, the
 All backends also answer the dispatch hot path's many-sources-to-
 one-target shape natively: ``travel_times_to(target)`` runs a single
 search on the *reversed* graph (lazy keeps an LRU of per-target reverse
-distance maps, landmark runs an early-terminating backward search over
-its reverse adjacency, matrix reads the target's column, ch runs a
-backward upward search plus a linear downward sweep — reverse PHAST),
+distance maps, matrix reads the target's column, ch runs a backward
+upward search plus a linear downward sweep — reverse PHAST),
 and ``travel_times_many`` routes many-to-one blocks through it (ch
 scans RPHAST-style target buckets with one small upward search per
 source).  The ``ch`` backend can also unpack its shortcuts back into
@@ -49,7 +46,6 @@ from .cache import (
     save_ch_preprocessing,
 )
 from .ch import CHOracle
-from .landmark import LandmarkOracle
 from .lazy import LazyDijkstraOracle
 from .matrix import MatrixOracle
 from .registry import (
@@ -78,7 +74,6 @@ __all__ = [
     "DistanceOracle",
     "OracleStats",
     "LazyDijkstraOracle",
-    "LandmarkOracle",
     "MatrixOracle",
     "ORACLE_BACKENDS",
     "ORACLE_OPTIONS_BY_BACKEND",

@@ -6,7 +6,7 @@ several ways with very different cost profiles:
 
 * run Dijkstra on demand and cache the result (cheap setup, expensive
   cold queries),
-* precompute auxiliary data (landmarks, dense matrices) and answer
+* precompute auxiliary data (hierarchies, dense matrices) and answer
   point-to-point queries in sub-linear or constant time (expensive
   setup, very cheap queries).
 
@@ -122,8 +122,8 @@ class OracleStats:
 
         Extras listed in :data:`COUNTER_EXTRAS` are deltas like the
         uniform counters; the remaining extras are gauges (cache
-        occupancies) or structural constants (shortcut counts, landmark
-        counts) whose latest snapshot is the meaningful per-run value.
+        occupancies) or structural constants (shortcut counts) whose
+        latest snapshot is the meaningful per-run value.
         """
         extras = dict(self.extras)
         for key in COUNTER_EXTRAS.intersection(extras):

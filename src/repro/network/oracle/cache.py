@@ -110,20 +110,10 @@ def ch_cache_path(
     cache_dir: str | Path,
     graph: nx.DiGraph,
     witness_hop_limit: int,
-    variant: str = "",
 ) -> Path:
-    """Cache-file location for ``graph`` contracted at ``witness_hop_limit``.
-
-    ``variant`` distinguishes alternative contraction strategies (e.g.
-    the coarsening-derived node order) so their payloads never satisfy
-    each other's loads; the default (edge-difference) keeps the
-    historical filename, so existing caches stay warm.
-    """
+    """Cache-file location for ``graph`` contracted at ``witness_hop_limit``."""
     signature = graph_signature(graph)
-    suffix = f"-{variant}" if variant else ""
-    return Path(cache_dir) / (
-        f"ch-{signature[:24]}-w{witness_hop_limit}{suffix}.json"
-    )
+    return Path(cache_dir) / f"ch-{signature[:24]}-w{witness_hop_limit}.json"
 
 
 @dataclass(frozen=True)

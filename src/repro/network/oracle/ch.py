@@ -49,10 +49,10 @@ The dispatch hot-path shapes are served natively:
 
 All distances are exact: witness searches are conservative (a pruned
 search just adds a shortcut it might not have needed), so no shortest
-path is ever lost.  Like the landmark backend, distances are assembled
-from shortcut weights whose additions may associate differently than a
-monolithic Dijkstra's, so answers can differ in the last few ulps;
-callers needing bitwise identity should use ``lazy`` or ``matrix``.
+path is ever lost.  Distances are assembled from shortcut weights whose
+additions may associate differently than a monolithic Dijkstra's, so
+answers can differ in the last few ulps; callers needing bitwise
+identity should use ``lazy`` or ``matrix``.
 """
 
 from __future__ import annotations
@@ -162,17 +162,6 @@ class CHOracle(DistanceOracle):
         restored from the recorded node order and augmented edges.  A
         payload that does not match this graph's node set raises
         ``ValueError``.
-    node_order:
-        Optional prescribed contraction order (a permutation of this
-        graph's nodes, least important first) — e.g. the
-        coarsening-derived order from
-        :func:`repro.network.coarsen.coarsening_contraction_order`.
-        Nodes are contracted in exactly this order, skipping the
-        lazy-heap edge-difference priority maintenance; the witness
-        searches and shortcut machinery are unchanged, so queries stay
-        exact.  Ignored when ``preprocessing`` is given (the payload
-        records its own order).  A non-permutation raises
-        ``ValueError``.
     """
 
     name = "ch"
@@ -187,7 +176,6 @@ class CHOracle(DistanceOracle):
         seed: int = 0,
         preprocessing: Mapping | None = None,
         kernel: str = "auto",
-        node_order: Iterable | None = None,
     ) -> None:
         super().__init__(graph)
         if witness_hop_limit < 1:
@@ -237,18 +225,6 @@ class CHOracle(DistanceOracle):
         self._index: dict[int, int] = {
             node: idx for idx, node in enumerate(self._nodes)
         }
-        self._prescribed_order: list | None = None
-        if node_order is not None and preprocessing is None:
-            prescribed = list(node_order)
-            if len(prescribed) != len(self._nodes) or len(
-                set(prescribed)
-            ) != len(prescribed) or any(
-                node not in self._index for node in prescribed
-            ):
-                raise ValueError(
-                    "node_order must be a permutation of the graph's nodes"
-                )
-            self._prescribed_order = prescribed
         self._loaded_from_cache = False
         if preprocessing is not None:
             self._restore(preprocessing)
@@ -335,17 +311,6 @@ class CHOracle(DistanceOracle):
                     del bwd[wi][v]
             fwd[v] = {}
             bwd[v] = {}
-
-        if self._prescribed_order is not None:
-            # Prescribed-order contraction (e.g. by coarsening level):
-            # no priority queue at all — the order is the caller's
-            # importance ranking, and correctness never depended on the
-            # edge-difference heuristic anyway.
-            for node in self._prescribed_order:
-                v = self._index[node]
-                contract(v, self._shortcuts_for(v, fwd, bwd, contracted))
-            self._finalise(rank, order, aug, middle)
-            return
 
         heap: list[tuple[int, int]] = []
         for v in range(n):

@@ -4,9 +4,9 @@ The registry is what makes backends swappable without touching any
 dispatcher code: ``SimulationConfig.oracle`` (an :class:`OracleSpec`;
 the CLI's ``--oracle`` flag sets its ``backend``) names a backend, and
 :func:`configure_oracle` builds and attaches it to the workload's
-:class:`RoadNetwork` before the run starts.  Five backends are built
-in — ``lazy``, ``landmark``, ``matrix``, the contraction-hierarchy
-``ch`` and the coarsening-based ``overlay`` — and libraries embedding
+:class:`RoadNetwork` before the run starts.  Four backends are built
+in — ``lazy``, ``matrix``, the contraction-hierarchy ``ch`` and the
+coarsening-based ``overlay`` — and libraries embedding
 the reproduction can plug in their own (e.g. an osmnx/igraph-backed
 oracle for real map extracts) via :func:`register_oracle`.
 """
@@ -22,7 +22,6 @@ from ...resilience.degradation import DegradationLog
 from ...resilience.faults import fault_point
 from .base import DistanceOracle
 from .ch import DEFAULT_BUCKET_CACHE_SIZE, DEFAULT_WITNESS_HOP_LIMIT, CHOracle
-from .landmark import DEFAULT_NUM_LANDMARKS, LandmarkOracle
 from .lazy import DEFAULT_MAX_SOURCES, LazyDijkstraOracle
 from .matrix import MatrixOracle
 from .spec import OracleSpec
@@ -33,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Factory signature: (graph, **options) -> DistanceOracle.  Factories
 #: must tolerate the uniform option names :func:`create_oracle`
-#: documents (``nodes``, ``seed``, ``cache_size``, ``num_landmarks``,
+#: documents (``nodes``, ``seed``, ``cache_size``,
 #: ``witness_hop_limit``, ``cache_dir``, ``degradations``, ...) and
 #: ignore the ones they do not use.
 OracleFactory = Callable[..., DistanceOracle]
@@ -44,14 +43,6 @@ def _make_lazy(graph: nx.DiGraph, **options) -> LazyDijkstraOracle:
         graph,
         max_sources=options.get("cache_size", DEFAULT_MAX_SOURCES),
         max_targets=options.get("reverse_cache_size"),
-    )
-
-
-def _make_landmark(graph: nx.DiGraph, **options) -> LandmarkOracle:
-    return LandmarkOracle(
-        graph,
-        num_landmarks=options.get("num_landmarks", DEFAULT_NUM_LANDMARKS),
-        seed=options.get("seed", 0),
     )
 
 
@@ -133,42 +124,10 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
         seed=options.get("seed", 0),
         kernel=options.get("kernel", "auto"),
     )
-    order_strategy = options.get("contraction_order", "edge_difference")
-    variant = ""
-    if order_strategy != "edge_difference":
-        # Deferred import: coarsen imports the registry back (for the
-        # overlay's inner oracle), so a top-level import would cycle.
-        from ..coarsen import (
-            CONTRACTION_ORDERS,
-            DEFAULT_ALPHA,
-            DEFAULT_BETA,
-            DEFAULT_LEVELS,
-            coarsening_contraction_order,
-        )
-
-        if order_strategy not in CONTRACTION_ORDERS:
-            raise ConfigurationError(
-                f"unknown contraction_order {order_strategy!r}; "
-                f"available: {CONTRACTION_ORDERS}"
-            )
-        levels = options.get("coarsen_levels", DEFAULT_LEVELS)
-        # Computed eagerly even when the disk cache may hit: CHOracle
-        # ignores ``node_order`` when restoring from ``preprocessing``,
-        # and the cache file is keyed per order strategy (``variant``)
-        # so the two strategies never satisfy each other's loads.
-        kwargs["node_order"] = coarsening_contraction_order(
-            graph,
-            levels=levels,
-            alpha=options.get("coarsen_alpha", DEFAULT_ALPHA),
-            beta=options.get("coarsen_beta", DEFAULT_BETA),
-        )
-        variant = f"co{levels}"
     cache_dir = options.get("cache_dir")
     if not cache_dir:
         fault_point("oracle.ch.build")
-        oracle = CHOracle(graph, **kwargs)
-        oracle.contraction_order = order_strategy
-        return oracle
+        return CHOracle(graph, **kwargs)
     # Disk-backed preprocessing: a warm cache directory lets this (and
     # every later) process skip the contraction pass entirely.  A stale
     # or corrupted payload yields a miss (rotten files are quarantined
@@ -178,7 +137,7 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
     from ...durability.locks import InterProcessLock, LockTimeout
     from .cache import ch_cache_path
 
-    path = ch_cache_path(cache_dir, graph, hop_limit, variant=variant)
+    path = ch_cache_path(cache_dir, graph, hop_limit)
     attempt = _CHCacheAttempt()
     # Fast path first, entirely lock-free: readers of a warm cache never
     # contend with each other (or with anyone) — the payload file is
@@ -230,7 +189,6 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
     oracle.cache_hit = attempt.cache_hit
     oracle.cache_lock_timed_out = attempt.lock_timed_out
     oracle.cache_lock_took_over_stale = attempt.lock_took_over_stale
-    oracle.contraction_order = order_strategy
     return oracle
 
 
@@ -312,7 +270,6 @@ def _make_overlay(graph: nx.DiGraph, **options) -> DistanceOracle:
 
 ORACLE_BACKENDS: dict[str, OracleFactory] = {
     "lazy": _make_lazy,
-    "landmark": _make_landmark,
     "matrix": _make_matrix,
     "ch": _make_ch,
     "overlay": _make_overlay,
@@ -343,15 +300,15 @@ def create_oracle(
 
     ``options`` are the factory keywords: ``cache_size``,
     ``reverse_cache_size`` (the lazy backend's per-target reverse
-    distance-map bound, defaults to ``cache_size``), ``num_landmarks``,
-    ``witness_hop_limit``, ``cache_dir``, ``kernel``,
-    ``contraction_order``, the ``coarsen_*`` knobs and ``degradations``
+    distance-map bound, defaults to ``cache_size``),
+    ``witness_hop_limit``, ``cache_dir``, ``kernel``, the ``coarsen_*``
+    knobs and ``degradations``
     (the run's :class:`~repro.resilience.degradation.DegradationLog`;
     factories record recoverable fallbacks — corrupt cache -> rebuild,
     failed save -> skip — into it).  An option left out or passed as
     ``None`` falls back to the backend's own default; options a backend
     has no use for are ignored (a matrix oracle does not care about
-    ``num_landmarks``).
+    ``witness_hop_limit``).
     """
     try:
         factory = ORACLE_BACKENDS[name]
@@ -365,7 +322,6 @@ def create_oracle(
 
 #: OracleSpec option -> factory keyword, where the two differ.
 _FACTORY_KEYWORDS = {
-    "landmarks": "num_landmarks",
     "witness_hops": "witness_hop_limit",
 }
 

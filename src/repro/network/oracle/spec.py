@@ -19,17 +19,12 @@ from .csr import KERNELS, resolve_kernel
 #: this table; backends registered at runtime accept any option.
 ORACLE_OPTIONS_BY_BACKEND: dict[str, tuple[str, ...]] = {
     "lazy": ("cache_size",),
-    "landmark": ("landmarks",),
     "matrix": ("kernel",),
     "ch": (
         "cache_size",
         "witness_hops",
         "cache_dir",
         "kernel",
-        "contraction_order",
-        "coarsen_levels",
-        "coarsen_alpha",
-        "coarsen_beta",
     ),
     "overlay": (
         "cache_size",
@@ -56,13 +51,11 @@ class OracleSpec:
     Attributes
     ----------
     backend:
-        Registry name (``"lazy"``, ``"landmark"``, ``"matrix"``,
-        ``"ch"``, ``"overlay"``, or a custom registered backend).
+        Registry name (``"lazy"``, ``"matrix"``, ``"ch"``,
+        ``"overlay"``, or a custom registered backend).
     cache_size:
         LRU bound (lazy per-source cache; ch source and target label
         caches, each).
-    landmarks:
-        ALT landmark count (landmark backend).
     witness_hops:
         Witness-search hop limit of CH contraction (higher = fewer
         shortcuts, slower setup).
@@ -76,18 +69,14 @@ class OracleSpec:
         of the ch/matrix backends (csr = vectorised numpy kernels, auto
         = csr when numpy is importable; identical answers either way).
     coarsen_levels, coarsen_alpha, coarsen_beta:
-        Multilevel-coarsening knobs of the overlay backend (and of the
-        ch backend's ``contraction_order="coarsening"`` variant):
-        matching passes and the merge-cost weights of
+        Multilevel-coarsening knobs of the overlay backend: matching
+        passes and the merge-cost weights of
         ``D_ij = alpha*tau_ij + beta*temporal_slack``.
     coarsen_error_bound:
         Certified relative error ceiling of overlay estimates; queries
         whose certified gap exceeds it are refined exactly.
     coarsen_refine:
         ``True`` makes the overlay answer every query exactly.
-    contraction_order:
-        ``"edge_difference"`` | ``"coarsening"`` — node-ordering
-        strategy of the ch backend's contraction.
 
     Setting an option a *built-in* backend does not consume raises a
     :class:`ConfigurationError` listing the backend's valid options at
@@ -96,7 +85,6 @@ class OracleSpec:
 
     backend: str = "lazy"
     cache_size: int | None = None
-    landmarks: int | None = None
     witness_hops: int | None = None
     cache_dir: str | None = None
     kernel: str | None = None
@@ -105,7 +93,6 @@ class OracleSpec:
     coarsen_beta: float | None = None
     coarsen_error_bound: float | None = None
     coarsen_refine: bool | None = None
-    contraction_order: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.backend, str) or not self.backend:
@@ -124,7 +111,6 @@ class OracleSpec:
             )
         for option in (
             "cache_size",
-            "landmarks",
             "witness_hops",
             "coarsen_levels",
         ):
@@ -174,14 +160,6 @@ class OracleSpec:
                 f"OracleSpec.coarsen_refine must be a boolean, "
                 f"got {self.coarsen_refine!r}"
             )
-        if self.contraction_order is not None:
-            from ..coarsen.order import CONTRACTION_ORDERS
-
-            if self.contraction_order not in CONTRACTION_ORDERS:
-                raise ConfigurationError(
-                    f"OracleSpec.contraction_order must be one of "
-                    f"{CONTRACTION_ORDERS}, got {self.contraction_order!r}"
-                )
         self._check_backend_options()
 
     def _check_backend_options(self) -> None:

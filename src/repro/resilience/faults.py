@@ -28,15 +28,9 @@ Per-site schedule keys: ``fail_calls`` (1-based call numbers that
 raise), ``fail_first`` (shorthand for calls ``1..n``), ``exception``
 (``"os"`` -> :class:`InjectedOSError`, ``"runtime"`` ->
 :class:`InjectedRuntimeError`), ``latency_seconds`` (sleep injected on
-every call), ``kill_calls`` (hard-exit the worker *process* — honoured
-only inside forked children; in the parent it raises instead, so a
-mis-targeted schedule can never kill the test process), and
-``corrupt_calls`` (for corruption hooks: which invocations garble the
-file).  Injected exceptions carry ``site`` and ``call`` so errors stay
-attributable end to end.
-
-Counters are per-process: a forked child inherits the installed
-injector and its counts at fork time, then counts its own calls.
+every call), and ``corrupt_calls`` (for corruption hooks: which
+invocations garble the file).  Injected exceptions carry ``site`` and
+``call`` so errors stay attributable end to end.
 
 Install an injector process-wide with :func:`install_injector` /
 :func:`uninstall_injector`, scoped with :func:`injected_faults`, or
@@ -46,7 +40,6 @@ from the CLI with ``repro serve --inject-faults schedule.json``.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import zlib
@@ -86,15 +79,10 @@ _SITE_KEYS = frozenset(
         "exception",
         "message",
         "latency_seconds",
-        "kill_calls",
         "corrupt_calls",
         "corrupt_first",
     }
 )
-
-#: Exit code a killed worker dies with.
-KILLED_EXIT_CODE = 113
-
 
 def _call_set(value: Any, key: str, site: str) -> frozenset[int]:
     if value is None:
@@ -118,7 +106,6 @@ class SiteSchedule:
     exception: str = "os"
     message: str | None = None
     latency_seconds: float = 0.0
-    kill_calls: frozenset[int] = field(default_factory=frozenset)
     corrupt_calls: frozenset[int] = field(default_factory=frozenset)
 
     @classmethod
@@ -184,15 +171,8 @@ class SiteSchedule:
             exception=exception,
             message=message,
             latency_seconds=float(latency),
-            kill_calls=_call_set(data.get("kill_calls"), "kill_calls", site),
             corrupt_calls=frozenset(corrupt_calls),
         )
-
-
-def _in_forked_child() -> bool:
-    import multiprocessing
-
-    return multiprocessing.parent_process() is not None
 
 
 class FaultInjector:
@@ -257,8 +237,7 @@ class FaultInjector:
         """One instrumented call passed this site: maybe fault it.
 
         Order of effects on a scheduled call: injected latency first,
-        then a hard worker kill (child processes only — in the parent
-        it raises instead of exiting), then the scheduled exception.
+        then the scheduled exception.
         """
         call = self._next_call(site)
         schedule = self._sites.get(site)
@@ -266,12 +245,6 @@ class FaultInjector:
             return
         if schedule.latency_seconds > 0:
             time.sleep(schedule.latency_seconds)
-        if call in schedule.kill_calls:
-            if _in_forked_child():
-                os._exit(KILLED_EXIT_CODE)
-            raise InjectedRuntimeError(
-                site, call, f"kill scheduled at {site!r} outside a worker process"
-            )
         if call in schedule.fail_calls:
             raise _EXCEPTION_KINDS[schedule.exception](
                 site, call, schedule.message

@@ -2,13 +2,10 @@
 
 from .feasibility import check_route, FeasibilityReport
 from .planner import RoutePlanner, PlannedGroup
-from .insertion import insert_order_into_route, InsertionResult
 
 __all__ = [
     "check_route",
     "FeasibilityReport",
     "RoutePlanner",
     "PlannedGroup",
-    "insert_order_into_route",
-    "InsertionResult",
 ]

@@ -9,8 +9,8 @@ A route is feasible for a group served by a worker when:
 3. *Capacity constraint*: the number of riders on board never exceeds
    the vehicle capacity.
 
-The checks are separated from the planner so baselines (GDP's greedy
-insertion, GAS's additive tree) can reuse them verbatim.
+The checks are separated from the planner so a finished route can be
+verified independently of the search that produced it.
 
 Two forms of the same constraints live here.  ``check_route`` verifies a
 materialised :class:`Route` and explains every violation; it is the

@@ -186,7 +186,7 @@ class TestOracleCachePersistence:
         assert list(tmp_path.glob("ch-*.json"))
         # A backend that persists nothing takes no cache_dir: the
         # session default must not turn its spec into an invalid one.
-        result = session.run(spec.with_overrides(oracle={"backend": "landmark"}))
+        result = session.run(spec.with_overrides(oracle={"backend": "lazy"}))
         assert result.spec.oracle.cache_dir is None
 
     def test_restored_oracle_answers_identically(self, tmp_path):
@@ -208,6 +208,8 @@ class TestOracleCachePersistence:
         graph = grid_city(rows=5, cols=5, seed=2, jitter=0.2).graph
         create_oracle("ch", graph, cache_dir=str(tmp_path))
         path = ch_cache_path(tmp_path, graph, 5)
+        # The name warm cache directories written by earlier builds carry.
+        assert path.name == "ch-6bdb7bb7618f20e0e07486b9-w5.json"
         path.write_text("{not json")
         rebuilt = create_oracle("ch", graph, cache_dir=str(tmp_path))
         assert not rebuilt.preprocessing_loaded

@@ -169,14 +169,14 @@ class TestOracleSpec:
             ({"backend": ""}, "non-empty string"),
             ({"cache_size": True}, "cache_size must be an integer"),
             ({"cache_size": 0}, "at least 1"),
-            ({"landmarks": 2.5}, "landmarks must be an integer"),
+            ({"witness_hops": 2.5}, "witness_hops must be an integer"),
             ({"cache_dir": 7}, "path string"),
             ({"kernel": "simd"}, "kernel must be one of"),
             ({"coarsen_refine": 1}, "coarsen_refine must be a boolean"),
             # Options the named backend does not consume are rejected
             # eagerly, naming the valid set.
             ({"backend": "lazy", "kernel": "csr"}, "does not take option"),
-            ({"backend": "landmark", "cache_size": 8}, "does not take option"),
+            ({"backend": "ch", "coarsen_levels": 2}, "does not take option"),
             ({"backend": "matrix", "witness_hops": 2}, "does not take option"),
         ],
     )
@@ -207,6 +207,19 @@ class TestOracleSpec:
                 {"oracle": {"backend": "ch", "shared_memory": False}},
                 "unknown OracleSpec keys.*shared_memory",
             ),
+            ({"oracle": {"backend": "landmark"}}, "unknown oracle backend 'landmark'"),
+            (
+                {"oracle": {"backend": "lazy", "landmarks": 4}},
+                "unknown OracleSpec keys.*landmarks",
+            ),
+            (
+                {"oracle": {"backend": "ch", "contraction_order": "coarsening"}},
+                "unknown OracleSpec keys.*contraction_order",
+            ),
+            (
+                {"oracle": {"backend": "ch", "coarsen_levels": 2}},
+                "does not take option.*coarsen_levels",
+            ),
         ],
     )
     def test_removed_dispatch_keys_are_unknown_keys(self, document, match):
@@ -223,6 +236,10 @@ class TestOracleSpec:
             OracleSpec(backend="ch", shared_memory=False)
         with pytest.raises(TypeError, match="dispatch_workers"):
             ScenarioSpec(dispatch_workers=2)
+        with pytest.raises(TypeError, match="landmarks"):
+            OracleSpec(landmarks=4)
+        with pytest.raises(TypeError, match="contraction_order"):
+            OracleSpec(backend="ch", contraction_order="coarsening")
 
     def test_overrides_reach_the_config(self):
         spec = ScenarioSpec(
@@ -277,8 +294,6 @@ class TestResolution:
                         witness_hops=3,
                         cache_dir="/tmp/x",
                         kernel="dict",
-                        contraction_order="coarsening",
-                        coarsen_levels=2,
                     ),
                     weights=ExtraTimeWeights(alpha=0.5, beta=2.0),
                 ),
@@ -366,7 +381,7 @@ class TestCliParity:
         "argv",
         [
             ["compare", "--oracle-kernel", "csr"],
-            ["compare", "--oracle", "landmark", "--oracle-kernel", "dict"],
+            ["compare", "--oracle", "lazy", "--oracle-kernel", "dict"],
             ["compare", "--oracle", "matrix", "--coarsen-levels", "2"],
             ["compare", "--oracle", "lazy", "--coarsen-alpha", "2.0"],
         ],
@@ -378,11 +393,10 @@ class TestCliParity:
             ScenarioSpec.from_args(args)
 
     def test_oracle_kernel_flag_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["compare", "--oracle-kernel", "simd"]
-            )
-        assert "invalid choice" in capsys.readouterr().err
+        for flag, value in (("--oracle-kernel", "simd"), ("--oracle", "landmark")):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["compare", flag, value])
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestIdentity:
@@ -409,7 +423,7 @@ _SPEC_KEYS = sorted(f.name for f in dataclasses.fields(ScenarioSpec))
 _ORACLE_KEYS = sorted(f.name for f in dataclasses.fields(OracleSpec))
 #: Keys earlier builds accepted and this one must refuse by name.
 _REMOVED_SPEC_KEYS = ["dispatch_workers", "dispatch_mode", "oracle_backend"]
-_REMOVED_ORACLE_KEYS = ["shared_memory"]
+_REMOVED_ORACLE_KEYS = ["shared_memory", "landmarks", "contraction_order"]
 
 _scalars = st.one_of(
     st.none(),
@@ -444,15 +458,14 @@ _junk_documents = st.dictionaries(
 #: Right-typed values straddling each field's valid range, so a good
 #: share of the documents parse and reach the round-trip assertion.
 _plausible_oracle_documents = st.fixed_dictionaries(
+    # "landmark" is a removed backend: one of the invalid draws.
     {"backend": st.sampled_from(["lazy", "landmark", "matrix", "ch", "overlay"])},
     optional={
         "cache_size": st.integers(0, 9),
-        "landmarks": st.integers(0, 4),
         "kernel": st.sampled_from(["auto", "dict", "csr", "simd"]),
         "coarsen_levels": st.integers(0, 3),
         "coarsen_alpha": st.one_of(st.integers(-1, 2), st.floats(-1.0, 2.0)),
         "coarsen_refine": st.booleans(),
-        "contraction_order": st.sampled_from(["edge_difference", "coarsening", "x"]),
     },
 )
 _plausible_documents = st.fixed_dictionaries(

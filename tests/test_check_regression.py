@@ -151,3 +151,14 @@ def test_main_exit_codes_and_summary(tmp_path, capsys, mutate, expected_exit):
     captured = capsys.readouterr()
     output = captured.out + captured.err
     assert "passed," in output and "skipped," in output and "failed" in output
+
+
+def test_committed_baseline_names_only_registered_backends():
+    """A baseline ratio "missing from candidate" fails the gate, so a
+    deleted backend must leave ``BENCH_dispatch.json`` in the same change."""
+    from repro.network.oracle import available_backends
+
+    committed = json.loads((_SCRIPT.parents[1] / "BENCH_dispatch.json").read_text())
+    named = {entry["backend"] for entry in committed["backends"]}
+    named.update(committed["scenario"]["backends"])
+    assert named <= set(available_backends())

@@ -31,12 +31,10 @@ from repro.datasets.synthetic import CityModel, DemandHotspot
 from repro.datasets.workloads import LARGE_DATASET_NAMES, city_by_name
 from repro.exceptions import ConfigurationError, UnreachableError
 from repro.network.coarsen import (
-    CONTRACTION_ORDERS,
     CoarseningParams,
     MultilevelCoarsener,
     OverlayOracle,
     coarsen_cache_path,
-    coarsening_contraction_order,
     load_hierarchy,
     save_hierarchy,
 )
@@ -44,7 +42,6 @@ from repro.network.generators import grid_city, large_city
 from repro.network.graph import build_network
 from repro.network.oracle import create_oracle
 from repro.network.oracle.cache import graph_signature
-from repro.network.oracle.ch import CHOracle
 
 _SETTINGS = settings(
     max_examples=30,
@@ -257,34 +254,6 @@ class TestPersistence:
         assert not path.exists()  # moved aside, not left to fail again
 
 
-class TestContractionOrder:
-    def test_order_is_a_permutation(self):
-        graph = grid_city(rows=8, cols=8, seed=3).graph
-        order = coarsening_contraction_order(graph, levels=3)
-        assert sorted(order) == sorted(graph.nodes)
-
-    def test_ch_with_coarsening_order_stays_exact(self):
-        network = grid_city(rows=8, cols=8, seed=10)
-        graph = network.graph
-        oracle = create_oracle("ch", graph, contraction_order="coarsening")
-        assert isinstance(oracle, CHOracle)
-        assert oracle.contraction_order == "coarsening"
-        rng = random.Random(11)
-        nodes = sorted(graph.nodes)
-        for _ in range(30):
-            source, target = rng.sample(nodes, 2)
-            want = _exact_distance(graph, source, target)
-            assert oracle.travel_time(source, target) == pytest.approx(
-                want, rel=1e-9
-            )
-
-    def test_registry_rejects_unknown_order(self):
-        graph = grid_city(rows=4, cols=4, seed=0).graph
-        with pytest.raises(ConfigurationError):
-            create_oracle("ch", graph, contraction_order="alphabetical")
-        assert "coarsening" in CONTRACTION_ORDERS
-
-
 class TestRegistryAndSpec:
     def test_overlay_backend_registered(self):
         from repro.network.oracle import available_backends
@@ -342,8 +311,6 @@ class TestRegistryAndSpec:
             OracleSpec(backend="overlay", coarsen_levels=0)
         with pytest.raises(ConfigurationError):
             OracleSpec(backend="overlay", coarsen_alpha=-1.0)
-        with pytest.raises(ConfigurationError):
-            OracleSpec(backend="ch", contraction_order="alphabetical")
 
     def test_config_validates_coarsen_fields(self):
         """The config carries an OracleSpec, so its checks are the config's."""
@@ -354,10 +321,6 @@ class TestRegistryAndSpec:
         with pytest.raises(ConfigurationError):
             SimulationConfig(
                 oracle=OracleSpec(backend="overlay", coarsen_beta=-0.5)
-            )
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(
-                oracle=OracleSpec(backend="ch", contraction_order="random")
             )
         with pytest.raises(ConfigurationError):
             SimulationConfig(oracle={"backend": "overlay"})

@@ -440,27 +440,39 @@ class TestServiceRecovery:
         state = tmp_path / "state"
         state.mkdir()
         journal = RunJournal(state / "journal.jsonl")
-        stale = {**_spec().to_dict(), "dispatch_workers": 2}
-        journal.append({"type": "submitted", "run_id": "run-000003", "spec": stale})
+        stale = {
+            "run-000002": (
+                {**_spec().to_dict(), "oracle": {"backend": "landmark"}},
+                "landmark",
+            ),
+            "run-000003": (
+                {**_spec().to_dict(), "dispatch_workers": 2},
+                "dispatch_workers",
+            ),
+        }
+        for run_id, (document, _) in stale.items():
+            journal.append({"type": "submitted", "run_id": run_id, "spec": document})
         journal.close()
         for restart in (1, 2):
             with ScenarioService(max_runs=1, state_dir=state) as service:
-                record = service.get("run-000003")
-                assert record.status == FAILED
-                assert record.error["error"] == "invalid-spec"
-                assert "dispatch_workers" in record.error["detail"]
-                assert record.as_dict()["spec"] == stale
-                # Counted once; a later restart serves it from the store.
+                for run_id, (document, removed) in stale.items():
+                    record = service.get(run_id)
+                    assert record.status == FAILED
+                    assert record.error["error"] == "invalid-spec"
+                    assert removed in record.error["detail"]
+                    assert record.as_dict()["spec"] == document
+                # Counted once; a later restart serves them from the store.
                 recovered = service.metrics()["durability"]["recovered"]
-                assert recovered["failed"] == (1 if restart == 1 else 0)
+                assert recovered["failed"] == (2 if restart == 1 else 0)
                 assert service.submit_spec(_spec()).run_id == f"run-{3 + restart:06d}"
             if restart == 1:
-                types = [
-                    e.get("type")
-                    for e in read_jsonl_tolerant(state / "journal.jsonl")
-                    if e.get("run_id") == "run-000003"
-                ]
-                assert types == ["submitted", "failed"]
+                for run_id in stale:
+                    types = [
+                        e.get("type")
+                        for e in read_jsonl_tolerant(state / "journal.jsonl")
+                        if e.get("run_id") == run_id
+                    ]
+                    assert types == ["submitted", "failed"]
 
     def test_every_accepted_run_is_accounted_for_after_crash(self, tmp_path):
         state = tmp_path / "state"

@@ -24,12 +24,11 @@ from repro.exceptions import UnknownNodeError, UnreachableError
 from repro.network.graph import RoadNetwork
 from repro.network.oracle import LazyDijkstraOracle, create_oracle
 
-#: name -> (registry backend, factory options): all five backends, the
+#: name -> (registry backend, factory options): all four backends, the
 #: contraction hierarchy under both kernels.
 BACKENDS = {
     "lazy": ("lazy", {}),
     "matrix": ("matrix", {}),
-    "landmark": ("landmark", {"num_landmarks": 4}),
     "ch-dict": ("ch", {"kernel": "dict"}),
     "ch-csr": ("ch", {"kernel": "csr"}),
     "overlay": ("overlay", {"coarsen_levels": 2}),
@@ -37,7 +36,7 @@ BACKENDS = {
 
 #: The backends whose full-map searches run on ``_dijkstra_from`` /
 #: ``_dijkstra_to``.
-KERNEL_BACKENDS = ["lazy", "matrix", "landmark", "overlay"]
+KERNEL_BACKENDS = ["lazy", "matrix", "overlay"]
 
 
 def _digraph(num_nodes: int, seed: int, weight=lambda rng: rng.uniform(1.0, 10.0)):

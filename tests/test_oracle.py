@@ -28,7 +28,6 @@ from repro.network.graph import build_network
 from repro.network.oracle import (
     CHOracle,
     DistanceOracle,
-    LandmarkOracle,
     LazyDijkstraOracle,
     MatrixOracle,
     OracleSpec,
@@ -42,7 +41,6 @@ from repro.network.oracle.registry import ORACLE_BACKENDS
 
 BACKEND_CLASSES = {
     "lazy": LazyDijkstraOracle,
-    "landmark": LandmarkOracle,
     "matrix": MatrixOracle,
     "ch": CHOracle,
 }
@@ -50,11 +48,11 @@ BACKEND_CLASSES = {
 #: Backends that assemble distances from precomputed parts (half-paths,
 #: shortcut weights) whose float additions can associate differently
 #: than a monolithic Dijkstra's — exact, but not bitwise identical.
-REASSOCIATING_BACKENDS = {"landmark", "ch"}
+REASSOCIATING_BACKENDS = {"ch"}
 
 
 def _make(backend: str, graph: nx.DiGraph) -> DistanceOracle:
-    return create_oracle(backend, graph, num_landmarks=6)
+    return create_oracle(backend, graph)
 
 
 def _reference_distances(graph: nx.DiGraph, source: int) -> dict[int, float]:
@@ -420,7 +418,7 @@ class TestContractionHierarchy:
 
     def test_non_path_backends_decline(self, networks):
         graph = networks["grid"].graph
-        for backend in ("lazy", "landmark", "matrix"):
+        for backend in ("lazy", "matrix"):
             assert _make(backend, graph).shortest_path(0, 1) is None
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_CLASSES))
@@ -634,7 +632,7 @@ class TestLabelMemo:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) >= {"lazy", "landmark", "matrix", "ch"}
+        assert set(available_backends()) == {"lazy", "matrix", "ch", "overlay"}
 
     def test_unknown_backend_rejected(self, networks):
         with pytest.raises(ConfigurationError):
@@ -652,7 +650,7 @@ class TestRegistry:
         """Factories must accept the full option set configure_oracle emits.
 
         Every registered factory receives the uniform names (``nodes``,
-        ``cache_size``, ``reverse_cache_size``, ``num_landmarks``,
+        ``cache_size``, ``reverse_cache_size``,
         ``witness_hop_limit``, ``seed``) and ignores the ones it has no
         use for — a backend that chokes on an option another backend
         needs would make the backends non-interchangeable.
@@ -665,7 +663,6 @@ class TestRegistry:
             nodes=nodes[:4],
             cache_size=64,
             reverse_cache_size=32,
-            num_landmarks=4,
             witness_hop_limit=3,
             seed=5,
         )
@@ -703,8 +700,6 @@ class TestConfigSelection:
         with pytest.raises(ConfigurationError):
             OracleSpec(cache_size=0)
         with pytest.raises(ConfigurationError):
-            OracleSpec(backend="landmark", landmarks=0)
-        with pytest.raises(ConfigurationError):
             OracleSpec(backend="ch", witness_hops=0)
         with pytest.raises(ConfigurationError, match="OracleSpec"):
             SimulationConfig(oracle="ch")
@@ -734,9 +729,6 @@ class TestConfigSelection:
         bigger = configure(backend="lazy", cache_size=4096)
         assert bigger is not first
         assert bigger.cache_info().maxsize == 4096
-        small = configure(backend="landmark", landmarks=4)
-        grown = configure(backend="landmark", landmarks=6)
-        assert grown is not small
         shallow = configure(backend="ch", witness_hops=3)
         assert isinstance(shallow, CHOracle)
         assert configure(backend="ch", witness_hops=3) is shallow
@@ -834,13 +826,11 @@ class TestConfigSelection:
 #: ``resolve_kernel`` of it.
 _DEFAULT_SETTINGS = {
     "lazy": {"maxsize": 1024},
-    "landmark": {"requested_landmarks": 8},
     "matrix": {"kernel": "auto"},
     "ch": {
         "witness_hop_limit": 5,
         "bucket_cache_size": 1024,
         "kernel": "auto",
-        "contraction_order": "edge_difference",
     },
     "overlay": {
         "kernel": "auto",
@@ -857,13 +847,10 @@ _DEFAULT_SETTINGS = {
 #: (backend, spec options, settings that differ from the defaults row):
 #: every option each backend consumes, with the values the flat
 #: ``oracle_*`` configuration path produced for the same spec.
-#: ``coarsening`` = the (levels, alpha, beta) the ch contraction order
-#: is derived with; ``cache_files`` = what lands in ``cache_dir``.
+#: ``cache_files`` = what lands in ``cache_dir``.
 _SETTINGS_ROWS = [
     ("lazy", {}, {}),
     ("lazy", {"cache_size": 64}, {"maxsize": 64}),
-    ("landmark", {}, {}),
-    ("landmark", {"landmarks": 4}, {"requested_landmarks": 4}),
     ("matrix", {}, {}),
     ("matrix", {"kernel": "dict"}, {"kernel": "dict"}),
     ("matrix", {"kernel": "csr"}, {"kernel": "csr"}),
@@ -873,35 +860,6 @@ _SETTINGS_ROWS = [
     ("ch", {"kernel": "dict"}, {"kernel": "dict"}),
     ("ch", {"kernel": "csr"}, {"kernel": "csr"}),
     ("ch", {"cache_dir": "TMP"}, {"cache_files": ["ch-*-w5.json"]}),
-    (
-        "ch",
-        {"contraction_order": "coarsening"},
-        {"contraction_order": "coarsening", "coarsening": (3, 1.0, 1.0)},
-    ),
-    (
-        "ch",
-        {"contraction_order": "coarsening", "coarsen_levels": 2},
-        {"contraction_order": "coarsening", "coarsening": (2, 1.0, 1.0)},
-    ),
-    (
-        "ch",
-        {"contraction_order": "coarsening", "coarsen_alpha": 2.0},
-        {"contraction_order": "coarsening", "coarsening": (3, 2.0, 1.0)},
-    ),
-    (
-        "ch",
-        {"contraction_order": "coarsening", "coarsen_beta": 0.5},
-        {"contraction_order": "coarsening", "coarsening": (3, 1.0, 0.5)},
-    ),
-    (
-        "ch",
-        {"contraction_order": "coarsening", "cache_dir": "TMP"},
-        {
-            "contraction_order": "coarsening",
-            "coarsening": (3, 1.0, 1.0),
-            "cache_files": ["ch-*-w5-co3.json"],
-        },
-    ),
     ("overlay", {}, {}),
     ("overlay", {"cache_size": 8}, {"inner.bucket_cache_size": 8}),
     ("overlay", {"witness_hops": 3}, {"inner.witness_hop_limit": 3}),
@@ -924,11 +882,9 @@ def _reported_settings(oracle: DistanceOracle) -> dict:
     if isinstance(oracle, LazyDijkstraOracle):
         reported["maxsize"] = oracle.cache_info().maxsize
     for name in (
-        "requested_landmarks",
         "witness_hop_limit",
         "bucket_cache_size",
         "kernel",
-        "contraction_order",
         "coarsen_levels",
         "coarsen_alpha",
         "coarsen_beta",
@@ -958,7 +914,6 @@ class TestSpecToOracleSettings:
     )
     def test_spec_builds_the_same_oracle(self, backend, options, changed, tmp_path):
         from repro.api import ScenarioSpec
-        from repro.network.coarsen import coarsening_contraction_order
 
         options = {
             option: str(tmp_path) if value == "TMP" else value
@@ -975,18 +930,10 @@ class TestSpecToOracleSettings:
 
         expected = {**_DEFAULT_SETTINGS[backend], **changed}
         cache_files = expected.pop("cache_files", None)
-        coarsening = expected.pop("coarsening", None)
         if "kernel" in expected:
             expected["kernel"] = resolve_kernel(expected["kernel"])
         assert isinstance(oracle, BACKEND_CLASSES.get(backend, DistanceOracle))
         assert _reported_settings(oracle) == expected
-        if coarsening is not None:
-            levels, alpha, beta = coarsening
-            assert oracle.export_preprocessing()["order"] == (
-                coarsening_contraction_order(
-                    network.graph, levels=levels, alpha=alpha, beta=beta
-                )
-            )
         if cache_files is not None:
             written = sorted(
                 path.name

@@ -31,10 +31,9 @@ from repro.model.route import Route, RouteStop, StopKind
 from repro.network.generators import grid_city
 from repro.network.graph import RoadNetwork
 from repro.routing.feasibility import check_route, check_sequential, sequence_cost
-from repro.routing.insertion import insert_order_into_route
 from repro.routing.planner import RoutePlanner
 from tests.conftest import make_order
-from tests.reference.bruteforce_planner import BruteForcePlanner, insert_by_enumeration
+from tests.reference.bruteforce_planner import BruteForcePlanner
 
 
 def _random_graph(num_nodes: int, seed: int, connected: bool) -> nx.DiGraph:
@@ -280,43 +279,6 @@ def test_unreachable_leg_raises_even_when_the_group_is_infeasible():
     assert RoutePlanner(network).try_plan([second], 4, 0.0) is None
     second.deadline = 100.0
     assert RoutePlanner(network).plan([second], 4, 0.0).total_travel_time == 5.0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    num_nodes=st.integers(min_value=4, max_value=12),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_insertion_matches_enumeration(num_nodes, seed):
-    """``insert_order_into_route`` agrees with one-``Route``-per-candidate."""
-    graph = _random_graph(num_nodes, seed, connected=True)
-    network = RoadNetwork(graph)
-    rng = random.Random(seed)
-    orders = _random_group(rng, num_nodes, rng.randint(2, 4), id_base=0)
-    capacity = rng.randint(2, 5)
-    start_time = rng.uniform(0.0, 5.0)
-    approach = rng.choice([0.0, rng.uniform(0.0, 20.0)])
-    route, placed = None, []
-    for order in orders:
-        expected = insert_by_enumeration(
-            route, order, placed, capacity, start_time, network, approach
-        )
-        actual = insert_order_into_route(
-            route, order, placed, capacity, start_time, network, approach
-        )
-        if expected is None:
-            assert actual is None
-            return
-        assert actual is not None
-        assert actual.route.stops == expected[0].stops
-        assert actual.route.total_travel_time == expected[0].total_travel_time
-        assert (
-            actual.added_travel_time,
-            actual.pickup_position,
-            actual.dropoff_position,
-        ) == expected[1:]
-        route = actual.route
-        placed.append(order)
 
 
 def test_sequence_cost_is_route_plus_check_route(small_network):

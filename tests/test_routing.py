@@ -1,4 +1,4 @@
-"""Unit tests for feasibility checks, route planning and greedy insertion."""
+"""Unit tests for feasibility checks and route planning."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.routing.feasibility import (
     check_route,
     check_sequential,
 )
-from repro.routing.insertion import insert_order_into_route
 from repro.routing.planner import RoutePlanner
 from tests.conftest import make_order
 
@@ -164,52 +163,3 @@ class TestRoutePlanner:
         planned = planner.plan(orders, capacity=4, start_time=0.0)
         report = check_route(planned.route, orders, capacity=4, start_time=0.0)
         assert report.feasible
-
-
-class TestInsertion:
-    def test_insert_into_empty_route(self, small_network):
-        order = make_order(small_network, 0, 5)
-        result = insert_order_into_route(
-            None, order, [], capacity=4, start_time=0.0, network=small_network
-        )
-        assert result is not None
-        assert result.added_travel_time == pytest.approx(
-            small_network.travel_time(0, 5)
-        )
-
-    def test_insert_second_order_keeps_first_feasible(self, small_network):
-        first = make_order(small_network, 0, 14)
-        base = insert_order_into_route(
-            None, first, [], capacity=4, start_time=0.0, network=small_network
-        )
-        second = make_order(small_network, 1, 15)
-        result = insert_order_into_route(
-            base.route, second, [first], capacity=4, start_time=0.0, network=small_network
-        )
-        assert result is not None
-        assert result.added_travel_time >= 0.0
-        assert set(result.route.order_ids()) == {first.order_id, second.order_id}
-
-    def test_infeasible_insertion_returns_none(self, small_network):
-        first = make_order(small_network, 0, 2, deadline_scale=1.05)
-        base = insert_order_into_route(
-            None, first, [], capacity=4, start_time=0.0, network=small_network
-        )
-        far = make_order(small_network, 35, 30, deadline_scale=1.05)
-        result = insert_order_into_route(
-            base.route, far, [first], capacity=4, start_time=0.0, network=small_network
-        )
-        assert result is None
-
-    def test_capacity_blocks_insertion(self, small_network):
-        first = make_order(small_network, 0, 14, riders=2)
-        base = insert_order_into_route(
-            None, first, [], capacity=2, start_time=0.0, network=small_network
-        )
-        second = make_order(small_network, 1, 15, riders=2)
-        overlapping = insert_order_into_route(
-            base.route, second, [first], capacity=2, start_time=0.0, network=small_network
-        )
-        # The only feasible insertions must avoid overlapping occupancy.
-        if overlapping is not None:
-            assert overlapping.route.max_onboard_riders([first, second]) <= 2
