@@ -464,7 +464,7 @@ class ScenarioSpec:
         return f"{source}/{self.workload}/{self.algorithm}"
 
     def identity(self) -> dict[str, Any]:
-        """Self-describing scenario identity for benchmark artifacts.
+        """Self-describing scenario identity.
 
         The resolved values that determine what a run measured: the
         source, the oracle backend and the seed — callers append the

@@ -1,6 +1,6 @@
 """Command-line interface for running WATTER experiments.
 
-Six subcommands cover the common workflows:
+Five subcommands cover the common workflows:
 
 * ``compare`` — run several algorithms over one generated workload and
   print the comparison table (the Table III default experiment),
@@ -12,8 +12,6 @@ Six subcommands cover the common workflows:
 * ``sweep``   — regenerate one of the paper's figures (vary orders,
   workers, deadline or capacity) as text tables,
 * ``example1`` — rerun the worked example of the introduction,
-* ``bench``  — micro-benchmark the distance-oracle backends on a
-  realistic query mix and print the timing table,
 * ``serve``  — stand up the resident scenario service (``repro.serve``):
   an asyncio HTTP server (or ``--stdin`` JSON-lines loop) that accepts
   ScenarioSpec documents, shares prepared networks/oracles across
@@ -46,24 +44,12 @@ import argparse
 from typing import Sequence
 
 from .api import RunResult, ScenarioSpec, Session, load_spec
-from .experiments.benchmarking import (
-    bench_scenario_identity,
-    benchmark_ch_preprocessing_cache,
-    benchmark_csr_kernel,
-    benchmark_dispatch_queries,
-    benchmark_oracles,
-    benchmark_spatial_index,
-    format_dispatch_bench_table,
-    format_oracle_bench_table,
-    write_dispatch_trajectory,
-)
 from .experiments.reporting import (
     format_comparison_table,
     format_full_sweep_report,
     format_oracle_stats_table,
 )
 from .experiments.runner import ALGORITHMS
-from .datasets.workloads import build_workload
 from .network.oracle import KERNELS, available_backends
 from .experiments.sweeps import (
     vary_capacity,
@@ -284,45 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
             "boundary (default: 30)"
         ),
     )
-
-    bench = subparsers.add_parser(
-        "bench", help="micro-benchmark the distance-oracle backends"
-    )
-    _add_workload_arguments(bench)
-    bench.add_argument(
-        "--queries",
-        type=_positive_int,
-        default=4000,
-        help="number of shortest-path queries to replay per backend",
-    )
-    bench.add_argument(
-        "--backends",
-        nargs="+",
-        default=None,
-        choices=list(available_backends()),
-        help="backends to time (default: all registered)",
-    )
-    bench.add_argument(
-        "--dispatch",
-        action="store_true",
-        help=(
-            "time the many-to-one dispatch mix (many idle workers, one "
-            "pickup) and the spatial-index find_worker_for microbenchmark "
-            "instead of the point-to-point query mix"
-        ),
-    )
-    bench.add_argument(
-        "--dispatch-sources",
-        type=_positive_int,
-        default=32,
-        help="idle worker locations per dispatch round (with --dispatch)",
-    )
-    bench.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the dispatch benchmark trajectory (BENCH_dispatch.json)",
-    )
     return parser
 
 
@@ -508,70 +455,6 @@ def _run_example1() -> str:
     return "\n".join(lines)
 
 
-def _run_bench(args: argparse.Namespace) -> str:
-    config = ScenarioSpec.from_args(args).config()
-    if args.dispatch:
-        return _run_dispatch_bench(args, config)
-    results = benchmark_oracles(
-        args.dataset,
-        config,
-        backends=args.backends,
-        num_queries=args.queries,
-    )
-    title = (
-        f"Distance-oracle benchmark ({args.dataset}, {args.queries} queries, "
-        f"n={config.num_orders}, m={config.num_workers})"
-    )
-    return format_oracle_bench_table(results, title=title)
-
-
-def _run_dispatch_bench(args: argparse.Namespace, config) -> str:
-    workload = build_workload(args.dataset, config)
-    results = benchmark_dispatch_queries(
-        backends=args.backends,
-        num_sources=args.dispatch_sources,
-        graph=workload.network.graph,
-    )
-    spatial = benchmark_spatial_index()
-    ch_cache = benchmark_ch_preprocessing_cache(graph=workload.network.graph)
-    csr_kernel = benchmark_csr_kernel()
-    title = (
-        f"Many-to-one dispatch benchmark ({args.dataset}, "
-        f"{args.dispatch_sources} workers per round)"
-    )
-    output = format_dispatch_bench_table(results, spatial, title=title)
-    output += (
-        f"\nch preprocessing cache: cold {ch_cache.cold_seconds:.3f}s, "
-        f"warm {ch_cache.warm_seconds:.3f}s ({ch_cache.speedup:.1f}x)"
-    )
-    if csr_kernel.applicable:
-        output += (
-            f"\ncsr sweep kernel: dict {csr_kernel.dict_seconds:.3f}s, "
-            f"csr {csr_kernel.csr_seconds:.3f}s ({csr_kernel.speedup:.1f}x)"
-        )
-    else:
-        output += "\ncsr sweep kernel: not applicable (numpy unavailable)"
-    if args.json:
-        # Benchmark artifacts are self-describing: the trajectory
-        # records which scenario (backend set, seed, graph) produced it.
-        scenario = bench_scenario_identity(
-            workload.network.graph,
-            args.backends if args.backends else available_backends(),
-            scenario="dispatch-bench",
-            network="dataset",
-            dataset=args.dataset,
-            seed=config.seed,
-            num_orders=config.num_orders,
-            num_workers=config.num_workers,
-        )
-        path = write_dispatch_trajectory(
-            args.json, results, spatial, ch_cache=ch_cache,
-            csr_kernel=csr_kernel, scenario=scenario,
-        )
-        output += f"\n\ntrajectory written to {path}"
-    return output
-
-
 def _run_serve(args: argparse.Namespace) -> int:
     """Stand the resident scenario service up on the chosen transport."""
     import asyncio
@@ -655,8 +538,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench" and args.json and not args.dispatch:
-        parser.error("--json records the dispatch trajectory; add --dispatch")
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "compare":
@@ -665,8 +546,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         output = _run_spec_file(args)
     elif args.command == "sweep":
         output = _run_sweep(args)
-    elif args.command == "bench":
-        output = _run_bench(args)
     else:
         output = _run_example1()
     print(output)

@@ -10,6 +10,7 @@ same simulators the synthetic workloads use.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable
 
@@ -19,18 +20,42 @@ from ..model.order import Order
 from ..model.worker import Worker
 from ..network.graph import RoadNetwork
 
-_ORDER_FIELDS = (
-    "order_id",
-    "pickup",
-    "dropoff",
-    "release_time",
-    "shortest_time",
-    "deadline",
-    "wait_limit",
-    "riders",
-)
+# Column -> cell type; the column names are the model's field names.
+_ORDER_FIELDS = {
+    "order_id": int,
+    "pickup": int,
+    "dropoff": int,
+    "release_time": float,
+    "shortest_time": float,
+    "deadline": float,
+    "wait_limit": float,
+    "riders": int,
+}
 
-_WORKER_FIELDS = ("worker_id", "location", "capacity")
+_WORKER_FIELDS = {"worker_id": int, "location": int, "capacity": int}
+
+
+def _parse_row(path: str | Path, number: int, row: dict, fields: dict) -> dict:
+    """Convert one CSV row to typed keyword arguments.
+
+    A cell that is absent (short row), unparsable or not finite is a
+    :class:`DatasetError` naming the file, the 1-based data row and the
+    column, never a bare ``ValueError`` / ``TypeError``.
+    """
+    values = {}
+    for column, convert in fields.items():
+        raw = row[column]
+        try:
+            value = convert(raw)
+            if not math.isfinite(value):
+                raise ValueError(raw)
+        except (TypeError, ValueError):
+            raise DatasetError(
+                f"{path}: row {number}, column {column!r}: "
+                f"expected a finite {convert.__name__}, got {raw!r}"
+            ) from None
+        values[column] = value
+    return values
 
 
 def orders_to_csv(orders: Iterable[Order], path: str | Path) -> None:
@@ -61,19 +86,8 @@ def orders_from_csv(path: str | Path) -> list[Order]:
         missing = set(_ORDER_FIELDS) - set(reader.fieldnames or ())
         if missing:
             raise DatasetError(f"order CSV is missing columns: {sorted(missing)}")
-        for row in reader:
-            orders.append(
-                Order(
-                    order_id=int(row["order_id"]),
-                    pickup=int(row["pickup"]),
-                    dropoff=int(row["dropoff"]),
-                    release_time=float(row["release_time"]),
-                    shortest_time=float(row["shortest_time"]),
-                    deadline=float(row["deadline"]),
-                    wait_limit=float(row["wait_limit"]),
-                    riders=int(row["riders"]),
-                )
-            )
+        for number, row in enumerate(reader, start=1):
+            orders.append(Order(**_parse_row(path, number, row, _ORDER_FIELDS)))
     orders.sort(key=lambda order: order.release_time)
     return orders
 
@@ -95,14 +109,8 @@ def workers_from_csv(path: str | Path) -> list[Worker]:
         missing = set(_WORKER_FIELDS) - set(reader.fieldnames or ())
         if missing:
             raise DatasetError(f"worker CSV is missing columns: {sorted(missing)}")
-        for row in reader:
-            workers.append(
-                Worker(
-                    worker_id=int(row["worker_id"]),
-                    location=int(row["location"]),
-                    capacity=int(row["capacity"]),
-                )
-            )
+        for number, row in enumerate(reader, start=1):
+            workers.append(Worker(**_parse_row(path, number, row, _WORKER_FIELDS)))
     return workers
 
 

@@ -27,8 +27,7 @@ def render_aligned_table(title: str, rows: Sequence[Sequence[str]]) -> str:
     """Render pre-formatted rows (header first) as an aligned text table.
 
     The single text-table renderer shared by every formatter in the
-    experiments package (sweeps, comparisons, oracle stats, benchmark
-    tables).
+    experiments package (sweeps, comparisons, oracle stats).
     """
     widths = [
         max(len(row[index]) for row in rows) for index in range(len(rows[0]))

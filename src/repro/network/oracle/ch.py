@@ -595,8 +595,7 @@ class CHOracle(DistanceOracle):
         kernels: a dict Dijkstra over the downward in-edges that settles
         the nodes whose rank-descending paths reach ``target``.  The
         result seeds :meth:`reverse_sweep`.  Exposed (with the sweep) as
-        the kernel seam the ``csr_many_to_one_speedup`` benchmark and
-        the kernel property tests measure.
+        the kernel seam the kernel property tests compare.
         """
         return self._upward_search(self._index[target], self._down_in)
 

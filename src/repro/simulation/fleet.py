@@ -63,7 +63,7 @@ class WorkerFleet:
         When true (default) nearest-worker searches expand grid rings
         of idle workers around the pickup and stop early; when false
         every search scans the whole fleet (the independent reference
-        the ring search is tested and benchmarked against).
+        the ring search is tested against).
     """
 
     def __init__(

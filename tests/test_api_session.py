@@ -18,7 +18,7 @@ from repro.api import (
     workers_to_csv,
 )
 from repro.datasets.workloads import build_workload
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.config import default_config
 from repro.experiments.runner import make_dispatcher
 from repro.network.oracle import HAVE_NUMPY, available_backends, create_oracle
@@ -149,6 +149,19 @@ class TestSessionReuse:
             for run in results
         )
 
+    def test_training_subsample_thins_a_fixed_workload(self):
+        from repro.api.session import _training_subsample
+
+        session = Session()
+        spec = _small_spec(num_orders=20)
+        workload = session.workload(spec)
+        training = _training_subsample(workload, spec.config())
+        assert 0 < len(training.orders) < len(workload.orders)
+        assert set(o.order_id for o in training.orders) <= set(
+            o.order_id for o in workload.orders
+        )
+        assert training.network is workload.network
+
 
 class TestOracleCachePersistence:
     def test_fresh_session_loads_preprocessing_from_disk(self, tmp_path):
@@ -240,38 +253,6 @@ class TestOracleCachePersistence:
         assert len(list(tmp_path.glob("ch-*.json"))) == 2
 
 
-class TestCacheBenchmark:
-    def test_cold_measurement_survives_a_warm_cache_dir(self, tmp_path):
-        from repro.experiments.benchmarking import benchmark_ch_preprocessing_cache
-
-        graph = grid_city(rows=7, cols=7, seed=2, jitter=0.2).graph
-        first = benchmark_ch_preprocessing_cache(
-            graph=graph, cache_dir=str(tmp_path)
-        )
-        # Second call against the now-warm persistent directory: the
-        # "cold" side must still contract (not restore), so the ratio
-        # stays a contraction-vs-restore measurement.
-        second = benchmark_ch_preprocessing_cache(
-            graph=graph, cache_dir=str(tmp_path)
-        )
-        for result in (first, second):
-            assert result.loaded_from_cache
-            assert result.speedup > 1.5
-
-    def test_training_subsample_thins_a_fixed_workload(self):
-        from repro.api.session import _training_subsample
-
-        session = Session()
-        spec = _small_spec(num_orders=20)
-        workload = session.workload(spec)
-        training = _training_subsample(workload, spec.config())
-        assert 0 < len(training.orders) < len(workload.orders)
-        assert set(o.order_id for o in training.orders) <= set(
-            o.order_id for o in workload.orders
-        )
-        assert training.network is workload.network
-
-
 class _CountingHooks(SimulationHooks):
     def __init__(self) -> None:
         self.arrivals = []
@@ -359,6 +340,17 @@ class TestCsvReplay:
         )
         with pytest.raises(ConfigurationError, match="absent from"):
             session.workload(wrong_network)
+
+
+    def test_replay_of_a_malformed_file_is_a_structured_error(self, tmp_path):
+        orders_csv = tmp_path / "orders.csv"
+        orders_csv.write_text(
+            "order_id,pickup,dropoff,release_time,shortest_time,deadline,"
+            "wait_limit,riders\n1,2,3,abc,1,2,3,1\n"
+        )
+        spec = _small_spec(workload="csv", orders_csv=str(orders_csv))
+        with pytest.raises(ReproError, match="row 1, column 'release_time'"):
+            Session().run(spec)
 
 
 class TestFacadeFunctions:

@@ -343,7 +343,7 @@ class TestCliParity:
                 },
             ),
             (
-                ["bench", "--dataset", "CDC", "--orders", "40", "--oracle", "matrix"],
+                ["compare", "--dataset", "CDC", "--orders", "40", "--oracle", "matrix"],
                 "CDC",
                 {"num_orders": 40, "oracle": OracleSpec(backend="matrix")},
             ),

@@ -29,12 +29,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--algorithms", "FancyAlgo"])
 
+    def test_removed_bench_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["compare", "--dispatch-workers", "4"],
             ["compare", "--dispatch-mode", "process"],
-            ["bench", "--dispatch", "--dispatch-shards", "4"],
+            ["compare", "--dispatch-shards", "4"],
         ],
     )
     def test_removed_dispatch_flags_are_refused_by_name(self, argv, capsys):

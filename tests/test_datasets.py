@@ -140,6 +140,9 @@ class TestWorkloadGeneration:
         assert top_cell_share(nyc) > top_cell_share(xia)
 
 
+_ORDER_HEADER = "order_id,pickup,dropoff,release_time,shortest_time,deadline,wait_limit,riders"
+
+
 class TestCsvRoundTrip:
     def test_orders_round_trip(self, tiny_config, tmp_path):
         workload = build_workload("CDC", tiny_config)
@@ -167,6 +170,24 @@ class TestCsvRoundTrip:
             orders_from_csv(path)
         with pytest.raises(DatasetError):
             workers_from_csv(path)
+
+    @pytest.mark.parametrize(
+        "reader, header, rows, where",
+        [
+            (orders_from_csv, _ORDER_HEADER, ["1,2,3,abc,1,2,3,1"], "row 1, column 'release_time'"),
+            (orders_from_csv, _ORDER_HEADER, ["1,2,3,0,1,2,3,1", "1,2"], "row 2, column 'dropoff'"),
+            (orders_from_csv, _ORDER_HEADER, ["1,2,3,nan,1,2,3,1"], "row 1, column 'release_time'"),
+            (orders_from_csv, _ORDER_HEADER, ["1,2,3,0,1,inf,3,1"], "row 1, column 'deadline'"),
+            (workers_from_csv, "worker_id,location,capacity", ["0,5,4", "1,x,4"], "row 2, column 'location'"),
+        ],
+        ids=["unparsable", "short-row", "nan", "inf", "worker-cell"],
+    )
+    def test_malformed_cell_names_row_and_column(self, reader, header, rows, where, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(DatasetError, match=where) as excinfo:
+            reader(path)
+        assert str(path) in str(excinfo.value)
 
     def test_raw_trips_to_orders(self, tiny_config):
         network = grid_city(rows=4, cols=4, jitter=0.0, seed=0)

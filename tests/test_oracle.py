@@ -954,31 +954,6 @@ class TestCliSelection:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--oracle", "bogus"])
 
-    def test_bench_subcommand_parsed(self):
-        args = build_parser().parse_args(
-            ["bench", "--queries", "500", "--backends", "lazy", "matrix"]
-        )
-        assert args.command == "bench"
-        assert args.queries == 500
-        assert args.backends == ["lazy", "matrix"]
-        assert args.dispatch is False
-        assert args.json is None
-
-    def test_bench_dispatch_flags_parsed(self):
-        args = build_parser().parse_args(
-            [
-                "bench",
-                "--dispatch",
-                "--dispatch-sources",
-                "48",
-                "--json",
-                "BENCH_dispatch.json",
-            ]
-        )
-        assert args.dispatch is True
-        assert args.dispatch_sources == 48
-        assert args.json == "BENCH_dispatch.json"
-
     def test_compare_with_oracle_flag_runs(self, capsys):
         exit_code = main(
             [
@@ -1027,30 +1002,6 @@ class TestCliSelection:
         assert "Distance-oracle cache statistics" in captured
         # The CH counters flow into the printed stats table.
         assert "shortcuts" in captured and "bucket scans" in captured
-
-    def test_bench_command_prints_backend_table(self, capsys):
-        exit_code = main(
-            [
-                "bench",
-                "--dataset",
-                "CDC",
-                "--orders",
-                "20",
-                "--workers",
-                "6",
-                "--horizon",
-                "900",
-                "--queries",
-                "200",
-                "--backends",
-                "lazy",
-                "matrix",
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "lazy" in captured and "matrix" in captured
-        assert "us/query" in captured
 
 
 class TestStatsDelta:
