@@ -29,9 +29,8 @@ def test_table3_default_setting(dataset, benchmark):
     print(format_comparison_table(metrics, title=f"Table III defaults ({dataset})"))
     by_name = {m.algorithm: m for m in metrics}
     assert set(by_name) == set(BENCH_ALGORITHMS)
-    # Headline shape checks (see EXPERIMENTS.md for the full discussion):
-    # the pooling framework must not lose to the non-sharing floor on the
-    # platform-level metrics.
+    # Headline shape checks: the pooling framework must not lose to the
+    # non-sharing floor on the platform-level metrics.
     assert (
         by_name["WATTER-expect"].unified_cost
         <= by_name["NonSharing"].unified_cost * 1.05

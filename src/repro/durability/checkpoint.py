@@ -52,7 +52,8 @@ DEFAULT_CHECKPOINT_INTERVAL = 25
 # 3: the pickled ``SimulationConfig`` carries one ``oracle`` OracleSpec.
 # 4: the pickled ``WorkerFleet`` carries a release heap; its index holds the idle only.
 # 5: ``SimulationConfig`` lost its dispatch fields; no ``("engine",)`` persistent id.
-_FORMAT_VERSION = 5
+# 6: GDP's pickled ``_WorkerPlan`` carries ``legs``, parallel to ``stops``.
+_FORMAT_VERSION = 6
 
 _LOCK_TYPE = type(threading.Lock())
 _RLOCK_TYPE = type(threading.RLock())

@@ -62,7 +62,7 @@ import threading
 import time
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
 
@@ -704,33 +704,73 @@ class CHOracle(DistanceOracle):
         source_list = list(dict.fromkeys(sources))
         target_list = list(dict.fromkeys(targets))
         self._batched_queries += len(source_list) * len(target_list)
-        result: dict[tuple[int, int], float] = {}
-        if not source_list or not target_list:
-            return result
-        pending_by_source: dict[int, list[int]] = {}
-        needed_targets: list[int] = []
-        needed_seen: set[int] = set()
-        for s_node in source_list:
-            pending: list[int] = []
-            for t_node in target_list:
-                if s_node == t_node:
-                    result[(s_node, t_node)] = 0.0
+        rows = self._leg_rows(source_list, target_list)
+        result = {
+            (source, target): cell
+            for source, row in zip(source_list, rows)
+            for target, cell in zip(target_list, row)
+            if cell != _INF
+        }
+        self._queries += len(result)
+        return result
+
+    @_locked
+    def leg_matrix(
+        self, sources: Sequence[int], targets: Sequence[int]
+    ) -> list[list[float]]:
+        """Dense leg times read off the pair cache under one lock.
+
+        The rows :meth:`travel_times_many` re-keys into its dict: the
+        same pair-cache reads, the same resolver for the cells the cache
+        does not hold, so a cell is the float that call memoises and
+        scalar :meth:`travel_time` answers next.  ``queries`` and
+        ``batched_queries`` count every cell, a cell read off the pair
+        cache is one cache hit, and labels and arrival maps count hits
+        and misses as they do there.  A block with more cells than the
+        pair cache holds could evict its own answers; it takes the
+        generic two-step, whose cells are scalar reads.
+        """
+        cells = len(sources) * len(targets)
+        if self._pair_cache_size is not None and cells > self._pair_cache_size:
+            return super().leg_matrix(sources, targets)
+        self._batched_queries += cells
+        self._queries += cells
+        return self._leg_rows(sources, targets)
+
+    def _leg_rows(
+        self, sources: Sequence[int], targets: Sequence[int]
+    ) -> list[list[float]]:
+        """``sources x targets`` travel times, ``inf`` where unreachable.
+
+        One pair-cache read per cell (one hit each); the cells it does
+        not hold are resolved below and folded back into it.  Unlocked
+        and uncounted: the two ``_locked`` block calls do that.
+        """
+        pair_cache = self._pair_cache
+        rows: list[list[float]] = []
+        holes: list[tuple[list[float], int, tuple[int, int]]] = []
+        pending_by_source: dict[int, dict[int, None]] = {}
+        needed_targets: dict[int, None] = {}
+        for source in sources:
+            row: list[float] = []
+            for target in targets:
+                if source == target:
+                    row.append(0.0)
                     continue
-                key = (s_node, t_node)
-                cached = self._pair_cache.get(key, _MISSING)
-                if cached is not _MISSING:
-                    self._cache_hits += 1
-                    self._pair_cache.move_to_end(key)
-                    if cached is not None:
-                        result[key] = cached
+                key = (source, target)
+                cached = pair_cache.get(key, _MISSING)
+                if cached is _MISSING:
+                    holes.append((row, len(row), key))
+                    pending_by_source.setdefault(source, {})[target] = None
+                    needed_targets[target] = None
+                    row.append(_INF)
                     continue
-                pending.append(t_node)
-                if t_node not in needed_seen:
-                    needed_seen.add(t_node)
-                    needed_targets.append(t_node)
-            if pending:
-                pending_by_source[s_node] = pending
-        if pending_by_source:
+                self._cache_hits += 1
+                pair_cache.move_to_end(key)
+                row.append(_INF if cached is None else cached)
+            rows.append(row)
+        if holes:
+            result: dict[tuple[int, int], float] = {}
             # Wide single-target batches (the dispatch shape) and targets
             # whose arrival map is already memoised are answered straight
             # from reverse PHAST — one linear sweep beats one upward
@@ -812,8 +852,9 @@ class CHOracle(DistanceOracle):
                     self._remember((s_node, t_node), value)
                     if value is not None:
                         result[(s_node, t_node)] = value
-        self._queries += len(result)
-        return result
+            for row, column, key in holes:
+                row[column] = result.get(key, _INF)
+        return rows
 
     @_locked
     def shortest_path(self, source: int, target: int) -> list[int]:

@@ -5,7 +5,8 @@ keep the cheapest insertion that still satisfies the sequential /
 deadline / capacity constraints.  The WATTER planner grows a group too
 large to plan exactly this way, one member at a time; the GDP baseline
 [9] is the same idea but carries its own search over timed worker
-schedules (``GDPDispatcher._cheapest_insertion_for_plan``).
+schedules (``repro.baselines.gdp._cheapest_positions``), whose clock
+starts at the vehicle's ``start_time`` rather than at ``0.0``.
 
 ``cheapest_insertion`` is the search itself, over stop-index sequences
 and a stop x stop travel-time matrix; no ``Route`` is built here.

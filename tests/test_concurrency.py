@@ -241,13 +241,25 @@ def test_session_concurrent_prepare_builds_oracle_once():
 
 
 def test_plans_through_batched_views_are_serial_and_one_hop_each():
-    """Two runs planning on one pooled ``lazy`` network, one hop per plan.
+    _two_planners_share_a_network("lazy", batched=True)
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "direct"])
+def test_plans_on_a_shared_ch_oracle(batched):
+    _two_planners_share_a_network("ch", batched)
+
+
+def _two_planners_share_a_network(backend: str, batched: bool) -> None:
+    """Two runs planning on one pooled network, one hop per plan.
 
     A plan's whole oracle traffic is one ``leg_matrix`` call, which a
     :class:`BatchedNetworkView` takes under the batcher's flush lock —
-    the shared LRU maps are never read or mutated outside it.  Uniform
-    edges make every leg an exact float sum whichever map prices it, so
-    the served plans must equal a serial planner's on its own network.
+    the shared LRU maps are never read or mutated outside it.  ``ch``
+    guards its pair cache with its own query lock, so its ``leg_matrix``
+    must also survive two planners sharing the network with no batcher
+    in between.  Uniform edges make every leg an exact float sum
+    whichever map or label prices it, so the served plans must equal a
+    serial planner's on its own network.
     """
     from repro.model.order import Order
     from repro.routing.planner import RoutePlanner
@@ -257,6 +269,7 @@ def test_plans_through_batched_views_are_serial_and_one_hop_each():
         return grid_city(rows=7, cols=7, edge_travel_time=60.0, jitter=0.0, seed=0)
 
     pooled = uniform_city()
+    pooled.use_backend(backend)
     nodes = pooled.nodes_sorted()
     rng = random.Random(77)
     groups = []
@@ -284,7 +297,7 @@ def test_plans_through_batched_views_are_serial_and_one_hop_each():
     barrier = threading.Barrier(2)
 
     def run(half: int):
-        planner = RoutePlanner(BatchedNetworkView(batcher))
+        planner = RoutePlanner(BatchedNetworkView(batcher) if batched else pooled)
         barrier.wait(timeout=30)
         return [outcome(planner, *group) for group in groups[half::2]]
 
@@ -297,5 +310,5 @@ def test_plans_through_batched_views_are_serial_and_one_hop_each():
         sys.setswitchinterval(interval)
     assert evens == expected[0::2] and odds == expected[1::2]
     stats = batcher.stats()
-    assert stats["serial_queries"] == len(groups)
+    assert stats["serial_queries"] == (len(groups) if batched else 0)
     assert stats["requests"] == 0  # no block went through the group commit

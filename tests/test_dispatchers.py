@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.baselines import GASDispatcher, GDPDispatcher, NonSharingDispatcher
 from repro.core.strategies import ConstantThresholdProvider
 from repro.core.watter import WatterDispatcher
+from repro.model.order import Order, OrderStatus
+from repro.model.worker import Worker
+from repro.network.graph import RoadNetwork
+from repro.network.grid import GridIndex
 from repro.routing.planner import RoutePlanner
+from repro.simulation.fleet import WorkerFleet
 from tests.conftest import make_order
 
 
@@ -223,6 +229,42 @@ class TestGDPDispatcher:
                 + record.order.shortest_time
             )
             assert dropoff_time <= record.order.deadline + 1e-6
+
+    @pytest.mark.parametrize(
+        "locations, pickup, dropoff, served_by",
+        [
+            ((3, 0), 1, 2, 0),  # the vehicle at 3 cannot reach the pickup
+            ((3,), 1, 2, None),  # no vehicle can
+            ((0,), 3, 1, None),  # the dropoff cannot be reached from the pickup
+        ],
+        ids=["served-by-the-reachable-vehicle", "pickup-unreachable", "dropoff-unreachable"],
+    )
+    def test_unreachable_leg_is_infeasible_not_an_error(
+        self, base_config, locations, pickup, dropoff, served_by
+    ):
+        """One-way street 2 -> 3: node 3 is a dead end."""
+        graph = nx.DiGraph()
+        for node in range(4):
+            graph.add_node(node, x=float(node), y=0.0)
+        for u, v in [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3)]:
+            graph.add_edge(u, v, travel_time=10.0)
+        network = RoadNetwork(graph)
+        workers = [Worker(location=location, capacity=4) for location in locations]
+        fleet = WorkerFleet(workers, network, GridIndex(network, size=2))
+        dispatcher = GDPDispatcher(network, fleet, base_config)
+        order = Order(
+            pickup=pickup, dropoff=dropoff, release_time=0.0,
+            shortest_time=10.0, deadline=100.0, wait_limit=10.0,
+        )
+        result = dispatcher.submit(order, 0.0)
+        if served_by is None:
+            assert result.rejected == (order,)
+            assert order.status is OrderStatus.REJECTED
+        else:
+            assert not result.rejected
+            assert order.status is OrderStatus.DISPATCHED
+            (record,) = dispatcher.flush(1e9).served
+            assert record.worker_id == workers[locations.index(served_by)].worker_id
 
 
 class TestGASDispatcher:

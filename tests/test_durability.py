@@ -251,16 +251,17 @@ class TestCheckpointFiles:
     def test_older_format_version_is_refused(self, tmp_path):
         """A v2 checkpoint pickles a config with no ``.oracle``, a v3 one
         a fleet with no release heap, a v4 one a config with dispatch
-        fields and an engine persistent id; the header check refuses
-        all three before anything is unpickled."""
+        fields and an engine persistent id, a v5 one a GDP schedule
+        without its legs; the header check refuses all four before
+        anything is unpickled."""
         session = Session()
         spec = _spec()
         path = tmp_path / "run.ckpt"
         _interrupt_and_checkpoint(session, spec, path, cut=3)
         header_line, _, blob = path.read_bytes().partition(b"\n")
         header = json.loads(header_line)
-        assert header["format"] == 5
-        for older in (2, 3, 4):
+        assert header["format"] == 6
+        for older in (2, 3, 4, 5):
             header["format"] = older
             path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + blob)
             with pytest.raises(CheckpointError, match=f"unsupported format {older}"):

@@ -1,10 +1,13 @@
 """The dense leg call and the Dijkstra kernel under it.
 
-Three contracts, each held to ``==``:
+Four contracts, each held to ``==``:
 
 * ``leg_matrix`` is the scalar answer: every cell equals what
   ``travel_time`` returns for the pair straight after the call, on every
   backend, whatever mix of forward and reverse maps ``lazy`` holds;
+* ``ch``'s override is its ``travel_times_many`` read densely: the same
+  floats, the same label and arrival-map work, one pair-cache read per
+  cell;
 * the oracle's own Dijkstra is networkx's, in values and in key order,
   forward and against the edges, and does not outlive ``clear()``;
 * a distance is a ``float``, a node's distance to itself included.
@@ -13,6 +16,7 @@ Three contracts, each held to ``==``:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from math import inf
 
 import networkx as nx
@@ -22,7 +26,9 @@ from hypothesis import strategies as st
 
 from repro.exceptions import UnknownNodeError, UnreachableError
 from repro.network.graph import RoadNetwork
-from repro.network.oracle import LazyDijkstraOracle, create_oracle
+from repro.network.oracle import CHOracle, LazyDijkstraOracle, create_oracle
+from repro.network.oracle import ch as ch_module
+from repro.network.oracle.base import DistanceOracle
 
 #: name -> (registry backend, factory options): all four backends, the
 #: contraction hierarchy under both kernels.
@@ -204,6 +210,111 @@ class TestLegMatrixIsTheScalarAnswer:
         network = RoadNetwork(whole, oracle=LazyDijkstraOracle(whole, max_sources=2))
         for sources, targets in _blocks(rng, 20, count=10, size=6):
             _assert_matrix_is_scalar(network, sources, targets)
+
+
+@pytest.mark.parametrize("kernel", ["dict", "csr"])
+class TestChOverride:
+    """``CHOracle.leg_matrix`` against a twin oracle asked by ``travel_times_many``.
+
+    The stats contract: ``queries`` and ``batched_queries`` grow by the
+    number of cells (duplicates and the diagonal included); every
+    off-diagonal cell found in the pair cache is one cache hit; the
+    label and arrival caches count hits, misses and searches exactly as
+    ``travel_times_many`` does for the same block.
+    """
+
+    @staticmethod
+    def _twins(kernel, graph=None, **options):
+        graph = _digraph(24, seed=4) if graph is None else graph
+        return [CHOracle(graph, kernel=kernel, **options) for _ in range(2)]
+
+    @staticmethod
+    def _check(dense, many, sources, targets):
+        off_diagonal = [(s, t) for s in sources for t in targets if s != t]
+        cached = [pair for pair in off_diagonal if pair in dense._pair_cache]
+        assert set(cached) == {pair for pair in off_diagonal if pair in many._pair_cache}
+        before_dense, before_many = dense.stats(), many.stats()
+        matrix = dense.leg_matrix(sources, targets)
+        block = many.travel_times_many(sources, targets)
+        spent, block_spent = dense.stats() - before_dense, many.stats() - before_many
+        assert matrix == [
+            [0.0 if s == t else block.get((s, t), inf) for t in targets] for s in sources
+        ]
+        cells = len(sources) * len(targets)
+        assert spent.queries == spent.batched_queries == cells
+        assert spent.cache_hits - len(cached) == block_spent.cache_hits - len(set(cached))
+        assert spent.cache_misses == block_spent.cache_misses
+        assert spent.reverse_sssp_runs == block_spent.reverse_sssp_runs
+        assert spent.pp_searches == block_spent.pp_searches == 0
+        assert spent.extras == block_spent.extras
+        for oracle in (dense, many):  # block == scalar, and the twins stay twins
+            for row, source in zip(matrix, sources):
+                for cell, target in zip(row, targets):
+                    try:
+                        assert oracle.travel_time(source, target) == cell
+                    except UnreachableError:
+                        assert cell == inf
+        return matrix, spent
+
+    def test_cold_then_fully_cached(self, kernel):
+        dense, many = self._twins(kernel)
+        sources, targets = [3, 8, 15, 20], [1, 8, 14]
+        matrix, cold = self._check(dense, many, sources, targets)
+        assert cold.cache_misses > 0 and cold.cache_hits == 0
+        assert any(cell == inf for row in matrix for cell in row)  # no raise
+        again, warm = self._check(dense, many, sources, targets)
+        assert again == matrix
+        assert warm.cache_misses == 0
+        assert warm.cache_hits == len(sources) * len(targets) - 1  # (8, 8) is no read
+        assert warm.extras["upward_settles"] == warm.extras["bucket_scans"] == 0
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["below-cutoff", "at-cutoff"])
+    def test_single_target_block_either_side_of_the_sweep_cutoff(self, kernel, offset):
+        dense, many = self._twins(kernel)
+        sources = list(range(2, 2 + ch_module._MANY_TO_ONE_CUTOFF + offset))
+        self._check(dense, many, sources, [0])
+        swept = dense.stats().extras["arrival_cached_targets"]
+        assert swept == (1.0 if offset == 0 else 0.0)
+
+    def test_target_with_a_memoised_arrival_row(self, kernel):
+        dense, many = self._twins(kernel)
+        for oracle in (dense, many):
+            oracle.travel_times_to(5)
+        self._check(dense, many, [1, 2, 3], [5, 9])
+        assert dense.stats().extras["arrival_cached_targets"] == 1.0
+        assert dense.stats().extras["bucket_cached_targets"] == 1.0  # 9 only
+
+    def test_duplicate_sources_and_targets(self, kernel):
+        dense, many = self._twins(kernel)
+        sources, targets = [4, 7, 4, 4], [7, 2, 2, 4]
+        matrix, _ = self._check(dense, many, sources, targets)
+        assert matrix[0] == matrix[2] == matrix[3]
+        assert [row[1] for row in matrix] == [row[2] for row in matrix]
+        assert matrix[0][3] == matrix[1][0] == 0.0
+        _, warm = self._check(dense, many, sources, targets)
+        assert warm.cache_hits == len(sources) * len(targets) - 4  # four diagonal cells
+
+    def test_block_larger_than_the_pair_cache_takes_the_two_step(self, kernel):
+        """Six cells, room for four: its own answers would be evicted."""
+        whole = _digraph(24, seed=31, weight=lambda rng: float(rng.randint(1, 9)))
+        dense, two_step = self._twins(kernel, whole, pair_cache_size=4)
+        sources, targets = [3, 15, 20], [1, 11]
+        before_dense, before_two_step = dense.stats(), two_step.stats()
+        matrix = dense.leg_matrix(sources, targets)
+        assert matrix == DistanceOracle.leg_matrix(two_step, sources, targets)
+        spent = dense.stats() - before_dense
+        assert spent == replace(
+            two_step.stats() - before_two_step,
+            precompute_seconds=spent.precompute_seconds,
+        )
+        assert spent.evictions > 0
+        for row, source in zip(matrix, sources):
+            for cell, target in zip(row, targets):
+                assert cell == _scalar(RoadNetwork(whole, oracle=dense), source, target)
+        # A block that fits is read off the cache: one query per cell.
+        before = dense.stats()
+        dense.leg_matrix(sources[:2], targets)
+        assert (dense.stats() - before).queries == 4
 
 
 class TestDistancesAreFloats:
