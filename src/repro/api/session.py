@@ -148,7 +148,7 @@ class Session:
     oracle_cache_dir:
         Default on-disk oracle-preprocessing cache applied to every
         scenario whose oracle backend persists its preprocessing
-        (``ch``, ``overlay``) and whose spec does not set its own
+        (``ch``) and whose spec does not set its own
         ``oracle.cache_dir``.  With a warm directory, a brand-new
         process constructing the ``ch`` backend loads the persisted
         contraction order instead of re-contracting the graph.

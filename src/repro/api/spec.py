@@ -115,8 +115,6 @@ _ARG_FIELDS = (
 _ORACLE_ARG_OPTIONS = (
     ("oracle", "backend"),
     ("oracle_kernel", "kernel"),
-    ("coarsen_levels", "coarsen_levels"),
-    ("coarsen_alpha", "coarsen_alpha"),
 )
 
 _CANONICAL_ALGORITHMS = {name.lower(): name for name in ALGORITHMS}
@@ -135,9 +133,10 @@ class ScenarioSpec:
         of :attr:`dataset`) or ``"grid"`` (a ``grid_rows x grid_cols``
         lattice generated from the ``grid_*`` fields and the seed).
     dataset:
-        Dataset preset (``NYC`` / ``CDC`` / ``XIA``).  Supplies the
-        city model *and* the scaled Table III defaults when
-        ``network == "dataset"``.
+        Dataset preset (``NYC`` / ``CDC`` / ``XIA``, or ``LARGE`` —
+        alias ``LARGE-SYNTHETIC`` — the 102 400-node synthetic city on
+        CDC's defaults).  Supplies the city model *and* the scaled
+        Table III defaults when ``network == "dataset"``.
     grid_rows, grid_cols, grid_edge_travel_time, grid_jitter:
         Lattice shape for ``network == "grid"``.
     workload:
@@ -393,10 +392,10 @@ class ScenarioSpec:
     def from_args(cls, args: argparse.Namespace) -> "ScenarioSpec":
         """Build a spec from the CLI's parsed workload arguments.
 
-        ``--oracle``, ``--oracle-kernel``, ``--coarsen-levels`` and
-        ``--coarsen-alpha`` build one :class:`OracleSpec`, so a kernel
-        or coarsening flag on a backend that does not take it is
-        rejected exactly like the same option in a spec document.
+        ``--oracle`` and ``--oracle-kernel`` build one
+        :class:`OracleSpec`, so a kernel flag on a backend that does not
+        take it is rejected exactly like the same option in a spec
+        document.
         """
         overrides: dict[str, Any] = {}
         for arg_name, field_name in _ARG_FIELDS:
@@ -462,26 +461,3 @@ class ScenarioSpec:
             else f"grid{self.grid_rows}x{self.grid_cols}"
         )
         return f"{source}/{self.workload}/{self.algorithm}"
-
-    def identity(self) -> dict[str, Any]:
-        """Self-describing scenario identity.
-
-        The resolved values that determine what a run measured: the
-        source, the oracle backend and the seed — callers append the
-        network's ``graph_hash`` once a graph exists.
-        """
-        config = self.config()
-        identity: dict[str, Any] = {
-            "scenario": self.describe(),
-            "network": self.network,
-            "workload": self.workload,
-            "algorithm": self.algorithm,
-            "oracle_backend": config.oracle.backend,
-            "oracle_kernel": config.oracle.kernel or "auto",
-            "seed": config.seed,
-            "num_orders": config.num_orders,
-            "num_workers": config.num_workers,
-        }
-        if self.network == "dataset":
-            identity["dataset"] = self.dataset
-        return identity

@@ -20,11 +20,9 @@ Five subcommands cover the common workflows:
   recovered after a crash, and ``SIGTERM`` drains gracefully within
   ``--drain-grace`` seconds (see docs/DURABILITY.md).
 
-Every workload command accepts ``--oracle {lazy,matrix,ch,overlay}``
-to pick the shortest-path backend
-(``overlay`` adds ``--coarsen-levels`` / ``--coarsen-alpha``) and
-``--oracle-cache DIR`` to persist (and reuse) CH preprocessing and
-coarsening hierarchies on disk, without touching any code.
+Every workload command accepts ``--oracle {lazy,matrix,ch}`` to pick
+the shortest-path backend and ``--oracle-cache DIR`` to persist (and
+reuse) CH preprocessing on disk, without touching any code.
 
 The CLI is intentionally a thin veneer over :mod:`repro.api` — every
 flag set maps onto a :class:`~repro.api.ScenarioSpec`, so anything it
@@ -294,7 +292,7 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         choices=["NYC", "CDC", "XIA", "LARGE", "LARGE-SYNTHETIC"],
         help=(
             "dataset preset: the paper's three cities, or LARGE — the "
-            "102400-node synthetic city for the overlay backend"
+            "102400-node synthetic city (pair it with the lazy backend)"
         ),
     )
     parser.add_argument("--orders", type=int, default=None, help="number of orders")
@@ -324,27 +322,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
             "inner-loop kernel of the ch/matrix backends: csr = "
             "vectorised numpy sweeps, dict = pure Python, auto = csr "
             "when numpy is importable (identical answers either way)"
-        ),
-    )
-    parser.add_argument(
-        "--coarsen-levels",
-        type=_positive_int,
-        default=None,
-        metavar="L",
-        help=(
-            "matching passes of the overlay backend's multilevel "
-            "coarsener (more levels = smaller coarse graph, coarser "
-            "estimates; default 3)"
-        ),
-    )
-    parser.add_argument(
-        "--coarsen-alpha",
-        type=_positive_float,
-        default=None,
-        metavar="A",
-        help=(
-            "travel-time weight of the coarsener's merge cost "
-            "D_ij = alpha*tau_ij + beta*temporal_slack (default 1)"
         ),
     )
 

@@ -110,7 +110,7 @@ def xia_like_city(seed: int = 2) -> CityModel:
 
 
 def large_synthetic_city(seed: int = 3) -> CityModel:
-    """A 102 400-node city for the coarsening / overlay stress path.
+    """A 102 400-node city for the city-scale stress path.
 
     The network is :func:`~repro.network.generators.large_city`'s
     320x320 arterial lattice (built in O(V+E)); demand uses the
@@ -120,8 +120,8 @@ def large_synthetic_city(seed: int = 3) -> CityModel:
     neighbourhoods, never a full per-source distance map of the 10^5
     nodes.  Selected as dataset ``"LARGE"`` (alias
     ``"LARGE-SYNTHETIC"``) from :class:`~repro.api.ScenarioSpec` or
-    ``--dataset LARGE``; pair it with ``--oracle overlay`` for
-    city-scale dispatch.
+    ``--dataset LARGE``; pair it with ``--oracle lazy`` (the default)
+    for city-scale dispatch.
     """
     network = large_city(rows=320, cols=320, seed=seed)
     pickup_hotspots = [

@@ -1,10 +1,5 @@
 """Road-network substrate: graphs, shortest paths, spatial indexing."""
 
-from .coarsen import (
-    CoarseningHierarchy,
-    MultilevelCoarsener,
-    OverlayOracle,
-)
 from .graph import RoadNetwork, build_network
 from .grid import GridIndex
 from .generators import (
@@ -34,13 +29,10 @@ __all__ = [
     "radial_city",
     "example_network",
     "CHOracle",
-    "CoarseningHierarchy",
     "DistanceOracle",
     "LazyDijkstraOracle",
     "MatrixOracle",
-    "MultilevelCoarsener",
     "OracleStats",
-    "OverlayOracle",
     "available_backends",
     "configure_oracle",
     "create_oracle",

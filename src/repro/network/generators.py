@@ -12,7 +12,7 @@ algorithms care about:
   NYC workload,
 * ``radial_city`` — ring-and-spoke topology useful for robustness tests,
 * ``large_city`` — a city-scale lattice (10^5+ nodes) with a fast
-  arterial sub-grid, built in O(V+E) for the coarsening/overlay layer,
+  arterial sub-grid, built in O(V+E) for the ``LARGE`` dataset preset,
 * ``example_network`` — the exact 6-node / 7-edge network of Figure 1
   and Example 1, used to validate the strategies end-to-end.
 """
@@ -151,13 +151,11 @@ def large_city(
     """A city-scale lattice with a faster arterial sub-grid.
 
     The default 320x320 shape gives 102 400 nodes / ~408k directed
-    edges — the scale the coarsening layer and the ``overlay`` backend
-    exist for.  Every ``arterial_period``-th row and column is an
-    arterial whose edges cost ``arterial_factor`` of a normal block, so
-    shortest paths concentrate on a sparse fast sub-grid the way they
-    do on real road hierarchies (and the way the coarsener's merge cost
-    expects: side-street nodes are cheap to absorb, arterial
-    intersections survive to the coarse levels).
+    edges; the ``lazy`` backend serves it without preprocessing.  Every
+    ``arterial_period``-th row and column is an arterial whose edges
+    cost ``arterial_factor`` of a normal block, so shortest paths
+    concentrate on a sparse fast sub-grid the way they do on real road
+    hierarchies.
 
     Construction is one pass over nodes and one over edges — O(V+E)
     time and memory, no pairwise or quadratic work — so the generator

@@ -1,6 +1,6 @@
 """Pluggable shortest-path distance oracles for the routing hot path.
 
-Four built-in backends cover the setup-cost/query-cost spectrum:
+Three built-in backends cover the setup-cost/query-cost spectrum:
 
 ==========  =======================  =====================================
 name        setup                    point-to-point query
@@ -13,10 +13,6 @@ name        setup                    point-to-point query
             pass (edge-difference    the contraction hierarchy — tiny
             order, witness           search spaces, no per-node state
             searches)                proportional to the graph
-``overlay``  multilevel coarsening   coarse-graph query between cluster
-            + inner oracle on the    representatives, certified within a
-            coarse graph (city-      configurable relative error bound
-            scale readiness)         (exact refinement when it is not)
 ==========  =======================  =====================================
 
 Select a backend through ``SimulationConfig(oracle=OracleSpec(...))``, the

@@ -15,7 +15,7 @@ ten separate cache misses sprinkled through the hot path.
 Memory is ``rows x num_nodes x 8`` bytes — for the city-scale synthetic
 networks of this reproduction (hundreds of nodes, hundreds of active
 nodes) that is a few megabytes; for very large graphs prefer the
-``ch`` or ``overlay`` backend.
+``ch`` or ``lazy`` backend.
 """
 
 from __future__ import annotations

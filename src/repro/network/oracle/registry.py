@@ -4,9 +4,9 @@ The registry is what makes backends swappable without touching any
 dispatcher code: ``SimulationConfig.oracle`` (an :class:`OracleSpec`;
 the CLI's ``--oracle`` flag sets its ``backend``) names a backend, and
 :func:`configure_oracle` builds and attaches it to the workload's
-:class:`RoadNetwork` before the run starts.  Four backends are built
-in — ``lazy``, ``matrix``, the contraction-hierarchy ``ch`` and the
-coarsening-based ``overlay`` — and libraries embedding
+:class:`RoadNetwork` before the run starts.  Three backends are built
+in — ``lazy``, ``matrix`` and the contraction-hierarchy ``ch`` — and
+libraries embedding
 the reproduction can plug in their own (e.g. an osmnx/igraph-backed
 oracle for real map extracts) via :func:`register_oracle`.
 """
@@ -192,87 +192,10 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
     return oracle
 
 
-def _make_overlay(graph: nx.DiGraph, **options) -> DistanceOracle:
-    """Coarsen (or load a cached hierarchy), then stand up the overlay.
-
-    The hierarchy persists in the same cache directory as the CH
-    preprocessing, keyed by the full graph's signature plus the
-    coarsening parameters; the inner coarse-graph oracle additionally
-    reuses the CH cache keyed by the *coarse* graph's signature, so a
-    warm directory makes overlay readiness almost free.
-    """
-    # Deferred import: the overlay builds its inner oracle through
-    # this registry, so a top-level import would be circular.
-    from ..coarsen import (
-        DEFAULT_ALPHA,
-        DEFAULT_BETA,
-        DEFAULT_ERROR_BOUND,
-        DEFAULT_LEVELS,
-        DEFAULT_STOP_RATIO,
-        CoarseningParams,
-        MultilevelCoarsener,
-        OverlayOracle,
-        coarsen_cache_path,
-        load_hierarchy,
-        save_hierarchy,
-    )
-
-    degradations: DegradationLog | None = options.get("degradations")
-    levels = options.get("coarsen_levels", DEFAULT_LEVELS)
-    alpha = options.get("coarsen_alpha", DEFAULT_ALPHA)
-    beta = options.get("coarsen_beta", DEFAULT_BETA)
-    params = CoarseningParams(
-        levels=levels, alpha=alpha, beta=beta, stop_ratio=DEFAULT_STOP_RATIO
-    )
-    cache_dir = options.get("cache_dir")
-    hierarchy = None
-    path = None
-    if cache_dir:
-        path = coarsen_cache_path(cache_dir, graph, params)
-        hierarchy = load_hierarchy(path, graph, params)
-    from_cache = hierarchy is not None
-    if hierarchy is None:
-        fault_point("oracle.coarsen.build")
-        hierarchy = MultilevelCoarsener(
-            graph,
-            levels=levels,
-            alpha=alpha,
-            beta=beta,
-            stop_ratio=DEFAULT_STOP_RATIO,
-        ).build()
-        if path is not None:
-            try:
-                save_hierarchy(path, hierarchy, graph)
-            except OSError as exc:
-                # Best effort, like the CH cache: a run never fails
-                # because its hierarchy could not be persisted.
-                if degradations is not None:
-                    degradations.record(
-                        "oracle.cache",
-                        "persist",
-                        "skip",
-                        f"coarsening cache save failed after retries: {exc}",
-                    )
-    oracle = OverlayOracle(
-        graph,
-        hierarchy=hierarchy,
-        error_bound=options.get("coarsen_error_bound", DEFAULT_ERROR_BOUND),
-        refine=options.get("coarsen_refine", False),
-        cache_size=options.get("cache_size"),
-        witness_hop_limit=options.get("witness_hop_limit"),
-        cache_dir=cache_dir,
-        kernel=options.get("kernel"),
-        seed=options.get("seed", 0),
-    )
-    oracle.hierarchy_from_cache = from_cache
-    return oracle
-
-
 ORACLE_BACKENDS: dict[str, OracleFactory] = {
     "lazy": _make_lazy,
     "matrix": _make_matrix,
     "ch": _make_ch,
-    "overlay": _make_overlay,
 }
 
 
@@ -301,8 +224,7 @@ def create_oracle(
     ``options`` are the factory keywords: ``cache_size``,
     ``reverse_cache_size`` (the lazy backend's per-target reverse
     distance-map bound, defaults to ``cache_size``),
-    ``witness_hop_limit``, ``cache_dir``, ``kernel``, the ``coarsen_*``
-    knobs and ``degradations``
+    ``witness_hop_limit``, ``cache_dir``, ``kernel`` and ``degradations``
     (the run's :class:`~repro.resilience.degradation.DegradationLog`;
     factories record recoverable fallbacks — corrupt cache -> rebuild,
     failed save -> skip — into it).  An option left out or passed as

@@ -26,17 +26,6 @@ ORACLE_OPTIONS_BY_BACKEND: dict[str, tuple[str, ...]] = {
         "cache_dir",
         "kernel",
     ),
-    "overlay": (
-        "cache_size",
-        "witness_hops",
-        "cache_dir",
-        "kernel",
-        "coarsen_levels",
-        "coarsen_alpha",
-        "coarsen_beta",
-        "coarsen_error_bound",
-        "coarsen_refine",
-    ),
 }
 
 
@@ -51,8 +40,8 @@ class OracleSpec:
     Attributes
     ----------
     backend:
-        Registry name (``"lazy"``, ``"matrix"``, ``"ch"``,
-        ``"overlay"``, or a custom registered backend).
+        Registry name (``"lazy"``, ``"matrix"``, ``"ch"``, or a custom
+        registered backend).
     cache_size:
         LRU bound (lazy per-source cache; ch source and target label
         caches, each).
@@ -62,21 +51,12 @@ class OracleSpec:
     cache_dir:
         On-disk preprocessing cache directory: the ``ch`` backend
         stores its contraction order and shortcuts there keyed by a
-        stable graph hash (the ``overlay`` backend its hierarchy too),
-        so a warm directory lets a fresh process skip the build.
+        stable graph hash, so a warm directory lets a fresh process
+        skip the build.
     kernel:
         ``"dict"`` | ``"csr"`` | ``"auto"`` — inner-loop implementation
         of the ch/matrix backends (csr = vectorised numpy kernels, auto
         = csr when numpy is importable; identical answers either way).
-    coarsen_levels, coarsen_alpha, coarsen_beta:
-        Multilevel-coarsening knobs of the overlay backend: matching
-        passes and the merge-cost weights of
-        ``D_ij = alpha*tau_ij + beta*temporal_slack``.
-    coarsen_error_bound:
-        Certified relative error ceiling of overlay estimates; queries
-        whose certified gap exceeds it are refined exactly.
-    coarsen_refine:
-        ``True`` makes the overlay answer every query exactly.
 
     Setting an option a *built-in* backend does not consume raises a
     :class:`ConfigurationError` listing the backend's valid options at
@@ -88,11 +68,6 @@ class OracleSpec:
     witness_hops: int | None = None
     cache_dir: str | None = None
     kernel: str | None = None
-    coarsen_levels: int | None = None
-    coarsen_alpha: float | None = None
-    coarsen_beta: float | None = None
-    coarsen_error_bound: float | None = None
-    coarsen_refine: bool | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.backend, str) or not self.backend:
@@ -100,8 +75,7 @@ class OracleSpec:
                 f"OracleSpec.backend must be a non-empty string, "
                 f"got {self.backend!r}"
             )
-        # Deferred imports: the registry (and the coarsening package it
-        # pulls in) imports this module back.
+        # Deferred import: the registry imports this module back.
         from .registry import ORACLE_BACKENDS
 
         if self.backend not in ORACLE_BACKENDS:
@@ -109,11 +83,7 @@ class OracleSpec:
                 f"unknown oracle backend {self.backend!r}; available: "
                 f"{tuple(sorted(ORACLE_BACKENDS))}"
             )
-        for option in (
-            "cache_size",
-            "witness_hops",
-            "coarsen_levels",
-        ):
+        for option in ("cache_size", "witness_hops"):
             value = getattr(self, option)
             if value is None:
                 continue
@@ -134,31 +104,6 @@ class OracleSpec:
             raise ConfigurationError(
                 f"OracleSpec.kernel must be one of {KERNELS}, "
                 f"got {self.kernel!r}"
-            )
-        for option in ("coarsen_alpha", "coarsen_beta", "coarsen_error_bound"):
-            value = getattr(self, option)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"OracleSpec.{option} must be a number, got {value!r}"
-                )
-            if value < 0:
-                raise ConfigurationError(
-                    f"OracleSpec.{option} must be non-negative, got {value}"
-                )
-            try:
-                object.__setattr__(self, option, float(value))
-            except OverflowError:
-                raise ConfigurationError(
-                    f"OracleSpec.{option} does not fit a float"
-                ) from None
-        if self.coarsen_refine is not None and not isinstance(
-            self.coarsen_refine, bool
-        ):
-            raise ConfigurationError(
-                f"OracleSpec.coarsen_refine must be a boolean, "
-                f"got {self.coarsen_refine!r}"
             )
         self._check_backend_options()
 

@@ -172,11 +172,11 @@ class TestOracleSpec:
             ({"witness_hops": 2.5}, "witness_hops must be an integer"),
             ({"cache_dir": 7}, "path string"),
             ({"kernel": "simd"}, "kernel must be one of"),
-            ({"coarsen_refine": 1}, "coarsen_refine must be a boolean"),
+            ({"backend": "overlay"}, "unknown oracle backend 'overlay'"),
             # Options the named backend does not consume are rejected
             # eagerly, naming the valid set.
             ({"backend": "lazy", "kernel": "csr"}, "does not take option"),
-            ({"backend": "ch", "coarsen_levels": 2}, "does not take option"),
+            ({"backend": "lazy", "cache_dir": "/tmp"}, "does not take option"),
             ({"backend": "matrix", "witness_hops": 2}, "does not take option"),
         ],
     )
@@ -218,8 +218,9 @@ class TestOracleSpec:
             ),
             (
                 {"oracle": {"backend": "ch", "coarsen_levels": 2}},
-                "does not take option.*coarsen_levels",
+                "unknown OracleSpec keys.*coarsen_levels",
             ),
+            ({"oracle": {"backend": "overlay"}}, "unknown oracle backend 'overlay'"),
         ],
     )
     def test_removed_dispatch_keys_are_unknown_keys(self, document, match):
@@ -378,22 +379,41 @@ class TestCliParity:
         assert spec.config().oracle.kernel == "dict"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, parser_error",
         [
-            ["compare", "--oracle-kernel", "csr"],
-            ["compare", "--oracle", "lazy", "--oracle-kernel", "dict"],
-            ["compare", "--oracle", "matrix", "--coarsen-levels", "2"],
-            ["compare", "--oracle", "lazy", "--coarsen-alpha", "2.0"],
+            (["compare", "--oracle-kernel", "csr"], None),
+            (["compare", "--oracle", "lazy", "--oracle-kernel", "dict"], None),
+            # The coarsening flags went with the backend that took them.
+            (
+                ["compare", "--oracle", "matrix", "--coarsen-levels", "2"],
+                "unrecognized arguments: --coarsen-levels",
+            ),
+            (
+                ["compare", "--oracle", "lazy", "--coarsen-alpha", "2.0"],
+                "unrecognized arguments: --coarsen-alpha",
+            ),
         ],
+        ids=[f"argv{index}" for index in range(4)],
     )
-    def test_flag_the_backend_does_not_take_is_rejected(self, argv):
+    def test_flag_the_backend_does_not_take_is_rejected(
+        self, argv, parser_error, capsys
+    ):
         """Same rule as a spec document: no silently dropped options."""
+        if parser_error is not None:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+            assert parser_error in capsys.readouterr().err
+            return
         args = build_parser().parse_args(argv)
         with pytest.raises(ConfigurationError, match="does not take option"):
             ScenarioSpec.from_args(args)
 
     def test_oracle_kernel_flag_rejects_unknown(self, capsys):
-        for flag, value in (("--oracle-kernel", "simd"), ("--oracle", "landmark")):
+        for flag, value in (
+            ("--oracle-kernel", "simd"),
+            ("--oracle", "landmark"),
+            ("--oracle", "overlay"),
+        ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["compare", flag, value])
             assert "invalid choice" in capsys.readouterr().err
@@ -405,16 +425,6 @@ class TestIdentity:
         assert "CDC" in ScenarioSpec().describe()
         assert "grid" in ScenarioSpec(network="grid").describe()
 
-    def test_identity_is_self_describing(self):
-        identity = ScenarioSpec(
-            dataset="NYC", oracle={"backend": "ch"}, seed=4, num_orders=30
-        ).identity()
-        assert identity["dataset"] == "NYC"
-        assert identity["oracle_backend"] == "ch"
-        assert identity["oracle_kernel"] == "auto"
-        assert identity["seed"] == 4
-        assert identity["num_orders"] == 30
-
 
 # ----------------------------------------------------------------------
 # fuzz: a spec document is a spec or a ConfigurationError, nothing else
@@ -423,7 +433,16 @@ _SPEC_KEYS = sorted(f.name for f in dataclasses.fields(ScenarioSpec))
 _ORACLE_KEYS = sorted(f.name for f in dataclasses.fields(OracleSpec))
 #: Keys earlier builds accepted and this one must refuse by name.
 _REMOVED_SPEC_KEYS = ["dispatch_workers", "dispatch_mode", "oracle_backend"]
-_REMOVED_ORACLE_KEYS = ["shared_memory", "landmarks", "contraction_order"]
+_REMOVED_ORACLE_KEYS = [
+    "shared_memory",
+    "landmarks",
+    "contraction_order",
+    "coarsen_levels",
+    "coarsen_alpha",
+    "coarsen_beta",
+    "coarsen_error_bound",
+    "coarsen_refine",
+]
 
 _scalars = st.one_of(
     st.none(),
@@ -458,14 +477,12 @@ _junk_documents = st.dictionaries(
 #: Right-typed values straddling each field's valid range, so a good
 #: share of the documents parse and reach the round-trip assertion.
 _plausible_oracle_documents = st.fixed_dictionaries(
-    # "landmark" is a removed backend: one of the invalid draws.
+    # "landmark" and "overlay" are removed backends: invalid draws.
     {"backend": st.sampled_from(["lazy", "landmark", "matrix", "ch", "overlay"])},
     optional={
         "cache_size": st.integers(0, 9),
+        "witness_hops": st.integers(0, 3),
         "kernel": st.sampled_from(["auto", "dict", "csr", "simd"]),
-        "coarsen_levels": st.integers(0, 3),
-        "coarsen_alpha": st.one_of(st.integers(-1, 2), st.floats(-1.0, 2.0)),
-        "coarsen_refine": st.booleans(),
     },
 )
 _plausible_documents = st.fixed_dictionaries(

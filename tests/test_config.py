@@ -78,7 +78,7 @@ class TestOneOracleSurface:
             assert "oracle" in names
             assert not [name for name in names if name.startswith("oracle_")]
         assert isinstance(SimulationConfig().oracle, OracleSpec)
-        assert len(dataclasses.fields(OracleSpec)) == 10
+        assert len(dataclasses.fields(OracleSpec)) == 5
 
 
 class TestLearningConfig:

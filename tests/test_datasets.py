@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.config import SimulationConfig
@@ -15,11 +16,12 @@ from repro.datasets.io import (
 from repro.datasets.synthetic import CityModel, DemandHotspot, PeakPeriod
 from repro.datasets.workloads import (
     DATASET_NAMES,
+    LARGE_DATASET_NAMES,
     build_workload,
     city_by_name,
 )
-from repro.exceptions import DatasetError
-from repro.network.generators import grid_city
+from repro.exceptions import ConfigurationError, DatasetError
+from repro.network.generators import grid_city, large_city
 
 
 @pytest.fixture
@@ -201,3 +203,79 @@ class TestCsvRoundTrip:
         assert len(orders) == 1
         assert orders[0].release_time == 5.0
         assert orders[0].shortest_time > 0
+
+
+class TestLargeCity:
+    def test_shape_and_arterials(self):
+        network = large_city(rows=16, cols=16, jitter=0.0, arterial_period=4)
+        graph = network.graph
+        assert graph.number_of_nodes() == 256
+        # Eastward edges on an arterial row are cheaper than a normal row.
+        arterial = graph[0][1]["travel_time"]
+        side_street = graph[16][17]["travel_time"]
+        assert arterial == pytest.approx(0.5 * side_street)
+        # Strongly connected: build_network inserts both directions.
+        assert nx.is_strongly_connected(graph)
+
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            large_city(rows=1, cols=5)
+        with pytest.raises(ConfigurationError):
+            large_city(rows=4, cols=4, arterial_period=1)
+        with pytest.raises(ConfigurationError):
+            large_city(rows=4, cols=4, arterial_factor=0.0)
+
+    def test_large_dataset_registered(self):
+        assert set(LARGE_DATASET_NAMES) == {"LARGE", "LARGE-SYNTHETIC"}
+        with pytest.raises(Exception) as excinfo:
+            city_by_name("nowhere")
+        assert "LARGE" in str(excinfo.value)
+
+
+
+class TestLocalTripDemand:
+    def _city(self):
+        network = grid_city(rows=10, cols=10, edge_travel_time=60.0, seed=14)
+        return CityModel(
+            name="local",
+            network=network,
+            pickup_hotspots=[DemandHotspot(x=5.0, y=5.0, spread=3.0)],
+            dropoff_hotspots=[DemandHotspot(x=5.0, y=5.0, spread=3.0)],
+            uniform_fraction=0.2,
+            min_trip_time=120.0,
+            local_trip_spread=3.0,
+        )
+
+    def test_orders_carry_exact_shortest_times(self):
+        city = self._city()
+        config = SimulationConfig(num_orders=15, num_workers=3, seed=21)
+        workload = city.generate(config)
+        assert workload.orders
+        for order in workload.orders:
+            want = nx.dijkstra_path_length(
+                city.network.graph,
+                order.pickup,
+                order.dropoff,
+                weight="travel_time",
+            )
+            assert order.shortest_time == pytest.approx(want)
+            assert order.shortest_time >= city.min_trip_time
+
+    def test_generation_is_deterministic(self):
+        config = SimulationConfig(num_orders=10, num_workers=2, seed=22)
+        first = self._city().generate(config)
+        second = self._city().generate(config)
+        assert [
+            (o.pickup, o.dropoff, o.release_time) for o in first.orders
+        ] == [(o.pickup, o.dropoff, o.release_time) for o in second.orders]
+
+    def test_spread_must_be_positive(self):
+        network = grid_city(rows=4, cols=4, seed=0)
+        with pytest.raises(Exception):
+            CityModel(
+                name="bad",
+                network=network,
+                pickup_hotspots=[DemandHotspot(x=1.0, y=1.0, spread=1.0)],
+                dropoff_hotspots=[DemandHotspot(x=1.0, y=1.0, spread=1.0)],
+                local_trip_spread=0.0,
+            )

@@ -450,6 +450,10 @@ class TestServiceRecovery:
                 {**_spec().to_dict(), "dispatch_workers": 2},
                 "dispatch_workers",
             ),
+            "run-000004": (
+                {**_spec().to_dict(), "oracle": {"backend": "overlay"}},
+                "overlay",
+            ),
         }
         for run_id, (document, _) in stale.items():
             journal.append({"type": "submitted", "run_id": run_id, "spec": document})
@@ -464,8 +468,8 @@ class TestServiceRecovery:
                     assert record.as_dict()["spec"] == document
                 # Counted once; a later restart serves them from the store.
                 recovered = service.metrics()["durability"]["recovered"]
-                assert recovered["failed"] == (2 if restart == 1 else 0)
-                assert service.submit_spec(_spec()).run_id == f"run-{3 + restart:06d}"
+                assert recovered["failed"] == (len(stale) if restart == 1 else 0)
+                assert service.submit_spec(_spec()).run_id == f"run-{4 + restart:06d}"
             if restart == 1:
                 for run_id in stale:
                     types = [

@@ -30,19 +30,18 @@ from repro.network.oracle import CHOracle, LazyDijkstraOracle, create_oracle
 from repro.network.oracle import ch as ch_module
 from repro.network.oracle.base import DistanceOracle
 
-#: name -> (registry backend, factory options): all four backends, the
+#: name -> (registry backend, factory options): all three backends, the
 #: contraction hierarchy under both kernels.
 BACKENDS = {
     "lazy": ("lazy", {}),
     "matrix": ("matrix", {}),
     "ch-dict": ("ch", {"kernel": "dict"}),
     "ch-csr": ("ch", {"kernel": "csr"}),
-    "overlay": ("overlay", {"coarsen_levels": 2}),
 }
 
 #: The backends whose full-map searches run on ``_dijkstra_from`` /
 #: ``_dijkstra_to``.
-KERNEL_BACKENDS = ["lazy", "matrix", "overlay"]
+KERNEL_BACKENDS = ["lazy", "matrix"]
 
 
 def _digraph(num_nodes: int, seed: int, weight=lambda rng: rng.uniform(1.0, 10.0)):

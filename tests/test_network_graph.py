@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 
@@ -181,3 +183,27 @@ class TestOracleRoutedPaths:
         assert network.shortest_path(0, 1) == [0, 1]
         with pytest.raises(UnreachableError):
             network.shortest_path(1, 0)
+
+
+class TestNearestNodeIndex:
+    def test_matches_linear_scan(self):
+        network = grid_city(rows=9, cols=9, seed=15)
+        graph = network.graph
+        entries = [
+            (node, data["x"], data["y"]) for node, data in graph.nodes(data=True)
+        ]
+        rng = random.Random(16)
+        probes = [(rng.uniform(-2.0, 10.0), rng.uniform(-2.0, 10.0)) for _ in range(200)]
+        # Exact-tie probes: the midpoint of two nodes must resolve to the
+        # same winner the linear scan picks (first in iteration order).
+        probes.append((0.5, 0.0))
+        probes.append((4.5, 4.5))
+        for x, y in probes:
+            best = min(
+                entries,
+                key=lambda entry: (
+                    (entry[1] - x) ** 2 + (entry[2] - y) ** 2,
+                    entries.index(entry),
+                ),
+            )[0]
+            assert network.nearest_node(x, y) == best

@@ -37,6 +37,7 @@ from repro.network.oracle import (
     register_oracle,
     resolve_kernel,
 )
+from repro.network.oracle.cache import graph_signature
 from repro.network.oracle.registry import ORACLE_BACKENDS
 
 BACKEND_CLASSES = {
@@ -632,7 +633,7 @@ class TestLabelMemo:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) == {"lazy", "matrix", "ch", "overlay"}
+        assert set(available_backends()) == {"lazy", "matrix", "ch"}
 
     def test_unknown_backend_rejected(self, networks):
         with pytest.raises(ConfigurationError):
@@ -832,16 +833,6 @@ _DEFAULT_SETTINGS = {
         "bucket_cache_size": 1024,
         "kernel": "auto",
     },
-    "overlay": {
-        "kernel": "auto",
-        "coarsen_levels": 3,
-        "coarsen_alpha": 1.0,
-        "coarsen_beta": 1.0,
-        "error_bound": 0.25,
-        "refine_mode": False,
-        "inner.witness_hop_limit": 5,
-        "inner.bucket_cache_size": 1024,
-    },
 }
 
 #: (backend, spec options, settings that differ from the defaults row):
@@ -860,20 +851,6 @@ _SETTINGS_ROWS = [
     ("ch", {"kernel": "dict"}, {"kernel": "dict"}),
     ("ch", {"kernel": "csr"}, {"kernel": "csr"}),
     ("ch", {"cache_dir": "TMP"}, {"cache_files": ["ch-*-w5.json"]}),
-    ("overlay", {}, {}),
-    ("overlay", {"cache_size": 8}, {"inner.bucket_cache_size": 8}),
-    ("overlay", {"witness_hops": 3}, {"inner.witness_hop_limit": 3}),
-    ("overlay", {"kernel": "dict"}, {"kernel": "dict"}),
-    ("overlay", {"coarsen_levels": 2}, {"coarsen_levels": 2}),
-    ("overlay", {"coarsen_alpha": 2.0}, {"coarsen_alpha": 2.0}),
-    ("overlay", {"coarsen_beta": 0.5}, {"coarsen_beta": 0.5}),
-    ("overlay", {"coarsen_error_bound": 0.5}, {"error_bound": 0.5}),
-    ("overlay", {"coarsen_refine": True}, {"refine_mode": True}),
-    (
-        "overlay",
-        {"cache_dir": "TMP"},
-        {"cache_files": ["ch-*-w5.json", "coarsen-*-L3-a1-b1-r0.95.json"]},
-    ),
 ]
 
 
@@ -881,22 +858,9 @@ def _reported_settings(oracle: DistanceOracle) -> dict:
     reported = {}
     if isinstance(oracle, LazyDijkstraOracle):
         reported["maxsize"] = oracle.cache_info().maxsize
-    for name in (
-        "witness_hop_limit",
-        "bucket_cache_size",
-        "kernel",
-        "coarsen_levels",
-        "coarsen_alpha",
-        "coarsen_beta",
-        "error_bound",
-        "refine_mode",
-    ):
+    for name in ("witness_hop_limit", "bucket_cache_size", "kernel"):
         if hasattr(oracle, name):
             reported[name] = getattr(oracle, name)
-    inner = getattr(oracle, "inner", None)
-    if inner is not None:
-        reported["inner.witness_hop_limit"] = inner.witness_hop_limit
-        reported["inner.bucket_cache_size"] = inner.bucket_cache_size
     return reported
 
 
@@ -932,7 +896,7 @@ class TestSpecToOracleSettings:
         cache_files = expected.pop("cache_files", None)
         if "kernel" in expected:
             expected["kernel"] = resolve_kernel(expected["kernel"])
-        assert isinstance(oracle, BACKEND_CLASSES.get(backend, DistanceOracle))
+        assert isinstance(oracle, BACKEND_CLASSES[backend])
         assert _reported_settings(oracle) == expected
         if cache_files is not None:
             written = sorted(
@@ -1039,3 +1003,14 @@ class TestStatsDelta:
         assert delta.extras["shortcuts_added"] == 7.0
         assert delta.extras["label_cached_sources"] == 4.0
         assert delta.extras["bucket_cached_targets"] == 5.0
+
+
+class TestGraphSignature:
+    def test_signature_is_stable_and_content_sensitive(self):
+        network = grid_city(rows=5, cols=5, seed=17)
+        graph = network.graph
+        assert graph_signature(graph) == graph_signature(graph)
+        other = grid_city(rows=5, cols=5, seed=17).graph
+        assert graph_signature(graph) == graph_signature(other)
+        other[0][1]["travel_time"] += 1.0
+        assert graph_signature(graph) != graph_signature(other)

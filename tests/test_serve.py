@@ -143,8 +143,8 @@ class TestSessionPool:
         "first, second",
         (
             (
-                {"backend": "overlay", "coarsen_refine": True},
-                {"backend": "overlay", "coarsen_error_bound": 0.5},
+                {"backend": "ch", "witness_hops": 2},
+                {"backend": "ch", "witness_hops": 6},
             ),
             pytest.param(
                 {"backend": "ch", "kernel": "dict"},
@@ -154,7 +154,7 @@ class TestSessionPool:
                 ),
             ),
         ),
-        ids=("overlay-coarsen", "ch-kernel"),
+        ids=("ch-witness_hops", "ch-kernel"),
     )
     def test_key_tracks_every_option_the_oracle_is_built_from(self, first, second):
         """Specs that would not share an oracle must not share a session."""
@@ -401,18 +401,14 @@ class TestScenarioService:
         assert pool["sessions"] == 1
         assert pool["oracle_builds"] == 1
 
-    def test_concurrent_overlay_variants_do_not_share_an_oracle(self):
-        """Two overlay configurations of one grid, served side by side,
+    def test_concurrent_ch_variants_do_not_share_an_oracle(self):
+        """Two ch configurations of one grid, served side by side,
         each answer from their own oracle: a shared session would swap
         ``network.oracle`` under the run that attached first."""
         base = _grid_spec(grid_rows=8, grid_cols=8, num_orders=40, horizon=600.0)
         specs = [
-            base.with_overrides(
-                oracle={"backend": "overlay", "coarsen_refine": True}
-            ),
-            base.with_overrides(
-                oracle={"backend": "overlay", "coarsen_error_bound": 0.5}
-            ),
+            base.with_overrides(oracle={"backend": "ch", "witness_hops": 2}),
+            base.with_overrides(oracle={"backend": "ch", "witness_hops": 6}),
         ]
         direct = [run_scenario(spec) for spec in specs]
         with ScenarioService(max_runs=2) as service:
