@@ -35,6 +35,8 @@ from pathlib import Path
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
+import networkx as nx
+
 from ..config import SimulationConfig
 from ..core.strategies import ThresholdProvider
 from ..datasets.io import orders_from_csv, workers_from_csv
@@ -138,10 +140,10 @@ class Session:
     thread pool) build each network, workload and oracle exactly once.
     The simulations themselves execute outside the lock; note that two
     *simultaneous* runs over the same network share one oracle, whose
-    backends are not generally safe under concurrent queries — the
-    serving layer serialises those through its cross-request batcher
-    (:mod:`repro.serve.batcher`), and direct users should either do
-    the same or keep concurrent runs on distinct networks.
+    backends are not generally safe under concurrent queries.  Run
+    them through ``repro.serve``'s per-network query lock
+    (:class:`~repro.serve.shared.SharedNetworkView`), or keep
+    concurrent runs on distinct networks.
 
     Parameters
     ----------
@@ -160,7 +162,7 @@ class Session:
         self._cities: dict[tuple, CityModel] = {}
         self._workloads: OrderedDict[tuple, Workload] = OrderedDict()
         self._providers: dict[tuple, ThresholdProvider] = {}
-        self._graph_hashes: dict[RoadNetwork, str] = {}
+        self._graph_hashes: dict[nx.DiGraph, str] = {}
         # One reentrant lock guards every memoisation dict *and* the
         # oracle attach, so concurrent ``prepare``/``run`` calls (the
         # repro.serve layer submits them from a thread pool) build each
@@ -489,12 +491,16 @@ class Session:
         return provider
 
     def graph_hash(self, network: RoadNetwork) -> str:
-        """Stable content hash of a network's graph (memoised per object)."""
+        """Stable content hash of a network's graph (memoised per graph).
+
+        Keyed by the graph object, so the per-run views a served run
+        wraps around a pooled network share its entry.
+        """
         with self._lock:
-            cached = self._graph_hashes.get(network)
+            cached = self._graph_hashes.get(network.graph)
             if cached is None:
                 cached = graph_signature(network.graph)
-                self._graph_hashes[network] = cached
+                self._graph_hashes[network.graph] = cached
             return cached
 
     # ------------------------------------------------------------------

@@ -607,8 +607,7 @@ class CHOracle(DistanceOracle):
         the csr kernel answers a dense float64 row indexed by internal
         node index (``inf`` = unreachable), the dict kernel a mapping
         of public node id to arrival time.  This is the stage the csr
-        kernel vectorises — the unit timed by the
-        ``csr_many_to_one_speedup`` acceptance bar.
+        kernel vectorises.
         """
         if self._sweeps is not None:
             return self._sweeps.run(

@@ -7,8 +7,8 @@ runs over it, the way a production dispatch backend would:
 * :class:`ScenarioService` — the transport-agnostic core: eager spec
   validation, a bounded run executor, a shared
   :class:`~repro.serve.pool.SessionPool` (one prepared network +
-  oracle per identity, however many requests name it), per-network
-  cross-request :class:`~repro.serve.batcher.OracleBatcher` batching,
+  oracle per identity, however many requests name it), one query lock
+  per pooled network (:class:`~repro.serve.shared.SharedNetworkView`),
   and per-run result/event stores;
 * :class:`ScenarioServer` / :func:`run_http_server` — the stdlib-only
   asyncio HTTP surface (``POST /runs``, ``GET /runs/<id>``,
@@ -24,7 +24,6 @@ Start one from the command line with ``python -m repro.cli serve`` —
 see ``docs/SERVING.md`` for the endpoint reference and examples.
 """
 
-from .batcher import BatchedNetworkView, OracleBatcher, batched_workload
 from .pool import SessionPool, pool_key
 from .protocol import (
     CANCELLED,
@@ -41,6 +40,7 @@ from .protocol import (
 )
 from .server import ScenarioServer, run_http_server, serve_stdin
 from .service import ScenarioService
+from .shared import SharedNetworkView
 from .sinks import EventRecorder, JsonlSink, MemorySink, read_trace
 
 __all__ = [
@@ -50,9 +50,7 @@ __all__ = [
     "serve_stdin",
     "SessionPool",
     "pool_key",
-    "OracleBatcher",
-    "BatchedNetworkView",
-    "batched_workload",
+    "SharedNetworkView",
     "EventRecorder",
     "JsonlSink",
     "MemorySink",

@@ -19,7 +19,7 @@ GET       ``/runs/<id>/events``  the run's retained progress events
 POST      ``/runs/<id>/cancel``  cancel a queued run now, or ask a
                              running one to stop at its next tick
                              boundary; returns 202 + the record
-GET       ``/metrics``       pool / batcher / queue / latency counters
+GET       ``/metrics``       pool / oracle-lock / queue / latency counters
 GET       ``/healthz``       liveness probe
 POST      ``/shutdown``      stop the server; ``?drain=1`` (or a body of
                              ``{"drain": true, "grace": seconds}``) first

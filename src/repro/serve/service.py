@@ -5,9 +5,9 @@ it validates submissions eagerly (:func:`~repro.serve.protocol.
 parse_submission`), multiplexes accepted runs over a bounded thread
 executor, prepares each run on a **pooled session**
 (:class:`~repro.serve.pool.SessionPool` — one oracle per network/oracle
-identity, however many concurrent requests name it), routes every run's
-oracle traffic through the per-network **cross-request batcher**
-(:class:`~repro.serve.batcher.OracleBatcher`), and streams each run's
+identity, however many concurrent requests name it), runs every oracle
+query of a run under its pooled network's one lock
+(:class:`~repro.serve.shared.SharedNetworkView`), and streams each run's
 events into sinks (an in-memory store per run, plus a JSONL trace file
 per run when a trace directory is configured).
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Mapping
@@ -42,7 +43,6 @@ from ..resilience.degradation import CircuitOpenError, DegradationLog
 from ..resilience.faults import fault_point
 from ..resilience.retry import RetryPolicy, retry_call
 from ..simulation.hooks import CompositeHooks, SimulationHooks
-from .batcher import OracleBatcher, batched_workload
 from .pool import DEFAULT_MAX_SESSIONS, SessionPool
 from .protocol import (
     CANCELLED,
@@ -56,6 +56,7 @@ from .protocol import (
     RunRecord,
     parse_submission,
 )
+from .shared import shared_workload
 from .sinks import JsonlSink, MemorySink
 
 #: Default width of the run executor: enough to overlap preparation
@@ -161,7 +162,13 @@ class ScenarioService:
         self._records: dict[str, RunRecord] = {}
         self._record_order: list[str] = []
         self._event_stores: dict[str, MemorySink] = {}
-        self._batchers: dict[int, OracleBatcher] = {}
+        # One query lock per pooled network, dropped with the network
+        # when the pool evicts its session.
+        self._network_locks: weakref.WeakKeyDictionary[
+            RoadNetwork, threading.Lock
+        ] = weakref.WeakKeyDictionary()
+        #: Oracle queries finished runs answered under a network lock.
+        self._serial_queries = 0
         self._run_ids = itertools.count(1)
         self._closed = False
         self._draining = False
@@ -541,34 +548,33 @@ class ScenarioService:
             self._pool.record_failure(spec)
             raise
         self._pool.record_success(spec)
-        batcher = self._batcher_for(workload.network)
-        run_workload = batched_workload(workload, batcher)
+        run_workload = shared_workload(workload, self._lock_for(workload.network))
         provider = None
         if spec.algorithm.lower() == "watter-expect" and record.resume_path is None:
             # The memoised provider (fitted to the spec's own source),
             # exactly as a direct Session.run(spec) would bootstrap it —
-            # passing the batched workload below must not change which
+            # passing the shared workload below must not change which
             # provider serves the run.  (A resumed dispatcher carries
             # its provider inside the checkpoint.)
             provider = session.expect_provider(spec)
         hooks = self._hooks_for(record, degradations)
-        return session.run(
-            spec,
-            hooks=hooks,
-            workload=run_workload,
-            provider=provider,
-            cancellation=record.cancellation,
-            degradations=degradations,
-            resume_from=record.resume_path,
-        )
+        try:
+            return session.run(
+                spec,
+                hooks=hooks,
+                workload=run_workload,
+                provider=provider,
+                cancellation=record.cancellation,
+                degradations=degradations,
+                resume_from=record.resume_path,
+            )
+        finally:
+            with self._lock:
+                self._serial_queries += run_workload.network.queries
 
-    def _batcher_for(self, network: RoadNetwork) -> OracleBatcher:
+    def _lock_for(self, network: RoadNetwork) -> threading.Lock:
         with self._lock:
-            batcher = self._batchers.get(id(network))
-            if batcher is None:
-                batcher = OracleBatcher(network)
-                self._batchers[id(network)] = batcher
-            return batcher
+            return self._network_locks.setdefault(network, threading.Lock())
 
     def _hooks_for(
         self, record: RunRecord, degradations: DegradationLog | None = None
@@ -691,10 +697,16 @@ class ScenarioService:
             return [self._records[run_id] for run_id in self._record_order]
 
     def metrics(self) -> dict[str, Any]:
-        """The ``/metrics`` document: pool, batcher, queue and latency."""
+        """The ``/metrics`` document: pool, oracle lock, queue and latency.
+
+        ``batcher.serial_queries`` counts the oracle queries finished
+        runs answered under their pooled network's lock; it only grows,
+        whatever the pool evicts.  (The ``batcher`` key keeps the name
+        ``benchmarks/e2e/serve_load.py`` reads.)
+        """
         with self._lock:
             records = [self._records[run_id] for run_id in self._record_order]
-            batcher_stats = [b.stats() for b in self._batchers.values()]
+            serial_queries = self._serial_queries
             oracle_counters = {
                 backend: dict(counters)
                 for backend, counters in self._oracle_counters.items()
@@ -717,10 +729,6 @@ class ScenarioService:
             by_status[record.status] = by_status.get(record.status, 0) + 1
             if record.latency_seconds is not None:
                 latencies.append(record.latency_seconds)
-        batcher_total: dict[str, float] = {}
-        for stats in batcher_stats:
-            for key, value in stats.items():
-                batcher_total[key] = batcher_total.get(key, 0) + value
         return {
             "runs": by_status,
             "queue_depth": by_status[QUEUED],
@@ -730,7 +738,7 @@ class ScenarioService:
             "default_deadline_seconds": self._default_deadline,
             "degradations": degradations,
             "pool": self._pool.stats(),
-            "batcher": batcher_total,
+            "batcher": {"serial_queries": serial_queries},
             "oracle": oracle_counters,
             "durability": self._durability_metrics(),
             "latency_seconds": {

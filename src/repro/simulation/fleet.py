@@ -59,11 +59,6 @@ class WorkerFleet:
         Road network for approach-time queries.
     grid:
         Optional spatial index; built from the network when omitted.
-    use_spatial_index:
-        When true (default) nearest-worker searches expand grid rings
-        of idle workers around the pickup and stop early; when false
-        every search scans the whole fleet (the independent reference
-        the ring search is tested against).
     """
 
     def __init__(
@@ -71,7 +66,6 @@ class WorkerFleet:
         workers: Sequence[Worker],
         network: "RoadNetwork",
         grid: GridIndex | None = None,
-        use_spatial_index: bool = True,
     ) -> None:
         if not workers:
             raise ConfigurationError("a fleet needs at least one worker")
@@ -83,12 +77,10 @@ class WorkerFleet:
         }
         self._network = network
         self._grid = grid if grid is not None else GridIndex(network, size=10)
-        self._spatial: WorkerSpatialIndex | None = None
-        if use_spatial_index:
-            self._spatial = WorkerSpatialIndex(network, self._grid)
-            for worker in workers:
-                if worker.is_idle:
-                    self._spatial.insert(worker.worker_id, worker.location)
+        self._spatial = WorkerSpatialIndex(network, self._grid)
+        for worker in workers:
+            if worker.is_idle:
+                self._spatial.insert(worker.worker_id, worker.location)
         # Busy workers as (busy_until, fleet position, worker), soonest
         # first; the position keeps equal finish times from comparing
         # workers.  ``release_finished`` looks at the top only.
@@ -124,8 +116,8 @@ class WorkerFleet:
         return self._total_travel_time
 
     @property
-    def spatial_index(self) -> WorkerSpatialIndex | None:
-        """The worker spatial index (``None`` when scanning is forced)."""
+    def spatial_index(self) -> WorkerSpatialIndex:
+        """The index of idle workers the nearest-worker search reads."""
         return self._spatial
 
     def idle_workers(self, now: float) -> list[Worker]:
@@ -148,8 +140,7 @@ class WorkerFleet:
             worker = heappop(heap)[2]
             if worker.release_if_done(now):
                 released += 1
-                if self._spatial is not None:
-                    self._spatial.insert(worker.worker_id, worker.location)
+                self._spatial.insert(worker.worker_id, worker.location)
         if released:
             self._find_memo = None
         return released
@@ -170,10 +161,7 @@ class WorkerFleet:
         memo = self._find_memo
         if memo is not None and memo[0] is group and memo[1] == now:
             return memo[2]
-        if self._spatial is not None:
-            worker = self._find_by_rings(group, now)
-        else:
-            worker = self._find_by_scan(group, now)
+        worker = self._find_by_rings(group, now)
         self._find_memo = (group, now, worker)
         return worker
 
@@ -198,8 +186,7 @@ class WorkerFleet:
         heappush(
             self._release_heap, (finish, self._order_index[worker.worker_id], worker)
         )
-        if self._spatial is not None:
-            self._spatial.remove(worker.worker_id)
+        self._spatial.remove(worker.worker_id)
         self._find_memo = None
         self._total_travel_time += approach + route_time
         return Assignment(
@@ -244,7 +231,6 @@ class WorkerFleet:
             # farther than the incumbent, or too late for the group.
             return bound > best_key[0] or too_late(bound)
 
-        assert self._spatial is not None
         for _bound, worker_ids in self._spatial.rings(start_node, cut):
             candidates = [
                 worker
@@ -292,41 +278,3 @@ class WorkerFleet:
             return False
 
         return too_late
-
-    def _find_by_scan(self, group: "Group", now: float) -> Worker | None:
-        """Full-fleet scan: the reference the ring search must agree with."""
-        riders = group.total_riders()
-        candidates = [
-            worker
-            for worker in self._workers.values()
-            if worker.is_idle and worker.capacity >= riders
-        ]
-        if not candidates:
-            return None
-        start_node = group.route.start_node
-        # One batched oracle call for every candidate's approach leg;
-        # workers parked at unreachable locations are simply skipped.
-        approaches = self._network.travel_times_many(
-            (worker.location for worker in candidates), [start_node]
-        )
-        best_worker: Worker | None = None
-        best_approach = float("inf")
-        for worker in candidates:
-            approach = approaches.get((worker.location, start_node))
-            if approach is None or approach >= best_approach:
-                continue
-            if not self._group_feasible_with_approach(group, now, approach):
-                continue
-            best_worker = worker
-            best_approach = approach
-        return best_worker
-
-    def _group_feasible_with_approach(
-        self, group: "Group", now: float, approach: float
-    ) -> bool:
-        for order in group.orders:
-            arrival = now + approach + group.route.sub_route_time(order.order_id)
-            if arrival > order.deadline:
-                return False
-        return True
-

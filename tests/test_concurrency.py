@@ -253,17 +253,17 @@ def _two_planners_share_a_network(backend: str, batched: bool) -> None:
     """Two runs planning on one pooled network, one hop per plan.
 
     A plan's whole oracle traffic is one ``leg_matrix`` call, which a
-    :class:`BatchedNetworkView` takes under the batcher's flush lock —
+    :class:`SharedNetworkView` takes under the pooled network's lock —
     the shared LRU maps are never read or mutated outside it.  ``ch``
     guards its pair cache with its own query lock, so its ``leg_matrix``
-    must also survive two planners sharing the network with no batcher
+    must also survive two planners sharing the network with no view
     in between.  Uniform edges make every leg an exact float sum
     whichever map or label prices it, so the served plans must equal a
     serial planner's on its own network.
     """
     from repro.model.order import Order
     from repro.routing.planner import RoutePlanner
-    from repro.serve import BatchedNetworkView, OracleBatcher
+    from repro.serve import SharedNetworkView
 
     def uniform_city():
         return grid_city(rows=7, cols=7, edge_travel_time=60.0, jitter=0.0, seed=0)
@@ -293,11 +293,12 @@ def _two_planners_share_a_network(backend: str, batched: bool) -> None:
     expected = [outcome(serial, *group) for group in groups]
     assert any(expected) and not all(expected)
 
-    batcher = OracleBatcher(pooled)
+    lock = threading.Lock()
+    views = [SharedNetworkView(pooled, lock) for _ in range(2)]
     barrier = threading.Barrier(2)
 
     def run(half: int):
-        planner = RoutePlanner(BatchedNetworkView(batcher) if batched else pooled)
+        planner = RoutePlanner(views[half] if batched else pooled)
         barrier.wait(timeout=30)
         return [outcome(planner, *group) for group in groups[half::2]]
 
@@ -309,6 +310,5 @@ def _two_planners_share_a_network(backend: str, batched: bool) -> None:
     finally:
         sys.setswitchinterval(interval)
     assert evens == expected[0::2] and odds == expected[1::2]
-    stats = batcher.stats()
-    assert stats["serial_queries"] == (len(groups) if batched else 0)
-    assert stats["requests"] == 0  # no block went through the group commit
+    half = len(groups) // 2 if batched else 0
+    assert [view.queries for view in views] == [half, half]

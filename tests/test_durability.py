@@ -341,6 +341,24 @@ def _service_spec(**overrides) -> ScenarioSpec:
     )
 
 
+def _snapshot(state: Path, image: Path) -> None:
+    """Copy a live state dir: the fake ``kill -9`` image.
+
+    The service keeps writing while the copy runs, so a checkpoint's
+    ``.tmp`` file renamed into place (or a finished run's checkpoint
+    deleted) between listing and copying is simply absent from the
+    image instead of failing the copy.
+    """
+
+    def copy_if_present(src: str, dst: str) -> None:
+        try:
+            shutil.copy2(src, dst)
+        except FileNotFoundError:
+            pass
+
+    shutil.copytree(state, image, copy_function=copy_if_present)
+
+
 @pytest.fixture(scope="module")
 def crash_image(tmp_path_factory) -> tuple[Path, str, dict]:
     """Run a durable service, snapshot its state dir mid-run (a fake
@@ -366,7 +384,7 @@ def crash_image(tmp_path_factory) -> tuple[Path, str, dict]:
         else:  # pragma: no cover - diagnostic
             pytest.fail("run never checkpointed")
         image = tmp_path / "crash-image"
-        shutil.copytree(state, image)
+        _snapshot(state, image)
         finished = service.wait(run_id, timeout=_WAIT)
         assert finished.status == COMPLETED, finished.error
         baseline = finished.result["metrics"]
@@ -496,7 +514,7 @@ class TestServiceRecovery:
                     break
                 time.sleep(0.002)
             image = tmp_path / "crash-image"
-            shutil.copytree(state, image)
+            _snapshot(state, image)
             for run_id in ids:
                 service.wait(run_id, timeout=_WAIT)
         accepted = {

@@ -1,7 +1,8 @@
 """The ring search against the full-fleet scan, and the release heap.
 
-``WorkerFleet(use_spatial_index=False)`` scans every worker and tests
-every candidate's deadlines one by one; it is the reference.  The ring
+``ScanningWorkerFleet`` (``tests/reference/fleet_scan.py``) scans every
+worker and tests every candidate's deadlines one by one; it is the
+reference.  The ring
 search reads an index of idle workers only, tests one worker per ring
 and stops at the first ring the group's deadline rules out.  These
 tests hold the two to the same worker on every search:
@@ -33,6 +34,7 @@ from repro.routing.planner import RoutePlanner
 from repro.simulation.fleet import WorkerFleet
 
 from tests.conftest import make_order
+from tests.reference.fleet_scan import ScanningWorkerFleet
 
 _ROWS = _COLS = 8
 #: A node with one inbound edge and none out: a worker parked here
@@ -84,7 +86,7 @@ def _fleets(workers, network, grid):
     clones = [worker.clone() for worker in workers]
     return (
         WorkerFleet(workers, network, grid),
-        WorkerFleet(clones, network, grid, use_spatial_index=False),
+        ScanningWorkerFleet(clones, network, grid),
     )
 
 

@@ -1,6 +1,6 @@
 """Tests for the ``repro.serve`` subsystem: protocol parsing, the
-session pool, cross-request oracle batching, sinks, the service core
-and both transports (HTTP and stdin JSON-lines).
+session pool, the shared-network view, sinks, the service core and
+both transports (HTTP and stdin JSON-lines).
 
 The load-bearing assertions mirror the serving layer's promises:
 
@@ -14,15 +14,16 @@ The load-bearing assertions mirror the serving layer's promises:
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.api import ScenarioSpec, run_scenario
-from repro.exceptions import ConfigurationError
 from repro.network.generators import grid_city
 from repro.network.oracle import HAVE_NUMPY
 from repro.serve import (
@@ -30,21 +31,15 @@ from repro.serve import (
     COMPLETED,
     FAILED,
     QUEUED,
-    BatchedNetworkView,
     JsonlSink,
     MemorySink,
-    OracleBatcher,
     ProtocolError,
     ScenarioService,
     SessionPool,
+    SharedNetworkView,
     parse_submission,
     pool_key,
     serve_stdin,
-)
-from repro.serve.batcher import (
-    _merge_block_requests,
-    _merge_shard_results,
-    _partition_shards,
 )
 
 _WAIT = 240.0  # generous per-run bound; small grids finish in well under a second
@@ -192,127 +187,37 @@ class TestSessionPool:
 
 
 # ----------------------------------------------------------------------
-# batcher
+# the shared-network view
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def batch_city():
+def shared_city():
     return grid_city(rows=6, cols=6, seed=5, jitter=0.2)
 
 
-class TestOracleBatcher:
-    def test_answers_match_direct_network(self, batch_city):
-        nodes = sorted(batch_city.graph.nodes())
-        sources, targets = nodes[:8], nodes[10:22]
-        batcher = OracleBatcher(batch_city)
-        assert batcher.travel_times_many(sources, targets) == (
-            batch_city.travel_times_many(sources, targets)
-        )
-
-    def test_chunked_flush_matches_unchunked(self, batch_city):
-        nodes = sorted(batch_city.graph.nodes())
-        sources, targets = nodes[:6], nodes
-        small = OracleBatcher(batch_city, max_targets_per_call=5)
-        assert small.travel_times_many(sources, targets) == (
-            batch_city.travel_times_many(sources, targets)
-        )
-        assert small.stats()["batches"] == 1
-
-    def test_empty_block_short_circuits(self, batch_city):
-        batcher = OracleBatcher(batch_city)
-        assert batcher.travel_times_many([], [1, 2]) == {}
-        assert batcher.stats()["requests"] == 0
-
-    def test_concurrent_blocks_coalesce_into_one_flush(self, batch_city):
-        """Hold the flush lock so two blocks must queue; exactly one
-        leader answers both with a single aggregated oracle call."""
-        nodes = sorted(batch_city.graph.nodes())
-        batcher = OracleBatcher(batch_city)
-        results: dict[str, dict] = {}
-
-        def query(name: str, sources, targets):
-            results[name] = batcher.travel_times_many(sources, targets)
-
-        with batcher._flush_lock:  # stall both callers at the gate
-            first = threading.Thread(
-                target=query, args=("a", nodes[:4], nodes[8:14])
-            )
-            second = threading.Thread(
-                target=query, args=("b", nodes[2:6], nodes[12:18])
-            )
-            first.start()
-            second.start()
-            deadline = time.monotonic() + 30
-            while batcher.stats()["requests"] < 2:
-                assert time.monotonic() < deadline, "blocks never queued"
-                time.sleep(0.005)
-        first.join(timeout=30)
-        second.join(timeout=30)
-        stats = batcher.stats()
-        assert stats["requests"] == 2
-        assert stats["batches"] == 1
-        assert stats["coalesced_requests"] == 1
-        # Coalescing changes when the oracle is asked, never its answers.
-        assert results["a"] == batch_city.travel_times_many(
-            nodes[:4], nodes[8:14]
-        )
-        assert results["b"] == batch_city.travel_times_many(
-            nodes[2:6], nodes[12:18]
-        )
-
-    def test_merge_block_requests_union(self):
-        sources, targets = _merge_block_requests(
-            [([3, 1], [10, 11]), ([1, 2], [11, 12])]
-        )
-        assert sources == [1, 2, 3]
-        assert targets == [10, 11, 12]
-
-    def test_partition_shards_deterministic_and_even(self):
-        items = list(range(10))
-        chunks = _partition_shards(items, 3)
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        assert _partition_shards(items, 3) == chunks  # pure function
-        # More shards than items: tail shards are empty, nothing is lost.
-        chunks = _partition_shards([1, 2], 7)
-        assert [c for c in chunks if c] == [[1], [2]]
-        assert len(chunks) == 7
-        assert _partition_shards([], 4) == [[], [], [], []]
-        with pytest.raises(ConfigurationError):
-            _partition_shards(items, 0)
-
-    def test_merge_shard_results_is_order_independent_and_strict(self):
-        a = {(1, 9): 4.0, (2, 9): 5.0}
-        b = {(3, 8): 1.5}
-        assert _merge_shard_results([a, b]) == _merge_shard_results([b, a])
-        assert _merge_shard_results([a, b]) == {**a, **b}
-        # Any overlap means the target partition was wrong — refuse even
-        # when the duplicated values agree (that is silent double work).
-        with pytest.raises(AssertionError):
-            _merge_shard_results([a, {(1, 9): 4.0}])
-        with pytest.raises(AssertionError):
-            _merge_shard_results([a, {(1, 9): 4.25}])
-
-
 class TestBatchedNetworkView:
-    def test_view_shares_graph_and_oracle(self, batch_city):
-        view = BatchedNetworkView(OracleBatcher(batch_city))
-        assert view.graph is batch_city.graph
-        assert view.oracle is batch_city.oracle
+    """The :class:`SharedNetworkView` every served run queries through."""
 
-    def test_view_queries_match_parent(self, batch_city):
-        nodes = sorted(batch_city.graph.nodes())
-        view = BatchedNetworkView(OracleBatcher(batch_city))
-        assert view.travel_time(nodes[0], nodes[5]) == batch_city.travel_time(
+    def test_view_shares_graph_and_oracle(self, shared_city):
+        view = SharedNetworkView(shared_city, threading.Lock())
+        assert view.graph is shared_city.graph
+        assert view.oracle is shared_city.oracle
+
+    def test_view_queries_match_parent(self, shared_city):
+        nodes = sorted(shared_city.graph.nodes())
+        view = SharedNetworkView(shared_city, threading.Lock())
+        assert view.travel_time(nodes[0], nodes[5]) == shared_city.travel_time(
             nodes[0], nodes[5]
         )
         assert view.shortest_path(nodes[0], nodes[5]) == (
-            batch_city.shortest_path(nodes[0], nodes[5])
+            shared_city.shortest_path(nodes[0], nodes[5])
         )
         assert view.travel_times_many(nodes[:3], nodes[4:8]) == (
-            batch_city.travel_times_many(nodes[:3], nodes[4:8])
+            shared_city.travel_times_many(nodes[:3], nodes[4:8])
         )
+        assert view.queries == 3
 
-    def test_view_rejects_unknown_nodes(self, batch_city):
-        view = BatchedNetworkView(OracleBatcher(batch_city))
+    def test_view_rejects_unknown_nodes(self, shared_city):
+        view = SharedNetworkView(shared_city, threading.Lock())
         with pytest.raises(Exception):
             view.travel_times_many([10**9], [0])
 
@@ -425,6 +330,74 @@ class TestScenarioService:
                 _deterministic(run.metrics.summary_row())
             )
 
+    def test_concurrent_runs_on_one_lazy_network_match_direct_runs(self):
+        """WATTER-online and GAS price candidates and ring searches by
+        ``travel_times_many`` blocks, which two runs on one pooled
+        ``lazy`` network take turns at under its lock.  Without jitter
+        every Dijkstra sum is exact, so however the runs interleave on
+        the shared LRU, each must match its direct run to the last bit."""
+        base = _grid_spec(
+            grid_rows=7, grid_cols=7, grid_jitter=0.0, num_orders=80,
+            num_workers=15, horizon=900.0, seed=3, oracle={"backend": "lazy"},
+        )
+        specs = [
+            base.with_overrides(algorithm="WATTER-online"),
+            base.with_overrides(algorithm="GAS"),
+        ]
+        direct = [run_scenario(spec) for spec in specs]
+        with ScenarioService(max_runs=2) as service:
+            records = [service.submit_spec(spec) for spec in specs]
+            records = [
+                service.wait(record.run_id, timeout=_WAIT) for record in records
+            ]
+            pool = service.metrics()["pool"]
+        assert pool["sessions"] == 1
+        for record, run in zip(records, direct):
+            assert record.status == COMPLETED, record.error
+            assert _deterministic(record.result["metrics"]) == (
+                _deterministic(run.metrics.summary_row())
+            )
+
+    def test_served_runs_hash_the_pooled_graph_once(self, monkeypatch):
+        """Each run's view shares the pooled graph, so the session keeps
+        one graph-hash entry for it, not one per served run."""
+        import repro.api.session as session_module
+
+        hashed = []
+        original = session_module.graph_signature
+        monkeypatch.setattr(
+            session_module,
+            "graph_signature",
+            lambda graph: hashed.append(graph) or original(graph),
+        )
+        with ScenarioService(max_runs=1) as service:
+            for _ in range(3):
+                record = service.wait(
+                    service.submit_spec(_grid_spec()).run_id, timeout=_WAIT
+                )
+                assert record.status == COMPLETED, record.error
+        assert len(hashed) == 1
+
+    def test_evicted_pooled_network_is_freed(self):
+        """The per-network lock dies with its network: an evicted
+        session's network is garbage, and the lock counter survives it."""
+        first = _grid_spec(oracle={"backend": "matrix"})
+        second = first.with_overrides(grid_rows=5, grid_cols=5)
+        with ScenarioService(max_runs=1, max_sessions=1) as service:
+            record = service.wait(service.submit_spec(first).run_id, timeout=_WAIT)
+            assert record.status == COMPLETED, record.error
+            session = service._pool.acquire(first)
+            pooled = weakref.ref(session.workload(first).network)
+            del session
+            queries = service.metrics()["batcher"]["serial_queries"]
+            record = service.wait(service.submit_spec(second).run_id, timeout=_WAIT)
+            assert record.status == COMPLETED, record.error
+            metrics = service.metrics()
+            gc.collect()
+            assert metrics["pool"]["evictions"] == 1
+            assert pooled() is None
+            assert metrics["batcher"]["serial_queries"] > queries > 0
+
     def test_malformed_submission_is_refused_eagerly(self):
         with ScenarioService() as service:
             with pytest.raises(ProtocolError) as exc_info:
@@ -488,8 +461,9 @@ class TestScenarioService:
         assert metrics["queue_depth"] == 0
         assert metrics["latency_seconds"]["count"] == 1
         assert metrics["latency_seconds"]["max"] >= 0
-        # GDP asks by dense block, which a served run takes as a
-        # serialised hop rather than through the coalescing path.
+        # Every oracle query of a served run goes through its pooled
+        # network's lock, and the finished run's count is folded in.
+        assert set(metrics["batcher"]) == {"serial_queries"}
         assert metrics["batcher"]["serial_queries"] > 0
 
 

@@ -28,6 +28,7 @@ from repro.simulation.fleet import WorkerFleet
 from repro.simulation.spatial import WorkerSpatialIndex
 
 from tests.conftest import make_order
+from tests.reference.fleet_scan import ScanningWorkerFleet
 
 
 def _network(rows=8, cols=8, seed=5):
@@ -66,7 +67,7 @@ class TestIndexMaintenance:
         workers = [Worker(location=0, capacity=4), Worker(location=63, capacity=4)]
         fleet = WorkerFleet(workers, network, GridIndex(network, size=4))
         index = fleet.spatial_index
-        assert index is not None and len(index) == 2
+        assert len(index) == 2
         order = make_order(network, pickup=1, dropoff=10)
         group = _singleton_group(network, order)
         worker = fleet.find_worker_for(group, 0.0)
@@ -139,9 +140,7 @@ class TestSearchEquivalence:
         ]
         workers_b = [worker.clone() for worker in workers_a]
         fleet_rings = WorkerFleet(workers_a, network, GridIndex(network, size=6))
-        fleet_scan = WorkerFleet(
-            workers_b, network, GridIndex(network, size=6), use_spatial_index=False
-        )
+        fleet_scan = ScanningWorkerFleet(workers_b, network, GridIndex(network, size=6))
         now = 0.0
         for step in range(30):
             pickup, dropoff = rng.sample(nodes, 2)
@@ -178,7 +177,6 @@ class TestSearchEquivalence:
         ]
         fleet = WorkerFleet(workers, network, GridIndex(network, size=8))
         index = fleet.spatial_index
-        assert index is not None
         searches = 0
         for _ in range(20):
             pickup, dropoff = rng.sample(nodes, 2)
