@@ -8,11 +8,13 @@ commits disjoint groups in decreasing utility order.  Orders that could
 not be grouped or assigned stay buffered for the next batch until their
 deadline makes them unservable.
 
-The exhaustive group enumeration inside each batch is what makes GAS the
-slowest algorithm in the paper's running-time plots; the batch boundary
-is what prevents it from matching orders across batches (Example 1), so
-its extra time and service rate trail the WATTER variants.  Both effects
-are reproduced here.
+The group enumeration inside each batch is exhaustive: every buffered
+singleton and every pair of the oldest buffered orders is planned again
+on every batch.  Most of those plans repeat an earlier one, and the
+route planner answers the repeats from its memo of exact plans.  The
+batch boundary is what prevents GAS from matching orders across batches
+(Example 1), so its extra time and service rate trail the WATTER
+variants.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ class GASDispatcher(Dispatcher):
         for order in rejected:
             order.status = OrderStatus.REJECTED
         self._buffer.clear()
+        self._planner.forget(order.order_id for order in rejected)
         return result.merge(DispatchResult(rejected=rejected))
 
     # ------------------------------------------------------------------
@@ -139,6 +142,7 @@ class GASDispatcher(Dispatcher):
         self._buffer = [
             order for order in self._buffer if order.order_id not in assigned
         ]
+        self._planner.forget(assigned)
         return expired.merge(DispatchResult(served=tuple(served)))
 
     def _enumerate_groups(self, now: float) -> list[tuple[float, Group]]:
@@ -148,13 +152,15 @@ class GASDispatcher(Dispatcher):
         member alone: ``sum_i cost(p_i, d_i) - T(L)``.  Singletons have
         zero utility and act as the fallback assignment.
 
-        To keep the per-batch cost bounded when unassigned orders
-        accumulate, the combinatorial enumeration considers at most the
-        ``_ENUMERATION_CAP`` oldest buffered orders (the full additive
-        tree of [2] is exponential in the batch size, which is exactly
-        why GAS is the slowest algorithm in the paper's evaluation); a
-        cheap temporal-compatibility filter prunes pairs whose deadlines
-        cannot possibly be combined before the route planner is invoked.
+        The enumeration is exhaustive and repeats every batch.  To keep
+        the per-batch cost bounded when unassigned orders accumulate, the
+        combinatorial part considers at most the ``_ENUMERATION_CAP``
+        oldest buffered orders (the full additive tree of [2] is
+        exponential in the batch size); a cheap temporal-compatibility
+        filter prunes pairs whose deadlines cannot possibly be combined
+        before the route planner is invoked.  A group planned in an
+        earlier batch is answered from the planner's memo while its
+        route still meets every deadline.
         """
         groups: list[tuple[float, Group]] = []
         buffer = sorted(self._buffer, key=lambda order: order.release_time)
@@ -216,4 +222,5 @@ class GASDispatcher(Dispatcher):
             self._buffer = [
                 order for order in self._buffer if order.order_id not in rejected_ids
             ]
+            self._planner.forget(rejected_ids)
         return DispatchResult(rejected=rejected)

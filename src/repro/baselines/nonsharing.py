@@ -70,6 +70,7 @@ class NonSharingDispatcher(Dispatcher):
         for order in rejected:
             order.status = OrderStatus.REJECTED
         self._queue.clear()
+        self._planner.forget(order.order_id for order in rejected)
         return DispatchResult(rejected=rejected)
 
     # ------------------------------------------------------------------
@@ -88,6 +89,7 @@ class NonSharingDispatcher(Dispatcher):
         if idle_locations and pickups:
             self._planner.network.travel_times_many(idle_locations, pickups)
         served = []
+        dispatched = []
         rejected = []
         remaining: deque[Order] = deque()
         while self._queue:
@@ -107,8 +109,10 @@ class NonSharingDispatcher(Dispatcher):
                 continue
             self._fleet.assign(worker, group, now)
             order.status = OrderStatus.DISPATCHED
+            dispatched.append(order)
             served.extend(served_orders_from_group(group, now, worker.worker_id))
         self._queue = remaining
+        self._planner.forget(order.order_id for order in (*dispatched, *rejected))
         return DispatchResult(served=tuple(served), rejected=tuple(rejected))
 
     def _singleton_group(self, order: Order, now: float) -> Group | None:

@@ -173,6 +173,7 @@ class TemporalShareabilityGraph:
         if order_id not in self._orders:
             raise MissingOrderError(order_id)
         order = self._orders.pop(order_id)
+        self._planner.forget((order_id,))
         neighbours = self._adjacency.pop(order_id, {})
         for neighbour_id in neighbours:
             self._adjacency[neighbour_id].pop(order_id, None)

@@ -19,13 +19,22 @@ library: the shareability graph, the WATTER dispatcher and the GAS
 baseline all call into it, which keeps the constraint semantics in one
 place.  ``routing.feasibility.check_route`` stays the public verifier
 of a finished route; it no longer runs per candidate.
+
+Dispatchers ask about the same groups again and again as time moves
+on (every pool check, every batch), so exact plans without a worker
+start are remembered per member tuple.  A plan's stop order does not
+depend on the start time and its feasibility only tightens as the start
+time grows: a remembered answer is reused while every dropoff of the
+remembered route is still on time, and an infeasible group stays
+infeasible.  Callers :meth:`RoutePlanner.forget` an order once it
+leaves them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Sequence, TYPE_CHECKING
+from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 from ..exceptions import InfeasibleGroupError, UnreachableError
 from ..model.route import Route, RouteStop, StopKind
@@ -49,6 +58,40 @@ class PlannedGroup:
 
     route: Route
     total_travel_time: float
+
+
+class _Remembered(NamedTuple):
+    """An exact plan of one member tuple, as found at ``since``.
+
+    ``planned`` is ``None`` for an infeasible group.  ``reaches`` holds
+    the remembered route's travel time to each member's dropoff
+    (``Route.sub_route_time``, the fold the search compares); it is
+    empty for an infeasible group.
+    """
+
+    since: float
+    members: tuple["Order", ...]
+    planned: PlannedGroup | None
+    reaches: tuple[float, ...]
+
+    def answers(self, members: Sequence["Order"], start_time: float) -> bool:
+        """Whether a fresh search from ``start_time`` would return ``planned``.
+
+        Deadlines are fixed and legs do not depend on time, so the
+        feasible stop orders at a later start are a subset of those at
+        ``since``.  If the remembered winner is still among them it is
+        still the cheapest and, among equally cheap orders, still the
+        lexicographically first; an empty set stays empty.
+        """
+        if start_time < self.since:
+            return False
+        for remembered, member in zip(self.members, members):
+            if remembered is not member:
+                return False
+        for reach, member in zip(self.reaches, members):
+            if start_time + reach > member.deadline:
+                return False
+        return True
 
 
 def _cheapest_stop_order(
@@ -135,6 +178,24 @@ class RoutePlanner:
     ) -> None:
         self._network = network
         self._exact_group_limit = max(exact_group_limit, 1)
+        self._forget_all()
+
+    def _forget_all(self) -> None:
+        # (member ids in the order given, capacity) -> the exact plan.
+        # Ids are not sorted: stop indices follow member position, which
+        # decides how cost ties break.
+        self._memo: dict[tuple[tuple[int, ...], int], _Remembered] = {}
+        self._keys_by_order: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+
+    def __getstate__(self) -> dict:
+        # The memo is a cache: a checkpoint carries the planner without it.
+        state = dict(self.__dict__)
+        del state["_memo"], state["_keys_by_order"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._forget_all()
 
     @property
     def network(self) -> "RoadNetwork":
@@ -175,6 +236,58 @@ class RoutePlanner:
         members = list(orders)
         if not members:
             raise InfeasibleGroupError("cannot plan a route for an empty group")
+        if start_node is None and len(members) <= self._exact_group_limit:
+            planned = self._recall(members, capacity, start_time)
+        else:
+            planned = self._plan(members, capacity, start_time, start_node)
+        if planned is None:
+            raise InfeasibleGroupError(
+                f"no feasible route for orders {[o.order_id for o in members]}"
+            )
+        return planned
+
+    def forget(self, order_ids: Iterable[int]) -> None:
+        """Drop every remembered plan of a group with one of ``order_ids``.
+
+        Dispatchers call this when orders leave them, which bounds the
+        memo by the orders still waiting.
+        """
+        memo = self._memo
+        for order_id in order_ids:
+            for key in self._keys_by_order.pop(order_id, ()):
+                memo.pop(key, None)
+
+    def _recall(
+        self, members: list["Order"], capacity: int, start_time: float
+    ) -> PlannedGroup | None:
+        """The exact plan from the memo when it still holds, else a fresh one."""
+        key = (tuple(order.order_id for order in members), capacity)
+        entry = self._memo.get(key)
+        if entry is not None and entry.answers(members, start_time):
+            return entry.planned
+        planned = self._plan(members, capacity, start_time, None)
+        if entry is None:
+            for order in members:
+                self._keys_by_order.setdefault(order.order_id, []).append(key)
+        reaches: tuple[float, ...] = ()
+        if planned is not None:
+            route = planned.route
+            reaches = tuple(route.sub_route_time(order.order_id) for order in members)
+        self._memo[key] = _Remembered(start_time, tuple(members), planned, reaches)
+        return planned
+
+    def _plan(
+        self,
+        members: list["Order"],
+        capacity: int,
+        start_time: float,
+        start_node: int | None,
+    ) -> PlannedGroup | None:
+        """Search for the cheapest feasible route; ``None`` if there is none.
+
+        Groups past the exact limit are sorted in place by release time
+        and grown by insertion.
+        """
         exact = len(members) <= self._exact_group_limit
         if not exact:
             members.sort(key=lambda order: order.release_time)
@@ -202,9 +315,7 @@ class RoutePlanner:
             times, approaches, nodes, load_change, due, capacity, start_time, start_node
         )
         if found is None:
-            raise InfeasibleGroupError(
-                f"no feasible route for orders {[o.order_id for o in members]}"
-            )
+            return None
         cost, sequence = found
         route = Route(
             [

@@ -557,7 +557,13 @@ class ScenarioService:
             # provider serves the run.  (A resumed dispatcher carries
             # its provider inside the checkpoint.)
             provider = session.expect_provider(spec)
-        hooks = self._hooks_for(record, degradations)
+        sink = None
+        if self._trace_dir is not None:
+            sink = JsonlSink(
+                self._trace_dir / f"{record.run_id}.jsonl",
+                context={"run_id": record.run_id},
+            )
+        hooks = self._hooks_for(record, degradations, sink)
         try:
             return session.run(
                 spec,
@@ -569,6 +575,8 @@ class ScenarioService:
                 resume_from=record.resume_path,
             )
         finally:
+            if sink is not None:
+                sink.close()
             with self._lock:
                 self._serial_queries += run_workload.network.queries
 
@@ -577,18 +585,15 @@ class ScenarioService:
             return self._network_locks.setdefault(network, threading.Lock())
 
     def _hooks_for(
-        self, record: RunRecord, degradations: DegradationLog | None = None
+        self,
+        record: RunRecord,
+        degradations: DegradationLog | None,
+        sink: JsonlSink | None,
     ) -> SimulationHooks | None:
         hooks: list[SimulationHooks | None] = []
         with self._lock:
             hooks.append(self._event_stores.get(record.run_id))
-        if self._trace_dir is not None:
-            hooks.append(
-                JsonlSink(
-                    self._trace_dir / f"{record.run_id}.jsonl",
-                    context={"run_id": record.run_id},
-                )
-            )
+        hooks.append(sink)
         checkpoint_path = self._checkpoint_path(record.run_id)
         if checkpoint_path is not None:
             hooks.append(

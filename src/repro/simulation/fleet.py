@@ -19,6 +19,12 @@ worker out and pushes its finish time on a heap, ``release_finished``
 pops what is due and puts the worker back at its route's end node.  The
 search stops at the first ring whose travel-time lower bound already
 exceeds the best worker found or already misses the group's deadline.
+
+A search that finds nobody stays fruitless until the idle set changes:
+the rings depend on the idle workers only, and a later ``now`` only
+makes the deadline test stricter.  Such misses are remembered by what
+the search reads of a group (first pickup, riders, each member's
+sub-route time and deadline) and forgotten on every release or booking.
 """
 
 from __future__ import annotations
@@ -96,6 +102,19 @@ class WorkerFleet:
         # run the same search twice per dispatch decision; any change to
         # the idle pool invalidates the memo.
         self._find_memo: tuple["Group", float, Worker | None] | None = None
+        # Searches that found nobody: what the search reads of the group
+        # -> the earliest ``now`` it came back empty at.
+        self._misses: dict[tuple, float] = {}
+
+    def __getstate__(self) -> dict:
+        # The misses are a cache: a checkpoint carries the fleet without them.
+        state = dict(self.__dict__)
+        del state["_misses"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._misses = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -143,6 +162,7 @@ class WorkerFleet:
                 self._spatial.insert(worker.worker_id, worker.location)
         if released:
             self._find_memo = None
+            self._misses.clear()
         return released
 
     def find_worker_for(self, group: "Group", now: float) -> Worker | None:
@@ -155,13 +175,30 @@ class WorkerFleet:
 
         The result is memoised per ``(group, now)`` until the idle pool
         changes, so a ``can_serve`` probe followed by the booking's own
-        lookup costs one search, not two.
+        lookup costs one search, not two.  A search that found nobody is
+        not repeated, for any group with the same pickup, riders and
+        member limits, at the same or a later ``now`` until then.
         """
         self.release_finished(now)
         memo = self._find_memo
         if memo is not None and memo[0] is group and memo[1] == now:
             return memo[2]
-        worker = self._find_by_rings(group, now)
+        route = group.route
+        miss_key = (
+            route.start_node,
+            group.total_riders(),
+            tuple(
+                (route.sub_route_time(order.order_id), order.deadline)
+                for order in group.orders
+            ),
+        )
+        missed_at = self._misses.get(miss_key)
+        if missed_at is not None and missed_at <= now:
+            worker = None
+        else:
+            worker = self._find_by_rings(group, now)
+            if worker is None:
+                self._misses[miss_key] = now
         self._find_memo = (group, now, worker)
         return worker
 
@@ -188,6 +225,7 @@ class WorkerFleet:
         )
         self._spatial.remove(worker.worker_id)
         self._find_memo = None
+        self._misses.clear()
         self._total_travel_time += approach + route_time
         return Assignment(
             worker_id=worker.worker_id,

@@ -209,6 +209,70 @@ class TestChurn:
         assert search["rings"][-1] == [found.worker_id]
 
 
+class TestMissMemo:
+    """A search that found nobody is not repeated until the idle set changes.
+
+    Fresh ``Group`` objects over a few fixed routes are probed at
+    advancing ``now`` (so the per-group memo never answers), interleaved
+    with bookings and releases; the scan, run afresh on every probe, is
+    the reference.
+    """
+
+    @pytest.mark.parametrize("seed, jitter", [(0, 0.0), (1, 0.0), (2, 0.25)])
+    def test_remembered_misses_match_a_fresh_scan(self, seed, jitter):
+        network = _city(seed, jitter)
+        planner = RoutePlanner(network)
+        rng = random.Random(seed)
+        nodes = [node for node in network.nodes_sorted() if node != _SINK]
+        workers = [
+            Worker(location=rng.choice(nodes), capacity=rng.randint(1, 4))
+            for _ in range(6)
+        ]
+        fleet, reference = _fleets(workers, network, GridIndex(network, size=4))
+        templates = []
+        for _ in range(8):
+            trips = [
+                (*rng.sample(nodes, 2), riders)
+                for riders in rng.choice([(1,), (3,), (1, 1), (2, 2)])
+            ]
+            group = _group(network, planner, trips)
+            _set_slack(group, 0.0, rng.choice([0.0, 60.0, 200.0, 400.0, 1e6]))
+            templates.append(group)
+        searches = []
+        search = fleet._find_by_rings
+        fleet._find_by_rings = lambda group, now: searches.append(now) or search(
+            group, now
+        )
+        probes = misses = 0
+        now = 0.0
+        for _ in range(300):
+            now += rng.uniform(0.0, 5.0)
+            if rng.random() < 0.1:
+                assert fleet.release_finished(now) == reference.release_finished(now)
+            template = rng.choice(templates)
+            group = Group(
+                orders=template.orders,
+                route=template.route,
+                created_at=now,
+                weights=ExtraTimeWeights(),
+            )
+            found = fleet.find_worker_for(group, now)
+            reference.release_finished(now)
+            expected = reference._find_by_scan(group, now)
+            probes += 1
+            if expected is None:
+                assert found is None
+                misses += 1
+                continue
+            assert found is fleet.worker(expected.worker_id)
+            if rng.random() < 0.3:
+                booked = fleet.assign(found, group, now)
+                assert booked == reference.assign(expected, group, now)
+        assert 0 < misses < probes
+        # Some misses were answered without a search.
+        assert len(searches) < probes
+
+
 class TestDeadlineBoundary:
     """``now + approach + sub == deadline`` serves; one ulp later does not."""
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 import gc
 import io
 import json
+import sys
 import threading
 import time
+import warnings
 import weakref
 
 import pytest
@@ -431,6 +433,21 @@ class TestScenarioService:
         lines = trace.read_text().splitlines()
         assert json.loads(lines[0])["event"] == "run_start"
         assert json.loads(lines[-1])["event"] == "run_end"
+
+    def test_trace_dir_sink_is_closed_when_the_run_ends(self, tmp_path, monkeypatch):
+        # An unclosed file warns from its finaliser; turned into an error
+        # there, the warning reaches ``sys.unraisablehook`` instead.
+        leaks = []
+        monkeypatch.setattr(sys, "unraisablehook", leaks.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with ScenarioService(max_runs=1, trace_dir=tmp_path) as service:
+                record = service.wait(
+                    service.submit_spec(_grid_spec()).run_id, timeout=_WAIT
+                )
+            gc.collect()
+        assert record.status == COMPLETED
+        assert [str(leak.exc_value) for leak in leaks] == []
 
     def test_failed_run_is_recorded_not_raised(self):
         # Valid spec, impossible workload source: CSV files that do not exist.
