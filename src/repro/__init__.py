@@ -43,7 +43,6 @@ from .network import (
     available_backends,
     configure_oracle,
     create_oracle,
-    register_oracle,
 )
 from .routing import RoutePlanner
 from .core import (
@@ -119,7 +118,6 @@ __all__ = [
     "available_backends",
     "configure_oracle",
     "create_oracle",
-    "register_oracle",
     "RoutePlanner",
     "OrderPool",
     "TemporalShareabilityGraph",

@@ -53,12 +53,10 @@ class GASDispatcher(Dispatcher):
         planner: RoutePlanner,
         fleet: WorkerFleet,
         config: SimulationConfig,
-        batch_size: float | None = None,
     ) -> None:
         self._planner = planner
         self._fleet = fleet
         self._config = config
-        self._batch_size = batch_size if batch_size is not None else config.check_period
         # Pairwise grouping dominates what the additive tree of [2] finds on
         # sparse batches and keeps the enumeration polynomial; larger groups
         # reproduce the exponential blow-up the paper reports for GAS.
@@ -71,11 +69,6 @@ class GASDispatcher(Dispatcher):
         """The worker fleet assignments are booked against."""
         return self._fleet
 
-    @property
-    def batch_size(self) -> float:
-        """Width of the batching window in seconds."""
-        return self._batch_size
-
     # ------------------------------------------------------------------
     # Dispatcher interface
     # ------------------------------------------------------------------
@@ -83,16 +76,14 @@ class GASDispatcher(Dispatcher):
         """Buffer the order until the end of the current batch."""
         self._buffer.append(order)
         if self._next_batch_end is None:
-            self._next_batch_end = (
-                (now // self._batch_size) + 1
-            ) * self._batch_size
+            self._next_batch_end = self._batch_end(now)
         return DispatchResult.empty()
 
     def tick(self, now: float) -> DispatchResult:
         """Process the batch if the batch window has elapsed."""
         if self._next_batch_end is None or now < self._next_batch_end:
             return self._drop_expired(now)
-        self._next_batch_end = ((now // self._batch_size) + 1) * self._batch_size
+        self._next_batch_end = self._batch_end(now)
         return self._process_batch(now)
 
     def flush(self, now: float) -> DispatchResult:
@@ -108,6 +99,11 @@ class GASDispatcher(Dispatcher):
     # ------------------------------------------------------------------
     # batch processing
     # ------------------------------------------------------------------
+    def _batch_end(self, now: float) -> float:
+        """End of the batch window (one check period wide) holding ``now``."""
+        period = self._config.check_period
+        return ((now // period) + 1) * period
+
     def _process_batch(self, now: float) -> DispatchResult:
         expired = self._drop_expired(now)
         if not self._buffer:

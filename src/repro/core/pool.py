@@ -22,16 +22,10 @@ from ..exceptions import MissingOrderError
 from ..model.group import Group
 from ..model.order import Order
 from .shareability import TemporalShareabilityGraph
-from .strategies import DispatchStrategy
+from .strategies import APPROACH_RESERVE, DispatchStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..routing.planner import RoutePlanner
-
-
-#: Fraction of an order's direct travel time reserved as slack for the
-#: assigned worker's approach leg when deciding how long an unpaired order
-#: may keep waiting for a partner.
-_APPROACH_RESERVE = 0.3
 
 
 @dataclass(frozen=True)
@@ -227,7 +221,7 @@ class OrderPool:
         (waiting further would turn a servable order into a rejection).
         """
         safety_margin = (
-            self._check_period + _APPROACH_RESERVE * order.shortest_time
+            self._check_period + APPROACH_RESERVE * order.shortest_time
         )
         return (
             self._strategy.dispatches_unpaired_immediately

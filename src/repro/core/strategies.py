@@ -23,6 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..model.group import Group
     from ..model.order import Order
 
+#: Fraction of an order's direct travel time held back for the assigned
+#: worker's approach leg, which the expiration time of Equation 3 leaves
+#: out.  Both hold-or-dispatch margins (a group about to expire, an
+#: unpaired order about to lose its solo ride) reserve it.
+APPROACH_RESERVE = 0.3
+
 
 class ThresholdProvider(Protocol):
     """Anything that can produce the expected extra-time threshold of an order."""
@@ -49,7 +55,11 @@ class ConstantThresholdProvider:
 
 
 class DispatchStrategy(abc.ABC):
-    """Base class of hold-or-dispatch decision rules."""
+    """Base class of hold-or-dispatch decision rules.
+
+    ``check_period`` is the time between two periodic pool checks: how
+    long a held group waits before it is looked at again.
+    """
 
     name: str = "base"
 
@@ -59,6 +69,9 @@ class DispatchStrategy(abc.ABC):
     #: the pooling strategies hold unpaired orders hoping for a partner.
     dispatches_unpaired_immediately: bool = False
 
+    def __init__(self, check_period: float = 10.0) -> None:
+        self._check_period = check_period
+
     @abc.abstractmethod
     def should_dispatch(self, group: "Group", now: float) -> bool:
         """Whether to dispatch ``group`` at time ``now`` (True) or hold it."""
@@ -66,6 +79,16 @@ class DispatchStrategy(abc.ABC):
     def describe(self) -> str:
         """Short human-readable description used in experiment reports."""
         return self.name
+
+    def _about_to_expire(self, group: "Group", now: float) -> bool:
+        """Whether holding past the next check risks losing the group.
+
+        The margin reserves, on top of one check period,
+        :data:`APPROACH_RESERVE` of the members' shortest direct travel
+        time for the assigned worker's approach leg.
+        """
+        reserve = APPROACH_RESERVE * min(order.shortest_time for order in group.orders)
+        return now + self._check_period + reserve >= group.expiration_time(now)
 
 
 class OnlineStrategy(DispatchStrategy):
@@ -89,19 +112,12 @@ class TimeoutStrategy(DispatchStrategy):
 
     name = "WATTER-timeout"
 
-    def __init__(self, check_period: float = 10.0) -> None:
-        self._check_period = check_period
-
     def should_dispatch(self, group: "Group", now: float) -> bool:
         """Dispatch when a member times out or the group is about to expire."""
         if now >= group.earliest_timeout():
             return True
-        # If holding for one more periodic check would push the group past
-        # its expiration, dispatch now rather than lose it.  The margin
-        # reserves a share of the direct trip time for the worker's
-        # approach leg, which the expiration time of Equation 3 excludes.
-        reserve = 0.3 * min(order.shortest_time for order in group.orders)
-        return now + self._check_period + reserve >= group.expiration_time(now)
+        # Dispatch now rather than let one more check lose the group.
+        return self._about_to_expire(group, now)
 
 
 class ThresholdStrategy(DispatchStrategy):
@@ -110,8 +126,8 @@ class ThresholdStrategy(DispatchStrategy):
     name = "WATTER-expect"
 
     def __init__(self, provider: ThresholdProvider, check_period: float = 10.0) -> None:
+        super().__init__(check_period)
         self._provider = provider
-        self._check_period = check_period
 
     @property
     def provider(self) -> ThresholdProvider:
@@ -139,14 +155,3 @@ class ThresholdStrategy(DispatchStrategy):
             self._provider.threshold(order, now) for order in group.orders
         ) / len(group.orders)
         return average_extra <= average_threshold
-
-    def _about_to_expire(self, group: "Group", now: float) -> bool:
-        """Whether holding past the next check risks losing the group.
-
-        The margin reserves, on top of one check period, a fraction of
-        the members' direct travel time for the assigned worker's
-        approach leg (the group expiration time of Equation 3 does not
-        include it).
-        """
-        reserve = 0.3 * min(order.shortest_time for order in group.orders)
-        return now + self._check_period + reserve >= group.expiration_time(now)

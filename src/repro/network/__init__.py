@@ -17,7 +17,6 @@ from .oracle import (
     available_backends,
     configure_oracle,
     create_oracle,
-    register_oracle,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "available_backends",
     "configure_oracle",
     "create_oracle",
-    "register_oracle",
 ]

@@ -14,8 +14,8 @@ shortest-path question to a pluggable
 unseen source and cache the distance map (LRU-bounded) — which matches
 the access pattern of small workloads.  Heavier workloads swap in the
 ``matrix`` (precomputed dense rows) or ``ch`` (contraction hierarchy)
-backend via :meth:`use_backend`, ``SimulationConfig.oracle`` or the CLI
-without any dispatcher code changing.
+backend via ``SimulationConfig.oracle`` or the CLI without any
+dispatcher code changing.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TYPE_CHECKING
 import networkx as nx
 
 from ..exceptions import NetworkError, UnknownNodeError, UnreachableError
-from .oracle.base import CacheInfo, OracleStats
+from .oracle.base import OracleStats
 from .oracle.lazy import DEFAULT_MAX_SOURCES, LazyDijkstraOracle
 from .oracle.spec import OracleSpec
 
@@ -135,19 +135,6 @@ class RoadNetwork:
             )
         self._oracle = oracle
 
-    def use_backend(self, name: str, **options) -> "DistanceOracle":
-        """Build the named registry backend over this graph and attach it.
-
-        ``options`` are forwarded to the backend factory (see
-        :func:`~repro.network.oracle.create_oracle`).  Returns the new
-        oracle.
-        """
-        from .oracle.registry import create_oracle
-
-        oracle = create_oracle(name, self._graph, **options)
-        self._oracle = oracle
-        return oracle
-
     # ------------------------------------------------------------------
     # shortest paths
     # ------------------------------------------------------------------
@@ -167,19 +154,14 @@ class RoadNetwork:
             return 0.0
         return self._oracle.travel_time(source, target)
 
-    def travel_times_from(self, source: int) -> Mapping[int, float]:
-        """All shortest travel times from ``source`` (cached)."""
-        self._require_node(source)
-        return self._oracle.travel_times_from(source)
-
     def travel_times_to(self, target: int) -> Mapping[int, float]:
         """All shortest travel times *to* ``target`` (cached).
 
-        The many-to-one mirror of :meth:`travel_times_from`, answered by
-        a single search on the reversed graph: the returned mapping is
-        ``source -> d(source, target)`` for every source that can reach
-        the target.  This is the primitive behind the dispatch hot
-        path's "how far is each idle worker from this pickup?" batches.
+        Answered by a single search against the edges: the returned
+        mapping is ``source -> d(source, target)`` for every source that
+        can reach the target.  This is the primitive behind the dispatch
+        hot path's "how far is each idle worker from this pickup?"
+        batches.
         """
         self._require_node(target)
         return self._oracle.travel_times_to(target)
@@ -223,16 +205,11 @@ class RoadNetwork:
     def shortest_path(self, source: int, target: int) -> list[int]:
         """Return the node sequence of a shortest path.
 
-        Answered by the attached oracle when its backend can produce
-        paths (the contraction-hierarchy backend unpacks its shortcuts
-        back into original edges); backends that only know distances
-        fall back to a plain Dijkstra on the underlying graph.
+        Oracles answer distances only, so this is a plain Dijkstra on
+        the underlying graph whatever the backend.
         """
         self._require_node(source)
         self._require_node(target)
-        path = self._oracle.shortest_path(source, target)
-        if path is not None:
-            return path
         try:
             return nx.dijkstra_path(
                 self._graph, source, target, weight="travel_time"
@@ -251,10 +228,6 @@ class RoadNetwork:
     def clear_cache(self) -> None:
         """Drop the oracle's cached shortest-path state."""
         self._oracle.clear()
-
-    def cache_info(self) -> CacheInfo:
-        """``lru_cache``-style summary of the oracle's main cache."""
-        return self._oracle.cache_info()
 
     def oracle_stats(self) -> OracleStats:
         """Query/cache counters of the active oracle backend."""

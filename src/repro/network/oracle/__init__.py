@@ -15,22 +15,21 @@ name        setup                    point-to-point query
             searches)                proportional to the graph
 ==========  =======================  =====================================
 
-Select a backend through ``SimulationConfig(oracle=OracleSpec(...))``, the
-``--oracle`` CLI flag, or directly via ``RoadNetwork.use_backend(name)``.
+Select a backend through ``SimulationConfig(oracle=OracleSpec(...))`` or
+the ``--oracle`` CLI flag.
 
-All backends also answer the dispatch hot path's many-sources-to-
-one-target shape natively: ``travel_times_to(target)`` runs a single
+Every backend answers the three shapes dispatch asks for: a scalar leg
+(``travel_time``), a dense leg block (``leg_matrix``, with the
+pair-keyed ``travel_times_many`` beside it) and the many-sources-to-
+one-target approach block.  ``travel_times_to(target)`` runs a single
 search on the *reversed* graph (lazy keeps an LRU of per-target reverse
 distance maps, matrix reads the target's column, ch runs a backward
-upward search plus a linear downward sweep — reverse PHAST),
-and ``travel_times_many`` routes many-to-one blocks through it (ch
-scans RPHAST-style target buckets with one small upward search per
-source).  The ``ch`` backend can also unpack its shortcuts back into
-original edges, so ``RoadNetwork.shortest_path`` routes through it
-instead of rerunning Dijkstra.
+upward search plus a linear downward sweep — reverse PHAST), and
+``travel_times_many`` routes many-to-one blocks through it (ch scans
+RPHAST-style target buckets with one small upward search per source).
 """
 
-from .base import STATS_SCHEMA_VERSION, CacheInfo, DistanceOracle, OracleStats
+from .base import STATS_SCHEMA_VERSION, DistanceOracle, OracleStats
 from .csr import HAVE_NUMPY, KERNELS, resolve_kernel
 from .cache import (
     CacheLoadOutcome,
@@ -49,12 +48,10 @@ from .registry import (
     available_backends,
     configure_oracle,
     create_oracle,
-    register_oracle,
 )
 from .spec import ORACLE_OPTIONS_BY_BACKEND, OracleSpec
 
 __all__ = [
-    "CacheInfo",
     "CHOracle",
     "HAVE_NUMPY",
     "KERNELS",
@@ -77,5 +74,4 @@ __all__ = [
     "available_backends",
     "configure_oracle",
     "create_oracle",
-    "register_oracle",
 ]

@@ -28,7 +28,7 @@ import abc
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from math import inf
-from typing import Iterable, Mapping, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
 
 import networkx as nx
 
@@ -56,15 +56,6 @@ STATS_SCHEMA_VERSION = 1
 #: snapshot deltas like the uniform counters.  Everything else in extras
 #: is a gauge or a structural constant and is reported as-is.
 COUNTER_EXTRAS = frozenset({"matrix_refreshes", "upward_settles", "bucket_scans"})
-
-
-class CacheInfo(NamedTuple):
-    """``functools.lru_cache``-style cache summary for an oracle."""
-
-    hits: int
-    misses: int
-    maxsize: int | None
-    currsize: int
 
 
 @dataclass(frozen=True)
@@ -218,23 +209,16 @@ class DistanceOracle(abc.ABC):
         """
 
     @abc.abstractmethod
-    def travel_times_from(self, source: int) -> Mapping[int, float]:
-        """All shortest travel times from ``source`` (reachable targets only)."""
-
     def travel_times_to(self, target: int) -> Mapping[int, float]:
         """All shortest travel times *to* ``target`` (reaching sources only).
 
-        The many-to-one mirror of :meth:`travel_times_from`: the returned
-        mapping is ``source -> d(source, target)`` for every source that
-        can reach the target, computed with a single Dijkstra on the
-        *reversed* graph.  On directed graphs this is **not** the same as
-        ``travel_times_from(target)`` — reverse and forward distances
-        differ whenever edges are asymmetric.  Backends override this
-        with cached / table-backed implementations.
+        The returned mapping is ``source -> d(source, target)`` for every
+        source that can reach the target, ``0.0`` for the target itself:
+        the many-to-one shape of "how far is each idle worker from this
+        pickup?", answered by one search against the edges.
         """
-        self._queries += 1
-        return self._dijkstra_to(target)
 
+    @abc.abstractmethod
     def travel_times_many(
         self, sources: Iterable[int], targets: Iterable[int]
     ) -> dict[tuple[int, int], float]:
@@ -242,46 +226,12 @@ class DistanceOracle(abc.ABC):
 
         Returns a mapping ``(source, target) -> seconds``; unreachable
         pairs are simply absent, so callers can treat a missing key as
-        "cannot get there".  Backends override this with bulk-friendly
-        implementations (one matrix refresh, one SSSP per source, one
-        *reverse* SSSP per target for the many-sources-to-one-target
-        dispatch pattern, ...).
+        "cannot get there".
 
-        Stats contract for overrides: ``batched_queries`` counts every
-        attempted pair of the product, ``queries`` counts the pairs
-        actually answered (present in the result).
+        Stats contract: ``batched_queries`` counts every attempted pair
+        of the product, ``queries`` counts the pairs actually answered
+        (present in the result).
         """
-        source_list = list(dict.fromkeys(sources))
-        target_list = list(dict.fromkeys(targets))
-        result: dict[tuple[int, int], float] = {}
-        if len(target_list) == 1 and len(source_list) > 1:
-            # Many-to-one: answer the whole batch from one reverse SSSP.
-            # The map fetch is internal to the batch, so whatever query
-            # accounting the (possibly overridden) travel_times_to does
-            # is rolled back and replaced by the answered-pairs count.
-            target = target_list[0]
-            self._batched_queries += len(source_list)
-            queries_before = self._queries
-            arrivals = self.travel_times_to(target)
-            self._queries = queries_before
-            for source in source_list:
-                value = 0.0 if source == target else arrivals.get(source)
-                if value is not None:
-                    result[(source, target)] = value
-            self._queries += len(result)
-            return result
-        # Per-pair fallback; travel_time's own accounting is replaced by
-        # the answered-pairs count so the contract above holds here too.
-        queries_before = self._queries
-        for source in source_list:
-            for target in target_list:
-                self._batched_queries += 1
-                try:
-                    result[(source, target)] = self.travel_time(source, target)
-                except UnreachableError:
-                    continue
-        self._queries = queries_before + len(result)
-        return result
 
     def leg_matrix(
         self, sources: Sequence[int], targets: Sequence[int]
@@ -327,28 +277,12 @@ class DistanceOracle(abc.ABC):
             return False
         return True
 
-    def shortest_path(self, source: int, target: int) -> list[int] | None:
-        """Node sequence of a shortest path, or ``None`` when unsupported.
-
-        Backends that maintain enough structure to reconstruct paths
-        (e.g. the contraction-hierarchy backend's shortcut unpacking)
-        override this; the default ``None`` tells the owning
-        :class:`~repro.network.graph.RoadNetwork` to fall back to a
-        plain Dijkstra.  Overrides raise :class:`UnreachableError` for
-        disconnected pairs — ``None`` strictly means "not supported".
-        """
-        return None
-
     # ------------------------------------------------------------------
     # cache management and instrumentation
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def clear(self) -> None:
         """Drop cached state (precomputed tables are rebuilt lazily)."""
-
-    @abc.abstractmethod
-    def cache_info(self) -> CacheInfo:
-        """Summary of the backend's main cache."""
 
     def stats(self) -> OracleStats:
         """Snapshot of the uniform counters plus backend extras."""

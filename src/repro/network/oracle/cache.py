@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Payload layout version; bump when ``export_preprocessing`` changes
 #: shape so stale files are rebuilt instead of misread.
-CH_CACHE_FORMAT = 1
+CH_CACHE_FORMAT = 2
 
 #: Backoff for cache-file IO: three quick tries (NFS hiccups, racing
 #: writers), then the caller degrades to a rebuild.

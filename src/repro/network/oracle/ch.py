@@ -15,8 +15,7 @@ tiny fraction of it:
    minus edges removed, plus a deleted-neighbours term) maintained with
    a lazy-update priority queue: a node's priority is recomputed when it
    is popped, and it is only contracted while still no worse than the
-   next candidate.  Every shortcut records its *middle node* so paths
-   can be unpacked back into original edges.
+   next candidate.
 
 2. **Queries.**  Each node gets a rank (its contraction time).  Every
    edge of the augmented graph (original + shortcuts) is *upward* if it
@@ -43,9 +42,7 @@ The dispatch hot-path shapes are served natively:
   index, distance)`` arrays under ``csr``), so a pair the pair cache
   does not hold is a merge of two labels the oracle already has, not a
   graph search — exactly what the fleet's batched worker-to-pickup
-  blocks, which re-ask the same sources block after block, need;
-* ``travel_times_from(source)`` is the symmetric forward PHAST sweep,
-  seeded from the same memoised source label.
+  blocks, which re-ask the same sources block after block, need.
 
 All distances are exact: witness searches are conservative (a pruned
 search just adds a shortcut it might not have needed), so no shortest
@@ -67,7 +64,7 @@ from typing import Iterable, Mapping, Sequence
 import networkx as nx
 
 from ...exceptions import UnreachableError
-from .base import CacheInfo, DistanceOracle
+from .base import DistanceOracle
 from .csr import (
     CHSweepKernel,
     finite_entries,
@@ -79,8 +76,8 @@ from .csr import (
 def _locked(method):
     """Run ``method`` under the oracle's query lock (reentrant).
 
-    The hierarchy itself (ranks, augmented adjacency, shortcut middles)
-    is pre-materialised at construction and never mutated, but queries
+    The hierarchy itself (ranks, augmented adjacency) is
+    pre-materialised at construction and never mutated, but queries
     memoise into the pair / label / arrival caches — ``OrderedDict``s
     whose ``move_to_end`` / ``popitem`` bookkeeping corrupts under
     concurrent mutation.  Guarding the entry points makes the oracle
@@ -263,10 +260,8 @@ class CHOracle(DistanceOracle):
         fwd: list[dict[int, float]] = [{} for _ in range(n)]
         bwd: list[dict[int, float]] = [{} for _ in range(n)]
         # Augmented edge set (original edges + shortcuts) at their final
-        # minimum weights, with the contracted middle node of a shortcut
-        # (``None`` for an original edge) for path unpacking.
+        # minimum weights.
         aug: dict[tuple[int, int], float] = {}
-        middle: dict[tuple[int, int], int | None] = {}
         for u, v, data in self._graph.edges(data=True):
             if u == v:
                 continue
@@ -277,7 +272,6 @@ class CHOracle(DistanceOracle):
                 fwd[ui][vi] = w
                 bwd[vi][ui] = w
                 aug[(ui, vi)] = w
-                middle[(ui, vi)] = None
 
         contracted = [False] * n
         deleted_neighbors = [0] * n
@@ -299,7 +293,6 @@ class CHOracle(DistanceOracle):
                     bwd[wi][ui] = weight
                     if old is None or weight < aug[(ui, wi)]:
                         aug[(ui, wi)] = weight
-                        middle[(ui, wi)] = v
                     self._shortcuts_added += 1
             for ui in bwd[v]:
                 if not contracted[ui]:
@@ -331,27 +324,20 @@ class CHOracle(DistanceOracle):
                 continue
             contract(v, shortcuts)
 
-        self._finalise(rank, order, aug, middle)
+        self._finalise(rank, order, aug)
 
     def _finalise(
-        self,
-        rank: list[int],
-        order: list[int],
-        aug: dict[tuple[int, int], float],
-        middle: dict[tuple[int, int], int | None],
+        self, rank: list[int], order: list[int], aug: dict[tuple[int, int], float]
     ) -> None:
         """Index the augmented graph for querying (shared by build/restore)."""
         n = len(self._nodes)
         self._rank = rank
         #: Node indices in decreasing rank order (the PHAST sweep order).
         self._order_desc = order[::-1]
-        self._middle = {
-            edge: mid for edge, mid in middle.items() if mid is not None
-        }
         # Search adjacency over the augmented graph, split by direction
         # in rank space.  Upward edges climb (rank[head] > rank[tail]);
-        # each set is indexed from both endpoints because the sweeps and
-        # the two search directions need opposite views.
+        # each set is indexed from both endpoints because the sweep, the
+        # two search directions and the export need opposite views.
         self._up_out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         self._up_in: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         self._down_out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -363,15 +349,12 @@ class CHOracle(DistanceOracle):
             else:
                 self._down_out[ui].append((vi, w))
                 self._down_in[vi].append((ui, w))
-        # Vectorised sweep kernel: the downward (forward PHAST) and
-        # upward-in (reverse PHAST) edge sets as level-grouped numpy
-        # arrays.  Built once here; the dict adjacency above stays the
-        # source of truth for searches and path unpacking either way.
+        # Vectorised sweep kernel: the upward-in (reverse PHAST) edge set
+        # as level-grouped numpy arrays.  Built once here; the dict
+        # adjacency above stays the source of truth for searches.
         self._sweeps: CHSweepKernel | None = None
         if self.kernel == "csr":
-            self._sweeps = CHSweepKernel(
-                n, self._order_desc, self._down_out, self._up_in
-            )
+            self._sweeps = CHSweepKernel(n, self._order_desc, self._up_in)
 
     # ------------------------------------------------------------------
     # preprocessing persistence
@@ -382,10 +365,8 @@ class CHOracle(DistanceOracle):
 
         The payload carries everything :meth:`_restore` needs to stand
         the hierarchy back up without re-contracting: the node ids in
-        contraction (rank) order, and every augmented edge as ``[u, v,
-        weight, middle]`` (``middle`` is ``None`` for original edges,
-        the contracted middle node id for shortcuts — kept so restored
-        oracles can still unpack paths).
+        contraction (rank) order, every augmented edge as ``[u, v,
+        weight]``, and the number of shortcuts the contraction added.
         """
         n = len(self._nodes)
         order_ids = [0] * n
@@ -396,11 +377,12 @@ class CHOracle(DistanceOracle):
             u = self._nodes[ui]
             for adjacency in (self._up_out[ui], self._down_out[ui]):
                 for vi, w in adjacency:
-                    mid = self._middle.get((ui, vi))
-                    edges.append(
-                        [u, self._nodes[vi], w, None if mid is None else self._nodes[mid]]
-                    )
-        return {"order": order_ids, "edges": edges}
+                    edges.append([u, self._nodes[vi], w])
+        return {
+            "order": order_ids,
+            "edges": edges,
+            "shortcuts": self._shortcuts_added,
+        }
 
     def _restore(self, payload: Mapping) -> None:
         """Rebuild the hierarchy from an :meth:`export_preprocessing` payload.
@@ -413,7 +395,13 @@ class CHOracle(DistanceOracle):
         n = len(self._nodes)
         order_ids = payload.get("order")
         edge_rows = payload.get("edges")
-        if not isinstance(order_ids, list) or not isinstance(edge_rows, list):
+        shortcuts = payload.get("shortcuts")
+        if (
+            not isinstance(order_ids, list)
+            or not isinstance(edge_rows, list)
+            or isinstance(shortcuts, bool)
+            or not isinstance(shortcuts, int)
+        ):
             raise ValueError("malformed CH preprocessing payload")
         try:
             # The order must be a true permutation of this graph's nodes
@@ -435,24 +423,16 @@ class CHOracle(DistanceOracle):
             rank[idx] = r
             order.append(idx)
         aug: dict[tuple[int, int], float] = {}
-        middle: dict[tuple[int, int], int | None] = {}
-        shortcuts = 0
         try:
-            for u, v, weight, mid in edge_rows:
-                key = (self._index[u], self._index[v])
-                aug[key] = float(weight)
-                if mid is None:
-                    middle[key] = None
-                else:
-                    middle[key] = self._index[mid]
-                    shortcuts += 1
+            for u, v, weight in edge_rows:
+                aug[(self._index[u], self._index[v])] = float(weight)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 "CH preprocessing payload references unknown nodes or "
                 "malformed edges"
             ) from exc
         self._shortcuts_added = shortcuts
-        self._finalise(rank, order, aug, middle)
+        self._finalise(rank, order, aug)
 
     def _shortcuts_for(
         self,
@@ -535,42 +515,11 @@ class CHOracle(DistanceOracle):
                 raise UnreachableError(source, target)
             return cached
         self._cache_misses += 1
-        distance, _, _, _ = self._bidirectional_upward(
-            self._index[source], self._index[target]
-        )
+        distance = self._bidirectional_upward(self._index[source], self._index[target])
         self._remember(key, distance)
         if distance is None:
             raise UnreachableError(source, target)
         return distance
-
-    @_locked
-    def travel_times_from(self, source: int) -> Mapping[int, float]:
-        """One-to-all distances via PHAST (upward search + downward sweep)."""
-        self._queries += 1
-        self._sssp_runs += 1
-        label = self._source_label(source)
-        if self._sweeps is not None:
-            arr = self._sweeps.run(self._sweeps.forward, *label)
-            idxs, values = finite_entries(arr)
-            nodes = self._nodes
-            return {
-                nodes[idx]: value
-                for idx, value in zip(idxs.tolist(), values.tolist())
-            }
-        dist = [_INF] * len(self._nodes)
-        for idx, d in label.items():
-            dist[idx] = d
-        for u in self._order_desc:
-            du = dist[u]
-            if du == _INF:
-                continue
-            for v, w in self._down_out[u]:
-                nd = du + w
-                if nd < dist[v]:
-                    dist[v] = nd
-        return {
-            self._nodes[idx]: d for idx, d in enumerate(dist) if d != _INF
-        }
 
     @_locked
     def travel_times_to(self, target: int) -> Mapping[int, float]:
@@ -610,9 +559,7 @@ class CHOracle(DistanceOracle):
         kernel vectorises.
         """
         if self._sweeps is not None:
-            return self._sweeps.run(
-                self._sweeps.reverse, *label_arrays(seeds)
-            ).copy()
+            return self._sweeps.run(*label_arrays(seeds)).copy()
         dist = [_INF] * len(self._nodes)
         for idx, d in seeds.items():
             dist[idx] = d
@@ -855,49 +802,6 @@ class CHOracle(DistanceOracle):
                 row[column] = result.get(key, _INF)
         return rows
 
-    @_locked
-    def shortest_path(self, source: int, target: int) -> list[int]:
-        """Node sequence of a shortest path, by unpacking shortcuts.
-
-        The bidirectional upward search is rerun with parent tracking,
-        the up and down halves are stitched at the meeting node, and
-        every shortcut edge is expanded through its recorded middle node
-        until only original edges remain.
-        """
-        self._queries += 1
-        if source == target:
-            return [source]
-        s, t = self._index[source], self._index[target]
-        distance, meet, parent_f, parent_b = self._bidirectional_upward(
-            s, t, with_parents=True
-        )
-        if distance is None or meet is None:
-            raise UnreachableError(source, target)
-        ascent: list[int] = [meet]
-        while ascent[-1] != s:
-            ascent.append(parent_f[ascent[-1]])
-        ascent.reverse()
-        while ascent[-1] != t:
-            ascent.append(parent_b[ascent[-1]])
-        path = [s]
-        for a, b in zip(ascent, ascent[1:]):
-            self._unpack_edge(a, b, path)
-        return [self._nodes[idx] for idx in path]
-
-    def _unpack_edge(self, a: int, b: int, out: list[int]) -> None:
-        """Append the original-node expansion of edge ``a -> b`` (sans ``a``)."""
-        stack = [(a, b)]
-        while stack:
-            u, v = stack.pop()
-            mid = self._middle.get((u, v))
-            if mid is None:
-                out.append(v)
-            else:
-                # LIFO stack: push the second half first so the first
-                # half is expanded (and emitted) first.
-                stack.append((mid, v))
-                stack.append((u, mid))
-
     # ------------------------------------------------------------------
     # cache management and instrumentation
     # ------------------------------------------------------------------
@@ -907,24 +811,6 @@ class CHOracle(DistanceOracle):
         self._source_labels.clear()
         self._target_labels.clear()
         self._arrival_cache.clear()
-
-    @_locked
-    def cache_info(self) -> CacheInfo:
-        """Summary of the point-to-point result cache.
-
-        ``hits``/``misses`` cover the pair cache, the two label caches
-        (per-source forward search spaces, per-target buckets) and the
-        arrival cache (the uniform counters); ``maxsize``/``currsize``
-        describe the pair cache, with the other caches' occupancy
-        reported through ``stats().extras`` (``label_cached_sources``,
-        ``bucket_cached_targets``, ``arrival_cached_targets``).
-        """
-        return CacheInfo(
-            hits=self._cache_hits,
-            misses=self._cache_misses,
-            maxsize=self._pair_cache_size,
-            currsize=len(self._pair_cache),
-        )
 
     @_locked
     def _extra_stats(self) -> dict[str, float]:
@@ -1016,14 +902,8 @@ class CHOracle(DistanceOracle):
             self._reverse_sssp_runs += 1
         return self._label(self._target_labels, target, self._down_in)
 
-    def _bidirectional_upward(
-        self, s: int, t: int, with_parents: bool = False
-    ) -> tuple[
-        float | None, int | None, dict[int, int], dict[int, int]
-    ]:
-        """Bidirectional upward search; returns (distance, meeting node,
-        forward parents, backward parents) — distance ``None`` when
-        unreachable.
+    def _bidirectional_upward(self, s: int, t: int) -> float | None:
+        """Bidirectional upward search; the distance, ``None`` if unreachable.
 
         Both frontiers only climb in rank, and a side stops once its
         minimum key can no longer beat the best meeting distance.  The
@@ -1034,12 +914,9 @@ class CHOracle(DistanceOracle):
         self._pp_searches += 1
         dist_f: dict[int, float] = {s: 0.0}
         dist_b: dict[int, float] = {t: 0.0}
-        parent_f: dict[int, int] = {}
-        parent_b: dict[int, int] = {}
         heap_f: list[tuple[float, int]] = [(0.0, s)]
         heap_b: list[tuple[float, int]] = [(0.0, t)]
         best = _INF
-        meet: int | None = None
         settles = 0
         while True:
             f_live = bool(heap_f) and heap_f[0][0] < best
@@ -1048,11 +925,9 @@ class CHOracle(DistanceOracle):
                 break
             forward = f_live and (not b_live or heap_f[0][0] <= heap_b[0][0])
             if forward:
-                heap, dist, other, parent = heap_f, dist_f, dist_b, parent_f
-                adjacency = self._up_out
+                heap, dist, other, adjacency = heap_f, dist_f, dist_b, self._up_out
             else:
-                heap, dist, other, parent = heap_b, dist_b, dist_f, parent_b
-                adjacency = self._down_in
+                heap, dist, other, adjacency = heap_b, dist_b, dist_f, self._down_in
             d, u = heappop(heap)
             if d > dist[u]:
                 continue
@@ -1060,18 +935,13 @@ class CHOracle(DistanceOracle):
             du_other = other.get(u)
             if du_other is not None and d + du_other < best:
                 best = d + du_other
-                meet = u
             for v, w in adjacency[u]:
                 nd = d + w
                 if nd < dist.get(v, _INF):
                     dist[v] = nd
-                    if with_parents:
-                        parent[v] = u
                     heappush(heap, (nd, v))
         self._upward_settles += settles
-        if best == _INF:
-            return None, None, parent_f, parent_b
-        return best, meet, parent_f, parent_b
+        return None if best == _INF else best
 
     # ------------------------------------------------------------------
     # pair-cache internals

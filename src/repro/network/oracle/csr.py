@@ -1,20 +1,16 @@
 """CSR array representation of prepared oracle graphs + vectorised kernels.
 
-The dict-based oracle inner loops (PHAST downward sweeps, RPHAST bucket
-scans, matrix row refresh) iterate Python objects edge by edge.  This
-module re-represents the *prepared* search structures as flat numpy
-arrays so the hot kernels become a handful of vectorised operations:
-
-* :func:`adjacency_to_csr` packs a list-of-adjacency graph into the
-  classic CSR triple ``(indptr, indices, weights)`` — ``int64`` index
-  arrays and one ``float64`` weight array, no per-edge Python objects;
-* :class:`LevelSweep` stores one PHAST sweep direction as level-grouped
-  edge arrays: every edge of the sweep DAG goes from a higher-ranked
-  tail to a lower-ranked head, so grouping edges by the tail's *level*
-  (longest dependency-path depth) turns the sweep into one
-  ``np.minimum.at`` scatter-relaxation per level — identical results to
-  the node-by-node dict sweep, since every tail distance is final
-  before its level is relaxed.
+The dict-based oracle inner loops (the reverse-PHAST sweep, RPHAST
+bucket scans, matrix row refresh) iterate Python objects edge by edge.
+This module re-represents the *prepared* search structures as flat
+numpy arrays so the hot kernels become a handful of vectorised
+operations.  :class:`LevelSweep` stores the reverse-PHAST sweep as
+level-grouped edge arrays: every edge of the sweep DAG goes from a
+higher-ranked tail to a lower-ranked head, so grouping edges by the
+tail's *level* (longest dependency-path depth) turns the sweep into one
+``np.minimum.at`` scatter-relaxation per level — identical results to
+the node-by-node dict sweep, since every tail distance is final before
+its level is relaxed.
 
 numpy is optional: when it is absent ``HAVE_NUMPY`` is ``False``,
 :func:`resolve_kernel` answers ``"dict"`` for every request, and the
@@ -53,59 +49,28 @@ def resolve_kernel(kernel: str) -> str:
     return "csr" if HAVE_NUMPY else "dict"
 
 
-def adjacency_to_csr(
-    num_nodes: int, adjacency: Sequence[Sequence[tuple[int, float]]]
-):
-    """Pack ``adjacency[u] = [(v, w), ...]`` into ``(indptr, indices, weights)``.
-
-    ``indptr`` is ``int64`` of length ``num_nodes + 1``; ``indices`` and
-    ``weights`` hold the edges of node ``u`` in slots
-    ``indptr[u]:indptr[u + 1]``, preserving adjacency order.
-    """
-    if np is None:  # pragma: no cover - guarded by callers
-        raise RuntimeError("numpy is required for CSR packing")
-    counts = np.fromiter(
-        (len(edges) for edges in adjacency), dtype=np.int64, count=num_nodes
-    )
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    total = int(indptr[-1])
-    indices = np.empty(total, dtype=np.int64)
-    weights = np.empty(total, dtype=np.float64)
-    pos = 0
-    for edges in adjacency:
-        for v, w in edges:
-            indices[pos] = v
-            weights[pos] = w
-            pos += 1
-    return indptr, indices, weights
-
-
 def compute_levels(
     order_desc: Sequence[int],
-    adjacencies: Sequence[Sequence[Sequence[tuple[int, float]]]],
+    adjacency: Sequence[Sequence[tuple[int, float]]],
 ) -> list[int]:
-    """Longest-dependency-path level of every node under the sweep DAGs.
+    """Longest-dependency-path level of every node under the sweep DAG.
 
     ``order_desc`` is the node processing order (decreasing CH rank);
-    every edge of every adjacency goes from a node processed earlier to
+    every edge of the adjacency goes from a node processed earlier to
     one processed later, so a single pass in processing order computes
-    ``level[v] = 1 + max(level of predecessors)``.  All adjacencies
-    share one level assignment, letting the forward and reverse sweeps
-    reuse the same grouping.
+    ``level[v] = 1 + max(level of predecessors)``.
     """
     level = [0] * (len(order_desc))
     for u in order_desc:
         lu = level[u] + 1
-        for adjacency in adjacencies:
-            for v, _ in adjacency[u]:
-                if level[v] < lu:
-                    level[v] = lu
+        for v, _ in adjacency[u]:
+            if level[v] < lu:
+                level[v] = lu
     return level
 
 
 class LevelSweep:
-    """One PHAST sweep direction as level-grouped flat edge arrays.
+    """A PHAST sweep as level-grouped flat edge arrays.
 
     ``sweep`` relaxes every edge exactly once, level by level: within a
     level all tail distances are final (every edge strictly increases
@@ -167,10 +132,6 @@ class LevelSweep:
             level_ptr.append(pos)
         return cls(tails, heads, weights, level_ptr)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.tails)
-
     def sweep(self, dist) -> None:
         """Relax every edge into ``dist`` (float64, inf = unreached), in place."""
         minimum_at = np.minimum.at
@@ -179,35 +140,31 @@ class LevelSweep:
 
 
 class CHSweepKernel:
-    """Both PHAST sweep directions of one contraction hierarchy.
+    """The reverse-PHAST sweep of one contraction hierarchy.
 
-    ``forward`` relaxes downward out-edges (one-to-all PHAST);
-    ``reverse`` relaxes upward in-edges (all-to-one reverse PHAST).
-    One preallocated float64 distance buffer is reused across queries —
-    the owning oracle serialises queries behind its lock.
+    ``reverse`` relaxes upward in-edges (all-to-one reverse PHAST).  One
+    preallocated float64 distance buffer is reused across queries — the
+    owning oracle serialises queries behind its lock.
     """
 
     def __init__(
         self,
         num_nodes: int,
         order_desc: Sequence[int],
-        down_out: Sequence[Sequence[tuple[int, float]]],
         up_in: Sequence[Sequence[tuple[int, float]]],
     ) -> None:
-        level = compute_levels(order_desc, (down_out, up_in))
-        self.forward = LevelSweep.from_adjacency(down_out, level)
+        level = compute_levels(order_desc, up_in)
         self.reverse = LevelSweep.from_adjacency(up_in, level)
-        self._num_nodes = num_nodes
         self._dist = np.empty(num_nodes, dtype=np.float64)
 
-    def run(self, sweep: LevelSweep, nodes, dists):
-        """Seed the buffer from a label's arrays and run one sweep over it.
+    def run(self, nodes, dists):
+        """Seed the buffer from a label's arrays and run the sweep over it.
 
         Returns the buffer itself (valid until the next ``run``); use
         :func:`finite_entries` to extract the reachable part.
         """
         dist = self.seed_buffer(nodes, dists)
-        sweep.sweep(dist)
+        self.reverse.sweep(dist)
         return dist
 
     def seed_buffer(self, nodes, dists):

@@ -23,15 +23,10 @@ from typing import Iterable, Mapping, Sequence
 import networkx as nx
 
 from ...exceptions import UnreachableError
-from .base import CacheInfo, DistanceOracle
+from .base import DistanceOracle
 
 #: Default bound on the number of cached single-source distance maps.
 DEFAULT_MAX_SOURCES = 1024
-
-
-def _fits(count: int, bound: int | None) -> bool:
-    """Whether ``count`` maps fit an LRU of ``bound`` entries together."""
-    return bound is None or count <= bound
 
 
 class LazyDijkstraOracle(DistanceOracle):
@@ -42,11 +37,9 @@ class LazyDijkstraOracle(DistanceOracle):
     graph:
         Directed graph with ``travel_time`` edge weights.
     max_sources:
-        Maximum number of source distance maps kept alive; ``None``
-        means unbounded (the seed behaviour).
-    max_targets:
-        Maximum number of reverse per-target distance maps kept alive;
-        defaults to ``max_sources``.
+        Maximum number of source distance maps kept alive, and of
+        reverse per-target maps, each; ``None`` means unbounded (the
+        seed behaviour).
     """
 
     name = "lazy"
@@ -55,15 +48,13 @@ class LazyDijkstraOracle(DistanceOracle):
         self,
         graph: nx.DiGraph,
         max_sources: int | None = DEFAULT_MAX_SOURCES,
-        max_targets: int | None = None,
     ) -> None:
         super().__init__(graph)
         if max_sources is not None and max_sources < 1:
             raise ValueError("max_sources must be at least 1 (or None)")
-        if max_targets is not None and max_targets < 1:
-            raise ValueError("max_targets must be at least 1 (or None)")
-        self._max_sources = max_sources
-        self._max_targets = max_targets if max_targets is not None else max_sources
+        #: LRU bound of the forward and of the reverse map cache, each
+        #: (the registry maps ``cache_size`` onto it).
+        self.max_sources = max_sources
         self._cache: OrderedDict[int, dict[int, float]] = OrderedDict()
         self._rcache: OrderedDict[int, dict[int, float]] = OrderedDict()
 
@@ -94,10 +85,6 @@ class LazyDijkstraOracle(DistanceOracle):
         if target not in distances:
             raise UnreachableError(source, target)
         return distances[target]
-
-    def travel_times_from(self, source: int) -> Mapping[int, float]:
-        self._queries += 1
-        return self._distances_from(source)
 
     def travel_times_to(self, target: int) -> Mapping[int, float]:
         self._queries += 1
@@ -159,10 +146,8 @@ class LazyDijkstraOracle(DistanceOracle):
         LRU holds takes the generic two-step instead, whose cells are
         scalar reads.
         """
-        if not (
-            _fits(len(sources), self._max_sources)
-            and _fits(len(targets), self._max_targets)
-        ):
+        bound = self.max_sources
+        if bound is not None and max(len(sources), len(targets)) > bound:
             return super().leg_matrix(sources, targets)
         cells = len(sources) * len(targets)
         if not cells:
@@ -196,22 +181,6 @@ class LazyDijkstraOracle(DistanceOracle):
         self._rcache.clear()
         self._drop_adjacency()
 
-    def cache_info(self) -> CacheInfo:
-        """Summary of the forward per-source cache.
-
-        ``hits``/``misses`` cover both directions (they are the uniform
-        counters); ``maxsize``/``currsize`` describe the forward cache
-        only so the ``currsize <= maxsize`` contract holds.  The reverse
-        cache's occupancy is reported through ``stats().extras``
-        (``reverse_cached_targets``).
-        """
-        return CacheInfo(
-            hits=self._cache_hits,
-            misses=self._cache_misses,
-            maxsize=self._max_sources,
-            currsize=len(self._cache),
-        )
-
     def _extra_stats(self) -> dict[str, float]:
         return {
             "forward_cached_sources": float(len(self._cache)),
@@ -230,7 +199,7 @@ class LazyDijkstraOracle(DistanceOracle):
         self._cache_misses += 1
         distances = self._dijkstra_from(source)
         self._cache[source] = distances
-        if self._max_sources is not None and len(self._cache) > self._max_sources:
+        if self.max_sources is not None and len(self._cache) > self.max_sources:
             self._cache.popitem(last=False)
             self._evictions += 1
         return distances
@@ -244,7 +213,7 @@ class LazyDijkstraOracle(DistanceOracle):
         self._cache_misses += 1
         arrivals = self._dijkstra_to(target)
         self._rcache[target] = arrivals
-        if self._max_targets is not None and len(self._rcache) > self._max_targets:
+        if self.max_sources is not None and len(self._rcache) > self.max_sources:
             self._rcache.popitem(last=False)
             self._evictions += 1
         return arrivals

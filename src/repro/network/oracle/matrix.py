@@ -30,7 +30,7 @@ import networkx as nx
 # numpy is optional: the dict kernel keeps rows as Python lists
 from ...compat import np
 from ...exceptions import UnreachableError
-from .base import CacheInfo, DistanceOracle
+from .base import DistanceOracle
 from .csr import resolve_kernel
 
 _INF = float("inf")
@@ -49,9 +49,7 @@ class MatrixOracle(DistanceOracle):
     nodes:
         Initial active sources to precompute rows for.  ``None`` means
         every node of the graph (fine for small/medium networks).
-    max_rows:
-        Optional bound on the number of rows kept; ``None`` (default)
-        keeps every row ever built, which is the point of this backend.
+        Every row ever built is kept: that is the point of this backend.
     """
 
     name = "matrix"
@@ -60,7 +58,6 @@ class MatrixOracle(DistanceOracle):
         self,
         graph: nx.DiGraph,
         nodes: Iterable[int] | None = None,
-        max_rows: int | None = None,
         kernel: str = "auto",
     ) -> None:
         super().__init__(graph)
@@ -81,7 +78,6 @@ class MatrixOracle(DistanceOracle):
         # bounded, each map is O(V)) so repeated dispatch probes against
         # the same pickup do not rerun the reverse Dijkstra.
         self._reverse_maps: OrderedDict[int, dict[int, float]] = OrderedDict()
-        self._max_rows = max_rows
         self._refreshes = 0
         initial = list(dict.fromkeys(nodes)) if nodes is not None else list(
             self._columns
@@ -112,21 +108,6 @@ class MatrixOracle(DistanceOracle):
         if math.isinf(value):
             raise UnreachableError(source, target)
         return float(value)
-
-    def travel_times_from(self, source: int) -> Mapping[int, float]:
-        self._queries += 1
-        row = self._rows.get(source)
-        if row is None:
-            self._cache_misses += 1
-            self._build_rows([source])
-            row = self._rows[source]
-        else:
-            self._cache_hits += 1
-        return {
-            node: float(row[idx])
-            for node, idx in self._columns.items()
-            if not math.isinf(row[idx])
-        }
 
     def travel_times_to(self, target: int) -> Mapping[int, float]:
         """All travel times to ``target``, read down the target's column.
@@ -223,14 +204,6 @@ class MatrixOracle(DistanceOracle):
         self._reverse_maps.clear()
         self._drop_adjacency()
 
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(
-            hits=self._cache_hits,
-            misses=self._cache_misses,
-            maxsize=self._max_rows,
-            currsize=len(self._rows),
-        )
-
     def _extra_stats(self) -> dict[str, float]:
         return {
             "matrix_rows": float(len(self._rows)),
@@ -276,9 +249,3 @@ class MatrixOracle(DistanceOracle):
             else:
                 row = [get(node, _INF) for node in node_order]
             self._rows[source] = row
-        if self._max_rows is not None:
-            while len(self._rows) > self._max_rows:
-                # Rows are insertion-ordered; evict the oldest.
-                evicted = next(iter(self._rows))
-                del self._rows[evicted]
-                self._evictions += 1

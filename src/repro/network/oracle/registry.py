@@ -4,11 +4,9 @@ The registry is what makes backends swappable without touching any
 dispatcher code: ``SimulationConfig.oracle`` (an :class:`OracleSpec`;
 the CLI's ``--oracle`` flag sets its ``backend``) names a backend, and
 :func:`configure_oracle` builds and attaches it to the workload's
-:class:`RoadNetwork` before the run starts.  Three backends are built
-in — ``lazy``, ``matrix`` and the contraction-hierarchy ``ch`` — and
-libraries embedding
-the reproduction can plug in their own (e.g. an osmnx/igraph-backed
-oracle for real map extracts) via :func:`register_oracle`.
+:class:`RoadNetwork` before the run starts.  The three backends —
+``lazy``, ``matrix`` and the contraction-hierarchy ``ch`` — are a fixed
+table: :data:`ORACLE_BACKENDS`.
 """
 
 from __future__ import annotations
@@ -30,19 +28,21 @@ if TYPE_CHECKING:  # pragma: no cover
     from ...config import SimulationConfig
     from ..graph import RoadNetwork
 
-#: Factory signature: (graph, **options) -> DistanceOracle.  Factories
-#: must tolerate the uniform option names :func:`create_oracle`
-#: documents (``nodes``, ``seed``, ``cache_size``,
-#: ``witness_hop_limit``, ``cache_dir``, ``degradations``, ...) and
-#: ignore the ones they do not use.
+#: Factory signature: (graph, **options) -> DistanceOracle.  Every
+#: factory receives ``nodes`` and ``seed`` plus the set
+#: :data:`FACTORY_OPTIONS` of :func:`create_oracle`'s keywords, and
+#: ignores the ones it does not use.
 OracleFactory = Callable[..., DistanceOracle]
+
+#: The option names some factory reads; any other name is a mistake.
+FACTORY_OPTIONS = frozenset(
+    {"cache_size", "witness_hop_limit", "cache_dir", "kernel", "degradations"}
+)
 
 
 def _make_lazy(graph: nx.DiGraph, **options) -> LazyDijkstraOracle:
     return LazyDijkstraOracle(
-        graph,
-        max_sources=options.get("cache_size", DEFAULT_MAX_SOURCES),
-        max_targets=options.get("reverse_cache_size"),
+        graph, max_sources=options.get("cache_size", DEFAULT_MAX_SOURCES)
     )
 
 
@@ -148,11 +148,9 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
         # Build under a cross-process lock so N processes sharing one
         # cache directory contract the graph exactly once: the winner
         # builds and saves, the losers block and then warm-load what the
-        # winner persisted (the second load below).
-        lock = InterProcessLock(
-            path.with_name(path.name + ".lock"),
-            timeout=options.get("lock_timeout", 600.0),
-        )
+        # winner persisted (the second load below).  The timeout is
+        # generous: a loser waits out a whole contraction.
+        lock = InterProcessLock(path.with_name(path.name + ".lock"), timeout=600.0)
         try:
             with lock:
                 attempt.lock_took_over_stale = lock.took_over_stale
@@ -204,13 +202,6 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(ORACLE_BACKENDS))
 
 
-def register_oracle(name: str, factory: OracleFactory) -> None:
-    """Register (or replace) a distance-oracle backend under ``name``."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError("oracle backend name must be a non-empty string")
-    ORACLE_BACKENDS[name] = factory
-
-
 def create_oracle(
     name: str,
     graph: nx.DiGraph,
@@ -221,16 +212,16 @@ def create_oracle(
 ) -> DistanceOracle:
     """Instantiate a registered backend over ``graph``.
 
-    ``options`` are the factory keywords: ``cache_size``,
-    ``reverse_cache_size`` (the lazy backend's per-target reverse
-    distance-map bound, defaults to ``cache_size``),
-    ``witness_hop_limit``, ``cache_dir``, ``kernel`` and ``degradations``
-    (the run's :class:`~repro.resilience.degradation.DegradationLog`;
-    factories record recoverable fallbacks — corrupt cache -> rebuild,
-    failed save -> skip — into it).  An option left out or passed as
-    ``None`` falls back to the backend's own default; options a backend
-    has no use for are ignored (a matrix oracle does not care about
-    ``witness_hop_limit``).
+    ``options`` are the factory keywords (:data:`FACTORY_OPTIONS`):
+    ``cache_size``, ``witness_hop_limit``, ``cache_dir``, ``kernel`` and
+    ``degradations`` (the run's
+    :class:`~repro.resilience.degradation.DegradationLog`; factories
+    record recoverable fallbacks — corrupt cache -> rebuild, failed
+    save -> skip — into it).  An option left out or passed as ``None``
+    falls back to the backend's own default; options a backend has no
+    use for are ignored (a matrix oracle does not care about
+    ``witness_hop_limit``), and a name no backend reads raises
+    :class:`ConfigurationError`.
     """
     try:
         factory = ORACLE_BACKENDS[name]
@@ -238,6 +229,12 @@ def create_oracle(
         raise ConfigurationError(
             f"unknown oracle backend {name!r}; available: {available_backends()}"
         ) from exc
+    unknown = sorted(set(options) - FACTORY_OPTIONS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown oracle option(s) {unknown}; known options: "
+            f"{sorted(FACTORY_OPTIONS)}"
+        )
     given = {key: value for key, value in options.items() if value is not None}
     return factory(graph, nodes=nodes, seed=seed, **given)
 

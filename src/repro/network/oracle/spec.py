@@ -14,9 +14,8 @@ from typing import Any, Mapping
 from ...exceptions import ConfigurationError
 from .csr import KERNELS, resolve_kernel
 
-#: Options each built-in oracle backend actually consumes (beyond
-#: ``backend`` itself).  :class:`OracleSpec` validates eagerly against
-#: this table; backends registered at runtime accept any option.
+#: Options each oracle backend actually consumes (beyond ``backend``
+#: itself).  :class:`OracleSpec` validates eagerly against this table.
 ORACLE_OPTIONS_BY_BACKEND: dict[str, tuple[str, ...]] = {
     "lazy": ("cache_size",),
     "matrix": ("kernel",),
@@ -40,8 +39,7 @@ class OracleSpec:
     Attributes
     ----------
     backend:
-        Registry name (``"lazy"``, ``"matrix"``, ``"ch"``, or a custom
-        registered backend).
+        Registry name: ``"lazy"``, ``"matrix"`` or ``"ch"``.
     cache_size:
         LRU bound (lazy per-source cache; ch source and target label
         caches, each).
@@ -58,7 +56,7 @@ class OracleSpec:
         of the ch/matrix backends (csr = vectorised numpy kernels, auto
         = csr when numpy is importable; identical answers either way).
 
-    Setting an option a *built-in* backend does not consume raises a
+    Setting an option the backend does not consume raises a
     :class:`ConfigurationError` listing the backend's valid options at
     construction time.
     """
@@ -75,13 +73,10 @@ class OracleSpec:
                 f"OracleSpec.backend must be a non-empty string, "
                 f"got {self.backend!r}"
             )
-        # Deferred import: the registry imports this module back.
-        from .registry import ORACLE_BACKENDS
-
-        if self.backend not in ORACLE_BACKENDS:
+        if self.backend not in ORACLE_OPTIONS_BY_BACKEND:
             raise ConfigurationError(
                 f"unknown oracle backend {self.backend!r}; available: "
-                f"{tuple(sorted(ORACLE_BACKENDS))}"
+                f"{tuple(sorted(ORACLE_OPTIONS_BY_BACKEND))}"
             )
         for option in ("cache_size", "witness_hops"):
             value = getattr(self, option)
@@ -108,10 +103,8 @@ class OracleSpec:
         self._check_backend_options()
 
     def _check_backend_options(self) -> None:
-        """Reject options the named built-in backend does not consume."""
-        valid = ORACLE_OPTIONS_BY_BACKEND.get(self.backend)
-        if valid is None:  # custom registered backend: accept anything
-            return
+        """Reject options the named backend does not consume."""
+        valid = ORACLE_OPTIONS_BY_BACKEND[self.backend]
         invalid = sorted(set(self.options()) - set(valid))
         if invalid:
             raise ConfigurationError(
@@ -131,13 +124,9 @@ class OracleSpec:
 
         ``kernel`` goes through :func:`resolve_kernel` on the backends
         that take one (``None``, ``"auto"`` and the kernel they pick
-        compare equal); a runtime-registered backend, whose options the
-        registry cannot know, resolves to its name alone.
+        compare equal).
         """
-        consumed = ORACLE_OPTIONS_BY_BACKEND.get(self.backend)
-        if consumed is None:
-            return OracleSpec(backend=self.backend)
-        if "kernel" in consumed:
+        if "kernel" in ORACLE_OPTIONS_BY_BACKEND[self.backend]:
             return replace(self, kernel=resolve_kernel(self.kernel or "auto"))
         return self
 

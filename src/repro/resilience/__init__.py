@@ -43,14 +43,13 @@ from .faults import (
     install_injector,
     uninstall_injector,
 )
-from .retry import DEFAULT_IO_POLICY, RetryPolicy, retry_call, retrying
+from .retry import DEFAULT_IO_POLICY, RetryPolicy, retry_call
 
 __all__ = [
     "CancellationToken",
     "RunCancelled",
     "RetryPolicy",
     "retry_call",
-    "retrying",
     "DEFAULT_IO_POLICY",
     "DegradationEvent",
     "DegradationLog",

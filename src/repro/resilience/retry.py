@@ -3,8 +3,7 @@
 The transient-failure points of the runtime — oracle cache IO, session
 preparation — share one retry vocabulary: a frozen
 :class:`RetryPolicy` describing *how often* and *how patiently* to
-retry, applied either explicitly (:func:`retry_call`) or as a
-decorator (:func:`retrying`).
+retry, applied by :func:`retry_call`.
 
 Backoff is the standard exponential ramp capped at ``max_delay``;
 jitter is a symmetric fraction of each delay drawn from a **seeded**
@@ -32,7 +31,7 @@ class RetryPolicy:
     Attributes
     ----------
     max_attempts:
-        Total tries including the first; ``1`` disables retrying.
+        Total tries including the first; ``1`` disables retries.
     base_delay:
         Sleep before the first retry, in seconds.
     multiplier:
@@ -117,23 +116,3 @@ def retry_call(
     assert last is not None
     raise last
 
-
-def retrying(
-    policy: RetryPolicy = DEFAULT_IO_POLICY,
-    *,
-    on_retry: Callable[[int, BaseException, float], None] | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Decorator form of :func:`retry_call`."""
-
-    def decorate(fn: Callable[..., T]) -> Callable[..., T]:
-        def wrapper(*args: Any, **kwargs: Any) -> T:
-            return retry_call(
-                fn, *args, policy=policy, on_retry=on_retry, sleep=sleep, **kwargs
-            )
-
-        wrapper.__name__ = getattr(fn, "__name__", "retrying")
-        wrapper.__doc__ = fn.__doc__
-        return wrapper
-
-    return decorate

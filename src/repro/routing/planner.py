@@ -5,8 +5,8 @@ minimal total travel time (the quantity ``T(L)`` that Definition 3 of
 the paper prices).  A plan never leaves integer land until it has a
 winner: the group's stops are numbered ``2i`` (pickup of member ``i``)
 and ``2i + 1`` (its dropoff), one ``RoadNetwork.leg_matrix`` call
-returns their stop x stop leg times (and the worker's approach legs),
-and candidates are stop-index sequences priced off that matrix.  For
+returns their stop x stop leg times, and candidates are stop-index
+sequences priced off that matrix.  For
 the small groups the paper considers (vehicle capacities 2-5, so groups
 of 2-5 orders) a depth-first branch-and-bound over the interleavings is
 exact and cheap; larger groups fall back to a greedy insertion
@@ -20,9 +20,11 @@ baseline all call into it, which keeps the constraint semantics in one
 place.  ``routing.feasibility.check_route`` stays the public verifier
 of a finished route; it no longer runs per candidate.
 
-Dispatchers ask about the same groups again and again as time moves
-on (every pool check, every batch), so exact plans without a worker
-start are remembered per member tuple.  A plan's stop order does not
+A plan starts at the group's first pickup: the worker's approach leg
+is the fleet's business (``WorkerFleet`` checks it against the planned
+route).  Dispatchers ask about the same groups again and again as time
+moves on (every pool check, every batch), so exact plans are remembered
+per member tuple.  A plan's stop order does not
 depend on the start time and its feasibility only tightens as the start
 time grows: a remembered answer is reused while every dropoff of the
 remembered route is still on time, and an infeasible group stays
@@ -38,7 +40,6 @@ from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 from ..exceptions import InfeasibleGroupError, UnreachableError
 from ..model.route import Route, RouteStop, StopKind
-from .feasibility import sequence_cost
 from .insertion import cheapest_insertion, new_stop_legs
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,7 +101,6 @@ def _cheapest_stop_order(
     due: Sequence[float],
     capacity: int,
     start_time: float,
-    approaches: Sequence[float],
 ) -> tuple[float, list[int]] | None:
     """Exact minimum-travel-time feasible stop order and its cost, or ``None``.
 
@@ -113,10 +113,6 @@ def _cheapest_stop_order(
     non-negative float never decreases a sum, so the last cut loses no
     strictly cheaper completion and the first order found at the
     minimal cost is the one returned.
-
-    ``approaches[i]`` is the worker's travel time to member ``i``'s
-    pickup; it delays every arrival on orders starting there but is not
-    part of the cost.
     """
     n = len(load_change)
     used = [False] * n
@@ -124,7 +120,7 @@ def _cheapest_stop_order(
     best_cost = inf
     best_order: list[int] | None = None
 
-    def extend(last: int, depth: int, elapsed: float, onboard: int, start: float) -> None:
+    def extend(last: int, depth: int, elapsed: float, onboard: int) -> None:
         nonlocal best_cost, best_order
         row = times[last]
         for stop in range(n):
@@ -134,7 +130,7 @@ def _cheapest_stop_order(
                 if not used[stop - 1]:
                     continue
                 reach = elapsed + row[stop]
-                if reach >= best_cost or start + reach > due[stop]:
+                if reach >= best_cost or start_time + reach > due[stop]:
                     continue
             else:
                 if onboard + load_change[stop] > capacity:
@@ -148,7 +144,7 @@ def _cheapest_stop_order(
                 best_order = order[:]
             else:
                 used[stop] = True
-                extend(stop, depth + 1, reach, onboard + load_change[stop], start)
+                extend(stop, depth + 1, reach, onboard + load_change[stop])
                 used[stop] = False
 
     for first in range(0, n, 2):
@@ -156,7 +152,7 @@ def _cheapest_stop_order(
             continue
         used[first] = True
         order[0] = first
-        extend(first, 1, 0.0, load_change[first], start_time + approaches[first >> 1])
+        extend(first, 1, 0.0, load_change[first])
         used[first] = False
     return None if best_order is None else (best_cost, best_order)
 
@@ -168,16 +164,10 @@ class RoutePlanner:
     ----------
     network:
         Road network used to price route legs.
-    exact_group_limit:
-        Largest group size planned by the exact search; larger groups
-        use greedy insertion.
     """
 
-    def __init__(
-        self, network: "RoadNetwork", exact_group_limit: int = _EXACT_GROUP_LIMIT
-    ) -> None:
+    def __init__(self, network: "RoadNetwork") -> None:
         self._network = network
-        self._exact_group_limit = max(exact_group_limit, 1)
         self._forget_all()
 
     def _forget_all(self) -> None:
@@ -210,7 +200,6 @@ class RoutePlanner:
         orders: Sequence["Order"],
         capacity: int,
         start_time: float,
-        start_node: int | None = None,
     ) -> PlannedGroup:
         """Return the cheapest feasible route for ``orders``.
 
@@ -221,12 +210,7 @@ class RoutePlanner:
         capacity:
             Vehicle capacity the route must respect.
         start_time:
-            Time at which the route would start being driven.
-        start_node:
-            Worker's current node.  When given, the approach leg from the
-            worker to the first pickup is included in the deadline check
-            (but not in ``total_travel_time``, matching the paper's
-            definition of ``T(L)`` over the route itself).
+            Time at which the route would start at its first pickup.
 
         Raises
         ------
@@ -236,10 +220,10 @@ class RoutePlanner:
         members = list(orders)
         if not members:
             raise InfeasibleGroupError("cannot plan a route for an empty group")
-        if start_node is None and len(members) <= self._exact_group_limit:
+        if len(members) <= _EXACT_GROUP_LIMIT:
             planned = self._recall(members, capacity, start_time)
         else:
-            planned = self._plan(members, capacity, start_time, start_node)
+            planned = self._plan(members, capacity, start_time)
         if planned is None:
             raise InfeasibleGroupError(
                 f"no feasible route for orders {[o.order_id for o in members]}"
@@ -265,7 +249,7 @@ class RoutePlanner:
         entry = self._memo.get(key)
         if entry is not None and entry.answers(members, start_time):
             return entry.planned
-        planned = self._plan(members, capacity, start_time, None)
+        planned = self._plan(members, capacity, start_time)
         if entry is None:
             for order in members:
                 self._keys_by_order.setdefault(order.order_id, []).append(key)
@@ -277,18 +261,14 @@ class RoutePlanner:
         return planned
 
     def _plan(
-        self,
-        members: list["Order"],
-        capacity: int,
-        start_time: float,
-        start_node: int | None,
+        self, members: list["Order"], capacity: int, start_time: float
     ) -> PlannedGroup | None:
         """Search for the cheapest feasible route; ``None`` if there is none.
 
         Groups past the exact limit are sorted in place by release time
         and grown by insertion.
         """
-        exact = len(members) <= self._exact_group_limit
+        exact = len(members) <= _EXACT_GROUP_LIMIT
         if not exact:
             members.sort(key=lambda order: order.release_time)
         nodes: list[int] = []
@@ -300,20 +280,12 @@ class RoutePlanner:
             due += (inf, order.deadline)
         # Dropoffs only become leg *sources* when several orders
         # interleave, so a lone order asks about its pickup's row alone.
-        sources = nodes[:1] if len(members) == 1 else list(nodes)
-        if start_node is not None:
-            sources.append(start_node)
+        sources = nodes[:1] if len(members) == 1 else nodes
         times = self._network.leg_matrix(sources, nodes)
-        if start_node is None:
-            approaches = [0.0] * len(members)
-        else:
-            approaches = times.pop()[::2]
         if len(members) == 1:
             times.append([0.0, 0.0])  # the dropoff's row: never a leg
         build = _search if exact else _grow_by_insertion
-        found = build(
-            times, approaches, nodes, load_change, due, capacity, start_time, start_node
-        )
+        found = build(times, nodes, load_change, due, capacity, start_time)
         if found is None:
             return None
         cost, sequence = found
@@ -336,11 +308,10 @@ class RoutePlanner:
         orders: Sequence["Order"],
         capacity: int,
         start_time: float,
-        start_node: int | None = None,
     ) -> PlannedGroup | None:
         """Like :meth:`plan` but returns ``None`` instead of raising."""
         try:
-            return self.plan(orders, capacity, start_time, start_node)
+            return self.plan(orders, capacity, start_time)
         except InfeasibleGroupError:
             return None
 
@@ -372,43 +343,34 @@ def _require_legs(
 
 def _search(
     times: list[list[float]],
-    approaches: Sequence[float],
     nodes: Sequence[int],
     load_change: Sequence[int],
     due: Sequence[float],
     capacity: int,
     start_time: float,
-    start_node: int | None,
 ) -> tuple[float, list[int]] | None:
-    """Search all stop orders, having checked every leg and approach is priced."""
-    if any(inf in row for row in (approaches, *times)):
+    """Search all stop orders, having checked every leg is priced."""
+    if any(inf in row for row in times):
         # Some cell is unreachable: fail if it is a leg the search can use.
         for pickup in range(0, len(nodes), 2):
             _require_legs(times, nodes, pickup)
-        for pickup, approach in zip(nodes[::2], approaches):
-            if approach == inf:
-                assert start_node is not None  # no start node, no approach legs
-                raise UnreachableError(start_node, pickup)
-    return _cheapest_stop_order(times, load_change, due, capacity, start_time, approaches)
+    return _cheapest_stop_order(times, load_change, due, capacity, start_time)
 
 
 def _grow_by_insertion(
     times: list[list[float]],
-    approaches: Sequence[float],
     nodes: Sequence[int],
     load_change: Sequence[int],
     due: Sequence[float],
     capacity: int,
     start_time: float,
-    start_node: int | None,
 ) -> tuple[float, list[int]] | None:
     """Insert the members one by one, earliest release first.
 
     Each member goes where it adds the least travel time to the
-    sequence built so far; the approach leg is only charged to the
-    finished sequence, as the last check.  A member's legs are checked
-    when its turn comes, so a group that fails early is infeasible
-    whatever the legs of the rest.
+    sequence built so far, among the positions that keep it feasible.
+    A member's legs are checked when its turn comes, so a group that
+    fails early is infeasible whatever the legs of the rest.
     """
     _require_legs(times, nodes, 0)
     sequence = [0, 1]
@@ -422,11 +384,4 @@ def _grow_by_insertion(
         if found is None:
             return None
         sequence, cost = found.sequence, found.cost
-    approach = approaches[sequence[0] >> 1]
-    if approach == inf:
-        assert start_node is not None  # no start node, no approach legs
-        raise UnreachableError(start_node, nodes[sequence[0]])
-    start = start_time + approach
-    if sequence_cost(sequence, times, load_change, due, capacity, start) is None:
-        return None
     return cost, sequence

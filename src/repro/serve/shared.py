@@ -23,7 +23,7 @@ from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 from ..network.graph import RoadNetwork
-from ..network.oracle.base import CacheInfo, DistanceOracle, OracleStats
+from ..network.oracle.base import DistanceOracle, OracleStats
 
 
 class SharedNetworkView(RoadNetwork):
@@ -55,14 +55,8 @@ class SharedNetworkView(RoadNetwork):
     def set_oracle(self, oracle: DistanceOracle) -> None:
         self._parent.set_oracle(oracle)
 
-    def use_backend(self, name: str, **options) -> DistanceOracle:
-        return self._parent.use_backend(name, **options)
-
     def clear_cache(self) -> None:
         self._locked(self._parent.clear_cache)
-
-    def cache_info(self) -> CacheInfo:
-        return self._locked(self._parent.cache_info)
 
     def oracle_stats(self) -> OracleStats:
         return self._locked(self._parent.oracle_stats)
@@ -81,14 +75,8 @@ class SharedNetworkView(RoadNetwork):
     def travel_time(self, source: int, target: int) -> float:
         return self._locked(self._parent.travel_time, source, target)
 
-    def travel_times_from(self, source: int) -> Mapping[int, float]:
-        return self._locked(self._parent.travel_times_from, source)
-
     def travel_times_to(self, target: int) -> Mapping[int, float]:
         return self._locked(self._parent.travel_times_to, target)
-
-    def shortest_path(self, source: int, target: int) -> list[int]:
-        return self._locked(self._parent.shortest_path, source, target)
 
     def is_reachable(self, source: int, target: int) -> bool:
         return self._locked(self._parent.is_reachable, source, target)

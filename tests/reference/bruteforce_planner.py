@@ -45,7 +45,6 @@ def insert_by_enumeration(
     capacity: int,
     start_time: float,
     network: RoadNetwork,
-    approach_time: float = 0.0,
 ) -> tuple[Route, float, int, int] | None:
     """Cheapest feasible insertion: ``(route, added, pickup_pos, dropoff_pos)``."""
     pickup_stop = RouteStop(order.pickup, order.order_id, StopKind.PICKUP)
@@ -53,7 +52,7 @@ def insert_by_enumeration(
     all_orders = list(existing_orders) + [order]
     if route is None:
         candidate = Route([pickup_stop, dropoff_stop], network)
-        report = check_route(candidate, all_orders, capacity, start_time, approach_time)
+        report = check_route(candidate, all_orders, capacity, start_time)
         if not report.feasible:
             return None
         return candidate, candidate.total_travel_time, 0, 1
@@ -65,9 +64,7 @@ def insert_by_enumeration(
             stops.insert(pickup_pos, pickup_stop)
             stops.insert(dropoff_pos, dropoff_stop)
             candidate = Route(stops, network)
-            report = check_route(
-                candidate, all_orders, capacity, start_time, approach_time
-            )
+            report = check_route(candidate, all_orders, capacity, start_time)
             if not report.feasible:
                 continue
             added = candidate.total_travel_time - route.total_travel_time
@@ -84,33 +81,28 @@ class BruteForcePlanner:
         self._exact_group_limit = max(exact_group_limit, 1)
 
     def plan(
-        self,
-        orders: Sequence[Order],
-        capacity: int,
-        start_time: float,
-        start_node: int | None = None,
+        self, orders: Sequence[Order], capacity: int, start_time: float
     ) -> Route | None:
         """The cheapest feasible route (first found on ties), or ``None``."""
         members = list(orders)
         if not members:
             return None
-        self._prefetch(members, start_node)
+        self._prefetch(members)
         if len(members) <= self._exact_group_limit:
-            return self._plan_exact(members, capacity, start_time, start_node)
-        return self._plan_by_insertion(members, capacity, start_time, start_node)
+            return self._plan_exact(members, capacity, start_time)
+        return self._plan_by_insertion(members, capacity, start_time)
 
-    def _plan_exact(self, orders, capacity, start_time, start_node) -> Route | None:
+    def _plan_exact(self, orders, capacity, start_time) -> Route | None:
         best: Route | None = None
         for stops in candidate_stop_orders(orders):
             route = Route(stops, self.network)
-            approach = self._approach_time(start_node, route)
-            if not check_route(route, orders, capacity, start_time, approach).feasible:
+            if not check_route(route, orders, capacity, start_time).feasible:
                 continue
             if best is None or route.total_travel_time < best.total_travel_time:
                 best = route
         return best
 
-    def _plan_by_insertion(self, orders, capacity, start_time, start_node) -> Route | None:
+    def _plan_by_insertion(self, orders, capacity, start_time) -> Route | None:
         seed, *rest = sorted(orders, key=lambda order: order.release_time)
         route = Route(
             [
@@ -128,12 +120,11 @@ class BruteForcePlanner:
                 return None
             route = found[0]
             placed.append(order)
-        approach = self._approach_time(start_node, route)
-        if not check_route(route, placed, capacity, start_time, approach).feasible:
+        if not check_route(route, placed, capacity, start_time).feasible:
             return None
         return route
 
-    def _prefetch(self, orders: Sequence[Order], start_node: int | None) -> None:
+    def _prefetch(self, orders: Sequence[Order]) -> None:
         """The old planner's oracle warm-up, part of its observable behaviour.
 
         On the ``lazy`` backend this call decides which search direction
@@ -144,11 +135,4 @@ class BruteForcePlanner:
         dropoffs = {order.dropoff for order in orders}
         targets = pickups | dropoffs
         sources = set(pickups) if len(orders) == 1 else set(targets)
-        if start_node is not None:
-            sources.add(start_node)
         self.network.travel_times_many(sources, targets)
-
-    def _approach_time(self, start_node: int | None, route: Route) -> float:
-        if start_node is None:
-            return 0.0
-        return self.network.travel_time(start_node, route.start_node)

@@ -4,6 +4,7 @@ persistence, event hooks and CSV replay."""
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -213,9 +214,10 @@ class TestOracleCachePersistence:
                 assert warm.travel_time(source, target) == pytest.approx(
                     cold.travel_time(source, target), rel=1e-9
                 )
-        # path unpacking works through restored shortcut middles
-        path = warm.shortest_path(nodes[0], nodes[-1])
-        assert path[0] == nodes[0] and path[-1] == nodes[-1]
+        # the shortcut count travels with the payload
+        shortcuts = cold.stats().extras["shortcuts_added"]
+        assert shortcuts > 0
+        assert warm.stats().extras["shortcuts_added"] == shortcuts
 
     def test_corrupt_cache_file_is_rebuilt(self, tmp_path):
         graph = grid_city(rows=5, cols=5, seed=2, jitter=0.2).graph
@@ -223,15 +225,27 @@ class TestOracleCachePersistence:
         path = ch_cache_path(tmp_path, graph, 5)
         # The name warm cache directories written by earlier builds carry.
         assert path.name == "ch-6bdb7bb7618f20e0e07486b9-w5.json"
+        payload = json.loads(path.read_text())
         path.write_text("{not json")
         rebuilt = create_oracle("ch", graph, cache_dir=str(tmp_path))
         assert not rebuilt.preprocessing_loaded
         # and the file was repaired for the next process
         assert load_ch_preprocessing(path, graph, 5) is not None
+        # A format-1 file (edges carrying a shortcut's middle node) is a
+        # stale file: a silent miss, rebuilt and rewritten at format 2.
+        old = dict(payload, format=1)
+        old["data"] = {
+            "order": payload["data"]["order"],
+            "edges": [[*edge, None] for edge in payload["data"]["edges"]],
+        }
+        path.write_text(json.dumps(old))
+        rebuilt = create_oracle("ch", graph, cache_dir=str(tmp_path))
+        assert not rebuilt.preprocessing_loaded
+        assert rebuilt.cache_load_failures == 0
+        assert json.loads(path.read_text())["format"] == 2
+        assert load_ch_preprocessing(path, graph, 5) is not None
 
     def test_duplicated_order_entry_forces_rebuild(self, tmp_path):
-        import json
-
         graph = grid_city(rows=5, cols=5, seed=1, jitter=0.2).graph
         create_oracle("ch", graph, cache_dir=str(tmp_path))
         path = ch_cache_path(tmp_path, graph, 5)

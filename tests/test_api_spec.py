@@ -10,11 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import OracleSpec, ScenarioSpec, load_spec, save_spec
+from repro.baselines.gas import GASDispatcher
 from repro.cli import build_parser
 from repro.config import ExtraTimeWeights, SimulationConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import default_config
+from repro.model.order import Order
+from repro.model.worker import Worker
+from repro.network.generators import grid_city
+from repro.network.grid import GridIndex
+from repro.network.oracle import LazyDijkstraOracle, MatrixOracle
+from repro.routing.planner import RoutePlanner
 from repro.serve.protocol import ProtocolError, parse_submission
+from repro.simulation.fleet import WorkerFleet
 
 
 class TestRoundTrip:
@@ -241,6 +249,22 @@ class TestOracleSpec:
             OracleSpec(landmarks=4)
         with pytest.raises(TypeError, match="contraction_order"):
             OracleSpec(backend="ch", contraction_order="coarsening")
+        network = grid_city(rows=3, cols=3, seed=0)
+        planner = RoutePlanner(network)
+        order = Order(0, 8, 0.0, 1.0, deadline=1e9, wait_limit=1.0, order_id=1)
+        with pytest.raises(TypeError, match="exact_group_limit"):
+            RoutePlanner(network, exact_group_limit=2)
+        with pytest.raises(TypeError, match="start_node"):
+            planner.plan([order], 4, 0.0, start_node=4)
+        with pytest.raises(TypeError, match="start_node"):
+            planner.try_plan([order], 4, 0.0, start_node=4)
+        fleet = WorkerFleet([Worker(location=0, capacity=4)], network, GridIndex(network, 2))
+        with pytest.raises(TypeError, match="batch_size"):
+            GASDispatcher(planner, fleet, SimulationConfig(), batch_size=10.0)
+        with pytest.raises(TypeError, match="max_rows"):
+            MatrixOracle(network.graph, max_rows=2)
+        with pytest.raises(TypeError, match="max_targets"):
+            LazyDijkstraOracle(network.graph, max_targets=2)
 
     def test_overrides_reach_the_config(self):
         spec = ScenarioSpec(

@@ -22,7 +22,7 @@ import pytest
 
 from repro.network.generators import grid_city
 from repro.network.grid import GridIndex
-from repro.network.oracle import CHOracle
+from repro.network.oracle import CHOracle, create_oracle
 from repro.simulation.spatial import WorkerSpatialIndex
 
 _NUM_THREADS = 8
@@ -103,33 +103,13 @@ def test_ch_oracle_concurrent_queries_match_serial(city, ch_oracle):
     assert not errors, errors
     # The caches came through the stampede structurally intact: every
     # entry still answers, and the LRU bounds still hold.
-    info = ch_oracle.cache_info()
-    assert info.maxsize is None or info.currsize <= info.maxsize
+    extras = ch_oracle.stats().extras
+    assert extras["label_cached_sources"] <= ch_oracle.bucket_cache_size
+    assert extras["bucket_cached_targets"] <= ch_oracle.bucket_cache_size
     for pair, expected in reference_pairs.items():
         assert math.isclose(
             ch_oracle.travel_time(*pair), expected, rel_tol=1e-9
         )
-
-
-def test_ch_oracle_concurrent_shortest_paths(city, ch_oracle):
-    """Path unpacking (parent-tracked reruns) is also safe to share."""
-    nodes = city.nodes_sorted()
-    rng = random.Random(47)
-    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(20)]
-    reference = {pair: ch_oracle.shortest_path(*pair) for pair in pairs}
-
-    def hammer(worker_id: int) -> list[tuple]:
-        local = random.Random(100 + worker_id)
-        mismatches = []
-        for _ in range(_ROUNDS_PER_THREAD):
-            for pair in local.sample(pairs, len(pairs)):
-                if ch_oracle.shortest_path(*pair) != reference[pair]:
-                    mismatches.append(pair)
-        return mismatches
-
-    with ThreadPoolExecutor(max_workers=_NUM_THREADS) as executor:
-        results = list(executor.map(hammer, range(_NUM_THREADS)))
-    assert all(not mismatches for mismatches in results), results
 
 
 def test_spatial_index_concurrent_rings_match_serial(city):
@@ -269,7 +249,7 @@ def _two_planners_share_a_network(backend: str, batched: bool) -> None:
         return grid_city(rows=7, cols=7, edge_travel_time=60.0, jitter=0.0, seed=0)
 
     pooled = uniform_city()
-    pooled.use_backend(backend)
+    pooled.set_oracle(create_oracle(backend, pooled.graph))
     nodes = pooled.nodes_sorted()
     rng = random.Random(77)
     groups = []
@@ -283,14 +263,14 @@ def _two_planners_share_a_network(backend: str, batched: bool) -> None:
             )
             for member in range(rng.randint(1, 3))
         ]
-        groups.append((members, rng.choice([None, rng.choice(nodes)])))
+        groups.append(members)
 
-    def outcome(planner, members, start_node):
-        planned = planner.try_plan(members, 4, 0.0, start_node)
+    def outcome(planner, members):
+        planned = planner.try_plan(members, 4, 0.0)
         return None if planned is None else (planned.route.stops, planned.total_travel_time)
 
     serial = RoutePlanner(uniform_city())
-    expected = [outcome(serial, *group) for group in groups]
+    expected = [outcome(serial, group) for group in groups]
     assert any(expected) and not all(expected)
 
     lock = threading.Lock()
@@ -300,7 +280,7 @@ def _two_planners_share_a_network(backend: str, batched: bool) -> None:
     def run(half: int):
         planner = RoutePlanner(views[half] if batched else pooled)
         barrier.wait(timeout=30)
-        return [outcome(planner, *group) for group in groups[half::2]]
+        return [outcome(planner, group) for group in groups[half::2]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -273,7 +273,7 @@ class TestGASDispatcher:
     ):
         fleet = fleet_factory(locations=(0, 5))
         dispatcher = GASDispatcher(
-            RoutePlanner(small_network), fleet, base_config, batch_size=10.0
+            RoutePlanner(small_network), fleet, base_config
         )
         order = make_order(small_network, 6, 30, release=2.0)
         assert not dispatcher.submit(order, 2.0)
@@ -282,10 +282,23 @@ class TestGASDispatcher:
         after_boundary = dispatcher.tick(10.0)
         assert len(after_boundary.served) == 1
 
+    @pytest.mark.parametrize("period", [5.0, 10.0, 30.0])
+    def test_batch_window_is_one_check_period(
+        self, small_network, fleet_factory, base_config, period
+    ):
+        config = base_config.with_overrides(check_period=period)
+        dispatcher = GASDispatcher(
+            RoutePlanner(small_network), fleet_factory(locations=(0, 5)), config
+        )
+        order = make_order(small_network, 6, 30, release=period + 1.0)
+        dispatcher.submit(order, period + 1.0)
+        assert not dispatcher.tick(2 * period - 0.5).served
+        assert len(dispatcher.tick(2 * period).served) == 1
+
     def test_groups_within_batch(self, small_network, fleet_factory, base_config):
         fleet = fleet_factory(locations=(0,))
         dispatcher = GASDispatcher(
-            RoutePlanner(small_network), fleet, base_config, batch_size=10.0
+            RoutePlanner(small_network), fleet, base_config
         )
         first = make_order(small_network, 0, 24, release=1.0)
         second = make_order(small_network, 6, 30, release=2.0)
@@ -300,7 +313,7 @@ class TestGASDispatcher:
     ):
         fleet = fleet_factory(locations=(0, 1))
         dispatcher = GASDispatcher(
-            RoutePlanner(small_network), fleet, base_config, batch_size=10.0
+            RoutePlanner(small_network), fleet, base_config
         )
         first = make_order(small_network, 0, 24, release=1.0)
         dispatcher.submit(first, 1.0)
@@ -325,7 +338,7 @@ class TestGASDispatcher:
             [Worker(location=0, capacity=4)], small_network, GridIndex(small_network, 3)
         )
         dispatcher = GASDispatcher(
-            RoutePlanner(small_network), fleet, base_config, batch_size=10.0
+            RoutePlanner(small_network), fleet, base_config
         )
         first = make_order(small_network, 6, 30, release=0.0)
         dispatcher.submit(first, 0.0)
@@ -338,7 +351,7 @@ class TestGASDispatcher:
     def test_flush_resolves_buffer(self, small_network, fleet_factory, base_config):
         fleet = fleet_factory(locations=(0,))
         dispatcher = GASDispatcher(
-            RoutePlanner(small_network), fleet, base_config, batch_size=10.0
+            RoutePlanner(small_network), fleet, base_config
         )
         order = make_order(small_network, 6, 30, release=1.0)
         dispatcher.submit(order, 1.0)

@@ -111,7 +111,7 @@ class TestLegMatrixIsTheScalarAnswer:
                     network.travel_times_to(target)
             for source in sources[::3]:
                 if rng.random() < 0.5:
-                    network.travel_times_from(source)
+                    network.travel_times_many([source], range(24))
             matrix = _assert_matrix_is_scalar(network, sources, targets)
             unreachable += sum(row.count(inf) for row in matrix)
         assert unreachable  # the graphs do have one-way dead ends
@@ -154,7 +154,7 @@ class TestLegMatrixIsTheScalarAnswer:
             graph = _digraph(14, seed)
             network = RoadNetwork(graph)
             nodes = random.Random(seed).sample(range(14), 5)
-            network.travel_times_from(nodes[0])
+            network.travel_times_many(nodes[:1], nodes[1:])  # a forward map
             for target in nodes:
                 network.travel_times_to(target)
             before = network.oracle_stats()
@@ -322,11 +322,9 @@ class TestDistancesAreFloats:
         """A node is ``0.0`` from itself, not networkx's integer seed."""
         network = _network(name, _digraph(10, seed=5))
         for node in (0, 4, 9):
-            for distances in (
-                network.travel_times_from(node), network.travel_times_to(node)
-            ):
-                assert distances[node] == 0.0
-                assert {type(value) for value in distances.values()} == {float}
+            distances = network.travel_times_to(node)
+            assert distances[node] == 0.0
+            assert {type(value) for value in distances.values()} == {float}
         matrix = network.leg_matrix([0, 4, 9], [9, 4, 0])
         assert {type(cell) for row in matrix for cell in row} == {float}
 
@@ -383,6 +381,6 @@ class TestKernelIsNetworkx:
         if name in ("lazy", "matrix"):
             # Backends that hold nothing else of the old graph answer
             # the public queries with the new weight too.
-            assert oracle.travel_times_from(0)[2] == 20.0
+            assert oracle.travel_time(0, 2) == 20.0
             assert oracle.travel_times_to(2)[1] == 50.0
             assert oracle.travel_time(1, 2) == 50.0

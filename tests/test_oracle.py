@@ -6,7 +6,7 @@ Covers:
   random grid and Manhattan-like networks (reachable and unreachable
   pairs),
 * the batched ``travel_times_many`` API,
-* LRU bounding and ``cache_info`` of the lazy backend,
+* LRU bounding of the lazy backend,
 * matrix batched refresh,
 * the backend registry, and
 * backend selection through ``SimulationConfig`` and the CLI.
@@ -24,7 +24,7 @@ from repro.cli import build_parser, main
 from repro.config import SimulationConfig
 from repro.exceptions import ConfigurationError, UnreachableError
 from repro.network.generators import grid_city, manhattan_like_city
-from repro.network.graph import build_network
+from repro.network.graph import RoadNetwork, build_network
 from repro.network.oracle import (
     CHOracle,
     DistanceOracle,
@@ -34,11 +34,9 @@ from repro.network.oracle import (
     available_backends,
     configure_oracle,
     create_oracle,
-    register_oracle,
     resolve_kernel,
 )
 from repro.network.oracle.cache import graph_signature
-from repro.network.oracle.registry import ORACLE_BACKENDS
 
 BACKEND_CLASSES = {
     "lazy": LazyDijkstraOracle,
@@ -254,11 +252,11 @@ class TestReverseForwardAgreement:
         asymmetric = 0
         for target in nodes[:6]:
             arrivals = oracle.travel_times_to(target)
-            departures = oracle.travel_times_from(target)
             for source in nodes:
                 if source == target:
                     continue
-                if arrivals[source] != pytest.approx(departures[source]):
+                departure = oracle.travel_time(target, source)
+                if arrivals[source] != pytest.approx(departure):
                     asymmetric += 1
         # A random strongly connected digraph with one-way weights must
         # produce plenty of d(s, t) != d(t, s) pairs; a backend whose
@@ -281,8 +279,7 @@ class TestBatchStatsContract:
 
     ``batched_queries`` counts every pair of the requested product,
     ``queries`` only the pairs actually answered, and cache misses are
-    charged once per distance map built — not once per pair, and not a
-    second time through ``travel_times_from``.
+    charged once per distance map built — not once per pair.
     """
 
     def test_lazy_many_to_one_counts_one_miss_per_map(self, directed_network):
@@ -315,23 +312,6 @@ class TestBatchStatsContract:
         assert stats.cache_misses == 2
         assert stats.cache_hits == 2
 
-    def test_travel_times_from_not_double_counted(self, networks):
-        graph = networks["grid"].graph
-        oracle = LazyDijkstraOracle(graph)
-        nodes = sorted(graph.nodes)
-        oracle.travel_times_many([nodes[0]], [nodes[1], nodes[2]])
-        stats = oracle.stats()
-        assert stats.queries == 2
-        assert stats.cache_misses == 1
-        # The same source through the full-map API: one more query, one
-        # hit, and crucially no second miss for the already built map.
-        oracle.travel_times_from(nodes[0])
-        stats = oracle.stats()
-        assert stats.queries == 3
-        assert stats.cache_misses == 1
-        assert stats.cache_hits == 1
-
-
 class TestLazyLru:
     def test_cache_is_bounded_and_counts_evictions(self, networks):
         graph = networks["grid"].graph
@@ -340,11 +320,11 @@ class TestLazyLru:
         target = nodes[-1]
         for source in nodes[:6]:
             oracle.travel_time(source, target)
-        info = oracle.cache_info()
-        assert info.currsize == 3
-        assert info.maxsize == 3
-        assert info.misses == 6
-        assert oracle.stats().evictions == 3
+        stats = oracle.stats()
+        assert stats.extras["forward_cached_sources"] == 3
+        assert oracle.max_sources == 3
+        assert stats.cache_misses == 6
+        assert stats.evictions == 3
 
     def test_repeat_queries_hit_the_cache(self, networks):
         graph = networks["grid"].graph
@@ -352,16 +332,20 @@ class TestLazyLru:
         nodes = sorted(graph.nodes)
         oracle.travel_time(nodes[0], nodes[1])
         oracle.travel_time(nodes[0], nodes[2])
-        info = oracle.cache_info()
-        assert info.hits == 1 and info.misses == 1
+        stats = oracle.stats()
+        assert stats.cache_hits == 1 and stats.cache_misses == 1
 
     def test_network_cache_info_and_clear(self, networks):
         network = grid_city(4, 4, seed=0)
-        first = network.travel_times_from(0)
-        assert network.travel_times_from(0) is first
-        assert network.cache_info().currsize == 1
+        network.travel_time(0, 5)
+        network.travel_time(0, 6)
+        stats = network.oracle_stats()
+        assert stats.extras["forward_cached_sources"] == 1
+        assert stats.cache_misses == 1
         network.clear_cache()
-        assert network.cache_info().currsize == 0
+        assert network.oracle_stats().extras["forward_cached_sources"] == 0
+        network.travel_time(0, 5)
+        assert network.oracle_stats().cache_misses == 2
 
     def test_rejects_nonpositive_bound(self, networks):
         with pytest.raises(ValueError):
@@ -381,46 +365,15 @@ class TestMatrixRefresh:
         assert oracle.stats().extras["matrix_refreshes"] == refreshes_before + 1
         assert len(block) == 15
 
-    def test_row_bound_evicts_oldest(self, networks):
-        graph = networks["grid"].graph
-        nodes = sorted(graph.nodes)
-        oracle = MatrixOracle(graph, nodes=nodes[:2], max_rows=2)
-        oracle.travel_time(nodes[5], nodes[0])
-        info = oracle.cache_info()
-        assert info.currsize == 2
-        assert oracle.stats().evictions == 1
-
-
 class TestContractionHierarchy:
-    """CH-specific behaviour: unpacking, degenerate graphs, counters."""
-
-    def test_shortest_path_unpacks_to_original_edges(self, networks):
-        graph = networks["grid"].graph
-        oracle = CHOracle(graph)
-        nodes = sorted(graph.nodes)
-        rng = random.Random(9)
-        for _ in range(40):
-            source, target = rng.choice(nodes), rng.choice(nodes)
-            path = oracle.shortest_path(source, target)
-            assert path[0] == source and path[-1] == target
-            total = sum(
-                graph[u][v]["travel_time"] for u, v in zip(path, path[1:])
-            )
-            want = nx.dijkstra_path_length(
-                graph, source, target, weight="travel_time"
-            )
-            assert total == pytest.approx(want, rel=1e-9, abs=1e-6)
+    """CH-specific behaviour: degenerate graphs, counters."""
 
     def test_shortest_path_unreachable_raises(self, directed_network):
-        oracle = CHOracle(directed_network.graph)
-        assert oracle.shortest_path(0, 2) == [0, 1, 2]
+        graph = directed_network.graph
+        network = RoadNetwork(graph, oracle=CHOracle(graph))
+        assert network.shortest_path(0, 2) == [0, 1, 2]
         with pytest.raises(UnreachableError):
-            oracle.shortest_path(2, 0)
-
-    def test_non_path_backends_decline(self, networks):
-        graph = networks["grid"].graph
-        for backend in ("lazy", "matrix"):
-            assert _make(backend, graph).shortest_path(0, 1) is None
+            network.shortest_path(2, 0)
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_CLASSES))
     def test_single_node_graph(self, backend):
@@ -428,7 +381,6 @@ class TestContractionHierarchy:
         graph.add_node(0, x=0.0, y=0.0)
         oracle = _make(backend, graph)
         assert oracle.travel_time(0, 0) == 0.0
-        assert dict(oracle.travel_times_from(0)) == {0: 0.0}
         assert dict(oracle.travel_times_to(0)) == {0: 0.0}
         assert oracle.travel_times_many([0], [0]) == {(0, 0): 0.0}
 
@@ -506,16 +458,59 @@ class TestContractionHierarchy:
         assert stats.extras["bucket_scans"] > 0
         assert stats.queries == 1 + 6
         assert stats.batched_queries == 6
-        # The pair cache memoises both directions of work.
-        info = oracle.cache_info()
-        assert info.currsize > 0
-        assert info.maxsize is not None
-        # Repeating the batch is pure cache hits.
-        hits_before = oracle.stats().cache_hits
+        # Repeating the batch is pure cache hits: the pair cache
+        # memoised both directions of work.
+        before = oracle.stats()
         oracle.travel_times_many(nodes[:3], [nodes[-1], nodes[-2]])
-        assert oracle.stats().cache_hits > hits_before
+        after = oracle.stats()
+        assert after.cache_hits == before.cache_hits + 6
+        assert after.cache_misses == before.cache_misses
+        # clear() drops the pairs: the same batch searches again.
         oracle.clear()
-        assert oracle.cache_info().currsize == 0
+        oracle.travel_times_many(nodes[:3], [nodes[-1], nodes[-2]])
+        assert oracle.stats().cache_misses > after.cache_misses
+
+
+#: sha256 of the contraction order of ``grid_city(32, 32, seed=11)``
+#: (the ``grid32_gdp_ch`` benchmark grid), as JSON.
+_GRID32_ORDER_SHA256 = "3409a0f59f6b48f84e315c3f1e8fbef098babc893d8762905c0d547e8021f7be"
+
+
+@pytest.fixture(scope="module")
+def grid32_hierarchies(tmp_path_factory):
+    """Built and disk-restored hierarchies of the benchmark grid, per kernel."""
+    graph = grid_city(32, 32, seed=11).graph
+    built = {}
+    for kernel in ("dict", "csr"):
+        cache_dir = str(tmp_path_factory.mktemp(f"ch-{kernel}"))
+        built[kernel] = (
+            create_oracle("ch", graph, kernel=kernel, cache_dir=cache_dir),
+            create_oracle("ch", graph, kernel=kernel, cache_dir=cache_dir),
+        )
+    return graph, built
+
+
+class TestHierarchyIdentity:
+    """The benchmark grid contracts to one pinned hierarchy however it is made."""
+
+    @pytest.mark.parametrize("kernel", ["dict", "csr"])
+    @pytest.mark.parametrize("restored", [False, True], ids=["built", "restored"])
+    def test_pinned_order_and_shortcut_count(self, grid32_hierarchies, kernel, restored):
+        import hashlib
+        import json
+
+        graph, built = grid32_hierarchies
+        oracle = built[kernel][restored]
+        assert oracle.preprocessing_loaded is restored
+        order = oracle.export_preprocessing()["order"]
+        assert hashlib.sha256(json.dumps(order).encode()).hexdigest() == _GRID32_ORDER_SHA256
+        assert oracle.stats().extras["shortcuts_added"] == 6602
+        reference = built["dict"][False]
+        nodes = sorted(graph.nodes)
+        rng = random.Random(7)
+        for _ in range(200):
+            source, target = rng.choice(nodes), rng.choice(nodes)
+            assert oracle.travel_time(source, target) == reference.travel_time(source, target)
 
 
 def _block_stream(pool: list[int], seed: int, count: int):
@@ -603,7 +598,7 @@ class TestLabelMemo:
         assert before.cache_misses == 5
         assert before.extras["label_cached_sources"] == 3.0
         assert before.extras["bucket_cached_targets"] == 2.0
-        assert oracle.cache_info().currsize == 1
+        assert before.evictions == 5  # six pairs through a pair cache of one
         assert oracle.travel_times_many(sources, targets) == first
         after = oracle.stats()
         assert after.extras["upward_settles"] == before.extras["upward_settles"]
@@ -618,18 +613,6 @@ class TestLabelMemo:
         again = oracle.stats()
         assert again.extras["upward_settles"] > after.extras["upward_settles"]
         assert again.cache_misses == after.cache_misses + 5
-
-    @pytest.mark.parametrize("kernel", ["dict", "csr"])
-    def test_phast_seed_shares_the_source_label(self, networks, kernel):
-        graph = networks["grid"].graph
-        nodes = sorted(graph.nodes)
-        oracle = CHOracle(graph, kernel=kernel)
-        oracle.travel_times_many([nodes[0]], [nodes[-1]])
-        settles = oracle.stats().extras["upward_settles"]
-        row = oracle.travel_times_from(nodes[0])
-        assert oracle.stats().extras["upward_settles"] == settles
-        assert row == CHOracle(graph, kernel=kernel).travel_times_from(nodes[0])
-
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
@@ -651,10 +634,10 @@ class TestRegistry:
         """Factories must accept the full option set configure_oracle emits.
 
         Every registered factory receives the uniform names (``nodes``,
-        ``cache_size``, ``reverse_cache_size``,
-        ``witness_hop_limit``, ``seed``) and ignores the ones it has no
-        use for — a backend that chokes on an option another backend
-        needs would make the backends non-interchangeable.
+        ``cache_size``, ``witness_hop_limit``, ``kernel``, ``seed``) and
+        ignores the ones it has no use for — a backend that chokes on an
+        option another backend needs would make the backends
+        non-interchangeable.
         """
         graph = networks["grid"].graph
         nodes = sorted(graph.nodes)
@@ -663,8 +646,8 @@ class TestRegistry:
             graph,
             nodes=nodes[:4],
             cache_size=64,
-            reverse_cache_size=32,
             witness_hop_limit=3,
+            kernel="auto",
             seed=5,
         )
         assert isinstance(oracle, BACKEND_CLASSES[backend])
@@ -673,25 +656,13 @@ class TestRegistry:
             want, rel=1e-9, abs=1e-6
         )
 
-    def test_custom_backend_round_trip(self, networks):
-        class EchoOracle(LazyDijkstraOracle):
-            name = "echo"
-
-        register_oracle("echo", lambda graph, **options: EchoOracle(graph))
-        try:
-            oracle = create_oracle("echo", networks["grid"].graph)
-            assert oracle.name == "echo"
-            config = SimulationConfig(oracle=OracleSpec(backend="echo"))
-            assert config.oracle.backend == "echo"
-        finally:
-            ORACLE_BACKENDS.pop("echo", None)
-
-    def test_use_backend_attaches_to_network(self):
-        network = grid_city(5, 5, seed=2)
-        oracle = network.use_backend("matrix")
-        assert network.oracle is oracle
-        assert isinstance(network.oracle, MatrixOracle)
-        assert network.travel_time(0, 1) > 0
+    @pytest.mark.parametrize(
+        "option", ["cache_sise", "reverse_cache_size", "lock_timeout", "max_rows"]
+    )
+    def test_an_option_no_backend_reads_names_the_key(self, networks, option):
+        for backend in available_backends():
+            with pytest.raises(ConfigurationError, match=f"unknown oracle option.*{option}"):
+                create_oracle(backend, networks["grid"].graph, **{option: 8})
 
 
 class TestConfigSelection:
@@ -729,7 +700,7 @@ class TestConfigSelection:
         first = configure(backend="lazy", cache_size=1024)
         bigger = configure(backend="lazy", cache_size=4096)
         assert bigger is not first
-        assert bigger.cache_info().maxsize == 4096
+        assert bigger.max_sources == 4096
         shallow = configure(backend="ch", witness_hops=3)
         assert isinstance(shallow, CHOracle)
         assert configure(backend="ch", witness_hops=3) is shallow
@@ -857,7 +828,7 @@ _SETTINGS_ROWS = [
 def _reported_settings(oracle: DistanceOracle) -> dict:
     reported = {}
     if isinstance(oracle, LazyDijkstraOracle):
-        reported["maxsize"] = oracle.cache_info().maxsize
+        reported["maxsize"] = oracle.max_sources
     for name in ("witness_hop_limit", "bucket_cache_size", "kernel"):
         if hasattr(oracle, name):
             reported[name] = getattr(oracle, name)

@@ -112,12 +112,8 @@ def test_kernels_agree_on_random_digraphs(seed, strongly):
     assert csr_oracle.kernel == "csr"
     nodes = sorted(graph.nodes)
     target = nodes[seed % len(nodes)]
-    source = nodes[(seed // 7) % len(nodes)]
     assert dict(dict_oracle.travel_times_to(target)) == dict(
         csr_oracle.travel_times_to(target)
-    )
-    assert dict(dict_oracle.travel_times_from(source)) == dict(
-        csr_oracle.travel_times_from(source)
     )
     # Wide single-target batch: >= the many-to-one cutoff sources, so
     # both kernels answer from the reverse-PHAST arrival representation.

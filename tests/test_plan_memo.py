@@ -103,14 +103,13 @@ def test_member_order_is_part_of_the_key():
     assert len(planner._memo) == 2
 
 
-def test_greedy_groups_and_worker_starts_bypass_the_memo():
+def test_greedy_groups_bypass_the_memo():
     planner = RoutePlanner(_NETWORK)
     orders = [
         make_order(_NETWORK, pickup, 8, deadline_scale=9.0, order_id=pickup)
         for pickup in (0, 1, 2, 3)
     ]
     assert planner.try_plan(orders, 4, 0.0) is not None
-    assert planner.try_plan(orders[:2], 4, 0.0, start_node=4) is not None
     assert planner._memo == {}
 
 

@@ -31,6 +31,7 @@ from repro.model.route import Route, RouteStop, StopKind
 from repro.network.generators import grid_city
 from repro.network.graph import RoadNetwork
 from repro.routing.feasibility import check_route, check_sequential, sequence_cost
+from repro.routing import planner as planner_module
 from repro.routing.planner import RoutePlanner
 from tests.conftest import make_order
 from tests.reference.bruteforce_planner import BruteForcePlanner
@@ -138,8 +139,7 @@ def test_planner_matches_bruteforce(num_nodes, seed, connected):
         orders = _random_group(rng, num_nodes, size, id_base=10 * round_index)
         capacity = rng.randint(2, 5)
         start_time = rng.uniform(0.0, 5.0)
-        start_node = rng.choice([None, rng.randrange(num_nodes)])
-        args = (orders, capacity, start_time, start_node)
+        args = (orders, capacity, start_time)
         # What a worker search does between plans: reverse maps for a
         # few of the nodes the next block will ask about.
         for order in orders:
@@ -159,28 +159,24 @@ def test_planner_matches_bruteforce(num_nodes, seed, connected):
             assert actual == expected
         assert _outcome(lambda: _planned_route(ours.try_plan(*args))) == actual
         if actual[0] == "route":
-            stops = actual[1]
-            approach = (
-                0.0 if start_node is None
-                else ours.network.travel_time(start_node, stops[0].node)
-            )
-            route = Route(list(stops), ours.network)
-            assert check_route(route, orders, capacity, start_time, approach).feasible
+            route = Route(list(actual[1]), ours.network)
+            assert check_route(route, orders, capacity, start_time).feasible
         verdicts.add(actual[0])
     assert verdicts  # every round produced a verdict
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_exact_search_of_four_orders_matches_bruteforce(seed):
+def test_exact_search_of_four_orders_matches_bruteforce(seed, monkeypatch):
     """The search is exact past the default limit (2520 stop orders here)."""
+    monkeypatch.setattr(planner_module, "_EXACT_GROUP_LIMIT", 4)
     graph = _random_graph(9, seed, connected=True)
-    ours = RoutePlanner(RoadNetwork(graph), exact_group_limit=4)
+    ours = RoutePlanner(RoadNetwork(graph))
     reference = BruteForcePlanner(RoadNetwork(graph), exact_group_limit=4)
     rng = random.Random(seed)
     orders = _random_group(rng, 9, 4, id_base=0)
     for order in orders:
         order.deadline = order.release_time + rng.choice([25.0, 60.0, 1e9])
-    args = (orders, rng.randint(3, 6), 1.0, rng.choice([None, rng.randrange(9)]))
+    args = (orders, rng.randint(3, 6), 1.0)
     assert _outcome(lambda: _planned_route(ours.plan(*args))) == _outcome(
         lambda: reference.plan(*args)
     )
@@ -198,7 +194,7 @@ def test_every_verdict_is_exercised():
             size = rng.randint(1, 5)
             orders = _random_group(rng, 8, size, id_base=10 * round_index)
             outcome = _outcome(
-                lambda: _planned_route(planner.plan(orders, rng.randint(2, 5), 0.0, None))
+                lambda: _planned_route(planner.plan(orders, rng.randint(2, 5), 0.0))
             )
             seen.add((outcome[0], size > 3))
     assert {kind for kind, _ in seen} == {"route", "infeasible", "unreachable"}

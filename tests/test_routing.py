@@ -13,6 +13,7 @@ from repro.routing.feasibility import (
     check_route,
     check_sequential,
 )
+from repro.routing import planner as planner_module
 from repro.routing.planner import RoutePlanner
 from tests.conftest import make_order
 
@@ -138,14 +139,9 @@ class TestRoutePlanner:
         second = make_order(small_network, 6, 30)
         assert planner.can_share(first, second, capacity=4, start_time=0.0) is not None
 
-    def test_start_node_affects_feasibility(self, planner, small_network):
-        order = make_order(small_network, 0, 2, deadline_scale=1.1)
-        # Starting far away makes the approach eat the whole slack.
-        assert planner.try_plan([order], 4, 0.0, start_node=35) is None
-        assert planner.try_plan([order], 4, 0.0, start_node=0) is not None
-
-    def test_large_group_uses_insertion_fallback(self, small_network):
-        planner = RoutePlanner(small_network, exact_group_limit=2)
+    def test_large_group_uses_insertion_fallback(self, small_network, monkeypatch):
+        monkeypatch.setattr(planner_module, "_EXACT_GROUP_LIMIT", 2)
+        planner = RoutePlanner(small_network)
         orders = [
             make_order(small_network, 0, 24),
             make_order(small_network, 6, 30),
