@@ -21,7 +21,7 @@ _SRC = Path(__file__).parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.experiments.config import default_config  # noqa: E402
+from repro.api import ScenarioSpec  # noqa: E402
 
 
 #: Algorithms compared in every figure benchmark.  The full set of the
@@ -39,11 +39,11 @@ BENCH_ALGORITHMS = (
 WATTER_ALGORITHMS = ("WATTER-expect", "WATTER-online", "WATTER-timeout")
 
 
-def bench_config(dataset: str, **overrides):
-    """A benchmark-sized configuration: Table III shapes, reduced counts."""
+def bench_spec(dataset: str, **overrides) -> ScenarioSpec:
+    """A benchmark-sized scenario: Table III shapes, reduced counts."""
     base = dict(num_orders=120, num_workers=24, horizon=1800.0, grid_size=8)
     base.update(overrides)
-    return default_config(dataset, **base)
+    return ScenarioSpec(dataset=dataset, **base)
 
 
 @pytest.fixture(scope="session")

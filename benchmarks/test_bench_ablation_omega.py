@@ -11,14 +11,14 @@ from __future__ import annotations
 from repro.config import LearningConfig
 from repro.experiments.ablations import vary_loss_weight
 
-from .conftest import bench_config
+from .conftest import bench_spec
 
 _OMEGAS = (0.0, 0.5, 1.0)
 
 
 def test_ablation_loss_weight_series(benchmark):
     """Regenerate the loss-weight ablation (reduced workload, three omegas)."""
-    base = bench_config("CDC", num_orders=60, num_workers=14, horizon=1200.0)
+    base = bench_spec("CDC", num_orders=60, num_workers=14, horizon=1200.0).config()
     learning = LearningConfig(epochs=2, hidden_sizes=(32,), batch_size=32)
     ablation = benchmark.pedantic(
         lambda: vary_loss_weight(
@@ -45,7 +45,7 @@ def test_ablation_loss_weight_series(benchmark):
 
 def test_ablation_loss_weight_benchmark(benchmark):
     """Time the training + evaluation pipeline for a single omega."""
-    base = bench_config("CDC", num_orders=40, num_workers=10, horizon=900.0)
+    base = bench_spec("CDC", num_orders=40, num_workers=10, horizon=900.0).config()
     learning = LearningConfig(epochs=1, hidden_sizes=(16,), batch_size=32)
 
     def run():

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.reporting import format_full_sweep_report
-from repro.experiments.runner import run_comparison
-from repro.experiments.sweeps import vary_num_orders
+from repro.api import Session
+from repro.experiments.reporting import format_full_sweep_report, series
+from repro.experiments.sweeps import run_sweep
 
-from .conftest import BENCH_ALGORITHMS, bench_config
+from .conftest import BENCH_ALGORITHMS, bench_spec
 
 _FRACTIONS = (0.50, 0.75, 1.00, 1.25)
 
@@ -24,40 +24,37 @@ _FRACTIONS = (0.50, 0.75, 1.00, 1.25)
 @pytest.mark.parametrize("dataset", ("CDC", "NYC", "XIA"))
 def test_fig3_vary_orders_series(dataset, benchmark):
     """Regenerate the Figure 3 panels for one dataset."""
-    base = bench_config(dataset, num_orders=100, num_workers=20)
-    sweep = benchmark.pedantic(
-        lambda: vary_num_orders(
-            dataset,
-            fractions=_FRACTIONS,
-            base_config=base,
-            algorithms=BENCH_ALGORITHMS,
+    base = bench_spec(dataset, num_orders=100, num_workers=20)
+    points = benchmark.pedantic(
+        lambda: run_sweep(
+            "num_orders", base, values=_FRACTIONS, algorithms=BENCH_ALGORITHMS
         ),
         rounds=1,
         iterations=1,
     )
     print()
     print(f"=== Figure 3 ({dataset}): varying the number of orders ===")
-    print(format_full_sweep_report(sweep))
+    print(format_full_sweep_report(points))
     # Structural checks: every cell of the figure is present.
-    assert sweep.values() == [float(f) for f in _FRACTIONS]
-    assert set(sweep.algorithms()) == set(BENCH_ALGORITHMS)
+    assert [point.value for point in points] == [float(f) for f in _FRACTIONS]
+    assert {run.algorithm for run in points[0].results} == set(BENCH_ALGORITHMS)
     for algorithm in BENCH_ALGORITHMS:
-        assert len(sweep.series(algorithm, "total_extra_time")) == len(_FRACTIONS)
+        assert len(series(points, algorithm, "total_extra_time")) == len(_FRACTIONS)
     # Shape check mirroring the paper: the pooling framework serves at
     # least as many orders as the non-sharing floor at the default point.
-    expect_rate = sweep.series("WATTER-expect", "service_rate")[2]
-    floor_rate = sweep.series("NonSharing", "service_rate")[2]
+    expect_rate = series(points, "WATTER-expect", "service_rate")[2]
+    floor_rate = series(points, "NonSharing", "service_rate")[2]
     assert expect_rate >= floor_rate - 0.05
 
 
 def test_fig3_default_cell_benchmark(benchmark):
     """Time the default-n cell (all algorithms, CDC) for regression tracking."""
-    config = bench_config("CDC", num_orders=60, num_workers=14, horizon=1200.0)
+    spec = bench_spec("CDC", num_orders=60, num_workers=14, horizon=1200.0)
 
     def run():
-        return run_comparison(
-            "CDC", config, algorithms=("WATTER-online", "GDP", "NonSharing")
+        return Session().compare(
+            spec, algorithms=("WATTER-online", "GDP", "NonSharing")
         )
 
-    metrics = benchmark(run)
-    assert len(metrics) == 3
+    runs = benchmark(run)
+    assert len(runs) == 3

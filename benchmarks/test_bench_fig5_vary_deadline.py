@@ -9,49 +9,46 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.reporting import format_full_sweep_report
-from repro.experiments.runner import run_comparison
-from repro.experiments.sweeps import vary_deadline
+from repro.api import Session
+from repro.experiments.reporting import format_full_sweep_report, series
+from repro.experiments.sweeps import run_sweep
 
-from .conftest import BENCH_ALGORITHMS, bench_config
+from .conftest import BENCH_ALGORITHMS, bench_spec
 
 _DEADLINES = (1.2, 1.4, 1.6, 1.8)
 
 
 @pytest.mark.parametrize("dataset", ("CDC", "NYC", "XIA"))
-def test_fig5_vary_deadline_series(dataset, benchmark):
+def test_fig5_deadline_series(dataset, benchmark):
     """Regenerate the Figure 5 panels for one dataset."""
-    base = bench_config(dataset, num_orders=100, num_workers=20)
-    sweep = benchmark.pedantic(
-        lambda: vary_deadline(
-            dataset,
-            deadline_scales=_DEADLINES,
-            base_config=base,
-            algorithms=BENCH_ALGORITHMS,
+    base = bench_spec(dataset, num_orders=100, num_workers=20)
+    points = benchmark.pedantic(
+        lambda: run_sweep(
+            "deadline_scale", base, values=_DEADLINES, algorithms=BENCH_ALGORITHMS
         ),
         rounds=1,
         iterations=1,
     )
     print()
     print(f"=== Figure 5 ({dataset}): varying the deadline scale tau ===")
-    print(format_full_sweep_report(sweep))
-    assert sweep.values() == [float(value) for value in _DEADLINES]
+    print(format_full_sweep_report(points))
+    assert [point.value for point in points] == [float(value) for value in _DEADLINES]
     # Shape check mirroring the paper: looser deadlines never hurt the
     # service rate of the pooling framework (within a small tolerance).
-    rates = sweep.series("WATTER-expect", "service_rate")
+    rates = series(points, "WATTER-expect", "service_rate")
     assert rates[-1] >= rates[0] - 0.05
 
 
 def test_fig5_default_cell_benchmark(benchmark):
     """Time the default-tau cell for regression tracking."""
-    config = bench_config(
+    spec = bench_spec(
         "CDC", num_orders=60, num_workers=14, horizon=1200.0, deadline_scale=1.6
     )
 
     def run():
-        return run_comparison(
-            "CDC", config, algorithms=("WATTER-online", "WATTER-timeout")
+        return Session().compare(
+            spec, algorithms=("WATTER-online", "WATTER-timeout")
         )
 
-    metrics = benchmark(run)
-    assert len(metrics) == 2
+    runs = benchmark(run)
+    assert len(runs) == 2

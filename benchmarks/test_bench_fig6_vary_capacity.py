@@ -9,45 +9,42 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.reporting import format_full_sweep_report
-from repro.experiments.runner import run_comparison
-from repro.experiments.sweeps import vary_capacity
+from repro.api import Session
+from repro.experiments.reporting import format_full_sweep_report, series
+from repro.experiments.sweeps import run_sweep
 
-from .conftest import BENCH_ALGORITHMS, bench_config
+from .conftest import BENCH_ALGORITHMS, bench_spec
 
 _CAPACITIES = (2, 3, 4, 5)
 
 
 @pytest.mark.parametrize("dataset", ("CDC",))
-def test_fig6_vary_capacity_series(dataset, benchmark):
+def test_fig6_capacity_series(dataset, benchmark):
     """Regenerate the Figure 6 panels (CDC shown; other datasets behave alike)."""
-    base = bench_config(dataset, num_orders=100, num_workers=20)
-    sweep = benchmark.pedantic(
-        lambda: vary_capacity(
-            dataset,
-            capacities=_CAPACITIES,
-            base_config=base,
-            algorithms=BENCH_ALGORITHMS,
+    base = bench_spec(dataset, num_orders=100, num_workers=20)
+    points = benchmark.pedantic(
+        lambda: run_sweep(
+            "max_capacity", base, values=_CAPACITIES, algorithms=BENCH_ALGORITHMS
         ),
         rounds=1,
         iterations=1,
     )
     print()
     print(f"=== Figure 6 ({dataset}): varying the vehicle capacity Kw ===")
-    print(format_full_sweep_report(sweep))
-    assert sweep.values() == [float(value) for value in _CAPACITIES]
+    print(format_full_sweep_report(points))
+    assert [point.value for point in points] == [float(value) for value in _CAPACITIES]
     for algorithm in BENCH_ALGORITHMS:
-        assert len(sweep.series(algorithm, "unified_cost")) == len(_CAPACITIES)
+        assert len(series(points, algorithm, "unified_cost")) == len(_CAPACITIES)
 
 
 def test_fig6_default_cell_benchmark(benchmark):
     """Time the default-capacity cell for regression tracking."""
-    config = bench_config(
+    spec = bench_spec(
         "CDC", num_orders=60, num_workers=14, horizon=1200.0, max_capacity=4
     )
 
     def run():
-        return run_comparison("CDC", config, algorithms=("WATTER-online", "GAS"))
+        return Session().compare(spec, algorithms=("WATTER-online", "GAS"))
 
-    metrics = benchmark(run)
-    assert len(metrics) == 2
+    runs = benchmark(run)
+    assert len(runs) == 2

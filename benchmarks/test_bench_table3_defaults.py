@@ -10,21 +10,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.experiments.reporting import format_comparison_table
-from repro.experiments.runner import run_comparison
 
-from .conftest import BENCH_ALGORITHMS, bench_config
+from .conftest import BENCH_ALGORITHMS, bench_spec
 
 
 @pytest.mark.parametrize("dataset", ("CDC", "NYC", "XIA"))
 def test_table3_default_setting(dataset, benchmark):
     """Run every compared algorithm at the dataset's default parameters."""
-    config = bench_config(dataset, num_orders=120, num_workers=24)
-    metrics = benchmark.pedantic(
-        lambda: run_comparison(dataset, config, algorithms=BENCH_ALGORITHMS),
+    spec = bench_spec(dataset, num_orders=120, num_workers=24)
+    runs = benchmark.pedantic(
+        lambda: Session().compare(spec, algorithms=BENCH_ALGORITHMS),
         rounds=1,
         iterations=1,
     )
+    metrics = [run.metrics for run in runs]
     print()
     print(format_comparison_table(metrics, title=f"Table III defaults ({dataset})"))
     by_name = {m.algorithm: m for m in metrics}
@@ -49,10 +50,10 @@ def test_table3_default_setting(dataset, benchmark):
 
 def test_table3_single_run_benchmark(benchmark):
     """Time a single WATTER-expect run at a reduced default setting."""
-    config = bench_config("CDC", num_orders=60, num_workers=14, horizon=1200.0)
+    spec = bench_spec("CDC", num_orders=60, num_workers=14, horizon=1200.0)
 
     def run():
-        return run_comparison("CDC", config, algorithms=("WATTER-expect",))
+        return Session().compare(spec, algorithms=("WATTER-expect",))
 
-    metrics = benchmark(run)
-    assert metrics[0].algorithm == "WATTER-expect"
+    runs = benchmark(run)
+    assert runs[0].metrics.algorithm == "WATTER-expect"

@@ -8,12 +8,13 @@ that regenerates every figure of the paper's evaluation.
 
 Quick start::
 
-    from repro import default_config, run_comparison, format_comparison_table
+    from repro import ScenarioSpec, Session, format_comparison_table
 
-    config = default_config("CDC", num_orders=300, num_workers=30)
-    metrics = run_comparison("CDC", config,
-                             algorithms=("WATTER-expect", "WATTER-online", "GDP"))
-    print(format_comparison_table(metrics))
+    spec = ScenarioSpec(dataset="CDC", num_orders=300, num_workers=30)
+    runs = Session().compare(
+        spec, algorithms=("WATTER-expect", "WATTER-online", "GDP")
+    )
+    print(format_comparison_table([run.metrics for run in runs]))
 """
 
 from .config import ExtraTimeWeights, LearningConfig, SimulationConfig
@@ -63,13 +64,7 @@ from .simulation import Simulator, SimulationResult, WorkerFleet, MetricsCollect
 from .learning import ValueFunctionTrainer, ValueThresholdProvider, generate_experience
 from .experiments import (
     default_config,
-    run_algorithm,
-    run_comparison,
-    build_expect_provider,
-    vary_num_orders,
-    vary_num_workers,
-    vary_deadline,
-    vary_capacity,
+    run_sweep,
     run_worked_example,
     format_sweep_table,
     format_comparison_table,
@@ -143,13 +138,7 @@ __all__ = [
     "ValueThresholdProvider",
     "generate_experience",
     "default_config",
-    "run_algorithm",
-    "run_comparison",
-    "build_expect_provider",
-    "vary_num_orders",
-    "vary_num_workers",
-    "vary_deadline",
-    "vary_capacity",
+    "run_sweep",
     "run_worked_example",
     "format_sweep_table",
     "format_comparison_table",

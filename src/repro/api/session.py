@@ -362,8 +362,7 @@ class Session:
 
         The workload, the warmed oracle and (when ``WATTER-expect`` is
         among the algorithms) the threshold provider are shared, so the
-        compared runs differ in dispatching logic alone — the facade
-        equivalent of the legacy ``run_comparison``.
+        compared runs differ in dispatching logic alone.
         """
         spec = self._effective(spec)
         if use_rl is not None and use_rl != spec.use_rl:
@@ -431,13 +430,13 @@ class Session:
     ) -> ThresholdProvider:
         """The memoised WATTER-expect threshold provider for this scenario.
 
-        Bootstrapped exactly like the legacy
-        :func:`~repro.experiments.runner.build_expect_provider` — a
+        Bootstrapped by
+        :func:`~repro.experiments.runner._build_expect_provider` — a
         training workload with a shifted seed and half the orders, a
         WATTER-timeout bootstrap run, the Section V GMM fit, optionally
-        the Section VI value network — but sourcing the training
-        workload from whatever the spec describes (dataset preset, grid
-        city or CSV replay).  ``workload`` substitutes for the spec's
+        the Section VI value network — sourcing the training workload
+        from whatever the spec describes (dataset preset, grid city or
+        CSV replay).  ``workload`` substitutes for the spec's
         source when the caller runs a custom workload — those providers
         are *not* memoised (the session cannot tell two caller-built
         workloads apart by spec alone, and a provider fitted to one

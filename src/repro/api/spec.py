@@ -358,37 +358,6 @@ class ScenarioSpec:
         return replace(self, **overrides)
 
     @classmethod
-    def from_config(
-        cls,
-        dataset: str,
-        config: SimulationConfig,
-        algorithm: str = "WATTER-online",
-        use_rl: bool = False,
-        name: str = "",
-    ) -> "ScenarioSpec":
-        """Lift a legacy ``(dataset, SimulationConfig)`` pair into a spec.
-
-        Every config field is captured explicitly, so
-        ``spec.config() == config`` holds exactly — this is what lets
-        the legacy ``run_comparison``/sweep entry points delegate to
-        the facade without changing a single metric.
-        """
-        values = {
-            field_name: getattr(config, field_name)
-            for field_name in _CONFIG_FIELDS
-        }
-        return cls(
-            name=name,
-            network="dataset",
-            dataset=dataset,
-            algorithm=algorithm,
-            use_rl=use_rl,
-            alpha=config.weights.alpha,
-            beta=config.weights.beta,
-            **values,
-        )
-
-    @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ScenarioSpec":
         """Build a spec from the CLI's parsed workload arguments.
 

@@ -48,20 +48,16 @@ from .experiments.reporting import (
     format_oracle_stats_table,
 )
 from .experiments.runner import ALGORITHMS
-from .network.oracle import KERNELS, available_backends
-from .experiments.sweeps import (
-    vary_capacity,
-    vary_deadline,
-    vary_num_orders,
-    vary_num_workers,
-)
+from .experiments.sweeps import run_sweep
 from .experiments.worked_example import run_worked_example
+from .network.oracle import KERNELS, available_backends
 
+#: Figure -> the axis of ``repro.experiments.sweeps.AXES`` it sweeps.
 _FIGURES = {
-    "fig3": vary_num_orders,
-    "fig4": vary_num_workers,
-    "fig5": vary_deadline,
-    "fig6": vary_capacity,
+    "fig3": "num_orders",
+    "fig4": "num_workers",
+    "fig5": "deadline_scale",
+    "fig6": "max_capacity",
 }
 
 
@@ -412,16 +408,15 @@ def _run_spec_durable(args: argparse.Namespace, spec: ScenarioSpec) -> str:
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
-    config = ScenarioSpec.from_args(args).config()
-    sweep_fn = _FIGURES[args.figure]
-    sweep = sweep_fn(
-        args.dataset,
-        base_config=config,
+    axis = _FIGURES[args.figure]
+    points = run_sweep(
+        axis,
+        ScenarioSpec.from_args(args),
         algorithms=args.algorithms,
         session=Session(oracle_cache_dir=args.oracle_cache),
     )
-    header = f"=== {args.figure}: {sweep.parameter} sweep on {args.dataset} ==="
-    return header + "\n" + format_full_sweep_report(sweep)
+    header = f"=== {args.figure}: {axis} sweep on {args.dataset} ==="
+    return header + "\n" + format_full_sweep_report(points)
 
 
 def _run_example1() -> str:

@@ -1,27 +1,9 @@
 """Experiment harness reproducing the paper's evaluation section."""
 
 from .config import default_config, DATASET_DEFAULTS, PARAMETER_GRID
-from .runner import (
-    ALGORITHMS,
-    make_dispatcher,
-    run_algorithm,
-    run_comparison,
-    build_expect_provider,
-    ExperimentRun,
-)
-from .sweeps import (
-    SweepResult,
-    vary_num_orders,
-    vary_num_workers,
-    vary_deadline,
-    vary_capacity,
-)
-from .ablations import (
-    vary_grid_size,
-    vary_watch_window,
-    vary_time_slot,
-    vary_loss_weight,
-)
+from .runner import ALGORITHMS, make_dispatcher
+from .sweeps import AXES, run_sweep
+from .ablations import vary_loss_weight
 from .worked_example import run_worked_example, WorkedExampleResult
 from .reporting import format_sweep_table, format_comparison_table
 
@@ -31,18 +13,8 @@ __all__ = [
     "PARAMETER_GRID",
     "ALGORITHMS",
     "make_dispatcher",
-    "run_algorithm",
-    "run_comparison",
-    "build_expect_provider",
-    "ExperimentRun",
-    "SweepResult",
-    "vary_num_orders",
-    "vary_num_workers",
-    "vary_deadline",
-    "vary_capacity",
-    "vary_grid_size",
-    "vary_watch_window",
-    "vary_time_slot",
+    "AXES",
+    "run_sweep",
     "vary_loss_weight",
     "run_worked_example",
     "WorkedExampleResult",

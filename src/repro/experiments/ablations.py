@@ -1,11 +1,10 @@
-"""Ablation studies corresponding to the paper's appendix experiments.
+"""The reinforcement-learning loss-weight ablation (Appendix C/E).
 
-The main text points to appendix sections for the sensitivity of WATTER
-to the grid-index size (Appendix D), the watch window ``eta``
-(Appendix F), the decision time slot ``delta_t`` (Appendix G) and the
-reinforcement-learning loss weight ``omega`` (Appendix C/E).  These
-functions run the corresponding sweeps for the WATTER variants so the
-design choices called out in DESIGN.md can be re-validated.
+The other appendix ablations (grid-index size, watch window ``eta``,
+time slot ``delta_t``) are scenario sweeps and live in the axis table
+of :mod:`repro.experiments.sweeps`.  This one is a training diagnostic:
+it retrains the value network on one recorded experience set per loss
+weight ``omega`` and evaluates each resulting WATTER-expect run.
 """
 
 from __future__ import annotations
@@ -20,86 +19,7 @@ from ..datasets.workloads import build_workload
 from ..learning.trainer import ValueFunctionTrainer, generate_experience
 from ..network.grid import GridIndex
 from .config import PARAMETER_GRID, default_config
-from .runner import ExperimentRun, _simulate, run_comparison
-from .sweeps import SweepResult
-
-_WATTER_VARIANTS = ("WATTER-expect", "WATTER-online", "WATTER-timeout")
-
-
-def vary_grid_size(
-    dataset: str = "CDC",
-    grid_sizes: Sequence[int] = PARAMETER_GRID["grid_sizes"],
-    base_config: SimulationConfig | None = None,
-    algorithms: Sequence[str] = _WATTER_VARIANTS,
-) -> SweepResult:
-    """Appendix D: sensitivity of the WATTER variants to the grid-index size."""
-    base = base_config or default_config(dataset)
-    result = SweepResult(parameter="grid_size", dataset=dataset)
-    for size in grid_sizes:
-        config = base.with_overrides(grid_size=int(size))
-        for metrics in run_comparison(dataset, config, algorithms):
-            result.runs.append(
-                ExperimentRun(
-                    algorithm=metrics.algorithm,
-                    dataset=dataset,
-                    parameter="grid_size",
-                    value=float(size),
-                    metrics=metrics,
-                )
-            )
-    return result
-
-
-def vary_watch_window(
-    dataset: str = "CDC",
-    watch_windows: Sequence[float] = PARAMETER_GRID["watch_windows"],
-    base_config: SimulationConfig | None = None,
-    algorithms: Sequence[str] = _WATTER_VARIANTS,
-) -> SweepResult:
-    """Appendix F: sensitivity to the watch-window scale ``eta``."""
-    base = base_config or default_config(dataset)
-    result = SweepResult(parameter="watch_window_scale", dataset=dataset)
-    for eta in watch_windows:
-        config = base.with_overrides(watch_window_scale=float(eta))
-        for metrics in run_comparison(dataset, config, algorithms):
-            result.runs.append(
-                ExperimentRun(
-                    algorithm=metrics.algorithm,
-                    dataset=dataset,
-                    parameter="watch_window_scale",
-                    value=float(eta),
-                    metrics=metrics,
-                )
-            )
-    return result
-
-
-def vary_time_slot(
-    dataset: str = "CDC",
-    time_slots: Sequence[float] = PARAMETER_GRID["time_slots"],
-    base_config: SimulationConfig | None = None,
-    algorithms: Sequence[str] = _WATTER_VARIANTS,
-) -> SweepResult:
-    """Appendix G: sensitivity to the decision time slot ``delta_t``.
-
-    The check period follows the time slot, so a larger ``delta_t``
-    means fewer (cheaper) pool checks but coarser decisions.
-    """
-    base = base_config or default_config(dataset)
-    result = SweepResult(parameter="time_slot", dataset=dataset)
-    for slot in time_slots:
-        config = base.with_overrides(time_slot=float(slot), check_period=float(slot))
-        for metrics in run_comparison(dataset, config, algorithms):
-            result.runs.append(
-                ExperimentRun(
-                    algorithm=metrics.algorithm,
-                    dataset=dataset,
-                    parameter="time_slot",
-                    value=float(slot),
-                    metrics=metrics,
-                )
-            )
-    return result
+from .runner import _simulate
 
 
 @dataclass

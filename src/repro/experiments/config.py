@@ -23,6 +23,7 @@ n in {0.5, 0.75, 1.0, 1.25} x default) are preserved exactly.
 from __future__ import annotations
 
 from ..config import SimulationConfig
+from ..exceptions import DatasetError
 
 #: Factor by which the paper's order count is divided.
 SCALE_FACTOR = 100
@@ -68,7 +69,12 @@ PARAMETER_GRID = {
 
 def default_config(dataset: str = "CDC", **overrides) -> SimulationConfig:
     """Table III defaults (scaled) for one dataset, with optional overrides."""
-    orders, workers = DATASET_DEFAULTS[dataset.upper()]
+    try:
+        orders, workers = DATASET_DEFAULTS[dataset.upper()]
+    except KeyError:
+        raise DatasetError(
+            f"unknown dataset {dataset!r}; expected one of {tuple(DATASET_DEFAULTS)}"
+        ) from None
     config = SimulationConfig(
         num_orders=orders,
         num_workers=workers,

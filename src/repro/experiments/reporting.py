@@ -9,10 +9,12 @@ appear directly in the benchmark output.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, TYPE_CHECKING
 
 from ..simulation.metrics import SimulationMetrics
-from .sweeps import SweepResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..api import SweepPoint
 
 #: metric attribute -> human-readable column header
 METRIC_LABELS = {
@@ -46,8 +48,18 @@ def _format_value(metric: str, value: float) -> str:
     return f"{value:.1f}"
 
 
+def series(points: Sequence["SweepPoint"], algorithm: str, metric: str) -> list[float]:
+    """One plotted line: ``metric`` of ``algorithm`` at every sweep point."""
+    return [
+        getattr(run.metrics, metric)
+        for point in points
+        for run in point.results
+        if run.metrics.algorithm == algorithm
+    ]
+
+
 def format_sweep_table(
-    sweep: SweepResult,
+    points: Sequence["SweepPoint"],
     metric: str,
     title: str | None = None,
 ) -> str:
@@ -56,25 +68,23 @@ def format_sweep_table(
         raise KeyError(
             f"unknown metric {metric!r}; expected one of {sorted(METRIC_LABELS)}"
         )
-    values = sweep.values()
-    algorithms = sweep.algorithms()
+    first = points[0]
     header = title or (
-        f"{METRIC_LABELS[metric]} vs {sweep.parameter} ({sweep.dataset})"
+        f"{METRIC_LABELS[metric]} vs {first.parameter} "
+        f"({first.results[0].spec.dataset})"
     )
-    column_headers = ["algorithm"] + [f"{value:g}" for value in values]
-    rows = [column_headers]
-    for algorithm in algorithms:
-        series = sweep.series(algorithm, metric)
-        rows.append(
-            [algorithm] + [_format_value(metric, value) for value in series]
-        )
+    rows = [["algorithm"] + [f"{float(point.value):g}" for point in points]]
+    for run in first.results:
+        algorithm = run.metrics.algorithm
+        line = series(points, algorithm, metric)
+        rows.append([algorithm] + [_format_value(metric, value) for value in line])
     return render_aligned_table(header, rows)
 
 
-def format_full_sweep_report(sweep: SweepResult) -> str:
+def format_full_sweep_report(points: Sequence["SweepPoint"]) -> str:
     """All four paper metrics of one sweep, stacked."""
     sections = [
-        format_sweep_table(sweep, metric) for metric in METRIC_LABELS
+        format_sweep_table(points, metric) for metric in METRIC_LABELS
     ]
     return "\n\n".join(sections)
 

@@ -1,24 +1,22 @@
-"""Single-experiment runner: build a dispatcher, replay a workload, collect metrics.
+"""Dispatcher construction and the WATTER-expect threshold bootstrap.
 
-This is the glue the sweeps, the benchmarks and the examples all share.
-``run_algorithm`` runs one named algorithm on one dataset under one
-configuration and returns the paper's four metrics; ``run_comparison``
-runs several algorithms on the *same* generated workload (with fresh
-fleet clones per run, so the runs cannot interfere).
+``make_dispatcher`` instantiates a named algorithm over a fresh clone of
+a workload's fleet, so runs over one workload cannot interfere.
+Scenarios are run through :class:`repro.api.Session`, which calls both
+functions here.
 
 Building WATTER-expect requires a threshold provider.  The default is
 the distribution-fitted provider of Section V: a bootstrap run of
-WATTER-online on a separate training workload supplies historical extra
+WATTER-timeout on a separate training workload supplies historical extra
 times, a GMM is fitted to them, and the convex objective of Equation 8
-is optimised per order.  Passing ``use_rl=True`` additionally trains the
-value network of Section VI on experience generated from the training
-workload and uses ``theta = p - V(s)`` online.
+is optimised per order.  With ``use_rl=True`` the bootstrap additionally
+trains the value network of Section VI on experience generated from the
+training workload and uses ``theta = p - V(s)`` online.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..config import LearningConfig, SimulationConfig
 from ..core.state import StateEncoder
@@ -27,14 +25,12 @@ from ..core.threshold import ThresholdOptimizer, fit_extra_time_distribution
 from ..core.watter import WatterDispatcher
 from ..baselines import GASDispatcher, GDPDispatcher, NonSharingDispatcher
 from ..datasets.synthetic import Workload
-from ..datasets.workloads import build_workload
 from ..exceptions import ConfigurationError
 from ..network.grid import GridIndex
 from ..routing.planner import RoutePlanner
 from ..simulation.dispatcher import Dispatcher
 from ..simulation.engine import SimulationResult, Simulator
 from ..simulation.fleet import WorkerFleet
-from ..simulation.metrics import SimulationMetrics
 
 ALGORITHMS = (
     "WATTER-expect",
@@ -45,16 +41,8 @@ ALGORITHMS = (
     "NonSharing",
 )
 
-
-@dataclass(frozen=True)
-class ExperimentRun:
-    """One (algorithm, parameter value) cell of a sweep."""
-
-    algorithm: str
-    dataset: str
-    parameter: str
-    value: float
-    metrics: SimulationMetrics
+#: Size of the bootstrap's training workload relative to the evaluated one.
+_TRAINING_FRACTION = 0.5
 
 
 def _fresh_fleet(workload: Workload, config: SimulationConfig) -> WorkerFleet:
@@ -65,55 +53,19 @@ def _fresh_fleet(workload: Workload, config: SimulationConfig) -> WorkerFleet:
     )
 
 
-def build_expect_provider(
-    dataset: str,
-    config: SimulationConfig,
-    use_rl: bool = False,
-    learning_config: LearningConfig | None = None,
-    training_fraction: float = 0.5,
-) -> ThresholdProvider:
-    """Build the threshold provider used by WATTER-expect.
-
-    Parameters
-    ----------
-    dataset:
-        Dataset preset the provider is calibrated for.
-    config:
-        The evaluation configuration; the training workload uses the
-        same parameters with a different seed and a reduced order count.
-    use_rl:
-        When true, additionally train the value network of Section VI
-        and return a :class:`ValueThresholdProvider`; otherwise return
-        the GMM-based :class:`ThresholdOptimizer` of Section V.
-    learning_config:
-        Hyper-parameters of the value-network training (RL mode only).
-    training_fraction:
-        Size of the training workload relative to the evaluation one.
-    """
-    return _build_expect_provider(
-        lambda training_config: build_workload(dataset, training_config),
-        config,
-        use_rl=use_rl,
-        learning_config=learning_config,
-        training_fraction=training_fraction,
-    )
-
-
 def _build_expect_provider(
     workload_for: Callable[[SimulationConfig], Workload],
     config: SimulationConfig,
     use_rl: bool = False,
-    learning_config: LearningConfig | None = None,
-    training_fraction: float = 0.5,
 ) -> ThresholdProvider:
-    """Source-agnostic core of :func:`build_expect_provider`.
+    """Bootstrap the WATTER-expect threshold provider for ``config``.
 
     ``workload_for`` maps the derived training configuration to a
-    training workload; the legacy entry point binds it to the dataset
-    presets, while ``repro.api.Session`` binds it to whatever source
-    (grid network, CSV replay, ...) the scenario describes.
+    training workload; ``repro.api.Session`` binds it to whatever source
+    (dataset preset, grid network, CSV replay, ...) the scenario
+    describes.
     """
-    training_orders = max(int(config.num_orders * training_fraction), 50)
+    training_orders = max(int(config.num_orders * _TRAINING_FRACTION), 50)
     training_config = config.with_overrides(
         num_orders=training_orders, seed=config.seed + 1000
     )
@@ -139,7 +91,6 @@ def _build_expect_provider(
 
     from ..learning.trainer import ValueFunctionTrainer, generate_experience
 
-    learning = learning_config or LearningConfig()
     encoder = StateEncoder(
         GridIndex(training_workload.network, size=config.grid_size),
         time_slot=config.time_slot,
@@ -149,7 +100,7 @@ def _build_expect_provider(
     transitions = generate_experience(
         training_workload, training_config, encoder, optimizer, targets
     )
-    trainer = ValueFunctionTrainer(encoder, learning)
+    trainer = ValueFunctionTrainer(encoder, LearningConfig())
     trainer.add_experience(transitions)
     trainer.train()
     return trainer.build_provider()
@@ -172,8 +123,8 @@ def make_dispatcher(
     if name == "watter-expect":
         if provider is None:
             raise ConfigurationError(
-                "WATTER-expect needs a threshold provider; call "
-                "build_expect_provider first"
+                "WATTER-expect needs a threshold provider; take one from "
+                "repro.api.Session.expect_provider"
             )
         dispatcher = WatterDispatcher.expect(planner, fleet, config, provider)
         bind = getattr(provider, "bind", None)
@@ -200,42 +151,3 @@ def _simulate(
     """Run one algorithm over an already-generated workload (internal)."""
     dispatcher = make_dispatcher(algorithm, workload, config, provider)
     return Simulator(workload, dispatcher, config).run()
-
-
-def run_algorithm(
-    algorithm: str,
-    dataset: str,
-    config: SimulationConfig,
-    provider: ThresholdProvider | None = None,
-) -> SimulationMetrics:
-    """Generate the dataset's workload and run one algorithm over it.
-
-    Thin adapter over the :mod:`repro.api` facade (kept as the
-    long-standing convenience signature).
-    """
-    from ..api import ScenarioSpec, Session
-
-    spec = ScenarioSpec.from_config(dataset, config, algorithm=algorithm)
-    return Session().run(spec, provider=provider).metrics
-
-
-def run_comparison(
-    dataset: str,
-    config: SimulationConfig,
-    algorithms: Sequence[str] = ALGORITHMS,
-    use_rl: bool = False,
-) -> list[SimulationMetrics]:
-    """Run several algorithms over the *same* workload and return their metrics.
-
-    Thin adapter over :meth:`repro.api.Session.compare`; the workload,
-    the threshold provider and the warmed oracle are shared across the
-    compared algorithms exactly as before.
-    """
-    from ..api import ScenarioSpec, Session
-
-    spec = ScenarioSpec.from_config(dataset, config, use_rl=use_rl)
-    session = Session()
-    return [
-        run.metrics
-        for run in session.compare(spec, algorithms=algorithms, use_rl=use_rl)
-    ]

@@ -20,7 +20,6 @@ from repro.api import (
 )
 from repro.datasets.workloads import build_workload
 from repro.exceptions import ConfigurationError, ReproError
-from repro.experiments.config import default_config
 from repro.experiments.runner import make_dispatcher
 from repro.network.oracle import HAVE_NUMPY, available_backends, create_oracle
 from repro.network.oracle.cache import (
@@ -84,19 +83,6 @@ class TestLegacyEquivalence:
         # separately generated (but identical) workloads shift them by
         # a constant; everything decision-derived must match exactly.
         assert _strip_ids(facade.outcomes) == _strip_ids(legacy.collector.outcomes)
-
-    def test_run_comparison_adapter_matches_direct_session(self):
-        config = default_config("CDC", num_orders=24, num_workers=6, horizon=900.0)
-        from repro.experiments.runner import run_comparison
-
-        legacy = run_comparison(
-            "CDC", config, algorithms=("WATTER-online", "NonSharing")
-        )
-        spec = ScenarioSpec.from_config("CDC", config)
-        facade = Session().compare(spec, algorithms=("WATTER-online", "NonSharing"))
-        assert [_deterministic(m) for m in legacy] == [
-            _deterministic(run.metrics) for run in facade
-        ]
 
 
 class TestSessionReuse:

@@ -304,34 +304,6 @@ class TestResolution:
         config = ScenarioSpec(network="grid").config()
         assert config == SimulationConfig()
 
-    @pytest.mark.parametrize(
-        "dataset, config",
-        [
-            ("CDC", default_config("CDC")),
-            (
-                "NYC",
-                default_config(
-                    "NYC",
-                    num_orders=40,
-                    num_workers=9,
-                    oracle=OracleSpec(
-                        backend="ch",
-                        witness_hops=3,
-                        cache_dir="/tmp/x",
-                        kernel="dict",
-                    ),
-                    weights=ExtraTimeWeights(alpha=0.5, beta=2.0),
-                ),
-            ),
-        ],
-        ids=("defaults", "overridden"),
-    )
-    def test_from_config_is_lossless(self, dataset, config):
-        spec = ScenarioSpec.from_config(dataset, config)
-        assert spec.config() == config
-        # and it still round-trips as a document
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
-
 
 class TestCliParity:
     """`ScenarioSpec.from_args` resolves each flag set to the expected config."""

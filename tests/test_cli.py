@@ -86,6 +86,37 @@ class TestMain:
         assert "Example 1" in captured
         assert "WATTER-timeout (pooling)" in captured
 
+    def test_sweep_command_prints_the_four_metric_tables(self, capsys):
+        exit_code = main(
+            [
+                "sweep",
+                "--figure",
+                "fig5",
+                "--orders",
+                "40",
+                "--workers",
+                "10",
+                "--horizon",
+                "900",
+                "--algorithms",
+                "NonSharing",
+                "WATTER-online",
+            ]
+        )
+        captured = capsys.readouterr().out
+        assert exit_code == 0
+        assert captured.startswith("=== fig5: deadline_scale sweep on CDC ===")
+        for label in (
+            "Extra Time (s)",
+            "Unified Cost",
+            "Service Rate",
+            "Running Time (s/order)",
+        ):
+            assert f"{label} vs deadline_scale (CDC)" in captured
+        header = [line.split() for line in captured.splitlines() if line.startswith("algorithm")]
+        assert header == [["algorithm", "1.2", "1.4", "1.6", "1.8"]] * 4
+        assert "NonSharing" in captured and "WATTER-online" in captured
+
     def test_compare_output_is_self_describing(self, capsys):
         exit_code = main(
             [

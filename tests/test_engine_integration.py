@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import SimulationConfig
+from repro.api import ScenarioSpec, Session
 from repro.datasets.workloads import build_workload
-from repro.experiments.runner import (
-    ALGORITHMS,
-    build_expect_provider,
-    make_dispatcher,
-)
+from repro.experiments.runner import ALGORITHMS, make_dispatcher
 from repro.exceptions import ConfigurationError
 from repro.network.oracle import HAVE_NUMPY
 from repro.simulation.engine import Simulator
@@ -18,8 +14,9 @@ from tests.conftest import run_on_workload
 
 
 @pytest.fixture(scope="module")
-def small_config():
-    return SimulationConfig(
+def small_spec():
+    return ScenarioSpec(
+        dataset="CDC",
         num_orders=40,
         num_workers=8,
         horizon=1200.0,
@@ -32,17 +29,22 @@ def small_config():
 
 
 @pytest.fixture(scope="module")
+def small_config(small_spec):
+    return small_spec.config()
+
+
+@pytest.fixture(scope="module")
 def small_workload(small_config):
     return build_workload("CDC", small_config)
 
 
 @pytest.fixture(scope="module")
-def expect_provider(small_config):
+def expect_provider(small_spec):
     # WATTER-expect's GMM bootstrap needs numpy; the other algorithms
     # under this fixture's module scope must still run without it.
     if not HAVE_NUMPY:
         return None
-    return build_expect_provider("CDC", small_config, training_fraction=0.5)
+    return Session().expect_provider(small_spec)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

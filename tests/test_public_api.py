@@ -18,7 +18,7 @@ class TestPublicApi:
             assert hasattr(repro, name), f"{name} listed in __all__ but missing"
 
     def test_key_entry_points_importable(self):
-        assert callable(repro.run_comparison)
+        assert callable(repro.run_sweep)
         assert callable(repro.build_workload)
         assert callable(repro.default_config)
         assert callable(repro.format_comparison_table)
