@@ -417,12 +417,15 @@ class Session:
         ``degradations`` lets the caller capture preparation-time
         fallbacks (corrupt cache rebuilds, CH build failures demoted to
         the lazy oracle); pass the same log to :meth:`run` so those
-        events surface in the :class:`RunResult`.
+        events surface in the :class:`RunResult`.  The network's graph
+        hash is memoised here too, so a later :meth:`run` on the same
+        graph only reads it.
         """
         spec = self._effective(spec)
         config = spec.config()
         workload = self.workload(spec)
         self._attach_oracle(workload, config, degradations=degradations)
+        self.graph_hash(workload.network)
         return workload
 
     def expect_provider(
@@ -493,7 +496,8 @@ class Session:
         """Stable content hash of a network's graph (memoised per graph).
 
         Keyed by the graph object, so the per-run views a served run
-        wraps around a pooled network share its entry.
+        wraps around a pooled network share its entry.  :meth:`prepare`
+        fills it; a run over a caller-built network hashes on a miss.
         """
         with self._lock:
             cached = self._graph_hashes.get(network.graph)

@@ -43,6 +43,15 @@ The dispatch hot-path shapes are served natively:
   does not hold is a merge of two labels the oracle already has, not a
   graph search — exactly what the fleet's batched worker-to-pickup
   blocks, which re-ask the same sources block after block, need.
+  Under ``csr`` a block is priced a line at a time.  A tall block
+  (more sources than targets, at least four) goes by column: a
+  target's label against the forward labels of all its sources, laid
+  end to end once.  Otherwise it goes by row: a source's forward label
+  against the labels of the targets it pends.  A line of four or more
+  cells is one ``np.minimum.reduceat``, a shorter one a numpy min per
+  cell, so a GDP block costs a reduction per line, not a numpy call per
+  cell.  The cells are the floats a per-cell scan returns: the same
+  sums over the same label intersection, and min is order-free.
 
 All distances are exact: witness searches are conservative (a pruned
 search just adds a shortcut it might not have needed), so no shortest
@@ -69,7 +78,9 @@ from .csr import (
     CHSweepKernel,
     finite_entries,
     label_arrays,
+    pack_labels,
     resolve_kernel,
+    segment_minima,
 )
 
 
@@ -124,6 +135,13 @@ DEFAULT_ARRIVAL_CACHE_SIZE = 64
 #: reverse-PHAST sweep (linear in the augmented graph) beats running a
 #: forward upward search per source.
 _MANY_TO_ONE_CUTOFF = 8
+
+#: Under csr, a source pending fewer bucket targets than this is priced
+#: a cell at a time, and a block goes by column only with at least this
+#: many sources.  Below it, laying the labels end to end costs about
+#: what the per-cell numpy calls it saves, and the served 8x8 mix's
+#: blocks are mostly that narrow.
+_SEGMENT_MIN = 4
 
 #: Sentinel distinguishing "not cached" from a cached unreachable verdict.
 _MISSING = object()
@@ -726,7 +744,8 @@ class CHOracle(DistanceOracle):
                 len(needed_targets) == 1
                 and len(pending_by_source) >= _MANY_TO_ONE_CUTOFF
             )
-            use_csr = self._sweeps is not None
+            sweeps = self._sweeps
+            use_csr = sweeps is not None
             # Values are the kernel's native arrival representation: a
             # dense row (csr) read per source by index, or a node-keyed
             # mapping (dict).  Same floats either way — the sweeps relax
@@ -742,16 +761,21 @@ class CHOracle(DistanceOracle):
                 else:
                     bucket_targets.append(t_node)
             buckets: dict[int, list[tuple[int, float]]] = {}
+            # Tall blocks (GDP's stops x (pickup, dropoff)) are priced a
+            # column at a time before the loop below remembers anything;
+            # everything else a row at a time inside it.
+            columns: dict[int, dict[int, float]] | None = None
             if use_csr:
-                # Per-target (nodes, dists) arrays: one vectorised
-                # gather-and-min per (source, target) pair instead of a
-                # Python loop over settled nodes.  Entries at nodes the
-                # forward search never settles contribute +inf and drop
-                # out of the min — exactly the pairs the dict scan skips.
-                csr_buckets = {
+                target_labels = {
                     t_node: self._target_label(t_node)
                     for t_node in bucket_targets
                 }
+                if target_labels and len(pending_by_source) >= max(
+                    _SEGMENT_MIN, len(target_labels) + 1
+                ):
+                    columns = self._price_columns(
+                        pending_by_source, arrival_answers, target_labels
+                    )
             else:
                 for t_node in bucket_targets:
                     for idx, d in self._target_label(t_node).items():
@@ -774,16 +798,28 @@ class CHOracle(DistanceOracle):
                 if not bucket_pending:
                     continue
                 best: dict[int, float] = {}
-                forward = self._source_label(s_node)
-                if use_csr:
-                    dist_f = self._sweeps.seed_buffer(*forward)
-                    for t_node in bucket_pending:
-                        nodes_arr, dists_arr = csr_buckets[t_node]
-                        self._bucket_scans += len(nodes_arr)
-                        value = float((dist_f[nodes_arr] + dists_arr).min())
-                        if value != _INF:
-                            best[t_node] = value
+                if columns is not None:
+                    best = columns[s_node]
+                elif sweeps is not None:
+                    dist_f = sweeps.seed_buffer(*self._source_label(s_node))
+                    if len(bucket_pending) < _SEGMENT_MIN:
+                        for t_node in bucket_pending:
+                            nodes_arr, dists_arr = target_labels[t_node]
+                            self._bucket_scans += len(nodes_arr)
+                            value = float((dist_f[nodes_arr] + dists_arr).min())
+                            if value != _INF:
+                                best[t_node] = value
+                    else:
+                        block = pack_labels(
+                            [target_labels[t_node] for t_node in bucket_pending]
+                        )
+                        self._bucket_scans += len(block[0])
+                        values = segment_minima(dist_f, block)
+                        for t_node, value in zip(bucket_pending, values):
+                            if value != _INF:
+                                best[t_node] = value
                 else:
+                    forward = self._source_label(s_node)
                     for idx, df in forward.items():
                         entries = buckets.get(idx)
                         if not entries:
@@ -801,6 +837,51 @@ class CHOracle(DistanceOracle):
             for row, column, key in holes:
                 row[column] = result.get(key, _INF)
         return rows
+
+    def _price_columns(
+        self,
+        pending_by_source: Mapping[int, Iterable[int]],
+        arrival_answers: Mapping[int, object],
+        target_labels: Mapping[int, tuple],
+    ) -> dict[int, dict[int, float]]:
+        """csr bucket scan of a tall block, a column at a time.
+
+        Answers ``{source: {target: distance}}`` for every pending pair
+        the arrival rows do not answer, unreachable pairs left out.
+        Source labels are fetched in block order, as a row-at-a-time
+        scan fetches them, so label LRU order and hit/miss counts do not
+        move.  The forward labels are laid end to end once; each column
+        seeds its target's label and takes one :func:`segment_minima`
+        over all of them, keeping the sources it pends.  A cell is the
+        minimum of the same IEEE sums over the same label intersection
+        as a per-cell scan (addition commutes, min is order-free), and
+        ``bucket_scans`` counts the target label's length once per
+        priced cell.
+        """
+        sweeps = self._sweeps
+        assert sweeps is not None  # reached from the csr kernel only
+        pending_sources: dict[int, list[int]] = {}
+        forward = []
+        position: dict[int, int] = {}
+        for s_node, pending in pending_by_source.items():
+            targets = [t_node for t_node in pending if t_node not in arrival_answers]
+            if not targets:
+                continue
+            position[s_node] = len(forward)
+            forward.append(self._source_label(s_node))
+            for t_node in targets:
+                pending_sources.setdefault(t_node, []).append(s_node)
+        block = pack_labels(forward)
+        best: dict[int, dict[int, float]] = {s_node: {} for s_node in position}
+        for t_node, sources in pending_sources.items():
+            label = target_labels[t_node]
+            self._bucket_scans += len(label[0]) * len(sources)
+            values = segment_minima(sweeps.seed_buffer(*label), block)
+            for s_node in sources:
+                value = values[position[s_node]]
+                if value != _INF:
+                    best[s_node][t_node] = value
+        return best
 
     # ------------------------------------------------------------------
     # cache management and instrumentation

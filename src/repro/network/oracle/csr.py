@@ -4,7 +4,9 @@ The dict-based oracle inner loops (the reverse-PHAST sweep, RPHAST
 bucket scans, matrix row refresh) iterate Python objects edge by edge.
 This module re-represents the *prepared* search structures as flat
 numpy arrays so the hot kernels become a handful of vectorised
-operations.  :class:`LevelSweep` stores the reverse-PHAST sweep as
+operations.  :func:`pack_labels` and :func:`segment_minima` price a
+whole row or column of a bucket block with one segment reduction.
+:class:`LevelSweep` stores the reverse-PHAST sweep as
 level-grouped edge arrays: every edge of the sweep DAG goes from a
 higher-ranked tail to a lower-ranked head, so grouping edges by the
 tail's *level* (longest dependency-path depth) turns the sweep into one
@@ -179,6 +181,35 @@ def finite_entries(dist):
     """Indices and values of the finite entries of a distance buffer."""
     idx = np.flatnonzero(np.isfinite(dist))
     return idx, dist[idx]
+
+
+def pack_labels(labels):
+    """Labels laid end to end as one ``(nodes, dists, starts)`` segment block.
+
+    ``starts`` lists each label's offset into the concatenation.
+    """
+    starts = []
+    total = 0
+    for nodes, _ in labels:
+        starts.append(total)
+        total += len(nodes)
+    return (
+        np.concatenate([nodes for nodes, _ in labels]),
+        np.concatenate([dists for _, dists in labels]),
+        starts,
+    )
+
+
+def segment_minima(dist, block) -> list[float]:
+    """``min(dist[nodes] + dists)`` over each label of a :func:`pack_labels` block.
+
+    One gather, one add and one ``np.minimum.reduceat`` price every
+    segment.  No label is empty (it holds its own node at 0.0), so no
+    segment is, and entries at nodes ``dist`` leaves at ``inf`` drop
+    out of their minimum.
+    """
+    nodes, dists, starts = block
+    return np.minimum.reduceat(dist[nodes] + dists, starts).tolist()
 
 
 def label_arrays(label: Mapping[int, float]):

@@ -150,6 +150,55 @@ class TestSessionReuse:
         assert training.network is workload.network
 
 
+class TestGraphHashMemo:
+    """``prepare`` hashes the graph once; a run only reads the memo."""
+
+    @staticmethod
+    def _count_hashes(monkeypatch) -> list:
+        import repro.api.session as session_module
+
+        hashed: list = []
+        original = session_module.graph_signature
+        monkeypatch.setattr(
+            session_module,
+            "graph_signature",
+            lambda graph: hashed.append(graph) or original(graph),
+        )
+        return hashed
+
+    def test_prepared_run_never_hashes(self, monkeypatch):
+        from repro.datasets.synthetic import Workload
+
+        session = Session()
+        spec = _small_spec(network="grid", grid_rows=5, grid_cols=5)
+        base = session.prepare(spec)
+        hashed = self._count_hashes(monkeypatch)
+        plain = session.run(spec)
+        # A caller-built workload over the prepared network (what the
+        # end-to-end benchmark's jittered repeats are) reads the memo too.
+        custom = Workload(
+            orders=base.orders[::2],
+            workers=base.workers,
+            network=base.network,
+            name=base.name,
+        )
+        over_custom = session.run(spec, workload=custom)
+        assert hashed == []
+        want = graph_signature(base.network.graph)
+        assert plain.graph_hash == over_custom.graph_hash == want
+
+    def test_custom_workload_hashes_on_a_miss(self, monkeypatch):
+        spec = _small_spec(network="grid", grid_rows=5, grid_cols=5)
+        workload = Session().workload(spec)
+        session = Session()
+        hashed = self._count_hashes(monkeypatch)
+        first = session.run(spec, workload=workload)
+        second = session.run(spec, workload=workload)
+        assert hashed == [workload.network.graph]
+        want = graph_signature(workload.network.graph)
+        assert first.graph_hash == second.graph_hash == want
+
+
 class TestOracleCachePersistence:
     def test_fresh_session_loads_preprocessing_from_disk(self, tmp_path):
         spec = ScenarioSpec(

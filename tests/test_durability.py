@@ -307,6 +307,19 @@ class TestResumeEquivalence:
         resumed = session.run(spec, resume_from=path)
         assert _comparable(resumed.metrics) == baseline
 
+    def test_resume_in_a_fresh_session_carries_the_graph_hash(self, tmp_path):
+        """The resuming session hashes the graph itself (nothing was
+        prepared) and stamps the same hash the interrupted run did."""
+        from repro.network.oracle import graph_signature
+
+        spec = _spec()
+        path = tmp_path / "cut.ckpt"
+        _interrupt_and_checkpoint(Session(), spec, path, cut=3)
+        session = Session()
+        resumed = session.run(spec, resume_from=path)
+        assert resumed.graph_hash == graph_signature(session.network(spec).graph)
+        assert read_checkpoint_header(path)["meta"]["graph_hash"] == resumed.graph_hash
+
     @settings(
         max_examples=8,
         deadline=None,

@@ -513,6 +513,33 @@ class TestHierarchyIdentity:
             assert oracle.travel_time(source, target) == reference.travel_time(source, target)
 
 
+#: sha256 of ``json.dumps(export_preprocessing())`` per pinned graph:
+#: the whole hierarchy (order, augmented edges, shortcut count).  Query
+#: changes must leave these alone; a contraction change that claims an
+#: identical hierarchy proves it here.
+_HIERARCHY_SHA256 = {
+    "grid16": "d4a3fd8f29c6faa1dec36d49d5c77be5f8abee93b1700d2217d451d6d202c575",
+    "cdc": "9179994e32534449e0db8c0224795ea85ffabc3fb54731a30ce144bf23e5fdd7",
+}
+
+
+@pytest.mark.parametrize("kernel", ["dict", "csr"])
+@pytest.mark.parametrize("name", sorted(_HIERARCHY_SHA256))
+def test_hierarchy_export_is_pinned(name, kernel):
+    import hashlib
+    import json
+
+    from repro.datasets.workloads import city_by_name
+
+    if name == "grid16":
+        graph = grid_city(16, 16, seed=3).graph
+    else:
+        graph = city_by_name("CDC", seed=7).network.graph
+    payload = CHOracle(graph, kernel=kernel).export_preprocessing()
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    assert digest == _HIERARCHY_SHA256[name]
+
+
 def _block_stream(pool: list[int], seed: int, count: int):
     """Shuffled overlapping (sources, targets) blocks over a small pool.
 
@@ -985,3 +1012,17 @@ class TestGraphSignature:
         assert graph_signature(graph) == graph_signature(other)
         other[0][1]["travel_time"] += 1.0
         assert graph_signature(graph) != graph_signature(other)
+
+    def test_signature_of_a_fixed_graph_is_pinned(self):
+        """The hashed bytes never move: CH cache file names stay warm.
+
+        Integer weights hash as floats, an isolated node still counts,
+        and edges hash in sorted order whatever order they were added.
+        """
+        graph = nx.DiGraph()
+        graph.add_edge(1, 0, travel_time=2)
+        graph.add_edge(0, 1, travel_time=0.5)
+        graph.add_node(7)
+        assert graph_signature(graph) == (
+            "8bee5c83b4d6c4f89076594d4b352a530a70afb8d414f0df27720738e29dca48"
+        )
