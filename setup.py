@@ -23,6 +23,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["networkx"],
-    extras_require={"numpy": ["numpy"]},
+    install_requires=["networkx", "numpy"],
 )

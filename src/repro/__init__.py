@@ -21,7 +21,6 @@ from .config import ExtraTimeWeights, LearningConfig, SimulationConfig
 from .exceptions import (
     ConfigurationError,
     DatasetError,
-    DependencyError,
     InfeasibleGroupError,
     LearningError,
     NetworkError,
@@ -92,7 +91,6 @@ __all__ = [
     "InfeasibleGroupError",
     "PoolError",
     "LearningError",
-    "DependencyError",
     "DatasetError",
     "Order",
     "OrderOutcome",

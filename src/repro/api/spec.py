@@ -111,12 +111,6 @@ _ARG_FIELDS = (
     ("seed", "seed"),
 )
 
-#: CLI argument name -> :class:`OracleSpec` option (``from_args``).
-_ORACLE_ARG_OPTIONS = (
-    ("oracle", "backend"),
-    ("oracle_kernel", "kernel"),
-)
-
 _CANONICAL_ALGORITHMS = {name.lower(): name for name in ALGORITHMS}
 
 
@@ -361,23 +355,16 @@ class ScenarioSpec:
     def from_args(cls, args: argparse.Namespace) -> "ScenarioSpec":
         """Build a spec from the CLI's parsed workload arguments.
 
-        ``--oracle`` and ``--oracle-kernel`` build one
-        :class:`OracleSpec`, so a kernel flag on a backend that does not
-        take it is rejected exactly like the same option in a spec
-        document.
+        ``--oracle`` names the :class:`OracleSpec` backend.
         """
         overrides: dict[str, Any] = {}
         for arg_name, field_name in _ARG_FIELDS:
             value = getattr(args, arg_name, None)
             if value is not None:
                 overrides[field_name] = value
-        oracle_options = {
-            option: getattr(args, arg_name)
-            for arg_name, option in _ORACLE_ARG_OPTIONS
-            if getattr(args, arg_name, None) is not None
-        }
-        if oracle_options:
-            overrides["oracle"] = OracleSpec(**oracle_options)
+        backend = getattr(args, "oracle", None)
+        if backend is not None:
+            overrides["oracle"] = OracleSpec(backend=backend)
         return cls(dataset=getattr(args, "dataset", "CDC"), **overrides)
 
     # ------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .experiments.reporting import (
 from .experiments.runner import ALGORITHMS
 from .experiments.sweeps import run_sweep
 from .experiments.worked_example import run_worked_example
-from .network.oracle import KERNELS, available_backends
+from .network.oracle import available_backends
 
 #: Figure -> the axis of ``repro.experiments.sweeps.AXES`` it sweeps.
 _FIGURES = {
@@ -308,16 +308,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "directory for persisted oracle preprocessing; a warm cache "
             "lets the ch backend skip graph contraction entirely"
-        ),
-    )
-    parser.add_argument(
-        "--oracle-kernel",
-        default=None,
-        choices=list(KERNELS),
-        help=(
-            "inner-loop kernel of the ch/matrix backends: csr = "
-            "vectorised numpy sweeps, dict = pure Python, auto = csr "
-            "when numpy is importable (identical answers either way)"
         ),
     )
 

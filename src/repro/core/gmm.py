@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..compat import np, require_numpy
+import numpy as np
+
 from ..exceptions import LearningError
 
 _MIN_VARIANCE = 1e-6
@@ -52,7 +53,6 @@ class GaussianMixture:
         tolerance: float = 1e-6,
         seed: int = 0,
     ) -> None:
-        require_numpy("GaussianMixture (GMM threshold fitting)")
         if n_components < 1:
             raise LearningError("a mixture needs at least one component")
         self._n_components = n_components

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TYPE_CHECKING
 
-from ..compat import np, require_numpy
+import numpy as np
+
 from ..network.grid import GridIndex
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,7 +60,6 @@ class StateEncoder:
     """
 
     def __init__(self, grid: GridIndex, time_slot: float, horizon: float) -> None:
-        require_numpy("StateEncoder (MDP state featurisation)")
         self._grid = grid
         self._time_slot = time_slot
         self._horizon = max(horizon, time_slot)

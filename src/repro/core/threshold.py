@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, TYPE_CHECKING
 
-from ..compat import np, require_numpy
+import numpy as np
+
 from ..exceptions import LearningError
 from .gmm import GaussianMixture
 
@@ -39,7 +40,6 @@ def fit_extra_time_distribution(
     by definition) and the component count is reduced automatically when
     very few samples are available.
     """
-    require_numpy("fit_extra_time_distribution (GMM threshold fitting)")
     samples = np.clip(np.asarray(list(extra_times), dtype=float), 0.0, None)
     if samples.size == 0:
         raise LearningError("cannot fit a distribution to zero extra-time samples")

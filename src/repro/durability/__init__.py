@@ -15,9 +15,9 @@ state that survives the process itself.
   next to the in-memory LRU, so finished runs stay queryable across
   restarts;
 * :mod:`~repro.durability.locks` — advisory inter-process file locks
-  (``fcntl.flock`` with a portable lock-file fallback and stale-lock
-  takeover), so several serve processes sharing one oracle cache build
-  each contraction exactly once.
+  (``fcntl.flock``, released by the kernel when the holder dies), so
+  several serve processes sharing one oracle cache build each
+  contraction exactly once.
 
 Everything here is stdlib-only and deliberately independent of the
 serving layer: the journal and checkpoint primitives are equally usable

@@ -1,53 +1,31 @@
-"""Advisory inter-process file locks with stale-lock takeover.
+"""Advisory inter-process file locks.
 
 Two serve processes sharing one ``--oracle-cache`` must build each CH
 contraction exactly once.  :class:`InterProcessLock` is the mutual
 exclusion for that: the winner builds while the loser blocks, then
 warm-loads what the winner saved.
 
-Two strategies, picked automatically:
+The lock is ``fcntl.flock`` on a sidecar ``*.lock`` file.  The kernel
+releases it when the holder dies — even on ``kill -9`` — so there is no
+stale state to reason about and nothing to take over.
 
-``flock``
-    ``fcntl.flock`` on a sidecar ``*.lock`` file.  The kernel releases
-    the lock when the holder dies — even on ``kill -9`` — so there is
-    no stale state to reason about.  Used wherever :mod:`fcntl` exists
-    (Linux, macOS).
-
-``lockfile``
-    Portable fallback: atomic ``O_CREAT | O_EXCL`` creation of the lock
-    file, holder pid + host written inside, and a daemon heartbeat
-    thread touching the file's mtime every ``heartbeat`` seconds.  A
-    waiter that finds the mtime older than ``stale_after`` declares the
-    holder dead and takes the lock over (atomically, via rename), so a
-    SIGKILL'd builder cannot wedge the cache forever.
-
-Both paths time out with :class:`LockTimeout` rather than blocking
-unboundedly, and both fire the ``cache.lock`` fault point on each
-acquire so chaos schedules can starve or fail lock acquisition
-deterministically.
+An acquire times out with :class:`LockTimeout` rather than blocking
+unboundedly, and fires the ``cache.lock`` fault point so chaos
+schedules can starve or fail lock acquisition deterministically.
 """
 
 from __future__ import annotations
 
 import errno
+import fcntl
 import os
 import socket
-import threading
 import time
 from pathlib import Path
 
 from ..exceptions import ReproError
 from ..resilience.faults import fault_point
 
-try:  # pragma: no cover - platform probe
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
-
-#: Seconds between heartbeat touches in lockfile mode.
-DEFAULT_HEARTBEAT = 0.5
-#: Heartbeat age after which a lockfile-mode holder is presumed dead.
-DEFAULT_STALE_AFTER = 10.0
 #: Poll interval while waiting for a busy lock.
 _POLL_SECONDS = 0.05
 
@@ -66,42 +44,12 @@ class InterProcessLock:
     timeout:
         Seconds to wait for a busy lock before :class:`LockTimeout`
         (``None`` = wait forever).
-    strategy:
-        ``"flock"``, ``"lockfile"``, or ``None`` to pick ``flock``
-        when available.  Tests force ``"lockfile"`` to exercise the
-        portable path and its stale takeover on any platform.
-    heartbeat / stale_after:
-        Lockfile-mode liveness tuning; ignored under ``flock`` (the
-        kernel handles holder death there).
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        timeout: float | None = 60.0,
-        strategy: str | None = None,
-        heartbeat: float = DEFAULT_HEARTBEAT,
-        stale_after: float = DEFAULT_STALE_AFTER,
-    ) -> None:
-        if strategy is None:
-            strategy = "flock" if fcntl is not None else "lockfile"
-        if strategy not in ("flock", "lockfile"):
-            raise ValueError(f"unknown lock strategy {strategy!r}")
-        if strategy == "flock" and fcntl is None:
-            raise ValueError("flock strategy requires the fcntl module")
-        if heartbeat <= 0 or stale_after <= 0:
-            raise ValueError("heartbeat and stale_after must be positive")
+    def __init__(self, path: str | Path, *, timeout: float | None = 60.0) -> None:
         self.path = Path(path)
-        self.strategy = strategy
         self.timeout = timeout
-        self.heartbeat = heartbeat
-        self.stale_after = stale_after
-        #: Whether this acquire evicted a stale holder (lockfile mode).
-        self.took_over_stale = False
         self._fd: int | None = None
-        self._heartbeat_stop: threading.Event | None = None
-        self._heartbeat_thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     # context manager
@@ -128,38 +76,6 @@ class InterProcessLock:
         deadline = (
             None if self.timeout is None else time.monotonic() + self.timeout
         )
-        if self.strategy == "flock":
-            self._acquire_flock(deadline)
-        else:
-            self._acquire_lockfile(deadline)
-
-    def release(self) -> None:
-        if self._fd is None:
-            return
-        if self._heartbeat_stop is not None:
-            self._heartbeat_stop.set()
-            if self._heartbeat_thread is not None:
-                self._heartbeat_thread.join(timeout=2.0)
-            self._heartbeat_stop = None
-            self._heartbeat_thread = None
-        fd, self._fd = self._fd, None
-        if self.strategy == "flock":
-            # Closing the descriptor drops the flock atomically.
-            os.close(fd)
-        else:
-            os.close(fd)
-            # Unlinking frees waiters without waiting out a poll cycle;
-            # a concurrent takeover may have renamed it already.
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------
-    # flock strategy
-    # ------------------------------------------------------------------
-    def _acquire_flock(self, deadline: float | None) -> None:
-        assert fcntl is not None
         fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
             while True:
@@ -171,75 +87,18 @@ class InterProcessLock:
                         raise
                     self._wait_or_timeout(deadline)
             os.ftruncate(fd, 0)
-            os.write(fd, self._holder_tag())
+            os.write(fd, f"{os.getpid()}@{socket.gethostname()}\n".encode("utf-8"))
         except BaseException:
             os.close(fd)
             raise
         self._fd = fd
 
-    # ------------------------------------------------------------------
-    # lockfile strategy
-    # ------------------------------------------------------------------
-    def _acquire_lockfile(self, deadline: float | None) -> None:
-        while True:
-            try:
-                fd = os.open(
-                    self.path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o644
-                )
-            except FileExistsError:
-                if self._takeover_if_stale():
-                    continue
-                self._wait_or_timeout(deadline)
-                continue
-            os.write(fd, self._holder_tag())
-            os.fsync(fd)
-            self._fd = fd
-            self._start_heartbeat()
+    def release(self) -> None:
+        if self._fd is None:
             return
-
-    def _takeover_if_stale(self) -> bool:
-        """Evict a holder whose heartbeat stopped; returns whether evicted."""
-        try:
-            age = time.time() - self.path.stat().st_mtime
-        except OSError:
-            return True  # holder released between our check and stat
-        if age < self.stale_after:
-            return False
-        # Rename-then-unlink: of several concurrent waiters, exactly one
-        # wins the rename; the losers see FileNotFoundError and retry.
-        tombstone = self.path.with_name(
-            f"{self.path.name}.stale.{os.getpid()}"
-        )
-        try:
-            self.path.rename(tombstone)
-        except OSError:
-            return True  # someone else took it over; retry the create
-        tombstone.unlink(missing_ok=True)
-        self.took_over_stale = True
-        return True
-
-    def _start_heartbeat(self) -> None:
-        stop = threading.Event()
-
-        def beat() -> None:
-            while not stop.wait(self.heartbeat):
-                try:
-                    os.utime(self.path)
-                except OSError:
-                    return  # lock file gone (takeover/release) — stop quietly
-
-        thread = threading.Thread(
-            target=beat, name=f"lock-heartbeat-{self.path.name}", daemon=True
-        )
-        thread.start()
-        self._heartbeat_stop = stop
-        self._heartbeat_thread = thread
-
-    # ------------------------------------------------------------------
-    # shared helpers
-    # ------------------------------------------------------------------
-    def _holder_tag(self) -> bytes:
-        return f"{os.getpid()}@{socket.gethostname()}\n".encode("utf-8")
+        fd, self._fd = self._fd, None
+        # Closing the descriptor drops the flock atomically.
+        os.close(fd)
 
     def _wait_or_timeout(self, deadline: float | None) -> None:
         if deadline is not None and time.monotonic() >= deadline:

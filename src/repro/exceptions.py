@@ -67,17 +67,6 @@ class MissingOrderError(PoolError):
         self.order_id = order_id
 
 
-class DependencyError(ReproError):
-    """A feature was requested whose optional dependency is missing.
-
-    Raised at construction time, never import time: ``import repro``
-    works in a pure-Python environment, and only actually *using* a
-    numpy-only subsystem (GMM threshold fitting, the state encoder,
-    value-function training) raises, naming the feature and the
-    missing package.
-    """
-
-
 class LearningError(ReproError):
     """Training or evaluating the value function failed."""
 

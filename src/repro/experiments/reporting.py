@@ -113,7 +113,6 @@ def format_oracle_stats_table(
     columns = [
         ("algorithm", lambda m: m.algorithm),
         ("backend", lambda m: str(_get(m, "backend", "?"))),
-        ("kernel", lambda m: str(_get(m, "kernel", "dict"))),
         ("queries", lambda m: f"{int(_get(m, 'queries'))}"),
         ("hit rate", lambda m: f"{float(_get(m, 'hit_rate')):.3f}"),
         ("sssp runs", lambda m: f"{int(_get(m, 'sssp_runs'))}"),

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..compat import np, require_numpy
+import numpy as np
+
 from ..exceptions import LearningError
 
 
@@ -46,7 +47,6 @@ class MLP:
         learning_rate: float = 1e-3,
         seed: int = 0,
     ) -> None:
-        require_numpy("MLP (value-function training)")
         if input_dim <= 0:
             raise LearningError("input_dim must be positive")
         if not hidden_sizes:

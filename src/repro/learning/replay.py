@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..compat import np
+import numpy as np
+
 from ..exceptions import LearningError
 
 

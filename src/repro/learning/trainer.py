@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..compat import np
+import numpy as np
+
 from ..config import LearningConfig, SimulationConfig
 from ..core.state import StateEncoder
 from ..core.strategies import ThresholdProvider

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from typing import Sequence, TYPE_CHECKING
 
-from ..compat import np
+import numpy as np
+
 from ..config import LearningConfig
 from ..core.state import StateEncoder
 from ..exceptions import LearningError

@@ -30,7 +30,6 @@ RPHAST-style target buckets with one small upward search per source).
 """
 
 from .base import STATS_SCHEMA_VERSION, DistanceOracle, OracleStats
-from .csr import HAVE_NUMPY, KERNELS, resolve_kernel
 from .cache import (
     CacheLoadOutcome,
     ch_cache_path,
@@ -53,10 +52,7 @@ from .spec import ORACLE_OPTIONS_BY_BACKEND, OracleSpec
 
 __all__ = [
     "CHOracle",
-    "HAVE_NUMPY",
-    "KERNELS",
     "STATS_SCHEMA_VERSION",
-    "resolve_kernel",
     "CacheLoadOutcome",
     "ch_cache_path",
     "graph_signature",

@@ -42,15 +42,16 @@ if TYPE_CHECKING:  # pragma: no cover
 #: :meth:`OracleStats.as_dict` (surfaced as ``SimulationMetrics.
 #: oracle_stats``, the compare table and the serve layer's
 #: ``/metrics``).  The schema is: the common core keys every backend
-#: fills (``schema_version``, ``backend``, ``kernel``, ``queries``,
+#: fills (``schema_version``, ``backend``, ``queries``,
 #: ``batched_queries``, ``cache_hits``, ``cache_misses``, ``hit_rate``,
 #: ``sssp_runs``, ``reverse_sssp_runs``, ``pp_searches``,
 #: ``evictions``, ``precompute_seconds``) plus backend extras
 #: namespaced as ``"<backend>.<key>"`` (e.g. ``ch.bucket_scans``,
 #: ``matrix.matrix_rows``) so two backends can never collide and a
 #: reader can tell core from backend-specific at a glance.  Bump this
-#: whenever a core key changes meaning or shape.
-STATS_SCHEMA_VERSION = 1
+#: whenever a core key changes meaning or shape (2: the constant
+#: ``kernel`` key is gone).
+STATS_SCHEMA_VERSION = 2
 
 #: ``OracleStats.extras`` keys that are monotone counters, subtracted by
 #: snapshot deltas like the uniform counters.  Everything else in extras
@@ -90,7 +91,6 @@ class OracleStats:
     """
 
     backend: str = "?"
-    kernel: str = "dict"
     queries: int = 0
     batched_queries: int = 0
     cache_hits: int = 0
@@ -142,7 +142,6 @@ class OracleStats:
         return {
             "schema_version": STATS_SCHEMA_VERSION,
             "backend": self.backend,
-            "kernel": self.kernel,
             "queries": self.queries,
             "batched_queries": self.batched_queries,
             "cache_hits": self.cache_hits,
@@ -288,7 +287,6 @@ class DistanceOracle(abc.ABC):
         """Snapshot of the uniform counters plus backend extras."""
         return OracleStats(
             backend=self.name,
-            kernel=getattr(self, "kernel", "dict"),
             queries=self._queries,
             batched_queries=self._batched_queries,
             cache_hits=self._cache_hits,

@@ -38,19 +38,17 @@ The dispatch hot-path shapes are served natively:
   search space of each source scans the buckets it meets.  Both search
   spaces are *labels* — pure functions of (node, hierarchy) — memoised
   per distinct target and per distinct source in two LRUs under one
-  bound, in the running kernel's native form (a dict, or ``(node
-  index, distance)`` arrays under ``csr``), so a pair the pair cache
+  bound, as ``(node index, distance)`` arrays, so a pair the pair cache
   does not hold is a merge of two labels the oracle already has, not a
   graph search — exactly what the fleet's batched worker-to-pickup
   blocks, which re-ask the same sources block after block, need.
-  Under ``csr`` a block is priced a line at a time.  A tall block
-  (more sources than targets, at least four) goes by column: a
-  target's label against the forward labels of all its sources, laid
-  end to end once.  Otherwise it goes by row: a source's forward label
-  against the labels of the targets it pends.  A line of four or more
-  cells is one ``np.minimum.reduceat``, a shorter one a numpy min per
-  cell, so a GDP block costs a reduction per line, not a numpy call per
-  cell.  The cells are the floats a per-cell scan returns: the same
+  A block is priced a line at a time.  A tall block (more sources
+  than targets, at least four) goes by column: a target's label
+  against the forward labels of all its sources, laid end to end once.
+  Otherwise it goes by row: a source's forward label against the labels
+  of the targets it pends.  A line of four or more cells is one
+  ``np.minimum.reduceat``, a shorter one a numpy min per cell, so a GDP
+  block costs a reduction per line, not a numpy call per cell.  The cells are the floats a per-cell scan returns: the same
   sums over the same label intersection, and min is order-free.
 
 All distances are exact: witness searches are conservative (a pruned
@@ -79,7 +77,6 @@ from .csr import (
     finite_entries,
     label_arrays,
     pack_labels,
-    resolve_kernel,
     segment_minima,
 )
 
@@ -136,11 +133,11 @@ DEFAULT_ARRIVAL_CACHE_SIZE = 64
 #: forward upward search per source.
 _MANY_TO_ONE_CUTOFF = 8
 
-#: Under csr, a source pending fewer bucket targets than this is priced
-#: a cell at a time, and a block goes by column only with at least this
-#: many sources.  Below it, laying the labels end to end costs about
-#: what the per-cell numpy calls it saves, and the served 8x8 mix's
-#: blocks are mostly that narrow.
+#: A source pending fewer bucket targets than this is priced a cell at
+#: a time, and a block goes by column only with at least this many
+#: sources.  Below it, laying the labels end to end costs about what
+#: the per-cell numpy calls it saves, and the served 8x8 mix's blocks
+#: are mostly that narrow.
 _SEGMENT_MIN = 4
 
 #: Sentinel distinguishing "not cached" from a cached unreachable verdict.
@@ -190,18 +187,11 @@ class CHOracle(DistanceOracle):
         arrival_cache_size: int | None = DEFAULT_ARRIVAL_CACHE_SIZE,
         seed: int = 0,
         preprocessing: Mapping | None = None,
-        kernel: str = "auto",
     ) -> None:
         super().__init__(graph)
         if witness_hop_limit < 1:
             raise ValueError("witness_hop_limit must be at least 1")
         del seed
-        #: The kernel asked for ("auto"/"dict"/"csr"); kept for the
-        #: registry's reuse check.
-        self.requested_kernel = kernel
-        #: The kernel actually running: "csr" (vectorised numpy sweeps)
-        #: or "dict" (pure-Python fallback, always available).
-        self.kernel = resolve_kernel(kernel)
         #: The hop limit used during contraction; used (with
         #: :attr:`bucket_cache_size`) to decide whether a cached oracle
         #: can be reused for a config's settings.
@@ -213,17 +203,16 @@ class CHOracle(DistanceOracle):
         self._arrival_cache_size = arrival_cache_size
         # `None` marks a memoised *unreachable* verdict.
         self._pair_cache: OrderedDict[tuple[int, int], float | None] = OrderedDict()
-        # Labels, in the kernel's native form: {node index: distance}
-        # under dict, (node index int64, distance float64) arrays under
-        # csr.  source node -> its forward upward search space (distances
-        # of ascending paths from it); target node -> its backward one,
-        # the buckets (distances of descending paths to it).
+        # Labels as (node index int64, distance float64) arrays.  source
+        # node -> its forward upward search space (distances of
+        # ascending paths from it); target node -> its backward one, the
+        # buckets (distances of descending paths to it).
         self._source_labels: OrderedDict[int, object] = OrderedDict()
         self._target_labels: OrderedDict[int, object] = OrderedDict()
-        # target node -> [dense row | None, arrival map | None], the
-        # reverse-PHAST product used by wide many-to-one batches.  The
-        # csr kernel memoises the sweep row and materialises the
-        # node-keyed map lazily; the dict kernel stores the map only.
+        # target node -> [dense row, arrival map | None], the
+        # reverse-PHAST product used by wide many-to-one batches: the
+        # sweep row is memoised and the node-keyed map materialised
+        # lazily.
         self._arrival_cache: OrderedDict[int, list] = OrderedDict()
         self._shortcuts_added = 0
         self._upward_settles = 0
@@ -252,9 +241,8 @@ class CHOracle(DistanceOracle):
     def node_order(self) -> list[int]:
         """Public node ids in internal-index order.
 
-        Decodes the dense rows the csr kernel's :meth:`reverse_sweep`
-        answers: ``row[i]`` is the arrival time from
-        ``node_order[i]``.
+        Decodes the dense rows :meth:`reverse_sweep` answers: ``row[i]``
+        is the arrival time from ``node_order[i]``.
         """
         return list(self._nodes)
 
@@ -368,11 +356,9 @@ class CHOracle(DistanceOracle):
                 self._down_out[ui].append((vi, w))
                 self._down_in[vi].append((ui, w))
         # Vectorised sweep kernel: the upward-in (reverse PHAST) edge set
-        # as level-grouped numpy arrays.  Built once here; the dict
+        # as level-grouped numpy arrays.  Built once here; the list
         # adjacency above stays the source of truth for searches.
-        self._sweeps: CHSweepKernel | None = None
-        if self.kernel == "csr":
-            self._sweeps = CHSweepKernel(n, self._order_desc, self._up_in)
+        self._sweeps = CHSweepKernel(n, self._order_desc, self._up_in)
 
     # ------------------------------------------------------------------
     # preprocessing persistence
@@ -558,11 +544,11 @@ class CHOracle(DistanceOracle):
     def reverse_seed_map(self, target: int) -> dict[int, float]:
         """Backward upward search from ``target`` (internal node indices).
 
-        The first stage of a reverse-PHAST query, identical under both
-        kernels: a dict Dijkstra over the downward in-edges that settles
-        the nodes whose rank-descending paths reach ``target``.  The
-        result seeds :meth:`reverse_sweep`.  Exposed (with the sweep) as
-        the kernel seam the kernel property tests compare.
+        The first stage of a reverse-PHAST query: a dict Dijkstra over
+        the downward in-edges that settles the nodes whose
+        rank-descending paths reach ``target``.  The result seeds
+        :meth:`reverse_sweep`.  Exposed (with the sweep) as the seam the
+        kernel property tests compare against a pure-Python sweep.
         """
         return self._upward_search(self._index[target], self._down_in)
 
@@ -570,37 +556,18 @@ class CHOracle(DistanceOracle):
     def reverse_sweep(self, seeds: Mapping[int, float]):
         """Downward sweep from a :meth:`reverse_seed_map` result.
 
-        Returns the running kernel's *native* arrival representation:
-        the csr kernel answers a dense float64 row indexed by internal
-        node index (``inf`` = unreachable), the dict kernel a mapping
-        of public node id to arrival time.  This is the stage the csr
-        kernel vectorises.
+        Returns a dense float64 row indexed by internal node index
+        (``inf`` = unreachable); :attr:`node_order` decodes it.
         """
-        if self._sweeps is not None:
-            return self._sweeps.run(*label_arrays(seeds)).copy()
-        dist = [_INF] * len(self._nodes)
-        for idx, d in seeds.items():
-            dist[idx] = d
-        for u in self._order_desc:
-            du = dist[u]
-            if du == _INF:
-                continue
-            for v, w in self._up_in[u]:
-                nd = w + du
-                if nd < dist[v]:
-                    dist[v] = nd
-        return {
-            self._nodes[idx]: d for idx, d in enumerate(dist) if d != _INF
-        }
+        return self._sweeps.run(*label_arrays(seeds)).copy()
 
     def _arrival_entry(self, target: int) -> list:
         """Memoised ``[row, mapping]`` arrival pair (one miss per build).
 
-        The csr kernel memoises the dense sweep row and materialises the
-        public mapping lazily (:meth:`_arrivals_to`), so many-to-one
+        The dense sweep row is memoised and the public mapping
+        materialised lazily (:meth:`_arrivals_to`), so many-to-one
         consumers that only read a handful of sources never pay the
-        O(nodes) dict conversion; the dict kernel stores its mapping
-        directly and leaves the row slot ``None``.
+        O(nodes) dict conversion.
         """
         entry = self._arrival_cache.get(target)
         if entry is not None:
@@ -609,11 +576,7 @@ class CHOracle(DistanceOracle):
             return entry
         self._cache_misses += 1
         self._reverse_sssp_runs += 1
-        native = self.reverse_sweep(self.reverse_seed_map(target))
-        if self._sweeps is not None:
-            entry = [native, None]
-        else:
-            entry = [None, native]
+        entry = [self.reverse_sweep(self.reverse_seed_map(target)), None]
         self._arrival_cache[target] = entry
         if (
             self._arrival_cache_size is not None
@@ -636,7 +599,7 @@ class CHOracle(DistanceOracle):
         return entry[1]
 
     def _arrival_row(self, target: int):
-        """Memoised dense arrival row (csr kernel; ``None`` under dict)."""
+        """Memoised dense arrival row."""
         return self._arrival_entry(target)[0]
 
     @_locked
@@ -745,41 +708,27 @@ class CHOracle(DistanceOracle):
                 and len(pending_by_source) >= _MANY_TO_ONE_CUTOFF
             )
             sweeps = self._sweeps
-            use_csr = sweeps is not None
-            # Values are the kernel's native arrival representation: a
-            # dense row (csr) read per source by index, or a node-keyed
-            # mapping (dict).  Same floats either way — the sweeps relax
-            # identical sums and min is order-independent.
+            # Dense arrival rows, read per source by index.
             arrival_answers: dict[int, object] = {}
             bucket_targets: list[int] = []
             for t_node in needed_targets:
                 if wide or t_node in self._arrival_cache:
-                    if use_csr:
-                        arrival_answers[t_node] = self._arrival_row(t_node)
-                    else:
-                        arrival_answers[t_node] = self._arrivals_to(t_node)
+                    arrival_answers[t_node] = self._arrival_row(t_node)
                 else:
                     bucket_targets.append(t_node)
-            buckets: dict[int, list[tuple[int, float]]] = {}
             # Tall blocks (GDP's stops x (pickup, dropoff)) are priced a
             # column at a time before the loop below remembers anything;
             # everything else a row at a time inside it.
             columns: dict[int, dict[int, float]] | None = None
-            if use_csr:
-                target_labels = {
-                    t_node: self._target_label(t_node)
-                    for t_node in bucket_targets
-                }
-                if target_labels and len(pending_by_source) >= max(
-                    _SEGMENT_MIN, len(target_labels) + 1
-                ):
-                    columns = self._price_columns(
-                        pending_by_source, arrival_answers, target_labels
-                    )
-            else:
-                for t_node in bucket_targets:
-                    for idx, d in self._target_label(t_node).items():
-                        buckets.setdefault(idx, []).append((t_node, d))
+            target_labels = {
+                t_node: self._target_label(t_node) for t_node in bucket_targets
+            }
+            if target_labels and len(pending_by_source) >= max(
+                _SEGMENT_MIN, len(target_labels) + 1
+            ):
+                columns = self._price_columns(
+                    pending_by_source, arrival_answers, target_labels
+                )
             for s_node, pending in pending_by_source.items():
                 bucket_pending = []
                 for t_node in pending:
@@ -787,11 +736,8 @@ class CHOracle(DistanceOracle):
                     if arrivals is None:
                         bucket_pending.append(t_node)
                         continue
-                    if use_csr:
-                        row_value = float(arrivals[self._index[s_node]])
-                        value = None if row_value == _INF else row_value
-                    else:
-                        value = arrivals.get(s_node)
+                    row_value = float(arrivals[self._index[s_node]])
+                    value = None if row_value == _INF else row_value
                     self._remember((s_node, t_node), value)
                     if value is not None:
                         result[(s_node, t_node)] = value
@@ -800,7 +746,7 @@ class CHOracle(DistanceOracle):
                 best: dict[int, float] = {}
                 if columns is not None:
                     best = columns[s_node]
-                elif sweeps is not None:
+                else:
                     dist_f = sweeps.seed_buffer(*self._source_label(s_node))
                     if len(bucket_pending) < _SEGMENT_MIN:
                         for t_node in bucket_pending:
@@ -818,17 +764,6 @@ class CHOracle(DistanceOracle):
                         for t_node, value in zip(bucket_pending, values):
                             if value != _INF:
                                 best[t_node] = value
-                else:
-                    forward = self._source_label(s_node)
-                    for idx, df in forward.items():
-                        entries = buckets.get(idx)
-                        if not entries:
-                            continue
-                        self._bucket_scans += len(entries)
-                        for t_node, db in entries:
-                            nd = df + db
-                            if nd < best.get(t_node, _INF):
-                                best[t_node] = nd
                 for t_node in bucket_pending:
                     value = best.get(t_node)
                     self._remember((s_node, t_node), value)
@@ -844,7 +779,7 @@ class CHOracle(DistanceOracle):
         arrival_answers: Mapping[int, object],
         target_labels: Mapping[int, tuple],
     ) -> dict[int, dict[int, float]]:
-        """csr bucket scan of a tall block, a column at a time.
+        """Bucket scan of a tall block, a column at a time.
 
         Answers ``{source: {target: distance}}`` for every pending pair
         the arrival rows do not answer, unreachable pairs left out.
@@ -859,7 +794,6 @@ class CHOracle(DistanceOracle):
         priced cell.
         """
         sweeps = self._sweeps
-        assert sweeps is not None  # reached from the csr kernel only
         pending_sources: dict[int, list[int]] = {}
         forward = []
         position: dict[int, int] = {}
@@ -909,9 +843,6 @@ class CHOracle(DistanceOracle):
             "cache_lock_timed_out": float(
                 getattr(self, "cache_lock_timed_out", 0)
             ),
-            "cache_lock_took_over_stale": float(
-                getattr(self, "cache_lock_took_over_stale", 0)
-            ),
         }
 
     # ------------------------------------------------------------------
@@ -950,10 +881,9 @@ class CHOracle(DistanceOracle):
         A label is a pure function of (node, the immutable hierarchy),
         so it is searched once and reused until the LRU (bounded by
         :attr:`bucket_cache_size`) drops it: one miss per search
-        actually run, one hit per reuse.  It is stored in the running
-        kernel's native form — the search's own dict, or its ``(node
-        index, distance)`` arrays under ``csr`` — so no caller converts
-        it again.  Unlocked: reached only from ``_locked`` entry points.
+        actually run, one hit per reuse.  It is stored as the search's
+        ``(node index, distance)`` arrays, so no caller converts it
+        again.  Unlocked: reached only from ``_locked`` entry points.
         """
         label = cache.get(node)
         if label is not None:
@@ -961,9 +891,7 @@ class CHOracle(DistanceOracle):
             cache.move_to_end(node)
             return label
         self._cache_misses += 1
-        label = self._upward_search(self._index[node], adjacency)
-        if self._sweeps is not None:
-            label = label_arrays(label)
+        label = label_arrays(self._upward_search(self._index[node], adjacency))
         cache[node] = label
         if (
             self.bucket_cache_size is not None

@@ -1,54 +1,24 @@
 """CSR array representation of prepared oracle graphs + vectorised kernels.
 
-The dict-based oracle inner loops (the reverse-PHAST sweep, RPHAST
-bucket scans, matrix row refresh) iterate Python objects edge by edge.
-This module re-represents the *prepared* search structures as flat
-numpy arrays so the hot kernels become a handful of vectorised
-operations.  :func:`pack_labels` and :func:`segment_minima` price a
+The oracles' inner loops (the reverse-PHAST sweep, RPHAST bucket scans,
+matrix row refresh) run on flat numpy arrays rather than Python objects
+edge by edge.  :func:`pack_labels` and :func:`segment_minima` price a
 whole row or column of a bucket block with one segment reduction.
-:class:`LevelSweep` stores the reverse-PHAST sweep as
-level-grouped edge arrays: every edge of the sweep DAG goes from a
-higher-ranked tail to a lower-ranked head, so grouping edges by the
-tail's *level* (longest dependency-path depth) turns the sweep into one
-``np.minimum.at`` scatter-relaxation per level — identical results to
-the node-by-node dict sweep, since every tail distance is final before
-its level is relaxed.
-
-numpy is optional: when it is absent ``HAVE_NUMPY`` is ``False``,
-:func:`resolve_kernel` answers ``"dict"`` for every request, and the
-oracles keep their pure-Python paths — nothing in this module is
-imported into a hot path without checking the flag first.
+:class:`LevelSweep` stores the reverse-PHAST sweep as level-grouped
+edge arrays: every edge of the sweep DAG goes from a higher-ranked tail
+to a lower-ranked head, so grouping edges by the tail's *level*
+(longest dependency-path depth) turns the sweep into one
+``np.minimum.at`` scatter-relaxation per level — the results of a
+node-by-node sweep, since every tail distance is final before its level
+is relaxed.  ``tests/reference/dict_kernel.py`` keeps that node-by-node
+sweep and the per-entry bucket scan as the exact reference.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-# Re-exported here because this module is the kernel seam: callers ask
-# the oracle layer, not repro.compat, whether vectorisation exists.
-from ...compat import HAVE_NUMPY, np
-
-#: Valid values of the ``kernel`` oracle option.
-KERNELS = ("auto", "dict", "csr")
-
-
-def resolve_kernel(kernel: str) -> str:
-    """Resolve a requested kernel name to the one that will actually run.
-
-    ``"auto"`` picks ``"csr"`` when numpy is importable and ``"dict"``
-    otherwise; an explicit ``"csr"`` request degrades to ``"dict"`` when
-    numpy is absent (the pure-Python fallback is always available, and a
-    missing optional dependency must not fail a run).  Unknown names
-    raise ``ValueError`` — config layers turn that into a
-    ``ConfigurationError`` with the valid options listed.
-    """
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown oracle kernel {kernel!r}; valid kernels: {KERNELS}"
-        )
-    if kernel == "dict":
-        return "dict"
-    return "csr" if HAVE_NUMPY else "dict"
+import numpy as np
 
 
 def compute_levels(
@@ -77,7 +47,7 @@ class LevelSweep:
     ``sweep`` relaxes every edge exactly once, level by level: within a
     level all tail distances are final (every edge strictly increases
     the level), so one unbuffered ``np.minimum.at`` per level reproduces
-    the sequential dict sweep's results exactly — the same ``tail + w``
+    a sequential node-by-node sweep's results exactly — the same ``tail + w``
     sums feed the same minima, only grouped differently.
     """
 
@@ -110,8 +80,6 @@ class LevelSweep:
         level: Sequence[int],
     ) -> "LevelSweep":
         """Group ``adjacency``'s edges by the tail node's level."""
-        if np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy is required for the CSR kernel")
         per_level: dict[int, list[tuple[int, int, float]]] = {}
         for u, edges in enumerate(adjacency):
             if not edges:
@@ -216,7 +184,7 @@ def label_arrays(label: Mapping[int, float]):
     """An upward search space ``{node_idx: dist}`` as ``(nodes, dists)`` arrays.
 
     ``int64`` indices and ``float64`` distances in the mapping's order —
-    the csr kernel's native label form, built once per memoised label.
+    the form a memoised label is stored in, built once per label.
     """
     nodes = np.fromiter(label.keys(), dtype=np.int64, count=len(label))
     dists = np.fromiter(label.values(), dtype=np.float64, count=len(label))

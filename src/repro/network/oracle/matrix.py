@@ -3,9 +3,9 @@
 Dispatch workloads query travel times between a comparatively small,
 slowly growing set of *active* nodes — order pickups/dropoffs and worker
 locations — over and over.  ``MatrixOracle`` precomputes one distance
-row per active source (a dense ``float64`` vector over *all* nodes, so
-any target is an O(1) lookup) and answers every query with two index
-lookups.
+row per active source (a dense ``float64`` numpy vector over *all*
+nodes, filled in one bulk ``np.fromiter`` per row, so any target is an
+O(1) lookup) and answers every query with two index lookups.
 
 Sources that were not part of the initial active set are collected and
 materialised in *batched refreshes*: a ``travel_times_many`` call with
@@ -26,12 +26,10 @@ from collections import OrderedDict
 from typing import Iterable, Mapping
 
 import networkx as nx
+import numpy as np
 
-# numpy is optional: the dict kernel keeps rows as Python lists
-from ...compat import np
 from ...exceptions import UnreachableError
 from .base import DistanceOracle
-from .csr import resolve_kernel
 
 _INF = float("inf")
 
@@ -58,21 +56,15 @@ class MatrixOracle(DistanceOracle):
         self,
         graph: nx.DiGraph,
         nodes: Iterable[int] | None = None,
-        kernel: str = "auto",
     ) -> None:
         super().__init__(graph)
-        #: Requested and resolved kernel: "csr" stores rows as float64
-        #: numpy vectors with vectorised refresh; "dict" stores plain
-        #: Python lists — same indexing, no numpy dependency.
-        self.requested_kernel = kernel
-        self.kernel = resolve_kernel(kernel)
         started = time.perf_counter()
         self._node_order = sorted(graph.nodes)
         self._columns: dict[int, int] = {
             node: idx for idx, node in enumerate(self._node_order)
         }
         self._num_nodes = len(self._columns)
-        self._rows: dict[int, "np.ndarray | list[float]"] = {}
+        self._rows: dict[int, np.ndarray] = {}
         # Reverse arrival maps (target -> {source: seconds}) built for
         # many-to-one batches whose sources have no rows; memoised (LRU
         # bounded, each map is O(V)) so repeated dispatch probes against
@@ -234,18 +226,12 @@ class MatrixOracle(DistanceOracle):
             return
         self._refreshes += 1
         node_order = self._node_order
-        use_csr = self.kernel == "csr"
         for source in sources:
-            distances = self._dijkstra_from(source)
-            get = distances.get
-            if use_csr:
-                # Vectorised refresh: one bulk fill per row instead of a
-                # Python assignment per settled node.
-                row: "np.ndarray | list[float]" = np.fromiter(
-                    (get(node, _INF) for node in node_order),
-                    dtype=np.float64,
-                    count=self._num_nodes,
-                )
-            else:
-                row = [get(node, _INF) for node in node_order]
-            self._rows[source] = row
+            get = self._dijkstra_from(source).get
+            # Vectorised refresh: one bulk fill per row instead of a
+            # Python assignment per settled node.
+            self._rows[source] = np.fromiter(
+                (get(node, _INF) for node in node_order),
+                dtype=np.float64,
+                count=self._num_nodes,
+            )

@@ -36,7 +36,7 @@ OracleFactory = Callable[..., DistanceOracle]
 
 #: The option names some factory reads; any other name is a mistake.
 FACTORY_OPTIONS = frozenset(
-    {"cache_size", "witness_hop_limit", "cache_dir", "kernel", "degradations"}
+    {"cache_size", "witness_hop_limit", "cache_dir", "degradations"}
 )
 
 
@@ -47,11 +47,7 @@ def _make_lazy(graph: nx.DiGraph, **options) -> LazyDijkstraOracle:
 
 
 def _make_matrix(graph: nx.DiGraph, **options) -> MatrixOracle:
-    return MatrixOracle(
-        graph,
-        nodes=options.get("nodes"),
-        kernel=options.get("kernel", "auto"),
-    )
+    return MatrixOracle(graph, nodes=options.get("nodes"))
 
 
 class _CHCacheAttempt:
@@ -62,7 +58,6 @@ class _CHCacheAttempt:
         self.corrupt = False
         self.cache_hit = False
         self.lock_timed_out = False
-        self.lock_took_over_stale = False
 
 
 def _ch_from_cache(
@@ -122,7 +117,6 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
         witness_hop_limit=hop_limit,
         bucket_cache_size=options.get("cache_size", DEFAULT_BUCKET_CACHE_SIZE),
         seed=options.get("seed", 0),
-        kernel=options.get("kernel", "auto"),
     )
     cache_dir = options.get("cache_dir")
     if not cache_dir:
@@ -153,7 +147,6 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
         lock = InterProcessLock(path.with_name(path.name + ".lock"), timeout=600.0)
         try:
             with lock:
-                attempt.lock_took_over_stale = lock.took_over_stale
                 oracle = _ch_from_cache(graph, path, hop_limit, kwargs, attempt)
                 if oracle is None:
                     oracle = _ch_build_and_save(
@@ -186,7 +179,6 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
     oracle.cache_load_failures = attempt.load_failures
     oracle.cache_hit = attempt.cache_hit
     oracle.cache_lock_timed_out = attempt.lock_timed_out
-    oracle.cache_lock_took_over_stale = attempt.lock_took_over_stale
     return oracle
 
 
@@ -213,7 +205,7 @@ def create_oracle(
     """Instantiate a registered backend over ``graph``.
 
     ``options`` are the factory keywords (:data:`FACTORY_OPTIONS`):
-    ``cache_size``, ``witness_hop_limit``, ``cache_dir``, ``kernel`` and
+    ``cache_size``, ``witness_hop_limit``, ``cache_dir`` and
     ``degradations`` (the run's
     :class:`~repro.resilience.degradation.DegradationLog`; factories
     record recoverable fallbacks — corrupt cache -> rebuild, failed
@@ -253,9 +245,10 @@ def _build(
     degradations: DegradationLog | None,
 ) -> DistanceOracle:
     """Build ``spec``'s oracle and stamp it with the identity it answers to."""
+    identity = spec.resolved()
     options = {
         _FACTORY_KEYWORDS.get(option, option): value
-        for option, value in spec.options().items()
+        for option, value in identity.options().items()
     }
     oracle = create_oracle(
         spec.backend,
@@ -265,7 +258,7 @@ def _build(
         degradations=degradations,
         **options,
     )
-    oracle.built_from = spec.resolved()
+    oracle.built_from = identity
     return oracle
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 from ...exceptions import ConfigurationError
-from .csr import KERNELS, resolve_kernel
 
 #: Options each oracle backend actually consumes (beyond ``backend``
 #: itself).  :class:`OracleSpec` validates eagerly against this table.
@@ -52,9 +51,9 @@ class OracleSpec:
         stable graph hash, so a warm directory lets a fresh process
         skip the build.
     kernel:
-        ``"dict"`` | ``"csr"`` | ``"auto"`` — inner-loop implementation
-        of the ch/matrix backends (csr = vectorised numpy kernels, auto
-        = csr when numpy is importable; identical answers either way).
+        ``"csr"`` only, kept for spec compatibility: the ch and matrix
+        backends run one vectorised numpy kernel, and ``"csr"`` names
+        the same oracle as leaving the key unset.
 
     Setting an option the backend does not consume raises a
     :class:`ConfigurationError` listing the backend's valid options at
@@ -95,10 +94,10 @@ class OracleSpec:
                 f"OracleSpec.cache_dir must be a path string, "
                 f"got {self.cache_dir!r}"
             )
-        if self.kernel is not None and self.kernel not in KERNELS:
+        if self.kernel is not None and self.kernel != "csr":
             raise ConfigurationError(
-                f"OracleSpec.kernel must be one of {KERNELS}, "
-                f"got {self.kernel!r}"
+                f"OracleSpec.kernel must be one of ('csr',), got "
+                f"{self.kernel!r}: csr is the only kernel"
             )
         self._check_backend_options()
 
@@ -122,13 +121,9 @@ class OracleSpec:
     def resolved(self) -> "OracleSpec":
         """The spec as oracle identity: equal iff the same oracle is asked for.
 
-        ``kernel`` goes through :func:`resolve_kernel` on the backends
-        that take one (``None``, ``"auto"`` and the kernel they pick
-        compare equal).
+        ``kernel`` is dropped: ``None`` and ``"csr"`` ask for one oracle.
         """
-        if "kernel" in ORACLE_OPTIONS_BY_BACKEND[self.backend]:
-            return replace(self, kernel=resolve_kernel(self.kernel or "auto"))
-        return self
+        return replace(self, kernel=None)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-able view; unset (``None``) options are omitted."""

@@ -2,8 +2,10 @@
 
 This is ``CHOracle._leg_rows`` at the parent of the change that priced
 a bucket block with one segment reduction per row or column, kept
-verbatim as the "old" side of ``tests/test_ch_bucket_scan.py``: the csr
-branch runs one numpy gather, add and min per (source, target) cell.
+verbatim as the "old" side of ``tests/test_ch_bucket_scan.py`` (less
+the pure-Python branches, which ``tests/reference/dict_kernel.py``
+keeps): it runs one numpy gather, add and min per (source, target)
+cell.
 It must stay free of the production scan's code; the tests require the
 two to agree exactly, float for float and counter for counter.
 """
@@ -66,36 +68,23 @@ class PerPairCHOracle(CHOracle):
                 len(needed_targets) == 1
                 and len(pending_by_source) >= _MANY_TO_ONE_CUTOFF
             )
-            use_csr = self._sweeps is not None
-            # Values are the kernel's native arrival representation: a
-            # dense row (csr) read per source by index, or a node-keyed
-            # mapping (dict).  Same floats either way — the sweeps relax
-            # identical sums and min is order-independent.
+            # Dense arrival rows, read per source by index.
             arrival_answers: dict[int, object] = {}
             bucket_targets: list[int] = []
             for t_node in needed_targets:
                 if wide or t_node in self._arrival_cache:
-                    if use_csr:
-                        arrival_answers[t_node] = self._arrival_row(t_node)
-                    else:
-                        arrival_answers[t_node] = self._arrivals_to(t_node)
+                    arrival_answers[t_node] = self._arrival_row(t_node)
                 else:
                     bucket_targets.append(t_node)
-            buckets: dict[int, list[tuple[int, float]]] = {}
-            if use_csr:
-                # Per-target (nodes, dists) arrays: one vectorised
-                # gather-and-min per (source, target) pair instead of a
-                # Python loop over settled nodes.  Entries at nodes the
-                # forward search never settles contribute +inf and drop
-                # out of the min — exactly the pairs the dict scan skips.
-                csr_buckets = {
-                    t_node: self._target_label(t_node)
-                    for t_node in bucket_targets
-                }
-            else:
-                for t_node in bucket_targets:
-                    for idx, d in self._target_label(t_node).items():
-                        buckets.setdefault(idx, []).append((t_node, d))
+            # Per-target (nodes, dists) arrays: one vectorised
+            # gather-and-min per (source, target) pair instead of a
+            # Python loop over settled nodes.  Entries at nodes the
+            # forward search never settles contribute +inf and drop
+            # out of the min.
+            csr_buckets = {
+                t_node: self._target_label(t_node)
+                for t_node in bucket_targets
+            }
             for s_node, pending in pending_by_source.items():
                 bucket_pending = []
                 for t_node in pending:
@@ -103,36 +92,21 @@ class PerPairCHOracle(CHOracle):
                     if arrivals is None:
                         bucket_pending.append(t_node)
                         continue
-                    if use_csr:
-                        row_value = float(arrivals[self._index[s_node]])
-                        value = None if row_value == _INF else row_value
-                    else:
-                        value = arrivals.get(s_node)
+                    row_value = float(arrivals[self._index[s_node]])
+                    value = None if row_value == _INF else row_value
                     self._remember((s_node, t_node), value)
                     if value is not None:
                         result[(s_node, t_node)] = value
                 if not bucket_pending:
                     continue
                 best: dict[int, float] = {}
-                forward = self._source_label(s_node)
-                if use_csr:
-                    dist_f = self._sweeps.seed_buffer(*forward)
-                    for t_node in bucket_pending:
-                        nodes_arr, dists_arr = csr_buckets[t_node]
-                        self._bucket_scans += len(nodes_arr)
-                        value = float((dist_f[nodes_arr] + dists_arr).min())
-                        if value != _INF:
-                            best[t_node] = value
-                else:
-                    for idx, df in forward.items():
-                        entries = buckets.get(idx)
-                        if not entries:
-                            continue
-                        self._bucket_scans += len(entries)
-                        for t_node, db in entries:
-                            nd = df + db
-                            if nd < best.get(t_node, _INF):
-                                best[t_node] = nd
+                dist_f = self._sweeps.seed_buffer(*self._source_label(s_node))
+                for t_node in bucket_pending:
+                    nodes_arr, dists_arr = csr_buckets[t_node]
+                    self._bucket_scans += len(nodes_arr)
+                    value = float((dist_f[nodes_arr] + dists_arr).min())
+                    if value != _INF:
+                        best[t_node] = value
                 for t_node in bucket_pending:
                     value = best.get(t_node)
                     self._remember((s_node, t_node), value)

@@ -21,7 +21,7 @@ from repro.api import (
 from repro.datasets.workloads import build_workload
 from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.runner import make_dispatcher
-from repro.network.oracle import HAVE_NUMPY, available_backends, create_oracle
+from repro.network.oracle import available_backends, create_oracle
 from repro.network.oracle.cache import (
     ch_cache_path,
     graph_signature,
@@ -104,9 +104,6 @@ class TestSessionReuse:
             spec.with_overrides(num_orders=30)
         )
 
-    @pytest.mark.skipif(
-        not HAVE_NUMPY, reason="WATTER-expect needs numpy (GMM fitting)"
-    )
     def test_custom_workload_providers_are_not_shared(self):
         session = Session()
         spec = _small_spec(algorithm="WATTER-expect")

@@ -13,13 +13,14 @@ from repro.api import OracleSpec, ScenarioSpec, load_spec, save_spec
 from repro.baselines.gas import GASDispatcher
 from repro.cli import build_parser
 from repro.config import ExtraTimeWeights, SimulationConfig
+from repro.durability import InterProcessLock
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import default_config
 from repro.model.order import Order
 from repro.model.worker import Worker
 from repro.network.generators import grid_city
 from repro.network.grid import GridIndex
-from repro.network.oracle import LazyDijkstraOracle, MatrixOracle
+from repro.network.oracle import CHOracle, LazyDijkstraOracle, MatrixOracle
 from repro.routing.planner import RoutePlanner
 from repro.serve.protocol import ProtocolError, parse_submission
 from repro.simulation.fleet import WorkerFleet
@@ -163,12 +164,17 @@ class TestOracleSpec:
         assert isinstance(rebuilt.oracle, OracleSpec)
 
     def test_to_dict_omits_unset_options(self):
-        data = OracleSpec(backend="ch", kernel="auto").to_dict()
-        assert data == {"backend": "ch", "kernel": "auto"}
+        data = OracleSpec(backend="ch", kernel="csr").to_dict()
+        assert data == {"backend": "ch", "kernel": "csr"}
 
     def test_mapping_is_coerced(self):
-        spec = ScenarioSpec(oracle={"backend": "matrix", "kernel": "dict"})
-        assert spec.oracle == OracleSpec(backend="matrix", kernel="dict")
+        spec = ScenarioSpec(oracle={"backend": "matrix", "kernel": "csr"})
+        assert spec.oracle == OracleSpec(backend="matrix", kernel="csr")
+
+    @pytest.mark.parametrize("kernel", ["dict", "auto"])
+    def test_removed_kernels_raise(self, kernel):
+        with pytest.raises(ConfigurationError, match="csr is the only kernel"):
+            OracleSpec(backend="ch", kernel=kernel)
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -265,6 +271,12 @@ class TestOracleSpec:
             MatrixOracle(network.graph, max_rows=2)
         with pytest.raises(TypeError, match="max_targets"):
             LazyDijkstraOracle(network.graph, max_targets=2)
+        with pytest.raises(TypeError, match="kernel"):
+            CHOracle(network.graph, kernel="csr")
+        with pytest.raises(TypeError, match="kernel"):
+            MatrixOracle(network.graph, kernel="csr")
+        with pytest.raises(TypeError, match="strategy"):
+            InterProcessLock("cache.lock", strategy="flock")
 
     def test_overrides_reach_the_config(self):
         spec = ScenarioSpec(
@@ -345,9 +357,9 @@ class TestCliParity:
                 {"num_orders": 40, "oracle": OracleSpec(backend="matrix")},
             ),
             (
-                ["compare", "--oracle", "ch", "--oracle-kernel", "csr"],
+                ["compare", "--oracle", "lazy", "--seed", "5"],
                 "CDC",
-                {"oracle": OracleSpec(backend="ch", kernel="csr")},
+                {"seed": 5, "oracle": OracleSpec(backend="lazy")},
             ),
             (["sweep", "--dataset", "CDC", "--workers", "8"], "CDC", {"num_workers": 8}),
         ],
@@ -366,20 +378,20 @@ class TestCliParity:
         assert args.oracle_cache == "/tmp/oracle-cache"
         assert ScenarioSpec.from_args(args).oracle is None
 
-    def test_oracle_kernel_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["compare", "--oracle", "ch", "--oracle-kernel", "dict"]
-        )
-        spec = ScenarioSpec.from_args(args)
-        assert spec.oracle == OracleSpec(backend="ch", kernel="dict")
-        assert spec.config().oracle.kernel == "dict"
-
     @pytest.mark.parametrize(
         "argv, parser_error",
         [
-            (["compare", "--oracle-kernel", "csr"], None),
-            (["compare", "--oracle", "lazy", "--oracle-kernel", "dict"], None),
-            # The coarsening flags went with the backend that took them.
+            # No flag sets an option a backend would silently drop: the
+            # landmark and coarsening flags went with the backends that
+            # took them, whatever --oracle names.
+            (
+                ["compare", "--oracle", "ch", "--landmarks", "4"],
+                "unrecognized arguments: --landmarks",
+            ),
+            (
+                ["compare", "--oracle", "lazy", "--landmarks", "4"],
+                "unrecognized arguments: --landmarks",
+            ),
             (
                 ["compare", "--oracle", "matrix", "--coarsen-levels", "2"],
                 "unrecognized arguments: --coarsen-levels",
@@ -394,24 +406,14 @@ class TestCliParity:
     def test_flag_the_backend_does_not_take_is_rejected(
         self, argv, parser_error, capsys
     ):
-        """Same rule as a spec document: no silently dropped options."""
-        if parser_error is not None:
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(argv)
-            assert parser_error in capsys.readouterr().err
-            return
-        args = build_parser().parse_args(argv)
-        with pytest.raises(ConfigurationError, match="does not take option"):
-            ScenarioSpec.from_args(args)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert parser_error in capsys.readouterr().err
 
-    def test_oracle_kernel_flag_rejects_unknown(self, capsys):
-        for flag, value in (
-            ("--oracle-kernel", "simd"),
-            ("--oracle", "landmark"),
-            ("--oracle", "overlay"),
-        ):
+    def test_unknown_oracle_backend_flag_rejected(self, capsys):
+        for backend in ("landmark", "overlay"):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["compare", flag, value])
+                build_parser().parse_args(["compare", "--oracle", backend])
             assert "invalid choice" in capsys.readouterr().err
 
 

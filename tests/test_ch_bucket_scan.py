@@ -4,10 +4,11 @@
 ran one numpy gather, add and min per (source, target) cell.  The
 production scan prices a whole row or column with one segment
 reduction; it must return the same floats (exact ``==``, not approx),
-leave the same counters and remember pairs in the same order.  The dict
-kernel is the third side: same floats, same uniform counters, same
-pair-cache order (its ``bucket_scans`` counts bucket entries, not
-label entries, so its extras differ by design).
+leave the same counters and remember pairs in the same order.  The
+pure-Python bucket scan of ``tests/reference/dict_kernel.py`` is the
+third side: same floats, same uniform counters, same pair-cache order
+(its ``bucket_scans`` counts bucket entries, not label entries, so its
+extras differ by design).
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import UnreachableError
-from repro.network.oracle import HAVE_NUMPY, CHOracle
+from repro.network.oracle import CHOracle
 from tests.reference.ch_bucket_scan import PerPairCHOracle
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+from tests.reference.dict_kernel import DictCHOracle
 
 #: Few distinct weights, zero among them, so distinct paths tie often
 #: and ``0.1 + 0.2`` meets ``0.3`` (two floats that do not compare equal).
 _WEIGHTS = (0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5)
 
-#: Counters every kernel must agree on (``precompute_seconds`` is wall time).
+#: Counters every side must agree on (``precompute_seconds`` is wall time).
 _UNIFORM = (
     "queries",
     "batched_queries",
@@ -77,7 +77,6 @@ def _scalar(oracle: CHOracle, source: int, target: int) -> float | None:
         return None
 
 
-@needs_numpy
 @settings(
     max_examples=60,
     deadline=None,
@@ -88,20 +87,10 @@ def test_block_pricing_matches_the_per_pair_scan(data):
     graph = data.draw(_graphs())
     nodes = sorted(graph.nodes)
     bucket_cache_size = data.draw(st.sampled_from((1024, 2, 1)))
-    payload = CHOracle(graph, kernel="dict").export_preprocessing()
-
-    def build(cls, kernel):
-        return cls(
-            graph,
-            kernel=kernel,
-            preprocessing=payload,
-            bucket_cache_size=bucket_cache_size,
-        )
-
-    oracles = (
-        build(CHOracle, "csr"),
-        build(PerPairCHOracle, "csr"),
-        build(CHOracle, "dict"),
+    payload = CHOracle(graph).export_preprocessing()
+    oracles = tuple(
+        cls(graph, preprocessing=payload, bucket_cache_size=bucket_cache_size)
+        for cls in (CHOracle, PerPairCHOracle, DictCHOracle)
     )
     # Pre-warm the pair cache (unreachable verdicts included) through
     # scalar queries, so blocks mix cached cells with pending ones.
@@ -126,7 +115,6 @@ def test_block_pricing_matches_the_per_pair_scan(data):
     assert remembered[0] == remembered[1] == remembered[2]
 
 
-@needs_numpy
 @pytest.mark.parametrize("shape", [(2, 12), (12, 2), (5, 5), (3, 2), (5, 1)])
 def test_rows_and_columns_price_identically(shape):
     """Every pricing path of a larger block, against the reference.
@@ -138,9 +126,9 @@ def test_rows_and_columns_price_identically(shape):
 
     graph = grid_city(12, 12, seed=4).graph
     nodes = sorted(graph.nodes)
-    payload = CHOracle(graph, kernel="dict").export_preprocessing()
-    ours = CHOracle(graph, kernel="csr", preprocessing=payload)
-    reference = PerPairCHOracle(graph, kernel="csr", preprocessing=payload)
+    payload = CHOracle(graph).export_preprocessing()
+    ours = CHOracle(graph, preprocessing=payload)
+    reference = PerPairCHOracle(graph, preprocessing=payload)
     rows, cols = shape
     sources = nodes[3 : 3 + 7 * rows : 7]
     targets = nodes[100 : 100 - 5 * cols : -5]

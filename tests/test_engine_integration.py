@@ -8,7 +8,6 @@ from repro.api import ScenarioSpec, Session
 from repro.datasets.workloads import build_workload
 from repro.experiments.runner import ALGORITHMS, make_dispatcher
 from repro.exceptions import ConfigurationError
-from repro.network.oracle import HAVE_NUMPY
 from repro.simulation.engine import Simulator
 from tests.conftest import run_on_workload
 
@@ -40,10 +39,6 @@ def small_workload(small_config):
 
 @pytest.fixture(scope="module")
 def expect_provider(small_spec):
-    # WATTER-expect's GMM bootstrap needs numpy; the other algorithms
-    # under this fixture's module scope must still run without it.
-    if not HAVE_NUMPY:
-        return None
     return Session().expect_provider(small_spec)
 
 

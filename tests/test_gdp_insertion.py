@@ -27,13 +27,16 @@ from repro.model.worker import Worker
 from repro.network.graph import RoadNetwork
 from repro.network.grid import GridIndex
 from repro.simulation.fleet import WorkerFleet
+from tests.reference.dict_kernel import DictCHOracle
 from tests.reference.gdp_insertion import ReferenceGDPDispatcher
 
-#: Oracle documents the differential runs under; ``ch`` with both kernels.
+#: Oracle documents the differential runs under.  ``ch-dict`` swaps the
+#: pure-Python reference kernel of ``tests/reference/dict_kernel.py``
+#: in for the csr oracle (see ``_side``).
 ORACLES = {
     "lazy": {"backend": "lazy"},
     "matrix": {"backend": "matrix"},
-    "ch-dict": {"backend": "ch", "kernel": "dict"},
+    "ch-dict": {"backend": "ch"},
     "ch-csr": {"backend": "ch", "kernel": "csr"},
 }
 
@@ -50,13 +53,16 @@ STREAMS = {
 }
 
 
-def _side(cls, spec: ScenarioSpec):
+def _side(cls, spec: ScenarioSpec, reference_kernel: bool = False):
     """A dispatcher of ``cls`` over its own session: network, oracle, orders.
 
     Ids are renumbered by position: two sessions draw the same workload
-    but fresh ids from the process-wide counters.
+    but fresh ids from the process-wide counters.  ``reference_kernel``
+    attaches a :class:`DictCHOracle` in place of the prepared oracle.
     """
     workload = Session().prepare(spec)
+    if reference_kernel:
+        workload.network.set_oracle(DictCHOracle(workload.network.graph))
     config = spec.config()
     workers = [
         Worker(location=worker.location, capacity=worker.capacity, worker_id=index)
@@ -123,8 +129,11 @@ class TestEverySubmitMatchesTheReference:
         spec = ScenarioSpec.from_dict(
             {**STREAMS[stream], "algorithm": "GDP", "oracle": ORACLES[oracle]}
         )
-        reference, reference_orders = _side(ReferenceGDPDispatcher, spec)
-        ours, our_orders = _side(GDPDispatcher, spec)
+        reference_kernel = oracle == "ch-dict"
+        reference, reference_orders = _side(
+            ReferenceGDPDispatcher, spec, reference_kernel
+        )
+        ours, our_orders = _side(GDPDispatcher, spec, reference_kernel)
         reference_log = _spy_on_commit(reference)
         our_log = _spy_on_commit(ours)
         longest = 0

@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compat import HAVE_NUMPY, np
 from repro.core.gmm import GaussianComponent, GaussianMixture
 from repro.core.threshold import ThresholdOptimizer, fit_extra_time_distribution
 from repro.exceptions import LearningError
 from tests.conftest import make_order
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="this module tests numpy-only subsystems"
-)
 
 
 def _bimodal_samples(seed=0, size=600):

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.compat import HAVE_NUMPY, np
 from repro.config import LearningConfig
 from repro.exceptions import LearningError
 from repro.learning.mlp import MLP
@@ -13,10 +13,6 @@ from repro.learning.value_function import ValueNetwork, ValueThresholdProvider
 from repro.core.state import StateEncoder
 from repro.network.grid import GridIndex
 from tests.conftest import make_order
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="this module tests numpy-only subsystems"
-)
 
 
 class TestMLP:

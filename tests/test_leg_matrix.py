@@ -29,15 +29,20 @@ from repro.network.graph import RoadNetwork
 from repro.network.oracle import CHOracle, LazyDijkstraOracle, create_oracle
 from repro.network.oracle import ch as ch_module
 from repro.network.oracle.base import DistanceOracle
+from tests.reference.dict_kernel import DictCHOracle
 
-#: name -> (registry backend, factory options): all three backends, the
-#: contraction hierarchy under both kernels.
+#: name -> oracle factory: all three backends, the contraction
+#: hierarchy under its csr kernel and under the pure-Python reference
+#: kernel of ``tests/reference/dict_kernel.py``.
 BACKENDS = {
-    "lazy": ("lazy", {}),
-    "matrix": ("matrix", {}),
-    "ch-dict": ("ch", {"kernel": "dict"}),
-    "ch-csr": ("ch", {"kernel": "csr"}),
+    "lazy": lambda graph: create_oracle("lazy", graph),
+    "matrix": lambda graph: create_oracle("matrix", graph),
+    "ch-dict": DictCHOracle,
+    "ch-csr": lambda graph: create_oracle("ch", graph),
 }
+
+#: ``TestChOverride``'s kernels: the csr oracle and the reference.
+CH_KERNELS = {"dict": DictCHOracle, "csr": CHOracle}
 
 #: The backends whose full-map searches run on ``_dijkstra_from`` /
 #: ``_dijkstra_to``.
@@ -63,8 +68,7 @@ def _digraph(num_nodes: int, seed: int, weight=lambda rng: rng.uniform(1.0, 10.0
 
 
 def _network(name: str, graph: nx.DiGraph) -> RoadNetwork:
-    backend, options = BACKENDS[name]
-    return RoadNetwork(graph, oracle=create_oracle(backend, graph, **options))
+    return RoadNetwork(graph, oracle=BACKENDS[name](graph))
 
 
 def _scalar(network: RoadNetwork, source: int, target: int) -> float:
@@ -225,7 +229,7 @@ class TestChOverride:
     @staticmethod
     def _twins(kernel, graph=None, **options):
         graph = _digraph(24, seed=4) if graph is None else graph
-        return [CHOracle(graph, kernel=kernel, **options) for _ in range(2)]
+        return [CH_KERNELS[kernel](graph, **options) for _ in range(2)]
 
     @staticmethod
     def _check(dense, many, sources, targets):

@@ -34,9 +34,9 @@ from repro.network.oracle import (
     available_backends,
     configure_oracle,
     create_oracle,
-    resolve_kernel,
 )
 from repro.network.oracle.cache import graph_signature
+from tests.reference.dict_kernel import DictCHOracle
 
 BACKEND_CLASSES = {
     "lazy": LazyDijkstraOracle,
@@ -476,24 +476,32 @@ class TestContractionHierarchy:
 _GRID32_ORDER_SHA256 = "3409a0f59f6b48f84e315c3f1e8fbef098babc893d8762905c0d547e8021f7be"
 
 
+def _ch_from_spec(graph: nx.DiGraph, **options) -> CHOracle:
+    """The CH oracle an ``OracleSpec(backend="ch", **options)`` builds."""
+    spec = OracleSpec(backend="ch", **options)
+    return configure_oracle(RoadNetwork(graph), SimulationConfig(oracle=spec))
+
+
 @pytest.fixture(scope="module")
 def grid32_hierarchies(tmp_path_factory):
-    """Built and disk-restored hierarchies of the benchmark grid, per kernel."""
+    """Built and disk-restored hierarchies of the benchmark grid.
+
+    Keyed by the spec's ``kernel`` value; ``"csr"`` is the only one.
+    """
     graph = grid_city(32, 32, seed=11).graph
-    built = {}
-    for kernel in ("dict", "csr"):
-        cache_dir = str(tmp_path_factory.mktemp(f"ch-{kernel}"))
-        built[kernel] = (
-            create_oracle("ch", graph, kernel=kernel, cache_dir=cache_dir),
-            create_oracle("ch", graph, kernel=kernel, cache_dir=cache_dir),
+    cache_dir = str(tmp_path_factory.mktemp("ch-csr"))
+    built = {
+        "csr": tuple(
+            _ch_from_spec(graph, kernel="csr", cache_dir=cache_dir) for _ in range(2)
         )
+    }
     return graph, built
 
 
 class TestHierarchyIdentity:
     """The benchmark grid contracts to one pinned hierarchy however it is made."""
 
-    @pytest.mark.parametrize("kernel", ["dict", "csr"])
+    @pytest.mark.parametrize("kernel", ["csr"])
     @pytest.mark.parametrize("restored", [False, True], ids=["built", "restored"])
     def test_pinned_order_and_shortcut_count(self, grid32_hierarchies, kernel, restored):
         import hashlib
@@ -505,7 +513,7 @@ class TestHierarchyIdentity:
         order = oracle.export_preprocessing()["order"]
         assert hashlib.sha256(json.dumps(order).encode()).hexdigest() == _GRID32_ORDER_SHA256
         assert oracle.stats().extras["shortcuts_added"] == 6602
-        reference = built["dict"][False]
+        reference = built[kernel][False]
         nodes = sorted(graph.nodes)
         rng = random.Random(7)
         for _ in range(200):
@@ -523,7 +531,7 @@ _HIERARCHY_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("kernel", ["dict", "csr"])
+@pytest.mark.parametrize("kernel", ["csr"])
 @pytest.mark.parametrize("name", sorted(_HIERARCHY_SHA256))
 def test_hierarchy_export_is_pinned(name, kernel):
     import hashlib
@@ -535,7 +543,7 @@ def test_hierarchy_export_is_pinned(name, kernel):
         graph = grid_city(16, 16, seed=3).graph
     else:
         graph = city_by_name("CDC", seed=7).network.graph
-    payload = CHOracle(graph, kernel=kernel).export_preprocessing()
+    payload = _ch_from_spec(graph, kernel=kernel).export_preprocessing()
     digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
     assert digest == _HIERARCHY_SHA256[name]
 
@@ -561,6 +569,11 @@ def _block_stream(pool: list[int], seed: int, count: int):
     return blocks
 
 
+#: The CH kernels label memo tests run under: the oracle's csr kernel
+#: and the pure-Python reference of ``tests/reference/dict_kernel.py``.
+_CH_KERNELS = {"dict": DictCHOracle, "csr": CHOracle}
+
+
 class TestLabelMemo:
     """A CH pair miss is a merge of two memoised labels, never a re-search."""
 
@@ -574,12 +587,10 @@ class TestLabelMemo:
         pool = random.Random(seed).sample(sorted(graph.nodes), 12)
         # One pool node is a sink, whatever the seed left reachable.
         graph.remove_edges_from(list(graph.out_edges(pool[0])))
-        payload = CHOracle(graph, kernel=kernel).export_preprocessing()
+        payload = CHOracle(graph).export_preprocessing()
 
         def fresh(**kwargs) -> CHOracle:
-            return CHOracle(
-                graph, kernel=kernel, preprocessing=payload, **kwargs
-            )
+            return _CH_KERNELS[kernel](graph, preprocessing=payload, **kwargs)
 
         # A pair cache of one forces pairs to be re-derived from labels.
         long_lived = fresh(
@@ -617,7 +628,7 @@ class TestLabelMemo:
     def test_reasking_evicted_pairs_runs_no_search(self, networks, kernel):
         graph = networks["grid"].graph
         nodes = sorted(graph.nodes)
-        oracle = CHOracle(graph, kernel=kernel, pair_cache_size=1)
+        oracle = _CH_KERNELS[kernel](graph, pair_cache_size=1)
         sources, targets = nodes[:3], [nodes[-1], nodes[-2]]
         first = oracle.travel_times_many(sources, targets)
         before = oracle.stats()
@@ -661,7 +672,7 @@ class TestRegistry:
         """Factories must accept the full option set configure_oracle emits.
 
         Every registered factory receives the uniform names (``nodes``,
-        ``cache_size``, ``witness_hop_limit``, ``kernel``, ``seed``) and
+        ``cache_size``, ``witness_hop_limit``, ``seed``) and
         ignores the ones it has no use for — a backend that chokes on an
         option another backend needs would make the backends
         non-interchangeable.
@@ -674,7 +685,6 @@ class TestRegistry:
             nodes=nodes[:4],
             cache_size=64,
             witness_hop_limit=3,
-            kernel="auto",
             seed=5,
         )
         assert isinstance(oracle, BACKEND_CLASSES[backend])
@@ -731,12 +741,8 @@ class TestConfigSelection:
         shallow = configure(backend="ch", witness_hops=3)
         assert isinstance(shallow, CHOracle)
         assert configure(backend="ch", witness_hops=3) is shallow
-        # "auto" and the kernel it resolves to are the same oracle.
-        assert configure(backend="ch", witness_hops=3, kernel="auto") is shallow
-        assert (
-            configure(backend="ch", witness_hops=3, kernel=shallow.kernel)
-            is shallow
-        )
+        # Naming the one kernel asks for the same oracle.
+        assert configure(backend="ch", witness_hops=3, kernel="csr") is shallow
         deeper = configure(backend="ch", witness_hops=6)
         assert deeper is not shallow
         assert deeper.witness_hop_limit == 6
@@ -821,15 +827,12 @@ class TestConfigSelection:
 
 
 #: What the built oracle reports for an all-defaults spec, per backend.
-#: ``kernel`` holds the *requested* kernel; the oracle reports
-#: ``resolve_kernel`` of it.
 _DEFAULT_SETTINGS = {
     "lazy": {"maxsize": 1024},
-    "matrix": {"kernel": "auto"},
+    "matrix": {},
     "ch": {
         "witness_hop_limit": 5,
         "bucket_cache_size": 1024,
-        "kernel": "auto",
     },
 }
 
@@ -841,13 +844,13 @@ _SETTINGS_ROWS = [
     ("lazy", {}, {}),
     ("lazy", {"cache_size": 64}, {"maxsize": 64}),
     ("matrix", {}, {}),
-    ("matrix", {"kernel": "dict"}, {"kernel": "dict"}),
-    ("matrix", {"kernel": "csr"}, {"kernel": "csr"}),
+    ("matrix", {"kernel": None}, {}),
+    ("matrix", {"kernel": "csr"}, {}),
     ("ch", {}, {}),
     ("ch", {"cache_size": 8}, {"bucket_cache_size": 8}),
     ("ch", {"witness_hops": 3}, {"witness_hop_limit": 3}),
-    ("ch", {"kernel": "dict"}, {"kernel": "dict"}),
-    ("ch", {"kernel": "csr"}, {"kernel": "csr"}),
+    ("ch", {"kernel": None}, {}),
+    ("ch", {"kernel": "csr"}, {}),
     ("ch", {"cache_dir": "TMP"}, {"cache_files": ["ch-*-w5.json"]}),
 ]
 
@@ -856,7 +859,7 @@ def _reported_settings(oracle: DistanceOracle) -> dict:
     reported = {}
     if isinstance(oracle, LazyDijkstraOracle):
         reported["maxsize"] = oracle.max_sources
-    for name in ("witness_hop_limit", "bucket_cache_size", "kernel"):
+    for name in ("witness_hop_limit", "bucket_cache_size"):
         if hasattr(oracle, name):
             reported[name] = getattr(oracle, name)
     return reported
@@ -892,8 +895,6 @@ class TestSpecToOracleSettings:
 
         expected = {**_DEFAULT_SETTINGS[backend], **changed}
         cache_files = expected.pop("cache_files", None)
-        if "kernel" in expected:
-            expected["kernel"] = resolve_kernel(expected["kernel"])
         assert isinstance(oracle, BACKEND_CLASSES[backend])
         assert _reported_settings(oracle) == expected
         if cache_files is not None:

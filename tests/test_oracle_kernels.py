@@ -1,12 +1,10 @@
-"""dict-vs-csr kernel equivalence.
+"""csr kernel vs the pure-Python reference kernel.
 
-The csr kernel's contract is that it is a pure representation change:
-every query path returns the same floats the dict kernel returns (the
-level sweep relaxes identical sums and ``min`` is order-independent)
-and whole simulations produce identical metrics.  These tests pin both
-properties, plus the pure-Python fallback that keeps ``kernel="csr"``
-requests working when numpy is absent (the no-numpy CI leg runs this
-module with every ``needs_numpy`` test skipped).
+The oracles' numpy kernel is a pure representation change of the loops
+``tests/reference/dict_kernel.py`` keeps: every query path returns the
+floats the reference returns (the level sweep relaxes identical sums
+and ``min`` is order-independent), and whole simulations produce
+identical metrics.  These tests pin both properties.
 """
 
 from __future__ import annotations
@@ -14,20 +12,17 @@ from __future__ import annotations
 import random
 
 import networkx as nx
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import OracleSpec, ScenarioSpec, Session
-from repro.network.oracle import (
-    HAVE_NUMPY,
-    KERNELS,
-    CHOracle,
-    MatrixOracle,
-    resolve_kernel,
+from repro.network.oracle import CHOracle, MatrixOracle
+from repro.network.oracle.csr import finite_entries
+from tests.reference.dict_kernel import (
+    DictCHOracle,
+    ListMatrixOracle,
+    reverse_sweep,
 )
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 
 def _random_digraph(num_nodes: int, seed: int, strongly: bool) -> nx.DiGraph:
@@ -54,42 +49,10 @@ def _random_digraph(num_nodes: int, seed: int, strongly: bool) -> nx.DiGraph:
 
 
 # ---------------------------------------------------------------------------
-# kernel resolution / fallback
+# csr vs reference equality (property-tested)
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_kernel_tracks_numpy_availability():
-    """``auto`` and ``csr`` degrade to ``dict`` exactly when numpy is absent."""
-    expected = "csr" if HAVE_NUMPY else "dict"
-    assert resolve_kernel("dict") == "dict"
-    assert resolve_kernel("auto") == expected
-    assert resolve_kernel("csr") == expected
-    with pytest.raises(ValueError, match="unknown oracle kernel"):
-        resolve_kernel("simd")
-    assert set(KERNELS) == {"auto", "dict", "csr"}
-
-
-def test_dict_kernel_always_works():
-    """The pure-Python fallback answers queries with no numpy in sight."""
-    graph = _random_digraph(12, seed=5, strongly=True)
-    oracle = CHOracle(graph, kernel="dict")
-    assert oracle.kernel == "dict"
-    assert oracle.requested_kernel == "dict"
-    arrivals = oracle.travel_times_to(3)
-    assert arrivals[3] == 0.0
-    block = oracle.travel_times_many(sorted(graph.nodes), [3])
-    for (source, target), value in block.items():
-        assert value == pytest.approx(arrivals[source], rel=1e-9)
-        assert target == 3
-    assert oracle.stats().as_dict()["kernel"] == "dict"
-
-
-# ---------------------------------------------------------------------------
-# dict vs csr equality (property-tested)
-# ---------------------------------------------------------------------------
-
-
-@needs_numpy
 @settings(
     max_examples=20,
     deadline=None,
@@ -106,27 +69,24 @@ def test_kernels_agree_on_random_digraphs(seed, strongly):
     reverse-PHAST row path, the multi-target batch the bucket scans.
     """
     graph = _random_digraph(14, seed, strongly)
-    dict_oracle = CHOracle(graph, kernel="dict")
-    csr_oracle = CHOracle(graph, kernel="csr")
-    assert dict_oracle.kernel == "dict"
-    assert csr_oracle.kernel == "csr"
+    reference = DictCHOracle(graph)
+    oracle = CHOracle(graph)
     nodes = sorted(graph.nodes)
     target = nodes[seed % len(nodes)]
-    assert dict(dict_oracle.travel_times_to(target)) == dict(
-        csr_oracle.travel_times_to(target)
+    assert dict(reference.travel_times_to(target)) == dict(
+        oracle.travel_times_to(target)
     )
     # Wide single-target batch: >= the many-to-one cutoff sources, so
-    # both kernels answer from the reverse-PHAST arrival representation.
-    assert dict_oracle.travel_times_many(nodes, [target]) == (
-        csr_oracle.travel_times_many(nodes, [target])
+    # both kernels answer from the reverse-PHAST arrivals.
+    assert reference.travel_times_many(nodes, [target]) == (
+        oracle.travel_times_many(nodes, [target])
     )
-    # Multi-target batch: the RPHAST bucket-scan path in both kernels.
-    assert dict_oracle.travel_times_many(nodes[:5], nodes[:3]) == (
-        csr_oracle.travel_times_many(nodes[:5], nodes[:3])
+    # Multi-target batch: the RPHAST bucket-scan path of both kernels.
+    assert reference.travel_times_many(nodes[:5], nodes[:3]) == (
+        oracle.travel_times_many(nodes[:5], nodes[:3])
     )
 
 
-@needs_numpy
 @settings(
     max_examples=15,
     deadline=None,
@@ -134,20 +94,15 @@ def test_kernels_agree_on_random_digraphs(seed, strongly):
 )
 @given(seed=st.integers(0, 10_000), strongly=st.booleans())
 def test_reverse_sweep_primitive_representations_agree(seed, strongly):
-    """The kernel seam: dense rows decode to exactly the dict sweep map."""
-    from repro.network.oracle.csr import finite_entries
-
+    """The kernel seam: dense rows decode to exactly the node-by-node sweep."""
     graph = _random_digraph(12, seed, strongly)
-    dict_oracle = CHOracle(graph, kernel="dict")
-    csr_oracle = CHOracle(graph, kernel="csr")
+    oracle = CHOracle(graph)
     nodes = sorted(graph.nodes)
     target = nodes[seed % len(nodes)]
-    seeds = dict_oracle.reverse_seed_map(target)
-    # One deterministic contraction -> interchangeable seed maps.
-    assert seeds == csr_oracle.reverse_seed_map(target)
-    want = dict_oracle.reverse_sweep(seeds)
-    row = csr_oracle.reverse_sweep(seeds)
-    order = csr_oracle.node_order
+    seeds = oracle.reverse_seed_map(target)
+    want = reverse_sweep(oracle, seeds)
+    row = oracle.reverse_sweep(seeds)
+    order = oracle.node_order
     idxs, values = finite_entries(row)
     got = {
         order[idx]: value
@@ -156,19 +111,21 @@ def test_reverse_sweep_primitive_representations_agree(seed, strongly):
     assert got == want
 
 
-@needs_numpy
 def test_matrix_kernels_agree():
-    """The matrix backend's vectorised row refresh equals the dict build."""
+    """The matrix backend's vectorised row refresh equals the list build."""
     graph = _random_digraph(16, seed=9, strongly=False)
-    dict_oracle = MatrixOracle(graph, kernel="dict")
-    csr_oracle = MatrixOracle(graph, kernel="csr")
+    reference = ListMatrixOracle(graph)
+    oracle = MatrixOracle(graph)
     nodes = sorted(graph.nodes)
+    assert {
+        source: row.tolist() for source, row in oracle._rows.items()
+    } == reference._rows
     for target in nodes[:4]:
-        assert dict(dict_oracle.travel_times_to(target)) == dict(
-            csr_oracle.travel_times_to(target)
+        assert dict(reference.travel_times_to(target)) == dict(
+            oracle.travel_times_to(target)
         )
-    assert dict_oracle.travel_times_many(nodes, nodes[:3]) == (
-        csr_oracle.travel_times_many(nodes, nodes[:3])
+    assert reference.travel_times_many(nodes, nodes[:3]) == (
+        oracle.travel_times_many(nodes, nodes[:3])
     )
 
 
@@ -187,14 +144,15 @@ def _core_metrics(metrics) -> dict:
     return data
 
 
-def _run(spec: ScenarioSpec):
-    # A fresh Session per run: kernels build different oracles, and
-    # sharing one session would hand the second run the first's oracle.
-    return Session().run(spec)
+def test_simulation_metrics_identical_across_kernels():
+    """A run over the csr oracle reproduces one over the reference bit for bit.
 
-
-def _kernel_spec(oracle: OracleSpec, **overrides) -> ScenarioSpec:
-    base = dict(
+    The reference is attached to the network of the session's workload
+    (after the workload is drawn, whose deadlines ask the oracle the
+    network had then), stamped with the spec's oracle identity, so
+    ``Session.run`` keeps it instead of building its own.
+    """
+    spec = ScenarioSpec(
         dataset="CDC",
         num_orders=40,
         num_workers=5,
@@ -202,24 +160,15 @@ def _kernel_spec(oracle: OracleSpec, **overrides) -> ScenarioSpec:
         seed=29,
         check_period=15.0,
         algorithm="WATTER-timeout",
-        oracle=oracle,
+        oracle=OracleSpec(backend="ch"),
     )
-    base.update(overrides)
-    return ScenarioSpec(**base)
-
-
-@needs_numpy
-def test_simulation_metrics_identical_across_kernels():
-    """A csr-kernel run reproduces the dict-kernel run bit for bit.
-
-    Driven through the typed front door on purpose: the nested
-    ``OracleSpec(kernel=...)`` is the documented way to pick a kernel,
-    so this test breaks if the spec plumbing ever stops reaching the
-    oracle.
-    """
-    dict_run = _run(_kernel_spec(OracleSpec(backend="ch", kernel="dict")))
-    csr_run = _run(_kernel_spec(OracleSpec(backend="ch", kernel="csr")))
-    assert dict_run.metrics.served_orders > 0
-    assert _core_metrics(csr_run.metrics) == _core_metrics(dict_run.metrics)
-    assert dict_run.metrics.oracle_stats["kernel"] == "dict"
-    assert csr_run.metrics.oracle_stats["kernel"] == "csr"
+    csr_run = Session().run(spec)
+    session = Session()
+    network = session.workload(spec).network
+    reference = DictCHOracle(network.graph)
+    reference.built_from = spec.oracle.resolved()
+    network.set_oracle(reference)
+    reference_run = session.run(spec)
+    assert network.oracle is reference
+    assert reference_run.metrics.served_orders > 0
+    assert _core_metrics(csr_run.metrics) == _core_metrics(reference_run.metrics)

@@ -15,9 +15,8 @@ rests on:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-from repro.compat import HAVE_NUMPY, np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -154,9 +153,6 @@ class TestPoolProperties:
         assert len(resolved) == len(set(resolved))
 
 
-@pytest.mark.skipif(
-    not HAVE_NUMPY, reason="GMM fitting is a numpy-only subsystem"
-)
 class TestDistributionProperties:
     @_SETTINGS
     @given(

@@ -27,7 +27,6 @@ import pytest
 
 from repro.api import ScenarioSpec, run_scenario
 from repro.network.generators import grid_city
-from repro.network.oracle import HAVE_NUMPY
 from repro.serve import (
     CANCELLED,
     COMPLETED,
@@ -143,15 +142,8 @@ class TestSessionPool:
                 {"backend": "ch", "witness_hops": 2},
                 {"backend": "ch", "witness_hops": 6},
             ),
-            pytest.param(
-                {"backend": "ch", "kernel": "dict"},
-                {"backend": "ch", "kernel": "csr"},
-                marks=pytest.mark.skipif(
-                    not HAVE_NUMPY, reason="csr resolves to dict without numpy"
-                ),
-            ),
         ),
-        ids=("ch-witness_hops", "ch-kernel"),
+        ids=("ch-witness_hops",),
     )
     def test_key_tracks_every_option_the_oracle_is_built_from(self, first, second):
         """Specs that would not share an oracle must not share a session."""
@@ -161,11 +153,11 @@ class TestSessionPool:
         )
 
     def test_key_resolves_the_kernel(self):
+        """``kernel`` unset and ``"csr"`` ask for one oracle, so one session."""
         base = _grid_spec()
-        auto = pool_key(base.with_overrides(oracle={"backend": "ch"}))
-        for kernel in ("auto", "csr" if HAVE_NUMPY else "dict"):
-            spec = base.with_overrides(oracle={"backend": "ch", "kernel": kernel})
-            assert pool_key(spec) == auto
+        unset = pool_key(base.with_overrides(oracle={"backend": "ch"}))
+        named = base.with_overrides(oracle={"backend": "ch", "kernel": "csr"})
+        assert pool_key(named) == unset
 
     def test_acquire_hits_and_misses(self):
         pool = SessionPool(max_sessions=2)
@@ -275,9 +267,6 @@ class TestScenarioService:
             )
             assert record.result["graph_hash"] == direct.graph_hash
 
-    @pytest.mark.skipif(
-        not HAVE_NUMPY, reason="WATTER-expect needs numpy (GMM fitting)"
-    )
     def test_served_watter_expect_matches_direct_run(self):
         """The pooled session hands the run its memoised provider, so
         the learning-based algorithm is served bit-identically too."""

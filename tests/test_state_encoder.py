@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.compat import HAVE_NUMPY, np
 from repro.core.state import StateEncoder
 from repro.network.grid import GridIndex
 from tests.conftest import make_order
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="this module tests numpy-only subsystems"
-)
 
 
 @pytest.fixture

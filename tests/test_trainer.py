@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.compat import HAVE_NUMPY
 from repro.config import LearningConfig, SimulationConfig
 from repro.core.state import StateEncoder
 from repro.core.strategies import ConstantThresholdProvider
@@ -12,10 +11,6 @@ from repro.datasets.workloads import build_workload
 from repro.exceptions import LearningError
 from repro.learning.trainer import ValueFunctionTrainer, generate_experience
 from repro.network.grid import GridIndex
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="value-function training is numpy-only"
-)
 
 
 @pytest.fixture(scope="module")
