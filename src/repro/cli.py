@@ -42,6 +42,7 @@ import argparse
 from typing import Sequence
 
 from .api import RunResult, ScenarioSpec, Session, load_spec
+from .exceptions import ConfigurationError
 from .experiments.reporting import (
     format_comparison_table,
     format_full_sweep_report,
@@ -341,8 +342,7 @@ def _run_compare(args: argparse.Namespace) -> str:
     return _comparison_output(results, title)
 
 
-def _run_spec_file(args: argparse.Namespace) -> str:
-    spec = load_spec(args.spec)
+def _run_spec_file(args: argparse.Namespace, spec: ScenarioSpec) -> str:
     if args.checkpoint_dir or args.resume:
         return _run_spec_durable(args, spec)
     algorithms = tuple(args.algorithms) if args.algorithms else (spec.algorithm,)
@@ -505,7 +505,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "compare":
         output = _run_compare(args)
     elif args.command == "run":
-        output = _run_spec_file(args)
+        try:
+            spec = load_spec(args.spec)
+        except ConfigurationError as exc:
+            # An invalid spec is a usage error, reported like argparse's.
+            parser.exit(2, f"{parser.prog} run: error: {exc}\n")
+        output = _run_spec_file(args, spec)
     elif args.command == "sweep":
         output = _run_sweep(args)
     else:

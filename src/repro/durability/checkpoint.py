@@ -53,7 +53,9 @@ DEFAULT_CHECKPOINT_INTERVAL = 25
 # 4: the pickled ``WorkerFleet`` carries a release heap; its index holds the idle only.
 # 5: ``SimulationConfig`` lost its dispatch fields; no ``("engine",)`` persistent id.
 # 6: GDP's pickled ``_WorkerPlan`` carries ``legs``, parallel to ``stops``.
-_FORMAT_VERSION = 6
+# 7: a pickled ``WorkerFleet`` may hold no spatial index yet (built on
+#    first use) and its ``_grid`` may be a cell count.
+_FORMAT_VERSION = 7
 
 _LOCK_TYPE = type(threading.Lock())
 _RLOCK_TYPE = type(threading.RLock())

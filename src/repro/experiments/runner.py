@@ -47,9 +47,10 @@ _TRAINING_FRACTION = 0.5
 
 def _fresh_fleet(workload: Workload, config: SimulationConfig) -> WorkerFleet:
     """Clone the workload's workers into an independent fleet."""
-    grid = GridIndex(workload.network, size=config.grid_size)
     return WorkerFleet(
-        [worker.clone() for worker in workload.workers], workload.network, grid
+        [worker.clone() for worker in workload.workers],
+        workload.network,
+        config.grid_size,
     )
 
 

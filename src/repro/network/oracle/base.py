@@ -20,11 +20,19 @@ All oracles answer in *seconds of travel time* on the directed graph
 they were built over, raise :class:`~repro.exceptions.UnreachableError`
 for disconnected pairs, and keep uniform query/cache counters so the
 metrics layer can report how the hot path behaved.
+
+Every oracle numbers the nodes by sorted id.  The full-map searches of
+``lazy`` and ``matrix`` run :func:`_dijkstra` over adjacency lists in
+that numbering and get back a *row*: one packed ``array('d')`` whose
+cell ``i`` is the distance of the ``i``-th node, ``inf`` where the
+search did not reach.  A row has no settle order; its floats are the
+ones any label-setting search (networkx's included) computes.
 """
 
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from math import inf
@@ -178,8 +186,9 @@ class DistanceOracle(abc.ABC):
 
     def __init__(self, graph: nx.DiGraph) -> None:
         self._graph = graph
-        self._successors: dict[int, list[tuple[int, float]]] | None = None
-        self._predecessors: dict[int, list[tuple[int, float]]] | None = None
+        self._index_nodes()
+        self._successors: list[list[tuple[int, float]]] | None = None
+        self._predecessors: list[list[tuple[int, float]]] | None = None
         self._queries = 0
         self._batched_queries = 0
         self._cache_hits = 0
@@ -305,75 +314,85 @@ class DistanceOracle(abc.ABC):
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
-    def _dijkstra_from(self, source: int) -> dict[int, float]:
-        """One single-source Dijkstra in travel-time space (counted)."""
+    def _index_nodes(self) -> None:
+        """Number the nodes: ``_nodes`` is the sorted ids, ``_index`` its inverse.
+
+        A distance row's cell ``i`` belongs to ``_nodes[i]``.
+        """
+        self._nodes: list[int] = sorted(self._graph.nodes)
+        self._index: dict[int, int] = {
+            node: idx for idx, node in enumerate(self._nodes)
+        }
+
+    def _dijkstra_from(self, source: int) -> array:
+        """One single-source Dijkstra in travel-time space (counted).
+
+        Returns the row ``d(source, node)`` over node indices, ``inf``
+        where ``node`` cannot be reached.
+        """
         self._sssp_runs += 1
         if self._successors is None:
-            self._successors = {
-                node: [(head, data.get("travel_time", 1)) for head, data in heads.items()]
-                for node, heads in self._graph.adj.items()
-            }
-        return _dijkstra(self._successors, source)
+            self._successors = self._adjacency(reverse=False)
+        return _dijkstra(self._successors, self._index[source])
 
-    def _dijkstra_to(self, target: int) -> dict[int, float]:
-        """One Dijkstra against the edges: ``source -> d(source, target)``.
+    def _dijkstra_to(self, target: int) -> array:
+        """One Dijkstra against the edges: the row ``d(node, target)``.
 
         This is the reverse-SSSP batching primitive — a single run
         answers every many-to-one distance towards ``target``.
         """
         self._reverse_sssp_runs += 1
         if self._predecessors is None:
-            # Filled in edge-iteration order, the order ``reverse(copy=True)``
-            # gives the reversed graph's adjacency, so equal-distance
-            # nodes settle in the order a search on that graph finds.
-            predecessors: dict[int, list[tuple[int, float]]] = {
-                node: [] for node in self._graph
-            }
-            for tail, heads in self._graph.adj.items():
-                for head, data in heads.items():
-                    predecessors[head].append((tail, data.get("travel_time", 1)))
-            self._predecessors = predecessors
-        return _dijkstra(self._predecessors, target)
+            self._predecessors = self._adjacency(reverse=True)
+        return _dijkstra(self._predecessors, self._index[target])
+
+    def _adjacency(self, reverse: bool) -> list[list[tuple[int, float]]]:
+        """``(neighbour index, weight)`` lists per node index, out-edges
+        or, with ``reverse``, in-edges."""
+        index = self._index
+        adjacency: list[list[tuple[int, float]]] = [[] for _ in self._nodes]
+        for tail, head, data in self._graph.edges(data=True):
+            u, v = index[tail], index[head]
+            if reverse:
+                u, v = v, u
+            adjacency[u].append((v, data.get("travel_time", 1)))
+        return adjacency
+
+    def _reachable(self, row: array) -> dict[int, float]:
+        """``node -> seconds`` over a row's finite cells, in index order."""
+        return {node: d for node, d in zip(self._nodes, row) if d != inf}
 
     def _drop_adjacency(self) -> None:
-        """Forget the adjacency tables; every :meth:`clear` calls this.
+        """Forget the search tables; every :meth:`clear` calls this.
 
-        The tables snapshot the edge weights, so they must not outlive a
-        graph edit any longer than the cached answers do.
+        The tables snapshot the node set and the edge weights, so they
+        must not outlive a graph edit any longer than the cached answers
+        do.
         """
+        self._index_nodes()
         self._successors = None
         self._predecessors = None
 
 
-def _dijkstra(
-    adjacency: Mapping[int, list[tuple[int, float]]], source: int
-) -> dict[int, float]:
-    """Distances from ``source`` over ``adjacency``, in settling order.
+def _dijkstra(adjacency: list[list[tuple[int, float]]], source: int) -> array:
+    """Distances from node index ``source``, packed as a row over indices.
 
-    The relaxation rule and the ``(distance, counter, node)`` heap key
-    are those of networkx's single-source Dijkstra, so the result
-    equals networkx's in values *and* in key order; only the
-    per-edge weight callback, the cutoff / target / predecessor
-    branches and the integer seed (a node is ``0.0`` from itself) are
-    gone.
+    A label-setting search: every node ends at the minimum, over paths,
+    of the left-to-right sum of the path's weights, so the floats do not
+    depend on the heap's tie-breaking.  ``inf`` marks an unreached node.
     """
-    dist: dict[int, float] = {}
-    seen = {source: 0.0}
-    fringe: list[tuple[float, int, int]] = [(0.0, 0, source)]
-    pushed = 1
+    dist = [inf] * len(adjacency)
+    dist[source] = 0.0
+    fringe: list[tuple[float, int]] = [(0.0, source)]
     while fringe:
-        reach, _, node = heappop(fringe)
-        if node in dist:
+        reach, node = heappop(fringe)
+        # Each push strictly lowers a node's distance, so only the entry
+        # that carries the final distance gets past this test.
+        if reach > dist[node]:
             continue
-        dist[node] = reach
         for head, cost in adjacency[node]:
             through = reach + cost
-            known = seen.get(head)
-            # A settled head needs no test of its own: it settled no
-            # later than ``node`` and weights are non-negative, so
-            # ``through`` cannot undercut what is known for it.
-            if known is None or through < known:
-                seen[head] = through
-                heappush(fringe, (through, pushed, head))
-                pushed += 1
-    return dist
+            if through < dist[head]:
+                dist[head] = through
+                heappush(fringe, (through, head))
+    return array("d", dist)

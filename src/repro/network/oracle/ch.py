@@ -225,10 +225,6 @@ class CHOracle(DistanceOracle):
         self._query_lock = threading.RLock()
 
         started = time.perf_counter()
-        self._nodes: list[int] = sorted(graph.nodes)
-        self._index: dict[int, int] = {
-            node: idx for idx, node in enumerate(self._nodes)
-        }
         self._loaded_from_cache = False
         if preprocessing is not None:
             self._restore(preprocessing)
@@ -300,20 +296,20 @@ class CHOracle(DistanceOracle):
                     if old is None or weight < aug[(ui, wi)]:
                         aug[(ui, wi)] = weight
                     self._shortcuts_added += 1
+            # ``fwd`` / ``bwd`` only ever link live nodes: unlinking ``v``
+            # here is what lets the searches skip a contracted test.
             for ui in bwd[v]:
-                if not contracted[ui]:
-                    deleted_neighbors[ui] += 1
-                    del fwd[ui][v]
+                deleted_neighbors[ui] += 1
+                del fwd[ui][v]
             for wi in fwd[v]:
-                if not contracted[wi]:
-                    deleted_neighbors[wi] += 1
-                    del bwd[wi][v]
+                deleted_neighbors[wi] += 1
+                del bwd[wi][v]
             fwd[v] = {}
             bwd[v] = {}
 
         heap: list[tuple[int, int]] = []
         for v in range(n):
-            shortcuts = self._shortcuts_for(v, fwd, bwd, contracted)
+            shortcuts = self._shortcuts_for(v, fwd, bwd)
             heap.append((priority(v, shortcuts), v))
         heapify(heap)
 
@@ -323,7 +319,7 @@ class CHOracle(DistanceOracle):
                 continue
             # Lazy update: the stored priority may be stale; recompute
             # and only contract while still no worse than the runner-up.
-            shortcuts = self._shortcuts_for(v, fwd, bwd, contracted)
+            shortcuts = self._shortcuts_for(v, fwd, bwd)
             current = priority(v, shortcuts)
             if heap and current > heap[0][0]:
                 heappush(heap, (current, v))
@@ -443,18 +439,17 @@ class CHOracle(DistanceOracle):
         v: int,
         fwd: list[dict[int, float]],
         bwd: list[dict[int, float]],
-        contracted: list[bool],
     ) -> list[tuple[int, int, float]]:
         """Shortcuts required to contract ``v`` from the remaining graph."""
-        ins = [(u, w) for u, w in bwd[v].items() if not contracted[u]]
-        outs = [(w, wt) for w, wt in fwd[v].items() if not contracted[w]]
+        ins = bwd[v]
+        outs = fwd[v]
         shortcuts: list[tuple[int, int, float]] = []
         if not ins or not outs:
             return shortcuts
-        max_out = max(wt for _, wt in outs)
-        for u, w_in in ins:
-            witness = self._witness_search(u, v, w_in + max_out, fwd, contracted)
-            for w, w_out in outs:
+        max_out = max(outs.values())
+        for u, w_in in ins.items():
+            witness = self._witness_search(u, v, w_in + max_out, fwd, outs)
+            for w, w_out in outs.items():
                 if w == u:
                     continue
                 through = w_in + w_out
@@ -468,38 +463,43 @@ class CHOracle(DistanceOracle):
         excluded: int,
         limit: float,
         fwd: list[dict[int, float]],
-        contracted: list[bool],
+        targets: Mapping[int, float],
     ) -> dict[int, float]:
         """Hop- and distance-limited Dijkstra avoiding ``excluded``.
 
         Conservative on purpose: hop limit, distance limit and settle
         cap can all hide a genuine witness, which merely means an extra
         shortcut gets added — correctness never depends on this search
-        being complete.
+        being complete.  Only the distances of ``targets`` other than
+        ``source`` are read, so the search ends once they have all
+        settled: a settled distance is final, and whatever the search
+        would have done next cannot change it.
         """
         dist: dict[int, float] = {source: 0.0}
-        hops: dict[int, int] = {source: 0}
-        heap: list[tuple[float, int]] = [(0.0, source)]
+        heap: list[tuple[float, int, int]] = [(0.0, source, 0)]
         hop_limit = self.witness_hop_limit
+        pending = len(targets) - (source in targets)
         settled = 0
         while heap:
-            d, x = heappop(heap)
-            if d > dist.get(x, _INF):
+            d, x, h = heappop(heap)
+            if d > dist[x]:
                 continue
             settled += 1
             if settled > _WITNESS_SETTLE_LIMIT:
                 break
-            h = hops[x]
+            if x in targets and x != source:
+                pending -= 1
+                if not pending:
+                    break
             if h >= hop_limit:
                 continue
             for y, w in fwd[x].items():
-                if y == excluded or contracted[y]:
+                if y == excluded:
                     continue
                 nd = d + w
                 if nd <= limit and nd < dist.get(y, _INF):
                     dist[y] = nd
-                    hops[y] = h + 1
-                    heappush(heap, (nd, y))
+                    heappush(heap, (nd, y, h + 1))
         return dist
 
     # ------------------------------------------------------------------

@@ -2,20 +2,27 @@
 
 This is what ``RoadNetwork`` always did — run a full single-source
 Dijkstra the first time a source is queried and answer every later query
-from that source with a dictionary lookup — except the per-source cache
-is now an LRU bounded by ``max_sources``, so city-scale workloads that
+from that source out of the cached result — except the per-source cache
+is an LRU bounded by ``max_sources``, so city-scale workloads that
 touch many distinct sources no longer grow the cache without limit.
 
 On top of the forward per-source cache the backend keeps a *reverse*
-per-target cache: one Dijkstra on the reversed graph from a target
-yields ``source -> d(source, target)`` for every source at once, which
-is exactly the many-sources-to-one-target shape of the dispatch hot
-path ("how far is each idle worker from this pickup?").  A batched
-query picks whichever direction needs fewer new Dijkstra runs.
+per-target cache: one Dijkstra against the edges from a target yields
+``d(source, target)`` for every source at once, which is exactly the
+many-sources-to-one-target shape of the dispatch hot path ("how far is
+each idle worker from this pickup?").  A batched query picks whichever
+direction needs fewer new Dijkstra runs.
+
+Both caches hold *rows*: one packed ``array('d')`` per search, cell
+``i`` for the ``i``-th node in sorted-id order and ``inf`` where the
+search did not reach, so a cell read is ``row[index[node]]``.  On the
+484-node CDC city a row is 3.9 KB against 29.4 KB for the node-keyed
+dict it replaced, with the same floats.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from math import inf
 from typing import Iterable, Mapping, Sequence
@@ -25,7 +32,7 @@ import networkx as nx
 from ...exceptions import UnreachableError
 from .base import DistanceOracle
 
-#: Default bound on the number of cached single-source distance maps.
+#: Default bound on the number of cached single-source distance rows.
 DEFAULT_MAX_SOURCES = 1024
 
 
@@ -37,8 +44,8 @@ class LazyDijkstraOracle(DistanceOracle):
     graph:
         Directed graph with ``travel_time`` edge weights.
     max_sources:
-        Maximum number of source distance maps kept alive, and of
-        reverse per-target maps, each; ``None`` means unbounded (the
+        Maximum number of forward per-source distance rows kept alive,
+        and of reverse per-target rows, each; ``None`` means unbounded (the
         seed behaviour).
     """
 
@@ -52,11 +59,13 @@ class LazyDijkstraOracle(DistanceOracle):
         super().__init__(graph)
         if max_sources is not None and max_sources < 1:
             raise ValueError("max_sources must be at least 1 (or None)")
-        #: LRU bound of the forward and of the reverse map cache, each
+        #: LRU bound of the forward and of the reverse row cache, each
         #: (the registry maps ``cache_size`` onto it).
         self.max_sources = max_sources
-        self._cache: OrderedDict[int, dict[int, float]] = OrderedDict()
-        self._rcache: OrderedDict[int, dict[int, float]] = OrderedDict()
+        # source -> its forward row, target -> its reverse row (see
+        # ``DistanceOracle._dijkstra_from`` / ``_dijkstra_to``).
+        self._cache: OrderedDict[int, array] = OrderedDict()
+        self._rcache: OrderedDict[int, array] = OrderedDict()
 
     # ------------------------------------------------------------------
     # queries
@@ -65,30 +74,28 @@ class LazyDijkstraOracle(DistanceOracle):
         self._queries += 1
         if source == target:
             return 0.0
-        distances = self._cache.get(source)
-        if distances is not None:
+        row = self._cache.get(source)
+        if row is not None:
             self._cache_hits += 1
             self._cache.move_to_end(source)
-            if target not in distances:
-                raise UnreachableError(source, target)
-            return distances[target]
-        # A reverse map built for this target answers the pair without a
-        # new forward Dijkstra (the dispatch hot path primes these).
-        arrivals = self._rcache.get(target)
-        if arrivals is not None:
-            self._cache_hits += 1
-            self._rcache.move_to_end(target)
-            if source not in arrivals:
-                raise UnreachableError(source, target)
-            return arrivals[source]
-        distances = self._distances_from(source)
-        if target not in distances:
+            seconds = row[self._index[target]]
+        else:
+            # A reverse row built for this target answers the pair without
+            # a new forward Dijkstra (the dispatch hot path primes these).
+            row = self._rcache.get(target)
+            if row is not None:
+                self._cache_hits += 1
+                self._rcache.move_to_end(target)
+                seconds = row[self._index[source]]
+            else:
+                seconds = self._distances_from(source)[self._index[target]]
+        if seconds == inf:
             raise UnreachableError(source, target)
-        return distances[target]
+        return seconds
 
     def travel_times_to(self, target: int) -> Mapping[int, float]:
         self._queries += 1
-        return self._arrivals_to(target)
+        return self._reachable(self._arrivals_to(target))
 
     def travel_times_many(
         self, sources: Iterable[int], targets: Iterable[int]
@@ -99,9 +106,10 @@ class LazyDijkstraOracle(DistanceOracle):
         result: dict[tuple[int, int], float] = {}
         if not source_list or not target_list:
             return result
+        index = self._index
         # Answer the block in whichever direction needs fewer new
-        # Dijkstra runs: per-source forward maps or per-target reverse
-        # maps.  The canonical dispatch batch (many workers, one pickup)
+        # Dijkstra runs: per-source forward rows or per-target reverse
+        # rows.  The canonical dispatch batch (many workers, one pickup)
         # costs a single reverse run instead of one forward run per
         # distinct worker location.
         missing_forward = sum(1 for s in source_list if s not in self._cache)
@@ -110,36 +118,34 @@ class LazyDijkstraOracle(DistanceOracle):
             for target in target_list:
                 arrivals = self._arrivals_to(target)
                 for source in source_list:
-                    if source == target:
-                        result[(source, target)] = 0.0
-                    elif source in arrivals:
-                        result[(source, target)] = arrivals[source]
+                    seconds = 0.0 if source == target else arrivals[index[source]]
+                    if seconds != inf:
+                        result[(source, target)] = seconds
         else:
             for source in source_list:
                 distances = self._distances_from(source)
                 for target in target_list:
-                    if source == target:
-                        result[(source, target)] = 0.0
-                    elif target in distances:
-                        result[(source, target)] = distances[target]
+                    seconds = 0.0 if source == target else distances[index[target]]
+                    if seconds != inf:
+                        result[(source, target)] = seconds
         self._queries += len(result)
         return result
 
     def leg_matrix(
         self, sources: Sequence[int], targets: Sequence[int]
     ) -> list[list[float]]:
-        """Dense leg times read straight off the cached distance maps.
+        """Dense leg times read straight off the cached distance rows.
 
         The block runs Dijkstras in the direction :meth:`travel_times_many`
-        would pick, so the same maps exist afterwards.  Each row is then
-        priced by the rule scalar :meth:`travel_time` follows: off the
-        source's forward map when it is cached, else off the targets'
-        reverse maps.  The two may differ in the last bit, which is why
-        the rule and not the block's direction prices a cell.
-        ``queries`` and ``batched_queries`` count every cell, and each
-        map consulted counts one cache hit.
+        would pick, so the same rows exist afterwards.  Each row of the
+        answer is then priced by the rule scalar :meth:`travel_time`
+        follows: off the source's forward row when it is cached, else off
+        the targets' reverse rows.  The two may differ in the last bit,
+        which is why the rule and not the block's direction prices a
+        cell.  ``queries`` and ``batched_queries`` count every cell, and
+        each row consulted counts one cache hit.
 
-        Maps are touched in argument order, so LRU *recency* inside one
+        Rows are touched in argument order, so LRU *recency* inside one
         call follows argument order rather than the order scalar reads
         would have had.  That can only change an answer's last bit once
         the LRU is full and evicting; a call naming more nodes than the
@@ -155,10 +161,12 @@ class LazyDijkstraOracle(DistanceOracle):
         self._batched_queries += cells
         self._queries += cells
         cache = self._cache
+        index = self._index
         missing_forward = {s for s in sources if s not in cache}
         missing_reverse = {t for t in targets if t not in self._rcache}
         forward = len(missing_reverse) >= len(missing_forward)
-        arrival_maps = [] if forward else [self._arrivals_to(t) for t in targets]
+        arrival_rows = [] if forward else [self._arrivals_to(t) for t in targets]
+        columns = [index[target] for target in targets]
         rows: list[list[float]] = []
         for source in sources:
             distances = cache.get(source)
@@ -168,9 +176,10 @@ class LazyDijkstraOracle(DistanceOracle):
             elif forward:
                 distances = self._distances_from(source)
             else:
-                rows.append([arrivals.get(source, inf) for arrivals in arrival_maps])
+                column = index[source]
+                rows.append([arrivals[column] for arrivals in arrival_rows])
                 continue
-            rows.append([distances.get(target, inf) for target in targets])
+            rows.append([distances[column] for column in columns])
         return rows
 
     # ------------------------------------------------------------------
@@ -190,7 +199,7 @@ class LazyDijkstraOracle(DistanceOracle):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _distances_from(self, source: int) -> dict[int, float]:
+    def _distances_from(self, source: int) -> array:
         cached = self._cache.get(source)
         if cached is not None:
             self._cache_hits += 1
@@ -204,7 +213,7 @@ class LazyDijkstraOracle(DistanceOracle):
             self._evictions += 1
         return distances
 
-    def _arrivals_to(self, target: int) -> dict[int, float]:
+    def _arrivals_to(self, target: int) -> array:
         cached = self._rcache.get(target)
         if cached is not None:
             self._cache_hits += 1

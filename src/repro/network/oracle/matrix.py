@@ -4,13 +4,18 @@ Dispatch workloads query travel times between a comparatively small,
 slowly growing set of *active* nodes — order pickups/dropoffs and worker
 locations — over and over.  ``MatrixOracle`` precomputes one distance
 row per active source (a dense ``float64`` numpy vector over *all*
-nodes, filled in one bulk ``np.fromiter`` per row, so any target is an
-O(1) lookup) and answers every query with two index lookups.
+nodes, a view of the packed row the Dijkstra kernel returns, so any
+target is an O(1) lookup) and answers every query with two index
+lookups.  Columns follow the sorted node ids, the kernel's own row
+order.
 
 Sources that were not part of the initial active set are collected and
 materialised in *batched refreshes*: a ``travel_times_many`` call with
 ten unseen sources triggers one refresh that builds all ten rows, not
-ten separate cache misses sprinkled through the hot path.
+ten separate cache misses sprinkled through the hot path.  A
+many-to-one ask whose sources have no rows reads one *reverse* row
+instead — the kernel's search against the edges from the target, kept
+as its packed ``array('d')`` in an LRU — without materialising rows.
 
 Memory is ``rows x num_nodes x 8`` bytes — for the city-scale synthetic
 networks of this reproduction (hundreds of nodes, hundreds of active
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from collections import OrderedDict
 from typing import Iterable, Mapping
 
@@ -31,10 +37,8 @@ import numpy as np
 from ...exceptions import UnreachableError
 from .base import DistanceOracle
 
-_INF = float("inf")
-
-#: Bound on memoised reverse arrival maps (each is O(num_nodes)).
-DEFAULT_MAX_REVERSE_MAPS = 1024
+#: Bound on memoised reverse arrival rows (each is O(num_nodes)).
+DEFAULT_MAX_REVERSE_ROWS = 1024
 
 
 class MatrixOracle(DistanceOracle):
@@ -59,22 +63,18 @@ class MatrixOracle(DistanceOracle):
     ) -> None:
         super().__init__(graph)
         started = time.perf_counter()
-        self._node_order = sorted(graph.nodes)
-        self._columns: dict[int, int] = {
-            node: idx for idx, node in enumerate(self._node_order)
-        }
-        self._num_nodes = len(self._columns)
         self._rows: dict[int, np.ndarray] = {}
-        # Reverse arrival maps (target -> {source: seconds}) built for
-        # many-to-one batches whose sources have no rows; memoised (LRU
-        # bounded, each map is O(V)) so repeated dispatch probes against
-        # the same pickup do not rerun the reverse Dijkstra.
-        self._reverse_maps: OrderedDict[int, dict[int, float]] = OrderedDict()
+        # Reverse arrival rows (target -> d(node, target) per node index)
+        # built for many-to-one batches whose sources have no rows;
+        # memoised (LRU bounded, each row is O(V)) so repeated dispatch
+        # probes against the same pickup do not rerun the reverse
+        # Dijkstra.
+        self._reverse_rows: OrderedDict[int, array] = OrderedDict()
         self._refreshes = 0
         initial = list(dict.fromkeys(nodes)) if nodes is not None else list(
-            self._columns
+            self._nodes
         )
-        self._build_rows([node for node in initial if node in self._columns])
+        self._build_rows([node for node in initial if node in self._index])
         self._precompute_seconds = time.perf_counter() - started
 
     @property
@@ -96,7 +96,7 @@ class MatrixOracle(DistanceOracle):
             row = self._rows[source]
         else:
             self._cache_hits += 1
-        value = row[self._columns[target]]
+        value = row[self._index[target]]
         if math.isinf(value):
             raise UnreachableError(source, target)
         return float(value)
@@ -111,16 +111,17 @@ class MatrixOracle(DistanceOracle):
         not inflate the row store.
         """
         self._queries += 1
-        idx = self._columns[target]
-        if len(self._rows) == self._num_nodes:
+        idx = self._index[target]
+        rows = self._rows
+        if len(rows) == len(self._nodes):
             self._cache_hits += 1
             return {
-                source: float(row[idx])
-                for source, row in self._rows.items()
-                if not math.isinf(row[idx])
+                source: float(value)
+                for source in self._nodes
+                if not math.isinf(value := rows[source][idx])
             }
-        arrivals = dict(self._arrivals_to(target))
-        for source, row in self._rows.items():
+        arrivals = self._reachable(self._arrivals_to(target))
+        for source, row in rows.items():
             if not math.isinf(row[idx]):
                 arrivals[source] = float(row[idx])
         return arrivals
@@ -139,7 +140,7 @@ class MatrixOracle(DistanceOracle):
             self._cache_misses += len(missing)
             self._build_rows(missing)
         self._cache_hits += len(source_list) - len(missing)
-        columns = [self._columns[target] for target in target_list]
+        columns = [self._index[target] for target in target_list]
         result: dict[tuple[int, int], float] = {}
         for source in source_list:
             row = self._rows[source]
@@ -162,15 +163,13 @@ class MatrixOracle(DistanceOracle):
         column; the remainder is settled with one reverse Dijkstra
         instead of one forward Dijkstra (row build) per missing source.
         """
-        idx = self._columns[target]
+        idx = self._index[target]
         missing = [
             source
             for source in source_list
             if source not in self._rows and source != target
         ]
-        arrivals: dict[int, float] = {}
-        if missing:
-            arrivals = self._arrivals_to(target)
+        arrivals = self._arrivals_to(target) if missing else None
         self._cache_hits += len(source_list) - len(missing)
         result: dict[tuple[int, int], float] = {}
         for source in source_list:
@@ -182,8 +181,10 @@ class MatrixOracle(DistanceOracle):
                 value = row[idx]
                 if not math.isinf(value):
                     result[(source, target)] = float(value)
-            elif source in arrivals:
-                result[(source, target)] = arrivals[source]
+            elif arrivals is not None:
+                value = arrivals[self._index[source]]
+                if value != math.inf:
+                    result[(source, target)] = value
         self._queries += len(result)
         return result
 
@@ -193,31 +194,31 @@ class MatrixOracle(DistanceOracle):
     def clear(self) -> None:
         """Drop every row; they are rebuilt lazily on the next queries."""
         self._rows.clear()
-        self._reverse_maps.clear()
+        self._reverse_rows.clear()
         self._drop_adjacency()
 
     def _extra_stats(self) -> dict[str, float]:
         return {
             "matrix_rows": float(len(self._rows)),
             "matrix_refreshes": float(self._refreshes),
-            "reverse_cached_targets": float(len(self._reverse_maps)),
+            "reverse_cached_targets": float(len(self._reverse_rows)),
         }
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _arrivals_to(self, target: int) -> dict[int, float]:
-        """Memoised reverse arrival map (one miss per map built)."""
-        cached = self._reverse_maps.get(target)
+    def _arrivals_to(self, target: int) -> array:
+        """Memoised reverse arrival row (one miss per row built)."""
+        cached = self._reverse_rows.get(target)
         if cached is not None:
             self._cache_hits += 1
-            self._reverse_maps.move_to_end(target)
+            self._reverse_rows.move_to_end(target)
             return cached
         self._cache_misses += 1
         arrivals = self._dijkstra_to(target)
-        self._reverse_maps[target] = arrivals
-        if len(self._reverse_maps) > DEFAULT_MAX_REVERSE_MAPS:
-            self._reverse_maps.popitem(last=False)
+        self._reverse_rows[target] = arrivals
+        if len(self._reverse_rows) > DEFAULT_MAX_REVERSE_ROWS:
+            self._reverse_rows.popitem(last=False)
             self._evictions += 1
         return arrivals
 
@@ -225,13 +226,9 @@ class MatrixOracle(DistanceOracle):
         if not sources:
             return
         self._refreshes += 1
-        node_order = self._node_order
         for source in sources:
-            get = self._dijkstra_from(source).get
-            # Vectorised refresh: one bulk fill per row instead of a
-            # Python assignment per settled node.
-            self._rows[source] = np.fromiter(
-                (get(node, _INF) for node in node_order),
-                dtype=np.float64,
-                count=self._num_nodes,
+            # The kernel's row is already dense over the columns: numpy
+            # views its buffer, no copy and no per-node fill.
+            self._rows[source] = np.frombuffer(
+                self._dijkstra_from(source), dtype=np.float64
             )

@@ -30,6 +30,7 @@ sub-route time and deadline) and forgotten on every release or booking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterator, Sequence, TYPE_CHECKING
 
@@ -64,14 +65,18 @@ class WorkerFleet:
     network:
         Road network for approach-time queries.
     grid:
-        Optional spatial index; built from the network when omitted.
+        The grid the spatial index buckets workers by, or its number of
+        cells along each axis for a grid over the network's bounding
+        box.  Neither the grid nor the index is built before the first
+        search, booking or release reads the index, so a dispatcher
+        that never searches the fleet (GDP) pays for neither.
     """
 
     def __init__(
         self,
         workers: Sequence[Worker],
         network: "RoadNetwork",
-        grid: GridIndex | None = None,
+        grid: GridIndex | int = 10,
     ) -> None:
         if not workers:
             raise ConfigurationError("a fleet needs at least one worker")
@@ -82,11 +87,7 @@ class WorkerFleet:
             worker.worker_id: position for position, worker in enumerate(workers)
         }
         self._network = network
-        self._grid = grid if grid is not None else GridIndex(network, size=10)
-        self._spatial = WorkerSpatialIndex(network, self._grid)
-        for worker in workers:
-            if worker.is_idle:
-                self._spatial.insert(worker.worker_id, worker.location)
+        self._grid = grid
         # Busy workers as (busy_until, fleet position, worker), soonest
         # first; the position keeps equal finish times from comparing
         # workers.  ``release_finished`` looks at the top only.
@@ -138,6 +139,23 @@ class WorkerFleet:
     def spatial_index(self) -> WorkerSpatialIndex:
         """The index of idle workers the nearest-worker search reads."""
         return self._spatial
+
+    @cached_property
+    def _spatial(self) -> WorkerSpatialIndex:
+        """The idle-worker index, built (with its grid) on first use.
+
+        It holds every idle worker at its location, which is what the
+        bookings and releases before the first use would have left in
+        it, so building it late changes no search.
+        """
+        grid = self._grid
+        if not isinstance(grid, GridIndex):
+            grid = GridIndex(self._network, size=grid)
+        spatial = WorkerSpatialIndex(self._network, grid)
+        for worker in self._workers.values():
+            if worker.is_idle:
+                spatial.insert(worker.worker_id, worker.location)
+        return spatial
 
     def idle_workers(self, now: float) -> list[Worker]:
         """Workers available for a new assignment at ``now``."""

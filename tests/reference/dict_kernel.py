@@ -1,9 +1,10 @@
-"""The pure-Python ``dict`` kernels the oracles once ran without numpy.
+"""The pure-Python ``dict`` kernels the oracles once ran.
 
-``CHOracle`` and ``MatrixOracle`` run one vectorised numpy kernel.  The
-loops they replaced are kept here verbatim as the exact reference the
-kernel property tests and ``tests/test_ch_bucket_scan.py`` hold them
-to, float for float:
+``CHOracle`` and ``MatrixOracle`` run one vectorised numpy kernel, and
+the full-map searches of ``lazy`` and ``matrix`` one Dijkstra over
+node-index arrays.  The loops they replaced are kept here verbatim as
+the exact reference the kernel property tests and
+``tests/test_ch_bucket_scan.py`` hold them to, float for float:
 
 * :func:`reverse_sweep` — the reverse-PHAST downward sweep, one upward
   edge at a time in decreasing rank order;
@@ -11,17 +12,26 @@ to, float for float:
   ``(target, distance)`` entries on its nodes, and a source's forward
   label walks the buckets it meets; arrival maps come from
   :func:`reverse_sweep`;
-* :class:`ListMatrixOracle` — matrix rows as Python lists.
+* :func:`dict_dijkstra` — the single-source Dijkstra ``lazy`` and
+  ``matrix`` ran over node-keyed adjacency dicts, returning a
+  ``{node: distance}`` map in settling order; :class:`ReferenceKernel`
+  plugs it under an oracle in place of the index-array kernel, and
+  :class:`DictLazyOracle` / :class:`ListMatrixOracle` are the two
+  backends on it (matrix rows as Python lists).
 
 Labels are memoised by the production LRU (same hits, misses and
 eviction order) and read back as ``{node index: distance}`` dicts, an
 exact round trip.  This module must stay free of the production csr
-arithmetic.
+arithmetic and of the production Dijkstra kernel.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from math import inf
 from typing import Mapping, Sequence
+
+import networkx as nx
 
 from repro.network.oracle.ch import (
     _INF,
@@ -29,7 +39,90 @@ from repro.network.oracle.ch import (
     _MISSING,
     CHOracle,
 )
+from repro.network.oracle.lazy import LazyDijkstraOracle
 from repro.network.oracle.matrix import MatrixOracle
+
+
+def dict_dijkstra(
+    adjacency: Mapping[int, list[tuple[int, float]]], source: int
+) -> dict[int, float]:
+    """Distances from ``source`` over ``adjacency``, in settling order.
+
+    The relaxation rule and the ``(distance, counter, node)`` heap key
+    are those of networkx's single-source Dijkstra, so the result
+    equals networkx's in values *and* in key order; only the
+    per-edge weight callback, the cutoff / target / predecessor
+    branches and the integer seed (a node is ``0.0`` from itself) are
+    gone.
+    """
+    dist: dict[int, float] = {}
+    seen = {source: 0.0}
+    fringe: list[tuple[float, int, int]] = [(0.0, 0, source)]
+    pushed = 1
+    while fringe:
+        reach, _, node = heappop(fringe)
+        if node in dist:
+            continue
+        dist[node] = reach
+        for head, cost in adjacency[node]:
+            through = reach + cost
+            known = seen.get(head)
+            # A settled head needs no test of its own: it settled no
+            # later than ``node`` and weights are non-negative, so
+            # ``through`` cannot undercut what is known for it.
+            if known is None or through < known:
+                seen[head] = through
+                heappush(fringe, (through, pushed, head))
+                pushed += 1
+    return dist
+
+
+def successor_lists(graph: nx.DiGraph) -> dict[int, list[tuple[int, float]]]:
+    """``node -> [(head, weight)]`` in the graph's adjacency order."""
+    return {
+        node: [(head, data.get("travel_time", 1)) for head, data in heads.items()]
+        for node, heads in graph.adj.items()
+    }
+
+
+def predecessor_lists(graph: nx.DiGraph) -> dict[int, list[tuple[int, float]]]:
+    """``node -> [(tail, weight)]``, filled in edge-iteration order."""
+    predecessors: dict[int, list[tuple[int, float]]] = {node: [] for node in graph}
+    for tail, heads in graph.adj.items():
+        for head, data in heads.items():
+            predecessors[head].append((tail, data.get("travel_time", 1)))
+    return predecessors
+
+
+class ReferenceKernel:
+    """Mixin: an oracle's full-map searches run on :func:`dict_dijkstra`.
+
+    The searches are counted like the production ones and their maps
+    unpacked into rows over the oracle's node index (``inf`` where the
+    map has no key), so everything above the kernel — caches, counters,
+    cell reads — is the production oracle's own.  The node-keyed
+    adjacency lives in the production attributes, which ``clear()``
+    drops.
+    """
+
+    def _dijkstra_from(self, source: int) -> list[float]:
+        self._sssp_runs += 1
+        if self._successors is None:
+            self._successors = successor_lists(self._graph)
+        return self._row(dict_dijkstra(self._successors, source))
+
+    def _dijkstra_to(self, target: int) -> list[float]:
+        self._reverse_sssp_runs += 1
+        if self._predecessors is None:
+            self._predecessors = predecessor_lists(self._graph)
+        return self._row(dict_dijkstra(self._predecessors, target))
+
+    def _row(self, distances: Mapping[int, float]) -> list[float]:
+        return [distances.get(node, inf) for node in self._nodes]
+
+
+class DictLazyOracle(ReferenceKernel, LazyDijkstraOracle):
+    """``LazyDijkstraOracle`` on the reference kernel."""
 
 
 def reverse_sweep(oracle: CHOracle, seeds: Mapping[int, float]) -> dict[int, float]:
@@ -147,15 +240,12 @@ class DictCHOracle(CHOracle):
         return rows
 
 
-class ListMatrixOracle(MatrixOracle):
-    """``MatrixOracle`` whose rows are Python lists, filled node by node."""
+class ListMatrixOracle(ReferenceKernel, MatrixOracle):
+    """``MatrixOracle`` on the reference kernel, its rows Python lists."""
 
     def _build_rows(self, sources: list[int]) -> None:
         if not sources:
             return
         self._refreshes += 1
         for source in sources:
-            distances = self._dijkstra_from(source)
-            self._rows[source] = [
-                distances.get(node, _INF) for node in self._node_order
-            ]
+            self._rows[source] = self._dijkstra_from(source)

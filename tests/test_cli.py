@@ -161,3 +161,26 @@ class TestMain:
         assert "cli-spec" in captured
         assert "NonSharing" in captured
         assert "scenario:" in captured
+
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ('{"oracle": {"backend": "ch", "kernel": "simd"}}', "kernel"),
+            ('{"num_orders": 10, "oracle_backend": "ch"}', "oracle_backend"),
+        ],
+    )
+    def test_run_reports_an_invalid_spec_like_argparse(
+        self, capsys, tmp_path, document, key
+    ):
+        path = tmp_path / "scenario.json"
+        path.write_text(document)
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--spec", str(path)])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro run: error: ")
+        assert key in lines[0]
+        assert "Traceback" not in captured.err

@@ -251,7 +251,8 @@ class TestCheckpointFiles:
         """A v2 checkpoint pickles a config with no ``.oracle``, a v3 one
         a fleet with no release heap, a v4 one a config with dispatch
         fields and an engine persistent id, a v5 one a GDP schedule
-        without its legs; the header check refuses all four before
+        without its legs, a v6 one a fleet from before its spatial index
+        was built on first use; the header check refuses all five before
         anything is unpickled."""
         session = Session()
         spec = _spec()
@@ -259,8 +260,8 @@ class TestCheckpointFiles:
         _interrupt_and_checkpoint(session, spec, path, cut=3)
         header_line, _, blob = path.read_bytes().partition(b"\n")
         header = json.loads(header_line)
-        assert header["format"] == 6
-        for older in (2, 3, 4, 5):
+        assert header["format"] == 7
+        for older in (2, 3, 4, 5, 6):
             header["format"] = older
             path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + blob)
             with pytest.raises(CheckpointError, match=f"unsupported format {older}"):

@@ -27,6 +27,7 @@ from repro.model.worker import Worker
 from repro.network.graph import RoadNetwork
 from repro.network.grid import GridIndex
 from repro.simulation.fleet import WorkerFleet
+from repro.simulation.spatial import WorkerSpatialIndex
 from tests.reference.dict_kernel import DictCHOracle
 from tests.reference.gdp_insertion import ReferenceGDPDispatcher
 
@@ -196,6 +197,24 @@ def test_whole_run_metrics_match_the_reference(name, monkeypatch):
     monkeypatch.setattr(runner, "GDPDispatcher", ReferenceGDPDispatcher)
     assert ours == _run_metrics(spec)
     assert 0 < ours["served_orders"]
+
+
+@pytest.mark.parametrize("algorithm", ["GDP", "NonSharing"])
+def test_only_a_fleet_search_builds_the_spatial_index(algorithm, monkeypatch):
+    """GDP never searches the fleet, so it builds neither the grid nor the
+    worker index; NonSharing, which does, shows the trap is live."""
+    spec = ScenarioSpec.from_dict({**STREAMS["grid"], "algorithm": algorithm})
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(GridIndex, "__init__", refuse)
+    monkeypatch.setattr(WorkerSpatialIndex, "__init__", refuse)
+    if algorithm == "GDP":
+        assert Session().run(spec).metrics.served_orders > 0
+    else:
+        with pytest.raises(AssertionError, match="built"):
+            Session().run(spec)
 
 
 # ----------------------------------------------------------------------

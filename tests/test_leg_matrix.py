@@ -8,8 +8,9 @@ Four contracts, each held to ``==``:
 * ``ch``'s override is its ``travel_times_many`` read densely: the same
   floats, the same label and arrival-map work, one pair-cache read per
   cell;
-* the oracle's own Dijkstra is networkx's, in values and in key order,
-  forward and against the edges, and does not outlive ``clear()``;
+* the oracle's own Dijkstra row is networkx's distances and the
+  reference kernel's map, forward and against the edges, cell for cell
+  (``inf`` where the map has no key), and does not outlive ``clear()``;
 * a distance is a ``float``, a node's distance to itself included.
 """
 
@@ -29,7 +30,12 @@ from repro.network.graph import RoadNetwork
 from repro.network.oracle import CHOracle, LazyDijkstraOracle, create_oracle
 from repro.network.oracle import ch as ch_module
 from repro.network.oracle.base import DistanceOracle
-from tests.reference.dict_kernel import DictCHOracle
+from tests.reference.dict_kernel import (
+    DictCHOracle,
+    dict_dijkstra,
+    predecessor_lists,
+    successor_lists,
+)
 
 #: name -> oracle factory: all three backends, the contraction
 #: hierarchy under its csr kernel and under the pure-Python reference
@@ -336,36 +342,74 @@ class TestDistancesAreFloats:
 @st.composite
 def weighted_digraphs(draw) -> nx.DiGraph:
     """Small digraphs rich in ties: zero weights, repeated integer and
-    float weights (``0.1 + 0.2`` against ``0.3``), isolated nodes."""
+    float weights (``0.1 + 0.2`` against ``0.3``), isolated nodes.  Node
+    ids are spaced out and inserted out of sorted order, so a node's id,
+    its insertion position and its row index all differ."""
     num_nodes = draw(st.integers(min_value=1, max_value=10))
-    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    ids = [3 * k + 1 for k in draw(st.permutations(range(num_nodes)))]
+    node = st.sampled_from(ids)
     weight = st.sampled_from([0, 0.0, 1, 2, 3, 0.1, 0.2, 0.3, 0.5, 1.5, 2.25])
     edges = draw(st.lists(st.tuples(node, node, weight), max_size=4 * num_nodes))
     graph = nx.DiGraph()
-    for index in range(num_nodes):
-        graph.add_node(index, x=float(index), y=0.0)
+    for position, node_id in enumerate(ids):
+        graph.add_node(node_id, x=float(position), y=0.0)
     for u, v, travel_time in edges:
         graph.add_edge(u, v, travel_time=travel_time)
     return graph
 
 
+def _cells(oracle: DistanceOracle, row) -> dict[int, float]:
+    """A row as ``node -> cell``, every node of the oracle's index."""
+    assert len(row) == len(oracle._nodes)
+    return {node: row[oracle._index[node]] for node in oracle._nodes}
+
+
 class TestKernelIsNetworkx:
     @settings(max_examples=150, deadline=None)
     @given(graph=weighted_digraphs())
-    def test_values_and_settling_order(self, graph):
+    def test_rows_are_networkx_values(self, graph):
+        """A row has no key order, so only the values are compared."""
         oracle = LazyDijkstraOracle(graph)
         reverse = graph.reverse(copy=True)
         for node in graph:
-            assert list(oracle._dijkstra_from(node).items()) == list(
-                nx.single_source_dijkstra_path_length(
-                    graph, node, weight="travel_time"
-                ).items()
-            )
-            assert list(oracle._dijkstra_to(node).items()) == list(
-                nx.single_source_dijkstra_path_length(
-                    reverse, node, weight="travel_time"
-                ).items()
-            )
+            for row, search_graph in (
+                (oracle._dijkstra_from(node), graph),
+                (oracle._dijkstra_to(node), reverse),
+            ):
+                expected = nx.single_source_dijkstra_path_length(
+                    search_graph, node, weight="travel_time"
+                )
+                assert {
+                    key: cell for key, cell in _cells(oracle, row).items()
+                    if cell != inf
+                } == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=weighted_digraphs())
+    def test_rows_equal_the_reference_kernel(self, graph):
+        """Every cell is the reference map's float, or ``inf`` off its keys."""
+        oracle = LazyDijkstraOracle(graph)
+        forward, backward = successor_lists(graph), predecessor_lists(graph)
+        for node in graph:
+            for row, adjacency in (
+                (oracle._dijkstra_from(node), forward),
+                (oracle._dijkstra_to(node), backward),
+            ):
+                reference = dict_dijkstra(adjacency, node)
+                cells = _cells(oracle, row)
+                assert {key: cell for key, cell in cells.items() if cell != inf} == (
+                    reference
+                )
+                assert all(
+                    type(cell) is float
+                    and (cell == reference[key] if key in reference else cell == inf)
+                    for key, cell in cells.items()
+                )
+            # The one map handed out: the reverse row's reachable cells,
+            # in node-index order.
+            arrivals = oracle.travel_times_to(node)
+            assert arrivals == dict_dijkstra(backward, node)
+            assert list(arrivals) == [key for key in oracle._nodes if key in arrivals]
 
     @pytest.mark.parametrize("name", KERNEL_BACKENDS)
     def test_adjacency_does_not_outlive_clear(self, name):
@@ -380,8 +424,9 @@ class TestKernelIsNetworkx:
         assert oracle._dijkstra_to(2)[0] == 10.0
         graph[1][2]["travel_time"] = 50.0
         oracle.clear()
-        assert oracle._dijkstra_from(0) == {0: 0.0, 1: 5.0, 2: 20.0}
-        assert oracle._dijkstra_to(2) == {2: 0.0, 0: 20.0, 1: 50.0}
+        # Rows over nodes 0, 1, 2 (ids and row indices coincide here).
+        assert list(oracle._dijkstra_from(0)) == [0.0, 5.0, 20.0]
+        assert list(oracle._dijkstra_to(2)) == [20.0, 50.0, 0.0]
         if name in ("lazy", "matrix"):
             # Backends that hold nothing else of the old graph answer
             # the public queries with the new weight too.

@@ -1,25 +1,33 @@
-"""csr kernel vs the pure-Python reference kernel.
+"""The oracles' kernels vs the pure-Python reference kernels.
 
-The oracles' numpy kernel is a pure representation change of the loops
-``tests/reference/dict_kernel.py`` keeps: every query path returns the
-floats the reference returns (the level sweep relaxes identical sums
-and ``min`` is order-independent), and whole simulations produce
-identical metrics.  These tests pin both properties.
+The csr (numpy) kernel of ``ch`` and ``matrix`` and the index-array
+Dijkstra under ``lazy`` and ``matrix`` are pure representation changes
+of the loops ``tests/reference/dict_kernel.py`` keeps: every query path
+returns the floats the reference returns (the level sweep relaxes
+identical sums and ``min`` is order-independent; a label-setting search
+settles every node at the same minimum sum), the caches make the same
+decisions, and whole simulations produce identical metrics.  These
+tests pin those properties.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from math import inf
 
 import networkx as nx
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import OracleSpec, ScenarioSpec, Session
-from repro.network.oracle import CHOracle, MatrixOracle
+from repro.exceptions import UnreachableError
+from repro.network.oracle import CHOracle, LazyDijkstraOracle, MatrixOracle
 from repro.network.oracle.csr import finite_entries
 from tests.reference.dict_kernel import (
     DictCHOracle,
+    DictLazyOracle,
     ListMatrixOracle,
     reverse_sweep,
 )
@@ -112,7 +120,7 @@ def test_reverse_sweep_primitive_representations_agree(seed, strongly):
 
 
 def test_matrix_kernels_agree():
-    """The matrix backend's vectorised row refresh equals the list build."""
+    """The matrix backend's rows, forward and reverse, equal the list build."""
     graph = _random_digraph(16, seed=9, strongly=False)
     reference = ListMatrixOracle(graph)
     oracle = MatrixOracle(graph)
@@ -127,6 +135,122 @@ def test_matrix_kernels_agree():
     assert reference.travel_times_many(nodes, nodes[:3]) == (
         oracle.travel_times_many(nodes, nodes[:3])
     )
+    # With rows for a few sources only, many-to-one asks build reverse
+    # rows instead.
+    reference = ListMatrixOracle(graph, nodes=nodes[:3])
+    oracle = MatrixOracle(graph, nodes=nodes[:3])
+    for target in nodes[5:9]:
+        assert dict(reference.travel_times_to(target)) == dict(
+            oracle.travel_times_to(target)
+        )
+    assert list(oracle._reverse_rows) == nodes[5:9]
+    assert {
+        target: list(row) for target, row in oracle._reverse_rows.items()
+    } == dict(reference._reverse_rows)
+
+
+#: name -> (oracle on the index-array kernel, its reference-kernel twin).
+KERNEL_TWINS = {
+    "lazy-1": (
+        lambda graph: LazyDijkstraOracle(graph, max_sources=1),
+        lambda graph: DictLazyOracle(graph, max_sources=1),
+    ),
+    "lazy-2": (
+        lambda graph: LazyDijkstraOracle(graph, max_sources=2),
+        lambda graph: DictLazyOracle(graph, max_sources=2),
+    ),
+    "lazy-unbounded": (
+        lambda graph: LazyDijkstraOracle(graph, max_sources=None),
+        lambda graph: DictLazyOracle(graph, max_sources=None),
+    ),
+    "matrix": (MatrixOracle, ListMatrixOracle),
+    "matrix-partial": (
+        lambda graph: MatrixOracle(graph, nodes=sorted(graph)[:4]),
+        lambda graph: ListMatrixOracle(graph, nodes=sorted(graph)[:4]),
+    ),
+}
+
+
+def _ask(oracle, op: str, args: tuple):
+    """One query; an unreachable scalar answers as ``None``."""
+    try:
+        answer = getattr(oracle, op)(*args)
+    except UnreachableError:
+        return None
+    # The map form is compared with its key order: both build it from a row.
+    return list(answer.items()) if op == "travel_times_to" else answer
+
+
+def _assert_networkx_distances(truth, nodes, op: str, args: tuple, answer) -> None:
+    """Every cell of an answer is networkx's distance to within rounding
+    (a reverse row sums a path right to left), and ``inf`` or absent
+    exactly where no path exists."""
+    if op == "travel_time":
+        cells = {args: inf if answer is None else answer}
+    elif op == "leg_matrix":
+        sources, targets = args
+        cells = {
+            (source, target): answer[i][j]
+            for i, source in enumerate(sources)
+            for j, target in enumerate(targets)
+        }
+    else:
+        found = dict(answer)
+        assert inf not in found.values()
+        if op == "travel_times_to":
+            pairs = [(source, args[0]) for source in nodes]
+            found = {(source, args[0]): seconds for source, seconds in found.items()}
+        else:
+            pairs = [(source, target) for source in args[0] for target in args[1]]
+        cells = {pair: found.get(pair, inf) for pair in pairs}
+    for (source, target), seconds in cells.items():
+        expected = truth[source].get(target, inf)
+        assert seconds == pytest.approx(expected, rel=1e-12), (op, args, source)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(KERNEL_TWINS))
+def test_block_stream_matches_the_reference_kernel(name, seed):
+    """A random stream of every query shape, answer by answer.
+
+    Node ids are a scrambled, spaced-out relabelling, so a node's id is
+    never its row index, plus a sink (``1``), a source (``2``) and an
+    isolated node (``3``) for unreachable pairs.  After every query both
+    oracles have returned the same floats and hold the same counters:
+    the same searches in the same direction, the same hits, misses and
+    evictions.  Both sharing everything above the kernel, each answer is
+    also held to networkx's distances.
+    """
+    graph = _random_digraph(16, seed, strongly=False)
+    graph = nx.relabel_nodes(graph, {node: (7 * node) % 17 * 3 + 100 for node in graph})
+    for node in (1, 2, 3):
+        graph.add_node(node, x=float(node), y=0.0)
+    graph.add_edge(100, 1, travel_time=2.5)
+    graph.add_edge(2, 103, travel_time=0.5)
+    make, make_reference = KERNEL_TWINS[name]
+    oracle, reference = make(graph), make_reference(graph)
+    nodes = list(graph)
+    truth = dict(nx.all_pairs_dijkstra_path_length(graph, weight="travel_time"))
+    rng = random.Random(seed)
+    ops = ("travel_time", "travel_times_many", "leg_matrix", "travel_times_to")
+    for _ in range(80):
+        op = rng.choice(ops)
+        if op == "travel_time":
+            args: tuple = (rng.choice(nodes), rng.choice(nodes))
+        elif op == "travel_times_to":
+            args = (rng.choice(nodes),)
+        else:
+            palette = rng.sample(nodes, 5)
+            args = (
+                [rng.choice(palette) for _ in range(rng.randint(1, 4))],
+                [rng.choice(palette) for _ in range(rng.randint(1, 4))],
+            )
+        answer = _ask(oracle, op, args)
+        assert answer == _ask(reference, op, args), (op, args)
+        _assert_networkx_distances(truth, nodes, op, args, answer)
+        assert replace(oracle.stats(), precompute_seconds=0.0) == replace(
+            reference.stats(), precompute_seconds=0.0
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -172,3 +296,39 @@ def test_simulation_metrics_identical_across_kernels():
     assert network.oracle is reference
     assert reference_run.metrics.served_orders > 0
     assert _core_metrics(csr_run.metrics) == _core_metrics(reference_run.metrics)
+
+
+def test_lazy_simulation_metrics_identical_to_the_reference_kernel():
+    """A WATTER-expect run on ``lazy`` reproduces one on the dict Dijkstra.
+
+    WATTER-expect is the run that asks ``lazy`` the most: the shareability
+    test, the route planner, the fleet's ring search and the bootstrap.
+    A small cache bound keeps evictions, hence both LRUs' decisions, in
+    play; the oracle counters must agree too.
+    """
+    spec = ScenarioSpec(
+        dataset="CDC",
+        num_orders=40,
+        num_workers=5,
+        horizon=1500.0,
+        seed=29,
+        check_period=15.0,
+        algorithm="WATTER-expect",
+        oracle=OracleSpec(backend="lazy", cache_size=8),
+    )
+    rows_run = Session().run(spec)
+    session = Session()
+    network = session.workload(spec).network
+    reference = DictLazyOracle(network.graph, max_sources=8)
+    reference.built_from = spec.oracle.resolved()
+    network.set_oracle(reference)
+    reference_run = session.run(spec)
+    assert network.oracle is reference
+    assert reference_run.metrics.served_orders > 0
+    assert _core_metrics(rows_run.metrics) == _core_metrics(reference_run.metrics)
+    rows_stats = dict(rows_run.metrics.oracle_stats)
+    reference_stats = dict(reference_run.metrics.oracle_stats)
+    assert rows_stats["evictions"] > 0
+    rows_stats.pop("precompute_seconds")
+    reference_stats.pop("precompute_seconds")
+    assert rows_stats == reference_stats
