@@ -38,7 +38,6 @@ from .network import (
     CHOracle,
     DistanceOracle,
     LazyDijkstraOracle,
-    MatrixOracle,
     OracleStats,
     available_backends,
     configure_oracle,
@@ -106,7 +105,6 @@ __all__ = [
     "CHOracle",
     "DistanceOracle",
     "LazyDijkstraOracle",
-    "MatrixOracle",
     "OracleStats",
     "available_backends",
     "configure_oracle",

@@ -7,8 +7,8 @@ cheap to reuse:
   once per distinct source signature and shared by every scenario that
   names the same source;
 * **oracles** — the configured distance-oracle backend is attached to
-  the shared network with ``reuse=True``, so two scenarios on the same
-  network construct the CH hierarchy (or the dense matrix) exactly
+  the shared network once and kept while the oracle spec matches, so
+  two scenarios on the same network construct the CH hierarchy exactly
   once.  With an ``oracle_cache_dir`` the CH contraction products are
   additionally persisted to disk keyed by a stable graph hash, so even
   a *fresh process* skips preprocessing;
@@ -532,11 +532,7 @@ class Session:
         with self._lock:
             before = workload.network.oracle
             oracle = configure_oracle(
-                workload.network,
-                config,
-                nodes=workload.active_nodes(),
-                reuse=True,
-                degradations=degradations,
+                workload.network, config, degradations=degradations
             )
             if oracle is not before:
                 self.oracle_builds += 1

@@ -20,7 +20,7 @@ Five subcommands cover the common workflows:
   recovered after a crash, and ``SIGTERM`` drains gracefully within
   ``--drain-grace`` seconds (see docs/DURABILITY.md).
 
-Every workload command accepts ``--oracle {lazy,matrix,ch}`` to pick
+Every workload command accepts ``--oracle {ch,lazy}`` to pick
 the shortest-path backend and ``--oracle-cache DIR`` to persist (and
 reuse) CH preprocessing on disk, without touching any code.
 

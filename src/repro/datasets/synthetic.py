@@ -81,20 +81,6 @@ class Workload:
     def __len__(self) -> int:
         return len(self.orders)
 
-    def active_nodes(self) -> list[int]:
-        """Nodes the dispatch hot path will query: pickups, dropoffs, workers.
-
-        Precomputing distance-oracle backends use this as their initial
-        row/table set so the whole simulation runs on warm state.
-        """
-        nodes: dict[int, None] = {}
-        for order in self.orders:
-            nodes.setdefault(order.pickup)
-            nodes.setdefault(order.dropoff)
-        for worker in self.workers:
-            nodes.setdefault(worker.location)
-        return list(nodes)
-
 
 @dataclass
 class CityModel:

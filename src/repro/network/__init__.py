@@ -12,7 +12,6 @@ from .oracle import (
     CHOracle,
     DistanceOracle,
     LazyDijkstraOracle,
-    MatrixOracle,
     OracleStats,
     available_backends,
     configure_oracle,
@@ -30,7 +29,6 @@ __all__ = [
     "CHOracle",
     "DistanceOracle",
     "LazyDijkstraOracle",
-    "MatrixOracle",
     "OracleStats",
     "available_backends",
     "configure_oracle",

@@ -12,10 +12,9 @@ shortest-path question to a pluggable
 :class:`~repro.network.oracle.DistanceOracle`.  The default backend is
 :class:`~repro.network.oracle.LazyDijkstraOracle` — run one Dijkstra per
 unseen source and cache the distance map (LRU-bounded) — which matches
-the access pattern of small workloads.  Heavier workloads swap in the
-``matrix`` (precomputed dense rows) or ``ch`` (contraction hierarchy)
-backend via ``SimulationConfig.oracle`` or the CLI without any
-dispatcher code changing.
+the access pattern of small workloads.  The ``ch`` (contraction
+hierarchy) backend swaps in via ``SimulationConfig.oracle`` or the CLI
+without any dispatcher code changing.
 """
 
 from __future__ import annotations

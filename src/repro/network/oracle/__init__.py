@@ -1,14 +1,12 @@
 """Pluggable shortest-path distance oracles for the routing hot path.
 
-Three built-in backends cover the setup-cost/query-cost spectrum:
+Two built-in backends trade setup cost against query cost:
 
 ==========  =======================  =====================================
 name        setup                    point-to-point query
 ==========  =======================  =====================================
 ``lazy``    none                     one Dijkstra per unseen source, then
                                      O(1) (LRU-bounded per-source cache)
-``matrix``  one Dijkstra per         O(1) dense-row lookup, batched
-            active source            refresh for unseen sources
 ``ch``      one node contraction     bidirectional *upward* search over
             pass (edge-difference    the contraction hierarchy — tiny
             order, witness           search spaces, no per-node state
@@ -23,10 +21,10 @@ Every backend answers the three shapes dispatch asks for: a scalar leg
 pair-keyed ``travel_times_many`` beside it) and the many-sources-to-
 one-target approach block.  ``travel_times_to(target)`` runs a single
 search on the *reversed* graph (lazy keeps an LRU of per-target reverse
-distance maps, matrix reads the target's column, ch runs a backward
-upward search plus a linear downward sweep — reverse PHAST), and
-``travel_times_many`` routes many-to-one blocks through it (ch scans
-RPHAST-style target buckets with one small upward search per source).
+distance rows, ch runs a backward upward search plus a linear downward
+sweep — reverse PHAST), and ``travel_times_many`` routes many-to-one
+blocks through it (ch scans RPHAST-style target buckets with one small
+upward search per source).
 """
 
 from .base import STATS_SCHEMA_VERSION, DistanceOracle, OracleStats
@@ -41,7 +39,6 @@ from .cache import (
 )
 from .ch import CHOracle
 from .lazy import LazyDijkstraOracle
-from .matrix import MatrixOracle
 from .registry import (
     ORACLE_BACKENDS,
     available_backends,
@@ -63,7 +60,6 @@ __all__ = [
     "DistanceOracle",
     "OracleStats",
     "LazyDijkstraOracle",
-    "MatrixOracle",
     "ORACLE_BACKENDS",
     "ORACLE_OPTIONS_BY_BACKEND",
     "OracleSpec",

@@ -6,9 +6,8 @@ several ways with very different cost profiles:
 
 * run Dijkstra on demand and cache the result (cheap setup, expensive
   cold queries),
-* precompute auxiliary data (hierarchies, dense matrices) and answer
-  point-to-point queries in sub-linear or constant time (expensive
-  setup, very cheap queries).
+* precompute a contraction hierarchy and answer point-to-point queries
+  with tiny searches (expensive setup, very cheap queries).
 
 :class:`DistanceOracle` is the interface that hides this choice from the
 routing, pooling and dispatching layers.  Backends register themselves
@@ -22,7 +21,7 @@ for disconnected pairs, and keep uniform query/cache counters so the
 metrics layer can report how the hot path behaved.
 
 Every oracle numbers the nodes by sorted id.  The full-map searches of
-``lazy`` and ``matrix`` run :func:`_dijkstra` over adjacency lists in
+``lazy`` run :func:`_dijkstra` over adjacency lists in
 that numbering and get back a *row*: one packed ``array('d')`` whose
 cell ``i`` is the distance of the ``i``-th node, ``inf`` where the
 search did not reach.  A row has no settle order; its floats are the
@@ -55,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ``sssp_runs``, ``reverse_sssp_runs``, ``pp_searches``,
 #: ``evictions``, ``precompute_seconds``) plus backend extras
 #: namespaced as ``"<backend>.<key>"`` (e.g. ``ch.bucket_scans``,
-#: ``matrix.matrix_rows``) so two backends can never collide and a
+#: ``lazy.forward_cached_sources``) so two backends can never collide and a
 #: reader can tell core from backend-specific at a glance.  Bump this
 #: whenever a core key changes meaning or shape (2: the constant
 #: ``kernel`` key is gone).
@@ -64,7 +63,7 @@ STATS_SCHEMA_VERSION = 2
 #: ``OracleStats.extras`` keys that are monotone counters, subtracted by
 #: snapshot deltas like the uniform counters.  Everything else in extras
 #: is a gauge or a structural constant and is reported as-is.
-COUNTER_EXTRAS = frozenset({"matrix_refreshes", "upward_settles", "bucket_scans"})
+COUNTER_EXTRAS = frozenset({"upward_settles", "bucket_scans"})
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ search just adds a shortcut it might not have needed), so no shortest
 path is ever lost.  Distances are assembled from shortcut weights whose
 additions may associate differently than a monolithic Dijkstra's, so
 answers can differ in the last few ulps; callers needing bitwise
-identity should use ``lazy`` or ``matrix``.
+identity should use ``lazy``.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ DEFAULT_BUCKET_CACHE_SIZE = 1024
 #: Default bound on memoised full arrival maps (reverse-PHAST products).
 #: Each is O(num_nodes), so this is kept an order of magnitude smaller
 #: than the bucket cache — the point of the CH backend is *not* to grow
-#: matrix-like dense state.
+#: dense per-node state.
 DEFAULT_ARRIVAL_CACHE_SIZE = 64
 
 #: At or above this many unanswered sources towards a single target, one
@@ -161,8 +161,8 @@ class CHOracle(DistanceOracle):
         per-target bucket maps and the per-source forward search spaces.
     arrival_cache_size:
         LRU bound on memoised full arrival maps (each O(num_nodes));
-        kept small by default so the backend never approaches the dense
-        matrix's memory footprint.
+        kept small by default so the backend never approaches a dense
+        all-pairs table's memory footprint.
     seed:
         Unused today (contraction order is deterministic) but accepted
         so configs can thread their seed through uniformly.

@@ -1,7 +1,7 @@
 """CSR array representation of prepared oracle graphs + vectorised kernels.
 
-The oracles' inner loops (the reverse-PHAST sweep, RPHAST bucket scans,
-matrix row refresh) run on flat numpy arrays rather than Python objects
+The CH oracle's inner loops (the reverse-PHAST sweep, RPHAST bucket
+scans) run on flat numpy arrays rather than Python objects
 edge by edge.  :func:`pack_labels` and :func:`segment_minima` price a
 whole row or column of a bucket block with one segment reduction.
 :class:`LevelSweep` stores the reverse-PHAST sweep as level-grouped

@@ -4,14 +4,14 @@ The registry is what makes backends swappable without touching any
 dispatcher code: ``SimulationConfig.oracle`` (an :class:`OracleSpec`;
 the CLI's ``--oracle`` flag sets its ``backend``) names a backend, and
 :func:`configure_oracle` builds and attaches it to the workload's
-:class:`RoadNetwork` before the run starts.  The three backends —
-``lazy``, ``matrix`` and the contraction-hierarchy ``ch`` — are a fixed
-table: :data:`ORACLE_BACKENDS`.
+:class:`RoadNetwork` before the run starts.  The two backends — ``lazy``
+and the contraction-hierarchy ``ch`` — are a fixed table:
+:data:`ORACLE_BACKENDS`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, TYPE_CHECKING
+from typing import Callable, TYPE_CHECKING
 
 import networkx as nx
 
@@ -21,7 +21,6 @@ from ...resilience.faults import fault_point
 from .base import DistanceOracle
 from .ch import DEFAULT_BUCKET_CACHE_SIZE, DEFAULT_WITNESS_HOP_LIMIT, CHOracle
 from .lazy import DEFAULT_MAX_SOURCES, LazyDijkstraOracle
-from .matrix import MatrixOracle
 from .spec import OracleSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,9 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..graph import RoadNetwork
 
 #: Factory signature: (graph, **options) -> DistanceOracle.  Every
-#: factory receives ``nodes`` and ``seed`` plus the set
-#: :data:`FACTORY_OPTIONS` of :func:`create_oracle`'s keywords, and
-#: ignores the ones it does not use.
+#: factory receives ``seed`` plus the set :data:`FACTORY_OPTIONS` of
+#: :func:`create_oracle`'s keywords, and ignores the ones it does not use.
 OracleFactory = Callable[..., DistanceOracle]
 
 #: The option names some factory reads; any other name is a mistake.
@@ -44,10 +42,6 @@ def _make_lazy(graph: nx.DiGraph, **options) -> LazyDijkstraOracle:
     return LazyDijkstraOracle(
         graph, max_sources=options.get("cache_size", DEFAULT_MAX_SOURCES)
     )
-
-
-def _make_matrix(graph: nx.DiGraph, **options) -> MatrixOracle:
-    return MatrixOracle(graph, nodes=options.get("nodes"))
 
 
 class _CHCacheAttempt:
@@ -184,7 +178,6 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
 
 ORACLE_BACKENDS: dict[str, OracleFactory] = {
     "lazy": _make_lazy,
-    "matrix": _make_matrix,
     "ch": _make_ch,
 }
 
@@ -198,7 +191,6 @@ def create_oracle(
     name: str,
     graph: nx.DiGraph,
     *,
-    nodes: Iterable[int] | None = None,
     seed: int = 0,
     **options,
 ) -> DistanceOracle:
@@ -211,7 +203,7 @@ def create_oracle(
     record recoverable fallbacks — corrupt cache -> rebuild, failed
     save -> skip — into it).  An option left out or passed as ``None``
     falls back to the backend's own default; options a backend has no
-    use for are ignored (a matrix oracle does not care about
+    use for are ignored (a lazy oracle does not care about
     ``witness_hop_limit``), and a name no backend reads raises
     :class:`ConfigurationError`.
     """
@@ -228,7 +220,7 @@ def create_oracle(
             f"{sorted(FACTORY_OPTIONS)}"
         )
     given = {key: value for key, value in options.items() if value is not None}
-    return factory(graph, nodes=nodes, seed=seed, **given)
+    return factory(graph, seed=seed, **given)
 
 
 #: OracleSpec option -> factory keyword, where the two differ.
@@ -240,7 +232,6 @@ _FACTORY_KEYWORDS = {
 def _build(
     spec: OracleSpec,
     network: "RoadNetwork",
-    nodes: Iterable[int] | None,
     seed: int,
     degradations: DegradationLog | None,
 ) -> DistanceOracle:
@@ -253,7 +244,6 @@ def _build(
     oracle = create_oracle(
         spec.backend,
         network.graph,
-        nodes=nodes,
         seed=seed,
         degradations=degradations,
         **options,
@@ -265,11 +255,15 @@ def _build(
 def configure_oracle(
     network: "RoadNetwork",
     config: "SimulationConfig",
-    nodes: Iterable[int] | None = None,
-    reuse: bool = True,
     degradations: DegradationLog | None = None,
 ) -> DistanceOracle:
     """Build the oracle ``config.oracle`` describes and attach it to ``network``.
+
+    An attached oracle built from the same *resolved* spec
+    (:meth:`OracleSpec.resolved`) is kept, so several runs over one
+    workload share warm caches — mirroring how the seed shared one
+    Dijkstra cache.  Any other attached oracle (another backend, any
+    option changed) is replaced.
 
     Parameters
     ----------
@@ -277,15 +271,6 @@ def configure_oracle(
         The road network whose queries should go through the backend.
     config:
         Supplies ``oracle`` (the :class:`OracleSpec`) and ``seed``.
-    nodes:
-        Active-node hint for precomputing backends (pickup/dropoff and
-        worker nodes of the workload about to run).
-    reuse:
-        When true (default) an attached oracle built from the same
-        *resolved* spec (:meth:`OracleSpec.resolved`) is kept, so
-        several runs over one workload share warm caches — mirroring
-        how the seed shared one Dijkstra cache.  Any other attached
-        oracle (another backend, any option changed) is replaced.
     degradations:
         The run's degradation log.  When the requested backend's
         *construction itself* fails (not a config error — e.g. CH
@@ -294,12 +279,12 @@ def configure_oracle(
         without a log, the construction error propagates unchanged.
 
     A degraded stand-in stays sticky: the fallback oracle is tagged
-    with ``degraded_from`` so later ``reuse=True`` calls for the failed
-    backend keep it instead of re-running the failing build every time.
+    with ``degraded_from`` so later calls for the failed backend keep it
+    instead of re-running the failing build every time.
     """
     spec = config.oracle
     current = network.oracle
-    if reuse and (
+    if (
         current.built_from == spec.resolved()
         # The attached oracle is the recorded stand-in for the backend
         # this config asks for — rebuilding would rerun the failing
@@ -308,7 +293,7 @@ def configure_oracle(
     ):
         return current
     try:
-        oracle = _build(spec, network, nodes, config.seed, degradations)
+        oracle = _build(spec, network, config.seed, degradations)
     except ConfigurationError:
         raise
     except Exception as exc:  # noqa: BLE001 - degrade, record, keep serving
@@ -325,7 +310,6 @@ def configure_oracle(
         oracle = _build(
             OracleSpec(cache_size=spec.cache_size),
             network,
-            nodes,
             config.seed,
             None,
         )

@@ -17,7 +17,6 @@ from ...exceptions import ConfigurationError
 #: itself).  :class:`OracleSpec` validates eagerly against this table.
 ORACLE_OPTIONS_BY_BACKEND: dict[str, tuple[str, ...]] = {
     "lazy": ("cache_size",),
-    "matrix": ("kernel",),
     "ch": (
         "cache_size",
         "witness_hops",
@@ -38,7 +37,7 @@ class OracleSpec:
     Attributes
     ----------
     backend:
-        Registry name: ``"lazy"``, ``"matrix"`` or ``"ch"``.
+        Registry name: ``"lazy"`` or ``"ch"``.
     cache_size:
         LRU bound (lazy per-source cache; ch source and target label
         caches, each).
@@ -51,9 +50,9 @@ class OracleSpec:
         stable graph hash, so a warm directory lets a fresh process
         skip the build.
     kernel:
-        ``"csr"`` only, kept for spec compatibility: the ch and matrix
-        backends run one vectorised numpy kernel, and ``"csr"`` names
-        the same oracle as leaving the key unset.
+        ``"csr"`` only, kept for spec compatibility: the ch backend
+        runs one vectorised numpy kernel, and ``"csr"`` names the same
+        oracle as leaving the key unset.
 
     Setting an option the backend does not consume raises a
     :class:`ConfigurationError` listing the backend's valid options at

@@ -2,8 +2,8 @@
 
 A resident service amortises exactly what a :class:`repro.api.Session`
 memoises — road networks, generated workloads, threshold providers and
-above all the distance oracle, whose preprocessing (CH contraction,
-dense matrix rows) dominates cold-start time.  The pool extends that
+above all the distance oracle, whose preprocessing (CH contraction)
+dominates cold-start time.  The pool extends that
 amortisation *across requests*: every scenario that names the same
 network source and the same oracle configuration lands on one pooled
 session, so two concurrent requests for the same city build the oracle

@@ -100,13 +100,7 @@ class Simulator:
         # experiment runner) honours it.  A matching oracle that is
         # already attached is reused, keeping caches warm across the
         # algorithms compared over one workload.
-        configure_oracle(
-            workload.network,
-            config,
-            nodes=workload.active_nodes(),
-            reuse=True,
-            degradations=degradations,
-        )
+        configure_oracle(workload.network, config, degradations=degradations)
         self._collector = (
             resume.collector
             if resume is not None

@@ -1,8 +1,7 @@
 """The pure-Python ``dict`` kernels the oracles once ran.
 
-``CHOracle`` and ``MatrixOracle`` run one vectorised numpy kernel, and
-the full-map searches of ``lazy`` and ``matrix`` one Dijkstra over
-node-index arrays.  The loops they replaced are kept here verbatim as
+``CHOracle`` runs one vectorised numpy kernel, and the full-map
+searches of ``lazy`` one Dijkstra over node-index arrays.  The loops they replaced are kept here verbatim as
 the exact reference the kernel property tests and
 ``tests/test_ch_bucket_scan.py`` hold them to, float for float:
 
@@ -12,12 +11,11 @@ the exact reference the kernel property tests and
   ``(target, distance)`` entries on its nodes, and a source's forward
   label walks the buckets it meets; arrival maps come from
   :func:`reverse_sweep`;
-* :func:`dict_dijkstra` — the single-source Dijkstra ``lazy`` and
-  ``matrix`` ran over node-keyed adjacency dicts, returning a
-  ``{node: distance}`` map in settling order; :class:`ReferenceKernel`
-  plugs it under an oracle in place of the index-array kernel, and
-  :class:`DictLazyOracle` / :class:`ListMatrixOracle` are the two
-  backends on it (matrix rows as Python lists).
+* :func:`dict_dijkstra` — the single-source Dijkstra ``lazy`` ran over
+  node-keyed adjacency dicts, returning a ``{node: distance}`` map in
+  settling order; :class:`ReferenceKernel` plugs it under an oracle in
+  place of the index-array kernel, and :class:`DictLazyOracle` is
+  ``lazy`` on it.
 
 Labels are memoised by the production LRU (same hits, misses and
 eviction order) and read back as ``{node index: distance}`` dicts, an
@@ -40,7 +38,6 @@ from repro.network.oracle.ch import (
     CHOracle,
 )
 from repro.network.oracle.lazy import LazyDijkstraOracle
-from repro.network.oracle.matrix import MatrixOracle
 
 
 def dict_dijkstra(
@@ -238,14 +235,3 @@ class DictCHOracle(CHOracle):
             for row, column, key in holes:
                 row[column] = result.get(key, _INF)
         return rows
-
-
-class ListMatrixOracle(ReferenceKernel, MatrixOracle):
-    """``MatrixOracle`` on the reference kernel, its rows Python lists."""
-
-    def _build_rows(self, sources: list[int]) -> None:
-        if not sources:
-            return
-        self._refreshes += 1
-        for source in sources:
-            self._rows[source] = self._dijkstra_from(source)

@@ -20,7 +20,7 @@ from repro.model.order import Order
 from repro.model.worker import Worker
 from repro.network.generators import grid_city
 from repro.network.grid import GridIndex
-from repro.network.oracle import CHOracle, LazyDijkstraOracle, MatrixOracle
+from repro.network.oracle import CHOracle, LazyDijkstraOracle, configure_oracle
 from repro.routing.planner import RoutePlanner
 from repro.serve.protocol import ProtocolError, parse_submission
 from repro.simulation.fleet import WorkerFleet
@@ -102,7 +102,7 @@ class TestRoundTrip:
 
     def test_spec_file_round_trip(self, tmp_path):
         spec = ScenarioSpec(
-            name="file", num_orders=25, oracle={"backend": "matrix"}
+            name="file", num_orders=25, oracle={"backend": "ch"}
         )
         path = save_spec(spec, tmp_path / "scenario.json")
         assert load_spec(path) == spec
@@ -168,8 +168,8 @@ class TestOracleSpec:
         assert data == {"backend": "ch", "kernel": "csr"}
 
     def test_mapping_is_coerced(self):
-        spec = ScenarioSpec(oracle={"backend": "matrix", "kernel": "csr"})
-        assert spec.oracle == OracleSpec(backend="matrix", kernel="csr")
+        spec = ScenarioSpec(oracle={"backend": "ch", "kernel": "csr"})
+        assert spec.oracle == OracleSpec(backend="ch", kernel="csr")
 
     @pytest.mark.parametrize("kernel", ["dict", "auto"])
     def test_removed_kernels_raise(self, kernel):
@@ -191,7 +191,8 @@ class TestOracleSpec:
             # eagerly, naming the valid set.
             ({"backend": "lazy", "kernel": "csr"}, "does not take option"),
             ({"backend": "lazy", "cache_dir": "/tmp"}, "does not take option"),
-            ({"backend": "matrix", "witness_hops": 2}, "does not take option"),
+            ({"backend": "lazy", "witness_hops": 2}, "does not take option"),
+            ({"backend": "matrix"}, "unknown oracle backend 'matrix'"),
         ],
     )
     def test_invalid_oracle_specs_raise(self, kwargs, match):
@@ -235,6 +236,7 @@ class TestOracleSpec:
                 "unknown OracleSpec keys.*coarsen_levels",
             ),
             ({"oracle": {"backend": "overlay"}}, "unknown oracle backend 'overlay'"),
+            ({"oracle": {"backend": "matrix"}}, "unknown oracle backend 'matrix'"),
         ],
     )
     def test_removed_dispatch_keys_are_unknown_keys(self, document, match):
@@ -267,14 +269,14 @@ class TestOracleSpec:
         fleet = WorkerFleet([Worker(location=0, capacity=4)], network, GridIndex(network, 2))
         with pytest.raises(TypeError, match="batch_size"):
             GASDispatcher(planner, fleet, SimulationConfig(), batch_size=10.0)
-        with pytest.raises(TypeError, match="max_rows"):
-            MatrixOracle(network.graph, max_rows=2)
         with pytest.raises(TypeError, match="max_targets"):
             LazyDijkstraOracle(network.graph, max_targets=2)
         with pytest.raises(TypeError, match="kernel"):
             CHOracle(network.graph, kernel="csr")
-        with pytest.raises(TypeError, match="kernel"):
-            MatrixOracle(network.graph, kernel="csr")
+        with pytest.raises(TypeError, match="nodes"):
+            configure_oracle(network, SimulationConfig(), nodes=[0, 1])
+        with pytest.raises(TypeError, match="reuse"):
+            configure_oracle(network, SimulationConfig(), reuse=True)
         with pytest.raises(TypeError, match="strategy"):
             InterProcessLock("cache.lock", strategy="flock")
 
@@ -352,9 +354,9 @@ class TestCliParity:
                 },
             ),
             (
-                ["compare", "--dataset", "CDC", "--orders", "40", "--oracle", "matrix"],
+                ["compare", "--dataset", "CDC", "--orders", "40", "--oracle", "ch"],
                 "CDC",
-                {"num_orders": 40, "oracle": OracleSpec(backend="matrix")},
+                {"num_orders": 40, "oracle": OracleSpec(backend="ch")},
             ),
             (
                 ["compare", "--oracle", "lazy", "--seed", "5"],
@@ -393,7 +395,7 @@ class TestCliParity:
                 "unrecognized arguments: --landmarks",
             ),
             (
-                ["compare", "--oracle", "matrix", "--coarsen-levels", "2"],
+                ["compare", "--oracle", "ch", "--coarsen-levels", "2"],
                 "unrecognized arguments: --coarsen-levels",
             ),
             (
@@ -411,7 +413,7 @@ class TestCliParity:
         assert parser_error in capsys.readouterr().err
 
     def test_unknown_oracle_backend_flag_rejected(self, capsys):
-        for backend in ("landmark", "overlay"):
+        for backend in ("landmark", "overlay", "matrix"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["compare", "--oracle", backend])
             assert "invalid choice" in capsys.readouterr().err
@@ -475,7 +477,7 @@ _junk_documents = st.dictionaries(
 #: Right-typed values straddling each field's valid range, so a good
 #: share of the documents parse and reach the round-trip assertion.
 _plausible_oracle_documents = st.fixed_dictionaries(
-    # "landmark" and "overlay" are removed backends: invalid draws.
+    # "landmark", "matrix" and "overlay" are removed backends: invalid draws.
     {"backend": st.sampled_from(["lazy", "landmark", "matrix", "ch", "overlay"])},
     optional={
         "cache_size": st.integers(0, 9),

@@ -132,7 +132,7 @@ class TestMain:
                 "--seed",
                 "4",
                 "--oracle",
-                "matrix",
+                "ch",
                 "--algorithms",
                 "NonSharing",
             ]
@@ -140,7 +140,7 @@ class TestMain:
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "scenario:" in captured
-        assert "oracle=matrix" in captured
+        assert "oracle=ch" in captured
         assert "seed=4" in captured
         assert "graph=" in captured
 

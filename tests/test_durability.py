@@ -487,6 +487,10 @@ class TestServiceRecovery:
                 {**_spec().to_dict(), "oracle": {"backend": "ch", "kernel": "dict"}},
                 "csr is the only kernel",
             ),
+            "run-000006": (
+                {**_spec().to_dict(), "oracle": {"backend": "matrix"}},
+                "unknown oracle backend 'matrix'",
+            ),
         }
         for run_id, (document, _) in stale.items():
             journal.append({"type": "submitted", "run_id": run_id, "spec": document})
@@ -502,7 +506,7 @@ class TestServiceRecovery:
                 # Counted once; a later restart serves them from the store.
                 recovered = service.metrics()["durability"]["recovered"]
                 assert recovered["failed"] == (len(stale) if restart == 1 else 0)
-                assert service.submit_spec(_spec()).run_id == f"run-{5 + restart:06d}"
+                assert service.submit_spec(_spec()).run_id == f"run-{6 + restart:06d}"
             if restart == 1:
                 for run_id in stale:
                     types = [

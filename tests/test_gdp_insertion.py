@@ -36,7 +36,6 @@ from tests.reference.gdp_insertion import ReferenceGDPDispatcher
 #: in for the csr oracle (see ``_side``).
 ORACLES = {
     "lazy": {"backend": "lazy"},
-    "matrix": {"backend": "matrix"},
     "ch-dict": {"backend": "ch"},
     "ch-csr": {"backend": "ch", "kernel": "csr"},
 }
@@ -162,10 +161,9 @@ class TestEverySubmitMatchesTheReference:
         ]
 
 
-#: The eight whole runs the rewrite was sized on.
+#: The whole runs the rewrite was sized on.
 WHOLE_RUNS = {
     "cdc-500-100-lazy": dict(dataset="CDC", num_orders=500, num_workers=100, seed=7, oracle=ORACLES["lazy"]),
-    "cdc-500-100-matrix": dict(dataset="CDC", num_orders=500, num_workers=100, seed=7, oracle=ORACLES["matrix"]),
     "cdc-500-100-ch": dict(dataset="CDC", num_orders=500, num_workers=100, seed=7, oracle={"backend": "ch"}),
     "nyc-300-40-lazy": dict(dataset="NYC", num_orders=300, num_workers=40, seed=7, oracle=ORACLES["lazy"]),
     "grid32-80-80-lazy": dict(

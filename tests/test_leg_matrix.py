@@ -37,12 +37,11 @@ from tests.reference.dict_kernel import (
     successor_lists,
 )
 
-#: name -> oracle factory: all three backends, the contraction
+#: name -> oracle factory: both backends, the contraction
 #: hierarchy under its csr kernel and under the pure-Python reference
 #: kernel of ``tests/reference/dict_kernel.py``.
 BACKENDS = {
     "lazy": lambda graph: create_oracle("lazy", graph),
-    "matrix": lambda graph: create_oracle("matrix", graph),
     "ch-dict": DictCHOracle,
     "ch-csr": lambda graph: create_oracle("ch", graph),
 }
@@ -52,7 +51,7 @@ CH_KERNELS = {"dict": DictCHOracle, "csr": CHOracle}
 
 #: The backends whose full-map searches run on ``_dijkstra_from`` /
 #: ``_dijkstra_to``.
-KERNEL_BACKENDS = ["lazy", "matrix"]
+KERNEL_BACKENDS = ["lazy"]
 
 
 def _digraph(num_nodes: int, seed: int, weight=lambda rng: rng.uniform(1.0, 10.0)):
@@ -427,9 +426,8 @@ class TestKernelIsNetworkx:
         # Rows over nodes 0, 1, 2 (ids and row indices coincide here).
         assert list(oracle._dijkstra_from(0)) == [0.0, 5.0, 20.0]
         assert list(oracle._dijkstra_to(2)) == [20.0, 50.0, 0.0]
-        if name in ("lazy", "matrix"):
-            # Backends that hold nothing else of the old graph answer
-            # the public queries with the new weight too.
-            assert oracle.travel_time(0, 2) == 20.0
-            assert oracle.travel_times_to(2)[1] == 50.0
-            assert oracle.travel_time(1, 2) == 50.0
+        # Nothing else of the old graph is held: the public queries
+        # answer with the new weight too.
+        assert oracle.travel_time(0, 2) == 20.0
+        assert oracle.travel_times_to(2)[1] == 50.0
+        assert oracle.travel_time(1, 2) == 50.0

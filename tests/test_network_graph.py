@@ -157,7 +157,7 @@ class TestOracleRoutedPaths:
         assert network.oracle_stats().pp_searches == searches_before + 3
 
     def test_distance_only_backends_fall_back(self):
-        network = _attach(grid_city(rows=5, cols=5, seed=1), "matrix")
+        network = _attach(grid_city(rows=5, cols=5, seed=1), "lazy")
         path = network.shortest_path(0, 24)
         assert path[0] == 0 and path[-1] == 24
 

@@ -7,7 +7,6 @@ Covers:
   pairs),
 * the batched ``travel_times_many`` API,
 * LRU bounding of the lazy backend,
-* matrix batched refresh,
 * the backend registry, and
 * backend selection through ``SimulationConfig`` and the CLI.
 """
@@ -29,18 +28,16 @@ from repro.network.oracle import (
     CHOracle,
     DistanceOracle,
     LazyDijkstraOracle,
-    MatrixOracle,
     OracleSpec,
     available_backends,
     configure_oracle,
     create_oracle,
 )
 from repro.network.oracle.cache import graph_signature
-from tests.reference.dict_kernel import DictCHOracle
+from tests.reference.dict_kernel import DictCHOracle, DictLazyOracle
 
 BACKEND_CLASSES = {
     "lazy": LazyDijkstraOracle,
-    "matrix": MatrixOracle,
     "ch": CHOracle,
 }
 
@@ -352,19 +349,6 @@ class TestLazyLru:
             LazyDijkstraOracle(networks["grid"].graph, max_sources=0)
 
 
-class TestMatrixRefresh:
-    def test_unseen_sources_trigger_batched_refresh(self, networks):
-        graph = networks["grid"].graph
-        nodes = sorted(graph.nodes)
-        oracle = MatrixOracle(graph, nodes=nodes[:4])
-        assert oracle.num_rows == 4
-        refreshes_before = oracle.stats().extras["matrix_refreshes"]
-        block = oracle.travel_times_many(nodes[4:9], nodes[:3])
-        assert oracle.num_rows == 9
-        # Five new sources, one refresh: that is the batching.
-        assert oracle.stats().extras["matrix_refreshes"] == refreshes_before + 1
-        assert len(block) == 15
-
 class TestContractionHierarchy:
     """CH-specific behaviour: degenerate graphs, counters."""
 
@@ -654,11 +638,14 @@ class TestLabelMemo:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) == {"lazy", "matrix", "ch"}
+        assert set(available_backends()) == {"lazy", "ch"}
 
     def test_unknown_backend_rejected(self, networks):
         with pytest.raises(ConfigurationError):
             create_oracle("warp-drive", networks["grid"].graph)
+        # A removed backend is no different from one that never existed.
+        with pytest.raises(ConfigurationError, match="unknown oracle backend 'matrix'"):
+            create_oracle("matrix", networks["grid"].graph)
 
     def test_unknown_backend_error_lists_registered_names(self, networks):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -671,8 +658,8 @@ class TestRegistry:
     def test_every_factory_tolerates_uniform_options(self, networks, backend):
         """Factories must accept the full option set configure_oracle emits.
 
-        Every registered factory receives the uniform names (``nodes``,
-        ``cache_size``, ``witness_hop_limit``, ``seed``) and
+        Every registered factory receives the uniform names
+        (``cache_size``, ``witness_hop_limit``, ``seed``) and
         ignores the ones it has no use for — a backend that chokes on an
         option another backend needs would make the backends
         non-interchangeable.
@@ -682,7 +669,6 @@ class TestRegistry:
         oracle = create_oracle(
             backend,
             graph,
-            nodes=nodes[:4],
             cache_size=64,
             witness_hop_limit=3,
             seed=5,
@@ -694,7 +680,8 @@ class TestRegistry:
         )
 
     @pytest.mark.parametrize(
-        "option", ["cache_sise", "reverse_cache_size", "lock_timeout", "max_rows"]
+        "option",
+        ["cache_sise", "reverse_cache_size", "lock_timeout", "max_rows", "nodes"],
     )
     def test_an_option_no_backend_reads_names_the_key(self, networks, option):
         for backend in available_backends():
@@ -716,10 +703,10 @@ class TestConfigSelection:
 
     def test_configure_oracle_attaches_named_backend(self):
         network = grid_city(5, 5, seed=2)
-        config = SimulationConfig(oracle=OracleSpec(backend="matrix"))
-        oracle = configure_oracle(network, config, nodes=[0, 1, 2])
+        config = SimulationConfig(oracle=OracleSpec(backend="ch"))
+        oracle = configure_oracle(network, config)
         assert network.oracle is oracle
-        assert isinstance(oracle, MatrixOracle)
+        assert isinstance(oracle, CHOracle)
         # Same backend requested again: the warm oracle is reused.
         assert configure_oracle(network, config) is oracle
         # Different backend: swapped out.
@@ -762,37 +749,46 @@ class TestConfigSelection:
             num_orders=15,
             num_workers=4,
             horizon=900.0,
-            oracle=OracleSpec(backend="matrix"),
+            oracle=OracleSpec(backend="ch"),
         )
         workload = build_workload("CDC", config)
         dispatcher = make_dispatcher("NonSharing", workload, config)
         result = run_simulation(workload, dispatcher, config)
-        assert isinstance(workload.network.oracle, MatrixOracle)
-        assert result.metrics.oracle_stats["backend"] == "matrix"
+        assert isinstance(workload.network.oracle, CHOracle)
+        assert result.metrics.oracle_stats["backend"] == "ch"
 
     def test_run_is_backend_independent(self):
-        """Lazy and matrix backends produce bit-identical simulations."""
+        """``lazy`` and its dict-Dijkstra reference produce bit-identical
+        simulations.
+
+        Each run gets a fresh oracle of its class after the workload is
+        drawn, stamped with the config's oracle identity so the engine
+        keeps it, and both start equally cold.
+        """
         from repro.datasets.workloads import build_workload
         from repro.experiments.config import default_config
         from tests.conftest import run_on_workload
 
-        base = default_config("CDC", num_orders=25, num_workers=6, horizon=900.0)
+        config = default_config("CDC", num_orders=25, num_workers=6, horizon=900.0)
         outcomes = {}
-        for backend in ("lazy", "matrix"):
-            config = base.with_overrides(oracle=OracleSpec(backend=backend))
+        for name, oracle_class in (
+            ("lazy", LazyDijkstraOracle),
+            ("reference", DictLazyOracle),
+        ):
             workload = build_workload("CDC", config)
-            result = run_on_workload("WATTER-online", workload, config)
-            metrics = result.metrics
-            assert metrics.oracle_stats is not None
-            assert metrics.oracle_stats["backend"] == backend
+            oracle = oracle_class(workload.network.graph)
+            oracle.built_from = config.oracle.resolved()
+            workload.network.set_oracle(oracle)
+            metrics = run_on_workload("WATTER-online", workload, config).metrics
+            assert workload.network.oracle is oracle
             assert metrics.oracle_stats["queries"] > 0
-            outcomes[backend] = (
+            outcomes[name] = (
                 metrics.served_orders,
                 metrics.total_extra_time,
                 metrics.unified_cost,
                 metrics.service_rate,
             )
-        assert outcomes["lazy"] == outcomes["matrix"]
+        assert outcomes["lazy"] == outcomes["reference"]
 
     def test_ch_run_agrees_with_lazy(self):
         """The CH backend reproduces lazy's simulation outcome.
@@ -829,7 +825,6 @@ class TestConfigSelection:
 #: What the built oracle reports for an all-defaults spec, per backend.
 _DEFAULT_SETTINGS = {
     "lazy": {"maxsize": 1024},
-    "matrix": {},
     "ch": {
         "witness_hop_limit": 5,
         "bucket_cache_size": 1024,
@@ -843,9 +838,6 @@ _DEFAULT_SETTINGS = {
 _SETTINGS_ROWS = [
     ("lazy", {}, {}),
     ("lazy", {"cache_size": 64}, {"maxsize": 64}),
-    ("matrix", {}, {}),
-    ("matrix", {"kernel": None}, {}),
-    ("matrix", {"kernel": "csr"}, {}),
     ("ch", {}, {}),
     ("ch", {"cache_size": 8}, {"bucket_cache_size": 8}),
     ("ch", {"witness_hops": 3}, {"witness_hop_limit": 3}),
@@ -910,8 +902,8 @@ class TestSpecToOracleSettings:
 
 class TestCliSelection:
     def test_parser_accepts_oracle_flag(self):
-        args = build_parser().parse_args(["compare", "--oracle", "matrix"])
-        assert args.oracle == "matrix"
+        args = build_parser().parse_args(["compare", "--oracle", "lazy"])
+        assert args.oracle == "lazy"
         args = build_parser().parse_args(["compare", "--oracle", "ch"])
         assert args.oracle == "ch"
         with pytest.raises(SystemExit):
@@ -932,12 +924,12 @@ class TestCliSelection:
                 "--algorithms",
                 "NonSharing",
                 "--oracle",
-                "matrix",
+                "lazy",
             ]
         )
         captured = capsys.readouterr().out
         assert exit_code == 0
-        assert "matrix" in captured
+        assert "oracle=lazy" in captured
         assert "Distance-oracle cache statistics" in captured
 
     def test_compare_with_ch_oracle_runs(self, capsys):

@@ -1,7 +1,7 @@
 """The oracles' kernels vs the pure-Python reference kernels.
 
-The csr (numpy) kernel of ``ch`` and ``matrix`` and the index-array
-Dijkstra under ``lazy`` and ``matrix`` are pure representation changes
+The csr (numpy) kernel of ``ch`` and the index-array Dijkstra under
+``lazy`` are pure representation changes
 of the loops ``tests/reference/dict_kernel.py`` keeps: every query path
 returns the floats the reference returns (the level sweep relaxes
 identical sums and ``min`` is order-independent; a label-setting search
@@ -23,12 +23,11 @@ from hypothesis import strategies as st
 
 from repro.api import OracleSpec, ScenarioSpec, Session
 from repro.exceptions import UnreachableError
-from repro.network.oracle import CHOracle, LazyDijkstraOracle, MatrixOracle
+from repro.network.oracle import CHOracle, LazyDijkstraOracle
 from repro.network.oracle.csr import finite_entries
 from tests.reference.dict_kernel import (
     DictCHOracle,
     DictLazyOracle,
-    ListMatrixOracle,
     reverse_sweep,
 )
 
@@ -119,36 +118,6 @@ def test_reverse_sweep_primitive_representations_agree(seed, strongly):
     assert got == want
 
 
-def test_matrix_kernels_agree():
-    """The matrix backend's rows, forward and reverse, equal the list build."""
-    graph = _random_digraph(16, seed=9, strongly=False)
-    reference = ListMatrixOracle(graph)
-    oracle = MatrixOracle(graph)
-    nodes = sorted(graph.nodes)
-    assert {
-        source: row.tolist() for source, row in oracle._rows.items()
-    } == reference._rows
-    for target in nodes[:4]:
-        assert dict(reference.travel_times_to(target)) == dict(
-            oracle.travel_times_to(target)
-        )
-    assert reference.travel_times_many(nodes, nodes[:3]) == (
-        oracle.travel_times_many(nodes, nodes[:3])
-    )
-    # With rows for a few sources only, many-to-one asks build reverse
-    # rows instead.
-    reference = ListMatrixOracle(graph, nodes=nodes[:3])
-    oracle = MatrixOracle(graph, nodes=nodes[:3])
-    for target in nodes[5:9]:
-        assert dict(reference.travel_times_to(target)) == dict(
-            oracle.travel_times_to(target)
-        )
-    assert list(oracle._reverse_rows) == nodes[5:9]
-    assert {
-        target: list(row) for target, row in oracle._reverse_rows.items()
-    } == dict(reference._reverse_rows)
-
-
 #: name -> (oracle on the index-array kernel, its reference-kernel twin).
 KERNEL_TWINS = {
     "lazy-1": (
@@ -162,11 +131,6 @@ KERNEL_TWINS = {
     "lazy-unbounded": (
         lambda graph: LazyDijkstraOracle(graph, max_sources=None),
         lambda graph: DictLazyOracle(graph, max_sources=None),
-    ),
-    "matrix": (MatrixOracle, ListMatrixOracle),
-    "matrix-partial": (
-        lambda graph: MatrixOracle(graph, nodes=sorted(graph)[:4]),
-        lambda graph: ListMatrixOracle(graph, nodes=sorted(graph)[:4]),
     ),
 }
 

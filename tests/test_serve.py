@@ -373,8 +373,9 @@ class TestScenarioService:
     def test_evicted_pooled_network_is_freed(self):
         """The per-network lock dies with its network: an evicted
         session's network is garbage, and the lock counter survives it."""
-        first = _grid_spec(oracle={"backend": "matrix"})
-        second = first.with_overrides(grid_rows=5, grid_cols=5)
+        first = _grid_spec(oracle={"backend": "lazy", "cache_size": 64})
+        # Same network source, another oracle identity: a second session.
+        second = first.with_overrides(oracle={"backend": "lazy", "cache_size": 128})
         with ScenarioService(max_runs=1, max_sessions=1) as service:
             record = service.wait(service.submit_spec(first).run_id, timeout=_WAIT)
             assert record.status == COMPLETED, record.error
