@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+from repro.api import ScenarioSpec, Session
 from repro.config import ExtraTimeWeights, SimulationConfig
+from repro.durability import Checkpointer
 from repro.experiments.runner import make_dispatcher
 from repro.model.order import Order
 from repro.model.worker import Worker
 from repro.network.generators import example_network, grid_city
 from repro.network.grid import GridIndex
+from repro.resilience import CancellationToken, RunCancelled
 from repro.routing.planner import RoutePlanner
 from repro.simulation.engine import run_simulation
 from repro.simulation.fleet import WorkerFleet
+from repro.simulation.hooks import CompositeHooks, SimulationHooks
 
 # CI sets HYPOTHESIS_PROFILE=ci: the same examples on every run, no
 # example database, and the reproduction blob printed with a failure,
@@ -91,6 +96,32 @@ def run_on_workload(algorithm, workload, config, provider=None):
     """Run one algorithm over a pre-built workload, straight on the engine."""
     dispatcher = make_dispatcher(algorithm, workload, config, provider)
     return run_simulation(workload, dispatcher, config)
+
+
+class _CancelAfterTicks(SimulationHooks):
+    """Cancels a token after N periodic checks — a deterministic cut."""
+
+    def __init__(self, token: CancellationToken, ticks: int) -> None:
+        self._token = token
+        self._remaining = ticks
+
+    def on_periodic_check(self, now: float) -> None:
+        self._remaining -= 1
+        if self._remaining <= 0:
+            self._token.cancel("test interruption")
+
+
+def interrupt_and_checkpoint(
+    session: Session, spec: ScenarioSpec, path: Path, *, cut: int, interval: int = 1
+) -> None:
+    """Run ``spec`` until ``cut`` ticks, leaving a forced checkpoint."""
+    token = CancellationToken()
+    hooks = CompositeHooks(
+        [Checkpointer(path, interval=interval), _CancelAfterTicks(token, cut)]
+    )
+    with pytest.raises(RunCancelled):
+        session.run(spec, hooks=hooks, cancellation=token)
+    assert path.exists(), "the cancelled run must leave a forced checkpoint"
 
 
 @pytest.fixture

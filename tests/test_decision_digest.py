@@ -39,11 +39,9 @@ import pytest
 
 from repro.api import OracleSpec, RunResult, ScenarioSpec, Session
 from repro.datasets.synthetic import Workload
-from repro.durability import Checkpointer
 from repro.model.order import OrderOutcome
-from repro.resilience import CancellationToken, RunCancelled
 from repro.serve import COMPLETED, ScenarioService
-from repro.simulation.hooks import CompositeHooks, SimulationHooks
+from tests.conftest import interrupt_and_checkpoint
 
 SCENARIOS = {
     "cdc": dict(dataset="CDC", horizon=1800.0),
@@ -153,27 +151,11 @@ def test_direct_run_matches_its_pin(scenario, backend, algorithm):
     assert _direct_digest(scenario, backend, algorithm) == PINNED[key], key
 
 
-class _CancelAfterTicks(SimulationHooks):
-    """Cancels a token after N periodic checks: a deterministic cut."""
-
-    def __init__(self, token: CancellationToken, ticks: int) -> None:
-        self._token = token
-        self._remaining = ticks
-
-    def on_periodic_check(self, now: float) -> None:
-        self._remaining -= 1
-        if self._remaining <= 0:
-            self._token.cancel("digest interruption")
-
-
 def test_resumed_run_matches_the_direct_pin(tmp_path):
     session = Session()
     spec = _spec("cdc", "lazy", "WATTER-expect")
     path = tmp_path / "cut.ckpt"
-    token = CancellationToken()
-    hooks = CompositeHooks([Checkpointer(path, interval=3), _CancelAfterTicks(token, 10)])
-    with pytest.raises(RunCancelled):
-        session.run(spec, hooks=hooks, cancellation=token)
+    interrupt_and_checkpoint(session, spec, path, cut=10, interval=3)
     resumed = session.run(spec, resume_from=path)
     assert _digest(resumed, session.workload(spec)) == PINNED["cdc/lazy/WATTER-expect"]
 

@@ -38,7 +38,6 @@ from hypothesis import strategies as st
 from repro.api import ScenarioSpec, Session
 from repro.durability import (
     CheckpointError,
-    Checkpointer,
     InterProcessLock,
     LockTimeout,
     ResultStore,
@@ -46,12 +45,7 @@ from repro.durability import (
     read_jsonl_tolerant,
 )
 from repro.durability.checkpoint import read_checkpoint_header
-from repro.resilience import (
-    CancellationToken,
-    FaultInjector,
-    RunCancelled,
-    injected_faults,
-)
+from repro.resilience import FaultInjector, injected_faults
 from repro.serve import (
     COMPLETED,
     FAILED,
@@ -61,7 +55,7 @@ from repro.serve import (
     ScenarioService,
     read_trace,
 )
-from repro.simulation.hooks import CompositeHooks, SimulationHooks
+from tests.conftest import interrupt_and_checkpoint
 
 _WAIT = 240.0
 _REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -101,32 +95,6 @@ def _rows_equal(got: dict, want: dict) -> None:
             assert got[key] == pytest.approx(expected, rel=1e-9), key
         else:
             assert got[key] == expected, key
-
-
-class _CancelAfterTicks(SimulationHooks):
-    """Cancels a token after N periodic checks — a deterministic cut."""
-
-    def __init__(self, token: CancellationToken, ticks: int) -> None:
-        self._token = token
-        self._remaining = ticks
-
-    def on_periodic_check(self, now: float) -> None:
-        self._remaining -= 1
-        if self._remaining <= 0:
-            self._token.cancel("test interruption")
-
-
-def _interrupt_and_checkpoint(
-    session: Session, spec: ScenarioSpec, path: Path, *, cut: int, interval: int = 1
-) -> None:
-    """Run ``spec`` until ``cut`` ticks, leaving a forced checkpoint."""
-    token = CancellationToken()
-    hooks = CompositeHooks(
-        [Checkpointer(path, interval=interval), _CancelAfterTicks(token, cut)]
-    )
-    with pytest.raises(RunCancelled):
-        session.run(spec, hooks=hooks, cancellation=token)
-    assert path.exists(), "the cancelled run must leave a forced checkpoint"
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +180,7 @@ class TestCheckpointFiles:
         session = Session()
         spec = _spec()
         path = tmp_path / "run.ckpt"
-        _interrupt_and_checkpoint(session, spec, path, cut=3)
+        interrupt_and_checkpoint(session, spec, path, cut=3)
         blob = bytearray(path.read_bytes())
         blob[-5] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -223,7 +191,7 @@ class TestCheckpointFiles:
         session = Session()
         spec = _spec()
         path = tmp_path / "run.ckpt"
-        _interrupt_and_checkpoint(session, spec, path, cut=3)
+        interrupt_and_checkpoint(session, spec, path, cut=3)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError):
@@ -233,7 +201,7 @@ class TestCheckpointFiles:
         session = Session()
         spec = _spec()
         path = tmp_path / "run.ckpt"
-        _interrupt_and_checkpoint(session, spec, path, cut=4)
+        interrupt_and_checkpoint(session, spec, path, cut=4)
         header = read_checkpoint_header(path)
         assert header["cursor"]["ticks"] >= 4
         assert header["meta"]["algorithm"] == spec.algorithm
@@ -243,7 +211,7 @@ class TestCheckpointFiles:
         session = Session()
         spec = _spec(algorithm="GDP")
         path = tmp_path / "run.ckpt"
-        _interrupt_and_checkpoint(session, spec, path, cut=3)
+        interrupt_and_checkpoint(session, spec, path, cut=3)
         with pytest.raises(CheckpointError, match="GDP"):
             session.run(spec.with_overrides(algorithm="WATTER-online"), resume_from=path)
 
@@ -257,7 +225,7 @@ class TestCheckpointFiles:
         session = Session()
         spec = _spec()
         path = tmp_path / "run.ckpt"
-        _interrupt_and_checkpoint(session, spec, path, cut=3)
+        interrupt_and_checkpoint(session, spec, path, cut=3)
         header_line, _, blob = path.read_bytes().partition(b"\n")
         header = json.loads(header_line)
         assert header["format"] == 7
@@ -301,7 +269,7 @@ class TestResumeEquivalence:
         spec = _spec(algorithm, oracle)
         baseline = _baseline(session, algorithm, oracle)
         path = tmp_path / "cut.ckpt"
-        _interrupt_and_checkpoint(session, spec, path, cut=5, interval=2)
+        interrupt_and_checkpoint(session, spec, path, cut=5, interval=2)
         resumed = session.run(spec, resume_from=path)
         assert _comparable(resumed.metrics) == baseline
 
@@ -312,7 +280,7 @@ class TestResumeEquivalence:
 
         spec = _spec()
         path = tmp_path / "cut.ckpt"
-        _interrupt_and_checkpoint(Session(), spec, path, cut=3)
+        interrupt_and_checkpoint(Session(), spec, path, cut=3)
         session = Session()
         resumed = session.run(spec, resume_from=path)
         assert resumed.graph_hash == graph_signature(session.network(spec).graph)
@@ -331,7 +299,7 @@ class TestResumeEquivalence:
         spec = _spec("GDP", "lazy")
         baseline = _baseline(session, "GDP", "lazy")
         path = tmp_path / f"cut-{cut}-{interval}.ckpt"
-        _interrupt_and_checkpoint(session, spec, path, cut=cut, interval=interval)
+        interrupt_and_checkpoint(session, spec, path, cut=cut, interval=interval)
         resumed = session.run(spec, resume_from=path)
         assert _comparable(resumed.metrics) == baseline
 
