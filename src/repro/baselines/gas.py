@@ -109,15 +109,7 @@ class GASDispatcher(Dispatcher):
         if not self._buffer:
             return expired
         self._fleet.release_finished(now)
-        # Prime the approach legs of the whole batch in one many-to-one
-        # block per pickup: every idle worker location against each
-        # buffered pickup (one reverse-graph search per pickup on the
-        # lazy backend).  The per-group nearest-worker searches below
-        # then answer from warm caches.
-        idle_locations = set(self._fleet.idle_locations(now))
-        pickups = {order.pickup for order in self._buffer}
-        if idle_locations and pickups:
-            self._planner.network.travel_times_many(idle_locations, pickups)
+        self._fleet.prime_approaches({order.pickup for order in self._buffer}, now)
         candidates = self._enumerate_groups(now)
         candidates.sort(key=lambda item: -item[0])
         served = []

@@ -78,16 +78,10 @@ class NonSharingDispatcher(Dispatcher):
     # ------------------------------------------------------------------
     def _drain_queue(self, now: float) -> DispatchResult:
         self._fleet.release_finished(now)
-        # Prime every queued pickup's approach legs with one many-to-one
-        # block (one reverse-graph search per pickup on the lazy
-        # backend) so the per-order nearest-worker searches below hit
-        # warm caches instead of running one Dijkstra per idle worker.
-        idle_locations = set(self._fleet.idle_locations(now))
-        pickups = {
-            order.pickup for order in self._queue if not order.is_expired(now)
-        }
-        if idle_locations and pickups:
-            self._planner.network.travel_times_many(idle_locations, pickups)
+        self._fleet.prime_approaches(
+            {order.pickup for order in self._queue if not order.is_expired(now)},
+            now,
+        )
         served = []
         dispatched = []
         rejected = []

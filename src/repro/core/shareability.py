@@ -252,10 +252,9 @@ class TemporalShareabilityGraph:
         still validated by the route planner.
 
         The pickup gaps of every slack-feasible partner are fetched with
-        two batched ``travel_times_many`` calls (new pickup -> partner
-        pickups and back), which lets precomputing oracle backends
-        answer the whole arrival in one block instead of 2(n-1) scalar
-        queries.
+        two ``leg_matrix`` blocks (a row: new pickup -> partner pickups,
+        and a column back), which lets the oracle answer the whole
+        arrival in one block each way instead of 2(n-1) scalar queries.
         """
         slack_new = order.deadline - now - order.shortest_time
         if slack_new < 0:
@@ -272,18 +271,13 @@ class TemporalShareabilityGraph:
             return []
         network = self._planner.network
         pickups = [other.pickup for other, _ in partners]
-        outward = network.travel_times_many([order.pickup], pickups)
-        inward = network.travel_times_many(pickups, [order.pickup])
-        inf = float("inf")
-        candidates = []
-        for other, budget in partners:
-            pickup_gap = min(
-                outward.get((order.pickup, other.pickup), inf),
-                inward.get((other.pickup, order.pickup), inf),
-            )
-            if pickup_gap <= budget:
-                candidates.append(other)
-        return candidates
+        (outward,) = network.leg_matrix([order.pickup], pickups)
+        inward = network.leg_matrix(pickups, [order.pickup])
+        return [
+            other
+            for (other, budget), out_gap, (in_gap,) in zip(partners, outward, inward)
+            if min(out_gap, in_gap) <= budget
+        ]
 
     def _is_clique(self, order_ids: tuple[int, ...], now: float) -> bool:
         for first, second in itertools.combinations(order_ids, 2):

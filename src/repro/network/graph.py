@@ -20,7 +20,7 @@ without any dispatcher code changing.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, Sequence, TYPE_CHECKING
+from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
 
 import networkx as nx
 
@@ -153,17 +153,20 @@ class RoadNetwork:
             return 0.0
         return self._oracle.travel_time(source, target)
 
-    def travel_times_to(self, target: int) -> Mapping[int, float]:
-        """All shortest travel times *to* ``target`` (cached).
+    def travel_times_to(self, target: int) -> dict[int, float]:
+        """All shortest travel times *to* ``target``, as a dict view.
 
-        Answered by a single search against the edges: the returned
-        mapping is ``source -> d(source, target)`` for every source that
-        can reach the target.  This is the primitive behind the dispatch
-        hot path's "how far is each idle worker from this pickup?"
-        batches.
+        ``source -> d(source, target)`` for every source that can reach
+        the target, in sorted-id order: the :meth:`leg_matrix` column of
+        every node against ``target``.
         """
-        self._require_node(target)
-        return self._oracle.travel_times_to(target)
+        sources = self.nodes_sorted()
+        column = self.leg_matrix(sources, [target])
+        return {
+            source: seconds
+            for source, (seconds,) in zip(sources, column)
+            if seconds != math.inf
+        }
 
     def travel_times_many(
         self, sources: Iterable[int], targets: Iterable[int]
@@ -171,18 +174,20 @@ class RoadNetwork:
         """Batched travel times over the ``sources x targets`` product.
 
         Returns ``(source, target) -> seconds``; unreachable pairs are
-        absent from the result.  This is the API the shareability
-        graph, the fleet and the baselines use so precomputing backends
-        can answer whole query blocks at once; the route planner asks
-        through :meth:`leg_matrix`.
+        absent from the result.  A pair-keyed view of one
+        :meth:`leg_matrix` call over the distinct sources and targets,
+        kept for callers that want a dict; dispatch itself asks through
+        :meth:`leg_matrix`.
         """
         source_list = list(dict.fromkeys(sources))
         target_list = list(dict.fromkeys(targets))
-        for node in source_list:
-            self._require_node(node)
-        for node in target_list:
-            self._require_node(node)
-        return self._oracle.travel_times_many(source_list, target_list)
+        rows = self.leg_matrix(source_list, target_list)
+        return {
+            (source, target): seconds
+            for source, row in zip(source_list, rows)
+            for target, seconds in zip(target_list, row)
+            if seconds != math.inf
+        }
 
     def leg_matrix(
         self, sources: Sequence[int], targets: Sequence[int]

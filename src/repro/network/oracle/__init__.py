@@ -16,15 +16,16 @@ name        setup                    point-to-point query
 Select a backend through ``SimulationConfig(oracle=OracleSpec(...))`` or
 the ``--oracle`` CLI flag.
 
-Every backend answers the three shapes dispatch asks for: a scalar leg
-(``travel_time``), a dense leg block (``leg_matrix``, with the
-pair-keyed ``travel_times_many`` beside it) and the many-sources-to-
-one-target approach block.  ``travel_times_to(target)`` runs a single
-search on the *reversed* graph (lazy keeps an LRU of per-target reverse
-distance rows, ch runs a backward upward search plus a linear downward
-sweep — reverse PHAST), and ``travel_times_many`` routes many-to-one
-blocks through it (ch scans RPHAST-style target buckets with one small
-upward search per source).
+Every backend answers the two questions dispatch asks: a scalar leg
+(``travel_time``) and a dense leg block (``leg_matrix``), whose cells
+are the scalar answers.  A block picks its searches by shape: lazy runs
+forward or reverse Dijkstras, whichever needs fewer new ones, and keeps
+an LRU of rows each way; ch scans RPHAST-style target buckets with one
+small upward search per source, or, for the wide many-sources-to-one-
+target approach block, runs one backward upward search plus a linear
+downward sweep (reverse PHAST).  The pair-keyed and all-to-one dict
+views live on :class:`~repro.network.graph.RoadNetwork`, over
+``leg_matrix``.
 """
 
 from .base import STATS_SCHEMA_VERSION, DistanceOracle, OracleStats

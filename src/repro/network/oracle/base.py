@@ -15,6 +15,13 @@ in :mod:`repro.network.oracle.registry` and are selected through
 ``SimulationConfig.oracle.backend`` (or the ``--oracle`` CLI flag)
 without touching any dispatcher code.
 
+An oracle answers two questions: a scalar leg (``travel_time``) and a
+dense block of legs (``leg_matrix``), whose cells are by definition the
+scalar answers.  A backend must implement ``travel_time`` and
+``clear``; the default block is scalar reads.  The pair-keyed and
+all-to-one dict views are :class:`~repro.network.graph.RoadNetwork`'s,
+a few lines over ``leg_matrix``.
+
 All oracles answer in *seconds of travel time* on the directed graph
 they were built over, raise :class:`~repro.exceptions.UnreachableError`
 for disconnected pairs, and keep uniform query/cache counters so the
@@ -35,7 +42,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from math import inf
-from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import Mapping, Sequence, TYPE_CHECKING
 
 import networkx as nx
 
@@ -57,8 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ``lazy.forward_cached_sources``) so two backends can never collide and a
 #: reader can tell core from backend-specific at a glance.  Bump this
 #: whenever a core key changes meaning or shape (2: the constant
-#: ``kernel`` key is gone).
-STATS_SCHEMA_VERSION = 2
+#: ``kernel`` key is gone; 3: ``queries`` / ``batched_queries`` count
+#: ``leg_matrix`` cells, the pair-keyed block query being gone).
+STATS_SCHEMA_VERSION = 3
 
 #: ``OracleStats.extras`` keys that are monotone counters, subtracted by
 #: snapshot deltas like the uniform counters.  Everything else in extras
@@ -75,10 +83,11 @@ class OracleStats:
     backend:
         Registry name of the backend that produced the numbers.
     queries:
-        Point-to-point ``travel_time`` answers served (including the
-        pairs answered through ``travel_times_many``).
+        Answers served: one per scalar ``travel_time`` read and one per
+        ``leg_matrix`` cell (duplicates, the diagonal and unreachable
+        cells included; a cell the block reads as a scalar counts once).
     batched_queries:
-        Pairs answered through the batched ``travel_times_many`` API.
+        ``leg_matrix`` cells asked for.
     cache_hits / cache_misses:
         Whether an answer came from precomputed/cached state or had to
         run graph search work.
@@ -215,38 +224,15 @@ class DistanceOracle(abc.ABC):
         :class:`~repro.network.graph.RoadNetwork` validates ids).
         """
 
-    @abc.abstractmethod
-    def travel_times_to(self, target: int) -> Mapping[int, float]:
-        """All shortest travel times *to* ``target`` (reaching sources only).
-
-        The returned mapping is ``source -> d(source, target)`` for every
-        source that can reach the target, ``0.0`` for the target itself:
-        the many-to-one shape of "how far is each idle worker from this
-        pickup?", answered by one search against the edges.
-        """
-
-    @abc.abstractmethod
-    def travel_times_many(
-        self, sources: Iterable[int], targets: Iterable[int]
-    ) -> dict[tuple[int, int], float]:
-        """Batched travel times over the ``sources x targets`` product.
-
-        Returns a mapping ``(source, target) -> seconds``; unreachable
-        pairs are simply absent, so callers can treat a missing key as
-        "cannot get there".
-
-        Stats contract: ``batched_queries`` counts every attempted pair
-        of the product, ``queries`` counts the pairs actually answered
-        (present in the result).
-        """
-
     def leg_matrix(
         self, sources: Sequence[int], targets: Sequence[int]
     ) -> list[list[float]]:
         """Dense travel times: ``result[i][j]`` is ``sources[i]`` to ``targets[j]``.
 
-        Rows and columns follow argument order and duplicates get their
-        own row or column.  A cell is ``0.0`` where source is target,
+        The one block query: every batch dispatch asks (route legs,
+        worker approaches, pickup gaps) is a call to this.  Rows and
+        columns follow argument order and duplicates get their own row
+        or column.  A cell is ``0.0`` where source is target,
         ``math.inf`` where the target cannot be reached, and otherwise
         *by definition* the float scalar :meth:`travel_time` answers for
         that pair once the call returns — so a caller may price a route
@@ -254,19 +240,18 @@ class DistanceOracle(abc.ABC):
         raises :class:`UnreachableError`; a caller that must fail on an
         unreachable leg checks the cells it uses.
 
-        This default is the two-step every block consumer used to do by
-        hand: one :meth:`travel_times_many` for the cache evolution
-        (batched refresh, one search per label), then one scalar read
-        per cell.  Backends override it when they can read the cells
-        off their cached state directly.
+        This default is one scalar read per off-diagonal cell.  Backends
+        override it when they can read the cells off their cached state
+        directly.
         """
-        self.travel_times_many(sources, targets)
+        self._batched_queries += len(sources) * len(targets)
         travel_time = self.travel_time
         rows: list[list[float]] = []
         for source in sources:
             row: list[float] = []
             for target in targets:
                 if source == target:
+                    self._queries += 1
                     row.append(0.0)
                     continue
                 try:
@@ -356,10 +341,6 @@ class DistanceOracle(abc.ABC):
                 u, v = v, u
             adjacency[u].append((v, data.get("travel_time", 1)))
         return adjacency
-
-    def _reachable(self, row: array) -> dict[int, float]:
-        """``node -> seconds`` over a row's finite cells, in index order."""
-        return {node: d for node, d in zip(self._nodes, row) if d != inf}
 
     def _drop_adjacency(self) -> None:
         """Forget the search tables; every :meth:`clear` calls this.

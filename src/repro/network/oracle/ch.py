@@ -26,13 +26,14 @@ tiny fraction of it:
    downward edges from the target, pruned as soon as a frontier cannot
    beat the best meeting distance.
 
-The dispatch hot-path shapes are served natively:
+The dispatch hot-path block, ``leg_matrix``, is served natively:
 
-* ``travel_times_to(target)`` runs the backward upward search from the
-  target and then one linear *downward sweep* over nodes in decreasing
-  rank order (reverse PHAST) — an exact all-sources-to-one-target map
-  without touching the reversed original graph;
-* ``travel_times_many`` uses RPHAST-style **node buckets**: the
+* a wide single-target block (many workers, one pickup) runs the
+  backward upward search from the target and then one linear
+  *downward sweep* over nodes in decreasing rank order (reverse PHAST)
+  — an exact all-sources-to-one-target row without touching the
+  reversed original graph;
+* every other block uses RPHAST-style **node buckets**: the
   backward upward search from each target deposits ``(target,
   distance)`` entries on the nodes it settles, and the forward upward
   search space of each source scans the buckets it meets.  Both search
@@ -72,13 +73,7 @@ import networkx as nx
 
 from ...exceptions import UnreachableError
 from .base import DistanceOracle
-from .csr import (
-    CHSweepKernel,
-    finite_entries,
-    label_arrays,
-    pack_labels,
-    segment_minima,
-)
+from .csr import CHSweepKernel, label_arrays, pack_labels, segment_minima
 
 
 def _locked(method):
@@ -209,11 +204,9 @@ class CHOracle(DistanceOracle):
         # buckets (distances of descending paths to it).
         self._source_labels: OrderedDict[int, object] = OrderedDict()
         self._target_labels: OrderedDict[int, object] = OrderedDict()
-        # target node -> [dense row, arrival map | None], the
-        # reverse-PHAST product used by wide many-to-one batches: the
-        # sweep row is memoised and the node-keyed map materialised
-        # lazily.
-        self._arrival_cache: OrderedDict[int, list] = OrderedDict()
+        # target node -> its reverse-PHAST sweep row (dense, by node
+        # index), read by wide many-to-one blocks.
+        self._arrival_cache: OrderedDict[int, object] = OrderedDict()
         self._shortcuts_added = 0
         self._upward_settles = 0
         self._bucket_scans = 0
@@ -525,18 +518,6 @@ class CHOracle(DistanceOracle):
             raise UnreachableError(source, target)
         return distance
 
-    @_locked
-    def travel_times_to(self, target: int) -> Mapping[int, float]:
-        """All-to-one distances via reverse PHAST (memoised per target).
-
-        The backward upward search from ``target`` settles the nodes
-        whose rank-descending paths reach it; the sweep in decreasing
-        rank order then folds the ascending first half of every
-        ``source -> apex -> target`` path in, one upward edge at a time.
-        """
-        self._queries += 1
-        return self._arrivals_to(target)
-
     # ------------------------------------------------------------------
     # reverse-PHAST kernel primitives
     # ------------------------------------------------------------------
@@ -561,85 +542,28 @@ class CHOracle(DistanceOracle):
         """
         return self._sweeps.run(*label_arrays(seeds)).copy()
 
-    def _arrival_entry(self, target: int) -> list:
-        """Memoised ``[row, mapping]`` arrival pair (one miss per build).
+    def _arrival_row(self, target: int):
+        """Memoised reverse-PHAST sweep row towards ``target``.
 
-        The dense sweep row is memoised and the public mapping
-        materialised lazily (:meth:`_arrivals_to`), so many-to-one
-        consumers that only read a handful of sources never pay the
-        O(nodes) dict conversion.
+        One miss (and one reverse search) per row built, one hit per
+        reuse; wide many-to-one blocks read a source's cell by index.
         """
-        entry = self._arrival_cache.get(target)
-        if entry is not None:
+        row = self._arrival_cache.get(target)
+        if row is not None:
             self._cache_hits += 1
             self._arrival_cache.move_to_end(target)
-            return entry
+            return row
         self._cache_misses += 1
         self._reverse_sssp_runs += 1
-        entry = [self.reverse_sweep(self.reverse_seed_map(target)), None]
-        self._arrival_cache[target] = entry
+        row = self.reverse_sweep(self.reverse_seed_map(target))
+        self._arrival_cache[target] = row
         if (
             self._arrival_cache_size is not None
             and len(self._arrival_cache) > self._arrival_cache_size
         ):
             self._arrival_cache.popitem(last=False)
             self._evictions += 1
-        return entry
-
-    def _arrivals_to(self, target: int) -> dict[int, float]:
-        """Memoised reverse-PHAST arrival map keyed by public node id."""
-        entry = self._arrival_entry(target)
-        if entry[1] is None:
-            idxs, values = finite_entries(entry[0])
-            nodes = self._nodes
-            entry[1] = {
-                nodes[idx]: value
-                for idx, value in zip(idxs.tolist(), values.tolist())
-            }
-        return entry[1]
-
-    def _arrival_row(self, target: int):
-        """Memoised dense arrival row."""
-        return self._arrival_entry(target)[0]
-
-    @_locked
-    def travel_times_many(
-        self, sources: Iterable[int], targets: Iterable[int]
-    ) -> dict[tuple[int, int], float]:
-        """Batched product queries via RPHAST-style target buckets.
-
-        Every target contributes its (memoised) backward upward search
-        space as bucket entries ``node -> (target, distance)``; the
-        (equally memoised) forward upward search space of each source
-        then scans the buckets of the nodes it settled, so a pending
-        pair costs a handful of bucket lookups — a merge of two labels
-        — and a graph search runs only for a source or target the label
-        caches do not hold.  Wide single-target
-        batches — the dispatch shape, many idle workers against one
-        pickup — switch to one reverse-PHAST sweep instead, which is
-        linear in the augmented graph and beats per-source searches past
-        ``_MANY_TO_ONE_CUTOFF`` sources.  Pairs already memoised in the
-        point-to-point cache skip their share of the work, and every
-        answered pair is folded back into it.
-
-        Miss accounting follows the one-miss-per-search convention, all
-        of it inside the helpers: one miss per label or arrival map
-        actually built and one hit per reuse of one — not one per
-        pending pair — so hit rates stay comparable with the lazy
-        backend's.
-        """
-        source_list = list(dict.fromkeys(sources))
-        target_list = list(dict.fromkeys(targets))
-        self._batched_queries += len(source_list) * len(target_list)
-        rows = self._leg_rows(source_list, target_list)
-        result = {
-            (source, target): cell
-            for source, row in zip(source_list, rows)
-            for target, cell in zip(target_list, row)
-            if cell != _INF
-        }
-        self._queries += len(result)
-        return result
+        return row
 
     @_locked
     def leg_matrix(
@@ -647,18 +571,30 @@ class CHOracle(DistanceOracle):
     ) -> list[list[float]]:
         """Dense leg times read off the pair cache under one lock.
 
-        The rows :meth:`travel_times_many` re-keys into its dict: the
-        same pair-cache reads, the same resolver for the cells the cache
-        does not hold, so a cell is the float that call memoises and
-        scalar :meth:`travel_time` answers next.  ``queries`` and
-        ``batched_queries`` count every cell, a cell read off the pair
-        cache is one cache hit, and labels and arrival maps count hits
-        and misses as they do there.  A block with more cells than the
-        pair cache holds could evict its own answers; it takes the
-        generic two-step, whose cells are scalar reads.
+        One pair-cache read per cell; the cells the cache does not hold
+        are priced by RPHAST-style target buckets — every target's
+        (memoised) backward upward search space against the (equally
+        memoised) forward one of each source, so a pending pair is a
+        merge of two labels, and a graph search runs only for a source
+        or target the label caches do not hold.  Wide single-target
+        blocks (many idle workers against one pickup) and targets whose
+        sweep row is memoised read one reverse-PHAST row instead, which
+        is linear in the augmented graph and beats per-source searches
+        past ``_MANY_TO_ONE_CUTOFF`` sources.  Every priced cell is
+        folded back into the pair cache, so a cell is the float scalar
+        :meth:`travel_time` answers next.
+
+        ``queries`` and ``batched_queries`` count every cell, a cell read
+        off the pair cache is one cache hit, and labels and sweep rows
+        count one miss per search run and one hit per reuse — not one
+        per pending pair — so hit rates stay comparable with the lazy
+        backend's.  A block with more cells than the pair cache holds
+        could evict its own answers: it prices its distinct cells once,
+        one search per label, and then reads every cell as a scalar.
         """
         cells = len(sources) * len(targets)
         if self._pair_cache_size is not None and cells > self._pair_cache_size:
+            self._leg_rows(list(dict.fromkeys(sources)), list(dict.fromkeys(targets)))
             return super().leg_matrix(sources, targets)
         self._batched_queries += cells
         self._queries += cells
@@ -671,7 +607,7 @@ class CHOracle(DistanceOracle):
 
         One pair-cache read per cell (one hit each); the cells it does
         not hold are resolved below and folded back into it.  Unlocked
-        and uncounted: the two ``_locked`` block calls do that.
+        and uncounted: :meth:`leg_matrix` does that.
         """
         pair_cache = self._pair_cache
         rows: list[list[float]] = []

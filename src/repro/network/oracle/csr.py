@@ -130,8 +130,7 @@ class CHSweepKernel:
     def run(self, nodes, dists):
         """Seed the buffer from a label's arrays and run the sweep over it.
 
-        Returns the buffer itself (valid until the next ``run``); use
-        :func:`finite_entries` to extract the reachable part.
+        Returns the buffer itself (valid until the next ``run``).
         """
         dist = self.seed_buffer(nodes, dists)
         self.reverse.sweep(dist)
@@ -143,12 +142,6 @@ class CHSweepKernel:
         dist.fill(np.inf)
         dist[nodes] = dists
         return dist
-
-
-def finite_entries(dist):
-    """Indices and values of the finite entries of a distance buffer."""
-    idx = np.flatnonzero(np.isfinite(dist))
-    return idx, dist[idx]
 
 
 def pack_labels(labels):

@@ -10,8 +10,8 @@ On top of the forward per-source cache the backend keeps a *reverse*
 per-target cache: one Dijkstra against the edges from a target yields
 ``d(source, target)`` for every source at once, which is exactly the
 many-sources-to-one-target shape of the dispatch hot path ("how far is
-each idle worker from this pickup?").  A batched query picks whichever
-direction needs fewer new Dijkstra runs.
+each idle worker from this pickup?").  A ``leg_matrix`` block picks
+whichever direction needs fewer new Dijkstra runs.
 
 Both caches hold *rows*: one packed ``array('d')`` per search, cell
 ``i`` for the ``i``-th node in sorted-id order and ``inf`` where the
@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from math import inf
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import networkx as nx
 
@@ -93,78 +93,42 @@ class LazyDijkstraOracle(DistanceOracle):
             raise UnreachableError(source, target)
         return seconds
 
-    def travel_times_to(self, target: int) -> Mapping[int, float]:
-        self._queries += 1
-        return self._reachable(self._arrivals_to(target))
-
-    def travel_times_many(
-        self, sources: Iterable[int], targets: Iterable[int]
-    ) -> dict[tuple[int, int], float]:
-        source_list = list(dict.fromkeys(sources))
-        target_list = list(dict.fromkeys(targets))
-        self._batched_queries += len(source_list) * len(target_list)
-        result: dict[tuple[int, int], float] = {}
-        if not source_list or not target_list:
-            return result
-        index = self._index
-        # Answer the block in whichever direction needs fewer new
-        # Dijkstra runs: per-source forward rows or per-target reverse
-        # rows.  The canonical dispatch batch (many workers, one pickup)
-        # costs a single reverse run instead of one forward run per
-        # distinct worker location.
-        missing_forward = sum(1 for s in source_list if s not in self._cache)
-        missing_reverse = sum(1 for t in target_list if t not in self._rcache)
-        if missing_reverse < missing_forward:
-            for target in target_list:
-                arrivals = self._arrivals_to(target)
-                for source in source_list:
-                    seconds = 0.0 if source == target else arrivals[index[source]]
-                    if seconds != inf:
-                        result[(source, target)] = seconds
-        else:
-            for source in source_list:
-                distances = self._distances_from(source)
-                for target in target_list:
-                    seconds = 0.0 if source == target else distances[index[target]]
-                    if seconds != inf:
-                        result[(source, target)] = seconds
-        self._queries += len(result)
-        return result
-
     def leg_matrix(
         self, sources: Sequence[int], targets: Sequence[int]
     ) -> list[list[float]]:
         """Dense leg times read straight off the cached distance rows.
 
-        The block runs Dijkstras in the direction :meth:`travel_times_many`
-        would pick, so the same rows exist afterwards.  Each row of the
-        answer is then priced by the rule scalar :meth:`travel_time`
-        follows: off the source's forward row when it is cached, else off
-        the targets' reverse rows.  The two may differ in the last bit,
-        which is why the rule and not the block's direction prices a
-        cell.  ``queries`` and ``batched_queries`` count every cell, and
-        each row consulted counts one cache hit.
+        The block runs Dijkstras in whichever direction needs fewer new
+        ones: per-source forward rows or per-target reverse rows, so the
+        canonical dispatch block (many workers, one pickup) costs a
+        single reverse run instead of one forward run per distinct
+        worker location.  Each row of the answer is then priced by the
+        rule scalar :meth:`travel_time` follows: off the source's forward
+        row when it is cached, else off the targets' reverse rows.  The
+        two may differ in the last bit, which is why the rule and not the
+        block's direction prices a cell.  ``queries`` and
+        ``batched_queries`` count every cell, and each row consulted
+        counts one cache hit.
 
         Rows are touched in argument order, so LRU *recency* inside one
         call follows argument order rather than the order scalar reads
         would have had.  That can only change an answer's last bit once
         the LRU is full and evicting; a call naming more nodes than the
-        LRU holds takes the generic two-step instead, whose cells are
-        scalar reads.
+        LRU holds runs its searches first, one per label, and then reads
+        every cell as a scalar.
         """
-        bound = self.max_sources
-        if bound is not None and max(len(sources), len(targets)) > bound:
-            return super().leg_matrix(sources, targets)
         cells = len(sources) * len(targets)
         if not cells:
             return [[] for _ in sources]
+        bound = self.max_sources
+        if bound is not None and max(len(sources), len(targets)) > bound:
+            self._warm(sources, targets)
+            return super().leg_matrix(sources, targets)
         self._batched_queries += cells
         self._queries += cells
         cache = self._cache
         index = self._index
-        missing_forward = {s for s in sources if s not in cache}
-        missing_reverse = {t for t in targets if t not in self._rcache}
-        forward = len(missing_reverse) >= len(missing_forward)
+        forward = self._forward_first(sources, targets)
         arrival_rows = [] if forward else [self._arrivals_to(t) for t in targets]
         columns = [index[target] for target in targets]
         rows: list[list[float]] = []
@@ -199,6 +163,22 @@ class LazyDijkstraOracle(DistanceOracle):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _forward_first(self, sources: Sequence[int], targets: Sequence[int]) -> bool:
+        """Whether a block needs no more new forward rows than reverse ones."""
+        missing_forward = {s for s in sources if s not in self._cache}
+        missing_reverse = {t for t in targets if t not in self._rcache}
+        return len(missing_reverse) >= len(missing_forward)
+
+    def _warm(self, sources: Sequence[int], targets: Sequence[int]) -> None:
+        """Build a block's rows, one search per missing label, in the
+        direction :meth:`_forward_first` picks."""
+        if self._forward_first(sources, targets):
+            for source in dict.fromkeys(sources):
+                self._distances_from(source)
+        else:
+            for target in dict.fromkeys(targets):
+                self._arrivals_to(target)
+
     def _distances_from(self, source: int) -> array:
         cached = self._cache.get(source)
         if cached is not None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from ..network.graph import RoadNetwork
 from ..network.oracle.base import DistanceOracle, OracleStats
@@ -62,11 +62,6 @@ class SharedNetworkView(RoadNetwork):
         return self._locked(self._parent.oracle_stats)
 
     # -- queries -------------------------------------------------------
-    def travel_times_many(
-        self, sources: Iterable[int], targets: Iterable[int]
-    ) -> dict[tuple[int, int], float]:
-        return self._locked(self._parent.travel_times_many, sources, targets)
-
     def leg_matrix(
         self, sources: Sequence[int], targets: Sequence[int]
     ) -> list[list[float]]:
@@ -74,9 +69,6 @@ class SharedNetworkView(RoadNetwork):
 
     def travel_time(self, source: int, target: int) -> float:
         return self._locked(self._parent.travel_time, source, target)
-
-    def travel_times_to(self, target: int) -> Mapping[int, float]:
-        return self._locked(self._parent.travel_times_to, target)
 
     def is_reachable(self, source: int, target: int) -> bool:
         return self._locked(self._parent.is_reachable, source, target)

@@ -32,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterator, Sequence, TYPE_CHECKING
+from math import inf
+from typing import Callable, Collection, Iterator, Sequence, TYPE_CHECKING
 
 from ..exceptions import ConfigurationError
 from ..model.worker import Worker
@@ -166,6 +167,18 @@ class WorkerFleet:
         """Locations of idle workers (the supply vector of the MDP state)."""
         return [worker.location for worker in self.idle_workers(now)]
 
+    def prime_approaches(self, pickups: Collection[int], now: float) -> None:
+        """Warm every idle worker's approach leg to each of ``pickups``.
+
+        One :meth:`RoadNetwork.leg_matrix` block, distinct idle locations
+        against ``pickups`` (one reverse-graph search per pickup on the
+        lazy backend), so the nearest-worker searches of a batch that
+        follow answer from warm caches.  The caller picks the pickups.
+        """
+        idle_locations = set(self.idle_locations(now))
+        if idle_locations and pickups:
+            self._network.leg_matrix(list(idle_locations), list(pickups))
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -280,7 +293,7 @@ class WorkerFleet:
         workers = self._workers
         order_index = self._order_index
         best_worker: Worker | None = None
-        best_key = (float("inf"), float("inf"))
+        best_key = (inf, inf)
 
         def cut(bound: float) -> bool:
             # Every worker from this ring on is at least ``bound`` away:
@@ -295,16 +308,16 @@ class WorkerFleet:
             ]
             if not candidates:
                 continue
-            # One many-to-one oracle batch per ring: every candidate's
-            # approach leg against the single pickup node.
-            approaches = self._network.travel_times_many(
-                (worker.location for worker in candidates), [start_node]
+            # One many-to-one oracle block per ring: every candidate's
+            # approach leg against the single pickup node, each cell the
+            # float :meth:`assign` books.
+            approaches = self._network.leg_matrix(
+                [worker.location for worker in candidates], [start_node]
             )
             nearest: Worker | None = None
             nearest_key = best_key
-            for worker in candidates:
-                approach = approaches.get((worker.location, start_node))
-                if approach is None:
+            for worker, (approach,) in zip(candidates, approaches):
+                if approach == inf:
                     continue
                 key = (approach, order_index[worker.worker_id])
                 if key < nearest_key:

@@ -146,15 +146,15 @@ def reverse_sweep(oracle: CHOracle, seeds: Mapping[int, float]) -> dict[int, flo
 class DictCHOracle(CHOracle):
     """``CHOracle`` answering arrivals and bucket blocks in pure Python.
 
+    Its memoised sweep rows are :func:`reverse_sweep` maps keyed by
+    public node id.
+
     Its ``bucket_scans`` counts bucket entries met, not label entries
     priced, so that one extra differs from the csr kernel's by design.
     """
 
     def reverse_sweep(self, seeds: Mapping[int, float]) -> dict[int, float]:
         return reverse_sweep(self, seeds)
-
-    def _arrivals_to(self, target: int) -> dict[int, float]:
-        return self._arrival_entry(target)[0]
 
     def _label(self, cache, node, adjacency) -> dict[int, float]:
         nodes, dists = super()._label(cache, node, adjacency)
@@ -196,7 +196,7 @@ class DictCHOracle(CHOracle):
             bucket_targets: list[int] = []
             for t_node in needed_targets:
                 if wide or t_node in self._arrival_cache:
-                    arrival_answers[t_node] = self._arrivals_to(t_node)
+                    arrival_answers[t_node] = self._arrival_row(t_node)
                 else:
                     bucket_targets.append(t_node)
             buckets: dict[int, list[tuple[int, float]]] = {}

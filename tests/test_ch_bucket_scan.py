@@ -102,8 +102,7 @@ def test_block_pricing_matches_the_per_pair_scan(data):
         assert answers[0] == answers[1] == answers[2]
     blocks = data.draw(st.lists(_blocks(nodes), min_size=1, max_size=6))
     for sources, targets in blocks:
-        method = data.draw(st.sampled_from(("leg_matrix", "travel_times_many")))
-        answers = [getattr(oracle, method)(sources, targets) for oracle in oracles]
+        answers = [oracle.leg_matrix(sources, targets) for oracle in oracles]
         assert answers[0] == answers[1] == answers[2]
     stats = [oracle.stats() for oracle in oracles]
     for name in _UNIFORM:

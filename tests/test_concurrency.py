@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.network.generators import grid_city
+from repro.network.graph import RoadNetwork
 from repro.network.grid import GridIndex
 from repro.network.oracle import CHOracle, create_oracle
 from repro.simulation.spatial import WorkerSpatialIndex
@@ -62,14 +63,22 @@ def test_ch_oracle_concurrent_queries_match_serial(city, ch_oracle):
     sources = [rng.choice(nodes) for _ in range(16)]
 
     reference_oracle = CHOracle(city.graph)
+    reference = RoadNetwork(city.graph, oracle=reference_oracle)
     reference_pairs = {
         pair: reference_oracle.travel_time(*pair) for pair in pairs
     }
     reference_arrivals = {
-        target: dict(reference_oracle.travel_times_to(target))
+        target: reference.travel_times_to(target) for target in targets
+    }
+    reference_sweeps = {
+        target: reference_oracle.reverse_sweep(
+            reference_oracle.reverse_seed_map(target)
+        ).tolist()
         for target in targets
     }
-    reference_many = reference_oracle.travel_times_many(sources, targets)
+    reference_many = reference.travel_times_many(sources, targets)
+    # The dict views of the shared oracle, each one ``leg_matrix`` call.
+    network = RoadNetwork(city.graph, oracle=ch_oracle)
 
     errors: list[BaseException] = []
 
@@ -86,13 +95,17 @@ def test_ch_oracle_concurrent_queries_match_serial(city, ch_oracle):
                         rel_tol=1e-9,
                     )
                 target = local.choice(targets)
-                # Reverse-PHAST arrival maps are computed one way only,
-                # so these must be exact, not merely close.
-                assert dict(ch_oracle.travel_times_to(target)) == (
-                    reference_arrivals[target]
+                # Reverse-PHAST sweeps are computed one way only, so
+                # these must be exact, not merely close.
+                sweep = ch_oracle.reverse_sweep(ch_oracle.reverse_seed_map(target))
+                assert sweep.tolist() == reference_sweeps[target]
+                # An all-to-one map reads the pair cache first, so which
+                # of two ulp-apart sums it holds is history, as above.
+                assert _maps_close(
+                    network.travel_times_to(target), reference_arrivals[target]
                 )
                 assert _maps_close(
-                    ch_oracle.travel_times_many(sources, targets),
+                    network.travel_times_many(sources, targets),
                     reference_many,
                 )
         except BaseException as exc:  # noqa: BLE001 - collected for the report

@@ -325,6 +325,38 @@ class TestDeadlineBoundary:
         assert index.candidates_yielded == yielded
 
 
+class TestOneApproach:
+    def test_a_worker_the_search_accepts_is_on_time_at_the_booked_approach(self):
+        """The ring search and ``assign`` price one approach, to the bit.
+
+        On ``lazy`` a forward row and a reverse row may differ in the
+        last bit.  Worker 14's forward row is cached, two far workers
+        put the ring's block in the reverse direction, and the deadline
+        is met exactly at the reverse-row approach: one ulp short of the
+        forward-row approach a scalar read, and so ``assign``, returns.
+        """
+        network = grid_city(8, 8, seed=1)
+        network.travel_time(14, 63)  # 14's forward row
+        group = _group(network, RoutePlanner(network), [(0, 2, 1)])
+        reverse = nx.single_source_dijkstra_path_length(
+            network.graph.reverse(copy=False), 0, weight="travel_time"
+        )[14]
+        assert reverse < network.travel_time(14, 0), "the last-bit gap is gone"
+        _set_slack(group, 0.0, reverse)
+        workers = [Worker(location=node, capacity=4) for node in (14, 15, 22)]
+        # One cell: every worker in the pickup's one ring.
+        fleet = WorkerFleet(workers, network, GridIndex(network, size=1))
+        worker = fleet.find_worker_for(group, 0.0)
+        if worker is not None:
+            booked = fleet.assign(worker, group, 0.0)
+            for order in group.orders:
+                arrival = 0.0 + booked.approach_time + group.route.sub_route_time(
+                    order.order_id
+                )
+                assert arrival <= order.deadline
+        assert worker is None
+
+
 class TestReleaseHeap:
     def test_worker_busy_at_construction_is_released_on_time(self):
         network = _city(0, 0.0)

@@ -5,9 +5,10 @@ Four contracts, each held to ``==``:
 * ``leg_matrix`` is the scalar answer: every cell equals what
   ``travel_time`` returns for the pair straight after the call, on every
   backend, whatever mix of forward and reverse maps ``lazy`` holds;
-* ``ch``'s override is its ``travel_times_many`` read densely: the same
-  floats, the same label and arrival-map work, one pair-cache read per
-  cell;
+* ``ch``'s override costs the label and sweep work of the block's
+  distinct cells and one pair-cache read per cell, and a block too big
+  for a backend's caches costs one search per label and reads its cells
+  as scalars;
 * the oracle's own Dijkstra row is networkx's distances and the
   reference kernel's map, forward and against the edges, cell for cell
   (``inf`` where the map has no key), and does not outlive ``clear()``;
@@ -17,7 +18,6 @@ Four contracts, each held to ``==``:
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from math import inf
 
 import networkx as nx
@@ -170,9 +170,17 @@ class TestLegMatrixIsTheScalarAnswer:
             matrix = _assert_matrix_is_scalar(network, nodes, nodes)
             spent = network.oracle_stats() - before
             assert spent.sssp_runs == spent.reverse_sssp_runs == 0
-            block = network.travel_times_many(nodes, nodes)
+            # The dict view is the matrix, pair for pair.
+            assert network.travel_times_many(nodes, nodes) == {
+                (source, target): cell
+                for source, row in zip(nodes, matrix)
+                for target, cell in zip(nodes, row)
+                if cell != inf
+            }
+            oracle = network.oracle
+            column = oracle._index[nodes[0]]
             disagreements += sum(
-                block.get((nodes[0], target), inf) != cell
+                oracle._rcache[target][column] != cell
                 for target, cell in zip(nodes, matrix[0])
             )
         assert disagreements, "no graph reproduces the forward/reverse last-bit gap"
@@ -219,16 +227,31 @@ class TestLegMatrixIsTheScalarAnswer:
         for sources, targets in _blocks(rng, 20, count=10, size=6):
             _assert_matrix_is_scalar(network, sources, targets)
 
+    def test_lazy_block_wider_than_the_lru_runs_one_search_per_label(self):
+        """Five sources, room for two rows: one reverse search, then
+        every cell a scalar read off that row."""
+        graph = _digraph(20, seed=23)
+        oracle = LazyDijkstraOracle(graph, max_sources=2)
+        sources = [0, 3, 5, 7, 9]
+        matrix = oracle.leg_matrix(sources, [11])
+        stats = oracle.stats()
+        assert (stats.sssp_runs, stats.reverse_sssp_runs) == (0, 1)
+        assert (stats.cache_misses, stats.cache_hits) == (1, 5)
+        assert stats.queries == stats.batched_queries == 5
+        column = oracle._rcache[11]
+        assert matrix == [[column[oracle._index[source]]] for source in sources]
+
 
 @pytest.mark.parametrize("kernel", ["dict", "csr"])
 class TestChOverride:
-    """``CHOracle.leg_matrix`` against a twin oracle asked by ``travel_times_many``.
+    """``CHOracle.leg_matrix`` against a twin asked for the distinct cells.
 
-    The stats contract: ``queries`` and ``batched_queries`` grow by the
-    number of cells (duplicates and the diagonal included); every
-    off-diagonal cell found in the pair cache is one cache hit; the
-    label and arrival caches count hits, misses and searches exactly as
-    ``travel_times_many`` does for the same block.
+    The twin answers the network's ``travel_times_many``: one block over
+    the distinct sources and targets.  The stats contract: ``queries``
+    and ``batched_queries`` grow by the number of cells (duplicates and
+    the diagonal included); every off-diagonal cell found in the pair
+    cache is one cache hit; the label and arrival caches count hits,
+    misses and searches exactly as the twin's distinct block does.
     """
 
     @staticmethod
@@ -243,7 +266,7 @@ class TestChOverride:
         assert set(cached) == {pair for pair in off_diagonal if pair in many._pair_cache}
         before_dense, before_many = dense.stats(), many.stats()
         matrix = dense.leg_matrix(sources, targets)
-        block = many.travel_times_many(sources, targets)
+        block = RoadNetwork(many.graph, oracle=many).travel_times_many(sources, targets)
         spent, block_spent = dense.stats() - before_dense, many.stats() - before_many
         assert matrix == [
             [0.0 if s == t else block.get((s, t), inf) for t in targets] for s in sources
@@ -287,7 +310,7 @@ class TestChOverride:
     def test_target_with_a_memoised_arrival_row(self, kernel):
         dense, many = self._twins(kernel)
         for oracle in (dense, many):
-            oracle.travel_times_to(5)
+            oracle._arrival_row(5)
         self._check(dense, many, [1, 2, 3], [5, 9])
         assert dense.stats().extras["arrival_cached_targets"] == 1.0
         assert dense.stats().extras["bucket_cached_targets"] == 1.0  # 9 only
@@ -303,26 +326,75 @@ class TestChOverride:
         assert warm.cache_hits == len(sources) * len(targets) - 4  # four diagonal cells
 
     def test_block_larger_than_the_pair_cache_takes_the_two_step(self, kernel):
-        """Six cells, room for four: its own answers would be evicted."""
+        """Six cells, room for four: its own answers would be evicted.
+
+        The block prices its distinct cells once, one search per label,
+        then reads every cell as a scalar: a point-to-point search each,
+        the pair cache having kept four of them.  The counts are pinned.
+        """
         whole = _digraph(24, seed=31, weight=lambda rng: float(rng.randint(1, 9)))
-        dense, two_step = self._twins(kernel, whole, pair_cache_size=4)
+        oracle = CH_KERNELS[kernel](whole, pair_cache_size=4)
         sources, targets = [3, 15, 20], [1, 11]
-        before_dense, before_two_step = dense.stats(), two_step.stats()
-        matrix = dense.leg_matrix(sources, targets)
-        assert matrix == DistanceOracle.leg_matrix(two_step, sources, targets)
-        spent = dense.stats() - before_dense
-        assert spent == replace(
-            two_step.stats() - before_two_step,
-            precompute_seconds=spent.precompute_seconds,
-        )
-        assert spent.evictions > 0
+        before = oracle.stats()
+        matrix = oracle.leg_matrix(sources, targets)
+        spent = oracle.stats() - before
+        assert matrix == [[14.0, 15.0], [15.0, 16.0], [19.0, 20.0]]
+        assert spent.queries == spent.batched_queries == 6
+        # Three source labels and two target labels, then six scalar misses.
+        assert spent.cache_misses == 11 and spent.cache_hits == 0
+        assert spent.reverse_sssp_runs == 2
+        assert spent.pp_searches == 6
+        assert spent.evictions == 8
+        assert spent.extras["upward_settles"] == 61
+        assert spent.extras["label_cached_sources"] == 3.0
+        assert spent.extras["bucket_cached_targets"] == 2.0
+        assert spent.extras["arrival_cached_targets"] == 0.0
         for row, source in zip(matrix, sources):
             for cell, target in zip(row, targets):
-                assert cell == _scalar(RoadNetwork(whole, oracle=dense), source, target)
+                assert cell == _scalar(RoadNetwork(whole, oracle=oracle), source, target)
         # A block that fits is read off the cache: one query per cell.
-        before = dense.stats()
-        dense.leg_matrix(sources[:2], targets)
-        assert (dense.stats() - before).queries == 4
+        before = oracle.stats()
+        oracle.leg_matrix(sources[:2], targets)
+        assert (oracle.stats() - before).queries == 4
+
+
+class _ScalarOnly(DistanceOracle):
+    """A backend defining nothing but the two abstract methods."""
+
+    name = "scalar-only"
+
+    def travel_time(self, source: int, target: int) -> float:
+        try:
+            return float(
+                nx.dijkstra_path_length(self.graph, source, target, weight="travel_time")
+            )
+        except nx.NetworkXNoPath:
+            raise UnreachableError(source, target) from None
+
+    def clear(self) -> None:
+        pass
+
+
+class TestMinimalBackend:
+    def test_scalar_reads_answer_every_block_and_view(self):
+        """The default block and the network's dict views over it equal
+        ``lazy``'s (integer weights: every direction sums alike)."""
+        graph = _digraph(16, seed=8, weight=lambda rng: float(rng.randint(1, 9)))
+        minimal = RoadNetwork(graph, oracle=_ScalarOnly(graph))
+        lazy = _network("lazy", graph)
+        rng = random.Random(8)
+        for sources, targets in _blocks(rng, 16, count=10, size=5):
+            assert minimal.leg_matrix(sources, targets) == lazy.leg_matrix(
+                sources, targets
+            )
+            assert minimal.travel_times_many(sources, targets) == (
+                lazy.travel_times_many(sources, targets)
+            )
+        for target in graph:
+            assert minimal.travel_times_to(target) == lazy.travel_times_to(target)
+        before = minimal.oracle_stats()
+        minimal.leg_matrix([1, 2, 1], [2, 3])
+        assert (minimal.oracle_stats() - before).batched_queries == 6
 
 
 class TestDistancesAreFloats:
@@ -404,9 +476,9 @@ class TestKernelIsNetworkx:
                     and (cell == reference[key] if key in reference else cell == inf)
                     for key, cell in cells.items()
                 )
-            # The one map handed out: the reverse row's reachable cells,
+            # The network's all-to-one map: the reverse row's reachable cells,
             # in node-index order.
-            arrivals = oracle.travel_times_to(node)
+            arrivals = RoadNetwork(graph, oracle=oracle).travel_times_to(node)
             assert arrivals == dict_dijkstra(backward, node)
             assert list(arrivals) == [key for key in oracle._nodes if key in arrivals]
 
@@ -429,5 +501,5 @@ class TestKernelIsNetworkx:
         # Nothing else of the old graph is held: the public queries
         # answer with the new weight too.
         assert oracle.travel_time(0, 2) == 20.0
-        assert oracle.travel_times_to(2)[1] == 50.0
+        assert RoadNetwork(graph, oracle=oracle).travel_times_to(2)[1] == 50.0
         assert oracle.travel_time(1, 2) == 50.0

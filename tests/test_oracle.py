@@ -5,7 +5,7 @@ Covers:
 * property-style agreement of every backend with plain Dijkstra on
   random grid and Manhattan-like networks (reachable and unreachable
   pairs),
-* the batched ``travel_times_many`` API,
+* the ``leg_matrix`` block and the network's dict views over it,
 * LRU bounding of the lazy backend,
 * the backend registry, and
 * backend selection through ``SimulationConfig`` and the CLI.
@@ -49,6 +49,11 @@ REASSOCIATING_BACKENDS = {"ch"}
 
 def _make(backend: str, graph: nx.DiGraph) -> DistanceOracle:
     return create_oracle(backend, graph)
+
+
+def _view(oracle: DistanceOracle) -> RoadNetwork:
+    """The network over ``oracle``: where the dict views of a block live."""
+    return RoadNetwork(oracle.graph, oracle=oracle)
 
 
 def _reference_distances(graph: nx.DiGraph, source: int) -> dict[int, float]:
@@ -133,7 +138,7 @@ class TestTravelTimesMany:
         oracle = _make(backend, graph)
         nodes = sorted(graph.nodes)
         sources, targets = nodes[:5], nodes[-5:] + nodes[:2]
-        block = oracle.travel_times_many(sources, targets)
+        block = _view(oracle).travel_times_many(sources, targets)
         for source in sources:
             reference = _reference_distances(graph, source)
             for target in set(targets):
@@ -148,7 +153,7 @@ class TestTravelTimesMany:
     @pytest.mark.parametrize("backend", sorted(BACKEND_CLASSES))
     def test_unreachable_pairs_are_absent(self, directed_network, backend):
         oracle = _make(backend, directed_network.graph)
-        block = oracle.travel_times_many([0, 2, 3], [2, 4])
+        block = _view(oracle).travel_times_many([0, 2, 3], [2, 4])
         assert block[(0, 2)] == 15.0
         assert block[(3, 4)] == 7.0
         assert (2, 4) not in block and (0, 4) not in block
@@ -211,7 +216,7 @@ class TestReverseForwardAgreement:
         oracle = _make(backend, graph)
         rng = random.Random(seed + 1)
         for target in rng.sample(sorted(graph.nodes), 5):
-            arrivals = oracle.travel_times_to(target)
+            arrivals = _view(oracle).travel_times_to(target)
             for source in graph.nodes:
                 want = _reference_distances(graph, source).get(target)
                 got = arrivals.get(source)
@@ -226,7 +231,7 @@ class TestReverseForwardAgreement:
         oracle = _make(backend, graph)
         nodes = sorted(graph.nodes)
         target = nodes[7]
-        block = oracle.travel_times_many(nodes, [target])
+        block = _view(oracle).travel_times_many(nodes, [target])
         for source in nodes:
             want = (
                 0.0
@@ -248,7 +253,7 @@ class TestReverseForwardAgreement:
         nodes = sorted(graph.nodes)
         asymmetric = 0
         for target in nodes[:6]:
-            arrivals = oracle.travel_times_to(target)
+            arrivals = _view(oracle).travel_times_to(target)
             for source in nodes:
                 if source == target:
                     continue
@@ -263,30 +268,30 @@ class TestReverseForwardAgreement:
     @pytest.mark.parametrize("backend", sorted(BACKEND_CLASSES))
     def test_one_way_chain_reverse_queries(self, directed_network, backend):
         oracle = _make(backend, directed_network.graph)
-        arrivals = oracle.travel_times_to(2)
+        arrivals = _view(oracle).travel_times_to(2)
         assert arrivals[0] == 15.0
         assert arrivals[1] == 5.0
         assert 3 not in arrivals and 4 not in arrivals
         # Nothing reaches node 0 except itself on the one-way chain.
-        assert set(oracle.travel_times_to(0)) == {0}
+        assert set(_view(oracle).travel_times_to(0)) == {0}
 
 
 class TestBatchStatsContract:
-    """``travel_times_many`` counters: attempted vs answered pairs.
+    """``leg_matrix`` counters: cells asked for, maps built.
 
-    ``batched_queries`` counts every pair of the requested product,
-    ``queries`` only the pairs actually answered, and cache misses are
-    charged once per distance map built — not once per pair.
+    ``batched_queries`` and ``queries`` both count every cell of the
+    block, unreachable ones included, and cache misses are charged once
+    per distance map built — not once per cell.
     """
 
     def test_lazy_many_to_one_counts_one_miss_per_map(self, directed_network):
         oracle = LazyDijkstraOracle(directed_network.graph)
-        block = oracle.travel_times_many([0, 1, 3], [2])
+        matrix = oracle.leg_matrix([0, 1, 3], [2])
         stats = oracle.stats()
         assert stats.batched_queries == 3
-        # (3, 2) is unreachable: only two pairs were answered.
-        assert len(block) == 2
-        assert stats.queries == 2
+        # (3, 2) is unreachable: a cell all the same.
+        assert matrix == [[15.0], [5.0], [float("inf")]]
+        assert stats.queries == 3
         # One reverse map for target 2 serves the whole batch.
         assert stats.cache_misses == 1
         assert stats.reverse_sssp_runs == 1
@@ -297,14 +302,15 @@ class TestBatchStatsContract:
         oracle = LazyDijkstraOracle(graph)
         nodes = sorted(graph.nodes)
         sources, targets = nodes[:2], nodes[3:7]
-        block = oracle.travel_times_many(sources, targets)
+        matrix = oracle.leg_matrix(sources, targets)
         stats = oracle.stats()
         assert stats.batched_queries == 8
-        assert stats.queries == len(block) == 8
+        assert stats.queries == sum(map(len, matrix)) == 8
         assert stats.cache_misses == 2  # one forward map per source
         assert stats.sssp_runs == 2
-        # Re-running the same batch is pure cache hits, no new misses.
-        oracle.travel_times_many(sources, targets)
+        # Re-running the same batch is pure cache hits (one per row
+        # read), no new misses.
+        assert oracle.leg_matrix(sources, targets) == matrix
         stats = oracle.stats()
         assert stats.cache_misses == 2
         assert stats.cache_hits == 2
@@ -365,8 +371,9 @@ class TestContractionHierarchy:
         graph.add_node(0, x=0.0, y=0.0)
         oracle = _make(backend, graph)
         assert oracle.travel_time(0, 0) == 0.0
-        assert dict(oracle.travel_times_to(0)) == {0: 0.0}
-        assert oracle.travel_times_many([0], [0]) == {(0, 0): 0.0}
+        assert oracle.leg_matrix([0], [0]) == [[0.0]]
+        assert _view(oracle).travel_times_to(0) == {0: 0.0}
+        assert _view(oracle).travel_times_many([0], [0]) == {(0, 0): 0.0}
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_CLASSES))
     def test_edgeless_graph(self, backend):
@@ -376,8 +383,8 @@ class TestContractionHierarchy:
         oracle = _make(backend, graph)
         with pytest.raises(UnreachableError):
             oracle.travel_time(0, 3)
-        assert dict(oracle.travel_times_to(2)) == {2: 0.0}
-        block = oracle.travel_times_many([0, 1, 2], [2, 3])
+        assert _view(oracle).travel_times_to(2) == {2: 0.0}
+        block = _view(oracle).travel_times_many([0, 1, 2], [2, 3])
         assert block == {(2, 2): 0.0}
 
     def test_both_batch_paths_agree_with_dijkstra(self):
@@ -385,8 +392,8 @@ class TestContractionHierarchy:
         graph = _random_digraph(40, seed=77, strongly_connected=False)
         nodes = sorted(graph.nodes)
         target = nodes[11]
-        narrow = CHOracle(graph).travel_times_many(nodes[:4], [target])
-        wide = CHOracle(graph).travel_times_many(nodes, [target])
+        narrow = _view(CHOracle(graph)).travel_times_many(nodes[:4], [target])
+        wide = _view(CHOracle(graph)).travel_times_many(nodes, [target])
         for source in nodes:
             want = (
                 0.0
@@ -435,7 +442,7 @@ class TestContractionHierarchy:
         assert stats.extras["shortcuts_added"] > 0
         nodes = sorted(graph.nodes)
         oracle.travel_time(nodes[0], nodes[-1])
-        oracle.travel_times_many(nodes[:3], [nodes[-1], nodes[-2]])
+        oracle.leg_matrix(nodes[:3], [nodes[-1], nodes[-2]])
         stats = oracle.stats()
         assert stats.pp_searches == 1
         assert stats.extras["upward_settles"] > 0
@@ -445,13 +452,13 @@ class TestContractionHierarchy:
         # Repeating the batch is pure cache hits: the pair cache
         # memoised both directions of work.
         before = oracle.stats()
-        oracle.travel_times_many(nodes[:3], [nodes[-1], nodes[-2]])
+        oracle.leg_matrix(nodes[:3], [nodes[-1], nodes[-2]])
         after = oracle.stats()
         assert after.cache_hits == before.cache_hits + 6
         assert after.cache_misses == before.cache_misses
         # clear() drops the pairs: the same batch searches again.
         oracle.clear()
-        oracle.travel_times_many(nodes[:3], [nodes[-1], nodes[-2]])
+        oracle.leg_matrix(nodes[:3], [nodes[-1], nodes[-2]])
         assert oracle.stats().cache_misses > after.cache_misses
 
 
@@ -576,15 +583,16 @@ class TestLabelMemo:
         def fresh(**kwargs) -> CHOracle:
             return _CH_KERNELS[kernel](graph, preprocessing=payload, **kwargs)
 
-        # A pair cache of one forces pairs to be re-derived from labels.
+        # A pair cache of one block (the stream's largest, 6 x 4) forces
+        # pairs of earlier blocks to be re-derived from labels.
         long_lived = fresh(
-            pair_cache_size=1, bucket_cache_size=bucket_cache_size
+            pair_cache_size=24, bucket_cache_size=bucket_cache_size
         )
         scalar = fresh()
         unreachable = 0
         for sources, targets in _block_stream(pool, seed, count=30):
-            got = long_lived.travel_times_many(sources, targets)
-            assert got == fresh().travel_times_many(sources, targets)
+            got = _view(long_lived).travel_times_many(sources, targets)
+            assert got == _view(fresh()).travel_times_many(sources, targets)
             for source in sources:
                 for target in targets:
                     try:
@@ -612,16 +620,19 @@ class TestLabelMemo:
     def test_reasking_evicted_pairs_runs_no_search(self, networks, kernel):
         graph = networks["grid"].graph
         nodes = sorted(graph.nodes)
-        oracle = _CH_KERNELS[kernel](graph, pair_cache_size=1)
+        oracle = _CH_KERNELS[kernel](graph, pair_cache_size=6)
+        network = _view(oracle)
         sources, targets = nodes[:3], [nodes[-1], nodes[-2]]
-        first = oracle.travel_times_many(sources, targets)
-        before = oracle.stats()
+        first = network.travel_times_many(sources, targets)
         # One search per distinct source and per distinct target.
-        assert before.cache_misses == 5
-        assert before.extras["label_cached_sources"] == 3.0
-        assert before.extras["bucket_cached_targets"] == 2.0
-        assert before.evictions == 5  # six pairs through a pair cache of one
-        assert oracle.travel_times_many(sources, targets) == first
+        assert oracle.stats().cache_misses == 5
+        assert oracle.stats().extras["label_cached_sources"] == 3.0
+        assert oracle.stats().extras["bucket_cached_targets"] == 2.0
+        # Six pairs the other way round evict the first six.
+        network.travel_times_many(targets, sources)
+        before = oracle.stats()
+        assert before.evictions == 6
+        assert network.travel_times_many(sources, targets) == first
         after = oracle.stats()
         assert after.extras["upward_settles"] == before.extras["upward_settles"]
         assert after.cache_misses == before.cache_misses
@@ -631,7 +642,7 @@ class TestLabelMemo:
         oracle.clear()
         assert oracle.stats().extras["label_cached_sources"] == 0.0
         assert oracle.stats().extras["bucket_cached_targets"] == 0.0
-        assert oracle.travel_times_many(sources, targets) == first
+        assert network.travel_times_many(sources, targets) == first
         again = oracle.stats()
         assert again.extras["upward_settles"] > after.extras["upward_settles"]
         assert again.cache_misses == after.cache_misses + 5

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 from repro.api import OracleSpec, ScenarioSpec, Session
 from repro.exceptions import UnreachableError
+from repro.network.graph import RoadNetwork
 from repro.network.oracle import CHOracle, LazyDijkstraOracle
-from repro.network.oracle.csr import finite_entries
 from tests.reference.dict_kernel import (
     DictCHOracle,
     DictLazyOracle,
@@ -76,8 +76,8 @@ def test_kernels_agree_on_random_digraphs(seed, strongly):
     reverse-PHAST row path, the multi-target batch the bucket scans.
     """
     graph = _random_digraph(14, seed, strongly)
-    reference = DictCHOracle(graph)
-    oracle = CHOracle(graph)
+    reference = RoadNetwork(graph, oracle=DictCHOracle(graph))
+    oracle = RoadNetwork(graph, oracle=CHOracle(graph))
     nodes = sorted(graph.nodes)
     target = nodes[seed % len(nodes)]
     assert dict(reference.travel_times_to(target)) == dict(
@@ -110,11 +110,7 @@ def test_reverse_sweep_primitive_representations_agree(seed, strongly):
     want = reverse_sweep(oracle, seeds)
     row = oracle.reverse_sweep(seeds)
     order = oracle.node_order
-    idxs, values = finite_entries(row)
-    got = {
-        order[idx]: value
-        for idx, value in zip(idxs.tolist(), values.tolist())
-    }
+    got = {order[idx]: value for idx, value in enumerate(row.tolist()) if value != inf}
     assert got == want
 
 
@@ -193,6 +189,9 @@ def test_block_stream_matches_the_reference_kernel(name, seed):
     graph.add_edge(2, 103, travel_time=0.5)
     make, make_reference = KERNEL_TWINS[name]
     oracle, reference = make(graph), make_reference(graph)
+    # The dict views are the network's, over the oracle's block query.
+    network = RoadNetwork(graph, oracle=oracle)
+    reference_network = RoadNetwork(graph, oracle=reference)
     nodes = list(graph)
     truth = dict(nx.all_pairs_dijkstra_path_length(graph, weight="travel_time"))
     rng = random.Random(seed)
@@ -209,8 +208,8 @@ def test_block_stream_matches_the_reference_kernel(name, seed):
                 [rng.choice(palette) for _ in range(rng.randint(1, 4))],
                 [rng.choice(palette) for _ in range(rng.randint(1, 4))],
             )
-        answer = _ask(oracle, op, args)
-        assert answer == _ask(reference, op, args), (op, args)
+        answer = _ask(network, op, args)
+        assert answer == _ask(reference_network, op, args), (op, args)
         _assert_networkx_distances(truth, nodes, op, args, answer)
         assert replace(oracle.stats(), precompute_seconds=0.0) == replace(
             reference.stats(), precompute_seconds=0.0

@@ -203,12 +203,13 @@ def test_every_verdict_is_exercised():
 
 @pytest.mark.parametrize("seed", [29, 43, 47])
 def test_search_cost_is_the_scalar_cost_where_the_block_disagrees(seed):
-    """The ``lazy`` hazard, pinned: block and scalar differ on a winning leg.
+    """The ``lazy`` hazard, pinned: reverse map and scalar differ on a winning leg.
 
     The pickup of the first order has a forward map (it was planned
     alone), the other three stops have reverse maps (worker searches),
-    so the pair's block is answered from reverse maps while a scalar
-    query from that pickup reads its forward map.
+    so a block over the stops runs in the reverse direction while a
+    scalar query from that pickup reads its forward map.  The search
+    must price the leg as the scalar does.
     """
     graph = _random_graph(10, seed, connected=True)
     network = RoadNetwork(graph)
@@ -220,12 +221,14 @@ def test_search_cost_is_the_scalar_cost_where_the_block_disagrees(seed):
     workers = [node for node in range(10) if node not in (p1, d1, p2, d2)][:4]
     for target in (d1, p2, d2):
         network.travel_times_many(workers, [target])
-    stops = {p1, d1, p2, d2}
-    block = network.travel_times_many(stops, stops)
+    stops = list({p1, d1, p2, d2})
+    network.leg_matrix(stops, stops)  # answered off reverse maps, one per stop
+    reverse, index = network.oracle._rcache, network.oracle._index
     planned = planner.plan([first, second], 4, 0.0)
     nodes = [stop.node for stop in planned.route.stops]
     assert any(
-        block[(a, b)] != network.travel_time(a, b) for a, b in zip(nodes, nodes[1:])
+        reverse[b][index[a]] != network.travel_time(a, b)
+        for a, b in zip(nodes, nodes[1:])
     ), "the pinned graph no longer reproduces the forward/reverse disagreement"
     assert planned.total_travel_time == Route(list(planned.route.stops), network).total_travel_time
     expected = BruteForcePlanner(network).plan([first, second], 4, 0.0)

@@ -26,6 +26,7 @@ import weakref
 import pytest
 
 from repro.api import ScenarioSpec, run_scenario
+from repro.exceptions import UnknownNodeError
 from repro.network.generators import grid_city
 from repro.serve import (
     CANCELLED,
@@ -205,16 +206,22 @@ class TestBatchedNetworkView:
         assert view.shortest_path(nodes[0], nodes[5]) == (
             shared_city.shortest_path(nodes[0], nodes[5])
         )
+        assert view.leg_matrix(nodes[:3], nodes[4:8]) == (
+            shared_city.leg_matrix(nodes[:3], nodes[4:8])
+        )
+        # The dict views are RoadNetwork's: one locked leg_matrix each.
         assert view.travel_times_many(nodes[:3], nodes[4:8]) == (
             shared_city.travel_times_many(nodes[:3], nodes[4:8])
         )
+        assert view.travel_times_to(nodes[5]) == shared_city.travel_times_to(nodes[5])
         # shortest_path reads the graph alone, so it takes no lock.
-        assert view.queries == 2
+        assert view.queries == 4
 
     def test_view_rejects_unknown_nodes(self, shared_city):
         view = SharedNetworkView(shared_city, threading.Lock())
-        with pytest.raises(Exception):
-            view.travel_times_many([10**9], [0])
+        for query in (view.leg_matrix, view.travel_times_many):
+            with pytest.raises(UnknownNodeError):
+                query([10**9], [0])
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +331,7 @@ class TestScenarioService:
 
     def test_concurrent_runs_on_one_lazy_network_match_direct_runs(self):
         """WATTER-online and GAS price candidates and ring searches by
-        ``travel_times_many`` blocks, which two runs on one pooled
+        ``leg_matrix`` blocks, which two runs on one pooled
         ``lazy`` network take turns at under its lock.  Without jitter
         every Dijkstra sum is exact, so however the runs interleave on
         the shared LRU, each must match its direct run to the last bit."""
