@@ -4,8 +4,9 @@
 lifecycle: new orders are inserted as they arrive; expired edges and
 groups are pruned; on every periodic check each pooled order's best
 group is fetched (O(1), the graph maintains it) and handed to the
-dispatch strategy which decides to dispatch or hold; orders whose watch
-window elapsed without any feasible group are rejected.
+dispatch strategy which decides to dispatch or hold (an order with no
+group asks the strategy whether to ride alone); orders that can no
+longer meet their deadline are rejected.
 
 The pool does not know about workers — it emits :class:`PoolDecision`
 records and the simulator (or the WATTER dispatcher) performs the
@@ -15,14 +16,14 @@ the assignment step (line 11: "assign the g to a worker to serve").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, TYPE_CHECKING
 
 from ..exceptions import MissingOrderError
 from ..model.group import Group
 from ..model.order import Order
 from .shareability import TemporalShareabilityGraph
-from .strategies import APPROACH_RESERVE, DispatchStrategy
+from .strategies import DispatchStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..routing.planner import RoutePlanner
@@ -46,23 +47,6 @@ class PoolDecision:
     reject: bool = False
     hold: bool = False
     group: Group | None = None
-
-
-@dataclass
-class PoolStatistics:
-    """Counters describing the pool's activity, reported by experiments."""
-
-    inserted: int = 0
-    dispatched: int = 0
-    rejected: int = 0
-    expired_edges: int = 0
-    checks: int = 0
-    held: int = 0
-    group_size_histogram: dict[int, int] = field(default_factory=dict)
-
-    def record_group(self, size: int) -> None:
-        """Register a dispatched group of the given size."""
-        self.group_size_histogram[size] = self.group_size_histogram.get(size, 0) + 1
 
 
 class OrderPool:
@@ -89,14 +73,11 @@ class OrderPool:
         capacity: int = 4,
         max_group_size: int = 4,
         weights=None,
-        check_period: float = 10.0,
     ) -> None:
         self._graph = TemporalShareabilityGraph(
             planner, capacity=capacity, max_group_size=max_group_size, weights=weights
         )
         self._strategy = strategy
-        self._check_period = check_period
-        self._stats = PoolStatistics()
 
     # ------------------------------------------------------------------
     # introspection
@@ -110,11 +91,6 @@ class OrderPool:
     def strategy(self) -> DispatchStrategy:
         """The dispatch strategy consulted on every check."""
         return self._strategy
-
-    @property
-    def statistics(self) -> PoolStatistics:
-        """Activity counters accumulated so far."""
-        return self._stats
 
     def __len__(self) -> int:
         return len(self._graph)
@@ -136,13 +112,6 @@ class OrderPool:
     def insert(self, order: Order, now: float) -> None:
         """Lines 2-4: insert a newly released order into the pool."""
         self._graph.insert_order(order, now)
-        self._stats.inserted += 1
-
-    def prune_expired(self, now: float) -> int:
-        """Lines 5-6: drop edges (and thereby groups) that expired by ``now``."""
-        expired = self._graph.expire_edges(now)
-        self._stats.expired_edges += len(expired)
-        return len(expired)
 
     def check(self, now: float, can_assign=None) -> list[PoolDecision]:
         """Lines 7-16: the asynchronous periodic check over all pooled orders.
@@ -161,8 +130,8 @@ class OrderPool:
             callable confirms a suitable worker exists (Algorithm 1
             line 11); otherwise the member orders keep waiting.
         """
-        self._stats.checks += 1
-        self.prune_expired(now)
+        # Lines 5-6: drop edges (and thereby groups) that expired by ``now``.
+        self._graph.expire_edges(now)
         decisions: list[PoolDecision] = []
         processed: set[int] = set()
         for order in list(self._graph.orders()):
@@ -170,34 +139,22 @@ class OrderPool:
             if order_id in processed or order_id not in self._graph:
                 continue
             group = self._graph.best_group(order_id)
-            wants_dispatch = group is not None and self._strategy.should_dispatch(
-                group, now
-            )
+            if group is not None:
+                wants_dispatch = self._strategy.should_dispatch(group, now)
+            elif self._strategy.should_dispatch_alone(order, now):
+                # No shareable partner: ride alone if a worker can still
+                # serve the order, otherwise keep waiting until its
+                # deadline makes rejection final.
+                group = self._graph.singleton_group(order_id, now)
+                wants_dispatch = group is not None
+            else:
+                wants_dispatch = False
             if wants_dispatch and can_assign is not None:
                 wants_dispatch = bool(can_assign(group, now))
-            if (
-                not wants_dispatch
-                and group is None
-                and self._dispatch_alone_now(order, now)
-            ):
-                # The order has no shareable partner and either its watch
-                # window elapsed or waiting one more check would make even a
-                # solo ride miss its deadline: dispatch it alone if a worker
-                # can still serve it ("served when there are suitable
-                # workers"), otherwise it keeps waiting until its deadline
-                # makes rejection final.
-                singleton = self._graph.singleton_group(order_id, now)
-                if singleton is not None and (
-                    can_assign is None or can_assign(singleton, now)
-                ):
-                    group = singleton
-                    wants_dispatch = True
-            if wants_dispatch and group is not None:
+            if wants_dispatch:
                 member_ids = list(group.order_ids())
                 self._graph.remove_orders(member_ids, now)
                 processed.update(member_ids)
-                self._stats.dispatched += len(member_ids)
-                self._stats.record_group(len(member_ids))
                 decisions.append(
                     PoolDecision(order_id=order_id, dispatch=True, group=group)
                 )
@@ -205,29 +162,10 @@ class OrderPool:
                 # Even dispatching alone right now would miss the deadline.
                 self._graph.remove_order(order_id, now)
                 processed.add(order_id)
-                self._stats.rejected += 1
                 decisions.append(PoolDecision(order_id=order_id, reject=True))
             else:
-                self._stats.held += 1
                 decisions.append(PoolDecision(order_id=order_id, hold=True))
         return decisions
-
-    def _dispatch_alone_now(self, order: Order, now: float) -> bool:
-        """Whether an unpaired order should be dispatched alone at ``now``.
-
-        Waiting longer stops being useful once the order's watch window
-        elapsed, or its remaining slack is down to the safety margin
-        that must be kept for the assigned worker's approach leg
-        (waiting further would turn a servable order into a rejection).
-        """
-        safety_margin = (
-            self._check_period + APPROACH_RESERVE * order.shortest_time
-        )
-        return (
-            self._strategy.dispatches_unpaired_immediately
-            or now >= order.timeout_time
-            or order.slack_at(now) < safety_margin
-        )
 
     def remove(self, order_id: int, now: float) -> Order:
         """Force-remove an order (used when an assignment fails downstream)."""
@@ -240,6 +178,5 @@ class OrderPool:
         decisions = []
         for order in list(self._graph.orders()):
             self._graph.remove_order(order.order_id, now)
-            self._stats.rejected += 1
             decisions.append(PoolDecision(order_id=order.order_id, reject=True))
         return decisions

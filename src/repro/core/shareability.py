@@ -206,11 +206,6 @@ class TemporalShareabilityGraph:
                 self._refresh_best_group(order_id, now)
         return expired
 
-    def refresh_all_best_groups(self, now: float) -> None:
-        """Recompute every order's best group (used after bulk updates)."""
-        for order_id in self._orders:
-            self._refresh_best_group(order_id, now)
-
     # ------------------------------------------------------------------
     # clique enumeration
     # ------------------------------------------------------------------

@@ -25,8 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Fraction of an order's direct travel time held back for the assigned
 #: worker's approach leg, which the expiration time of Equation 3 leaves
-#: out.  Both hold-or-dispatch margins (a group about to expire, an
-#: unpaired order about to lose its solo ride) reserve it.
+#: out.  Read by :meth:`DispatchStrategy._margin` alone.
 APPROACH_RESERVE = 0.3
 
 
@@ -57,17 +56,15 @@ class ConstantThresholdProvider:
 class DispatchStrategy(abc.ABC):
     """Base class of hold-or-dispatch decision rules.
 
+    The order pool asks a strategy two questions on every periodic
+    check: whether to dispatch an order's best group
+    (:meth:`should_dispatch`), and whether an order with no shareable
+    partner should ride alone (:meth:`should_dispatch_alone`).
     ``check_period`` is the time between two periodic pool checks: how
-    long a held group waits before it is looked at again.
+    long a held group or order waits before it is looked at again.
     """
 
     name: str = "base"
-
-    #: Whether orders with no shareable partner should be dispatched alone
-    #: right away instead of waiting out their watch window.  Only the
-    #: online strategy (answer every order as early as possible) does so;
-    #: the pooling strategies hold unpaired orders hoping for a partner.
-    dispatches_unpaired_immediately: bool = False
 
     def __init__(self, check_period: float = 10.0) -> None:
         self._check_period = check_period
@@ -76,29 +73,52 @@ class DispatchStrategy(abc.ABC):
     def should_dispatch(self, group: "Group", now: float) -> bool:
         """Whether to dispatch ``group`` at time ``now`` (True) or hold it."""
 
+    def should_dispatch_alone(self, order: "Order", now: float) -> bool:
+        """Whether an order with no shareable partner should ride alone now.
+
+        Waiting longer stops being useful once the order's watch window
+        elapsed, or its remaining slack is below the margin that must be
+        kept for one more check and the assigned worker's approach leg
+        (waiting further would turn a servable order into a rejection).
+        """
+        return now >= order.timeout_time or order.slack_at(now) < self._margin(
+            order.shortest_time
+        )
+
     def describe(self) -> str:
         """Short human-readable description used in experiment reports."""
         return self.name
 
-    def _about_to_expire(self, group: "Group", now: float) -> bool:
-        """Whether holding past the next check risks losing the group.
+    def _timed_out_or_about_to_expire(self, group: "Group", now: float) -> bool:
+        """Whether a member's watch window elapsed, or holding past the
+        next check risks losing the group."""
+        if now >= group.earliest_timeout():
+            return True
+        shortest = min(order.shortest_time for order in group.orders)
+        return self._margin(shortest, now) >= group.expiration_time(now)
 
-        The margin reserves, on top of one check period,
-        :data:`APPROACH_RESERVE` of the members' shortest direct travel
-        time for the assigned worker's approach leg.
+    def _margin(self, shortest_time: float, now: float = 0.0) -> float:
+        """``now`` plus one check period plus the approach reserve.
+
+        The reserve is :data:`APPROACH_RESERVE` of ``shortest_time``.
+        The sum is taken as ``(now + check_period) + reserve``; with the
+        default ``now`` it is the bare margin.
         """
-        reserve = APPROACH_RESERVE * min(order.shortest_time for order in group.orders)
-        return now + self._check_period + reserve >= group.expiration_time(now)
+        return now + self._check_period + APPROACH_RESERVE * shortest_time
 
 
 class OnlineStrategy(DispatchStrategy):
-    """Dispatch every group as soon as it exists (WATTER-online)."""
+    """Dispatch every group and every unpaired order as soon as it exists
+    (WATTER-online)."""
 
     name = "WATTER-online"
-    dispatches_unpaired_immediately = True
 
     def should_dispatch(self, group: "Group", now: float) -> bool:
         """Always dispatch: the earliest possible response for every order."""
+        return True
+
+    def should_dispatch_alone(self, order: "Order", now: float) -> bool:
+        """Always dispatch: an unpaired order does not wait for a partner."""
         return True
 
 
@@ -114,10 +134,7 @@ class TimeoutStrategy(DispatchStrategy):
 
     def should_dispatch(self, group: "Group", now: float) -> bool:
         """Dispatch when a member times out or the group is about to expire."""
-        if now >= group.earliest_timeout():
-            return True
-        # Dispatch now rather than let one more check lose the group.
-        return self._about_to_expire(group, now)
+        return self._timed_out_or_about_to_expire(group, now)
 
 
 class ThresholdStrategy(DispatchStrategy):
@@ -146,9 +163,7 @@ class ThresholdStrategy(DispatchStrategy):
         rejections, which the objective penalises harder than any
         threshold miss.
         """
-        if now >= group.earliest_timeout():
-            return True
-        if self._about_to_expire(group, now):
+        if self._timed_out_or_about_to_expire(group, now):
             return True
         average_extra = group.average_extra_time(now)
         average_threshold = sum(

@@ -78,7 +78,6 @@ class WatterDispatcher(Dispatcher):
             capacity=config.max_capacity,
             max_group_size=config.max_group_size,
             weights=config.weights,
-            check_period=config.check_period,
         )
         self._orders: dict[int, Order] = {}
         self.name = strategy.name
@@ -143,8 +142,9 @@ class WatterDispatcher(Dispatcher):
         """Run the periodic pool check and book dispatched groups.
 
         ``can_serve`` runs (and memoises) the full nearest-worker
-        search, so the booking in :meth:`_assign_group` reuses the found
-        worker instead of searching the fleet a second time.
+        search, so the booking in :meth:`_assign_group` of the last
+        group probed reuses the found worker instead of searching the
+        fleet a second time.
         """
         self._fleet.release_finished(now)
         decisions = self._pool.check(now, can_assign=self._fleet.can_serve)
@@ -154,9 +154,12 @@ class WatterDispatcher(Dispatcher):
             if decision.dispatch and decision.group is not None:
                 records = self._assign_group(decision.group, now)
                 if records is None:
-                    # The worker disappeared between the feasibility probe
-                    # and the booking (can only happen if can_serve raced);
-                    # put the members back into the pool.
+                    # No idle worker is left for this group.  Two groups
+                    # approved in one check can want the same nearest
+                    # worker, and the fleet's find memo holds only the
+                    # last group probed, so an earlier booking in this
+                    # loop may have taken it: put the members back into
+                    # the pool.
                     for order in decision.group.orders:
                         self._pool.insert(order, now)
                     continue

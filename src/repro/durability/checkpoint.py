@@ -55,7 +55,8 @@ DEFAULT_CHECKPOINT_INTERVAL = 25
 # 6: GDP's pickled ``_WorkerPlan`` carries ``legs``, parallel to ``stops``.
 # 7: a pickled ``WorkerFleet`` may hold no spatial index yet (built on
 #    first use) and its ``_grid`` may be a cell count.
-_FORMAT_VERSION = 7
+# 8: a pickled ``OrderPool`` holds no check period and no statistics.
+_FORMAT_VERSION = 8
 
 _LOCK_TYPE = type(threading.Lock())
 _RLOCK_TYPE = type(threading.RLock())

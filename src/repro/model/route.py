@@ -145,12 +145,6 @@ class Route:
         """``T(L^{(i)})``: travel time from the first stop to the order's dropoff."""
         return self.time_to_stop(self.dropoff_index(order_id))
 
-    def onboard_time(self, order_id: int) -> float:
-        """Time the order's riders spend in the vehicle."""
-        return self.time_to_stop(self.dropoff_index(order_id)) - self.time_to_stop(
-            self.pickup_index(order_id)
-        )
-
     def detour_time(self, order: "Order") -> float:
         """Definition 5: ``t_d = T(L^{(i)}) - cost(l_p, l_d)``.
 

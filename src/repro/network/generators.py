@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 import random
 
-import networkx as nx
-
 from ..exceptions import ConfigurationError
 from .graph import RoadNetwork, build_network
 
@@ -228,16 +226,6 @@ def example_node(label: str) -> int:
     if label not in "abcdef" or len(label) != 1:
         raise ConfigurationError(f"unknown example node label {label!r}")
     return "abcdef".index(label)
-
-
-def from_networkx(graph: nx.Graph) -> RoadNetwork:
-    """Wrap an arbitrary networkx graph as a :class:`RoadNetwork`.
-
-    Provided so users with a real map extract (e.g. from osmnx) can feed
-    it straight into the library — the graph just needs ``travel_time``
-    edge attributes and ``x``/``y`` node attributes.
-    """
-    return RoadNetwork(graph)
 
 
 def _jittered(value: float, jitter: float, rng: random.Random) -> float:

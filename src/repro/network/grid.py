@@ -123,10 +123,6 @@ class GridIndex:
         for radius in range(rings + 1):
             yield from self.ring(cell, radius)
 
-    def cells_of(self, nodes: Iterable[int]) -> list[int]:
-        """Vector form of :meth:`cell_of`."""
-        return [self.cell_of(node) for node in nodes]
-
     def density(self, nodes: Iterable[int]) -> list[int]:
         """Histogram of how many of ``nodes`` fall in each cell.
 

@@ -111,13 +111,6 @@ class CancellationToken:
         with self._lock:
             return self._reason
 
-    def elapsed_seconds(self) -> float | None:
-        """Seconds since :meth:`start` (``None`` before it)."""
-        with self._lock:
-            if self._started_at is None:
-                return None
-            return self._clock() - self._started_at
-
     def remaining_seconds(self) -> float | None:
         """Budget left before deadline expiry (``None`` without one)."""
         with self._lock:

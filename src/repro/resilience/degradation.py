@@ -133,11 +133,6 @@ class CircuitBreaker:
             self._maybe_half_open()
             return self._state
 
-    @property
-    def consecutive_failures(self) -> int:
-        with self._lock:
-            return self._failures
-
     def _maybe_half_open(self) -> None:
         """Open -> half-open after the cool-down (lock held)."""
         if (

@@ -162,9 +162,6 @@ class RunRecord:
             self.started_at = time.time()
             return True
 
-    def mark_running(self) -> None:
-        self.claim()
-
     def mark_completed(self, result: dict[str, Any]) -> None:
         with self._state_lock:
             if self.status in TERMINAL_STATES:

@@ -96,8 +96,8 @@ class Simulator:
         self._cancellation = cancellation
         self._resume = resume
         # The config names the distance-oracle backend; attach it here so
-        # every entry point (run_simulation, direct Simulator use, the
-        # experiment runner) honours it.  A matching oracle that is
+        # every entry point (direct Simulator use, the experiment
+        # runner, the api session) honours it.  A matching oracle that is
         # already attached is reused, keeping caches warm across the
         # algorithms compared over one workload.
         configure_oracle(workload.network, config, degradations=degradations)
@@ -263,25 +263,3 @@ class Simulator:
         if before is None or after is None:
             return None
         return (after - before).as_dict()
-
-
-def run_simulation(
-    workload: Workload,
-    dispatcher: Dispatcher,
-    config: SimulationConfig,
-    hooks: SimulationHooks | None = None,
-    *,
-    cancellation: CancellationToken | None = None,
-    degradations: DegradationLog | None = None,
-    resume: LoadedCheckpoint | None = None,
-) -> SimulationResult:
-    """One-call convenience wrapper around :class:`Simulator`."""
-    return Simulator(
-        workload,
-        dispatcher,
-        config,
-        hooks=hooks,
-        cancellation=cancellation,
-        degradations=degradations,
-        resume=resume,
-    ).run()

@@ -18,7 +18,7 @@ from repro.network.generators import example_network, grid_city
 from repro.network.grid import GridIndex
 from repro.resilience import CancellationToken, RunCancelled
 from repro.routing.planner import RoutePlanner
-from repro.simulation.engine import run_simulation
+from repro.simulation.engine import Simulator
 from repro.simulation.fleet import WorkerFleet
 from repro.simulation.hooks import CompositeHooks, SimulationHooks
 
@@ -95,7 +95,7 @@ def make_order(
 def run_on_workload(algorithm, workload, config, provider=None):
     """Run one algorithm over a pre-built workload, straight on the engine."""
     dispatcher = make_dispatcher(algorithm, workload, config, provider)
-    return run_simulation(workload, dispatcher, config)
+    return Simulator(workload, dispatcher, config).run()
 
 
 class _CancelAfterTicks(SimulationHooks):

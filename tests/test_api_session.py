@@ -28,7 +28,7 @@ from repro.network.oracle.cache import (
     load_ch_preprocessing,
 )
 from repro.network.generators import grid_city
-from repro.simulation.engine import run_simulation
+from repro.simulation.engine import Simulator
 
 
 def _small_spec(**overrides) -> ScenarioSpec:
@@ -73,9 +73,9 @@ class TestLegacyEquivalence:
         spec = _small_spec(oracle={"backend": backend})
         config = spec.config()
         workload = build_workload("CDC", config)
-        legacy = run_simulation(
+        legacy = Simulator(
             workload, make_dispatcher("WATTER-timeout", workload, config), config
-        )
+        ).run()
         facade = Session().run(spec)
         assert _deterministic(facade.metrics) == _deterministic(legacy.metrics)
         # The per-order accounting agrees too, not just the aggregates.

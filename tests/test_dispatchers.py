@@ -120,6 +120,39 @@ class TestWatterDispatcher:
         assert not result.served
         assert tight.order_id in dispatcher.pool
 
+    def test_two_groups_approved_for_one_worker(self, watter_factory, small_network):
+        """Both groups pass the pool's probe, which finds the same idle
+        worker for each; the first booking takes it and the second group
+        goes back to the pool, to be decided later."""
+        dispatcher = watter_factory("online", locations=(2,))
+        first = make_order(small_network, 0, 5)
+        second = make_order(small_network, 5, 0)
+        dispatcher.submit(first, 0.0)
+        dispatcher.submit(second, 0.0)
+        assert dispatcher.pool.best_group(first.order_id) is None
+        assert dispatcher.pool.best_group(second.order_id) is None
+        probe = dispatcher.fleet.find_worker_for
+        approved = []
+
+        def can_serve(group, now):
+            approved.append(probe(group, now))
+            return approved[-1] is not None
+
+        dispatcher.fleet.can_serve = can_serve
+        result = dispatcher.tick(10.0)
+        assert len(approved) == 2 and approved[0] is approved[1]
+        assert [record.order.order_id for record in result.served] == [first.order_id]
+        assert not result.rejected
+        assert second.order_id in dispatcher.pool
+        assert first.order_id not in dispatcher.pool
+        decided = [record.order.order_id for record in result.served]
+        for now in (20.0, 300.0):
+            later = dispatcher.tick(now)
+            decided += [record.order.order_id for record in later.served]
+            decided += [order.order_id for order in later.rejected]
+        decided += [order.order_id for order in dispatcher.flush(10_000.0).rejected]
+        assert sorted(decided) == sorted([first.order_id, second.order_id])
+
     def test_flush_rejects_everything_left(self, watter_factory, small_network):
         dispatcher = watter_factory("timeout")
         order = make_order(small_network, 0, 24)

@@ -749,11 +749,11 @@ class TestConfigSelection:
         assert rebucketed.bucket_cache_size == 8
 
     def test_simulator_honours_config_backend(self):
-        """run_simulation (no runner involved) must attach the named backend."""
+        """A bare Simulator (no runner involved) must attach the named backend."""
         from repro.datasets.workloads import build_workload
         from repro.experiments.config import default_config
         from repro.experiments.runner import make_dispatcher
-        from repro.simulation.engine import run_simulation
+        from repro.simulation.engine import Simulator
 
         config = default_config(
             "CDC",
@@ -764,7 +764,7 @@ class TestConfigSelection:
         )
         workload = build_workload("CDC", config)
         dispatcher = make_dispatcher("NonSharing", workload, config)
-        result = run_simulation(workload, dispatcher, config)
+        result = Simulator(workload, dispatcher, config).run()
         assert isinstance(workload.network.oracle, CHOracle)
         assert result.metrics.oracle_stats["backend"] == "ch"
 

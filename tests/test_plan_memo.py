@@ -21,7 +21,7 @@ from repro.experiments.runner import make_dispatcher
 from repro.model.order import Order
 from repro.network.generators import grid_city
 from repro.routing.planner import RoutePlanner
-from repro.simulation.engine import run_simulation
+from repro.simulation.engine import Simulator
 from tests.conftest import make_order
 
 _NETWORK = grid_city(rows=3, cols=3, edge_travel_time=60.0, jitter=0.0, seed=0)
@@ -135,7 +135,7 @@ def test_forget_leaves_the_memo_empty_after_a_run():
     for algorithm in ("WATTER-online", "GAS", "NonSharing"):
         workload = build_workload("CDC", config)
         dispatcher = make_dispatcher(algorithm, workload, config)
-        result = run_simulation(workload, dispatcher, config)
+        result = Simulator(workload, dispatcher, config).run()
         planner = dispatcher._planner
         assert result.metrics.served_orders > 0
         assert planner._memo == {}, algorithm

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pool import OrderPool
-from repro.core.strategies import OnlineStrategy, TimeoutStrategy
+from repro.core.strategies import APPROACH_RESERVE, OnlineStrategy, TimeoutStrategy
 from repro.exceptions import MissingOrderError
 from tests.conftest import make_order
 
@@ -23,12 +23,11 @@ def timeout_pool(planner):
 
 
 class TestInsertAndBookkeeping:
-    def test_insert_tracks_statistics(self, online_pool, small_network):
+    def test_insert_pools_the_order(self, online_pool, small_network):
         order = make_order(small_network, 0, 5)
         online_pool.insert(order, 0.0)
         assert len(online_pool) == 1
         assert order.order_id in online_pool
-        assert online_pool.statistics.inserted == 1
 
     def test_remove_missing_order_raises(self, online_pool):
         with pytest.raises(MissingOrderError):
@@ -62,7 +61,8 @@ class TestOnlineStrategyChecks:
         dispatched = [d for d in decisions if d.dispatch]
         assert len(dispatched) == 1
         assert dispatched[0].group.order_ids() == {first.order_id, second.order_id}
-        assert online_pool.statistics.dispatched == 2
+        assert len(decisions) == 1
+        assert len(online_pool) == 0
 
     def test_can_assign_false_holds_orders(self, online_pool, small_network):
         order = make_order(small_network, 0, 5)
@@ -122,9 +122,7 @@ class TestTimeoutStrategyChecks:
         decisions = timeout_pool.check(
             order.deadline + 1.0, can_assign=lambda group, now: False
         )
-        rejected = [d for d in decisions if d.reject]
-        assert len(rejected) == 1
-        assert timeout_pool.statistics.rejected == 1
+        assert [(d.order_id, d.reject) for d in decisions] == [(order.order_id, True)]
         assert len(timeout_pool) == 0
 
     def test_unpaired_order_dispatched_alone_near_expiry(
@@ -140,6 +138,32 @@ class TestTimeoutStrategyChecks:
         # but it must never be rejected while a feasible solo ride exists.
         assert not any(d.reject for d in decisions)
         assert dispatched or held
+
+    def test_unpaired_order_holds_at_the_margin_and_rides_alone_past_it(
+        self, timeout_pool, small_network
+    ):
+        order = make_order(small_network, 0, 5, watch_scale=2.0)
+        timeout_pool.insert(order, 0.0)
+        margin = 10.0 + APPROACH_RESERVE * order.shortest_time
+        at_margin = order.deadline - order.shortest_time - margin
+        assert order.slack_at(at_margin) == margin
+        assert all(d.hold for d in timeout_pool.check(at_margin))
+        decisions = timeout_pool.check(at_margin + 1.0)
+        assert len(decisions) == 1 and decisions[0].dispatch
+        assert decisions[0].group.order_ids() == {order.order_id}
+
+    def test_refused_solo_ride_holds_and_asks_once(self, timeout_pool, small_network):
+        order = make_order(small_network, 0, 5, watch_scale=0.3)
+        timeout_pool.insert(order, 0.0)
+        asked = []
+
+        def refuse(group, now):
+            asked.append(group.order_ids())
+            return False
+
+        decisions = timeout_pool.check(order.timeout_time, can_assign=refuse)
+        assert [(d.order_id, d.hold) for d in decisions] == [(order.order_id, True)]
+        assert asked == [{order.order_id}]
 
 
 class TestFlush:
@@ -161,15 +185,13 @@ class TestFlush:
         ]
         for order in orders:
             online_pool.insert(order, order.release_time)
-        resolved = set()
+        resolved = []
         for now in (10.0, 400.0, 2000.0):
             for decision in online_pool.check(now):
                 if decision.dispatch:
-                    resolved.update(decision.group.order_ids())
+                    resolved.extend(decision.group.order_ids())
                 elif decision.reject:
-                    resolved.add(decision.order_id)
+                    resolved.append(decision.order_id)
         for decision in online_pool.flush(10_000.0):
-            resolved.add(decision.order_id)
-        assert resolved == {order.order_id for order in orders}
-        stats = online_pool.statistics
-        assert stats.dispatched + stats.rejected == len(orders)
+            resolved.append(decision.order_id)
+        assert sorted(resolved) == sorted(order.order_id for order in orders)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 
 from repro.core.strategies import (
+    APPROACH_RESERVE,
     ConstantThresholdProvider,
     OnlineStrategy,
     ThresholdStrategy,
@@ -37,12 +38,13 @@ class TestOnlineStrategy:
         assert strategy.should_dispatch(group, 0.0)
         assert strategy.should_dispatch(group, 10_000.0)
 
-    def test_dispatches_unpaired_immediately_flag(self):
-        assert OnlineStrategy().dispatches_unpaired_immediately
-        assert not TimeoutStrategy().dispatches_unpaired_immediately
+    def test_dispatches_unpaired_orders_alone_at_once(self, small_network):
+        order = make_order(small_network, 0, 5)
+        assert OnlineStrategy().should_dispatch_alone(order, order.release_time)
+        assert not TimeoutStrategy().should_dispatch_alone(order, order.release_time)
         assert not ThresholdStrategy(
             ConstantThresholdProvider(10.0)
-        ).dispatches_unpaired_immediately
+        ).should_dispatch_alone(order, order.release_time)
 
     def test_describe(self):
         assert OnlineStrategy().describe() == "WATTER-online"
@@ -64,6 +66,43 @@ class TestTimeoutStrategy:
         strategy = TimeoutStrategy(check_period=10.0)
         just_before_expiry = group.expiration_time(0.0) - 1.0
         assert strategy.should_dispatch(group, just_before_expiry)
+
+
+class TestMargins:
+    """Both margins are one check period plus the approach reserve; a group
+    at the margin dispatches (``>=``), an order at the margin holds (``<``)."""
+
+    def test_group_expiring_exactly_at_the_margin_dispatches(self, small_network):
+        group = _pair_group(small_network, deadline_scale=1.3, watch_scale=2.0)
+        reserve = APPROACH_RESERVE * min(order.shortest_time for order in group.orders)
+        expiration = group.expiration_time(0.0)
+        now = expiration - 10.0 - reserve
+        assert (now + 10.0) + reserve == expiration
+        assert now - 1.0 < group.earliest_timeout()
+        for strategy in (
+            TimeoutStrategy(check_period=10.0),
+            ThresholdStrategy(ConstantThresholdProvider(0.0), check_period=10.0),
+        ):
+            assert strategy.should_dispatch(group, now)
+            assert not strategy.should_dispatch(group, now - 1.0)
+
+    def test_order_with_slack_exactly_at_the_margin_holds(self, small_network):
+        order = make_order(small_network, 0, 5, watch_scale=2.0)
+        margin = 10.0 + APPROACH_RESERVE * order.shortest_time
+        now = order.deadline - order.shortest_time - margin
+        assert order.slack_at(now) == margin
+        assert now + 1.0 < order.timeout_time
+        for strategy in (
+            TimeoutStrategy(check_period=10.0),
+            ThresholdStrategy(ConstantThresholdProvider(1e9), check_period=10.0),
+        ):
+            assert not strategy.should_dispatch_alone(order, now)
+            assert strategy.should_dispatch_alone(order, now + 1.0)
+
+    def test_order_past_its_watch_window_rides_alone(self, small_network):
+        order = make_order(small_network, 0, 5)
+        assert not TimeoutStrategy().should_dispatch_alone(order, order.release_time)
+        assert TimeoutStrategy().should_dispatch_alone(order, order.timeout_time)
 
 
 class TestThresholdStrategy:
