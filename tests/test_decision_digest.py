@@ -1,4 +1,4 @@
-"""Decision digests: every dispatch decision of twenty-four small runs, pinned.
+"""Decision digests: every dispatch decision of twenty-five small runs, pinned.
 
 A run's *decisions* are its per-order outcomes: served or rejected, when
 and by which worker, in a group of how many, and the response, detour and
@@ -17,6 +17,9 @@ digest, even where the totals happen to stay equal.
 * Order and worker ids come from process-global counters, so a row names
   the order by its index in ``workload.orders`` and the worker by its
   index in ``workload.workers``; rows are hashed in order-index order.
+* One more row runs WATTER-expect with ``use_rl=True`` (grid, ``lazy``),
+  so the Section VI bootstrap (experience generation, value-network
+  training) is pinned through the decisions it steers.
 * A run resumed from a mid-run checkpoint and a run served through
   :class:`~repro.serve.ScenarioService` hash to their direct run's pin.
 
@@ -83,12 +86,19 @@ PINNED = {
     "grid/ch/GDP": "e0f7198046edfb071f29c56919926197c2907bac91d20eaf139bc27c1c2130c4",
     "grid/ch/GAS": "0d59bb7d04172a7e9026565b0c5efdfd6e27ac2ed45d4c3ef7f2e8abae745b69",
     "grid/ch/NonSharing": "90be3ef7d766c869ac5868ecda8b66dfd0005dc36d5b7186e2a8fa7ba43bf9d1",
+    "grid/lazy/WATTER-expect/use_rl": "eecc22c4f475b6da14fffedbc6744a75c01a5bbf66619a49f1757c40e41e307b",
 }
 
+#: The ``use_rl=True`` row: scenario, backend, algorithm.
+RL_ROW = ("grid", "lazy", "WATTER-expect")
 
-def _spec(scenario: str, backend: str, algorithm: str) -> ScenarioSpec:
+
+def _spec(
+    scenario: str, backend: str, algorithm: str, use_rl: bool = False
+) -> ScenarioSpec:
     return ScenarioSpec(
         algorithm=algorithm,
+        use_rl=use_rl,
         num_orders=60,
         num_workers=12,
         seed=7,
@@ -133,14 +143,16 @@ def _digest(result: RunResult, workload: Workload) -> str:
     )
 
 
-def _direct_digest(scenario: str, backend: str, algorithm: str) -> str:
+def _direct_digest(
+    scenario: str, backend: str, algorithm: str, use_rl: bool = False
+) -> str:
     session = Session()
-    spec = _spec(scenario, backend, algorithm)
+    spec = _spec(scenario, backend, algorithm, use_rl)
     return _digest(session.run(spec), session.workload(spec))
 
 
-def _key(scenario: str, backend: str, algorithm: str) -> str:
-    return f"{scenario}/{backend}/{algorithm}"
+def _key(scenario: str, backend: str, algorithm: str, use_rl: bool = False) -> str:
+    return f"{scenario}/{backend}/{algorithm}" + ("/use_rl" if use_rl else "")
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -149,6 +161,10 @@ def _key(scenario: str, backend: str, algorithm: str) -> str:
 def test_direct_run_matches_its_pin(scenario, backend, algorithm):
     key = _key(scenario, backend, algorithm)
     assert _direct_digest(scenario, backend, algorithm) == PINNED[key], key
+
+
+def test_rl_run_matches_its_pin():
+    assert _direct_digest(*RL_ROW, use_rl=True) == PINNED[_key(*RL_ROW, use_rl=True)]
 
 
 def test_resumed_run_matches_the_direct_pin(tmp_path):
@@ -192,4 +208,6 @@ if __name__ == "__main__":
                 key = _key(scenario, backend, algorithm)
                 digest = _direct_digest(scenario, backend, algorithm)
                 print(f'    "{key}": "{digest}",')
+    digest = _direct_digest(*RL_ROW, use_rl=True)
+    print(f'    "{_key(*RL_ROW, use_rl=True)}": "{digest}",')
     print("}")

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.api import ScenarioSpec, Session
 from repro.config import LearningConfig, SimulationConfig
 from repro.core.state import StateEncoder
 from repro.core.strategies import ConstantThresholdProvider
@@ -114,3 +117,79 @@ class TestValueFunctionTrainer:
         trainer.train()
         mse_after = float(np.mean((trainer.network.values(states) - returns) ** 2))
         assert mse_after < mse_before
+
+
+#: ``scenario`` -> (transition count, sha256 of the transitions) of
+#: :func:`_pinned_experience`.
+EXPERIENCE_PINS = {
+    "cdc": (2269, "64b81d33587dd3269d9c2bd1165e75b42d1c11110fde4c410da061978c485d76"),
+    "grid": (823, "da680e2beccd4847aecb1a0196fff077b622a4d2b8644b169f5c89e6edf0916c"),
+}
+
+_PIN_SCENARIOS = {
+    "cdc": dict(dataset="CDC", horizon=1800.0),
+    "grid": dict(network="grid", grid_rows=8, grid_cols=8, horizon=1800.0),
+}
+
+
+def _hex(value) -> str:
+    return "None" if value is None else float(value).hex()
+
+
+def transition_digest(transitions) -> str:
+    """sha256 over every field of every transition, floats as ``float.hex()``."""
+    digest = hashlib.sha256()
+    for t in transitions:
+        next_state = (
+            "None"
+            if t.next_state is None
+            else ",".join(map(_hex, t.next_state.tolist()))
+        )
+        row = [
+            ",".join(map(_hex, t.state.tolist())),
+            str(t.action),
+            _hex(t.reward),
+            next_state,
+            str(t.done),
+            _hex(t.penalty),
+            _hex(t.target_threshold),
+        ]
+        digest.update((" ".join(row) + "\n").encode())
+    return digest.hexdigest()
+
+
+def _pinned_experience(scenario: str):
+    """The transitions the GMM-steered behaviour policy records on the
+    decision-digest scenario (60 orders / 12 workers, seed 7)."""
+    spec = ScenarioSpec(
+        algorithm="WATTER-expect",
+        num_orders=60,
+        num_workers=12,
+        seed=7,
+        **_PIN_SCENARIOS[scenario],
+    )
+    session = Session()
+    workload = session.prepare(spec)
+    config = spec.config()
+    optimizer = session.expect_provider(spec)
+    encoder = StateEncoder(
+        GridIndex(workload.network, size=config.grid_size),
+        time_slot=config.time_slot,
+        horizon=config.horizon,
+    )
+    targets = optimizer.optimal_thresholds(workload.orders)
+    return generate_experience(workload, config, encoder, optimizer, targets)
+
+
+@pytest.mark.parametrize("scenario", sorted(_PIN_SCENARIOS))
+def test_experience_matches_its_pin(scenario):
+    transitions = _pinned_experience(scenario)
+    assert (len(transitions), transition_digest(transitions)) == EXPERIENCE_PINS[
+        scenario
+    ]
+
+
+if __name__ == "__main__":
+    for name in sorted(_PIN_SCENARIOS):
+        recorded = _pinned_experience(name)
+        print(f'    "{name}": ({len(recorded)}, "{transition_digest(recorded)}"),')
