@@ -1,15 +1,18 @@
 """Appendix C/E ablation — the TD / target loss weight ``omega``.
 
 The value network is trained with ``omega * loss_td + (1-omega) *
-loss_tg``.  The ablation retrains the network on the same recorded
-experience for several omegas and evaluates the resulting WATTER-expect
-run, reporting the training loss and the online extra time per omega.
+loss_tg``.  The ablation sweeps the ``loss_weight`` axis: every omega
+bootstraps WATTER-expect the way every other run does (a WATTER-timeout
+run on a separate training workload, the GMM fit, then the value network
+trained with that omega) and evaluates it on the scenario's own
+workload, reporting the online extra time and service rate per omega.
 """
 
 from __future__ import annotations
 
-from repro.config import LearningConfig
-from repro.experiments.ablations import vary_loss_weight
+from repro.api import Session
+from repro.experiments.reporting import format_sweep_table, series
+from repro.experiments.sweeps import run_sweep
 
 from .conftest import bench_spec
 
@@ -18,40 +21,38 @@ _OMEGAS = (0.0, 0.5, 1.0)
 
 def test_ablation_loss_weight_series(benchmark):
     """Regenerate the loss-weight ablation (reduced workload, three omegas)."""
-    base = bench_spec("CDC", num_orders=60, num_workers=14, horizon=1200.0).config()
-    learning = LearningConfig(epochs=2, hidden_sizes=(32,), batch_size=32)
-    ablation = benchmark.pedantic(
-        lambda: vary_loss_weight(
-            "CDC", loss_weights=_OMEGAS, base_config=base, learning_config=learning
+    base = bench_spec("CDC", num_orders=60, num_workers=14, horizon=1200.0)
+    points = benchmark.pedantic(
+        lambda: run_sweep(
+            "loss_weight", base, values=_OMEGAS, algorithms=("WATTER-expect",)
         ),
         rounds=1,
         iterations=1,
     )
     print()
     print("=== Appendix C/E: loss-weight (omega) ablation (CDC) ===")
-    header = f"{'omega':>6}  {'train loss':>12}  {'extra time':>12}  {'service rate':>12}"
-    print(header)
-    print("-" * len(header))
-    for row in ablation.rows:
-        print(
-            f"{row['omega']:>6.2f}  {row['training_loss']:>12.1f}  "
-            f"{row['extra_time']:>12.1f}  {row['service_rate']:>12.3f}"
-        )
-    assert ablation.omegas() == [float(omega) for omega in _OMEGAS]
-    for row in ablation.rows:
-        assert row["transitions"] > 0
-        assert 0.0 <= row["service_rate"] <= 1.0
+    print(format_sweep_table(points, "total_extra_time"))
+    print()
+    print(format_sweep_table(points, "service_rate"))
+    assert [point.value for point in points] == list(_OMEGAS)
+    for value in series(points, "WATTER-expect", "service_rate"):
+        assert 0.0 <= value <= 1.0
 
 
 def test_ablation_loss_weight_benchmark(benchmark):
-    """Time the training + evaluation pipeline for a single omega."""
-    base = bench_spec("CDC", num_orders=40, num_workers=10, horizon=900.0).config()
-    learning = LearningConfig(epochs=1, hidden_sizes=(16,), batch_size=32)
+    """Time the bootstrap, training and evaluation for a single omega."""
+    spec = bench_spec(
+        "CDC",
+        num_orders=40,
+        num_workers=10,
+        horizon=900.0,
+        algorithm="WATTER-expect",
+        use_rl=True,
+        loss_weight=0.5,
+    )
 
     def run():
-        return vary_loss_weight(
-            "CDC", loss_weights=(0.5,), base_config=base, learning_config=learning
-        )
+        return Session().run(spec)
 
-    ablation = benchmark(run)
-    assert len(ablation.rows) == 1
+    result = benchmark(run)
+    assert result.spec.loss_weight == 0.5

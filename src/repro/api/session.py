@@ -37,7 +37,7 @@ from typing import Any, Mapping, Sequence
 
 import networkx as nx
 
-from ..config import SimulationConfig
+from ..config import LearningConfig, SimulationConfig
 from ..core.strategies import ThresholdProvider
 from ..datasets.io import orders_from_csv, workers_from_csv
 from ..datasets.synthetic import CityModel, DemandHotspot, Workload
@@ -460,7 +460,7 @@ class Session:
                     workload, training_config
                 ),
                 config,
-                use_rl=spec.use_rl,
+                _learning_config(spec),
             )
         key = self._provider_key(spec, config)
         with self._lock:
@@ -487,7 +487,7 @@ class Session:
             return training
 
         provider = _build_expect_provider(
-            workload_for, config, use_rl=spec.use_rl
+            workload_for, config, _learning_config(spec)
         )
         self._providers[key] = provider
         return provider
@@ -649,7 +649,7 @@ class Session:
         )
 
     def _provider_key(self, spec: ScenarioSpec, config: SimulationConfig) -> tuple:
-        return (*self._workload_key(spec, config), spec.use_rl)
+        return (*self._workload_key(spec, config), spec.use_rl, spec.loss_weight)
 
     def _network_for(
         self, spec: ScenarioSpec, config: SimulationConfig
@@ -731,6 +731,15 @@ class Session:
             network=network,
             name=spec.name or "csv-replay",
         )
+
+
+def _learning_config(spec: ScenarioSpec) -> LearningConfig | None:
+    """The value-network training ``spec`` asks for (``None``: GMM only)."""
+    if not spec.use_rl:
+        return None
+    if spec.loss_weight is None:
+        return LearningConfig()
+    return LearningConfig(loss_weight=spec.loss_weight)
 
 
 def _partial_snapshot(

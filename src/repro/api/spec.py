@@ -83,6 +83,7 @@ _FLOAT_FIELDS = (
     "alpha",
     "beta",
     "deadline_seconds",
+    "loss_weight",
 )
 
 #: Numeric fields with a concrete default, for which ``None`` is not
@@ -147,6 +148,11 @@ class ScenarioSpec:
     use_rl:
         For ``WATTER-expect``: train the Section VI value network
         instead of using the GMM threshold fit.
+    loss_weight:
+        The value network's loss weight ``omega`` in [0, 1] (TD loss
+        ``omega``, target loss ``1 - omega``); only valid with
+        ``use_rl=True``.  ``None`` keeps
+        :class:`~repro.config.LearningConfig`'s default.
     oracle:
         Typed :class:`OracleSpec` naming the distance-oracle backend
         and its validated options (a mapping is accepted and parsed);
@@ -176,6 +182,7 @@ class ScenarioSpec:
     workers_csv: str | None = None
     algorithm: str = "WATTER-online"
     use_rl: bool = False
+    loss_weight: float | None = None
     num_orders: int | None = None
     num_workers: int | None = None
     horizon: float | None = None
@@ -241,6 +248,16 @@ class ScenarioSpec:
                 "ScenarioSpec.orders_csv/workers_csv only apply to "
                 "workload='csv'"
             )
+        if self.loss_weight is not None:
+            if not self.use_rl:
+                raise ConfigurationError(
+                    "ScenarioSpec.loss_weight only applies with use_rl=True"
+                )
+            if not 0.0 <= self.loss_weight <= 1.0:
+                raise ConfigurationError(
+                    "ScenarioSpec.loss_weight (omega) must lie in [0, 1], "
+                    f"got {self.loss_weight!r}"
+                )
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigurationError(
                 "ScenarioSpec.deadline_seconds must be a positive number of "

@@ -26,11 +26,7 @@ from ..config import SimulationConfig
 from ..model.group import Group
 from ..model.order import Order, OrderStatus
 from ..routing.planner import RoutePlanner
-from ..simulation.dispatcher import (
-    Dispatcher,
-    DispatchResult,
-    served_orders_from_group,
-)
+from ..simulation.dispatcher import Dispatcher, DispatchResult, book_group
 from ..simulation.fleet import WorkerFleet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -119,14 +115,11 @@ class GASDispatcher(Dispatcher):
                 continue
             if utility < 0:
                 continue
-            worker = self._fleet.find_worker_for(group, now)
-            if worker is None:
+            records = book_group(self._fleet, group, now)
+            if records is None:
                 continue
-            self._fleet.assign(worker, group, now)
-            for order in group.orders:
-                order.status = OrderStatus.DISPATCHED
-                assigned.add(order.order_id)
-            served.extend(served_orders_from_group(group, now, worker.worker_id))
+            assigned.update(order.order_id for order in group.orders)
+            served.extend(records)
         self._buffer = [
             order for order in self._buffer if order.order_id not in assigned
         ]

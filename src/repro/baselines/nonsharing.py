@@ -15,11 +15,7 @@ from ..config import SimulationConfig
 from ..model.group import Group
 from ..model.order import Order, OrderStatus
 from ..routing.planner import RoutePlanner
-from ..simulation.dispatcher import (
-    Dispatcher,
-    DispatchResult,
-    served_orders_from_group,
-)
+from ..simulation.dispatcher import Dispatcher, DispatchResult, book_group
 from ..simulation.fleet import WorkerFleet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,14 +93,12 @@ class NonSharingDispatcher(Dispatcher):
                 order.status = OrderStatus.REJECTED
                 rejected.append(order)
                 continue
-            worker = self._fleet.find_worker_for(group, now)
-            if worker is None:
+            records = book_group(self._fleet, group, now)
+            if records is None:
                 remaining.append(order)
                 continue
-            self._fleet.assign(worker, group, now)
-            order.status = OrderStatus.DISPATCHED
             dispatched.append(order)
-            served.extend(served_orders_from_group(group, now, worker.worker_id))
+            served.extend(records)
         self._queue = remaining
         self._planner.forget(order.order_id for order in (*dispatched, *rejected))
         return DispatchResult(served=tuple(served), rejected=tuple(rejected))

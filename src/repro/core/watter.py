@@ -20,16 +20,10 @@ so the class exposes factory helpers ``online`` / ``timeout`` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ..config import SimulationConfig
 from ..model.order import Order, OrderStatus
 from ..routing.planner import RoutePlanner
-from ..simulation.dispatcher import (
-    Dispatcher,
-    DispatchResult,
-    served_orders_from_group,
-)
+from ..simulation.dispatcher import Dispatcher, DispatchResult, book_group
 from ..simulation.fleet import WorkerFleet
 from .pool import OrderPool
 from .strategies import (
@@ -39,9 +33,6 @@ from .strategies import (
     ThresholdStrategy,
     TimeoutStrategy,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..model.group import Group
 
 
 class WatterDispatcher(Dispatcher):
@@ -142,9 +133,9 @@ class WatterDispatcher(Dispatcher):
         """Run the periodic pool check and book dispatched groups.
 
         ``can_serve`` runs (and memoises) the full nearest-worker
-        search, so the booking in :meth:`_assign_group` of the last
-        group probed reuses the found worker instead of searching the
-        fleet a second time.
+        search, so the booking (:func:`book_group`) of the last group
+        probed reuses the found worker instead of searching the fleet a
+        second time.
         """
         self._fleet.release_finished(now)
         decisions = self._pool.check(now, can_assign=self._fleet.can_serve)
@@ -152,7 +143,7 @@ class WatterDispatcher(Dispatcher):
         rejected = []
         for decision in decisions:
             if decision.dispatch and decision.group is not None:
-                records = self._assign_group(decision.group, now)
+                records = book_group(self._fleet, decision.group, now)
                 if records is None:
                     # No idle worker is left for this group.  Two groups
                     # approved in one check can want the same nearest
@@ -179,17 +170,3 @@ class WatterDispatcher(Dispatcher):
             order.status = OrderStatus.REJECTED
             rejected.append(order)
         return DispatchResult(rejected=tuple(rejected))
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _assign_group(self, group: "Group", now: float):
-        # Answered from the fleet's (group, now) memo when the idle pool
-        # has not changed since the can_serve probe in the pool check.
-        worker = self._fleet.find_worker_for(group, now)
-        if worker is None:
-            return None
-        self._fleet.assign(worker, group, now)
-        for order in group.orders:
-            order.status = OrderStatus.DISPATCHED
-        return served_orders_from_group(group, now, worker.worker_id)

@@ -3,7 +3,6 @@
 from .config import default_config, DATASET_DEFAULTS, PARAMETER_GRID
 from .runner import ALGORITHMS, make_dispatcher
 from .sweeps import AXES, run_sweep
-from .ablations import vary_loss_weight
 from .worked_example import run_worked_example, WorkedExampleResult
 from .reporting import format_sweep_table, format_comparison_table
 
@@ -15,7 +14,6 @@ __all__ = [
     "make_dispatcher",
     "AXES",
     "run_sweep",
-    "vary_loss_weight",
     "run_worked_example",
     "WorkedExampleResult",
     "format_sweep_table",

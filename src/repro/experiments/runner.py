@@ -57,14 +57,15 @@ def _fresh_fleet(workload: Workload, config: SimulationConfig) -> WorkerFleet:
 def _build_expect_provider(
     workload_for: Callable[[SimulationConfig], Workload],
     config: SimulationConfig,
-    use_rl: bool = False,
+    learning: LearningConfig | None = None,
 ) -> ThresholdProvider:
     """Bootstrap the WATTER-expect threshold provider for ``config``.
 
     ``workload_for`` maps the derived training configuration to a
     training workload; ``repro.api.Session`` binds it to whatever source
     (dataset preset, grid network, CSV replay, ...) the scenario
-    describes.
+    describes.  ``learning`` trains the Section VI value network on top
+    of the GMM fit; ``None`` returns the fit itself.
     """
     training_orders = max(int(config.num_orders * _TRAINING_FRACTION), 50)
     training_config = config.with_overrides(
@@ -87,7 +88,7 @@ def _build_expect_provider(
         extra_times = [order.penalty * 0.5 for order in training_workload.orders]
     mixture = fit_extra_time_distribution(extra_times, seed=config.seed)
     optimizer = ThresholdOptimizer(mixture)
-    if not use_rl:
+    if learning is None:
         return optimizer
 
     from ..learning.trainer import ValueFunctionTrainer, generate_experience
@@ -101,7 +102,7 @@ def _build_expect_provider(
     transitions = generate_experience(
         training_workload, training_config, encoder, optimizer, targets
     )
-    trainer = ValueFunctionTrainer(encoder, LearningConfig())
+    trainer = ValueFunctionTrainer(encoder, learning)
     trainer.add_experience(transitions)
     trainer.train()
     return trainer.build_provider()

@@ -2,7 +2,8 @@
 
 Figures 3-6 vary the riders ``n``, the workers ``m``, the deadline scale
 ``tau`` and the vehicle capacity ``Kw``; the appendix ablations vary the
-grid-index size, the watch window ``eta`` and the time slot ``delta_t``.
+grid-index size, the watch window ``eta``, the time slot ``delta_t`` and
+the value network's loss weight ``omega``.
 Each is "vary one parameter, compare the algorithms", so each is one
 entry of :data:`AXES`: the swept spec field, its Table III values
 (scaled, see :mod:`repro.experiments.config`) and how one value rewrites
@@ -82,6 +83,11 @@ AXES: dict[str, Axis] = {
     ),
     # Appendix G: decision time slot delta_t
     "time_slot": Axis(PARAMETER_GRID["time_slots"], _time_slot),
+    # Appendix C/E: the value network's TD / target loss weight omega
+    "loss_weight": Axis(
+        PARAMETER_GRID["loss_weights"],
+        lambda spec, omega: spec.with_overrides(use_rl=True, loss_weight=float(omega)),
+    ),
 }
 
 

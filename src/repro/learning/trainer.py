@@ -10,8 +10,12 @@ The paper's off-policy training pipeline is:
 3. train the value network on sampled batches with the combined
    TD + target loss, periodically syncing the target network.
 
-``generate_experience`` implements step 1 by replaying a workload
-through a fully instrumented :class:`WatterDispatcher`;
+``generate_experience`` implements step 1: one
+:class:`~repro.simulation.engine.Simulator` run of a WATTER-expect
+:class:`WatterDispatcher` over a clone of the workload's fleet, watched
+by a private :class:`~repro.simulation.hooks.SimulationHooks` observer
+that snapshots the pool at every arrival and check, so the transitions
+come from the same event loop as every evaluated run.
 ``ValueFunctionTrainer`` wraps steps 2-3 and produces the
 :class:`ValueThresholdProvider` used online by WATTER-expect.
 """
@@ -28,14 +32,17 @@ from ..core.state import StateEncoder
 from ..core.strategies import ThresholdProvider
 from ..core.watter import WatterDispatcher
 from ..exceptions import LearningError
-from ..network.grid import GridIndex
 from ..routing.planner import RoutePlanner
+from ..simulation.engine import Simulator
 from ..simulation.fleet import WorkerFleet
+from ..simulation.hooks import SimulationHooks
 from .replay import ReplayMemory, Transition
 from .value_function import ValueNetwork, ValueThresholdProvider
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..datasets.synthetic import Workload
+    from ..model.order import Order
+    from ..simulation.dispatcher import ServedOrder
 
 
 @dataclass
@@ -88,83 +95,112 @@ def generate_experience(
         Optional per-order optimal thresholds ``theta*`` recorded into
         the transitions for the target loss.
     """
-    planner = RoutePlanner(workload.network)
     fleet = WorkerFleet(
-        [_clone_worker(worker) for worker in workload.workers],
+        [worker.clone() for worker in workload.workers],
         workload.network,
-        GridIndex(workload.network, size=config.grid_size),
+        config.grid_size,
     )
-    dispatcher = WatterDispatcher.expect(planner, fleet, config, provider)
-    transitions: list[Transition] = []
-    pending_states: dict[int, np.ndarray] = {}
-    orders_by_id = {order.order_id: order for order in workload.orders}
+    dispatcher = WatterDispatcher.expect(
+        RoutePlanner(workload.network), fleet, config, provider
+    )
+    recorder = _ExperienceRecorder(
+        dispatcher, encoder, config.time_slot, target_thresholds or {}
+    )
+    Simulator(workload, dispatcher, config, hooks=recorder).run()
+    recorder.finish()
+    return recorder.transitions
 
-    def snapshot_states(now: float) -> dict[int, np.ndarray]:
-        waiting = list(dispatcher.pool.pending_orders())
+
+class _ExperienceRecorder(SimulationHooks):
+    """Records the transitions of one engine run, one slot per check.
+
+    The engine fires ``on_periodic_check`` before that check's
+    ``on_assign`` calls, so a check's slot stays open until the next
+    engine event (or the end of the run) has shown who it served.
+    """
+
+    def __init__(
+        self,
+        dispatcher: WatterDispatcher,
+        encoder: StateEncoder,
+        time_slot: float,
+        targets: dict[int, float],
+    ) -> None:
+        self.transitions: list[Transition] = []
+        self._dispatcher = dispatcher
+        self._encoder = encoder
+        self._time_slot = time_slot
+        self._targets = targets
+        self._orders: dict[int, "Order"] = {}
+        # order id -> its state at the latest snapshot (arrival or check)
+        self._pending: dict[int, np.ndarray] = {}
+        # pool states at the open check; ``None`` while no slot is open
+        self._next: dict[int, np.ndarray] | None = None
+        self._served: dict[int, "ServedOrder"] = {}
+
+    def on_order_arrival(self, order: "Order", now: float) -> None:
+        self._close_slot()
+        self._orders[order.order_id] = order
+        # Fired before submit: the pool plus the arriving order is the
+        # pool the submit leaves behind.
+        waiting = [*self._dispatcher.pool.pending_orders(), order]
+        self._pending.update(self._snapshot(waiting, now))
+
+    def on_periodic_check(self, now: float) -> None:
+        self._close_slot()
+        self._next = self._snapshot(list(self._dispatcher.pool.pending_orders()), now)
+
+    def on_assign(self, served: "ServedOrder") -> None:
+        self._served[served.order.order_id] = served
+
+    def finish(self) -> None:
+        """Close the last check's slot, then the end-of-run slot, in which
+        every order still waiting was rejected by the final flush."""
+        self._close_slot()
+        self._next = {}
+        self._close_slot()
+
+    def _snapshot(self, waiting: list["Order"], now: float) -> dict[int, np.ndarray]:
         pickups = [order.pickup for order in waiting]
         dropoffs = [order.dropoff for order in waiting]
-        idle = fleet.idle_locations(now)
+        # This releases the workers due by ``now``, as the next tick
+        # would first thing; a WATTER submit never reads the fleet.
+        idle = self._dispatcher.fleet.idle_locations(now)
         return {
-            order.order_id: encoder.encode(order, now, pickups, dropoffs, idle).vector
+            order.order_id: self._encoder.encode(
+                order, now, pickups, dropoffs, idle
+            ).vector
             for order in waiting
         }
 
-    def flush_decisions(result, now: float) -> None:
-        next_states = snapshot_states(now)
-        served_ids = {record.order.order_id for record in result.served}
-        rejected_ids = {order.order_id for order in result.rejected}
-        for order_id, state in pending_states.items():
-            order = orders_by_id[order_id]
-            target = (target_thresholds or {}).get(order_id)
-            if order_id in served_ids:
-                record = next(
-                    rec for rec in result.served if rec.order.order_id == order_id
-                )
-                reward = order.penalty - record.detour_time
-                transitions.append(
-                    Transition(state, 1, reward, None, True, order.penalty, target)
-                )
-            elif order_id in rejected_ids:
-                transitions.append(
-                    Transition(state, 0, 0.0, None, True, order.penalty, target)
-                )
+    def _close_slot(self) -> None:
+        next_states = self._next
+        if next_states is None:
+            return
+        for order_id, state in self._pending.items():
+            penalty = self._orders[order_id].penalty
+            target = self._targets.get(order_id)
+            served = self._served.get(order_id)
+            if served is not None:
+                reward = penalty - served.detour_time
+                transition = Transition(state, 1, reward, None, True, penalty, target)
             elif order_id in next_states:
-                transitions.append(
-                    Transition(
-                        state,
-                        0,
-                        -config.time_slot,
-                        next_states[order_id],
-                        False,
-                        order.penalty,
-                        target,
-                    )
+                transition = Transition(
+                    state,
+                    0,
+                    -self._time_slot,
+                    next_states[order_id],
+                    False,
+                    penalty,
+                    target,
                 )
-        pending_states.clear()
-        pending_states.update(next_states)
-
-    check_period = config.check_period
-    next_check = check_period
-    for order in workload.orders:
-        release = order.release_time
-        while next_check <= release:
-            result = dispatcher.tick(next_check)
-            flush_decisions(result, next_check)
-            next_check += check_period
-        dispatcher.submit(order, release)
-        pending_states.update(snapshot_states(release))
-    horizon_end = max(
-        config.horizon,
-        (workload.orders[-1].release_time if workload.orders else 0.0)
-        + max((o.max_response_time for o in workload.orders), default=0.0),
-    )
-    while next_check <= horizon_end:
-        result = dispatcher.tick(next_check)
-        flush_decisions(result, next_check)
-        next_check += check_period
-    final = dispatcher.flush(horizon_end)
-    flush_decisions(final, horizon_end)
-    return transitions
+            else:
+                # Neither served nor still waiting: rejected at this check.
+                transition = Transition(state, 0, 0.0, None, True, penalty, target)
+            self.transitions.append(transition)
+        self._pending = next_states
+        self._next = None
+        self._served.clear()
 
 
 class ValueFunctionTrainer:
@@ -207,14 +243,3 @@ class ValueFunctionTrainer:
     def build_provider(self, fallback: float = 0.0) -> ValueThresholdProvider:
         """Wrap the trained network as an online threshold provider."""
         return ValueThresholdProvider(self._network, self._encoder, fallback=fallback)
-
-
-def _clone_worker(worker):
-    """Copy a worker so experience generation does not mutate the workload."""
-    from ..model.worker import Worker
-
-    return Worker(
-        location=worker.location,
-        capacity=worker.capacity,
-        worker_id=worker.worker_id,
-    )

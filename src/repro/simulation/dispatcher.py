@@ -20,9 +20,12 @@ import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..model.order import OrderStatus
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..model.group import Group
     from ..model.order import Order
+    from .fleet import WorkerFleet
 
 
 @dataclass(frozen=True)
@@ -103,3 +106,22 @@ def served_orders_from_group(
             )
         )
     return tuple(records)
+
+
+def book_group(
+    fleet: "WorkerFleet", group: "Group", now: float
+) -> tuple[ServedOrder, ...] | None:
+    """Book ``group`` onto its nearest feasible idle worker.
+
+    Marks the members dispatched and returns their accounting records,
+    or ``None`` when no idle worker can serve it.  It asks the fleet by
+    its ``find_worker_for`` and ``assign``, so whatever wraps those two
+    sees every booking.
+    """
+    worker = fleet.find_worker_for(group, now)
+    if worker is None:
+        return None
+    fleet.assign(worker, group, now)
+    for order in group.orders:
+        order.status = OrderStatus.DISPATCHED
+    return served_orders_from_group(group, now, worker.worker_id)

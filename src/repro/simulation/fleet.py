@@ -20,11 +20,12 @@ pops what is due and puts the worker back at its route's end node.  The
 search stops at the first ring whose travel-time lower bound already
 exceeds the best worker found or already misses the group's deadline.
 
-A search that finds nobody stays fruitless until the idle set changes:
-the rings depend on the idle workers only, and a later ``now`` only
-makes the deadline test stricter.  Such misses are remembered by what
-the search reads of a group (first pickup, riders, each member's
-sub-route time and deadline) and forgotten on every release or booking.
+A search that finds nobody stays fruitless until a worker becomes idle:
+the rings depend on the idle workers only, a booking only shrinks that
+set, and a later ``now`` only makes the deadline test stricter.  Such
+misses are remembered by what the search reads of a group (first
+pickup, riders, each member's sub-route time and deadline) and
+forgotten when a release puts workers back.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ class WorkerFleet:
         changes, so a ``can_serve`` probe followed by the booking's own
         lookup costs one search, not two.  A search that found nobody is
         not repeated, for any group with the same pickup, riders and
-        member limits, at the same or a later ``now`` until then.
+        member limits, at the same or a later ``now`` until a release.
         """
         self.release_finished(now)
         memo = self._find_memo
@@ -256,7 +257,6 @@ class WorkerFleet:
         )
         self._spatial.remove(worker.worker_id)
         self._find_memo = None
-        self._misses.clear()
         self._total_travel_time += approach + route_time
         return Assignment(
             worker_id=worker.worker_id,

@@ -115,6 +115,17 @@ class TestSessionReuse:
             session.expect_provider(spec, workload=second)
         )
 
+    def test_expect_providers_are_memoised_per_loss_weight(self):
+        session = Session()
+        spec = _small_spec(algorithm="WATTER-expect", use_rl=True, loss_weight=0.25)
+        first = session.expect_provider(spec)
+        second = session.expect_provider(spec.with_overrides(loss_weight=0.75))
+        assert session.expect_provider(spec) is first
+        assert second is not first
+        # omega reaches the value network's training configuration
+        assert first._network.config.loss_weight == 0.25
+        assert second._network.config.loss_weight == 0.75
+
     def test_compare_preserves_the_specs_use_rl(self):
         # the module-level facade must not clobber spec.use_rl with a
         # False default; None means "keep the spec's setting"

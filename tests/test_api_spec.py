@@ -37,6 +37,7 @@ class TestRoundTrip:
                 dataset="XIA",
                 algorithm="WATTER-expect",
                 use_rl=True,
+                loss_weight=0.25,
                 num_orders=40,
                 num_workers=8,
                 horizon=1200.0,
@@ -135,6 +136,10 @@ class TestValidation:
             ({"grid_size": 0}, "grid_size"),
             ({"network": "grid", "grid_rows": 1}, "lattice"),
             ({"network": "grid", "grid_jitter": 1.5}, "grid_jitter"),
+            ({"use_rl": True, "loss_weight": "high"}, "loss_weight"),
+            ({"use_rl": True, "loss_weight": 1.5}, r"loss_weight \(omega\) must lie in \[0, 1\]"),
+            ({"use_rl": True, "loss_weight": -0.1}, r"loss_weight \(omega\) must lie in \[0, 1\]"),
+            ({"loss_weight": 0.5}, "loss_weight only applies with use_rl=True"),
         ],
     )
     def test_invalid_values_raise_precise_errors(self, kwargs, match):
@@ -499,6 +504,7 @@ _plausible_documents = st.fixed_dictionaries(
         "orders_csv": st.sampled_from([None, "orders.csv"]),
         "algorithm": st.sampled_from(["GDP", "gas", "WATTER-expect", "NonSharing", "?"]),
         "use_rl": st.booleans(),
+        "loss_weight": st.one_of(st.none(), st.floats(-0.5, 1.5)),
         "num_orders": st.integers(-1, 50),
         "num_workers": st.integers(-1, 9),
         "horizon": st.one_of(st.integers(-1, 4000), st.floats(-1.0, 4000.0)),

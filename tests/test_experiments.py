@@ -86,6 +86,8 @@ _AXIS_CASES = [
     ("watch_window_scale", 1, {"watch_window_scale": 1.0}),
     ("time_slot", 5, {"time_slot": 5.0, "check_period": 5.0}),
     ("time_slot", 30.0, {"time_slot": 30.0, "check_period": 30.0}),
+    # omega is a training setting, not a SimulationConfig field
+    ("loss_weight", 1, {}),
 ]
 
 
@@ -99,6 +101,7 @@ class TestAxisTable:
             "grid_size",
             "watch_window_scale",
             "time_slot",
+            "loss_weight",
         }
 
     @pytest.mark.parametrize("axis, value, fields", _AXIS_CASES)
@@ -112,9 +115,14 @@ class TestAxisTable:
         assert AXES["num_workers"].values == worker_counts_scaled()
         assert AXES["time_slot"].values == PARAMETER_GRID["time_slots"]
 
+    def test_loss_weight_axis_trains_the_value_network(self):
+        spec = AXES["loss_weight"].apply(ScenarioSpec(dataset="CDC", **_AXIS_BASE), 1)
+        assert (spec.use_rl, spec.loss_weight) == (True, 1.0)
+        assert AXES["loss_weight"].values == PARAMETER_GRID["loss_weights"]
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown sweep axis"):
-            run_sweep("loss_weight", _FAST_SPEC)
+            run_sweep("omega", _FAST_SPEC)
 
 
 class TestSweeps:
@@ -147,6 +155,17 @@ class TestSweeps:
         # a looser deadline can only help the service rate on the same workload
         line = series(points, "NonSharing", "service_rate")
         assert line[1] >= line[0] - 0.1
+
+    def test_loss_weight_sweep_gives_one_point_per_omega(self):
+        points = run_sweep(
+            "loss_weight", _FAST_SPEC, values=(0.0, 1.0), algorithms=("WATTER-expect",)
+        )
+        assert [point.value for point in points] == [0.0, 1.0]
+        assert [
+            (run.spec.use_rl, run.spec.loss_weight)
+            for point in points
+            for run in point.results
+        ] == [(True, 0.0), (True, 1.0)]
 
 
 class TestReporting:
