@@ -39,7 +39,6 @@ from .network import (
     DistanceOracle,
     LazyDijkstraOracle,
     OracleStats,
-    available_backends,
     configure_oracle,
     create_oracle,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "DistanceOracle",
     "LazyDijkstraOracle",
     "OracleStats",
-    "available_backends",
     "configure_oracle",
     "create_oracle",
     "RoutePlanner",

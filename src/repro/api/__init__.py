@@ -52,7 +52,7 @@ from ..experiments.runner import ALGORITHMS
 from ..learning.trainer import ValueFunctionTrainer, generate_experience
 from ..network.generators import grid_city, manhattan_like_city, radial_city
 from ..network.grid import GridIndex
-from ..network.oracle import OracleSpec, available_backends, graph_signature
+from ..network.oracle import OracleSpec, graph_signature
 from ..simulation.hooks import CompositeHooks, SimulationHooks
 from .facade import SweepPoint, compare, load_spec, run_scenario, save_spec, sweep
 from .session import RunResult, Session
@@ -75,7 +75,6 @@ __all__ = [
     "NETWORK_SOURCES",
     "WORKLOAD_SOURCES",
     "ALGORITHMS",
-    "available_backends",
     "graph_signature",
     # curated re-exports for notebooks and the bundled examples
     "CityModel",

@@ -41,7 +41,7 @@ from ..config import LearningConfig, SimulationConfig
 from ..core.strategies import ThresholdProvider
 from ..datasets.io import orders_from_csv, workers_from_csv
 from ..datasets.synthetic import CityModel, DemandHotspot, Workload
-from ..datasets.workloads import city_by_name
+from ..datasets.workloads import DATASETS
 from ..durability.checkpoint import (
     CheckpointError,
     Checkpointer,
@@ -59,7 +59,7 @@ from ..model.worker import Worker
 from ..network.generators import grid_city
 from ..network.graph import RoadNetwork
 from ..network.oracle import (
-    ORACLE_OPTIONS_BY_BACKEND,
+    ORACLE_BACKENDS,
     OracleSpec,
     configure_oracle,
     graph_signature,
@@ -249,7 +249,7 @@ class Session:
         if (
             provider is None
             and resume_from is None
-            and spec.algorithm.lower() == "watter-expect"
+            and spec.algorithm == "WATTER-expect"
         ):
             # A caller-supplied workload must also drive the threshold
             # bootstrap, otherwise the thresholds would be fitted to
@@ -367,20 +367,14 @@ class Session:
         spec = self._effective(spec)
         if use_rl is not None and use_rl != spec.use_rl:
             spec = spec.with_overrides(use_rl=use_rl)
+        runs = [spec.with_overrides(algorithm=algorithm) for algorithm in algorithms]
         provider: ThresholdProvider | None = None
-        if any(name.lower() == "watter-expect" for name in algorithms):
+        if any(run.algorithm == "WATTER-expect" for run in runs):
             provider = self.expect_provider(spec, workload=workload)
-        results = []
-        for algorithm in algorithms:
-            results.append(
-                self.run(
-                    spec.with_overrides(algorithm=algorithm),
-                    hooks=hooks,
-                    workload=workload,
-                    provider=provider,
-                )
-            )
-        return results
+        return [
+            self.run(run, hooks=hooks, workload=workload, provider=provider)
+            for run in runs
+        ]
 
     # ------------------------------------------------------------------
     # prepared state
@@ -514,9 +508,8 @@ class Session:
         if not self._oracle_cache_dir:
             return spec
         oracle = spec.oracle or OracleSpec()
-        if oracle.cache_dir is not None or "cache_dir" not in (
-            ORACLE_OPTIONS_BY_BACKEND.get(oracle.backend, ())
-        ):
+        _, options = ORACLE_BACKENDS[oracle.backend]
+        if oracle.cache_dir is not None or "cache_dir" not in options:
             return spec
         return spec.with_overrides(
             oracle=replace(oracle, cache_dir=self._oracle_cache_dir)
@@ -660,7 +653,8 @@ class Session:
             if network is not None:
                 return network
             if spec.network == "dataset":
-                city = city_by_name(spec.dataset, seed=config.seed)
+                build_city, _, _ = DATASETS[spec.dataset]
+                city = build_city(seed=config.seed)
                 self._cities[key] = city
                 network = city.network
             else:

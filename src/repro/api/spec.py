@@ -32,9 +32,10 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 from ..config import ExtraTimeWeights, SimulationConfig
-from ..exceptions import ConfigurationError
-from ..experiments.config import DATASET_DEFAULTS, default_config
-from ..experiments.runner import ALGORITHMS
+from ..datasets.workloads import DATASETS
+from ..exceptions import ConfigurationError, unknown_name
+from ..experiments.config import default_config
+from ..experiments.runner import DISPATCHERS
 from ..network.oracle import OracleSpec
 
 #: Valid road-network sources.
@@ -112,9 +113,6 @@ _ARG_FIELDS = (
     ("seed", "seed"),
 )
 
-_CANONICAL_ALGORITHMS = {name.lower(): name for name in ALGORITHMS}
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One scenario, declaratively.
@@ -128,10 +126,12 @@ class ScenarioSpec:
         of :attr:`dataset`) or ``"grid"`` (a ``grid_rows x grid_cols``
         lattice generated from the ``grid_*`` fields and the seed).
     dataset:
-        Dataset preset (``NYC`` / ``CDC`` / ``XIA``, or ``LARGE`` —
-        alias ``LARGE-SYNTHETIC`` — the 102 400-node synthetic city on
-        CDC's defaults).  Supplies the city model *and* the scaled
-        Table III defaults when ``network == "dataset"``.
+        Dataset preset, a key of
+        :data:`~repro.datasets.workloads.DATASETS` (case-insensitive):
+        ``NYC`` / ``CDC`` / ``XIA``, or ``LARGE``, the 102 400-node
+        synthetic city on CDC's defaults.  Supplies the city model
+        *and* the scaled Table III defaults when ``network ==
+        "dataset"``.
     grid_rows, grid_cols, grid_edge_travel_time, grid_jitter:
         Lattice shape for ``network == "grid"``.
     workload:
@@ -143,8 +143,9 @@ class ScenarioSpec:
         optional — when absent, workers are sampled at order pickup
         nodes exactly like the synthetic generator does.
     algorithm:
-        Dispatcher under test (any of ``repro.experiments.runner.
-        ALGORITHMS``, case-insensitive).
+        Dispatcher under test, a key of
+        :data:`~repro.experiments.runner.DISPATCHERS`
+        (case-insensitive; stored canonical).
     use_rl:
         For ``WATTER-expect``: train the Section VI value network
         instead of using the GMM threshold fit.
@@ -207,7 +208,6 @@ class ScenarioSpec:
         self._check_types()
         object.__setattr__(self, "network", self.network.lower())
         object.__setattr__(self, "workload", self.workload.lower())
-        object.__setattr__(self, "dataset", self.dataset.upper())
         if self.network not in NETWORK_SOURCES:
             raise ConfigurationError(
                 f"ScenarioSpec.network must be one of {NETWORK_SOURCES}, "
@@ -218,11 +218,9 @@ class ScenarioSpec:
                 f"ScenarioSpec.workload must be one of {WORKLOAD_SOURCES}, "
                 f"got {self.workload!r}"
             )
-        if self.network == "dataset" and self.dataset not in DATASET_DEFAULTS:
-            raise ConfigurationError(
-                f"ScenarioSpec.dataset must be one of "
-                f"{tuple(sorted(DATASET_DEFAULTS))}, got {self.dataset!r}"
-            )
+        if self.network == "dataset" and self.dataset.upper() not in DATASETS:
+            raise ConfigurationError(unknown_name("dataset", self.dataset, DATASETS))
+        object.__setattr__(self, "dataset", self.dataset.upper())
         if self.network == "grid":
             if self.grid_rows < 2 or self.grid_cols < 2:
                 raise ConfigurationError(
@@ -263,13 +261,12 @@ class ScenarioSpec:
                 "ScenarioSpec.deadline_seconds must be a positive number of "
                 f"seconds, got {self.deadline_seconds!r}"
             )
-        canonical = _CANONICAL_ALGORITHMS.get(self.algorithm.lower())
-        if canonical is None:
+        canonical = {name.lower(): name for name in DISPATCHERS}
+        if self.algorithm.lower() not in canonical:
             raise ConfigurationError(
-                f"unknown algorithm {self.algorithm!r}; expected one of "
-                f"{ALGORITHMS}"
+                unknown_name("algorithm", self.algorithm, DISPATCHERS)
             )
-        object.__setattr__(self, "algorithm", canonical)
+        object.__setattr__(self, "algorithm", canonical[self.algorithm.lower()])
         if isinstance(self.oracle, Mapping):
             object.__setattr__(self, "oracle", OracleSpec.from_dict(self.oracle))
         elif self.oracle is not None and not isinstance(self.oracle, OracleSpec):

@@ -42,6 +42,7 @@ import argparse
 from typing import Sequence
 
 from .api import RunResult, ScenarioSpec, Session, load_spec
+from .datasets.workloads import DATASETS
 from .exceptions import ConfigurationError
 from .experiments.reporting import (
     format_comparison_table,
@@ -51,7 +52,7 @@ from .experiments.reporting import (
 from .experiments.runner import ALGORITHMS
 from .experiments.sweeps import run_sweep
 from .experiments.worked_example import run_worked_example
-from .network.oracle import available_backends
+from .network.oracle import ORACLE_BACKENDS
 
 #: Figure -> the axis of ``repro.experiments.sweeps.AXES`` it sweeps.
 _FIGURES = {
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="HTTP listen address")
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8700,
         help="HTTP listen port (0 picks a free one)",
     )
@@ -275,6 +276,13 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
+def _port(value: str) -> int:
+    parsed = int(value)
+    if not 0 <= parsed <= 65535:
+        raise argparse.ArgumentTypeError("must be a port number in 0-65535")
+    return parsed
+
+
 def _positive_float(value: str) -> float:
     parsed = float(value)
     if parsed <= 0:
@@ -286,7 +294,7 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset",
         default="CDC",
-        choices=["NYC", "CDC", "XIA", "LARGE", "LARGE-SYNTHETIC"],
+        choices=list(DATASETS),
         help=(
             "dataset preset: the paper's three cities, or LARGE — the "
             "102400-node synthetic city (pair it with the lazy backend)"
@@ -299,7 +307,7 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--oracle",
         default=None,
-        choices=list(available_backends()),
+        choices=list(ORACLE_BACKENDS),
         help="distance-oracle backend for shortest-path queries",
     )
     parser.add_argument(

@@ -8,8 +8,7 @@ from .workloads import (
     xia_like_city,
     large_synthetic_city,
     city_by_name,
-    DATASET_NAMES,
-    LARGE_DATASET_NAMES,
+    DATASETS,
 )
 from .io import orders_to_csv, orders_from_csv, workers_to_csv, workers_from_csv
 
@@ -23,8 +22,7 @@ __all__ = [
     "xia_like_city",
     "large_synthetic_city",
     "city_by_name",
-    "DATASET_NAMES",
-    "LARGE_DATASET_NAMES",
+    "DATASETS",
     "orders_to_csv",
     "orders_from_csv",
     "workers_to_csv",

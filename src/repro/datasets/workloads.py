@@ -12,23 +12,18 @@ the presets below reproduce — are:
   larger and WATTER-online's improvement is limited.
 
 Each preset bundles a synthetic road network with hotspot layouts and
-peak periods.  ``build_workload`` is the single entry point used by the
-experiment harness and the examples.
+peak periods.  :data:`DATASETS` is the one table of presets; scenarios
+reach it through :class:`repro.api.Session`.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..config import SimulationConfig
-from ..exceptions import DatasetError
+from ..exceptions import DatasetError, unknown_name
 from ..network.generators import grid_city, large_city, manhattan_like_city
 from .synthetic import CityModel, DemandHotspot, PeakPeriod, Workload
-
-#: The paper's three city presets (kept separate from the city-scale
-#: stress preset below so sweeps over "the paper's datasets" stay fast).
-DATASET_NAMES = ("NYC", "CDC", "XIA")
-
-#: City-scale synthetic preset names (all aliases of one model).
-LARGE_DATASET_NAMES = ("LARGE", "LARGE-SYNTHETIC")
 
 
 def nyc_like_city(seed: int = 0) -> CityModel:
@@ -118,10 +113,9 @@ def large_synthetic_city(seed: int = 3) -> CityModel:
     pickups and trip times come from early-terminating point-to-point
     Dijkstras — so generating a workload touches only the sampled
     neighbourhoods, never a full per-source distance map of the 10^5
-    nodes.  Selected as dataset ``"LARGE"`` (alias
-    ``"LARGE-SYNTHETIC"``) from :class:`~repro.api.ScenarioSpec` or
-    ``--dataset LARGE``; pair it with ``--oracle lazy`` (the default)
-    for city-scale dispatch.
+    nodes.  Selected as dataset ``"LARGE"`` from
+    :class:`~repro.api.ScenarioSpec` or ``--dataset LARGE``; pair it
+    with ``--oracle lazy`` (the default) for city-scale dispatch.
     """
     network = large_city(rows=320, cols=320, seed=seed)
     pickup_hotspots = [
@@ -148,26 +142,26 @@ def large_synthetic_city(seed: int = 3) -> CityModel:
     )
 
 
-_CITY_FACTORIES = {
-    "NYC": nyc_like_city,
-    "CDC": cdc_like_city,
-    "XIA": xia_like_city,
-    "LARGE": large_synthetic_city,
-    "LARGE-SYNTHETIC": large_synthetic_city,
+#: Dataset preset -> (city builder, the paper's order count, the paper's
+#: worker count), before the reproduction's scaling.  The keys are the
+#: valid dataset names.  NYC, CDC and XIA are Table III's cities; LARGE,
+#: the city-scale stress preset, borrows CDC's counts so its dispatch
+#: metrics stay comparable while its network is ~200x larger.
+DATASETS: dict[str, tuple[Callable[..., CityModel], int, int]] = {
+    "NYC": (nyc_like_city, 100_000, 5_000),
+    "CDC": (cdc_like_city, 50_000, 5_000),
+    "XIA": (xia_like_city, 50_000, 5_000),
+    "LARGE": (large_synthetic_city, 50_000, 5_000),
 }
 
 
 def city_by_name(name: str, seed: int = 0) -> CityModel:
     """Return the preset city model for a dataset name (case-insensitive)."""
-    key = name.upper()
     try:
-        factory = _CITY_FACTORIES[key]
-    except KeyError as exc:
-        raise DatasetError(
-            f"unknown dataset {name!r}; expected one of "
-            f"{DATASET_NAMES + LARGE_DATASET_NAMES}"
-        ) from exc
-    return factory(seed=seed)
+        build, _, _ = DATASETS[name.upper()]
+    except KeyError:
+        raise DatasetError(unknown_name("dataset", name, DATASETS)) from None
+    return build(seed=seed)
 
 
 def build_workload(dataset: str, config: SimulationConfig) -> Workload:
@@ -176,7 +170,7 @@ def build_workload(dataset: str, config: SimulationConfig) -> Workload:
     Parameters
     ----------
     dataset:
-        ``"NYC"``, ``"CDC"`` or ``"XIA"``.
+        A key of :data:`DATASETS`.
     config:
         Simulation parameters (order count, worker count, deadline
         scale, ...).  The config seed controls all sampling.

@@ -56,7 +56,9 @@ DEFAULT_CHECKPOINT_INTERVAL = 25
 # 7: a pickled ``WorkerFleet`` may hold no spatial index yet (built on
 #    first use) and its ``_grid`` may be a cell count.
 # 8: a pickled ``OrderPool`` holds no check period and no statistics.
-_FORMAT_VERSION = 8
+# 9: a pickled ``SimulationConfig``'s ``OracleSpec`` has three fields
+#    (``backend``, ``cache_dir``, ``kernel``).
+_FORMAT_VERSION = 9
 
 _LOCK_TYPE = type(threading.Lock())
 _RLOCK_TYPE = type(threading.RLock())

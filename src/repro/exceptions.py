@@ -9,6 +9,8 @@ recovery action differs for each.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -73,3 +75,8 @@ class LearningError(ReproError):
 
 class DatasetError(ReproError):
     """A workload could not be generated or parsed."""
+
+
+def unknown_name(kind: str, name: object, names: Iterable[str]) -> str:
+    """The one error text for a name that is not a key of its table."""
+    return f"unknown {kind} {name!r}; expected one of {tuple(names)}"

@@ -1,16 +1,16 @@
 """Experiment harness reproducing the paper's evaluation section."""
 
-from .config import default_config, DATASET_DEFAULTS, PARAMETER_GRID
-from .runner import ALGORITHMS, make_dispatcher
+from .config import default_config, PARAMETER_GRID
+from .runner import ALGORITHMS, DISPATCHERS, make_dispatcher
 from .sweeps import AXES, run_sweep
 from .worked_example import run_worked_example, WorkedExampleResult
 from .reporting import format_sweep_table, format_comparison_table
 
 __all__ = [
     "default_config",
-    "DATASET_DEFAULTS",
     "PARAMETER_GRID",
     "ALGORITHMS",
+    "DISPATCHERS",
     "make_dispatcher",
     "AXES",
     "run_sweep",

@@ -23,7 +23,8 @@ n in {0.5, 0.75, 1.0, 1.25} x default) are preserved exactly.
 from __future__ import annotations
 
 from ..config import SimulationConfig
-from ..exceptions import DatasetError
+from ..datasets.workloads import DATASETS
+from ..exceptions import DatasetError, unknown_name
 
 #: Factor by which the paper's order count is divided.
 SCALE_FACTOR = 100
@@ -33,26 +34,6 @@ SCALE_FACTOR = 100
 #: hours rather than a full day: keeping the per-hour load per worker
 #: close to the paper's keeps the service-rate regime comparable.
 WORKER_SCALE_FACTOR = 50
-
-#: Paper defaults per dataset (before scaling): (orders, workers).
-PAPER_DEFAULTS = {
-    "NYC": (100_000, 5_000),
-    "CDC": (50_000, 5_000),
-    "XIA": (50_000, 5_000),
-}
-
-#: Scaled defaults actually used by the reproduction.
-DATASET_DEFAULTS = {
-    name: (orders // SCALE_FACTOR, workers // WORKER_SCALE_FACTOR)
-    for name, (orders, workers) in PAPER_DEFAULTS.items()
-}
-
-#: The city-scale synthetic preset (102 400-node network, local-trip
-#: demand) is not part of the paper's Table III grid; its workload
-#: defaults match CDC's scaled shape so dispatch metrics are comparable
-#: while the network is ~200x larger.
-DATASET_DEFAULTS["LARGE"] = DATASET_DEFAULTS["CDC"]
-DATASET_DEFAULTS["LARGE-SYNTHETIC"] = DATASET_DEFAULTS["CDC"]
 
 #: The parameter grid of Table III expressed as sweep values.
 PARAMETER_GRID = {
@@ -70,14 +51,12 @@ PARAMETER_GRID = {
 def default_config(dataset: str = "CDC", **overrides) -> SimulationConfig:
     """Table III defaults (scaled) for one dataset, with optional overrides."""
     try:
-        orders, workers = DATASET_DEFAULTS[dataset.upper()]
+        _, orders, workers = DATASETS[dataset.upper()]
     except KeyError:
-        raise DatasetError(
-            f"unknown dataset {dataset!r}; expected one of {tuple(DATASET_DEFAULTS)}"
-        ) from None
+        raise DatasetError(unknown_name("dataset", dataset, DATASETS)) from None
     config = SimulationConfig(
-        num_orders=orders,
-        num_workers=workers,
+        num_orders=orders // SCALE_FACTOR,
+        num_workers=workers // WORKER_SCALE_FACTOR,
         deadline_scale=1.6,
         watch_window_scale=0.8,
         max_capacity=4,

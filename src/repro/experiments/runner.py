@@ -25,21 +25,12 @@ from ..core.threshold import ThresholdOptimizer, fit_extra_time_distribution
 from ..core.watter import WatterDispatcher
 from ..baselines import GASDispatcher, GDPDispatcher, NonSharingDispatcher
 from ..datasets.synthetic import Workload
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, unknown_name
 from ..network.grid import GridIndex
 from ..routing.planner import RoutePlanner
 from ..simulation.dispatcher import Dispatcher
 from ..simulation.engine import SimulationResult, Simulator
 from ..simulation.fleet import WorkerFleet
-
-ALGORITHMS = (
-    "WATTER-expect",
-    "WATTER-online",
-    "WATTER-timeout",
-    "GDP",
-    "GAS",
-    "NonSharing",
-)
 
 #: Size of the bootstrap's training workload relative to the evaluated one.
 _TRAINING_FRACTION = 0.5
@@ -108,40 +99,62 @@ def _build_expect_provider(
     return trainer.build_provider()
 
 
+def _watter_expect(
+    planner: RoutePlanner,
+    fleet: WorkerFleet,
+    config: SimulationConfig,
+    provider: ThresholdProvider | None,
+) -> Dispatcher:
+    if provider is None:
+        raise ConfigurationError(
+            "WATTER-expect needs a threshold provider; take one from "
+            "repro.api.Session.expect_provider"
+        )
+    dispatcher = WatterDispatcher.expect(planner, fleet, config, provider)
+    bind = getattr(provider, "bind", None)
+    if callable(bind):
+        bind(dispatcher.pool, dispatcher.fleet)
+    return dispatcher
+
+
+#: Algorithm name -> builder ``(planner, fleet, config, provider)``, in
+#: the paper's order.  The keys are the valid algorithm names:
+#: :class:`~repro.api.ScenarioSpec` canonicalises a name against them
+#: once, and :func:`make_dispatcher` indexes the table.
+DISPATCHERS: dict[str, Callable[..., Dispatcher]] = {
+    "WATTER-expect": _watter_expect,
+    "WATTER-online": lambda planner, fleet, config, _: WatterDispatcher.online(
+        planner, fleet, config
+    ),
+    "WATTER-timeout": lambda planner, fleet, config, _: WatterDispatcher.timeout(
+        planner, fleet, config
+    ),
+    "GDP": lambda planner, fleet, config, _: GDPDispatcher(planner.network, fleet, config),
+    "GAS": lambda planner, fleet, config, _: GASDispatcher(planner, fleet, config),
+    "NonSharing": lambda planner, fleet, config, _: NonSharingDispatcher(
+        planner, fleet, config
+    ),
+}
+
+ALGORITHMS = tuple(DISPATCHERS)
+
+
 def make_dispatcher(
     algorithm: str,
     workload: Workload,
     config: SimulationConfig,
     provider: ThresholdProvider | None = None,
 ) -> Dispatcher:
-    """Instantiate a named algorithm over a fresh fleet for ``workload``."""
+    """Instantiate algorithm ``algorithm`` (a key of :data:`DISPATCHERS`)
+    over a fresh fleet for ``workload``."""
+    try:
+        build = DISPATCHERS[algorithm]
+    except KeyError:
+        raise ConfigurationError(
+            unknown_name("algorithm", algorithm, DISPATCHERS)
+        ) from None
     fleet = _fresh_fleet(workload, config)
-    planner = RoutePlanner(workload.network)
-    name = algorithm.lower()
-    if name == "watter-online":
-        return WatterDispatcher.online(planner, fleet, config)
-    if name == "watter-timeout":
-        return WatterDispatcher.timeout(planner, fleet, config)
-    if name == "watter-expect":
-        if provider is None:
-            raise ConfigurationError(
-                "WATTER-expect needs a threshold provider; take one from "
-                "repro.api.Session.expect_provider"
-            )
-        dispatcher = WatterDispatcher.expect(planner, fleet, config, provider)
-        bind = getattr(provider, "bind", None)
-        if callable(bind):
-            bind(dispatcher.pool, dispatcher.fleet)
-        return dispatcher
-    if name == "gdp":
-        return GDPDispatcher(workload.network, fleet, config)
-    if name == "gas":
-        return GASDispatcher(planner, fleet, config)
-    if name == "nonsharing":
-        return NonSharingDispatcher(planner, fleet, config)
-    raise ConfigurationError(
-        f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-    )
+    return build(RoutePlanner(workload.network), fleet, config, provider)
 
 
 def _simulate(

@@ -13,7 +13,6 @@ from .oracle import (
     DistanceOracle,
     LazyDijkstraOracle,
     OracleStats,
-    available_backends,
     configure_oracle,
     create_oracle,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "DistanceOracle",
     "LazyDijkstraOracle",
     "OracleStats",
-    "available_backends",
     "configure_oracle",
     "create_oracle",
 ]

@@ -26,7 +26,7 @@ import networkx as nx
 
 from ..exceptions import NetworkError, UnknownNodeError, UnreachableError
 from .oracle.base import OracleStats
-from .oracle.lazy import DEFAULT_MAX_SOURCES, LazyDijkstraOracle
+from .oracle.lazy import LazyDijkstraOracle
 from .oracle.spec import OracleSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,19 +43,15 @@ class RoadNetwork:
         attribute (seconds) and whose nodes carry ``x``/``y``
         coordinates.  Undirected graphs are accepted and converted.
     oracle:
-        Distance oracle answering shortest-path queries.  Defaults to a
-        :class:`LazyDijkstraOracle` with an LRU cache of
-        ``cache_size`` sources.
-    cache_size:
-        LRU bound of the default oracle's per-source cache (``None`` =
-        unbounded).  Ignored when ``oracle`` is given.
+        Distance oracle answering shortest-path queries.  Defaults to
+        the oracle the all-defaults :class:`OracleSpec` asks for: a
+        :class:`LazyDijkstraOracle` with its default LRU bound.
     """
 
     def __init__(
         self,
         graph: nx.Graph,
         oracle: "DistanceOracle | None" = None,
-        cache_size: int | None = DEFAULT_MAX_SOURCES,
     ) -> None:
         if graph.number_of_nodes() == 0:
             raise NetworkError("a road network needs at least one node")
@@ -75,12 +71,11 @@ class RoadNetwork:
         self._graph = directed
         self._nearest_index: "_NearestNodeIndex | None" = None
         if oracle is None:
-            oracle = LazyDijkstraOracle(directed, max_sources=cache_size)
-            if cache_size == DEFAULT_MAX_SOURCES:
-                # Exactly what ``configure_oracle`` builds for the
-                # all-defaults spec: a default-configured run keeps this
-                # oracle and the cache workload generation warmed in it.
-                oracle.built_from = OracleSpec()
+            # Exactly what ``configure_oracle`` builds for the all-defaults
+            # spec: a default-configured run keeps this oracle and the
+            # cache workload generation warmed in it.
+            oracle = LazyDijkstraOracle(directed)
+            oracle.built_from = OracleSpec()
         self._oracle: "DistanceOracle" = oracle
 
     # ------------------------------------------------------------------

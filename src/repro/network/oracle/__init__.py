@@ -40,13 +40,8 @@ from .cache import (
 )
 from .ch import CHOracle
 from .lazy import LazyDijkstraOracle
-from .registry import (
-    ORACLE_BACKENDS,
-    available_backends,
-    configure_oracle,
-    create_oracle,
-)
-from .spec import ORACLE_OPTIONS_BY_BACKEND, OracleSpec
+from .registry import ORACLE_BACKENDS, configure_oracle, create_oracle
+from .spec import OracleSpec
 
 __all__ = [
     "CHOracle",
@@ -62,9 +57,7 @@ __all__ = [
     "OracleStats",
     "LazyDijkstraOracle",
     "ORACLE_BACKENDS",
-    "ORACLE_OPTIONS_BY_BACKEND",
     "OracleSpec",
-    "available_backends",
     "configure_oracle",
     "create_oracle",
 ]

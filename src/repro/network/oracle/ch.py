@@ -187,12 +187,10 @@ class CHOracle(DistanceOracle):
         if witness_hop_limit < 1:
             raise ValueError("witness_hop_limit must be at least 1")
         del seed
-        #: The hop limit used during contraction; used (with
-        #: :attr:`bucket_cache_size`) to decide whether a cached oracle
-        #: can be reused for a config's settings.
+        #: The hop limit used during contraction; a persisted payload
+        #: is reused only at the same limit.
         self.witness_hop_limit = witness_hop_limit
-        #: LRU bound of the source and the target label cache, each
-        #: (the registry maps ``cache_size`` onto it).
+        #: LRU bound of the source and the target label cache, each.
         self.bucket_cache_size = bucket_cache_size
         self._pair_cache_size = pair_cache_size
         self._arrival_cache_size = arrival_cache_size

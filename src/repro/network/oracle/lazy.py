@@ -59,8 +59,7 @@ class LazyDijkstraOracle(DistanceOracle):
         super().__init__(graph)
         if max_sources is not None and max_sources < 1:
             raise ValueError("max_sources must be at least 1 (or None)")
-        #: LRU bound of the forward and of the reverse row cache, each
-        #: (the registry maps ``cache_size`` onto it).
+        #: LRU bound of the forward and of the reverse row cache, each.
         self.max_sources = max_sources
         # source -> its forward row, target -> its reverse row (see
         # ``DistanceOracle._dijkstra_from`` / ``_dijkstra_to``).

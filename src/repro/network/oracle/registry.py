@@ -15,33 +15,25 @@ from typing import Callable, TYPE_CHECKING
 
 import networkx as nx
 
-from ...exceptions import ConfigurationError
+from ...exceptions import ConfigurationError, unknown_name
 from ...resilience.degradation import DegradationLog
 from ...resilience.faults import fault_point
 from .base import DistanceOracle
-from .ch import DEFAULT_BUCKET_CACHE_SIZE, DEFAULT_WITNESS_HOP_LIMIT, CHOracle
-from .lazy import DEFAULT_MAX_SOURCES, LazyDijkstraOracle
-from .spec import OracleSpec
+from .ch import DEFAULT_WITNESS_HOP_LIMIT, CHOracle
+from .lazy import LazyDijkstraOracle
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...config import SimulationConfig
     from ..graph import RoadNetwork
+    from .spec import OracleSpec
 
-#: Factory signature: (graph, **options) -> DistanceOracle.  Every
-#: factory receives ``seed`` plus the set :data:`FACTORY_OPTIONS` of
-#: :func:`create_oracle`'s keywords, and ignores the ones it does not use.
+#: Factory signature: ``(graph, *, seed, cache_dir, degradations)`` ->
+#: DistanceOracle; a factory ignores the keywords it has no use for.
 OracleFactory = Callable[..., DistanceOracle]
 
-#: The option names some factory reads; any other name is a mistake.
-FACTORY_OPTIONS = frozenset(
-    {"cache_size", "witness_hop_limit", "cache_dir", "degradations"}
-)
 
-
-def _make_lazy(graph: nx.DiGraph, **options) -> LazyDijkstraOracle:
-    return LazyDijkstraOracle(
-        graph, max_sources=options.get("cache_size", DEFAULT_MAX_SOURCES)
-    )
+def _make_lazy(graph: nx.DiGraph, **_unused: object) -> LazyDijkstraOracle:
+    return LazyDijkstraOracle(graph)
 
 
 class _CHCacheAttempt:
@@ -55,18 +47,18 @@ class _CHCacheAttempt:
 
 
 def _ch_from_cache(
-    graph: nx.DiGraph, path, hop_limit: int, kwargs: dict, attempt: _CHCacheAttempt
+    graph: nx.DiGraph, path, seed: int, attempt: _CHCacheAttempt
 ) -> CHOracle | None:
     """One validating load attempt, folded into ``attempt``'s accounting."""
     from .cache import load_ch_preprocessing_outcome, quarantine_cache_file
 
-    outcome = load_ch_preprocessing_outcome(path, graph, hop_limit)
+    outcome = load_ch_preprocessing_outcome(path, graph, DEFAULT_WITNESS_HOP_LIMIT)
     attempt.load_failures += outcome.load_failures
     attempt.corrupt = attempt.corrupt or outcome.corrupt
     if outcome.payload is None:
         return None
     try:
-        oracle = CHOracle(graph, preprocessing=outcome.payload, **kwargs)
+        oracle = CHOracle(graph, preprocessing=outcome.payload, seed=seed)
     except ValueError:
         # Parsed but semantically unusable: quarantine like any other
         # rotten payload and rebuild.
@@ -81,14 +73,14 @@ def _ch_from_cache(
 def _ch_build_and_save(
     graph: nx.DiGraph,
     path,
-    kwargs: dict,
+    seed: int,
     degradations: DegradationLog | None,
 ) -> CHOracle:
     """Contract from scratch and persist the products (best effort)."""
     from .cache import save_ch_preprocessing
 
     fault_point("oracle.ch.build")
-    oracle = CHOracle(graph, **kwargs)
+    oracle = CHOracle(graph, seed=seed)
     try:
         save_ch_preprocessing(path, oracle, graph)
     except OSError as exc:
@@ -104,18 +96,16 @@ def _ch_build_and_save(
     return oracle
 
 
-def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
-    hop_limit = options.get("witness_hop_limit", DEFAULT_WITNESS_HOP_LIMIT)
-    degradations: DegradationLog | None = options.get("degradations")
-    kwargs = dict(
-        witness_hop_limit=hop_limit,
-        bucket_cache_size=options.get("cache_size", DEFAULT_BUCKET_CACHE_SIZE),
-        seed=options.get("seed", 0),
-    )
-    cache_dir = options.get("cache_dir")
+def _make_ch(
+    graph: nx.DiGraph,
+    *,
+    seed: int,
+    cache_dir: str | None,
+    degradations: DegradationLog | None,
+) -> CHOracle:
     if not cache_dir:
         fault_point("oracle.ch.build")
-        return CHOracle(graph, **kwargs)
+        return CHOracle(graph, seed=seed)
     # Disk-backed preprocessing: a warm cache directory lets this (and
     # every later) process skip the contraction pass entirely.  A stale
     # or corrupted payload yields a miss (rotten files are quarantined
@@ -125,13 +115,13 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
     from ...durability.locks import InterProcessLock, LockTimeout
     from .cache import ch_cache_path
 
-    path = ch_cache_path(cache_dir, graph, hop_limit)
+    path = ch_cache_path(cache_dir, graph, DEFAULT_WITNESS_HOP_LIMIT)
     attempt = _CHCacheAttempt()
     # Fast path first, entirely lock-free: readers of a warm cache never
     # contend with each other (or with anyone) — the payload file is
     # only ever replaced atomically, so a validating load either sees a
     # complete payload or misses.
-    oracle = _ch_from_cache(graph, path, hop_limit, kwargs, attempt)
+    oracle = _ch_from_cache(graph, path, seed, attempt)
     if oracle is None:
         # Build under a cross-process lock so N processes sharing one
         # cache directory contract the graph exactly once: the winner
@@ -141,11 +131,9 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
         lock = InterProcessLock(path.with_name(path.name + ".lock"), timeout=600.0)
         try:
             with lock:
-                oracle = _ch_from_cache(graph, path, hop_limit, kwargs, attempt)
+                oracle = _ch_from_cache(graph, path, seed, attempt)
                 if oracle is None:
-                    oracle = _ch_build_and_save(
-                        graph, path, kwargs, degradations
-                    )
+                    oracle = _ch_build_and_save(graph, path, seed, degradations)
         except (LockTimeout, OSError) as exc:
             # Availability over the exactly-once economy: a wedged (or
             # glacial) holder — or a lock file that cannot even be
@@ -161,7 +149,7 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
                     f"CH cache lock not acquired ({exc}); contracting "
                     f"locally without cross-process exclusion",
                 )
-            oracle = _ch_build_and_save(graph, path, kwargs, degradations)
+            oracle = _ch_build_and_save(graph, path, seed, degradations)
     if attempt.corrupt and degradations is not None:
         degradations.record(
             "oracle.cache",
@@ -176,15 +164,13 @@ def _make_ch(graph: nx.DiGraph, **options) -> CHOracle:
     return oracle
 
 
-ORACLE_BACKENDS: dict[str, OracleFactory] = {
-    "lazy": _make_lazy,
-    "ch": _make_ch,
+#: Backend name -> (factory, the :class:`OracleSpec` options it reads).
+#: The keys are the valid backend names: :class:`OracleSpec` checks a
+#: name against them once, and later code indexes the table.
+ORACLE_BACKENDS: dict[str, tuple[OracleFactory, tuple[str, ...]]] = {
+    "lazy": (_make_lazy, ()),
+    "ch": (_make_ch, ("cache_dir", "kernel")),
 }
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(ORACLE_BACKENDS))
 
 
 def create_oracle(
@@ -192,63 +178,42 @@ def create_oracle(
     graph: nx.DiGraph,
     *,
     seed: int = 0,
-    **options,
+    cache_dir: str | None = None,
+    degradations: DegradationLog | None = None,
 ) -> DistanceOracle:
     """Instantiate a registered backend over ``graph``.
 
-    ``options`` are the factory keywords (:data:`FACTORY_OPTIONS`):
-    ``cache_size``, ``witness_hop_limit``, ``cache_dir`` and
-    ``degradations`` (the run's
-    :class:`~repro.resilience.degradation.DegradationLog`; factories
-    record recoverable fallbacks — corrupt cache -> rebuild, failed
-    save -> skip — into it).  An option left out or passed as ``None``
-    falls back to the backend's own default; options a backend has no
-    use for are ignored (a lazy oracle does not care about
-    ``witness_hop_limit``), and a name no backend reads raises
+    ``cache_dir`` persists ``ch`` preprocessing on disk; ``degradations``
+    is the run's :class:`~repro.resilience.degradation.DegradationLog`,
+    into which factories record recoverable fallbacks (corrupt cache ->
+    rebuild, failed save -> skip).  A backend ignores the keywords it
+    has no use for; an unknown backend name raises
     :class:`ConfigurationError`.
     """
     try:
-        factory = ORACLE_BACKENDS[name]
-    except KeyError as exc:
+        factory, _ = ORACLE_BACKENDS[name]
+    except KeyError:
         raise ConfigurationError(
-            f"unknown oracle backend {name!r}; available: {available_backends()}"
-        ) from exc
-    unknown = sorted(set(options) - FACTORY_OPTIONS)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown oracle option(s) {unknown}; known options: "
-            f"{sorted(FACTORY_OPTIONS)}"
-        )
-    given = {key: value for key, value in options.items() if value is not None}
-    return factory(graph, seed=seed, **given)
-
-
-#: OracleSpec option -> factory keyword, where the two differ.
-_FACTORY_KEYWORDS = {
-    "witness_hops": "witness_hop_limit",
-}
+            unknown_name("oracle backend", name, ORACLE_BACKENDS)
+        ) from None
+    return factory(graph, seed=seed, cache_dir=cache_dir, degradations=degradations)
 
 
 def _build(
-    spec: OracleSpec,
+    spec: "OracleSpec",
     network: "RoadNetwork",
     seed: int,
     degradations: DegradationLog | None,
 ) -> DistanceOracle:
     """Build ``spec``'s oracle and stamp it with the identity it answers to."""
-    identity = spec.resolved()
-    options = {
-        _FACTORY_KEYWORDS.get(option, option): value
-        for option, value in identity.options().items()
-    }
     oracle = create_oracle(
         spec.backend,
         network.graph,
         seed=seed,
+        cache_dir=spec.cache_dir,
         degradations=degradations,
-        **options,
     )
-    oracle.built_from = identity
+    oracle.built_from = spec.resolved()
     return oracle
 
 
@@ -307,12 +272,9 @@ def configure_oracle(
             f"({type(exc).__name__}: {exc}); serving exact answers from "
             f"the lazy backend",
         )
-        oracle = _build(
-            OracleSpec(cache_size=spec.cache_size),
-            network,
-            config.seed,
-            None,
-        )
+        from .spec import OracleSpec
+
+        oracle = _build(OracleSpec(), network, config.seed, None)
         oracle.degraded_from = spec.backend  # type: ignore[attr-defined]
     network.set_oracle(oracle)
     return oracle

@@ -11,19 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
-from ...exceptions import ConfigurationError
-
-#: Options each oracle backend actually consumes (beyond ``backend``
-#: itself).  :class:`OracleSpec` validates eagerly against this table.
-ORACLE_OPTIONS_BY_BACKEND: dict[str, tuple[str, ...]] = {
-    "lazy": ("cache_size",),
-    "ch": (
-        "cache_size",
-        "witness_hops",
-        "cache_dir",
-        "kernel",
-    ),
-}
+from ...exceptions import ConfigurationError, unknown_name
+from .registry import ORACLE_BACKENDS
 
 
 @dataclass(frozen=True)
@@ -31,19 +20,13 @@ class OracleSpec:
     """Typed description of the distance-oracle backend and its options.
 
     One frozen value naming the backend and exactly the options it
-    consumes, validated eagerly.  ``None`` on any option means "the
-    backend's own default constant".
+    consumes, validated eagerly.  ``None`` on an option means "unset".
 
     Attributes
     ----------
     backend:
-        Registry name: ``"lazy"`` or ``"ch"``.
-    cache_size:
-        LRU bound (lazy per-source cache; ch source and target label
-        caches, each).
-    witness_hops:
-        Witness-search hop limit of CH contraction (higher = fewer
-        shortcuts, slower setup).
+        A key of :data:`~repro.network.oracle.registry.ORACLE_BACKENDS`:
+        ``"lazy"`` or ``"ch"``.
     cache_dir:
         On-disk preprocessing cache directory: the ``ch`` backend
         stores its contraction order and shortcuts there keyed by a
@@ -60,8 +43,6 @@ class OracleSpec:
     """
 
     backend: str = "lazy"
-    cache_size: int | None = None
-    witness_hops: int | None = None
     cache_dir: str | None = None
     kernel: str | None = None
 
@@ -71,23 +52,10 @@ class OracleSpec:
                 f"OracleSpec.backend must be a non-empty string, "
                 f"got {self.backend!r}"
             )
-        if self.backend not in ORACLE_OPTIONS_BY_BACKEND:
+        if self.backend not in ORACLE_BACKENDS:
             raise ConfigurationError(
-                f"unknown oracle backend {self.backend!r}; available: "
-                f"{tuple(sorted(ORACLE_OPTIONS_BY_BACKEND))}"
+                unknown_name("oracle backend", self.backend, ORACLE_BACKENDS)
             )
-        for option in ("cache_size", "witness_hops"):
-            value = getattr(self, option)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"OracleSpec.{option} must be an integer, got {value!r}"
-                )
-            if value < 1:
-                raise ConfigurationError(
-                    f"OracleSpec.{option} must be at least 1, got {value}"
-                )
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):
             raise ConfigurationError(
                 f"OracleSpec.cache_dir must be a path string, "
@@ -98,11 +66,7 @@ class OracleSpec:
                 f"OracleSpec.kernel must be one of ('csr',), got "
                 f"{self.kernel!r}: csr is the only kernel"
             )
-        self._check_backend_options()
-
-    def _check_backend_options(self) -> None:
-        """Reject options the named backend does not consume."""
-        valid = ORACLE_OPTIONS_BY_BACKEND[self.backend]
+        _, valid = ORACLE_BACKENDS[self.backend]
         invalid = sorted(set(self.options()) - set(valid))
         if invalid:
             raise ConfigurationError(

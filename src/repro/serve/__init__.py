@@ -10,8 +10,7 @@ runs over it, the way a production dispatch backend would:
   oracle per identity, however many requests name it), one query lock
   per pooled network (:class:`~repro.serve.shared.SharedNetworkView`),
   and per-run result/event stores;
-* :class:`ScenarioServer` / :func:`run_http_server` — the stdlib-only
-  asyncio HTTP surface (``POST /runs``, ``GET /runs/<id>``,
+* :class:`ScenarioServer` — the stdlib-only asyncio HTTP surface (``POST /runs``, ``GET /runs/<id>``,
   ``GET /metrics``, ``POST /shutdown``);
 * :func:`serve_stdin` — the JSON-lines stdin/stdout fallback for
   pipelines and CI;
@@ -38,7 +37,7 @@ from .protocol import (
     RunRecord,
     parse_submission,
 )
-from .server import ScenarioServer, run_http_server, serve_stdin
+from .server import ScenarioServer, serve_stdin
 from .service import ScenarioService
 from .shared import SharedNetworkView
 from .sinks import EventRecorder, JsonlSink, MemorySink, read_trace
@@ -46,7 +45,6 @@ from .sinks import EventRecorder, JsonlSink, MemorySink, read_trace
 __all__ = [
     "ScenarioService",
     "ScenarioServer",
-    "run_http_server",
     "serve_stdin",
     "SessionPool",
     "pool_key",

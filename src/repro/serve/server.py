@@ -368,21 +368,6 @@ def _parse_shutdown(
         )
 
 
-async def run_http_server(
-    service: ScenarioService,
-    host: str = "127.0.0.1",
-    port: int = 8700,
-    *,
-    drain_grace: float = 30.0,
-) -> None:
-    """Start an HTTP server and serve until shutdown is requested."""
-    server = ScenarioServer(service, host, port, drain_grace=drain_grace)
-    await server.start()
-    bound_host, bound_port = server.address
-    print(f"repro.serve listening on http://{bound_host}:{bound_port}", flush=True)
-    await server.serve_forever()
-
-
 # ----------------------------------------------------------------------
 # stdin JSON-lines transport
 # ----------------------------------------------------------------------
@@ -513,7 +498,6 @@ def _required_run_id(request: dict[str, Any]) -> str:
 
 __all__ = [
     "ScenarioServer",
-    "run_http_server",
     "serve_stdin",
     "MAX_BODY_BYTES",
 ]

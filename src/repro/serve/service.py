@@ -550,7 +550,7 @@ class ScenarioService:
         self._pool.record_success(spec)
         run_workload = shared_workload(workload, self._lock_for(workload.network))
         provider = None
-        if spec.algorithm.lower() == "watter-expect" and record.resume_path is None:
+        if spec.algorithm == "WATTER-expect" and record.resume_path is None:
             # The memoised provider (fitted to the spec's own source),
             # exactly as a direct Session.run(spec) would bootstrap it —
             # passing the shared workload below must not change which

@@ -21,7 +21,7 @@ from repro.api import (
 from repro.datasets.workloads import build_workload
 from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.runner import make_dispatcher
-from repro.network.oracle import available_backends, create_oracle
+from repro.network.oracle import ORACLE_BACKENDS, create_oracle
 from repro.network.oracle.cache import (
     ch_cache_path,
     graph_signature,
@@ -68,7 +68,7 @@ class TestLegacyEquivalence:
     """The ISSUE's acceptance bar: legacy path == facade path, on every
     backend."""
 
-    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    @pytest.mark.parametrize("backend", sorted(ORACLE_BACKENDS))
     def test_run_on_workload_matches_session_run(self, backend):
         spec = _small_spec(oracle={"backend": backend})
         config = spec.config()

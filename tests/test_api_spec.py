@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 
@@ -10,17 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import OracleSpec, ScenarioSpec, load_spec, save_spec
+from repro.datasets.workloads import DATASETS, city_by_name
 from repro.baselines.gas import GASDispatcher
 from repro.cli import build_parser
 from repro.config import ExtraTimeWeights, SimulationConfig
 from repro.durability import InterProcessLock
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.config import default_config
+from repro.experiments.runner import DISPATCHERS, make_dispatcher
 from repro.model.order import Order
 from repro.model.worker import Worker
 from repro.network.generators import grid_city
 from repro.network.grid import GridIndex
-from repro.network.oracle import CHOracle, LazyDijkstraOracle, configure_oracle
+from repro.network.oracle import (
+    ORACLE_BACKENDS,
+    CHOracle,
+    LazyDijkstraOracle,
+    configure_oracle,
+    create_oracle,
+)
 from repro.routing.planner import RoutePlanner
 from repro.serve.protocol import ProtocolError, parse_submission
 from repro.simulation.fleet import WorkerFleet
@@ -52,12 +61,7 @@ class TestRoundTrip:
                 max_group_size=3,
                 alpha=2.0,
                 beta=0.5,
-                oracle=OracleSpec(
-                    backend="ch",
-                    cache_size=256,
-                    witness_hops=3,
-                    cache_dir="/tmp/oracle-cache",
-                ),
+                oracle=OracleSpec(backend="ch", cache_dir="/tmp/oracle-cache"),
             ),
             ScenarioSpec(
                 network="grid",
@@ -140,6 +144,8 @@ class TestValidation:
             ({"use_rl": True, "loss_weight": 1.5}, r"loss_weight \(omega\) must lie in \[0, 1\]"),
             ({"use_rl": True, "loss_weight": -0.1}, r"loss_weight \(omega\) must lie in \[0, 1\]"),
             ({"loss_weight": 0.5}, "loss_weight only applies with use_rl=True"),
+            # Each preset has one name: the LARGE alias is gone.
+            ({"dataset": "LARGE-SYNTHETIC"}, "unknown dataset 'LARGE-SYNTHETIC'"),
         ],
     )
     def test_invalid_values_raise_precise_errors(self, kwargs, match):
@@ -162,7 +168,7 @@ class TestOracleSpec:
     def test_nested_round_trip(self):
         spec = ScenarioSpec(
             num_orders=20,
-            oracle=OracleSpec(backend="ch", kernel="csr", cache_size=64),
+            oracle=OracleSpec(backend="ch", kernel="csr", cache_dir="oracle-cache"),
         )
         rebuilt = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
@@ -186,9 +192,10 @@ class TestOracleSpec:
         [
             ({"backend": "teleport"}, "unknown oracle backend"),
             ({"backend": ""}, "non-empty string"),
-            ({"cache_size": True}, "cache_size must be an integer"),
-            ({"cache_size": 0}, "at least 1"),
-            ({"witness_hops": 2.5}, "witness_hops must be an integer"),
+            ({"backend": 7}, "non-empty string"),
+            # Backend names are table keys: matched exactly.
+            ({"backend": "LAZY"}, "unknown oracle backend 'LAZY'"),
+            ({"backend": "ch", "cache_dir": ["cache"]}, "path string"),
             ({"cache_dir": 7}, "path string"),
             ({"kernel": "simd"}, "kernel must be one of"),
             ({"backend": "overlay"}, "unknown oracle backend 'overlay'"),
@@ -196,7 +203,7 @@ class TestOracleSpec:
             # eagerly, naming the valid set.
             ({"backend": "lazy", "kernel": "csr"}, "does not take option"),
             ({"backend": "lazy", "cache_dir": "/tmp"}, "does not take option"),
-            ({"backend": "lazy", "witness_hops": 2}, "does not take option"),
+            ({"backend": "lazy", "cache_dir": "/tmp", "kernel": "csr"}, "does not take option"),
             ({"backend": "matrix"}, "unknown oracle backend 'matrix'"),
         ],
     )
@@ -290,7 +297,7 @@ class TestOracleSpec:
             oracle=OracleSpec(
                 backend="ch",
                 kernel="csr",
-                witness_hops=2,
+                cache_dir="oracle-cache",
             )
         )
         assert spec.config().oracle == spec.oracle
@@ -424,6 +431,70 @@ class TestCliParity:
             assert "invalid choice" in capsys.readouterr().err
 
 
+def _cli_choices(dest: str) -> list[list[str]]:
+    """The ``choices`` of every subcommand flag storing into ``dest``."""
+    subcommands = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return [
+        list(action.choices)
+        for parser in subcommands.choices.values()
+        for action in parser._actions
+        if action.dest == dest and action.choices is not None
+    ]
+
+
+#: (CLI dest, name table, the spec meeting a name, the direct lookup).
+_NAME_TABLES = [
+    (
+        "oracle",
+        ORACLE_BACKENDS,
+        lambda name: OracleSpec(backend=name),
+        lambda name: create_oracle(name, grid_city(rows=2, cols=2, seed=0).graph),
+    ),
+    (
+        "dataset",
+        DATASETS,
+        lambda name: ScenarioSpec(dataset=name),
+        city_by_name,
+    ),
+    (
+        "algorithms",
+        DISPATCHERS,
+        lambda name: ScenarioSpec(algorithm=name),
+        # The name is looked up before the workload is touched.
+        lambda name: make_dispatcher(name, None, SimulationConfig()),
+    ),
+]
+
+
+class TestNameTables:
+    """Each named choice is one table: the CLI offers its keys, and an
+    unknown name fails with one text wherever it is met."""
+
+    @pytest.mark.parametrize(
+        "dest, table, from_spec, direct",
+        _NAME_TABLES,
+        ids=[row[0] for row in _NAME_TABLES],
+    )
+    def test_cli_spec_and_lookup_agree_with_the_table(
+        self, dest, table, from_spec, direct
+    ):
+        choices = _cli_choices(dest)
+        assert choices
+        assert all(offered == list(table) for offered in choices)
+        for name in table:
+            from_spec(name)
+        with pytest.raises(ConfigurationError) as spec_error:
+            from_spec("Nowhere")
+        with pytest.raises(ReproError) as lookup_error:
+            direct("Nowhere")
+        assert str(spec_error.value) == str(lookup_error.value)
+        assert "'Nowhere'" in str(spec_error.value)
+
+
 class TestIdentity:
     def test_describe_prefers_the_name(self):
         assert ScenarioSpec(name="rush").describe() == "rush"
@@ -439,6 +510,8 @@ _ORACLE_KEYS = sorted(f.name for f in dataclasses.fields(OracleSpec))
 #: Keys earlier builds accepted and this one must refuse by name.
 _REMOVED_SPEC_KEYS = ["dispatch_workers", "dispatch_mode", "oracle_backend"]
 _REMOVED_ORACLE_KEYS = [
+    "cache_size",
+    "witness_hops",
     "shared_memory",
     "landmarks",
     "contraction_order",
@@ -485,8 +558,7 @@ _plausible_oracle_documents = st.fixed_dictionaries(
     # "landmark", "matrix" and "overlay" are removed backends: invalid draws.
     {"backend": st.sampled_from(["lazy", "landmark", "matrix", "ch", "overlay"])},
     optional={
-        "cache_size": st.integers(0, 9),
-        "witness_hops": st.integers(0, 3),
+        "cache_dir": st.sampled_from(["oracle-cache", 7]),
         "kernel": st.sampled_from(["auto", "dict", "csr", "simd"]),
     },
 )

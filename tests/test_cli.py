@@ -48,6 +48,20 @@ class TestParser:
             main(argv)
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("port", ["70000", "-5", "65536"])
+    def test_serve_port_out_of_range_rejected(self, port, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", port])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro serve: error: argument --port" in err
+        assert "0-65535" in err
+
+    def test_serve_port_bounds_parsed(self):
+        for port in (0, 65535):
+            args = build_parser().parse_args(["serve", "--port", str(port)])
+            assert args.port == port
+
     def test_workload_overrides_parsed(self):
         args = build_parser().parse_args(
             ["compare", "--orders", "50", "--workers", "10", "--seed", "3"]

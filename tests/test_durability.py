@@ -221,16 +221,17 @@ class TestCheckpointFiles:
         fields and an engine persistent id, a v5 one a GDP schedule
         without its legs, a v6 one a fleet from before its spatial index
         was built on first use, a v7 one a pool with a check period and
-        statistics; the header check refuses all six before anything is
-        unpickled."""
+        statistics, a v8 one an oracle spec with cache_size and
+        witness_hops; the header check refuses all seven before anything
+        is unpickled."""
         session = Session()
         spec = _spec()
         path = tmp_path / "run.ckpt"
         interrupt_and_checkpoint(session, spec, path, cut=3)
         header_line, _, blob = path.read_bytes().partition(b"\n")
         header = json.loads(header_line)
-        assert header["format"] == 8
-        for older in (2, 3, 4, 5, 6, 7):
+        assert header["format"] == 9
+        for older in (2, 3, 4, 5, 6, 7, 8):
             header["format"] = older
             path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + blob)
             with pytest.raises(CheckpointError, match=f"unsupported format {older}"):

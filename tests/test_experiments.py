@@ -7,8 +7,8 @@ import pytest
 from repro.api import ScenarioSpec, Session
 from repro.config import SimulationConfig
 from repro.exceptions import ConfigurationError, DatasetError
+from repro.datasets.workloads import DATASETS
 from repro.experiments.config import (
-    DATASET_DEFAULTS,
     PARAMETER_GRID,
     default_config,
     worker_counts_scaled,
@@ -34,13 +34,14 @@ _FAST_ALGOS = ("WATTER-online", "WATTER-timeout", "NonSharing")
 
 class TestExperimentConfig:
     def test_dataset_defaults_cover_all_datasets(self):
-        assert set(DATASET_DEFAULTS) == {
-            "NYC", "CDC", "XIA", "LARGE", "LARGE-SYNTHETIC"
-        }
+        assert list(DATASETS) == ["NYC", "CDC", "XIA", "LARGE"]
+        for name in DATASETS:
+            assert default_config(name).num_orders > 0
 
     def test_large_defaults_mirror_cdc(self):
-        assert DATASET_DEFAULTS["LARGE"] == DATASET_DEFAULTS["CDC"]
-        assert DATASET_DEFAULTS["LARGE-SYNTHETIC"] == DATASET_DEFAULTS["CDC"]
+        large, cdc = default_config("LARGE"), default_config("CDC")
+        assert (large.num_orders, large.num_workers) == (cdc.num_orders, cdc.num_workers)
+        assert (cdc.num_orders, cdc.num_workers) == (500, 100)
 
     def test_default_config_uses_table3_values(self):
         config = default_config("CDC")

@@ -28,12 +28,13 @@ from repro.network.oracle import (
     CHOracle,
     DistanceOracle,
     LazyDijkstraOracle,
+    ORACLE_BACKENDS,
     OracleSpec,
-    available_backends,
     configure_oracle,
     create_oracle,
 )
 from repro.network.oracle.cache import graph_signature
+from repro.resilience.degradation import DegradationLog
 from tests.reference.dict_kernel import DictCHOracle, DictLazyOracle
 
 BACKEND_CLASSES = {
@@ -649,7 +650,7 @@ class TestLabelMemo:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) == {"lazy", "ch"}
+        assert set(ORACLE_BACKENDS) == {"lazy", "ch"}
 
     def test_unknown_backend_rejected(self, networks):
         with pytest.raises(ConfigurationError):
@@ -662,27 +663,26 @@ class TestRegistry:
         with pytest.raises(ConfigurationError) as excinfo:
             create_oracle("warp-drive", networks["grid"].graph)
         message = str(excinfo.value)
-        for name in available_backends():
+        for name in ORACLE_BACKENDS:
             assert name in message
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_CLASSES))
-    def test_every_factory_tolerates_uniform_options(self, networks, backend):
-        """Factories must accept the full option set configure_oracle emits.
+    def test_every_factory_tolerates_uniform_options(self, networks, backend, tmp_path):
+        """Factories must accept the full keyword set create_oracle passes.
 
-        Every registered factory receives the uniform names
-        (``cache_size``, ``witness_hop_limit``, ``seed``) and
-        ignores the ones it has no use for — a backend that chokes on an
-        option another backend needs would make the backends
-        non-interchangeable.
+        Every registered factory receives the uniform keywords (``seed``,
+        ``cache_dir``, ``degradations``) and ignores the ones it has no
+        use for — a backend that chokes on a keyword another backend
+        needs would make the backends non-interchangeable.
         """
         graph = networks["grid"].graph
         nodes = sorted(graph.nodes)
         oracle = create_oracle(
             backend,
             graph,
-            cache_size=64,
-            witness_hop_limit=3,
             seed=5,
+            cache_dir=str(tmp_path),
+            degradations=DegradationLog(),
         )
         assert isinstance(oracle, BACKEND_CLASSES[backend])
         want = _reference_distances(graph, nodes[0])[nodes[-1]]
@@ -695,8 +695,8 @@ class TestRegistry:
         ["cache_sise", "reverse_cache_size", "lock_timeout", "max_rows", "nodes"],
     )
     def test_an_option_no_backend_reads_names_the_key(self, networks, option):
-        for backend in available_backends():
-            with pytest.raises(ConfigurationError, match=f"unknown oracle option.*{option}"):
+        for backend in ORACLE_BACKENDS:
+            with pytest.raises(TypeError, match=option):
                 create_oracle(backend, networks["grid"].graph, **{option: 8})
 
 
@@ -704,10 +704,12 @@ class TestConfigSelection:
     def test_config_validates_backend_name(self):
         with pytest.raises(ConfigurationError):
             OracleSpec(backend="nope")
-        with pytest.raises(ConfigurationError):
-            OracleSpec(cache_size=0)
-        with pytest.raises(ConfigurationError):
-            OracleSpec(backend="ch", witness_hops=0)
+        with pytest.raises(ConfigurationError, match="does not take"):
+            OracleSpec(backend="lazy", cache_dir="cache")
+        # Cache bounds and the witness hop limit are backend constants.
+        for removed in ("cache_size", "witness_hops"):
+            with pytest.raises(ConfigurationError, match="unknown OracleSpec keys"):
+                OracleSpec.from_dict({"backend": "ch", removed: 8})
         with pytest.raises(ConfigurationError, match="OracleSpec"):
             SimulationConfig(oracle="ch")
         assert SimulationConfig().oracle == OracleSpec(backend="lazy")
@@ -725,28 +727,24 @@ class TestConfigSelection:
         assert network.oracle is lazy
         assert isinstance(lazy, LazyDijkstraOracle)
 
-    def test_changed_options_rebuild_the_oracle(self):
+    def test_changed_options_rebuild_the_oracle(self, tmp_path):
         network = grid_city(5, 5, seed=2)
         def configure(**options):
             return configure_oracle(
                 network, SimulationConfig(oracle=OracleSpec(**options))
             )
 
-        first = configure(backend="lazy", cache_size=1024)
-        bigger = configure(backend="lazy", cache_size=4096)
-        assert bigger is not first
-        assert bigger.max_sources == 4096
-        shallow = configure(backend="ch", witness_hops=3)
-        assert isinstance(shallow, CHOracle)
-        assert configure(backend="ch", witness_hops=3) is shallow
+        lazy = configure(backend="lazy")
+        plain = configure(backend="ch")
+        assert isinstance(plain, CHOracle)
+        assert plain is not lazy
+        assert configure(backend="ch") is plain
         # Naming the one kernel asks for the same oracle.
-        assert configure(backend="ch", witness_hops=3, kernel="csr") is shallow
-        deeper = configure(backend="ch", witness_hops=6)
-        assert deeper is not shallow
-        assert deeper.witness_hop_limit == 6
-        rebucketed = configure(backend="ch", witness_hops=6, cache_size=8)
-        assert rebucketed is not deeper
-        assert rebucketed.bucket_cache_size == 8
+        assert configure(backend="ch", kernel="csr") is plain
+        cached = configure(backend="ch", cache_dir=str(tmp_path / "a"))
+        assert cached is not plain
+        assert configure(backend="ch", cache_dir=str(tmp_path / "a")) is cached
+        assert configure(backend="ch", cache_dir=str(tmp_path / "b")) is not cached
 
     def test_simulator_honours_config_backend(self):
         """A bare Simulator (no runner involved) must attach the named backend."""
@@ -848,10 +846,7 @@ _DEFAULT_SETTINGS = {
 #: ``cache_files`` = what lands in ``cache_dir``.
 _SETTINGS_ROWS = [
     ("lazy", {}, {}),
-    ("lazy", {"cache_size": 64}, {"maxsize": 64}),
     ("ch", {}, {}),
-    ("ch", {"cache_size": 8}, {"bucket_cache_size": 8}),
-    ("ch", {"witness_hops": 3}, {"witness_hop_limit": 3}),
     ("ch", {"kernel": None}, {}),
     ("ch", {"kernel": "csr"}, {}),
     ("ch", {"cache_dir": "TMP"}, {"cache_files": ["ch-*-w5.json"]}),

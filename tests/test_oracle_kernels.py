@@ -277,16 +277,23 @@ def test_lazy_simulation_metrics_identical_to_the_reference_kernel():
         seed=29,
         check_period=15.0,
         algorithm="WATTER-expect",
-        oracle=OracleSpec(backend="lazy", cache_size=8),
+        oracle=OracleSpec(backend="lazy"),
     )
-    rows_run = Session().run(spec)
-    session = Session()
-    network = session.workload(spec).network
-    reference = DictLazyOracle(network.graph, max_sources=8)
-    reference.built_from = spec.oracle.resolved()
-    network.set_oracle(reference)
-    reference_run = session.run(spec)
-    assert network.oracle is reference
+
+    def run_on(kernel):
+        # Attached by hand: the spec's lazy oracle is built at the default
+        # bound, and only a size-8 one keeps evictions in play.
+        session = Session()
+        network = session.workload(spec).network
+        oracle = kernel(network.graph, max_sources=8)
+        oracle.built_from = spec.oracle.resolved()
+        network.set_oracle(oracle)
+        run = session.run(spec)
+        assert network.oracle is oracle
+        return run
+
+    rows_run = run_on(LazyDijkstraOracle)
+    reference_run = run_on(DictLazyOracle)
     assert reference_run.metrics.served_orders > 0
     assert _core_metrics(rows_run.metrics) == _core_metrics(reference_run.metrics)
     rows_stats = dict(rows_run.metrics.oracle_stats)

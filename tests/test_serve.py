@@ -129,7 +129,7 @@ class TestSessionPool:
             {"seed": 8},  # network generation is seeded
             {"grid_rows": 5},
             {"oracle": {"backend": "lazy"}},
-            {"oracle": {"backend": "ch", "cache_size": 123}},
+            {"oracle": {"backend": "ch", "cache_dir": "oracle-cache"}},
         ),
     )
     def test_key_tracks_network_and_oracle_identity(self, overrides):
@@ -140,11 +140,11 @@ class TestSessionPool:
         "first, second",
         (
             (
-                {"backend": "ch", "witness_hops": 2},
-                {"backend": "ch", "witness_hops": 6},
+                {"backend": "ch", "cache_dir": "oracle-cache-a"},
+                {"backend": "ch", "cache_dir": "oracle-cache-b"},
             ),
         ),
-        ids=("ch-witness_hops",),
+        ids=("ch-cache_dir",),
     )
     def test_key_tracks_every_option_the_oracle_is_built_from(self, first, second):
         """Specs that would not share an oracle must not share a session."""
@@ -305,14 +305,16 @@ class TestScenarioService:
         assert pool["sessions"] == 1
         assert pool["oracle_builds"] == 1
 
-    def test_concurrent_ch_variants_do_not_share_an_oracle(self):
+    def test_concurrent_ch_variants_do_not_share_an_oracle(self, tmp_path):
         """Two ch configurations of one grid, served side by side,
         each answer from their own oracle: a shared session would swap
         ``network.oracle`` under the run that attached first."""
         base = _grid_spec(grid_rows=8, grid_cols=8, num_orders=40, horizon=600.0)
         specs = [
-            base.with_overrides(oracle={"backend": "ch", "witness_hops": 2}),
-            base.with_overrides(oracle={"backend": "ch", "witness_hops": 6}),
+            base.with_overrides(
+                oracle={"backend": "ch", "cache_dir": str(tmp_path / name)}
+            )
+            for name in ("a", "b")
         ]
         direct = [run_scenario(spec) for spec in specs]
         with ScenarioService(max_runs=2) as service:
@@ -380,9 +382,9 @@ class TestScenarioService:
     def test_evicted_pooled_network_is_freed(self):
         """The per-network lock dies with its network: an evicted
         session's network is garbage, and the lock counter survives it."""
-        first = _grid_spec(oracle={"backend": "lazy", "cache_size": 64})
+        first = _grid_spec(oracle={"backend": "lazy"})
         # Same network source, another oracle identity: a second session.
-        second = first.with_overrides(oracle={"backend": "lazy", "cache_size": 128})
+        second = first.with_overrides(oracle={"backend": "ch"})
         with ScenarioService(max_runs=1, max_sessions=1) as service:
             record = service.wait(service.submit_spec(first).run_id, timeout=_WAIT)
             assert record.status == COMPLETED, record.error
