@@ -138,12 +138,12 @@ class Session:
     attach sit behind one session lock, so concurrent ``prepare``/
     ``run`` calls (the ``repro.serve`` executor submits them from a
     thread pool) build each network, workload and oracle exactly once.
-    The simulations themselves execute outside the lock; note that two
-    *simultaneous* runs over the same network share one oracle, whose
-    backends are not generally safe under concurrent queries.  Run
-    them through ``repro.serve``'s per-network query lock
-    (:class:`~repro.serve.shared.SharedNetworkView`), or keep
-    concurrent runs on distinct networks.
+    The simulations themselves execute outside the lock.  Simultaneous
+    runs — and preparations — over one network share its oracle; every
+    query reaches it through :class:`~repro.network.graph.RoadNetwork`,
+    which takes the oracle's one lock, so they take turns at it.  Each
+    concurrent run still needs its own order objects (``repro.serve``
+    clones them per run).
 
     Parameters
     ----------

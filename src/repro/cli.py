@@ -39,7 +39,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .api import RunResult, ScenarioSpec, Session, load_spec
 from .datasets.workloads import DATASETS
@@ -269,25 +269,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(value: str) -> int:
-    parsed = int(value)
-    if parsed < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+_Number = TypeVar("_Number", int, float)
+
+
+def _checked(
+    kind: Callable[[str], _Number],
+    value: str,
+    valid: Callable[[_Number], bool],
+    message: str,
+) -> _Number:
+    """``kind(value)`` if it parses and is ``valid``, else a usage error.
+
+    Non-numeric text gets ``message`` too, so argparse never names the
+    private ``type=`` helper in what the user reads.
+    """
+    try:
+        parsed = kind(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if not valid(parsed):
+        raise argparse.ArgumentTypeError(message)
     return parsed
+
+
+def _positive_int(value: str) -> int:
+    return _checked(int, value, lambda n: n >= 1, "must be a positive integer")
 
 
 def _port(value: str) -> int:
-    parsed = int(value)
-    if not 0 <= parsed <= 65535:
-        raise argparse.ArgumentTypeError("must be a port number in 0-65535")
-    return parsed
+    return _checked(
+        int, value, lambda n: 0 <= n <= 65535, "must be a port number in 0-65535"
+    )
 
 
 def _positive_float(value: str) -> float:
-    parsed = float(value)
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError("must be a positive number")
-    return parsed
+    return _checked(float, value, lambda x: x > 0, "must be a positive number")
 
 
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
@@ -340,8 +356,7 @@ def _comparison_output(results: list[RunResult], title: str) -> str:
     return output
 
 
-def _run_compare(args: argparse.Namespace) -> str:
-    spec = ScenarioSpec.from_args(args)
+def _run_compare(args: argparse.Namespace, spec: ScenarioSpec) -> str:
     config = spec.config()
     results = Session(oracle_cache_dir=args.oracle_cache).compare(
         spec, algorithms=args.algorithms, use_rl=args.use_rl
@@ -405,11 +420,11 @@ def _run_spec_durable(args: argparse.Namespace, spec: ScenarioSpec) -> str:
     return output
 
 
-def _run_sweep(args: argparse.Namespace) -> str:
+def _run_sweep(args: argparse.Namespace, spec: ScenarioSpec) -> str:
     axis = _FIGURES[args.figure]
     points = run_sweep(
         axis,
-        ScenarioSpec.from_args(args),
+        spec,
         algorithms=args.algorithms,
         session=Session(oracle_cache_dir=args.oracle_cache),
     )
@@ -510,19 +525,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "serve":
         return _run_serve(args)
-    if args.command == "compare":
-        output = _run_compare(args)
-    elif args.command == "run":
-        try:
+    if args.command == "example1":
+        print(_run_example1())
+        return 0
+    try:
+        if args.command == "run":
             spec = load_spec(args.spec)
-        except ConfigurationError as exc:
-            # An invalid spec is a usage error, reported like argparse's.
-            parser.exit(2, f"{parser.prog} run: error: {exc}\n")
+        else:
+            spec = ScenarioSpec.from_args(args)
+    except ConfigurationError as exc:
+        # An invalid scenario is a usage error, reported like argparse's.
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
+    if args.command == "compare":
+        output = _run_compare(args, spec)
+    elif args.command == "run":
         output = _run_spec_file(args, spec)
-    elif args.command == "sweep":
-        output = _run_sweep(args)
     else:
-        output = _run_example1()
+        output = _run_sweep(args, spec)
     print(output)
     return 0
 

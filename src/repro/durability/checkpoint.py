@@ -18,10 +18,10 @@ File layout (single file, atomic tmp + rename):
 
 Shared/unpicklable infrastructure is *externalized* through pickle
 persistent ids rather than serialized: the road network (and its
-``networkx`` graph), the attached distance oracle and bare
-``threading`` locks.  A checkpoint is therefore small — algorithm
-state only — and resuming binds it to the resume-time network, whose
-oracle may even be a different warm cache of the same graph.
+``networkx`` graph) and the attached distance oracle, with its query
+lock.  A checkpoint is therefore small — algorithm state only — and
+resuming binds it to the resume-time network, whose oracle may even be
+a different warm cache of the same graph.
 
 Loads verify the CRC before unpickling and raise
 :class:`CheckpointError` on any mismatch, so a torn or corrupt file is
@@ -35,7 +35,6 @@ import io
 import json
 import os
 import pickle
-import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,10 +57,9 @@ DEFAULT_CHECKPOINT_INTERVAL = 25
 # 8: a pickled ``OrderPool`` holds no check period and no statistics.
 # 9: a pickled ``SimulationConfig``'s ``OracleSpec`` has three fields
 #    (``backend``, ``cache_dir``, ``kernel``).
-_FORMAT_VERSION = 9
-
-_LOCK_TYPE = type(threading.Lock())
-_RLOCK_TYPE = type(threading.RLock())
+# 10: a pickled ``WorkerSpatialIndex`` holds no lock; no ``("lock", ...)``
+#     persistent id.
+_FORMAT_VERSION = 10
 
 
 class CheckpointError(ReproError):
@@ -148,10 +146,6 @@ class _ExternalizingPickler(pickle.Pickler):
             return ("graph",)
         if isinstance(obj, DistanceOracle):
             return ("oracle",)
-        if isinstance(obj, _RLOCK_TYPE):
-            return ("lock", "rlock")
-        if isinstance(obj, _LOCK_TYPE):
-            return ("lock", "lock")
         return None
 
 
@@ -170,8 +164,6 @@ class _ResolvingUnpickler(pickle.Unpickler):
             return self._network.graph
         if kind == "oracle":
             return self._network.oracle
-        if kind == "lock":
-            return threading.RLock() if pid[1] == "rlock" else threading.Lock()
         raise CheckpointError(f"unknown persistent id in checkpoint: {pid!r}")
 
 

@@ -15,6 +15,10 @@ unseen source and cache the distance map (LRU-bounded) — which matches
 the access pattern of small workloads.  The ``ch`` (contraction
 hierarchy) backend swaps in via ``SimulationConfig.oracle`` or the CLI
 without any dispatcher code changing.
+
+Each oracle query runs under the oracle's one ``lock``, so runs and
+workload generation sharing one network (the serve layer's pooled
+sessions) take turns at the oracle instead of racing on its caches.
 """
 
 from __future__ import annotations
@@ -146,7 +150,9 @@ class RoadNetwork:
         self._require_node(target)
         if source == target:
             return 0.0
-        return self._oracle.travel_time(source, target)
+        oracle = self._oracle
+        with oracle.lock:
+            return oracle.travel_time(source, target)
 
     def travel_times_to(self, target: int) -> dict[int, float]:
         """All shortest travel times *to* ``target``, as a dict view.
@@ -199,7 +205,9 @@ class RoadNetwork:
         for node in set(sources).union(targets):
             if node not in graph:
                 raise UnknownNodeError(node)
-        return self._oracle.leg_matrix(sources, targets)
+        oracle = self._oracle
+        with oracle.lock:
+            return oracle.leg_matrix(sources, targets)
 
     def shortest_path(self, source: int, target: int) -> list[int]:
         """Return the node sequence of a shortest path.
@@ -222,15 +230,21 @@ class RoadNetwork:
         self._require_node(target)
         if source == target:
             return True
-        return self._oracle.is_reachable(source, target)
+        oracle = self._oracle
+        with oracle.lock:
+            return oracle.is_reachable(source, target)
 
     def clear_cache(self) -> None:
         """Drop the oracle's cached shortest-path state."""
-        self._oracle.clear()
+        oracle = self._oracle
+        with oracle.lock:
+            oracle.clear()
 
     def oracle_stats(self) -> OracleStats:
         """Query/cache counters of the active oracle backend."""
-        return self._oracle.stats()
+        oracle = self._oracle
+        with oracle.lock:
+            return oracle.stats()
 
     # ------------------------------------------------------------------
     # sampling helpers

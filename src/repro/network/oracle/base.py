@@ -27,6 +27,12 @@ they were built over, raise :class:`~repro.exceptions.UnreachableError`
 for disconnected pairs, and keep uniform query/cache counters so the
 metrics layer can report how the hot path behaved.
 
+Queries memoise into caches that mutate on reads, so an oracle is not
+safe under concurrent calls by itself.  It owns one ``lock`` instead,
+and :class:`~repro.network.graph.RoadNetwork` — the way every
+dispatcher, planner, fleet and workload generator reaches an oracle —
+answers each query under it.
+
 Every oracle numbers the nodes by sorted id.  The full-map searches of
 ``lazy`` run :func:`_dijkstra` over adjacency lists in
 that numbering and get back a *row*: one packed ``array('d')`` whose
@@ -38,6 +44,7 @@ ones any label-setting search (networkx's included) computes.
 from __future__ import annotations
 
 import abc
+import threading
 from array import array
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -206,6 +213,9 @@ class DistanceOracle(abc.ABC):
         self._pp_searches = 0
         self._evictions = 0
         self._precompute_seconds = 0.0
+        #: The one lock this oracle's queries serialise on; taken by the
+        #: owning :class:`~repro.network.graph.RoadNetwork`, never here.
+        self.lock = threading.Lock()
 
     @property
     def graph(self) -> nx.DiGraph:

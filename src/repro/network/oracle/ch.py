@@ -62,8 +62,6 @@ identity should use ``lazy``.
 
 from __future__ import annotations
 
-import functools
-import threading
 import time
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
@@ -75,25 +73,6 @@ from ...exceptions import UnreachableError
 from .base import DistanceOracle
 from .csr import CHSweepKernel, label_arrays, pack_labels, segment_minima
 
-
-def _locked(method):
-    """Run ``method`` under the oracle's query lock (reentrant).
-
-    The hierarchy itself (ranks, augmented adjacency) is
-    pre-materialised at construction and never mutated, but queries
-    memoise into the pair / label / arrival caches — ``OrderedDict``s
-    whose ``move_to_end`` / ``popitem`` bookkeeping corrupts under
-    concurrent mutation.  Guarding the entry points makes the oracle
-    safe to share across the serving layer's run threads; callers see
-    queries serialise, never torn state.
-    """
-
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        with self._query_lock:
-            return method(self, *args, **kwargs)
-
-    return wrapper
 
 _INF = float("inf")
 
@@ -213,7 +192,6 @@ class CHOracle(DistanceOracle):
         #: files); surfaced through ``oracle_stats`` as
         #: ``cache_load_failures``.
         self.cache_load_failures = 0
-        self._query_lock = threading.RLock()
 
         started = time.perf_counter()
         self._loaded_from_cache = False
@@ -350,7 +328,6 @@ class CHOracle(DistanceOracle):
     # ------------------------------------------------------------------
     # preprocessing persistence
     # ------------------------------------------------------------------
-    @_locked
     def export_preprocessing(self) -> dict:
         """JSON-able snapshot of the contraction products.
 
@@ -496,7 +473,6 @@ class CHOracle(DistanceOracle):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    @_locked
     def travel_time(self, source: int, target: int) -> float:
         self._queries += 1
         if source == target:
@@ -519,7 +495,6 @@ class CHOracle(DistanceOracle):
     # ------------------------------------------------------------------
     # reverse-PHAST kernel primitives
     # ------------------------------------------------------------------
-    @_locked
     def reverse_seed_map(self, target: int) -> dict[int, float]:
         """Backward upward search from ``target`` (internal node indices).
 
@@ -531,7 +506,6 @@ class CHOracle(DistanceOracle):
         """
         return self._upward_search(self._index[target], self._down_in)
 
-    @_locked
     def reverse_sweep(self, seeds: Mapping[int, float]):
         """Downward sweep from a :meth:`reverse_seed_map` result.
 
@@ -563,11 +537,10 @@ class CHOracle(DistanceOracle):
             self._evictions += 1
         return row
 
-    @_locked
     def leg_matrix(
         self, sources: Sequence[int], targets: Sequence[int]
     ) -> list[list[float]]:
-        """Dense leg times read off the pair cache under one lock.
+        """Dense leg times read off the pair cache.
 
         One pair-cache read per cell; the cells the cache does not hold
         are priced by RPHAST-style target buckets — every target's
@@ -604,8 +577,8 @@ class CHOracle(DistanceOracle):
         """``sources x targets`` travel times, ``inf`` where unreachable.
 
         One pair-cache read per cell (one hit each); the cells it does
-        not hold are resolved below and folded back into it.  Unlocked
-        and uncounted: :meth:`leg_matrix` does that.
+        not hold are resolved below and folded back into it.
+        Uncounted: :meth:`leg_matrix` does that.
         """
         pair_cache = self._pair_cache
         rows: list[list[float]] = []
@@ -754,14 +727,12 @@ class CHOracle(DistanceOracle):
     # ------------------------------------------------------------------
     # cache management and instrumentation
     # ------------------------------------------------------------------
-    @_locked
     def clear(self) -> None:
         self._pair_cache.clear()
         self._source_labels.clear()
         self._target_labels.clear()
         self._arrival_cache.clear()
 
-    @_locked
     def _extra_stats(self) -> dict[str, float]:
         return {
             "shortcuts_added": float(self._shortcuts_added),
@@ -817,7 +788,7 @@ class CHOracle(DistanceOracle):
         :attr:`bucket_cache_size`) drops it: one miss per search
         actually run, one hit per reuse.  It is stored as the search's
         ``(node index, distance)`` arrays, so no caller converts it
-        again.  Unlocked: reached only from ``_locked`` entry points.
+        again.
         """
         label = cache.get(node)
         if label is not None:

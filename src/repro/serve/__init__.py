@@ -7,9 +7,9 @@ runs over it, the way a production dispatch backend would:
 * :class:`ScenarioService` — the transport-agnostic core: eager spec
   validation, a bounded run executor, a shared
   :class:`~repro.serve.pool.SessionPool` (one prepared network +
-  oracle per identity, however many requests name it), one query lock
-  per pooled network (:class:`~repro.serve.shared.SharedNetworkView`),
-  and per-run result/event stores;
+  oracle per identity, however many requests name it; runs on one
+  network take turns at its oracle's lock), and per-run result/event
+  stores;
 * :class:`ScenarioServer` — the stdlib-only asyncio HTTP surface (``POST /runs``, ``GET /runs/<id>``,
   ``GET /metrics``, ``POST /shutdown``);
 * :func:`serve_stdin` — the JSON-lines stdin/stdout fallback for
@@ -39,7 +39,6 @@ from .protocol import (
 )
 from .server import ScenarioServer, serve_stdin
 from .service import ScenarioService
-from .shared import SharedNetworkView
 from .sinks import EventRecorder, JsonlSink, MemorySink, read_trace
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "serve_stdin",
     "SessionPool",
     "pool_key",
-    "SharedNetworkView",
     "EventRecorder",
     "JsonlSink",
     "MemorySink",

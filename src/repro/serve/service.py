@@ -5,11 +5,11 @@ it validates submissions eagerly (:func:`~repro.serve.protocol.
 parse_submission`), multiplexes accepted runs over a bounded thread
 executor, prepares each run on a **pooled session**
 (:class:`~repro.serve.pool.SessionPool` — one oracle per network/oracle
-identity, however many concurrent requests name it), runs every oracle
-query of a run under its pooled network's one lock
-(:class:`~repro.serve.shared.SharedNetworkView`), and streams each run's
-events into sinks (an in-memory store per run, plus a JSONL trace file
-per run when a trace directory is configured).
+identity, however many concurrent requests name it), runs each request
+on its own clone of the pooled orders over the pooled network itself
+(whose oracle answers one query at a time under its own lock), and
+streams each run's events into sinks (an in-memory store per run, plus
+a JSONL trace file per run when a trace directory is configured).
 
 Both transports in :mod:`repro.serve.server` — the asyncio HTTP server
 and the stdin JSON-lines loop — are thin adapters over this class, so
@@ -21,12 +21,12 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..api import RunResult, ScenarioSpec, Session
+from ..api import RunResult, ScenarioSpec
 from ..durability.checkpoint import (
     DEFAULT_CHECKPOINT_INTERVAL,
     CheckpointError,
@@ -37,7 +37,6 @@ from ..durability.checkpoint import (
 from ..durability.journal import RunJournal
 from ..durability.results import ResultStore
 from ..exceptions import ConfigurationError, ReproError
-from ..network.graph import RoadNetwork
 from ..resilience.cancellation import CancellationToken, RunCancelled
 from ..resilience.degradation import CircuitOpenError, DegradationLog
 from ..resilience.faults import fault_point
@@ -56,7 +55,6 @@ from .protocol import (
     RunRecord,
     parse_submission,
 )
-from .shared import shared_workload
 from .sinks import JsonlSink, MemorySink
 
 #: Default width of the run executor: enough to overlap preparation
@@ -162,13 +160,6 @@ class ScenarioService:
         self._records: dict[str, RunRecord] = {}
         self._record_order: list[str] = []
         self._event_stores: dict[str, MemorySink] = {}
-        # One query lock per pooled network, dropped with the network
-        # when the pool evicts its session.
-        self._network_locks: weakref.WeakKeyDictionary[
-            RoadNetwork, threading.Lock
-        ] = weakref.WeakKeyDictionary()
-        #: Oracle queries finished runs answered under a network lock.
-        self._serial_queries = 0
         self._run_ids = itertools.count(1)
         self._closed = False
         self._draining = False
@@ -548,12 +539,19 @@ class ScenarioService:
             self._pool.record_failure(spec)
             raise
         self._pool.record_success(spec)
-        run_workload = shared_workload(workload, self._lock_for(workload.network))
+        # Orders carry mutable lifecycle bookkeeping and the pooled
+        # workload is every run's on this session, so each run gets its
+        # own clones (ids kept).  The network is the pooled one: its
+        # oracle serialises queries itself.  Workers need no clone —
+        # ``make_dispatcher`` puts fresh copies in each run's fleet.
+        run_workload = replace(
+            workload, orders=[replace(order) for order in workload.orders]
+        )
         provider = None
         if spec.algorithm == "WATTER-expect" and record.resume_path is None:
             # The memoised provider (fitted to the spec's own source),
             # exactly as a direct Session.run(spec) would bootstrap it —
-            # passing the shared workload below must not change which
+            # passing the cloned workload below must not change which
             # provider serves the run.  (A resumed dispatcher carries
             # its provider inside the checkpoint.)
             provider = session.expect_provider(spec)
@@ -577,12 +575,6 @@ class ScenarioService:
         finally:
             if sink is not None:
                 sink.close()
-            with self._lock:
-                self._serial_queries += run_workload.network.queries
-
-    def _lock_for(self, network: RoadNetwork) -> threading.Lock:
-        with self._lock:
-            return self._network_locks.setdefault(network, threading.Lock())
 
     def _hooks_for(
         self,
@@ -702,16 +694,16 @@ class ScenarioService:
             return [self._records[run_id] for run_id in self._record_order]
 
     def metrics(self) -> dict[str, Any]:
-        """The ``/metrics`` document: pool, oracle lock, queue and latency.
+        """The ``/metrics`` document: pool, oracle, queue and latency.
 
-        ``batcher.serial_queries`` counts the oracle queries finished
-        runs answered under their pooled network's lock; it only grows,
-        whatever the pool evicts.  (The ``batcher`` key keeps the name
-        ``benchmarks/e2e/serve_load.py`` reads.)
+        ``batcher.serial_queries`` is the ``queries`` total of the
+        per-backend oracle counters: the answers (cells and scalar
+        reads) finished runs took under their oracle's lock.  It only
+        grows, whatever the pool evicts.  (The ``batcher`` key keeps the
+        name ``benchmarks/e2e/serve_load.py`` reads.)
         """
         with self._lock:
             records = [self._records[run_id] for run_id in self._record_order]
-            serial_queries = self._serial_queries
             oracle_counters = {
                 backend: dict(counters)
                 for backend, counters in self._oracle_counters.items()
@@ -743,7 +735,11 @@ class ScenarioService:
             "default_deadline_seconds": self._default_deadline,
             "degradations": degradations,
             "pool": self._pool.stats(),
-            "batcher": {"serial_queries": serial_queries},
+            "batcher": {
+                "serial_queries": sum(
+                    counters.get("queries", 0) for counters in oracle_counters.values()
+                )
+            },
             "oracle": oracle_counters,
             "durability": self._durability_metrics(),
             "latency_seconds": {

@@ -28,7 +28,6 @@ search visits every ring, which is exactly the previous full scan.
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from typing import Callable, Iterator, TYPE_CHECKING
 
@@ -40,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class WorkerSpatialIndex:
     """Node-bucket index of worker locations over a grid partition.
+
+    One run's fleet owns it and no other thread reads it, so it takes
+    no lock.
 
     Parameters
     ----------
@@ -63,15 +65,8 @@ class WorkerSpatialIndex:
         self._max_speed = self._fastest_edge_speed(network)
         # ``(lower bound, cells)`` per ring of a centre cell, nearest
         # first.  It never changes, so it is built on the first search
-        # from that cell and kept; building it twice stores the same
-        # value, so concurrent readers need no lock for it.
+        # from that cell and kept.
         self._ring_geometry: dict[int, tuple[tuple[float, tuple[int, ...]], ...]] = {}
-        # Concurrent readers share that memo, immutable geometry and the
-        # two benchmark counters below, which this lock guards.
-        # Maintenance (insert / remove) is *not* concurrency-safe and
-        # must stay on the owning thread, which is how the fleet drives
-        # it.
-        self._counter_lock = threading.Lock()
         #: Number of ring-expanding searches served (for benchmarks).
         self.searches = 0
         #: Workers yielded to callers across all searches; compare with
@@ -145,12 +140,8 @@ class WorkerSpatialIndex:
         stopped mattering to the caller; the first yes ends the search,
         so ``cut`` must stay true once true as the bound grows.  Without
         it every indexed worker is yielded exactly once; empty rings are
-        skipped.
-
-        Safe for concurrent read-only use: the geometry is immutable,
-        each search works off a snapshot of the bucket contents, and
-        the benchmark counters are updated under a lock, once per
-        search, when the generator finishes or is closed.
+        skipped.  The benchmark counters are updated once per search,
+        when the generator finishes or is closed.
         """
         center = self._grid.cell_of(node)
         geometry = self._ring_geometry.get(center)
@@ -175,9 +166,8 @@ class WorkerSpatialIndex:
                 yielded += len(ids)
                 yield bound, ids
         finally:
-            with self._counter_lock:
-                self.searches += 1
-                self.candidates_yielded += yielded
+            self.searches += 1
+            self.candidates_yielded += yielded
 
     def _build_rings(self, center: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
         """``(lower bound, cells)`` of every ring around ``center``."""

@@ -31,8 +31,8 @@ class PerPairCHOracle(CHOracle):
         """``sources x targets`` travel times, ``inf`` where unreachable.
 
         One pair-cache read per cell (one hit each); the cells it does
-        not hold are resolved below and folded back into it.  Unlocked
-        and uncounted: the two ``_locked`` block calls do that.
+        not hold are resolved below and folded back into it.
+        Uncounted: ``CHOracle.leg_matrix`` does that.
         """
         pair_cache = self._pair_cache
         rows: list[list[float]] = []

@@ -62,6 +62,37 @@ class TestParser:
             args = build_parser().parse_args(["serve", "--port", str(port)])
             assert args.port == port
 
+    @pytest.mark.parametrize(
+        "flag, helper",
+        [
+            ("--max-runs", "_positive_int"),
+            ("--default-deadline", "_positive_float"),
+            ("--port", "_port"),
+        ],
+    )
+    def test_non_numeric_value_names_the_flag_not_the_helper(self, flag, helper, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", flag, "x"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro serve: error: argument {flag}: must be a " in err
+        assert helper not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare", "--orders", "0"], "num_orders must be positive"),
+            (["sweep", "--figure", "fig3", "--workers", "-2"], "num_workers must be positive"),
+        ],
+    )
+    def test_invalid_scenario_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"repro {argv[0]}: error: {message}"]
+
     def test_workload_overrides_parsed(self):
         args = build_parser().parse_args(
             ["compare", "--orders", "50", "--workers", "10", "--seed", "3"]

@@ -1,30 +1,31 @@
-"""Concurrent-read safety of the structures served runs share.
+"""Thread safety of the one thing concurrent runs share: the oracle.
 
-Concurrent runs of a resident service query one pooled oracle from
-several threads at once.  The contraction-hierarchy backend
-memoises reverse-PHAST arrival maps, target buckets and point-to-point
-results on query — ``OrderedDict`` state that used to corrupt under
-concurrent mutation — and the worker spatial index bumps its benchmark
-counters inside the ring generator.  These tests hammer both from many
-threads and require (a) no exception or torn state and (b) answers
-identical to a single-threaded reference.
+Concurrent runs of a resident service, and workload generation on the
+same pooled session, query one pooled oracle from several threads at
+once.  Both backends memoise on query (``lazy``'s distance rows,
+``ch``'s pair / label / arrival caches), so the rule is one lock per
+oracle, taken by :class:`~repro.network.graph.RoadNetwork` around every
+oracle-touching call.  These tests hammer a shared network from many
+threads and require (a) answers identical to a single-threaded
+reference, (b) no lost counter update, and (c) never two threads inside
+the oracle at once — also when a served run overlaps a prepare.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.network.generators import grid_city
 from repro.network.graph import RoadNetwork
-from repro.network.grid import GridIndex
-from repro.network.oracle import CHOracle, create_oracle
-from repro.simulation.spatial import WorkerSpatialIndex
+from repro.network.oracle import ORACLE_BACKENDS, create_oracle
 
 _NUM_THREADS = 8
 _ROUNDS_PER_THREAD = 6
@@ -32,12 +33,9 @@ _ROUNDS_PER_THREAD = 6
 
 @pytest.fixture(scope="module")
 def city():
-    return grid_city(rows=8, cols=8, seed=5, jitter=0.25)
-
-
-@pytest.fixture(scope="module")
-def ch_oracle(city):
-    return CHOracle(city.graph)
+    # Uniform edges: every path sum is exact, so a ``lazy`` answer is
+    # the same float whether a forward or a reverse search priced it.
+    return grid_city(rows=8, cols=8, edge_travel_time=60.0, jitter=0.0, seed=5)
 
 
 def _maps_close(got, want, rel=1e-9):
@@ -54,154 +52,83 @@ def _maps_close(got, want, rel=1e-9):
     return all(math.isclose(got[k], want[k], rel_tol=rel) for k in want)
 
 
-def test_ch_oracle_concurrent_queries_match_serial(city, ch_oracle):
-    """Hammer every query shape from threads; answers must match serial."""
+def _calls(worker_id: int, nodes, pairs, sources, targets):
+    """One thread's deterministic mix of every oracle-touching call."""
+    local = random.Random(worker_id)
+    calls = []
+    for round_index in range(_ROUNDS_PER_THREAD):
+        for pair in local.sample(pairs, 20):
+            calls.append(("travel_time", pair))
+        calls.append(("is_reachable", tuple(local.sample(nodes, 2))))
+        target = local.choice(targets)
+        calls.append(("travel_times_to", (target,)))
+        calls.append(("travel_times_many", (sources, targets)))
+        calls.append(("leg_matrix", (local.sample(sources, 5), targets)))
+        calls.append(("oracle_stats", ()))
+        if worker_id == 0 and round_index % 2:
+            # Evict everything under the others' feet.
+            calls.append(("clear_cache", ()))
+    return calls
+
+
+def _answer(network: RoadNetwork, call):
+    """A call's answer: floats as a dict (for ``_maps_close``), else as is."""
+    name, args = call
+    result = getattr(network, name)(*args)
+    if name == "leg_matrix":
+        return {(i, j): cell for i, row in enumerate(result) for j, cell in enumerate(row)}
+    if name == "travel_time":
+        return {(): result}
+    return None if name in ("oracle_stats", "clear_cache") else result
+
+
+@pytest.mark.parametrize("backend", list(ORACLE_BACKENDS))
+def test_network_concurrent_queries_match_serial(city, backend):
+    """Hammer every oracle-touching call from threads; answers, counters
+    and cache bounds must come out as a serial replay's."""
     nodes = city.nodes_sorted()
     rng = random.Random(31)
     pairs = [tuple(rng.sample(nodes, 2)) for _ in range(60)]
     targets = [rng.choice(nodes) for _ in range(12)]
     sources = [rng.choice(nodes) for _ in range(16)]
+    plans = [_calls(worker, nodes, pairs, sources, targets) for worker in range(_NUM_THREADS)]
 
-    reference_oracle = CHOracle(city.graph)
-    reference = RoadNetwork(city.graph, oracle=reference_oracle)
-    reference_pairs = {
-        pair: reference_oracle.travel_time(*pair) for pair in pairs
-    }
-    reference_arrivals = {
-        target: reference.travel_times_to(target) for target in targets
-    }
-    reference_sweeps = {
-        target: reference_oracle.reverse_sweep(
-            reference_oracle.reverse_seed_map(target)
-        ).tolist()
-        for target in targets
-    }
-    reference_many = reference.travel_times_many(sources, targets)
-    # The dict views of the shared oracle, each one ``leg_matrix`` call.
-    network = RoadNetwork(city.graph, oracle=ch_oracle)
+    def fresh_network() -> RoadNetwork:
+        return RoadNetwork(city.graph, oracle=create_oracle(backend, city.graph))
 
-    errors: list[BaseException] = []
+    # ``lazy``'s answers are exact on uniform edges; ``ch``'s are
+    # within its ulp slack.
+    same = (lambda got, want: got == want) if backend == "lazy" else _maps_close
+    reference = fresh_network()
+    expected = [[_answer(reference, call) for call in plan] for plan in plans]
+    serial_queries = reference.oracle_stats().queries
 
-    def hammer(worker_id: int) -> None:
-        # Each thread interleaves the three query shapes in its own
-        # order so cache hits, misses and evictions race for real.
-        local = random.Random(worker_id)
-        try:
-            for _ in range(_ROUNDS_PER_THREAD):
-                for pair in local.sample(pairs, 20):
-                    assert math.isclose(
-                        ch_oracle.travel_time(*pair),
-                        reference_pairs[pair],
-                        rel_tol=1e-9,
-                    )
-                target = local.choice(targets)
-                # Reverse-PHAST sweeps are computed one way only, so
-                # these must be exact, not merely close.
-                sweep = ch_oracle.reverse_sweep(ch_oracle.reverse_seed_map(target))
-                assert sweep.tolist() == reference_sweeps[target]
-                # An all-to-one map reads the pair cache first, so which
-                # of two ulp-apart sums it holds is history, as above.
-                assert _maps_close(
-                    network.travel_times_to(target), reference_arrivals[target]
-                )
-                assert _maps_close(
-                    network.travel_times_many(sources, targets),
-                    reference_many,
-                )
-        except BaseException as exc:  # noqa: BLE001 - collected for the report
-            errors.append(exc)
-
-    with ThreadPoolExecutor(max_workers=_NUM_THREADS) as executor:
-        list(executor.map(hammer, range(_NUM_THREADS)))
-    assert not errors, errors
-    # The caches came through the stampede structurally intact: every
-    # entry still answers, and the LRU bounds still hold.
-    extras = ch_oracle.stats().extras
-    assert extras["label_cached_sources"] <= ch_oracle.bucket_cache_size
-    assert extras["bucket_cached_targets"] <= ch_oracle.bucket_cache_size
-    for pair, expected in reference_pairs.items():
-        assert math.isclose(
-            ch_oracle.travel_time(*pair), expected, rel_tol=1e-9
-        )
-
-
-def test_spatial_index_concurrent_rings_match_serial(city):
-    """Concurrent ring searches see identical rings and exact counters."""
-    grid = GridIndex(city, size=4)
-    index = WorkerSpatialIndex(city, grid)
-    nodes = city.nodes_sorted()
-    rng = random.Random(13)
-    for worker_id in range(40):
-        index.insert(worker_id, rng.choice(nodes))
-    query_nodes = [rng.choice(nodes) for _ in range(10)]
-    reference = {node: list(index.rings(node)) for node in query_nodes}
-    searches_before = index.searches
-    yielded_before = index.candidates_yielded
-
+    shared = fresh_network()
     barrier = threading.Barrier(_NUM_THREADS)
 
-    def hammer(worker_id: int) -> tuple[bool, list[int]]:
-        local = random.Random(worker_id)
-        barrier.wait()  # maximise overlap between the generators
-        ok = True
-        queried: list[int] = []
-        for _ in range(_ROUNDS_PER_THREAD):
-            node = local.choice(query_nodes)
-            queried.append(node)
-            ok = ok and list(index.rings(node)) == reference[node]
-        return ok, queried
-
-    with ThreadPoolExecutor(max_workers=_NUM_THREADS) as executor:
-        results = list(executor.map(hammer, range(_NUM_THREADS)))
-    assert all(ok for ok, _ in results)
-    # Counter updates are locked, so none of the concurrent increments
-    # were lost (exact equality, not just monotonicity).
-    total_searches = _NUM_THREADS * _ROUNDS_PER_THREAD
-    assert index.searches == searches_before + total_searches
-    per_query_yield = {
-        node: sum(len(ids) for _, ids in reference[node])
-        for node in query_nodes
-    }
-    expected_yield = sum(
-        per_query_yield[node] for _, queried in results for node in queried
-    )
-    assert index.candidates_yielded == yielded_before + expected_yield
-
-
-def test_spatial_index_cold_ring_geometry_built_under_contention(city):
-    """Threads racing the first search from a cell agree with a serial index.
-
-    The per-cell ring geometry is memoised on first use without a lock;
-    every thread that builds it builds the same value, so whichever
-    write lands the rings served are the serial ones.
-    """
-    grid = GridIndex(city, size=4)
-    nodes = city.nodes_sorted()
-    rng = random.Random(17)
-    placements = [(worker_id, rng.choice(nodes)) for worker_id in range(40)]
-    serial = WorkerSpatialIndex(city, grid)
-    for worker_id, node in placements:
-        serial.insert(worker_id, node)
-    reference = {node: list(serial.rings(node)) for node in nodes}
+    def hammer(worker_id: int) -> list:
+        barrier.wait(timeout=30)
+        return [_answer(shared, call) for call in plans[worker_id]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _round in range(_ROUNDS_PER_THREAD):
-            index = WorkerSpatialIndex(city, grid)  # cold: no geometry yet
-            for worker_id, node in placements:
-                index.insert(worker_id, node)
-            barrier = threading.Barrier(_NUM_THREADS)
-
-            def hammer(_thread: int) -> bool:
-                barrier.wait(timeout=30)
-                return all(list(index.rings(node)) == reference[node] for node in nodes)
-
-            with ThreadPoolExecutor(max_workers=_NUM_THREADS) as executor:
-                assert all(executor.map(hammer, range(_NUM_THREADS), timeout=60))
-            assert index.searches == _NUM_THREADS * len(nodes)
+        with ThreadPoolExecutor(max_workers=_NUM_THREADS) as executor:
+            answers = list(executor.map(hammer, range(_NUM_THREADS), timeout=120))
     finally:
         sys.setswitchinterval(interval)
+    for got_plan, want_plan in zip(answers, expected):
+        for got, want in zip(got_plan, want_plan):
+            if isinstance(want, dict):
+                assert same(got, want)
+            else:
+                assert got == want
+    # Every answer counted exactly once: no increment was lost to a race.
+    assert shared.oracle_stats().queries == serial_queries
+    if backend == "ch":
+        extras = shared.oracle_stats().extras
+        assert extras["label_cached_sources"] <= shared.oracle.bucket_cache_size
+        assert extras["bucket_cached_targets"] <= shared.oracle.bucket_cache_size
 
 
 def test_session_concurrent_prepare_builds_oracle_once():
@@ -233,36 +160,26 @@ def test_session_concurrent_prepare_builds_oracle_once():
     assert session.oracle_builds == 1
 
 
-def test_plans_through_batched_views_are_serial_and_one_hop_each():
-    _two_planners_share_a_network("lazy", batched=True)
+@pytest.mark.parametrize("backend", list(ORACLE_BACKENDS))
+def test_plans_on_one_pooled_network(backend):
+    """Two planners on one pooled network plan as a serial planner does.
 
-
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "direct"])
-def test_plans_on_a_shared_ch_oracle(batched):
-    _two_planners_share_a_network("ch", batched)
-
-
-def _two_planners_share_a_network(backend: str, batched: bool) -> None:
-    """Two runs planning on one pooled network, one hop per plan.
-
-    A plan's whole oracle traffic is one ``leg_matrix`` call, which a
-    :class:`SharedNetworkView` takes under the pooled network's lock —
-    the shared LRU maps are never read or mutated outside it.  ``ch``
-    guards its pair cache with its own query lock, so its ``leg_matrix``
-    must also survive two planners sharing the network with no view
-    in between.  Uniform edges make every leg an exact float sum
-    whichever map or label prices it, so the served plans must equal a
-    serial planner's on its own network.
+    A plan's whole oracle traffic is one ``leg_matrix`` call, taken
+    under the pooled oracle's lock, so the shared caches are never read
+    or mutated by two planners at once.  Uniform edges make every leg an
+    exact float sum whichever row or label prices it, so the plans must
+    equal a serial planner's on its own network, and the pooled oracle
+    must have answered exactly the serial planner's cells.
     """
     from repro.model.order import Order
     from repro.routing.planner import RoutePlanner
-    from repro.serve import SharedNetworkView
 
     def uniform_city():
-        return grid_city(rows=7, cols=7, edge_travel_time=60.0, jitter=0.0, seed=0)
+        city = grid_city(rows=7, cols=7, edge_travel_time=60.0, jitter=0.0, seed=0)
+        city.set_oracle(create_oracle(backend, city.graph))
+        return city
 
     pooled = uniform_city()
-    pooled.set_oracle(create_oracle(backend, pooled.graph))
     nodes = pooled.nodes_sorted()
     rng = random.Random(77)
     groups = []
@@ -282,16 +199,15 @@ def _two_planners_share_a_network(backend: str, batched: bool) -> None:
         planned = planner.try_plan(members, 4, 0.0)
         return None if planned is None else (planned.route.stops, planned.total_travel_time)
 
-    serial = RoutePlanner(uniform_city())
+    serial_city = uniform_city()
+    serial = RoutePlanner(serial_city)
     expected = [outcome(serial, group) for group in groups]
     assert any(expected) and not all(expected)
 
-    lock = threading.Lock()
-    views = [SharedNetworkView(pooled, lock) for _ in range(2)]
     barrier = threading.Barrier(2)
 
     def run(half: int):
-        planner = RoutePlanner(views[half] if batched else pooled)
+        planner = RoutePlanner(pooled)
         barrier.wait(timeout=30)
         return [outcome(planner, group) for group in groups[half::2]]
 
@@ -303,5 +219,103 @@ def _two_planners_share_a_network(backend: str, batched: bool) -> None:
     finally:
         sys.setswitchinterval(interval)
     assert evens == expected[0::2] and odds == expected[1::2]
-    half = len(groups) // 2 if batched else 0
-    assert [view.queries for view in views] == [half, half]
+    assert pooled.oracle_stats().queries == serial_city.oracle_stats().queries
+
+
+class _OverlapProbe:
+    """Counts oracle calls entered while another thread is inside the oracle.
+
+    Wraps oracle methods at class level.  A thread re-entering the
+    oracle it is already inside (``is_reachable`` reads
+    ``travel_time``) is not an overlap.  Each call yields the GIL once
+    inside, so any other thread that is free to enter does.  ``calls``
+    records ``(thread, method name)`` of every outermost call, in entry
+    order.
+    """
+
+    def __init__(self) -> None:
+        self._guard = threading.Lock()
+        self._depth: dict[int, int] = {}
+        self.overlaps = 0
+        self.calls: list[tuple[int, str]] = []
+
+    def wrap(self, method):
+        probe = self
+
+        @functools.wraps(method)
+        def entered(oracle, *args):
+            me = threading.get_ident()
+            with probe._guard:
+                if any(depth for thread, depth in probe._depth.items() if thread != me):
+                    probe.overlaps += 1
+                depth = probe._depth.get(me, 0)
+                if depth == 0:
+                    probe.calls.append((me, method.__name__))
+                probe._depth[me] = depth + 1
+            try:
+                time.sleep(0)
+                return method(oracle, *args)
+            finally:
+                with probe._guard:
+                    probe._depth[me] -= 1
+
+        return entered
+
+
+def test_served_run_and_a_prepare_never_share_the_oracle_at_once(monkeypatch):
+    """A prepare of a new workload shape overlapping a served run on one
+    pooled ``lazy`` session: generation (``is_reachable`` /
+    ``travel_time``) and the run (``leg_matrix`` blocks) interleave, but
+    never with two threads inside the oracle at once."""
+    from repro.api import ScenarioSpec
+    from repro.network.oracle.lazy import LazyDijkstraOracle
+    from repro.serve import COMPLETED, ScenarioService
+
+    probe = _OverlapProbe()
+    for name in ("travel_time", "leg_matrix", "is_reachable", "clear", "stats"):
+        monkeypatch.setattr(
+            LazyDijkstraOracle, name, probe.wrap(getattr(LazyDijkstraOracle, name))
+        )
+    base = ScenarioSpec(
+        network="grid", grid_rows=12, grid_cols=12, num_orders=600,
+        num_workers=30, horizon=6000.0, seed=4, algorithm="GDP",
+        oracle={"backend": "lazy"},
+    )
+    # New order counts: each is a workload the pooled session has not
+    # generated yet, so its prepare queries the pooled oracle.
+    shapes = [
+        base.with_overrides(algorithm="WATTER-online", num_orders=count)
+        for count in (60, 70, 80)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ScenarioService(max_runs=2) as service:
+            long_run = service.submit_spec(base)
+            # Only a run asks by blocks: once one is in, it is simulating.
+            deadline = time.monotonic() + 60
+            while not any(name == "leg_matrix" for _, name in probe.calls):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            records = [service.submit_spec(spec) for spec in shapes]
+            records = [
+                service.wait(record.run_id, timeout=240)
+                for record in [long_run, *records]
+            ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(record.status == COMPLETED for record in records)
+    # Workload generation on another thread really ran while the long
+    # run was between two of its blocks ...
+    run_thread = next(thread for thread, name in probe.calls if name == "leg_matrix")
+    blocks = [
+        index
+        for index, (thread, name) in enumerate(probe.calls)
+        if thread == run_thread and name == "leg_matrix"
+    ]
+    assert any(
+        thread != run_thread and name == "is_reachable"
+        for thread, name in probe.calls[blocks[0] : blocks[-1]]
+    )
+    # ... and never was inside the oracle at the same time.
+    assert probe.overlaps == 0

@@ -1,6 +1,6 @@
 """Tests for the ``repro.serve`` subsystem: protocol parsing, the
-session pool, the shared-network view, sinks, the service core and
-both transports (HTTP and stdin JSON-lines).
+session pool, sinks, the service core and both transports (HTTP and
+stdin JSON-lines).
 
 The load-bearing assertions mirror the serving layer's promises:
 
@@ -26,8 +26,6 @@ import weakref
 import pytest
 
 from repro.api import ScenarioSpec, run_scenario
-from repro.exceptions import UnknownNodeError
-from repro.network.generators import grid_city
 from repro.serve import (
     CANCELLED,
     COMPLETED,
@@ -38,7 +36,6 @@ from repro.serve import (
     ProtocolError,
     ScenarioService,
     SessionPool,
-    SharedNetworkView,
     parse_submission,
     pool_key,
     serve_stdin,
@@ -182,49 +179,6 @@ class TestSessionPool:
 
 
 # ----------------------------------------------------------------------
-# the shared-network view
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def shared_city():
-    return grid_city(rows=6, cols=6, seed=5, jitter=0.2)
-
-
-class TestBatchedNetworkView:
-    """The :class:`SharedNetworkView` every served run queries through."""
-
-    def test_view_shares_graph_and_oracle(self, shared_city):
-        view = SharedNetworkView(shared_city, threading.Lock())
-        assert view.graph is shared_city.graph
-        assert view.oracle is shared_city.oracle
-
-    def test_view_queries_match_parent(self, shared_city):
-        nodes = sorted(shared_city.graph.nodes())
-        view = SharedNetworkView(shared_city, threading.Lock())
-        assert view.travel_time(nodes[0], nodes[5]) == shared_city.travel_time(
-            nodes[0], nodes[5]
-        )
-        assert view.shortest_path(nodes[0], nodes[5]) == (
-            shared_city.shortest_path(nodes[0], nodes[5])
-        )
-        assert view.leg_matrix(nodes[:3], nodes[4:8]) == (
-            shared_city.leg_matrix(nodes[:3], nodes[4:8])
-        )
-        # The dict views are RoadNetwork's: one locked leg_matrix each.
-        assert view.travel_times_many(nodes[:3], nodes[4:8]) == (
-            shared_city.travel_times_many(nodes[:3], nodes[4:8])
-        )
-        assert view.travel_times_to(nodes[5]) == shared_city.travel_times_to(nodes[5])
-        # shortest_path reads the graph alone, so it takes no lock.
-        assert view.queries == 4
-
-    def test_view_rejects_unknown_nodes(self, shared_city):
-        view = SharedNetworkView(shared_city, threading.Lock())
-        for query in (view.leg_matrix, view.travel_times_many):
-            with pytest.raises(UnknownNodeError):
-                query([10**9], [0])
-
-
-# ----------------------------------------------------------------------
 # sinks
 # ----------------------------------------------------------------------
 class TestSinks:
@@ -333,8 +287,8 @@ class TestScenarioService:
 
     def test_concurrent_runs_on_one_lazy_network_match_direct_runs(self):
         """WATTER-online and GAS price candidates and ring searches by
-        ``leg_matrix`` blocks, which two runs on one pooled
-        ``lazy`` network take turns at under its lock.  Without jitter
+        ``leg_matrix`` blocks, which two runs on one pooled ``lazy``
+        network take turns at under its oracle's lock.  Without jitter
         every Dijkstra sum is exact, so however the runs interleave on
         the shared LRU, each must match its direct run to the last bit."""
         base = _grid_spec(
@@ -360,8 +314,8 @@ class TestScenarioService:
             )
 
     def test_served_runs_hash_the_pooled_graph_once(self, monkeypatch):
-        """Each run's view shares the pooled graph, so the session keeps
-        one graph-hash entry for it, not one per served run."""
+        """Each run queries the pooled network itself, so the session
+        keeps one graph-hash entry for it, not one per served run."""
         import repro.api.session as session_module
 
         hashed = []
@@ -380,8 +334,8 @@ class TestScenarioService:
         assert len(hashed) == 1
 
     def test_evicted_pooled_network_is_freed(self):
-        """The per-network lock dies with its network: an evicted
-        session's network is garbage, and the lock counter survives it."""
+        """An evicted session's network is garbage, and the oracle query
+        total folded from its finished runs survives it."""
         first = _grid_spec(oracle={"backend": "lazy"})
         # Same network source, another oracle identity: a second session.
         second = first.with_overrides(oracle={"backend": "ch"})
@@ -478,8 +432,8 @@ class TestScenarioService:
         assert metrics["queue_depth"] == 0
         assert metrics["latency_seconds"]["count"] == 1
         assert metrics["latency_seconds"]["max"] >= 0
-        # Every oracle query of a served run goes through its pooled
-        # network's lock, and the finished run's count is folded in.
+        # The finished run's oracle answers, all taken under the pooled
+        # oracle's lock, are folded in.
         assert set(metrics["batcher"]) == {"serial_queries"}
         assert metrics["batcher"]["serial_queries"] > 0
 
