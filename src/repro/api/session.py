@@ -35,8 +35,6 @@ from pathlib import Path
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
-import networkx as nx
-
 from ..config import LearningConfig, SimulationConfig
 from ..core.strategies import ThresholdProvider
 from ..datasets.io import orders_from_csv, workers_from_csv
@@ -57,7 +55,7 @@ from ..experiments.runner import (
 from ..model.order import OrderOutcome
 from ..model.worker import Worker
 from ..network.generators import grid_city
-from ..network.graph import RoadNetwork
+from ..network.graph import RoadGraph, RoadNetwork
 from ..network.oracle import (
     ORACLE_BACKENDS,
     OracleSpec,
@@ -120,7 +118,12 @@ class RunResult:
 
     @property
     def oracle_stats(self) -> Mapping[str, float | str] | None:
-        """Distance-oracle counters accumulated during this run."""
+        """Distance-oracle counters accumulated during this run.
+
+        A before/after delta of the network's oracle, so a served run's
+        delta also counts the answers runs overlapping it on the same
+        pooled oracle took.
+        """
         return self.metrics.oracle_stats
 
     def summary(self) -> dict[str, Any]:
@@ -162,7 +165,7 @@ class Session:
         self._cities: dict[tuple, CityModel] = {}
         self._workloads: OrderedDict[tuple, Workload] = OrderedDict()
         self._providers: dict[tuple, ThresholdProvider] = {}
-        self._graph_hashes: dict[nx.DiGraph, str] = {}
+        self._graph_hashes: dict[RoadGraph, str] = {}
         # One reentrant lock guards every memoisation dict *and* the
         # oracle attach, so concurrent ``prepare``/``run`` calls (the
         # repro.serve layer submits them from a thread pool) build each
@@ -433,7 +436,11 @@ class Session:
         WATTER-timeout bootstrap run, the Section V GMM fit, optionally
         the Section VI value network — sourcing the training workload
         from whatever the spec describes (dataset preset, grid city or
-        CSV replay).  ``workload`` substitutes for the spec's
+        CSV replay).  Networks are keyed by seed, so for a dataset
+        preset or a jittered grid the shifted seed also draws another
+        road network: the GMM is fitted on a different graph than the
+        one the run is evaluated on (CDC seed 7 evaluates on graph
+        ``5216e16f...`` and trains on ``bfe56b2b...``).  ``workload`` substitutes for the spec's
         source when the caller runs a custom workload — those providers
         are *not* memoised (the session cannot tell two caller-built
         workloads apart by spec alone, and a provider fitted to one

@@ -60,6 +60,8 @@ class GaussianMixture:
         self._tolerance = tolerance
         self._seed = seed
         self._components: list[GaussianComponent] = []
+        # Per component ``(mean, std * sqrt(2), weight / 2)``, for ``cdf``.
+        self._cdf_terms: list[tuple[float, float, float]] = []
         self._log_likelihood_history: list[float] = []
 
     # ------------------------------------------------------------------
@@ -110,11 +112,16 @@ class GaussianMixture:
                 break
             previous_ll = log_likelihood
 
-        self._components = [
-            GaussianComponent(float(w), float(m), float(v))
-            for w, m, v in zip(weights, means, variances)
-        ]
+        fitted = zip(weights.tolist(), means.tolist(), variances.tolist())
+        self._set_components([GaussianComponent(w, m, v) for w, m, v in fitted])
         return self
+
+    def _set_components(self, components: list[GaussianComponent]) -> None:
+        self._components = components
+        self._cdf_terms = [
+            (c.mean, math.sqrt(c.variance) * math.sqrt(2.0), c.weight * 0.5)
+            for c in components
+        ]
 
     @property
     def components(self) -> list[GaussianComponent]:
@@ -146,23 +153,19 @@ class GaussianMixture:
         A scalar ``x`` is evaluated with ``math.erf`` directly, in the
         same component order and arithmetic as the array path, so both
         return the same float; the threshold optimiser calls this with
-        one scalar at a time.
+        one float at a time, which skips the ``np.isscalar`` test.
         """
         self._require_fitted()
-        if np.isscalar(x):
+        if isinstance(x, float) or np.isscalar(x):
             point = float(x)
             total = 0.0
-            for component in self._components:
-                std = math.sqrt(component.variance)
-                z = (point - component.mean) / (std * math.sqrt(2.0))
-                total = total + component.weight * 0.5 * (1.0 + math.erf(z))
+            for mean, scale, half_weight in self._cdf_terms:
+                total = total + half_weight * (1.0 + math.erf((point - mean) / scale))
             return min(max(total, 0.0), 1.0)
         values = np.asarray(x, dtype=float)
         result = np.zeros_like(values, dtype=float)
-        for component in self._components:
-            std = math.sqrt(component.variance)
-            z = (values - component.mean) / (std * math.sqrt(2.0))
-            result = result + component.weight * 0.5 * (1.0 + _erf(z))
+        for mean, scale, half_weight in self._cdf_terms:
+            result = result + half_weight * (1.0 + _erf((values - mean) / scale))
         return np.clip(result, 0.0, 1.0)
 
     def sample(self, size: int, seed: int = 0) -> np.ndarray:

@@ -106,21 +106,20 @@ class ThresholdOptimizer:
         """
         if penalty <= 0:
             return 0.0
-        grid = np.linspace(0.0, penalty, self._grid_points)
-        values = [(self.objective(theta, penalty), theta) for theta in grid]
-        _, best = max(values)
-        theta = float(best)
+        objective = self.objective
+        grid = np.linspace(0.0, penalty, self._grid_points).tolist()
+        value, theta = max((objective(theta, penalty), theta) for theta in grid)
         step = self._learning_rate * penalty
         eps = max(penalty * 1e-4, 1e-6)
         for _ in range(self._iterations):
             gradient = (
-                self.objective(theta + eps, penalty)
-                - self.objective(theta - eps, penalty)
+                objective(theta + eps, penalty) - objective(theta - eps, penalty)
             ) / (2.0 * eps)
             candidate = theta + step * gradient / max(penalty, 1e-9)
             candidate = min(max(candidate, 0.0), penalty)
-            if self.objective(candidate, penalty) >= self.objective(theta, penalty):
-                theta = candidate
+            candidate_value = objective(candidate, penalty)
+            if candidate_value >= value:
+                theta, value = candidate, candidate_value
             else:
                 step *= 0.5
         return theta

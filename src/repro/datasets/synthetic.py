@@ -27,8 +27,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import networkx as nx
-
 from ..config import SimulationConfig
 from ..exceptions import DatasetError
 from ..model.order import Order
@@ -228,12 +226,8 @@ class CityModel:
         network's oracle so its per-source cache warms for the run.
         """
         if self.local_trip_spread is not None:
-            try:
-                return nx.dijkstra_path_length(
-                    self.network.graph, pickup, dropoff, weight="travel_time"
-                )
-            except nx.NetworkXNoPath:
-                return None
+            found = self.network.graph.shortest_path(pickup, dropoff)
+            return None if found is None else found[0]
         if not self.network.is_reachable(pickup, dropoff):
             return None
         return self.network.travel_time(pickup, dropoff)

@@ -18,8 +18,8 @@ File layout (single file, atomic tmp + rename):
 
 Shared/unpicklable infrastructure is *externalized* through pickle
 persistent ids rather than serialized: the road network (and its
-``networkx`` graph) and the attached distance oracle, with its query
-lock.  A checkpoint is therefore small — algorithm state only — and
+:class:`~repro.network.graph.RoadGraph`) and the attached distance
+oracle, with its query lock.  A checkpoint is therefore small — algorithm state only — and
 resuming binds it to the resume-time network, whose oracle may even be
 a different warm cache of the same graph.
 
@@ -59,7 +59,9 @@ DEFAULT_CHECKPOINT_INTERVAL = 25
 #    (``backend``, ``cache_dir``, ``kernel``).
 # 10: a pickled ``WorkerSpatialIndex`` holds no lock; no ``("lock", ...)``
 #     persistent id.
-_FORMAT_VERSION = 10
+# 11: the ``("graph",)`` persistent id resolves to a ``RoadGraph``, not a
+#     networkx ``DiGraph``; nothing pickled refers to networkx.
+_FORMAT_VERSION = 11
 
 
 class CheckpointError(ReproError):

@@ -7,7 +7,11 @@ The WATTER algorithms only ever ask two questions of the road network:
 * node coordinates — used by the spatial grid index and the MDP state
   featurisation.
 
-``RoadNetwork`` wraps a :class:`networkx.DiGraph` and delegates every
+The graph itself is a :class:`RoadGraph`: node coordinates and weighted
+out-edges, frozen when :func:`build_network` builds it, with the
+sorted-index adjacency lists every search runs on built once and
+shared by the oracles, the spatial index and the graph's own
+point-to-point Dijkstra.  ``RoadNetwork`` wraps it and delegates every
 shortest-path question to a pluggable
 :class:`~repro.network.oracle.DistanceOracle`.  The default backend is
 :class:`~repro.network.oracle.LazyDijkstraOracle` — run one Dijkstra per
@@ -24,9 +28,9 @@ sessions) take turns at the oracle instead of racing on its caches.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
+from itertools import count
 from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
-
-import networkx as nx
 
 from ..exceptions import NetworkError, UnknownNodeError, UnreachableError
 from .oracle.base import OracleStats
@@ -36,6 +40,111 @@ from .oracle.spec import OracleSpec
 if TYPE_CHECKING:  # pragma: no cover
     from .oracle.base import DistanceOracle
 
+#: ``(neighbour index, travel time)`` lists, one per node index.
+Adjacency = list[list[tuple[int, float]]]
+
+
+class RoadGraph:
+    """An immutable directed road graph: node coordinates and weighted edges.
+
+    Nodes iterate in insertion order and :meth:`indexed_edges` by tail
+    in insertion order, then by first insertion of the head: the orders
+    of a ``networkx.DiGraph`` fed the same calls.  Searches work over
+    node *indices* (``nodes_sorted[i]``, inverse ``index``):
+    ``successors[i]`` / ``predecessors[i]`` hold ``(neighbour index,
+    travel time)`` out- / in-edges in edge order, shared by every
+    reader and mutated by none.
+    """
+
+    __slots__ = ("_coordinates", "nodes_sorted", "index", "successors", "predecessors")
+
+    def __init__(
+        self,
+        nodes: Iterable[tuple[int, float, float]],
+        edges: Iterable[tuple[int, int, float]],
+        bidirectional: bool = False,
+    ) -> None:
+        # A repeated node or edge keeps its first position and its last
+        # value, as ``DiGraph.add_node`` / ``add_edge`` do: so does ``dict``.
+        self._coordinates = {node: (float(x), float(y)) for node, x, y in nodes}
+        if not self._coordinates:
+            raise NetworkError("a road network needs at least one node")
+        self.nodes_sorted: list[int] = sorted(self._coordinates)
+        self.index = {node: i for i, node in enumerate(self.nodes_sorted)}
+        heads: Adjacency = [[] for _ in self.nodes_sorted]
+        for u, v, travel_time in edges:
+            if u not in self.index or v not in self.index:
+                raise NetworkError(f"edge ({u!r}, {v!r}) names a node with no x/y")
+            try:
+                weight = float(travel_time)
+            except (TypeError, ValueError):
+                raise NetworkError(f"edge ({u!r}, {v!r}) has no travel time") from None
+            if not weight >= 0.0:
+                raise NetworkError(f"edge ({u!r}, {v!r}) has negative travel time")
+            tail, head = self.index[u], self.index[v]
+            heads[tail].append((head, weight))
+            if bidirectional:
+                heads[head].append((tail, weight))
+        self.successors: Adjacency = [list(dict(row).items()) for row in heads]
+        del heads
+        self.predecessors: Adjacency = [[] for _ in self.successors]
+        for tail, head, weight in self.indexed_edges():
+            self.predecessors[head].append((tail, weight))
+
+    def __len__(self) -> int:
+        return len(self.nodes_sorted)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._coordinates)
+
+    def coordinates(self, node_id: int) -> tuple[float, float]:
+        """The ``(x, y)`` coordinates of a node."""
+        return self._coordinates[node_id]
+
+    def indexed_edges(self) -> Iterator[tuple[int, int, float]]:
+        """``(tail index, head index, travel time)`` per edge, in edge order."""
+        index, successors = self.index, self.successors
+        for node in self._coordinates:
+            tail = index[node]
+            for head, weight in successors[tail]:
+                yield tail, head, weight
+
+    def shortest_path(self, source: int, target: int) -> tuple[float, list[int]] | None:
+        """Travel time and node sequence of a shortest path, ``None`` if unreachable.
+
+        A point-to-point Dijkstra stopping when ``target`` settles, with
+        networkx's relaxation rule, ``(distance, push counter, node)``
+        heap key and strict-improvement parent updates: the path and
+        the float of ``nx.dijkstra_path`` / ``dijkstra_path_length``.
+        """
+        index, successors = self.index, self.successors
+        start, goal = index[source], index[target]
+        settled: dict[int, float] = {}
+        seen = {start: 0.0}
+        parent: dict[int, int] = {}
+        pushes = count(1)
+        fringe: list[tuple[float, int, int]] = [(0.0, 0, start)]
+        while fringe:
+            reach, _, node = heappop(fringe)
+            if node in settled:
+                continue
+            settled[node] = reach
+            if node == goal:
+                break
+            for head, cost in successors[node]:
+                through = reach + cost
+                if head not in settled and (head not in seen or through < seen[head]):
+                    seen[head] = through
+                    parent[head] = node
+                    heappush(fringe, (through, next(pushes), head))
+        if goal not in settled:
+            return None
+        path = [goal]
+        while path[-1] != start:
+            path.append(parent[path[-1]])
+        nodes = self.nodes_sorted
+        return settled[goal], [nodes[node] for node in reversed(path)]
+
 
 class RoadNetwork:
     """A directed, travel-time-weighted road network.
@@ -43,9 +152,8 @@ class RoadNetwork:
     Parameters
     ----------
     graph:
-        A ``networkx.DiGraph`` whose edges carry a ``travel_time``
-        attribute (seconds) and whose nodes carry ``x``/``y``
-        coordinates.  Undirected graphs are accepted and converted.
+        The :class:`RoadGraph` (edge weights are travel times in
+        seconds); :func:`build_network` builds both from plain tuples.
     oracle:
         Distance oracle answering shortest-path queries.  Defaults to
         the oracle the all-defaults :class:`OracleSpec` asks for: a
@@ -54,31 +162,22 @@ class RoadNetwork:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: RoadGraph,
         oracle: "DistanceOracle | None" = None,
     ) -> None:
-        if graph.number_of_nodes() == 0:
-            raise NetworkError("a road network needs at least one node")
-        directed = graph.to_directed() if not graph.is_directed() else graph
-        for u, v, data in directed.edges(data=True):
-            if "travel_time" not in data:
-                raise NetworkError(
-                    f"edge ({u!r}, {v!r}) is missing the 'travel_time' attribute"
-                )
-            if data["travel_time"] < 0:
-                raise NetworkError(
-                    f"edge ({u!r}, {v!r}) has negative travel time"
-                )
-        for node, data in directed.nodes(data=True):
-            if "x" not in data or "y" not in data:
-                raise NetworkError(f"node {node!r} is missing x/y coordinates")
-        self._graph = directed
+        if not isinstance(graph, RoadGraph):
+            raise NetworkError(
+                f"a road network wraps a RoadGraph, not {type(graph).__name__}; "
+                "build one with build_network"
+            )
+        self._graph = graph
+        self._index = graph.index
         self._nearest_index: "_NearestNodeIndex | None" = None
         if oracle is None:
             # Exactly what ``configure_oracle`` builds for the all-defaults
             # spec: a default-configured run keeps this oracle and the
             # cache workload generation warmed in it.
-            oracle = LazyDijkstraOracle(directed)
+            oracle = LazyDijkstraOracle(graph)
             oracle.built_from = OracleSpec()
         self._oracle: "DistanceOracle" = oracle
 
@@ -86,34 +185,32 @@ class RoadNetwork:
     # basic accessors
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying directed graph (treat as read-only)."""
+    def graph(self) -> RoadGraph:
+        """The underlying directed graph (immutable)."""
         return self._graph
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._graph)
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._graph
+        return node_id in self._index
 
     def nodes(self) -> Iterator[int]:
         """Iterate over node ids."""
-        return iter(self._graph.nodes)
+        return iter(self._graph)
 
     def number_of_edges(self) -> int:
         """Number of directed edges."""
-        return self._graph.number_of_edges()
+        return sum(map(len, self._graph.successors))
 
     def coordinates(self, node_id: int) -> tuple[float, float]:
         """Return the ``(x, y)`` coordinates of a node."""
         self._require_node(node_id)
-        data = self._graph.nodes[node_id]
-        return float(data["x"]), float(data["y"])
+        return self._graph.coordinates(node_id)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """Return ``(min_x, min_y, max_x, max_y)`` over all nodes."""
-        xs = [float(d["x"]) for _, d in self._graph.nodes(data=True)]
-        ys = [float(d["y"]) for _, d in self._graph.nodes(data=True)]
+        xs, ys = zip(*map(self._graph.coordinates, self._graph))
         return min(xs), min(ys), max(xs), max(ys)
 
     # ------------------------------------------------------------------
@@ -201,9 +298,9 @@ class RoadNetwork:
         :meth:`travel_time` answers for the pair after the call — one
         oracle hop for every leg a route plan can use.
         """
-        graph = self._graph
+        index = self._index
         for node in set(sources).union(targets):
-            if node not in graph:
+            if node not in index:
                 raise UnknownNodeError(node)
         oracle = self._oracle
         with oracle.lock:
@@ -212,17 +309,15 @@ class RoadNetwork:
     def shortest_path(self, source: int, target: int) -> list[int]:
         """Return the node sequence of a shortest path.
 
-        Oracles answer distances only, so this is a plain Dijkstra on
-        the underlying graph whatever the backend.
+        Oracles answer distances only, so this is the graph's own
+        Dijkstra (:meth:`RoadGraph.shortest_path`) whatever the backend.
         """
         self._require_node(source)
         self._require_node(target)
-        try:
-            return nx.dijkstra_path(
-                self._graph, source, target, weight="travel_time"
-            )
-        except nx.NetworkXNoPath as exc:
-            raise UnreachableError(source, target) from exc
+        found = self._graph.shortest_path(source, target)
+        if found is None:
+            raise UnreachableError(source, target)
+        return found[1]
 
     def is_reachable(self, source: int, target: int) -> bool:
         """Whether a path exists from ``source`` to ``target``."""
@@ -251,7 +346,7 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     def nodes_sorted(self) -> list[int]:
         """Node ids in a deterministic order (for reproducible sampling)."""
-        return sorted(self._graph.nodes)
+        return list(self._graph.nodes_sorted)
 
     def nearest_node(self, x: float, y: float) -> int:
         """Node id whose coordinates are closest (Euclidean) to ``(x, y)``.
@@ -270,7 +365,7 @@ class RoadNetwork:
     # internals
     # ------------------------------------------------------------------
     def _require_node(self, node_id: int) -> None:
-        if node_id not in self._graph:
+        if node_id not in self._index:
             raise UnknownNodeError(node_id)
 
 
@@ -286,10 +381,10 @@ class _NearestNodeIndex:
     nodes the one seen first in graph iteration order wins.
     """
 
-    def __init__(self, graph: nx.DiGraph) -> None:
+    def __init__(self, graph: RoadGraph) -> None:
         entries = [
-            (rank, node, float(data["x"]), float(data["y"]))
-            for rank, (node, data) in enumerate(graph.nodes(data=True))
+            (rank, node, *graph.coordinates(node))
+            for rank, node in enumerate(graph)
         ]
         xs = [entry[2] for entry in entries]
         ys = [entry[3] for entry in entries]
@@ -360,12 +455,11 @@ def build_network(
     bidirectional:
         When true (default) every edge is inserted in both directions,
         which matches the paper's undirected example network.
+
+    Raises
+    ------
+    NetworkError
+        If there are no nodes, an edge names a node with no
+        coordinates, or a travel time is missing or negative.
     """
-    graph = nx.DiGraph()
-    for node_id, x, y in nodes:
-        graph.add_node(node_id, x=float(x), y=float(y))
-    for u, v, travel_time in edges:
-        graph.add_edge(u, v, travel_time=float(travel_time))
-        if bidirectional:
-            graph.add_edge(v, u, travel_time=float(travel_time))
-    return RoadNetwork(graph)
+    return RoadNetwork(RoadGraph(nodes, edges, bidirectional))

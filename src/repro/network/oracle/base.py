@@ -33,10 +33,10 @@ and :class:`~repro.network.graph.RoadNetwork` — the way every
 dispatcher, planner, fleet and workload generator reaches an oracle —
 answers each query under it.
 
-Every oracle numbers the nodes by sorted id.  The full-map searches of
-``lazy`` run :func:`_dijkstra` over adjacency lists in
-that numbering and get back a *row*: one packed ``array('d')`` whose
-cell ``i`` is the distance of the ``i``-th node, ``inf`` where the
+Every oracle numbers the nodes by sorted id (the graph's index).  The
+full-map searches of ``lazy`` run :func:`_dijkstra` over the graph's
+shared adjacency lists and get back a *row*: one packed ``array('d')``
+whose cell ``i`` is the distance of the ``i``-th node, ``inf`` where the
 search did not reach.  A row has no settle order; its floats are the
 ones any label-setting search (networkx's included) computes.
 """
@@ -51,11 +51,10 @@ from heapq import heappop, heappush
 from math import inf
 from typing import Mapping, Sequence, TYPE_CHECKING
 
-import networkx as nx
-
 from ...exceptions import UnreachableError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..graph import RoadGraph
     from .spec import OracleSpec
 
 
@@ -185,9 +184,8 @@ class DistanceOracle(abc.ABC):
     Parameters
     ----------
     graph:
-        The ``networkx.DiGraph`` whose edges carry ``travel_time``.
-        Oracles treat the graph as frozen; mutate it and the oracle's
-        answers become stale (call :meth:`clear` after edits).
+        The :class:`~repro.network.graph.RoadGraph` to answer for; it
+        is immutable, so cached answers never go stale.
     """
 
     #: Registry name; subclasses override.
@@ -199,11 +197,11 @@ class DistanceOracle(abc.ABC):
     #: by hand, which is therefore never mistaken for a configured one.
     built_from: "OracleSpec | None" = None
 
-    def __init__(self, graph: nx.DiGraph) -> None:
+    def __init__(self, graph: "RoadGraph") -> None:
         self._graph = graph
-        self._index_nodes()
-        self._successors: list[list[tuple[int, float]]] | None = None
-        self._predecessors: list[list[tuple[int, float]]] | None = None
+        # A distance row's cell ``i`` belongs to ``_nodes[i]``.
+        self._nodes = graph.nodes_sorted
+        self._index = graph.index
         self._queries = 0
         self._batched_queries = 0
         self._cache_hits = 0
@@ -218,7 +216,7 @@ class DistanceOracle(abc.ABC):
         self.lock = threading.Lock()
 
     @property
-    def graph(self) -> nx.DiGraph:
+    def graph(self) -> "RoadGraph":
         """The graph the oracle answers for."""
         return self._graph
 
@@ -308,16 +306,6 @@ class DistanceOracle(abc.ABC):
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
-    def _index_nodes(self) -> None:
-        """Number the nodes: ``_nodes`` is the sorted ids, ``_index`` its inverse.
-
-        A distance row's cell ``i`` belongs to ``_nodes[i]``.
-        """
-        self._nodes: list[int] = sorted(self._graph.nodes)
-        self._index: dict[int, int] = {
-            node: idx for idx, node in enumerate(self._nodes)
-        }
-
     def _dijkstra_from(self, source: int) -> array:
         """One single-source Dijkstra in travel-time space (counted).
 
@@ -325,9 +313,7 @@ class DistanceOracle(abc.ABC):
         where ``node`` cannot be reached.
         """
         self._sssp_runs += 1
-        if self._successors is None:
-            self._successors = self._adjacency(reverse=False)
-        return _dijkstra(self._successors, self._index[source])
+        return _dijkstra(self._graph.successors, self._index[source])
 
     def _dijkstra_to(self, target: int) -> array:
         """One Dijkstra against the edges: the row ``d(node, target)``.
@@ -336,32 +322,7 @@ class DistanceOracle(abc.ABC):
         answers every many-to-one distance towards ``target``.
         """
         self._reverse_sssp_runs += 1
-        if self._predecessors is None:
-            self._predecessors = self._adjacency(reverse=True)
-        return _dijkstra(self._predecessors, self._index[target])
-
-    def _adjacency(self, reverse: bool) -> list[list[tuple[int, float]]]:
-        """``(neighbour index, weight)`` lists per node index, out-edges
-        or, with ``reverse``, in-edges."""
-        index = self._index
-        adjacency: list[list[tuple[int, float]]] = [[] for _ in self._nodes]
-        for tail, head, data in self._graph.edges(data=True):
-            u, v = index[tail], index[head]
-            if reverse:
-                u, v = v, u
-            adjacency[u].append((v, data.get("travel_time", 1)))
-        return adjacency
-
-    def _drop_adjacency(self) -> None:
-        """Forget the search tables; every :meth:`clear` calls this.
-
-        The tables snapshot the node set and the edge weights, so they
-        must not outlive a graph edit any longer than the cached answers
-        do.
-        """
-        self._index_nodes()
-        self._successors = None
-        self._predecessors = None
+        return _dijkstra(self._graph.predecessors, self._index[target])
 
 
 def _dijkstra(adjacency: list[list[tuple[int, float]]], source: int) -> array:

@@ -9,7 +9,7 @@ process that works on the same graph.
 
 This module provides that persistence layer:
 
-* :func:`graph_signature` — a stable content hash of a directed graph
+* :func:`graph_signature` — a stable content hash of a road graph
   (sorted nodes plus sorted ``(u, v, travel_time)`` edge triples), used
   both as the cache key and as the integrity check on load;
 * :func:`save_ch_preprocessing` / :func:`load_ch_preprocessing` — JSON
@@ -43,12 +43,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
-import networkx as nx
-
 from ...resilience.faults import corrupt_file_if_scheduled, fault_point
 from ...resilience.retry import RetryPolicy, retry_call
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..graph import RoadGraph
     from .ch import CHOracle
 
 #: Payload layout version; bump when ``export_preprocessing`` changes
@@ -62,7 +61,7 @@ CACHE_IO_POLICY = RetryPolicy(
 )
 
 
-def graph_signature(graph: nx.DiGraph) -> str:
+def graph_signature(graph: "RoadGraph") -> str:
     """Stable content hash of a travel-time-weighted directed graph.
 
     Two graphs share a signature exactly when they have the same node
@@ -74,24 +73,23 @@ def graph_signature(graph: nx.DiGraph) -> str:
     The hashed text is one line per node in sorted order, then one line
     per edge, grouped by sorted tail and sorted head within a tail.  It
     is built with one ``"".join`` and hashed with one sha256 call; the
-    bytes are the ones every earlier version hashed, so existing cache
-    files stay warm with no format bump.
+    bytes are the ones every earlier version hashed (the networkx-graph
+    versions included), so existing cache files stay warm with no
+    format bump.  Heads sort by index because the index is sorted id.
     """
-    nodes = sorted(graph.nodes)
-    successors = dict(graph.adjacency())
+    nodes = graph.nodes_sorted
     lines = [f"n{node!r}\n" for node in nodes]
     lines.extend(
-        f"e{u!r}>{v!r}:{float(out[v]['travel_time'])!r}\n"
-        for u in nodes
-        for out in (successors[u],)
-        for v in sorted(out)
+        f"e{u!r}>{nodes[head]!r}:{weight!r}\n"
+        for u, heads in zip(nodes, graph.successors)
+        for head, weight in sorted(heads)
     )
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def ch_cache_path(
     cache_dir: str | Path,
-    graph: nx.DiGraph,
+    graph: "RoadGraph",
     witness_hop_limit: int,
 ) -> Path:
     """Cache-file location for ``graph`` contracted at ``witness_hop_limit``."""
@@ -142,7 +140,7 @@ def quarantine_cache_file(path: str | Path) -> Path | None:
 
 
 def load_ch_preprocessing_outcome(
-    path: str | Path, graph: nx.DiGraph, witness_hop_limit: int
+    path: str | Path, graph: "RoadGraph", witness_hop_limit: int
 ) -> CacheLoadOutcome:
     """Read a persisted payload, reporting failures instead of hiding them.
 
@@ -202,7 +200,7 @@ def load_ch_preprocessing_outcome(
 
 
 def load_ch_preprocessing(
-    path: str | Path, graph: nx.DiGraph, witness_hop_limit: int
+    path: str | Path, graph: "RoadGraph", witness_hop_limit: int
 ) -> Mapping[str, Any] | None:
     """Read a persisted preprocessing payload, or ``None`` when unusable.
 
@@ -216,7 +214,7 @@ def load_ch_preprocessing(
 
 
 def save_ch_preprocessing(
-    path: str | Path, oracle: "CHOracle", graph: nx.DiGraph
+    path: str | Path, oracle: "CHOracle", graph: "RoadGraph"
 ) -> Path:
     """Persist ``oracle``'s contraction products for ``graph`` at ``path``.
 

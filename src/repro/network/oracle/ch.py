@@ -65,13 +65,14 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping, Sequence
-
-import networkx as nx
+from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
 
 from ...exceptions import UnreachableError
 from .base import DistanceOracle
 from .csr import CHSweepKernel, label_arrays, pack_labels, segment_minima
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..graph import RoadGraph
 
 
 _INF = float("inf")
@@ -124,7 +125,7 @@ class CHOracle(DistanceOracle):
     Parameters
     ----------
     graph:
-        Directed graph with ``travel_time`` edge weights.
+        The road graph to answer for.
     witness_hop_limit:
         Hop limit of the witness searches run while contracting.
     pair_cache_size:
@@ -154,7 +155,7 @@ class CHOracle(DistanceOracle):
 
     def __init__(
         self,
-        graph: nx.DiGraph,
+        graph: "RoadGraph",
         witness_hop_limit: int = DEFAULT_WITNESS_HOP_LIMIT,
         pair_cache_size: int | None = DEFAULT_PAIR_CACHE_SIZE,
         bucket_cache_size: int | None = DEFAULT_BUCKET_CACHE_SIZE,
@@ -226,20 +227,15 @@ class CHOracle(DistanceOracle):
     # ------------------------------------------------------------------
     def _build(self) -> None:
         n = len(self._nodes)
-        # Remaining-graph adjacency, mutated as nodes are contracted.
-        # Parallel edges collapse to their minimum weight up front.
+        # Remaining-graph adjacency, mutated as nodes are contracted,
+        # and the augmented edge set (original edges + shortcuts) at
+        # their final minimum weights.  Both are filled in the graph's
+        # edge order, which fixes the contraction and the export.
         fwd: list[dict[int, float]] = [{} for _ in range(n)]
         bwd: list[dict[int, float]] = [{} for _ in range(n)]
-        # Augmented edge set (original edges + shortcuts) at their final
-        # minimum weights.
         aug: dict[tuple[int, int], float] = {}
-        for u, v, data in self._graph.edges(data=True):
-            if u == v:
-                continue
-            ui, vi = self._index[u], self._index[v]
-            w = float(data["travel_time"])
-            old = fwd[ui].get(vi)
-            if old is None or w < old:
+        for ui, vi, w in self._graph.indexed_edges():
+            if ui != vi:
                 fwd[ui][vi] = w
                 bwd[vi][ui] = w
                 aug[(ui, vi)] = w

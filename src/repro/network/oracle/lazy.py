@@ -25,12 +25,13 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from math import inf
-from typing import Sequence
-
-import networkx as nx
+from typing import Sequence, TYPE_CHECKING
 
 from ...exceptions import UnreachableError
 from .base import DistanceOracle
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..graph import RoadGraph
 
 #: Default bound on the number of cached single-source distance rows.
 DEFAULT_MAX_SOURCES = 1024
@@ -42,7 +43,7 @@ class LazyDijkstraOracle(DistanceOracle):
     Parameters
     ----------
     graph:
-        Directed graph with ``travel_time`` edge weights.
+        The road graph to answer for.
     max_sources:
         Maximum number of forward per-source distance rows kept alive,
         and of reverse per-target rows, each; ``None`` means unbounded (the
@@ -53,7 +54,7 @@ class LazyDijkstraOracle(DistanceOracle):
 
     def __init__(
         self,
-        graph: nx.DiGraph,
+        graph: "RoadGraph",
         max_sources: int | None = DEFAULT_MAX_SOURCES,
     ) -> None:
         super().__init__(graph)
@@ -151,7 +152,6 @@ class LazyDijkstraOracle(DistanceOracle):
     def clear(self) -> None:
         self._cache.clear()
         self._rcache.clear()
-        self._drop_adjacency()
 
     def _extra_stats(self) -> dict[str, float]:
         return {

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, TYPE_CHECKING
 
-import networkx as nx
-
 from ...exceptions import ConfigurationError, unknown_name
 from ...resilience.degradation import DegradationLog
 from ...resilience.faults import fault_point
@@ -24,7 +22,7 @@ from .lazy import LazyDijkstraOracle
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...config import SimulationConfig
-    from ..graph import RoadNetwork
+    from ..graph import RoadGraph, RoadNetwork
     from .spec import OracleSpec
 
 #: Factory signature: ``(graph, *, seed, cache_dir, degradations)`` ->
@@ -32,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 OracleFactory = Callable[..., DistanceOracle]
 
 
-def _make_lazy(graph: nx.DiGraph, **_unused: object) -> LazyDijkstraOracle:
+def _make_lazy(graph: "RoadGraph", **_unused: object) -> LazyDijkstraOracle:
     return LazyDijkstraOracle(graph)
 
 
@@ -47,7 +45,7 @@ class _CHCacheAttempt:
 
 
 def _ch_from_cache(
-    graph: nx.DiGraph, path, seed: int, attempt: _CHCacheAttempt
+    graph: "RoadGraph", path, seed: int, attempt: _CHCacheAttempt
 ) -> CHOracle | None:
     """One validating load attempt, folded into ``attempt``'s accounting."""
     from .cache import load_ch_preprocessing_outcome, quarantine_cache_file
@@ -71,7 +69,7 @@ def _ch_from_cache(
 
 
 def _ch_build_and_save(
-    graph: nx.DiGraph,
+    graph: "RoadGraph",
     path,
     seed: int,
     degradations: DegradationLog | None,
@@ -97,7 +95,7 @@ def _ch_build_and_save(
 
 
 def _make_ch(
-    graph: nx.DiGraph,
+    graph: "RoadGraph",
     *,
     seed: int,
     cache_dir: str | None,
@@ -175,7 +173,7 @@ ORACLE_BACKENDS: dict[str, tuple[OracleFactory, tuple[str, ...]]] = {
 
 def create_oracle(
     name: str,
-    graph: nx.DiGraph,
+    graph: "RoadGraph",
     *,
     seed: int = 0,
     cache_dir: str | None = None,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -37,6 +38,7 @@ from ..durability.checkpoint import (
 from ..durability.journal import RunJournal
 from ..durability.results import ResultStore
 from ..exceptions import ConfigurationError, ReproError
+from ..network.graph import RoadNetwork
 from ..resilience.cancellation import CancellationToken, RunCancelled
 from ..resilience.degradation import CircuitOpenError, DegradationLog
 from ..resilience.faults import fault_point
@@ -163,8 +165,10 @@ class ScenarioService:
         self._run_ids = itertools.count(1)
         self._closed = False
         self._draining = False
-        # Per-backend oracle counters accumulated from finished runs.
+        # Per-backend oracle counters accumulated from finished runs,
+        # and each pooled oracle's stats when they were last folded in.
         self._oracle_counters: dict[str, dict[str, float]] = {}
+        self._oracle_seen: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         #: Submissions refused because the admission queue was full.
         self._rejected_total = 0
         #: Degradation events folded from finished runs, keyed by site.
@@ -469,7 +473,6 @@ class ScenarioService:
             record.mark_failed("internal-error", f"{type(exc).__name__}: {exc}")
         else:
             record.mark_completed(self._summarise(result))
-            self._fold_oracle_counters(result)
             self._fold_degradations(result.degradations)
         self._finalize_durable(record)
 
@@ -563,7 +566,7 @@ class ScenarioService:
             )
         hooks = self._hooks_for(record, degradations, sink)
         try:
-            return session.run(
+            result = session.run(
                 spec,
                 hooks=hooks,
                 workload=run_workload,
@@ -575,6 +578,8 @@ class ScenarioService:
         finally:
             if sink is not None:
                 sink.close()
+        self._fold_oracle_counters(spec, workload.network)
+        return result
 
     def _hooks_for(
         self,
@@ -624,15 +629,25 @@ class ScenarioService:
                     self._degradation_counters.get(site, 0) + 1
                 )
 
-    def _fold_oracle_counters(self, result: RunResult) -> None:
-        stats = result.oracle_stats
-        if not stats:
-            return
-        backend = result.spec.config().oracle.backend
+    def _fold_oracle_counters(self, spec: ScenarioSpec, network: RoadNetwork) -> None:
+        """Fold in the pooled oracle's own advance since it was last read.
+
+        Not the run's ``oracle_stats``: that is a before/after delta of
+        the pooled oracle, so runs overlapping on it would count each
+        other's answers.  Keyed by the oracle object, so every answer
+        counts once, whichever run asked it.
+        """
+        backend = spec.config().oracle.backend
+        oracle = network.oracle
         with self._lock:
+            with oracle.lock:
+                stats = oracle.stats()
+            seen = self._oracle_seen.get(oracle)
+            self._oracle_seen[oracle] = stats
+            advance = (stats if seen is None else stats - seen).as_dict()
             counters = self._oracle_counters.setdefault(backend, {})
             counters["runs"] = counters.get("runs", 0) + 1
-            for key, value in stats.items():
+            for key, value in advance.items():
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     continue
                 counters[key] = counters.get(key, 0) + value
@@ -698,9 +713,11 @@ class ScenarioService:
 
         ``batcher.serial_queries`` is the ``queries`` total of the
         per-backend oracle counters: the answers (cells and scalar
-        reads) finished runs took under their oracle's lock.  It only
-        grows, whatever the pool evicts.  (The ``batcher`` key keeps the
-        name ``benchmarks/e2e/serve_load.py`` reads.)
+        reads) the pooled oracles served under their locks, workload
+        generation included, each counted once and folded in as a run
+        finishes.  It only grows, whatever the pool evicts.  (The
+        ``batcher`` key keeps the name ``benchmarks/e2e/serve_load.py``
+        reads.)
         """
         with self._lock:
             records = [self._records[run_id] for run_id in self._record_order]

@@ -77,23 +77,20 @@ class WorkerSpatialIndex:
     def _fastest_edge_speed(network: "RoadNetwork") -> float:
         """Fastest Euclidean speed of any edge (units per second)."""
         graph = network.graph
-        coords = {
-            node: (float(data["x"]), float(data["y"]))
-            for node, data in graph.nodes(data=True)
-        }
+        coords = [graph.coordinates(node) for node in graph.nodes_sorted]
         fastest = 0.0
-        for u, v, data in graph.edges(data=True):
-            travel_time = float(data["travel_time"])
-            ux, uy = coords[u]
-            vx, vy = coords[v]
-            length = ((vx - ux) ** 2 + (vy - uy) ** 2) ** 0.5
-            if length <= 0.0:
-                continue
-            if travel_time <= 0.0:
-                return float("inf")
-            speed = length / travel_time
-            if speed > fastest:
-                fastest = speed
+        for tail, heads in enumerate(graph.successors):
+            ux, uy = coords[tail]
+            for head, travel_time in heads:
+                vx, vy = coords[head]
+                length = ((vx - ux) ** 2 + (vy - uy) ** 2) ** 0.5
+                if length <= 0.0:
+                    continue
+                if travel_time <= 0.0:
+                    return float("inf")
+                speed = length / travel_time
+                if speed > fastest:
+                    fastest = speed
         return fastest
 
     # ------------------------------------------------------------------

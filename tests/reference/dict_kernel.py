@@ -38,6 +38,7 @@ from repro.network.oracle.ch import (
     CHOracle,
 )
 from repro.network.oracle.lazy import LazyDijkstraOracle
+from tests.reference.nx_graph import to_networkx
 
 
 def dict_dijkstra(
@@ -98,21 +99,25 @@ class ReferenceKernel:
     unpacked into rows over the oracle's node index (``inf`` where the
     map has no key), so everything above the kernel — caches, counters,
     cell reads — is the production oracle's own.  The node-keyed
-    adjacency lives in the production attributes, which ``clear()``
-    drops.
+    adjacency is read off the graph's networkx copy on first use, not
+    off the production graph's shared index lists.
     """
+
+    _node_adjacency: tuple[dict, dict] | None = None
 
     def _dijkstra_from(self, source: int) -> list[float]:
         self._sssp_runs += 1
-        if self._successors is None:
-            self._successors = successor_lists(self._graph)
-        return self._row(dict_dijkstra(self._successors, source))
+        return self._row(dict_dijkstra(self._adjacency_by_node()[0], source))
 
     def _dijkstra_to(self, target: int) -> list[float]:
         self._reverse_sssp_runs += 1
-        if self._predecessors is None:
-            self._predecessors = predecessor_lists(self._graph)
-        return self._row(dict_dijkstra(self._predecessors, target))
+        return self._row(dict_dijkstra(self._adjacency_by_node()[1], target))
+
+    def _adjacency_by_node(self) -> tuple[dict, dict]:
+        if self._node_adjacency is None:
+            graph = to_networkx(self._graph)
+            self._node_adjacency = (successor_lists(graph), predecessor_lists(graph))
+        return self._node_adjacency
 
     def _row(self, distances: Mapping[int, float]) -> list[float]:
         return [distances.get(node, inf) for node in self._nodes]

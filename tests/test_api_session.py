@@ -251,7 +251,7 @@ class TestOracleCachePersistence:
         cold = create_oracle("ch", graph, cache_dir=str(tmp_path))
         warm = create_oracle("ch", graph, cache_dir=str(tmp_path))
         assert warm.preprocessing_loaded and not cold.preprocessing_loaded
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         for source in nodes[::5]:
             for target in nodes[::7]:
                 assert warm.travel_time(source, target) == pytest.approx(

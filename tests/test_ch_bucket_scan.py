@@ -19,9 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import UnreachableError
+from repro.network.graph import RoadGraph
 from repro.network.oracle import CHOracle
 from tests.reference.ch_bucket_scan import PerPairCHOracle
 from tests.reference.dict_kernel import DictCHOracle
+from tests.reference.nx_graph import from_networkx
 
 #: Few distinct weights, zero among them, so distinct paths tie often
 #: and ``0.1 + 0.2`` meets ``0.3`` (two floats that do not compare equal).
@@ -41,16 +43,16 @@ _UNIFORM = (
 
 
 @st.composite
-def _graphs(draw) -> nx.DiGraph:
+def _graphs(draw) -> RoadGraph:
     """Small digraphs, often not strongly connected (unreachable pairs)."""
     size = draw(st.integers(2, 9))
     graph = nx.DiGraph()
-    graph.add_nodes_from(range(size))
+    graph.add_nodes_from(range(size), x=0.0, y=0.0)
     pairs = [(u, v) for u in range(size) for v in range(size) if u != v]
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * size, unique=True))
     for u, v in chosen:
         graph.add_edge(u, v, travel_time=draw(st.sampled_from(_WEIGHTS)))
-    return graph
+    return from_networkx(graph)
 
 
 @st.composite
@@ -85,7 +87,7 @@ def _scalar(oracle: CHOracle, source: int, target: int) -> float | None:
 @given(data=st.data())
 def test_block_pricing_matches_the_per_pair_scan(data):
     graph = data.draw(_graphs())
-    nodes = sorted(graph.nodes)
+    nodes = sorted(graph)
     bucket_cache_size = data.draw(st.sampled_from((1024, 2, 1)))
     payload = CHOracle(graph).export_preprocessing()
     oracles = tuple(
@@ -124,7 +126,7 @@ def test_rows_and_columns_price_identically(shape):
     from repro.network.generators import grid_city
 
     graph = grid_city(12, 12, seed=4).graph
-    nodes = sorted(graph.nodes)
+    nodes = sorted(graph)
     payload = CHOracle(graph).export_preprocessing()
     ours = CHOracle(graph, preprocessing=payload)
     reference = PerPairCHOracle(graph, preprocessing=payload)

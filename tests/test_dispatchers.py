@@ -15,6 +15,7 @@ from repro.network.grid import GridIndex
 from repro.routing.planner import RoutePlanner
 from repro.simulation.fleet import WorkerFleet
 from tests.conftest import make_order
+from tests.reference.nx_graph import from_networkx
 
 
 @pytest.fixture
@@ -281,7 +282,7 @@ class TestGDPDispatcher:
             graph.add_node(node, x=float(node), y=0.0)
         for u, v in [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3)]:
             graph.add_edge(u, v, travel_time=10.0)
-        network = RoadNetwork(graph)
+        network = RoadNetwork(from_networkx(graph))
         workers = [Worker(location=location, capacity=4) for location in locations]
         fleet = WorkerFleet(workers, network, GridIndex(network, size=2))
         dispatcher = GDPDispatcher(network, fleet, base_config)

@@ -223,16 +223,17 @@ class TestCheckpointFiles:
         was built on first use, a v7 one a pool with a check period and
         statistics, a v8 one an oracle spec with cache_size and
         witness_hops, a v9 one a spatial index holding a lock (a
-        ``("lock", ...)`` persistent id); the header check refuses all
-        eight before anything is unpickled."""
+        ``("lock", ...)`` persistent id), a v10 one was written when the
+        ``("graph",)`` id stood for a networkx graph; the header check
+        refuses all nine before anything is unpickled."""
         session = Session()
         spec = _spec()
         path = tmp_path / "run.ckpt"
         interrupt_and_checkpoint(session, spec, path, cut=3)
         header_line, _, blob = path.read_bytes().partition(b"\n")
         header = json.loads(header_line)
-        assert header["format"] == 10
-        for older in (2, 3, 4, 5, 6, 7, 8, 9):
+        assert header["format"] == 11
+        for older in (2, 3, 4, 5, 6, 7, 8, 9, 10):
             header["format"] = older
             path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + blob)
             with pytest.raises(CheckpointError, match=f"unsupported format {older}"):

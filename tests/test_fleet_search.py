@@ -35,6 +35,7 @@ from repro.simulation.fleet import WorkerFleet
 
 from tests.conftest import make_order
 from tests.reference.fleet_scan import ScanningWorkerFleet
+from tests.reference.nx_graph import from_networkx, to_networkx
 
 _ROWS = _COLS = 8
 #: A node with one inbound edge and none out: a worker parked here
@@ -46,10 +47,10 @@ def _city(seed: int, jitter: float) -> RoadNetwork:
     """An 8x8 grid plus the sink.  Without jitter every block is exactly
     60 s, so approach times tie all over the fleet."""
     grid = grid_city(rows=_ROWS, cols=_COLS, seed=seed, jitter=jitter)
-    graph = nx.DiGraph(grid.graph)
+    graph = to_networkx(grid.graph)
     graph.add_node(_SINK, x=3.5, y=3.5)
     graph.add_edge(27, _SINK, travel_time=30.0)
-    return RoadNetwork(graph)
+    return RoadNetwork(from_networkx(graph))
 
 
 def _group(network, planner, trips, now=0.0):
@@ -339,7 +340,7 @@ class TestOneApproach:
         network.travel_time(14, 63)  # 14's forward row
         group = _group(network, RoutePlanner(network), [(0, 2, 1)])
         reverse = nx.single_source_dijkstra_path_length(
-            network.graph.reverse(copy=False), 0, weight="travel_time"
+            to_networkx(network.graph).reverse(copy=False), 0, weight="travel_time"
         )[14]
         assert reverse < network.travel_time(14, 0), "the last-bit gap is gone"
         _set_slack(group, 0.0, reverse)

@@ -14,7 +14,6 @@ import math
 from collections import Counter
 from dataclasses import asdict, replace
 
-import networkx as nx
 import pytest
 
 import repro.experiments.runner as runner
@@ -24,7 +23,7 @@ from repro.config import SimulationConfig
 from repro.model.order import Order, OrderStatus
 from repro.model.route import StopKind
 from repro.model.worker import Worker
-from repro.network.graph import RoadNetwork
+from repro.network.graph import RoadGraph, RoadNetwork
 from repro.network.grid import GridIndex
 from repro.simulation.fleet import WorkerFleet
 from repro.simulation.spatial import WorkerSpatialIndex
@@ -218,15 +217,13 @@ def test_only_a_fleet_search_builds_the_spatial_index(algorithm, monkeypatch):
 # ----------------------------------------------------------------------
 # edge cases, each on a hand-built street
 # ----------------------------------------------------------------------
-def _street(times=(10.0, 20.0, 30.0, 40.0, 50.0)) -> nx.DiGraph:
+def _street(times=(10.0, 20.0, 30.0, 40.0, 50.0)) -> RoadGraph:
     """Nodes 0..n in a row, two-way, block ``i`` taking ``times[i]``."""
-    graph = nx.DiGraph()
-    for node in range(len(times) + 1):
-        graph.add_node(node, x=float(node), y=0.0)
-    for node, travel_time in enumerate(times):
-        graph.add_edge(node, node + 1, travel_time=travel_time)
-        graph.add_edge(node + 1, node, travel_time=travel_time)
-    return graph
+    return RoadGraph(
+        [(node, float(node), 0.0) for node in range(len(times) + 1)],
+        [(node, node + 1, travel_time) for node, travel_time in enumerate(times)],
+        bidirectional=True,
+    )
 
 
 def _config() -> SimulationConfig:
@@ -243,7 +240,7 @@ def _order(order_id, pickup, dropoff, deadline, release=0.0, riders=1) -> Order:
 class _Both:
     """The reference and the production dispatcher, stepped together."""
 
-    def __init__(self, graph: nx.DiGraph, locations, capacity=4) -> None:
+    def __init__(self, graph: RoadGraph, locations, capacity=4) -> None:
         self.sides = []
         for cls in (ReferenceGDPDispatcher, GDPDispatcher):
             network = RoadNetwork(graph)
@@ -351,7 +348,7 @@ class TestEdgeCases:
 class _CountingNetwork(RoadNetwork):
     """Counts the oracle-facing calls a dispatcher makes."""
 
-    def __init__(self, graph: nx.DiGraph) -> None:
+    def __init__(self, graph: RoadGraph) -> None:
         super().__init__(graph)
         self.calls: Counter = Counter()
 

@@ -11,6 +11,7 @@ from repro.core.gmm import GaussianComponent, GaussianMixture
 from repro.core.threshold import ThresholdOptimizer, fit_extra_time_distribution
 from repro.exceptions import LearningError
 from tests.conftest import make_order
+from tests.reference.threshold_optimizer import ReferenceThresholdOptimizer, scalar_cdf
 
 
 def _bimodal_samples(seed=0, size=600):
@@ -89,7 +90,7 @@ class _ArrayPathMixture(GaussianMixture):
 def _mixture_of(cls, components):
     """A mixture with exactly these (weight, mean, variance) components."""
     mixture = cls(n_components=len(components))
-    mixture._components = [GaussianComponent(*entry) for entry in components]
+    mixture._set_components([GaussianComponent(*entry) for entry in components])
     return mixture
 
 
@@ -136,6 +137,34 @@ class TestScalarCdf:
         slow = ThresholdOptimizer(_mixture_of(_ArrayPathMixture, components))
         for penalty in (0.5, 37.0, 180.0, 450.0, 2000.0):
             assert fast.optimal_threshold(penalty) == slow.optimal_threshold(penalty)
+
+
+class TestAgainstTheFrozenOptimizer:
+    """The optimiser and scalar CDF return the reference's floats, to the bit."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            lambda: fit_extra_time_distribution(_bimodal_samples(seed=3), seed=3),
+            lambda: GaussianMixture(n_components=2, seed=1).fit(_bimodal_samples()),
+        ],
+        ids=["three-modes", "two-modes"],
+    )
+    def mixture(self, request):
+        return request.param()
+
+    def test_every_integer_penalty(self, mixture):
+        ours = ThresholdOptimizer(mixture)
+        reference = ReferenceThresholdOptimizer(mixture)
+        for penalty in range(3001):
+            assert ours.optimal_threshold(float(penalty)) == (
+                reference.optimal_threshold(float(penalty))
+            ), penalty
+        assert ours.optimal_threshold(540) == reference.optimal_threshold(540)
+
+    def test_scalar_cdf(self, mixture):
+        for point in [-5.0, 0.0, 0.5, 59.9, 60, 180.25, 300.0, 1e4, np.float64(42.5)]:
+            assert mixture.cdf(point) == scalar_cdf(mixture, point)
 
 
 class TestFitExtraTimeDistribution:

@@ -11,7 +11,8 @@ Four contracts, each held to ``==``:
   as scalars;
 * the oracle's own Dijkstra row is networkx's distances and the
   reference kernel's map, forward and against the edges, cell for cell
-  (``inf`` where the map has no key), and does not outlive ``clear()``;
+  (``inf`` where the map has no key), searched over the graph's own
+  shared lists;
 * a distance is a ``float``, a node's distance to itself included.
 """
 
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import UnknownNodeError, UnreachableError
-from repro.network.graph import RoadNetwork
+from repro.network.graph import RoadGraph, RoadNetwork
 from repro.network.oracle import CHOracle, LazyDijkstraOracle, create_oracle
 from repro.network.oracle import ch as ch_module
 from repro.network.oracle.base import DistanceOracle
@@ -36,6 +37,7 @@ from tests.reference.dict_kernel import (
     predecessor_lists,
     successor_lists,
 )
+from tests.reference.nx_graph import from_networkx, to_networkx
 
 #: name -> oracle factory: both backends, the contraction
 #: hierarchy under its csr kernel and under the pure-Python reference
@@ -69,10 +71,10 @@ def _digraph(num_nodes: int, seed: int, weight=lambda rng: rng.uniform(1.0, 10.0
         u, v = rng.randrange(num_nodes), rng.randrange(num_nodes)
         if u != v and not graph.has_edge(u, v):
             graph.add_edge(u, v, travel_time=weight(rng))
-    return graph
+    return from_networkx(graph)
 
 
-def _network(name: str, graph: nx.DiGraph) -> RoadNetwork:
+def _network(name: str, graph: RoadGraph) -> RoadNetwork:
     return RoadNetwork(graph, oracle=BACKENDS[name](graph))
 
 
@@ -137,11 +139,9 @@ class TestLegMatrixIsTheScalarAnswer:
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_unknown_node_and_unreachable_pair(self, name):
-        graph = nx.DiGraph()
-        for node in range(3):
-            graph.add_node(node, x=float(node), y=0.0)
-        graph.add_edge(0, 1, travel_time=4.0)
-        graph.add_edge(1, 2, travel_time=2.5)
+        graph = RoadGraph(
+            [(node, float(node), 0.0) for node in range(3)], [(0, 1, 4.0), (1, 2, 2.5)]
+        )
         network = _network(name, graph)
         assert network.leg_matrix([0, 2], [2, 0]) == [[6.5, 0.0], [0.0, inf]]
         with pytest.raises(UnreachableError):
@@ -363,10 +363,14 @@ class _ScalarOnly(DistanceOracle):
 
     name = "scalar-only"
 
+    def __init__(self, graph: RoadGraph) -> None:
+        super().__init__(graph)
+        self._reference = to_networkx(graph)
+
     def travel_time(self, source: int, target: int) -> float:
         try:
             return float(
-                nx.dijkstra_path_length(self.graph, source, target, weight="travel_time")
+                nx.dijkstra_path_length(self._reference, source, target, weight="travel_time")
             )
         except nx.NetworkXNoPath:
             raise UnreachableError(source, target) from None
@@ -440,7 +444,7 @@ class TestKernelIsNetworkx:
     @given(graph=weighted_digraphs())
     def test_rows_are_networkx_values(self, graph):
         """A row has no key order, so only the values are compared."""
-        oracle = LazyDijkstraOracle(graph)
+        oracle = LazyDijkstraOracle(from_networkx(graph))
         reverse = graph.reverse(copy=True)
         for node in graph:
             for row, search_graph in (
@@ -459,7 +463,8 @@ class TestKernelIsNetworkx:
     @given(graph=weighted_digraphs())
     def test_rows_equal_the_reference_kernel(self, graph):
         """Every cell is the reference map's float, or ``inf`` off its keys."""
-        oracle = LazyDijkstraOracle(graph)
+        road = from_networkx(graph)
+        oracle = LazyDijkstraOracle(road)
         forward, backward = successor_lists(graph), predecessor_lists(graph)
         for node in graph:
             for row, adjacency in (
@@ -478,28 +483,35 @@ class TestKernelIsNetworkx:
                 )
             # The network's all-to-one map: the reverse row's reachable cells,
             # in node-index order.
-            arrivals = RoadNetwork(graph, oracle=oracle).travel_times_to(node)
+            arrivals = RoadNetwork(road, oracle=oracle).travel_times_to(node)
             assert arrivals == dict_dijkstra(backward, node)
             assert list(arrivals) == [key for key in oracle._nodes if key in arrivals]
 
     @pytest.mark.parametrize("name", KERNEL_BACKENDS)
-    def test_adjacency_does_not_outlive_clear(self, name):
-        graph = nx.DiGraph()
-        for node in range(3):
-            graph.add_node(node, x=float(node), y=0.0)
-        graph.add_edge(0, 1, travel_time=5.0)
-        graph.add_edge(1, 2, travel_time=5.0)
-        graph.add_edge(0, 2, travel_time=20.0)
-        oracle = _network(name, graph).oracle
-        assert oracle._dijkstra_from(0)[2] == 10.0
-        assert oracle._dijkstra_to(2)[0] == 10.0
-        graph[1][2]["travel_time"] = 50.0
-        oracle.clear()
+    def test_searches_share_the_graph_lists(self, name):
+        """Rows are searched over the graph's own successor and
+        predecessor lists: the oracle holds no adjacency of its own, and
+        ``clear()`` drops cached rows, never the (immutable) graph."""
+        graph = RoadGraph(
+            [(node, float(node), 0.0) for node in range(3)],
+            [(0, 1, 5.0), (1, 2, 5.0), (0, 2, 20.0)],
+        )
+        network = _network(name, graph)
+        oracle = network.oracle
         # Rows over nodes 0, 1, 2 (ids and row indices coincide here).
-        assert list(oracle._dijkstra_from(0)) == [0.0, 5.0, 20.0]
-        assert list(oracle._dijkstra_to(2)) == [20.0, 50.0, 0.0]
-        # Nothing else of the old graph is held: the public queries
-        # answer with the new weight too.
-        assert oracle.travel_time(0, 2) == 20.0
-        assert RoadNetwork(graph, oracle=oracle).travel_times_to(2)[1] == 50.0
-        assert oracle.travel_time(1, 2) == 50.0
+        assert list(oracle._dijkstra_from(0)) == [0.0, 5.0, 10.0]
+        assert list(oracle._dijkstra_to(2)) == [10.0, 5.0, 0.0]
+        assert graph.successors == [[(1, 5.0), (2, 20.0)], [(2, 5.0)], []]
+        assert graph.predecessors == [[], [(0, 5.0)], [(0, 20.0), (1, 5.0)]]
+        assert not [
+            name
+            for name, value in vars(oracle).items()
+            if isinstance(value, list) and value is not graph.nodes_sorted
+        ]
+        assert network.travel_times_to(2) == {0: 10.0, 1: 5.0, 2: 0.0}
+        oracle.clear()
+        assert oracle.stats().extras == {
+            "forward_cached_sources": 0.0,
+            "reverse_cached_targets": 0.0,
+        }
+        assert oracle.travel_time(0, 2) == 10.0

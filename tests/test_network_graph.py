@@ -11,36 +11,56 @@ from repro.exceptions import NetworkError, UnknownNodeError, UnreachableError
 from repro.network.graph import RoadNetwork, build_network
 from repro.network.generators import example_network, example_node, grid_city, radial_city
 from repro.network.oracle import create_oracle
+from tests.reference.nx_graph import from_networkx, to_networkx
 
 
 class TestConstruction:
     def test_rejects_empty_graph(self):
         with pytest.raises(NetworkError):
-            RoadNetwork(nx.DiGraph())
+            build_network([], [])
 
     def test_rejects_missing_travel_time(self):
-        graph = nx.DiGraph()
-        graph.add_node(0, x=0.0, y=0.0)
-        graph.add_node(1, x=1.0, y=0.0)
-        graph.add_edge(0, 1)
         with pytest.raises(NetworkError):
-            RoadNetwork(graph)
+            build_network([(0, 0.0, 0.0), (1, 1.0, 0.0)], [(0, 1, None)])
 
     def test_rejects_negative_travel_time(self):
-        graph = nx.DiGraph()
-        graph.add_node(0, x=0.0, y=0.0)
-        graph.add_node(1, x=1.0, y=0.0)
-        graph.add_edge(0, 1, travel_time=-5.0)
         with pytest.raises(NetworkError):
-            RoadNetwork(graph)
+            build_network([(0, 0.0, 0.0), (1, 1.0, 0.0)], [(0, 1, -5.0)])
 
     def test_rejects_missing_coordinates(self):
-        graph = nx.DiGraph()
-        graph.add_node(0)
-        graph.add_node(1, x=1.0, y=0.0)
-        graph.add_edge(0, 1, travel_time=10.0)
+        # An edge naming a node the node list does not place.
         with pytest.raises(NetworkError):
-            RoadNetwork(graph)
+            build_network([(1, 1.0, 0.0)], [(0, 1, 10.0)])
+
+    def test_rejects_a_graph_that_is_not_a_road_graph(self):
+        with pytest.raises(NetworkError, match="build_network"):
+            RoadNetwork(nx.DiGraph())
+
+    def test_orders_and_repeats_follow_networkx(self):
+        """Nodes, edges, repeated nodes and repeated edges iterate and
+        weigh as a ``DiGraph`` fed the same ``add_node`` / ``add_edge``
+        calls: a repeat keeps its first position and its last value."""
+        nodes = [(5, 0.0, 0.0), (2, 1.0, 0.0), (9, 2.0, 0.0), (2, 1.5, 0.5)]
+        edges = [(9, 2, 4.0), (5, 9, 1.0), (2, 5, 3.0), (5, 2, 2.0), (9, 2, 6.0), (9, 9, 0.0)]
+        reference = nx.DiGraph()
+        for node, x, y in nodes:
+            reference.add_node(node, x=x, y=y)
+        for u, v, travel_time in edges:
+            reference.add_edge(u, v, travel_time=travel_time)
+            reference.add_edge(v, u, travel_time=travel_time)
+        network = build_network(nodes, edges)
+        graph = network.graph
+        assert list(graph) == list(reference.nodes)
+        assert [graph.coordinates(node) for node in graph] == [
+            (data["x"], data["y"]) for _, data in reference.nodes(data=True)
+        ]
+        ids = graph.nodes_sorted
+        assert [(ids[u], ids[v], w) for u, v, w in graph.indexed_edges()] == [
+            (u, v, data["travel_time"]) for u, v, data in reference.edges(data=True)
+        ]
+        assert network.number_of_edges() == reference.number_of_edges()
+        round_trip = from_networkx(to_networkx(graph))
+        assert list(round_trip.indexed_edges()) == list(graph.indexed_edges())
 
     def test_build_network_bidirectional(self):
         network = build_network(
@@ -148,8 +168,9 @@ class TestOracleRoutedPaths:
             assert path[0] == source and path[-1] == target
             # The path is made of graph edges and costs what the
             # hierarchy answers, up to its last-ulp reassociation.
+            reference = to_networkx(network.graph)
             cost = sum(
-                network.graph[u][v]["travel_time"]
+                reference[u][v]["travel_time"]
                 for u, v in zip(path, path[1:])
             )
             assert cost == pytest.approx(network.travel_time(source, target), rel=1e-9)
@@ -176,7 +197,7 @@ class TestOracleRoutedPaths:
 class TestNearestNodeIndex:
     def test_matches_linear_scan(self):
         network = grid_city(rows=9, cols=9, seed=15)
-        graph = network.graph
+        graph = to_networkx(network.graph)
         entries = [
             (node, data["x"], data["y"]) for node, data in graph.nodes(data=True)
         ]
@@ -195,3 +216,29 @@ class TestNearestNodeIndex:
                 ),
             )[0]
             assert network.nearest_node(x, y) == best
+
+
+class TestGraphDijkstra:
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_paths_and_lengths_are_networkx(self, jitter):
+        """Same path (ties included: a 0-jitter grid is all ties) and the
+        same float as ``nx.dijkstra_path`` / ``dijkstra_path_length``."""
+        network = grid_city(rows=7, cols=6, seed=4, jitter=jitter)
+        graph = network.graph
+        reference = to_networkx(graph)
+        rng = random.Random(5)
+        nodes = network.nodes_sorted()
+        for _ in range(120):
+            source, target = rng.choice(nodes), rng.choice(nodes)
+            seconds, path = graph.shortest_path(source, target)
+            assert path == nx.dijkstra_path(reference, source, target, weight="travel_time")
+            want = nx.dijkstra_path_length(reference, source, target, weight="travel_time")
+            assert seconds == want and type(seconds) is float
+
+    def test_unreachable_pair_is_none(self):
+        graph = build_network(
+            [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 2.0, 0.0)], [(0, 1, 3.0)], bidirectional=False
+        ).graph
+        assert graph.shortest_path(1, 0) is None
+        assert graph.shortest_path(0, 2) is None
+        assert graph.shortest_path(2, 2) == (0.0, [2])

@@ -23,7 +23,7 @@ from repro.cli import build_parser, main
 from repro.config import SimulationConfig
 from repro.exceptions import ConfigurationError, UnreachableError
 from repro.network.generators import grid_city, manhattan_like_city
-from repro.network.graph import RoadNetwork, build_network
+from repro.network.graph import RoadGraph, RoadNetwork, build_network
 from repro.network.oracle import (
     CHOracle,
     DistanceOracle,
@@ -36,6 +36,7 @@ from repro.network.oracle import (
 from repro.network.oracle.cache import graph_signature
 from repro.resilience.degradation import DegradationLog
 from tests.reference.dict_kernel import DictCHOracle, DictLazyOracle
+from tests.reference.nx_graph import from_networkx, to_networkx
 
 BACKEND_CLASSES = {
     "lazy": LazyDijkstraOracle,
@@ -48,7 +49,7 @@ BACKEND_CLASSES = {
 REASSOCIATING_BACKENDS = {"ch"}
 
 
-def _make(backend: str, graph: nx.DiGraph) -> DistanceOracle:
+def _make(backend: str, graph: RoadGraph) -> DistanceOracle:
     return create_oracle(backend, graph)
 
 
@@ -57,9 +58,9 @@ def _view(oracle: DistanceOracle) -> RoadNetwork:
     return RoadNetwork(oracle.graph, oracle=oracle)
 
 
-def _reference_distances(graph: nx.DiGraph, source: int) -> dict[int, float]:
+def _reference_distances(graph: RoadGraph, source: int) -> dict[int, float]:
     return nx.single_source_dijkstra_path_length(
-        graph, source, weight="travel_time"
+        to_networkx(graph), source, weight="travel_time"
     )
 
 
@@ -87,7 +88,7 @@ class TestBackendAgreement:
     def test_matches_dijkstra_on_sampled_pairs(self, networks, backend, city):
         graph = networks[city].graph
         oracle = _make(backend, graph)
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         import random
 
         rng = random.Random(42)
@@ -107,7 +108,7 @@ class TestBackendAgreement:
             pytest.skip(f"{backend} assembles distances from precomputed parts")
         graph = networks["grid"].graph
         oracle = _make(backend, graph)
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         source = nodes[0]
         reference = _reference_distances(graph, source)
         for target in nodes[:: max(1, len(nodes) // 20)]:
@@ -128,7 +129,7 @@ class TestBackendAgreement:
     def test_self_distance_is_zero(self, networks, backend):
         graph = networks["grid"].graph
         oracle = _make(backend, graph)
-        node = sorted(graph.nodes)[5]
+        node = sorted(graph)[5]
         assert oracle.travel_time(node, node) == 0.0
 
 
@@ -137,7 +138,7 @@ class TestTravelTimesMany:
     def test_cross_product_matches_scalar_queries(self, networks, backend):
         graph = networks["manhattan"].graph
         oracle = _make(backend, graph)
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         sources, targets = nodes[:5], nodes[-5:] + nodes[:2]
         block = _view(oracle).travel_times_many(sources, targets)
         for source in sources:
@@ -167,7 +168,7 @@ class TestTravelTimesMany:
 
 def _random_digraph(
     num_nodes: int, seed: int, strongly_connected: bool
-) -> nx.DiGraph:
+) -> RoadGraph:
     """Random directed graph with asymmetric travel times.
 
     ``strongly_connected`` adds a directed Hamiltonian cycle so every
@@ -194,7 +195,7 @@ def _random_digraph(
         u, v = rng.randrange(num_nodes), rng.randrange(num_nodes)
         if u != v and not graph.has_edge(u, v):
             graph.add_edge(u, v, travel_time=rng.uniform(1.0, 10.0))
-    return graph
+    return from_networkx(graph)
 
 
 class TestReverseForwardAgreement:
@@ -216,9 +217,9 @@ class TestReverseForwardAgreement:
         graph = _random_digraph(40, seed=seed, strongly_connected=strongly)
         oracle = _make(backend, graph)
         rng = random.Random(seed + 1)
-        for target in rng.sample(sorted(graph.nodes), 5):
+        for target in rng.sample(sorted(graph), 5):
             arrivals = _view(oracle).travel_times_to(target)
-            for source in graph.nodes:
+            for source in graph:
                 want = _reference_distances(graph, source).get(target)
                 got = arrivals.get(source)
                 if want is None:
@@ -230,7 +231,7 @@ class TestReverseForwardAgreement:
     def test_many_to_one_batch_matches_forward_pairs(self, backend):
         graph = _random_digraph(40, seed=31, strongly_connected=False)
         oracle = _make(backend, graph)
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         target = nodes[7]
         block = _view(oracle).travel_times_many(nodes, [target])
         for source in nodes:
@@ -251,7 +252,7 @@ class TestReverseForwardAgreement:
         """Regression guard: reverse != transpose-free search."""
         graph = _random_digraph(30, seed=47, strongly_connected=True)
         oracle = _make(backend, graph)
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         asymmetric = 0
         for target in nodes[:6]:
             arrivals = _view(oracle).travel_times_to(target)
@@ -301,7 +302,7 @@ class TestBatchStatsContract:
     def test_lazy_forward_batch_counts_one_miss_per_source(self, networks):
         graph = networks["grid"].graph
         oracle = LazyDijkstraOracle(graph)
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         sources, targets = nodes[:2], nodes[3:7]
         matrix = oracle.leg_matrix(sources, targets)
         stats = oracle.stats()
@@ -320,7 +321,7 @@ class TestLazyLru:
     def test_cache_is_bounded_and_counts_evictions(self, networks):
         graph = networks["grid"].graph
         oracle = LazyDijkstraOracle(graph, max_sources=3)
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         target = nodes[-1]
         for source in nodes[:6]:
             oracle.travel_time(source, target)
@@ -333,7 +334,7 @@ class TestLazyLru:
     def test_repeat_queries_hit_the_cache(self, networks):
         graph = networks["grid"].graph
         oracle = LazyDijkstraOracle(graph, max_sources=8)
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         oracle.travel_time(nodes[0], nodes[1])
         oracle.travel_time(nodes[0], nodes[2])
         stats = oracle.stats()
@@ -368,8 +369,7 @@ class TestContractionHierarchy:
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_CLASSES))
     def test_single_node_graph(self, backend):
-        graph = nx.DiGraph()
-        graph.add_node(0, x=0.0, y=0.0)
+        graph = RoadGraph([(0, 0.0, 0.0)], [])
         oracle = _make(backend, graph)
         assert oracle.travel_time(0, 0) == 0.0
         assert oracle.leg_matrix([0], [0]) == [[0.0]]
@@ -378,9 +378,7 @@ class TestContractionHierarchy:
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_CLASSES))
     def test_edgeless_graph(self, backend):
-        graph = nx.DiGraph()
-        for node in range(4):
-            graph.add_node(node, x=float(node), y=0.0)
+        graph = RoadGraph([(node, float(node), 0.0) for node in range(4)], [])
         oracle = _make(backend, graph)
         with pytest.raises(UnreachableError):
             oracle.travel_time(0, 3)
@@ -391,7 +389,7 @@ class TestContractionHierarchy:
     def test_both_batch_paths_agree_with_dijkstra(self):
         """Bucket scans (narrow) and reverse PHAST (wide) are both exact."""
         graph = _random_digraph(40, seed=77, strongly_connected=False)
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         target = nodes[11]
         narrow = _view(CHOracle(graph)).travel_times_many(nodes[:4], [target])
         wide = _view(CHOracle(graph)).travel_times_many(nodes, [target])
@@ -419,7 +417,7 @@ class TestContractionHierarchy:
             tight.stats().extras["shortcuts_added"]
             >= loose.stats().extras["shortcuts_added"]
         )
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         rng = random.Random(3)
         for _ in range(60):
             source, target = rng.choice(nodes), rng.choice(nodes)
@@ -441,7 +439,7 @@ class TestContractionHierarchy:
         assert stats.backend == "ch"
         assert stats.precompute_seconds > 0.0
         assert stats.extras["shortcuts_added"] > 0
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         oracle.travel_time(nodes[0], nodes[-1])
         oracle.leg_matrix(nodes[:3], [nodes[-1], nodes[-2]])
         stats = oracle.stats()
@@ -468,7 +466,7 @@ class TestContractionHierarchy:
 _GRID32_ORDER_SHA256 = "3409a0f59f6b48f84e315c3f1e8fbef098babc893d8762905c0d547e8021f7be"
 
 
-def _ch_from_spec(graph: nx.DiGraph, **options) -> CHOracle:
+def _ch_from_spec(graph: RoadGraph, **options) -> CHOracle:
     """The CH oracle an ``OracleSpec(backend="ch", **options)`` builds."""
     spec = OracleSpec(backend="ch", **options)
     return configure_oracle(RoadNetwork(graph), SimulationConfig(oracle=spec))
@@ -506,7 +504,7 @@ class TestHierarchyIdentity:
         assert hashlib.sha256(json.dumps(order).encode()).hexdigest() == _GRID32_ORDER_SHA256
         assert oracle.stats().extras["shortcuts_added"] == 6602
         reference = built[kernel][False]
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         rng = random.Random(7)
         for _ in range(200):
             source, target = rng.choice(nodes), rng.choice(nodes)
@@ -519,8 +517,28 @@ class TestHierarchyIdentity:
 #: identical hierarchy proves it here.
 _HIERARCHY_SHA256 = {
     "grid16": "d4a3fd8f29c6faa1dec36d49d5c77be5f8abee93b1700d2217d451d6d202c575",
+    "grid32": "641c8907dd40638cce9b16edcf8be3fbc651026c26f8da8a85d239a22bac6d43",
     "cdc": "9179994e32534449e0db8c0224795ea85ffabc3fb54731a30ce144bf23e5fdd7",
 }
+
+#: ``graph_signature`` of the pinned graphs: the bytes it hashes (and so
+#: every CH cache file name and checkpoint graph hash) were taken while
+#: the network was still a networkx graph, and must not move.
+_GRAPH_SIGNATURE = {
+    "grid16": "751d88b2a7c7fd1fd76afb9aa8a131e7701c70a5adaefa2728dc73fc9e25a8da",
+    "grid32": "0cba3a653ea908d38370df988fde37bb71a88e00bec5726680eb171312337575",
+    "cdc": "5216e16fa24351c8a856d0d1f6a27f8460d3a5ae636a7a96d6f34bf085dc1a4a",
+}
+
+
+def _pinned_graph(name: str):
+    from repro.datasets.workloads import city_by_name
+
+    if name == "grid16":
+        return grid_city(16, 16, seed=3).graph
+    if name == "grid32":
+        return grid_city(32, 32, seed=11).graph
+    return city_by_name("CDC", seed=7).network.graph
 
 
 @pytest.mark.parametrize("kernel", ["csr"])
@@ -529,15 +547,14 @@ def test_hierarchy_export_is_pinned(name, kernel):
     import hashlib
     import json
 
-    from repro.datasets.workloads import city_by_name
-
-    if name == "grid16":
-        graph = grid_city(16, 16, seed=3).graph
-    else:
-        graph = city_by_name("CDC", seed=7).network.graph
-    payload = _ch_from_spec(graph, kernel=kernel).export_preprocessing()
+    payload = _ch_from_spec(_pinned_graph(name), kernel=kernel).export_preprocessing()
     digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
     assert digest == _HIERARCHY_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPH_SIGNATURE))
+def test_graph_signature_is_pinned(name):
+    assert graph_signature(_pinned_graph(name)) == _GRAPH_SIGNATURE[name]
 
 
 def _block_stream(pool: list[int], seed: int, count: int):
@@ -575,10 +592,11 @@ class TestLabelMemo:
     def test_memoised_answers_equal_a_fresh_oracle(
         self, kernel, bucket_cache_size, seed
     ):
-        graph = _random_digraph(30, seed=seed, strongly_connected=False)
-        pool = random.Random(seed).sample(sorted(graph.nodes), 12)
+        graph = to_networkx(_random_digraph(30, seed=seed, strongly_connected=False))
+        pool = random.Random(seed).sample(sorted(graph), 12)
         # One pool node is a sink, whatever the seed left reachable.
         graph.remove_edges_from(list(graph.out_edges(pool[0])))
+        graph = from_networkx(graph)
         payload = CHOracle(graph).export_preprocessing()
 
         def fresh(**kwargs) -> CHOracle:
@@ -620,7 +638,7 @@ class TestLabelMemo:
     @pytest.mark.parametrize("kernel", ["dict", "csr"])
     def test_reasking_evicted_pairs_runs_no_search(self, networks, kernel):
         graph = networks["grid"].graph
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         oracle = _CH_KERNELS[kernel](graph, pair_cache_size=6)
         network = _view(oracle)
         sources, targets = nodes[:3], [nodes[-1], nodes[-2]]
@@ -676,7 +694,7 @@ class TestRegistry:
         needs would make the backends non-interchangeable.
         """
         graph = networks["grid"].graph
-        nodes = sorted(graph.nodes)
+        nodes = sorted(graph)
         oracle = create_oracle(
             backend,
             graph,
@@ -1009,8 +1027,9 @@ class TestGraphSignature:
         assert graph_signature(graph) == graph_signature(graph)
         other = grid_city(rows=5, cols=5, seed=17).graph
         assert graph_signature(graph) == graph_signature(other)
-        other[0][1]["travel_time"] += 1.0
-        assert graph_signature(graph) != graph_signature(other)
+        edited = to_networkx(other)
+        edited[0][1]["travel_time"] += 1.0
+        assert graph_signature(graph) != graph_signature(from_networkx(edited))
 
     def test_signature_of_a_fixed_graph_is_pinned(self):
         """The hashed bytes never move: CH cache file names stay warm.
@@ -1018,10 +1037,9 @@ class TestGraphSignature:
         Integer weights hash as floats, an isolated node still counts,
         and edges hash in sorted order whatever order they were added.
         """
-        graph = nx.DiGraph()
-        graph.add_edge(1, 0, travel_time=2)
-        graph.add_edge(0, 1, travel_time=0.5)
-        graph.add_node(7)
+        graph = RoadGraph(
+            [(1, 0.0, 0.0), (0, 0.0, 0.0), (7, 0.0, 0.0)], [(1, 0, 2), (0, 1, 0.5)]
+        )
         assert graph_signature(graph) == (
             "8bee5c83b4d6c4f89076594d4b352a530a70afb8d414f0df27720738e29dca48"
         )

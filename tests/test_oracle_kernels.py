@@ -30,6 +30,7 @@ from tests.reference.dict_kernel import (
     DictLazyOracle,
     reverse_sweep,
 )
+from tests.reference.nx_graph import from_networkx
 
 
 def _random_digraph(num_nodes: int, seed: int, strongly: bool) -> nx.DiGraph:
@@ -75,10 +76,10 @@ def test_kernels_agree_on_random_digraphs(seed, strongly):
     handling) in play; the wide single-target batch exercises the
     reverse-PHAST row path, the multi-target batch the bucket scans.
     """
-    graph = _random_digraph(14, seed, strongly)
+    graph = from_networkx(_random_digraph(14, seed, strongly))
     reference = RoadNetwork(graph, oracle=DictCHOracle(graph))
     oracle = RoadNetwork(graph, oracle=CHOracle(graph))
-    nodes = sorted(graph.nodes)
+    nodes = sorted(graph)
     target = nodes[seed % len(nodes)]
     assert dict(reference.travel_times_to(target)) == dict(
         oracle.travel_times_to(target)
@@ -102,9 +103,9 @@ def test_kernels_agree_on_random_digraphs(seed, strongly):
 @given(seed=st.integers(0, 10_000), strongly=st.booleans())
 def test_reverse_sweep_primitive_representations_agree(seed, strongly):
     """The kernel seam: dense rows decode to exactly the node-by-node sweep."""
-    graph = _random_digraph(12, seed, strongly)
+    graph = from_networkx(_random_digraph(12, seed, strongly))
     oracle = CHOracle(graph)
-    nodes = sorted(graph.nodes)
+    nodes = sorted(graph)
     target = nodes[seed % len(nodes)]
     seeds = oracle.reverse_seed_map(target)
     want = reverse_sweep(oracle, seeds)
@@ -188,10 +189,11 @@ def test_block_stream_matches_the_reference_kernel(name, seed):
     graph.add_edge(100, 1, travel_time=2.5)
     graph.add_edge(2, 103, travel_time=0.5)
     make, make_reference = KERNEL_TWINS[name]
-    oracle, reference = make(graph), make_reference(graph)
+    road = from_networkx(graph)
+    oracle, reference = make(road), make_reference(road)
     # The dict views are the network's, over the oracle's block query.
-    network = RoadNetwork(graph, oracle=oracle)
-    reference_network = RoadNetwork(graph, oracle=reference)
+    network = RoadNetwork(road, oracle=oracle)
+    reference_network = RoadNetwork(road, oracle=reference)
     nodes = list(graph)
     truth = dict(nx.all_pairs_dijkstra_path_length(graph, weight="travel_time"))
     rng = random.Random(seed)

@@ -29,15 +29,16 @@ from repro.exceptions import InfeasibleGroupError, UnreachableError
 from repro.model.order import Order
 from repro.model.route import Route, RouteStop, StopKind
 from repro.network.generators import grid_city
-from repro.network.graph import RoadNetwork
+from repro.network.graph import RoadGraph, RoadNetwork
 from repro.routing.feasibility import check_route, check_sequential, sequence_cost
 from repro.routing import planner as planner_module
 from repro.routing.planner import RoutePlanner
 from tests.conftest import make_order
 from tests.reference.bruteforce_planner import BruteForcePlanner
+from tests.reference.nx_graph import from_networkx
 
 
-def _random_graph(num_nodes: int, seed: int, connected: bool) -> nx.DiGraph:
+def _random_graph(num_nodes: int, seed: int, connected: bool) -> RoadGraph:
     """Directed graph with irrational-ish asymmetric weights.
 
     ``connected`` closes a random cycle through every node; without it
@@ -62,7 +63,7 @@ def _random_graph(num_nodes: int, seed: int, connected: bool) -> nx.DiGraph:
         u, v = rng.randrange(num_nodes), rng.randrange(num_nodes)
         if u != v and not graph.has_edge(u, v):
             graph.add_edge(u, v, travel_time=rng.uniform(1.0, 10.0))
-    return graph
+    return from_networkx(graph)
 
 
 def _random_group(rng: random.Random, num_nodes: int, size: int, id_base: int) -> list[Order]:
@@ -267,6 +268,7 @@ def test_unreachable_leg_raises_even_when_the_group_is_infeasible():
         graph.add_node(node, x=float(node), y=0.0)
     for u, v in [(0, 1), (1, 2), (2, 3)]:  # one-way street: no way back
         graph.add_edge(u, v, travel_time=5.0)
+    graph = from_networkx(graph)
     network = RoadNetwork(graph)
     first = Order(0, 1, 0.0, 5.0, deadline=0.1, wait_limit=1.0, order_id=1)
     second = Order(2, 3, 0.0, 5.0, deadline=0.1, wait_limit=1.0, order_id=2)

@@ -55,3 +55,26 @@ class TestExceptionHierarchy:
             raise exceptions.InfeasibleGroupError("no route")
         with pytest.raises(exceptions.ReproError):
             raise exceptions.DatasetError("bad data")
+
+
+def test_runtime_imports_leave_networkx_unloaded():
+    """The library and its CLI run without networkx: the tests alone use it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = (
+        "import sys, repro.cli, repro.api; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert completed.stdout.strip() == "[]"

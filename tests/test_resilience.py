@@ -431,7 +431,7 @@ class TestCacheFailureHandling:
         assert path.with_name(path.name + ".corrupt").exists()
         assert path.exists()  # rebuilt and re-persisted
         assert oracle.cache_load_failures >= 1
-        nodes = list(network.graph.nodes)
+        nodes = list(network.graph)
         assert oracle.travel_time(nodes[0], nodes[-1]) >= 0.0
 
 

@@ -313,6 +313,32 @@ class TestScenarioService:
                 _deterministic(run.metrics.summary_row())
             )
 
+    def test_oracle_totals_count_each_answer_once(self):
+        """Two runs overlapping on one pooled ``lazy`` oracle: the served
+        totals are that oracle's own counters, not the sum of two
+        before/after deltas that each include the other run's work."""
+        base = _grid_spec(
+            grid_rows=8, grid_cols=8, num_orders=60, num_workers=12,
+            horizon=900.0, seed=5, oracle={"backend": "lazy"},
+        )
+        specs = [
+            base.with_overrides(algorithm="WATTER-online"),
+            base.with_overrides(algorithm="GAS"),
+        ]
+        with ScenarioService(max_runs=2) as service:
+            records = [service.submit_spec(spec) for spec in specs]
+            for record in records:
+                record = service.wait(record.run_id, timeout=_WAIT)
+                assert record.status == COMPLETED, record.error
+            metrics = service.metrics()
+            oracle = service._pool.acquire(base).workload(base).network.oracle
+            own = oracle.stats()
+        assert metrics["pool"]["sessions"] == 1
+        assert metrics["oracle"]["lazy"]["runs"] == 2
+        assert metrics["oracle"]["lazy"]["queries"] == own.queries
+        assert metrics["oracle"]["lazy"]["sssp_runs"] == own.sssp_runs
+        assert metrics["batcher"]["serial_queries"] == own.queries
+
     def test_served_runs_hash_the_pooled_graph_once(self, monkeypatch):
         """Each run queries the pooled network itself, so the session
         keeps one graph-hash entry for it, not one per served run."""
