@@ -1,28 +1,31 @@
 """Reusable execution context: prepare once, run many scenarios.
 
 A :class:`Session` owns everything that is expensive to stand up and
-cheap to reuse:
+cheap to reuse, in one LRU of *network entries* (at most
+``_NETWORK_CACHE_SIZE``), one entry per network source and seed:
 
-* **networks** — dataset-preset cities and generated grids are built
-  once per distinct source signature and shared by every scenario that
-  names the same source;
-* **oracles** — the configured distance-oracle backend is attached to
-  the shared network once and kept while the oracle spec matches, so
-  two scenarios on the same network construct the CH hierarchy exactly
-  once.  With an ``oracle_cache_dir`` the CH contraction products are
-  additionally persisted to disk keyed by a stable graph hash, so even
-  a *fresh process* skips preprocessing;
-* **workloads** — generation is deterministic per configuration, so
-  identical scenario shapes replay the same memoised workload (LRU
-  bounded);
-* **threshold providers** — the WATTER-expect bootstrap (training
-  workload, GMM fit, optional value-network training) is memoised per
-  scenario signature.
+* **views** — the entry's one immutable
+  :class:`~repro.network.graph.RoadGraph` wrapped in one
+  ``RoadNetwork(graph, oracle)`` per resolved
+  :class:`~repro.network.oracle.OracleSpec`.  The default ``lazy`` view
+  is the network as built; any other view's oracle is built once by
+  :func:`~repro.network.oracle.configure_oracle` and kept, so specs that
+  alternate backends never rebuild an oracle.  With an
+  ``oracle_cache_dir`` the CH contraction products are additionally
+  persisted to disk keyed by a stable graph hash, so even a *fresh
+  process* skips preprocessing;
+* **workloads** — drawn once per scenario shape on the default view,
+  whatever oracle the spec names, then bound to the spec's view with
+  ``dataclasses.replace`` (LRU bounded per entry);
+* **city model** and **threshold providers** — the WATTER-expect
+  bootstrap (training workload, GMM fit, optional value-network
+  training) is memoised per scenario signature and resolved oracle.
 
-``Session.run`` returns a structured :class:`RunResult` — metrics,
-per-order outcomes, oracle statistics, wall-clock timings and the spec
-echo — and accepts a :class:`~repro.simulation.hooks.SimulationHooks`
-observer for streaming state out of the engine.
+Evicting an entry drops all of it.  ``Session.run`` returns a
+structured :class:`RunResult` — metrics, per-order outcomes, oracle
+statistics, wall-clock timings and the spec echo — and accepts a
+:class:`~repro.simulation.hooks.SimulationHooks` observer for streaming
+state out of the engine.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from __future__ import annotations
 import random
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from pathlib import Path
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 from ..config import LearningConfig, SimulationConfig
@@ -69,9 +73,33 @@ from ..simulation.hooks import SimulationHooks
 from ..simulation.metrics import SimulationMetrics
 from .spec import ScenarioSpec
 
-#: Workloads kept alive by one session (LRU): a sweep touches a handful
+#: Network entries kept by one session (LRU).  Each holds a prepared
+#: oracle per view, so the bound is on resident oracles too.
+_NETWORK_CACHE_SIZE = 8
+
+#: Workloads kept per network entry (LRU): a sweep touches a handful
 #: of shapes, and regeneration is deterministic anyway.
 _WORKLOAD_CACHE_SIZE = 8
+
+#: The view every workload is drawn on: the network's own default
+#: ``lazy`` oracle, created together with the network.
+_DRAW_VIEW = OracleSpec()
+
+
+@dataclass
+class _NetworkEntry:
+    """Everything one session prepared for one network key.
+
+    ``views`` maps a resolved :class:`OracleSpec` to a ``RoadNetwork``
+    over the one shared graph (``_DRAW_VIEW``: the network as built);
+    ``workloads`` maps ``(shape, resolved oracle spec)`` to a workload
+    on that view.
+    """
+
+    views: dict[OracleSpec, RoadNetwork]
+    city: CityModel | None = None
+    workloads: OrderedDict[tuple, Workload] = field(default_factory=OrderedDict)
+    providers: dict[tuple, ThresholdProvider] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -122,7 +150,7 @@ class RunResult:
 
         A before/after delta of the network's oracle, so a served run's
         delta also counts the answers runs overlapping it on the same
-        pooled oracle took.
+        view's oracle took.
         """
         return self.metrics.oracle_stats
 
@@ -137,16 +165,16 @@ class RunResult:
 class Session:
     """Prepares networks and oracles once, then runs many scenarios.
 
-    Preparation is thread-safe: every memoisation cache and the oracle
-    attach sit behind one session lock, so concurrent ``prepare``/
-    ``run`` calls (the ``repro.serve`` executor submits them from a
-    thread pool) build each network, workload and oracle exactly once.
-    The simulations themselves execute outside the lock.  Simultaneous
-    runs — and preparations — over one network share its oracle; every
-    query reaches it through :class:`~repro.network.graph.RoadNetwork`,
-    which takes the oracle's one lock, so they take turns at it.  Each
-    concurrent run still needs its own order objects (``repro.serve``
-    clones them per run).
+    Preparation is thread-safe: every memoisation cache and every
+    oracle build sit behind one session lock, so concurrent
+    ``prepare``/``run`` calls (the ``repro.serve`` executor submits them
+    from a thread pool) build each network, view, workload and oracle
+    exactly once.  The simulations themselves execute outside the lock.
+    Simultaneous runs — and preparations — over one view share its
+    oracle; every query reaches it through
+    :class:`~repro.network.graph.RoadNetwork`, which takes the oracle's
+    one lock, so they take turns at it.  Each concurrent run still needs
+    its own order objects (``repro.serve`` clones them per run).
 
     Parameters
     ----------
@@ -161,23 +189,27 @@ class Session:
 
     def __init__(self, *, oracle_cache_dir: str | None = None) -> None:
         self._oracle_cache_dir = oracle_cache_dir
-        self._networks: dict[tuple, RoadNetwork] = {}
-        self._cities: dict[tuple, CityModel] = {}
-        self._workloads: OrderedDict[tuple, Workload] = OrderedDict()
-        self._providers: dict[tuple, ThresholdProvider] = {}
-        self._graph_hashes: dict[RoadGraph, str] = {}
-        # One reentrant lock guards every memoisation dict *and* the
-        # oracle attach, so concurrent ``prepare``/``run`` calls (the
+        self._entries: OrderedDict[tuple, _NetworkEntry] = OrderedDict()
+        # Keyed weakly by the immutable graph: a hash lives as long as
+        # the entry (or the caller's workload) that holds its graph.
+        self._graph_hashes: weakref.WeakKeyDictionary[RoadGraph, str] = (
+            weakref.WeakKeyDictionary()
+        )
+        # One reentrant lock guards every memoisation dict *and* every
+        # oracle build, so concurrent ``prepare``/``run`` calls (the
         # repro.serve layer submits them from a thread pool) build each
-        # network, workload, provider and oracle exactly once — the
-        # second caller blocks until the first finished building and
-        # then reuses the cached object.  Preparation is serialised;
+        # network, view, workload, provider and oracle exactly once —
+        # the second caller blocks until the first finished building
+        # and then reuses the cached object.  Preparation is serialised;
         # the simulations themselves run outside the lock.
         self._lock = threading.RLock()
-        #: How many times a run actually (re)built an oracle — two runs
-        #: over one network with the same oracle settings count once
-        #: (asserted by the concurrency tests and the serve pool).
+        #: How many oracles this session built: one per view other than
+        #: a network's default ``lazy`` one, plus one per oracle
+        #: attached to a caller-built workload's network.
         self.oracle_builds = 0
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
 
     # ------------------------------------------------------------------
     # execution
@@ -247,8 +279,9 @@ class Session:
             cancellation.start()
         custom_workload = workload is not None
         if workload is None:
-            workload = self.workload(spec)
-        self._attach_oracle(workload, config, degradations=degradations)
+            workload = self._workload(spec, config, degradations)
+        else:
+            self._attach_oracle(workload.network, config, degradations)
         if (
             provider is None
             and resume_from is None
@@ -383,25 +416,20 @@ class Session:
     # prepared state
     # ------------------------------------------------------------------
     def network(self, spec: ScenarioSpec) -> RoadNetwork:
-        """The (shared) road network the spec's scenarios run on."""
+        """The spec's view: the shared graph with the spec's oracle attached."""
         spec = self._effective(spec)
-        return self._network_for(spec, spec.config())
+        _, view = self._view(spec, spec.config())
+        return view
 
     def workload(self, spec: ScenarioSpec) -> Workload:
-        """Generate — or replay from the session cache — the spec's workload."""
+        """The spec's workload, bound to the spec's view (memoised).
+
+        Drawn once per shape on the network's default view, whatever
+        oracle the spec names, so specs differing only in their oracle
+        run the same orders.
+        """
         spec = self._effective(spec)
-        config = spec.config()
-        key = self._workload_key(spec, config)
-        with self._lock:
-            cached = self._workloads.get(key)
-            if cached is not None:
-                self._workloads.move_to_end(key)
-                return cached
-            workload = self._build_workload(spec, config)
-            self._workloads[key] = workload
-            if len(self._workloads) > _WORKLOAD_CACHE_SIZE:
-                self._workloads.popitem(last=False)
-            return workload
+        return self._workload(spec, spec.config())
 
     def prepare(
         self,
@@ -419,11 +447,49 @@ class Session:
         graph only reads it.
         """
         spec = self._effective(spec)
-        config = spec.config()
-        workload = self.workload(spec)
-        self._attach_oracle(workload, config, degradations=degradations)
+        workload = self._workload(spec, spec.config(), degradations)
         self.graph_hash(workload.network)
         return workload
+
+    def view_key(self, spec: ScenarioSpec) -> tuple:
+        """The identity of the spec's view: (network key, resolved oracle spec).
+
+        Fields that only shape the workload or the dispatch (order
+        counts, algorithm) are absent: such specs share one view.
+        """
+        spec = self._effective(spec)
+        config = spec.config()
+        return (self._network_key(spec, config), config.oracle.resolved())
+
+    def discard(self, spec: ScenarioSpec) -> None:
+        """Drop the spec's view and the workloads bound to it.
+
+        The default view carries every draw, so discarding it drops the
+        whole network entry.
+        """
+        key, oracle = self.view_key(spec)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return
+            if oracle == _DRAW_VIEW:
+                del self._entries[key]
+                return
+            entry.views.pop(oracle, None)
+            for bound in [bound for bound in entry.workloads if bound[1] == oracle]:
+                del entry.workloads[bound]
+
+    def stats(self) -> dict[str, int]:
+        """Prepared-state counters: entries, views, view hits/misses, builds."""
+        with self._lock:
+            return {
+                "networks": len(self._entries),
+                "views": sum(len(entry.views) for entry in self._entries.values()),
+                "hits": self._hits,
+                "misses": self._misses,
+                "evictions": self._evictions,
+                "oracle_builds": self.oracle_builds,
+            }
 
     def expect_provider(
         self, spec: ScenarioSpec, workload: Workload | None = None
@@ -436,15 +502,16 @@ class Session:
         WATTER-timeout bootstrap run, the Section V GMM fit, optionally
         the Section VI value network — sourcing the training workload
         from whatever the spec describes (dataset preset, grid city or
-        CSV replay).  Networks are keyed by seed, so for a dataset
-        preset or a jittered grid the shifted seed also draws another
-        road network: the GMM is fitted on a different graph than the
-        one the run is evaluated on (CDC seed 7 evaluates on graph
-        ``5216e16f...`` and trains on ``bfe56b2b...``).  ``workload`` substitutes for the spec's
-        source when the caller runs a custom workload — those providers
-        are *not* memoised (the session cannot tell two caller-built
-        workloads apart by spec alone, and a provider fitted to one
-        demand model must never silently serve another).
+        CSV replay), bound to the spec's oracle on the training network.
+        Networks are keyed by seed, so for a dataset preset or a
+        jittered grid the shifted seed also draws another road network:
+        the GMM is fitted on a different graph than the one the run is
+        evaluated on (CDC seed 7 evaluates on graph ``5216e16f...`` and
+        trains on ``bfe56b2b...``).  ``workload`` substitutes for the
+        spec's source when the caller runs a custom workload — those
+        providers are *not* memoised (the session cannot tell two
+        caller-built workloads apart by spec alone, and a provider
+        fitted to one demand model must never silently serve another).
 
         Replayed logs and caller-built workloads have no shifted-seed
         sibling to train on, so their bootstrap runs over a *thinned
@@ -463,17 +530,23 @@ class Session:
                 config,
                 _learning_config(spec),
             )
-        key = self._provider_key(spec, config)
+        key = (
+            _shape(spec, config),
+            config.oracle.resolved(),
+            spec.use_rl,
+            spec.loss_weight,
+        )
         with self._lock:
-            cached = self._providers.get(key)
-            if cached is not None:
-                return cached
-            return self._build_provider(spec, config, key)
+            entry = self._entry(spec, config)
+            cached = entry.providers.get(key)
+            if cached is None:
+                cached = entry.providers[key] = self._build_provider(spec, config)
+            return cached
 
     def _build_provider(
-        self, spec: ScenarioSpec, config: SimulationConfig, key: tuple
+        self, spec: ScenarioSpec, config: SimulationConfig
     ) -> ThresholdProvider:
-        """Bootstrap + memoise a provider (caller holds the session lock)."""
+        """Bootstrap a provider (caller holds the session lock)."""
 
         def workload_for(training_config: SimulationConfig) -> Workload:
             training_spec = spec.with_overrides(
@@ -487,18 +560,14 @@ class Session:
                 return _training_subsample(training, training_config)
             return training
 
-        provider = _build_expect_provider(
-            workload_for, config, _learning_config(spec)
-        )
-        self._providers[key] = provider
-        return provider
+        return _build_expect_provider(workload_for, config, _learning_config(spec))
 
     def graph_hash(self, network: RoadNetwork) -> str:
         """Stable content hash of a network's graph (memoised per graph).
 
-        Keyed by the graph object, so the per-run views a served run
-        wraps around a pooled network share its entry.  :meth:`prepare`
-        fills it; a run over a caller-built network hashes on a miss.
+        Keyed by the graph object, so every view of a prepared network
+        shares its entry.  :meth:`prepare` fills it; a run over a
+        caller-built network hashes on a miss.
         """
         with self._lock:
             cached = self._graph_hashes.get(network.graph)
@@ -524,18 +593,92 @@ class Session:
 
     def _attach_oracle(
         self,
-        workload: Workload,
+        network: RoadNetwork,
         config: SimulationConfig,
-        *,
-        degradations: DegradationLog | None = None,
+        degradations: DegradationLog | None,
     ) -> None:
         with self._lock:
-            before = workload.network.oracle
-            oracle = configure_oracle(
-                workload.network, config, degradations=degradations
-            )
-            if oracle is not before:
+            before = network.oracle
+            if configure_oracle(network, config, degradations=degradations) is not before:
                 self.oracle_builds += 1
+
+    def _entry(self, spec: ScenarioSpec, config: SimulationConfig) -> _NetworkEntry:
+        """The spec's network entry, built on a miss (most recent in the LRU)."""
+        key = self._network_key(spec, config)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry
+            city = None
+            if spec.network == "dataset":
+                build_city, _, _ = DATASETS[spec.dataset]
+                city = build_city(seed=config.seed)
+                network = city.network
+            else:
+                network = grid_city(
+                    rows=spec.grid_rows,
+                    cols=spec.grid_cols,
+                    edge_travel_time=spec.grid_edge_travel_time,
+                    jitter=spec.grid_jitter,
+                    seed=config.seed,
+                )
+            entry = self._entries[key] = _NetworkEntry({_DRAW_VIEW: network}, city)
+            if len(self._entries) > _NETWORK_CACHE_SIZE:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+            return entry
+
+    def _view(
+        self,
+        spec: ScenarioSpec,
+        config: SimulationConfig,
+        degradations: DegradationLog | None = None,
+    ) -> tuple[_NetworkEntry, RoadNetwork]:
+        """The spec's entry and view; a new view gets its oracle built here."""
+        oracle = config.oracle.resolved()
+        with self._lock:
+            known = self._network_key(spec, config) in self._entries
+            entry = self._entry(spec, config)
+            view = entry.views.get(oracle)
+            if known and view is not None:
+                self._hits += 1
+                return entry, view
+            self._misses += 1
+            if view is None:
+                drawn = entry.views[_DRAW_VIEW]
+                view = RoadNetwork(drawn.graph, drawn.oracle)
+                self._attach_oracle(view, config, degradations)
+                entry.views[oracle] = view
+            return entry, view
+
+    def _workload(
+        self,
+        spec: ScenarioSpec,
+        config: SimulationConfig,
+        degradations: DegradationLog | None = None,
+    ) -> Workload:
+        """The spec's shape drawn on the default view, bound to its own view."""
+        shape = _shape(spec, config)
+        key, drawn_key = (shape, config.oracle.resolved()), (shape, _DRAW_VIEW)
+        with self._lock:
+            entry, view = self._view(spec, config, degradations)
+            workloads = entry.workloads
+            if key not in workloads:
+                drawn = workloads.get(drawn_key)
+                if drawn is None:
+                    drawn = workloads[drawn_key] = self._draw(spec, config, entry)
+                # A list of its own: ``Workload`` sorts its orders in place,
+                # and a served run may be cloning the drawn list right now.
+                workloads[key] = (
+                    drawn
+                    if view is drawn.network
+                    else replace(drawn, orders=list(drawn.orders), network=view)
+                )
+            workloads.move_to_end(key)
+            while len(workloads) > _WORKLOAD_CACHE_SIZE:
+                workloads.popitem(last=False)
+            return workloads[key]
 
     @staticmethod
     def _load_resume(
@@ -639,63 +782,21 @@ class Session:
             config.seed,
         )
 
-    def _workload_key(self, spec: ScenarioSpec, config: SimulationConfig) -> tuple:
-        return (
-            self._network_key(spec, config),
-            spec.workload,
-            spec.orders_csv,
-            spec.workers_csv,
-            config,
-        )
-
-    def _provider_key(self, spec: ScenarioSpec, config: SimulationConfig) -> tuple:
-        return (*self._workload_key(spec, config), spec.use_rl, spec.loss_weight)
-
-    def _network_for(
-        self, spec: ScenarioSpec, config: SimulationConfig
-    ) -> RoadNetwork:
-        key = self._network_key(spec, config)
-        with self._lock:
-            network = self._networks.get(key)
-            if network is not None:
-                return network
-            if spec.network == "dataset":
-                build_city, _, _ = DATASETS[spec.dataset]
-                city = build_city(seed=config.seed)
-                self._cities[key] = city
-                network = city.network
-            else:
-                network = grid_city(
-                    rows=spec.grid_rows,
-                    cols=spec.grid_cols,
-                    edge_travel_time=spec.grid_edge_travel_time,
-                    jitter=spec.grid_jitter,
-                    seed=config.seed,
-                )
-            self._networks[key] = network
-            return network
-
-    def _city_for(self, spec: ScenarioSpec, config: SimulationConfig) -> CityModel:
-        key = self._network_key(spec, config)
-        with self._lock:
-            network = self._network_for(spec, config)
-            city = self._cities.get(key)
-            if city is None:
-                city = _grid_city_model(spec, network)
-                self._cities[key] = city
-            return city
-
-    def _build_workload(
-        self, spec: ScenarioSpec, config: SimulationConfig
+    def _draw(
+        self, spec: ScenarioSpec, config: SimulationConfig, entry: _NetworkEntry
     ) -> Workload:
+        """Generate or replay the spec's workload on the default view."""
+        network = entry.views[_DRAW_VIEW]
         if spec.workload == "synthetic":
-            return self._city_for(spec, config).generate(config)
-        return self._csv_workload(spec, config)
+            if entry.city is None:
+                entry.city = _grid_city_model(spec, network)
+            return entry.city.generate(config)
+        return self._csv_workload(spec, config, network)
 
+    @staticmethod
     def _csv_workload(
-        self, spec: ScenarioSpec, config: SimulationConfig
+        spec: ScenarioSpec, config: SimulationConfig, network: RoadNetwork
     ) -> Workload:
-        network = self._network_for(spec, config)
         assert spec.orders_csv is not None  # enforced by the spec
         orders = orders_from_csv(spec.orders_csv)
         for order in orders:
@@ -732,6 +833,16 @@ class Session:
             network=network,
             name=spec.name or "csv-replay",
         )
+
+
+def _shape(spec: ScenarioSpec, config: SimulationConfig) -> tuple:
+    """What a drawn workload depends on besides its network: not the oracle."""
+    return (
+        spec.workload,
+        spec.orders_csv,
+        spec.workers_csv,
+        replace(config, oracle=_DRAW_VIEW),
+    )
 
 
 def _learning_config(spec: ScenarioSpec) -> LearningConfig | None:

@@ -177,13 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how many submitted runs may execute concurrently",
     )
     serve.add_argument(
-        "--pool-sessions",
-        type=_positive_int,
-        default=8,
-        metavar="N",
-        help="bound of the shared prepared-session pool",
-    )
-    serve.add_argument(
         "--trace-dir",
         default=None,
         metavar="DIR",
@@ -193,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-cache",
         default=None,
         metavar="DIR",
-        help="on-disk oracle-preprocessing cache shared by pooled sessions",
+        help="on-disk oracle-preprocessing cache shared by served runs",
     )
     serve.add_argument(
         "--default-deadline",
@@ -458,7 +451,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         service_kwargs["checkpoint_interval"] = args.checkpoint_interval
     service = ScenarioService(
         max_runs=args.max_runs,
-        max_sessions=args.pool_sessions,
         trace_dir=args.trace_dir,
         oracle_cache_dir=args.oracle_cache,
         max_queue=args.max_queue,

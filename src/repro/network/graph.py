@@ -21,8 +21,8 @@ hierarchy) backend swaps in via ``SimulationConfig.oracle`` or the CLI
 without any dispatcher code changing.
 
 Each oracle query runs under the oracle's one ``lock``, so runs and
-workload generation sharing one network (the serve layer's pooled
-sessions) take turns at the oracle instead of racing on its caches.
+workload generation sharing one network (the serve layer's runs on
+one prepared view) take turns at the oracle instead of racing on its caches.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class RoadGraph:
     reader and mutated by none.
     """
 
-    __slots__ = ("_coordinates", "nodes_sorted", "index", "successors", "predecessors")
+    # ``__weakref__``: a Session memoises graph hashes weakly.
+    __slots__ = ("_coordinates", "nodes_sorted", "index", "successors", "predecessors", "__weakref__")
 
     def __init__(
         self,

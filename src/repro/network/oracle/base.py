@@ -49,7 +49,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from math import inf
-from typing import Mapping, Sequence, TYPE_CHECKING
+from typing import Any, Mapping, Sequence, TYPE_CHECKING
 
 from ...exceptions import UnreachableError
 
@@ -78,6 +78,12 @@ STATS_SCHEMA_VERSION = 3
 #: snapshot deltas like the uniform counters.  Everything else in extras
 #: is a gauge or a structural constant and is reported as-is.
 COUNTER_EXTRAS = frozenset({"upward_settles", "bucket_scans"})
+
+#: The uniform ``OracleStats`` fields that are monotone counters.
+COUNTER_FIELDS = (
+    "queries", "batched_queries", "cache_hits", "cache_misses",
+    "sssp_runs", "reverse_sssp_runs", "pp_searches", "evictions",
+)
 
 
 @dataclass(frozen=True)
@@ -141,18 +147,24 @@ class OracleStats:
         extras = dict(self.extras)
         for key in COUNTER_EXTRAS.intersection(extras):
             extras[key] = extras[key] - earlier.extras.get(key, 0.0)
-        return replace(
-            self,
-            queries=self.queries - earlier.queries,
-            batched_queries=self.batched_queries - earlier.batched_queries,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            cache_misses=self.cache_misses - earlier.cache_misses,
-            sssp_runs=self.sssp_runs - earlier.sssp_runs,
-            reverse_sssp_runs=self.reverse_sssp_runs - earlier.reverse_sssp_runs,
-            pp_searches=self.pp_searches - earlier.pp_searches,
-            evictions=self.evictions - earlier.evictions,
-            extras=extras,
-        )
+        deltas: dict[str, Any] = {
+            name: getattr(self, name) - getattr(earlier, name)
+            for name in COUNTER_FIELDS
+        }
+        return replace(self, **deltas, extras=extras)
+
+    def counters(self) -> dict[str, float]:
+        """The monotone counters of :meth:`as_dict`, keyed as there.
+
+        What a total over several snapshots may add: gauges, structural
+        constants, ``hit_rate`` and the schema version are left out.
+        """
+        counters: dict[str, float] = {
+            name: getattr(self, name) for name in COUNTER_FIELDS
+        }
+        for key in COUNTER_EXTRAS.intersection(self.extras):
+            counters[f"{self.backend}.{key}"] = self.extras[key]
+        return counters
 
     def as_dict(self) -> dict[str, float | str]:
         """Flat dictionary view: the versioned oracle-stats schema.

@@ -16,7 +16,7 @@ layers:
   recorded fallbacks (:class:`DegradationLog` travels with each run
   into ``RunResult.degradations`` and ``/metrics``) plus a
   per-identity :class:`CircuitBreaker` quarantining repeatedly failing
-  pooled sessions.
+  session preparations.
 * **Deterministic fault injection** (:mod:`~repro.resilience.faults`)
   — seeded :class:`FaultInjector` schedules behind the
   :func:`fault_point` hooks, powering the chaos property tests and

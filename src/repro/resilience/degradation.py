@@ -8,8 +8,8 @@ still answers, but its :class:`~repro.api.RunResult`
 (``degradations``) and the service ``/metrics`` say exactly what was
 given up, where, and why.
 
-:class:`CircuitBreaker` is the service-side complement: a pooled
-session whose preparation keeps failing (a bad cache volume, an
+:class:`CircuitBreaker` is the service-side complement: a prepared
+view whose preparation keeps failing (a bad cache volume, an
 impossible oracle config) is quarantined for a cool-down instead of
 re-running its expensive failing build on every request.  The breaker
 follows the classic three states — ``closed`` (normal), ``open``

@@ -5,10 +5,10 @@ the expensive state *resident* and serves many concurrent scenario
 runs over it, the way a production dispatch backend would:
 
 * :class:`ScenarioService` — the transport-agnostic core: eager spec
-  validation, a bounded run executor, a shared
-  :class:`~repro.serve.pool.SessionPool` (one prepared network +
-  oracle per identity, however many requests name it; runs on one
-  network take turns at its oracle's lock), and per-run result/event
+  validation, a bounded run executor, one :class:`~repro.api.Session`
+  (one prepared oracle view per network and oracle spec, however many
+  requests name it; runs on one view take turns at its oracle's lock)
+  with a circuit breaker per view identity, and per-run result/event
   stores;
 * :class:`ScenarioServer` — the stdlib-only asyncio HTTP surface (``POST /runs``, ``GET /runs/<id>``,
   ``GET /metrics``, ``POST /shutdown``);
@@ -23,7 +23,6 @@ Start one from the command line with ``python -m repro.cli serve`` —
 see ``docs/SERVING.md`` for the endpoint reference and examples.
 """
 
-from .pool import SessionPool, pool_key
 from .protocol import (
     CANCELLED,
     COMPLETED,
@@ -45,8 +44,6 @@ __all__ = [
     "ScenarioService",
     "ScenarioServer",
     "serve_stdin",
-    "SessionPool",
-    "pool_key",
     "EventRecorder",
     "JsonlSink",
     "MemorySink",

@@ -3,13 +3,15 @@
 :class:`ScenarioService` is everything the server does minus the wire:
 it validates submissions eagerly (:func:`~repro.serve.protocol.
 parse_submission`), multiplexes accepted runs over a bounded thread
-executor, prepares each run on a **pooled session**
-(:class:`~repro.serve.pool.SessionPool` — one oracle per network/oracle
-identity, however many concurrent requests name it), runs each request
-on its own clone of the pooled orders over the pooled network itself
-(whose oracle answers one query at a time under its own lock), and
-streams each run's events into sinks (an in-memory store per run, plus
-a JSONL trace file per run when a trace directory is configured).
+executor, prepares each run on its **one session**
+(:class:`~repro.api.Session` — one oracle view per network and oracle
+spec, however many concurrent requests name it; a per-identity circuit
+breaker from :mod:`repro.serve.pool` quarantines one whose preparation
+keeps failing), runs each request on its own clone of the prepared
+orders over the prepared view itself (whose oracle answers one query at
+a time under its own lock), and streams each run's events into sinks
+(an in-memory store per run, plus a JSONL trace file per run when a
+trace directory is configured).
 
 Both transports in :mod:`repro.serve.server` — the asyncio HTTP server
 and the stdin JSON-lines loop — are thin adapters over this class, so
@@ -27,7 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..api import RunResult, ScenarioSpec
+from ..api import RunResult, ScenarioSpec, Session
 from ..durability.checkpoint import (
     DEFAULT_CHECKPOINT_INTERVAL,
     CheckpointError,
@@ -44,7 +46,7 @@ from ..resilience.degradation import CircuitOpenError, DegradationLog
 from ..resilience.faults import fault_point
 from ..resilience.retry import RetryPolicy, retry_call
 from ..simulation.hooks import CompositeHooks, SimulationHooks
-from .pool import DEFAULT_MAX_SESSIONS, SessionPool
+from .pool import BreakerTable
 from .protocol import (
     CANCELLED,
     COMPLETED,
@@ -67,8 +69,8 @@ DEFAULT_MAX_RUNS = 2
 DEFAULT_MAX_RECORDS = 1024
 
 #: Transient preparation failures (unreadable cache volumes, racing
-#: CSV readers) get one quick retry before counting against the pool
-#: entry's circuit breaker.
+#: CSV readers) get one quick retry before counting against the
+#: identity's circuit breaker.
 PREPARE_RETRY_POLICY = RetryPolicy(
     max_attempts=2, base_delay=0.05, max_delay=0.5, retry_on=(OSError,)
 )
@@ -82,16 +84,14 @@ class ScenarioService:
     max_runs:
         Executor width — how many submitted runs may execute at once
         (further submissions queue; ``queue_depth`` in ``/metrics``).
-    max_sessions:
-        Bound of the shared session pool.
     trace_dir:
         When set, every run streams its events to
         ``<trace_dir>/<run_id>.jsonl`` through a
         :class:`~repro.serve.sinks.JsonlSink`.
     oracle_cache_dir:
-        On-disk oracle-preprocessing cache handed to pooled sessions,
-        so even a freshly started service skips CH contraction for
-        known graphs.
+        On-disk oracle-preprocessing cache handed to the session, so
+        even a freshly started service skips CH contraction for known
+        graphs.
     store_events:
         Events retained in memory per run (``GET /runs/<id>`` shows
         the tail); ``0`` disables the in-memory event store.
@@ -127,7 +127,6 @@ class ScenarioService:
         self,
         *,
         max_runs: int = DEFAULT_MAX_RUNS,
-        max_sessions: int = DEFAULT_MAX_SESSIONS,
         trace_dir: str | Path | None = None,
         oracle_cache_dir: str | None = None,
         store_events: int = 1000,
@@ -150,7 +149,8 @@ class ScenarioService:
             raise ValueError("default_deadline must be positive (or None)")
         self._max_queue = max_queue
         self._default_deadline = default_deadline
-        self._pool = SessionPool(max_sessions, oracle_cache_dir=oracle_cache_dir)
+        self._session = Session(oracle_cache_dir=oracle_cache_dir)
+        self._breakers = BreakerTable()
         self._executor = ThreadPoolExecutor(
             max_workers=max_runs, thread_name_prefix="serve-run"
         )
@@ -166,7 +166,7 @@ class ScenarioService:
         self._closed = False
         self._draining = False
         # Per-backend oracle counters accumulated from finished runs,
-        # and each pooled oracle's stats when they were last folded in.
+        # and each prepared oracle's stats when they were last folded in.
         self._oracle_counters: dict[str, dict[str, float]] = {}
         self._oracle_seen: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         #: Submissions refused because the admission queue was full.
@@ -215,10 +215,10 @@ class ScenarioService:
 
         Refuses structurally before queuing work it cannot serve: a
         full admission queue comes back as a 429-shaped ``overloaded``
-        error, and an identity whose session-pool circuit breaker is
-        open as a 503-shaped ``session-quarantined`` error.
+        error, and an identity whose circuit breaker is open as a
+        503-shaped ``session-quarantined`` error.
         """
-        if self._pool.is_quarantined(spec):
+        if self._breakers.is_open(self._session.view_key(spec)):
             raise ProtocolError(
                 503,
                 "session-quarantined",
@@ -520,7 +520,9 @@ class ScenarioService:
 
     def _run(self, record: RunRecord) -> RunResult:
         spec = record.spec
-        session = self._pool.acquire(spec)
+        session = self._session
+        key = session.view_key(spec)
+        self._breakers.admit(key)
         # One log spans preparation and the run so fallbacks taken while
         # standing the oracle up (corrupt-cache rebuild, CH demoted to
         # lazy) surface in the run's result and the service metrics.
@@ -532,19 +534,21 @@ class ScenarioService:
             fault_point("session.prepare")
             return session.prepare(spec, degradations=degradations)
 
-        # Thread-safe preparation: concurrent requests for one
-        # network/oracle identity block here while the first builds.
-        # Transient IO failures get one quick retry; a failure that
-        # survives it counts against the identity's circuit breaker.
+        # Thread-safe preparation: concurrent requests for one view
+        # block here while the first builds.  Transient IO failures get
+        # one quick retry; a failure that survives it counts against the
+        # identity's circuit breaker, and one that trips it drops the
+        # view: the half-open probe after the cool-down starts clean.
         try:
             workload = retry_call(prepare, policy=PREPARE_RETRY_POLICY)
         except Exception:
-            self._pool.record_failure(spec)
+            if self._breakers.record_failure(key):
+                session.discard(spec)
             raise
-        self._pool.record_success(spec)
-        # Orders carry mutable lifecycle bookkeeping and the pooled
-        # workload is every run's on this session, so each run gets its
-        # own clones (ids kept).  The network is the pooled one: its
+        self._breakers.record_success(key)
+        # Orders carry mutable lifecycle bookkeeping and the prepared
+        # workload is every run's on this view, so each run gets its
+        # own clones (ids kept).  The network is the prepared view: its
         # oracle serialises queries itself.  Workers need no clone —
         # ``make_dispatcher`` puts fresh copies in each run's fleet.
         run_workload = replace(
@@ -630,12 +634,15 @@ class ScenarioService:
                 )
 
     def _fold_oracle_counters(self, spec: ScenarioSpec, network: RoadNetwork) -> None:
-        """Fold in the pooled oracle's own advance since it was last read.
+        """Fold in the prepared oracle's own advance since it was last read.
 
         Not the run's ``oracle_stats``: that is a before/after delta of
-        the pooled oracle, so runs overlapping on it would count each
+        the shared oracle, so runs overlapping on it would count each
         other's answers.  Keyed by the oracle object, so every answer
-        counts once, whichever run asked it.
+        counts once, whichever run asked it.  Only counters are summed
+        (gauges, the schema version and the backend name are not
+        totals), and ``hit_rate`` is recomputed from the summed hits
+        and misses.
         """
         backend = spec.config().oracle.backend
         oracle = network.oracle
@@ -644,13 +651,15 @@ class ScenarioService:
                 stats = oracle.stats()
             seen = self._oracle_seen.get(oracle)
             self._oracle_seen[oracle] = stats
-            advance = (stats if seen is None else stats - seen).as_dict()
-            counters = self._oracle_counters.setdefault(backend, {})
-            counters["runs"] = counters.get("runs", 0) + 1
-            for key, value in advance.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
+            advance = stats if seen is None else stats - seen
+            counters = self._oracle_counters.setdefault(backend, {"runs": 0})
+            counters["runs"] += 1
+            for key, value in advance.counters().items():
                 counters[key] = counters.get(key, 0) + value
+            answered = counters["cache_hits"] + counters["cache_misses"]
+            counters["hit_rate"] = (
+                counters["cache_hits"] / answered if answered else 0.0
+            )
 
     # ------------------------------------------------------------------
     # observation
@@ -713,9 +722,9 @@ class ScenarioService:
 
         ``batcher.serial_queries`` is the ``queries`` total of the
         per-backend oracle counters: the answers (cells and scalar
-        reads) the pooled oracles served under their locks, workload
+        reads) the prepared oracles served under their locks, workload
         generation included, each counted once and folded in as a run
-        finishes.  It only grows, whatever the pool evicts.  (The
+        finishes.  It only grows, whatever the session evicts.  (The
         ``batcher`` key keeps the name ``benchmarks/e2e/serve_load.py``
         reads.)
         """
@@ -751,7 +760,7 @@ class ScenarioService:
             "max_concurrent_runs": self._max_runs,
             "default_deadline_seconds": self._default_deadline,
             "degradations": degradations,
-            "pool": self._pool.stats(),
+            "pool": {**self._session.stats(), **self._breakers.stats()},
             "batcher": {
                 "serial_queries": sum(
                     counters.get("queries", 0) for counters in oracle_counters.values()

@@ -158,6 +158,109 @@ class TestSessionReuse:
         assert training.network is workload.network
 
 
+#: The served benchmark mix: an 8x8 grid, three seeds, two dispatchers
+#: on each backend.
+_SERVED_MIX = [
+    {
+        "network": "grid",
+        "grid_rows": 8,
+        "grid_cols": 8,
+        "num_orders": 40,
+        "num_workers": 8,
+        "horizon": 1800.0,
+        "seed": seed,
+        "algorithm": algorithm,
+        "oracle": {"backend": backend},
+    }
+    for seed in (1, 2, 3)
+    for algorithm, backend in (
+        ("WATTER-online", "lazy"),
+        ("GDP", "lazy"),
+        ("GAS", "ch"),
+        ("WATTER-expect", "ch"),
+    )
+]
+
+
+def _order_fields(workload) -> list:
+    return [
+        (
+            order.pickup,
+            order.dropoff,
+            order.release_time,
+            order.shortest_time,
+            order.deadline,
+            order.wait_limit,
+        )
+        for order in workload.orders
+    ]
+
+
+class TestPreparedViews:
+    """One ``RoadNetwork`` view per (network, oracle spec), drawn on the
+    default one."""
+
+    @pytest.mark.parametrize("backend", sorted(ORACLE_BACKENDS))
+    def test_a_draw_does_not_depend_on_what_was_prepared_before(self, backend):
+        spec = ScenarioSpec(
+            dataset="CDC",
+            num_orders=41,
+            num_workers=5,
+            seed=29,
+            oracle={"backend": backend},
+        )
+        fresh = Session().workload(spec)
+        session = Session()
+        session.prepare(spec.with_overrides(num_orders=30, oracle={"backend": "ch"}))
+        assert _order_fields(session.workload(spec)) == _order_fields(fresh)
+
+    def test_specs_differing_in_oracle_share_one_draw(self):
+        session = Session()
+        lazy = session.workload(_small_spec())
+        ch = session.workload(_small_spec(oracle={"backend": "ch"}))
+        assert all(a is b for a, b in zip(ch.orders, lazy.orders, strict=True))
+        assert ch.network is not lazy.network
+        assert ch.network.graph is lazy.network.graph
+        assert session.workload(_small_spec()) is lazy
+        assert session.oracle_builds == 1
+
+    def test_discarding_a_view_keeps_the_network_and_its_draws(self):
+        session = Session()
+        lazy_spec = _small_spec()
+        ch_spec = _small_spec(oracle={"backend": "ch"})
+        lazy = session.workload(lazy_spec)
+        ch_view = session.network(ch_spec)
+        session.discard(ch_spec)
+        assert session.workload(lazy_spec) is lazy
+        assert session.network(ch_spec) is not ch_view
+        assert session.oracle_builds == 2
+        session.discard(lazy_spec)  # the default view: the whole entry
+        assert session.stats()["networks"] == 0
+
+    def test_served_mix_builds_no_oracle_after_its_first_round(self):
+        """Alternating backends in one warm session rebuilds nothing,
+        and every run matches a fresh session's run of its spec.
+
+        Counts match exactly.  Float totals may move by an ulp: a ``ch``
+        answer's rounding depends on the oracle's warm caches, so the
+        seed-1 WATTER-expect run after GAS on the same ``ch`` view reads
+        ``total_detour_time`` 382.674600081151 against 382.6746000811509
+        fresh (the same two runs in one session, or in one pooled
+        session of the service, drifted alike before views existed).
+        """
+        specs = [ScenarioSpec.from_dict(document) for document in _SERVED_MIX]
+        fresh = [_deterministic(Session().run(spec).metrics) for spec in specs]
+        session = Session()
+        builds = []
+        for _ in range(3):
+            for spec, want in zip(specs, fresh):
+                got = _deterministic(session.run(spec).metrics)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), spec
+            builds.append(session.oracle_builds)
+        assert builds[0] > 0
+        assert builds[2] == builds[1] == builds[0]
+
+
 class TestGraphHashMemo:
     """``prepare`` hashes the graph once; a run only reads the memo."""
 

@@ -186,7 +186,7 @@ class _KeepingService(ScenarioService):
 
     def _run(self, record):
         result = super()._run(record)
-        workload = self._pool.acquire(record.spec).workload(record.spec)
+        workload = self._session.workload(record.spec)
         self.kept[record.run_id] = (result, workload)
         return result
 

@@ -578,9 +578,12 @@ class TestServiceResilience:
         injector = FaultInjector(
             {"session.prepare": {"fail_first": 50, "exception": "os"}}
         )
-        with injected_faults(injector):
-            with ScenarioService(max_runs=1) as service:
-                for _ in range(3):  # the pool's breaker threshold
+        with ScenarioService(max_runs=1) as service:
+            record = service.wait(service.submit_spec(spec).run_id, timeout=_WAIT)
+            assert record.status == COMPLETED, record.error
+            assert service.metrics()["pool"]["networks"] == 1
+            with injected_faults(injector):
+                for _ in range(3):  # the breaker threshold
                     record = service.submit_spec(spec)
                     record = service.wait(record.run_id, timeout=_WAIT)
                     assert record.status == FAILED
@@ -590,7 +593,11 @@ class TestServiceResilience:
                     service.submit_spec(spec)
                 assert exc_info.value.status == 503
                 assert exc_info.value.error == "session-quarantined"
-                assert service.metrics()["pool"]["quarantined"] == 1
+                pool = service.metrics()["pool"]
+                assert pool["quarantined"] == 1
+                # The trip dropped the identity's prepared view: for the
+                # default view, its whole network entry.
+                assert pool["networks"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Tests for the ``repro.serve`` subsystem: protocol parsing, the
-session pool, sinks, the service core and both transports (HTTP and
-stdin JSON-lines).
+prepared-view pool, sinks, the service core and both transports (HTTP
+and stdin JSON-lines).
 
 The load-bearing assertions mirror the serving layer's promises:
 
 * a served run's decision-derived metrics are identical to a direct
   ``repro.api.run_scenario`` execution of the same spec+seed;
 * two concurrent submissions naming the same network/oracle identity
-  build the oracle exactly once (pool hit counter + ``oracle_builds``);
+  build the oracle exactly once (view hit counter + ``oracle_builds``);
 * malformed specs come back as structured 400-style refusals, on every
   entry point, without reaching the executor.
 """
@@ -25,7 +25,8 @@ import weakref
 
 import pytest
 
-from repro.api import ScenarioSpec, run_scenario
+import repro.api.session as session_module
+from repro.api import ScenarioSpec, Session, run_scenario
 from repro.serve import (
     CANCELLED,
     COMPLETED,
@@ -35,9 +36,7 @@ from repro.serve import (
     MemorySink,
     ProtocolError,
     ScenarioService,
-    SessionPool,
     parse_submission,
-    pool_key,
     serve_stdin,
 )
 
@@ -112,7 +111,14 @@ class TestProtocol:
 # ----------------------------------------------------------------------
 # session pool
 # ----------------------------------------------------------------------
+def pool_key(spec: ScenarioSpec) -> tuple:
+    return Session().view_key(spec)
+
+
 class TestSessionPool:
+    """The service's pool is its one ``Session``'s prepared views, keyed
+    by ``Session.view_key`` and held in an LRU of network entries."""
+
     def test_key_ignores_workload_and_dispatch_fields(self):
         base = _grid_spec(oracle={"backend": "ch"})
         same = base.with_overrides(
@@ -144,37 +150,38 @@ class TestSessionPool:
         ids=("ch-cache_dir",),
     )
     def test_key_tracks_every_option_the_oracle_is_built_from(self, first, second):
-        """Specs that would not share an oracle must not share a session."""
+        """Specs that would not share an oracle must not share a view."""
         base = _grid_spec(grid_rows=8, grid_cols=8)
         assert pool_key(base.with_overrides(oracle=first)) != pool_key(
             base.with_overrides(oracle=second)
         )
 
     def test_key_resolves_the_kernel(self):
-        """``kernel`` unset and ``"csr"`` ask for one oracle, so one session."""
+        """``kernel`` unset and ``"csr"`` ask for one oracle, so one view."""
         base = _grid_spec()
         unset = pool_key(base.with_overrides(oracle={"backend": "ch"}))
         named = base.with_overrides(oracle={"backend": "ch", "kernel": "csr"})
         assert pool_key(named) == unset
 
-    def test_acquire_hits_and_misses(self):
-        pool = SessionPool(max_sessions=2)
-        first = pool.acquire(_grid_spec())
-        again = pool.acquire(_grid_spec(algorithm="GAS"))
-        other = pool.acquire(_grid_spec(seed=99))
+    def test_view_hits_and_misses(self):
+        session = Session()
+        first = session.network(_grid_spec())
+        again = session.network(_grid_spec(algorithm="GAS"))
+        other = session.network(_grid_spec(seed=99))
         assert first is again
         assert other is not first
-        stats = pool.stats()
+        stats = session.stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 2
-        assert stats["sessions"] == 2
+        assert stats["networks"] == 2
 
-    def test_lru_eviction(self):
-        pool = SessionPool(max_sessions=1)
-        pool.acquire(_grid_spec())
-        pool.acquire(_grid_spec(seed=99))
-        stats = pool.stats()
-        assert stats["sessions"] == 1
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(session_module, "_NETWORK_CACHE_SIZE", 1)
+        session = Session()
+        session.network(_grid_spec())
+        session.network(_grid_spec(seed=99))
+        stats = session.stats()
+        assert stats["networks"] == 1
         assert stats["evictions"] == 1
 
 
@@ -229,7 +236,7 @@ class TestScenarioService:
             assert record.result["graph_hash"] == direct.graph_hash
 
     def test_served_watter_expect_matches_direct_run(self):
-        """The pooled session hands the run its memoised provider, so
+        """The service's session hands the run its memoised provider, so
         the learning-based algorithm is served bit-identically too."""
         spec = _grid_spec(
             grid_rows=5, grid_cols=5, num_orders=30, num_workers=6,
@@ -256,13 +263,14 @@ class TestScenarioService:
             pool = service.metrics()["pool"]
         assert pool["misses"] == 1
         assert pool["hits"] == 1
-        assert pool["sessions"] == 1
+        assert pool["networks"] == 1
         assert pool["oracle_builds"] == 1
 
     def test_concurrent_ch_variants_do_not_share_an_oracle(self, tmp_path):
         """Two ch configurations of one grid, served side by side,
-        each answer from their own oracle: a shared session would swap
-        ``network.oracle`` under the run that attached first."""
+        each answer from their own view: one network swapping
+        ``network.oracle`` would swap it under the run that attached
+        first."""
         base = _grid_spec(grid_rows=8, grid_cols=8, num_orders=40, horizon=600.0)
         specs = [
             base.with_overrides(
@@ -277,7 +285,10 @@ class TestScenarioService:
                 service.wait(record.run_id, timeout=_WAIT) for record in records
             ]
             pool = service.metrics()["pool"]
-        assert pool["sessions"] == 2
+            views = [service._session.network(spec) for spec in specs]
+        assert views[0] is not views[1]
+        assert views[0].oracle is not views[1].oracle
+        assert pool["networks"] == 1
         assert pool["oracle_builds"] == 2
         for record, run in zip(records, direct):
             assert record.status == COMPLETED, record.error
@@ -306,7 +317,7 @@ class TestScenarioService:
                 service.wait(record.run_id, timeout=_WAIT) for record in records
             ]
             pool = service.metrics()["pool"]
-        assert pool["sessions"] == 1
+        assert pool["networks"] == 1
         for record, run in zip(records, direct):
             assert record.status == COMPLETED, record.error
             assert _deterministic(record.result["metrics"]) == (
@@ -314,7 +325,7 @@ class TestScenarioService:
             )
 
     def test_oracle_totals_count_each_answer_once(self):
-        """Two runs overlapping on one pooled ``lazy`` oracle: the served
+        """Two runs overlapping on one shared ``lazy`` oracle: the served
         totals are that oracle's own counters, not the sum of two
         before/after deltas that each include the other run's work."""
         base = _grid_spec(
@@ -331,16 +342,41 @@ class TestScenarioService:
                 record = service.wait(record.run_id, timeout=_WAIT)
                 assert record.status == COMPLETED, record.error
             metrics = service.metrics()
-            oracle = service._pool.acquire(base).workload(base).network.oracle
+            oracle = service._session.network(base).oracle
             own = oracle.stats()
-        assert metrics["pool"]["sessions"] == 1
+        assert metrics["pool"]["networks"] == 1
         assert metrics["oracle"]["lazy"]["runs"] == 2
         assert metrics["oracle"]["lazy"]["queries"] == own.queries
         assert metrics["oracle"]["lazy"]["sssp_runs"] == own.sssp_runs
         assert metrics["batcher"]["serial_queries"] == own.queries
 
+    def test_oracle_totals_sum_counters_not_gauges(self):
+        """One spec posted under alternating backends: the totals add
+        counters only and recompute ``hit_rate``, and the two views are
+        built once between them."""
+        with ScenarioService(max_runs=1) as service:
+            for backend in ("lazy", "ch", "lazy", "ch", "lazy"):
+                spec = _grid_spec(oracle={"backend": backend})
+                record = service.wait(service.submit_spec(spec).run_id, timeout=_WAIT)
+                assert record.status == COMPLETED, record.error
+            metrics = service.metrics()
+        assert metrics["pool"]["oracle_builds"] == 1
+        for backend, runs in (("lazy", 3), ("ch", 2)):
+            totals = metrics["oracle"][backend]
+            assert totals["runs"] == runs
+            assert "schema_version" not in totals
+            assert "backend" not in totals
+            assert "lazy.forward_cached_sources" not in totals
+            answered = totals["cache_hits"] + totals["cache_misses"]
+            assert totals["hit_rate"] == totals["cache_hits"] / answered
+            assert 0.0 <= totals["hit_rate"] <= 1.0
+        assert "ch.bucket_scans" in metrics["oracle"]["ch"]
+        assert metrics["batcher"]["serial_queries"] == sum(
+            totals["queries"] for totals in metrics["oracle"].values()
+        )
+
     def test_served_runs_hash_the_pooled_graph_once(self, monkeypatch):
-        """Each run queries the pooled network itself, so the session
+        """Each run queries the prepared view itself, so the session
         keeps one graph-hash entry for it, not one per served run."""
         import repro.api.session as session_module
 
@@ -359,18 +395,17 @@ class TestScenarioService:
                 assert record.status == COMPLETED, record.error
         assert len(hashed) == 1
 
-    def test_evicted_pooled_network_is_freed(self):
-        """An evicted session's network is garbage, and the oracle query
+    def test_evicted_pooled_network_is_freed(self, monkeypatch):
+        """An evicted network entry is garbage, and the oracle query
         total folded from its finished runs survives it."""
+        monkeypatch.setattr(session_module, "_NETWORK_CACHE_SIZE", 1)
         first = _grid_spec(oracle={"backend": "lazy"})
-        # Same network source, another oracle identity: a second session.
-        second = first.with_overrides(oracle={"backend": "ch"})
-        with ScenarioService(max_runs=1, max_sessions=1) as service:
+        # Another network source: a second network entry.
+        second = first.with_overrides(seed=99, oracle={"backend": "ch"})
+        with ScenarioService(max_runs=1) as service:
             record = service.wait(service.submit_spec(first).run_id, timeout=_WAIT)
             assert record.status == COMPLETED, record.error
-            session = service._pool.acquire(first)
-            pooled = weakref.ref(session.workload(first).network)
-            del session
+            pooled = weakref.ref(service._session.network(first))
             queries = service.metrics()["batcher"]["serial_queries"]
             record = service.wait(service.submit_spec(second).run_id, timeout=_WAIT)
             assert record.status == COMPLETED, record.error
