@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from ..config import SimulationConfig
-from ..exceptions import DatasetError
+from ..exceptions import ConfigurationError, DatasetError
 from ..model.order import Order
 from ..model.worker import Worker
 from ..network.graph import RoadNetwork
@@ -34,13 +34,16 @@ _ORDER_FIELDS = {
 
 _WORKER_FIELDS = {"worker_id": int, "location": int, "capacity": int}
 
+_Row = TypeVar("_Row")
+
 
 def _parse_row(path: str | Path, number: int, row: dict, fields: dict) -> dict:
     """Convert one CSV row to typed keyword arguments.
 
-    A cell that is absent (short row), unparsable or not finite is a
-    :class:`DatasetError` naming the file, the 1-based data row and the
-    column, never a bare ``ValueError`` / ``TypeError``.
+    A cell that is absent (short row), unparsable or not finite (an
+    integer too large for a float included) is a :class:`DatasetError`
+    naming the file, the 1-based data row and the column, never a bare
+    ``ValueError`` / ``TypeError`` / ``OverflowError``.
     """
     values = {}
     for column, convert in fields.items():
@@ -49,7 +52,7 @@ def _parse_row(path: str | Path, number: int, row: dict, fields: dict) -> dict:
             value = convert(raw)
             if not math.isfinite(value):
                 raise ValueError(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DatasetError(
                 f"{path}: row {number}, column {column!r}: "
                 f"expected a finite {convert.__name__}, got {raw!r}"
@@ -78,16 +81,37 @@ def orders_to_csv(orders: Iterable[Order], path: str | Path) -> None:
             )
 
 
+def _read_csv(
+    path: str | Path, kind: str, fields: dict, make: Callable[..., _Row]
+) -> list[_Row]:
+    """One ``make(**row)`` per data row of a CSV file.
+
+    Every way the file can be wrong is a :class:`DatasetError` naming
+    it: text that is not UTF-8 or not CSV, a missing column, a bad cell
+    (:func:`_parse_row`), or a row the model rejects, whose message
+    keeps the model's reason and adds the 1-based data row.
+    """
+    items = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        try:
+            missing = set(fields) - set(reader.fieldnames or ())
+            if missing:
+                raise DatasetError(f"{kind} CSV is missing columns: {sorted(missing)}")
+            for number, row in enumerate(reader, start=1):
+                values = _parse_row(path, number, row, fields)
+                try:
+                    items.append(make(**values))
+                except ConfigurationError as exc:
+                    raise DatasetError(f"{path}: row {number}: {exc}") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
+    return items
+
+
 def orders_from_csv(path: str | Path) -> list[Order]:
     """Read orders previously written by :func:`orders_to_csv`."""
-    orders = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(_ORDER_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise DatasetError(f"order CSV is missing columns: {sorted(missing)}")
-        for number, row in enumerate(reader, start=1):
-            orders.append(Order(**_parse_row(path, number, row, _ORDER_FIELDS)))
+    orders = _read_csv(path, "order", _ORDER_FIELDS, Order)
     orders.sort(key=lambda order: order.release_time)
     return orders
 
@@ -103,15 +127,7 @@ def workers_to_csv(workers: Iterable[Worker], path: str | Path) -> None:
 
 def workers_from_csv(path: str | Path) -> list[Worker]:
     """Read workers previously written by :func:`workers_to_csv`."""
-    workers = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(_WORKER_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise DatasetError(f"worker CSV is missing columns: {sorted(missing)}")
-        for number, row in enumerate(reader, start=1):
-            workers.append(Worker(**_parse_row(path, number, row, _WORKER_FIELDS)))
-    return workers
+    return _read_csv(path, "worker", _WORKER_FIELDS, Worker)
 
 
 def raw_trips_to_orders(

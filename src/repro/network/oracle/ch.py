@@ -11,6 +11,12 @@ tiny fraction of it:
    ``u`` and out-neighbour ``w`` a *shortcut* edge ``u -> w`` of weight
    ``d(u,v) + d(v,w)`` is added — unless a hop-limited *witness search*
    proves a path of no greater weight already exists without ``v``.
+   The search from ``u`` stops as soon as every decision is fixed: a
+   target is decided once a relaxation reaches it within its bound
+   (distances only fall) or once the popped distance passes its bound
+   (popped distances never fall), and it relaxes only up to the largest
+   bound still open.  Up to that stop it pops what a search run to the
+   end would pop, so every decision is the one that search would make.
    The order is the classic edge-difference heuristic (shortcuts added
    minus edges removed, plus a deleted-neighbours term) maintained with
    a lazy-update priority queue: a node's priority is recomputed when it
@@ -138,9 +144,6 @@ class CHOracle(DistanceOracle):
         LRU bound on memoised full arrival maps (each O(num_nodes));
         kept small by default so the backend never approaches a dense
         all-pairs table's memory footprint.
-    seed:
-        Unused today (contraction order is deterministic) but accepted
-        so configs can thread their seed through uniformly.
     preprocessing:
         A payload previously produced by :meth:`export_preprocessing`
         (typically loaded from disk by
@@ -160,13 +163,11 @@ class CHOracle(DistanceOracle):
         pair_cache_size: int | None = DEFAULT_PAIR_CACHE_SIZE,
         bucket_cache_size: int | None = DEFAULT_BUCKET_CACHE_SIZE,
         arrival_cache_size: int | None = DEFAULT_ARRIVAL_CACHE_SIZE,
-        seed: int = 0,
         preprocessing: Mapping | None = None,
     ) -> None:
         super().__init__(graph)
         if witness_hop_limit < 1:
             raise ValueError("witness_hop_limit must be at least 1")
-        del seed
         #: The hop limit used during contraction; a persisted payload
         #: is reused only at the same limit.
         self.witness_hop_limit = witness_hop_limit
@@ -272,9 +273,12 @@ class CHOracle(DistanceOracle):
             fwd[v] = {}
             bwd[v] = {}
 
+        # The witness searches' distance buffer: all ``inf`` between
+        # searches, each search resetting the entries it wrote.
+        dist = [_INF] * n
         heap: list[tuple[int, int]] = []
         for v in range(n):
-            shortcuts = self._shortcuts_for(v, fwd, bwd)
+            shortcuts = self._shortcuts_for(v, fwd, bwd, dist)
             heap.append((priority(v, shortcuts), v))
         heapify(heap)
 
@@ -284,7 +288,7 @@ class CHOracle(DistanceOracle):
                 continue
             # Lazy update: the stored priority may be stale; recompute
             # and only contract while still no worse than the runner-up.
-            shortcuts = self._shortcuts_for(v, fwd, bwd)
+            shortcuts = self._shortcuts_for(v, fwd, bwd, dist)
             current = priority(v, shortcuts)
             if heap and current > heap[0][0]:
                 heappush(heap, (current, v))
@@ -403,68 +407,111 @@ class CHOracle(DistanceOracle):
         v: int,
         fwd: list[dict[int, float]],
         bwd: list[dict[int, float]],
+        dist: list[float],
     ) -> list[tuple[int, int, float]]:
-        """Shortcuts required to contract ``v`` from the remaining graph."""
+        """Shortcuts required to contract ``v`` from the remaining graph.
+
+        For in-neighbour ``u`` and out-neighbour ``w != u`` the shortcut
+        ``u -> w`` of weight ``through = d(u,v) + d(v,w)`` is needed
+        unless a witness search from ``u`` reaches ``w`` within
+        ``through``.  A direct edge ``u -> w`` of weight at most
+        ``through`` decides ``w`` before any search: the search's first
+        expansion relaxes it.  So does ``through == inf``, which no
+        distance exceeds.  A ``u`` with no target left runs no search.
+        """
         ins = bwd[v]
         outs = fwd[v]
         shortcuts: list[tuple[int, int, float]] = []
         if not ins or not outs:
             return shortcuts
-        max_out = max(outs.values())
         for u, w_in in ins.items():
-            witness = self._witness_search(u, v, w_in + max_out, fwd, outs)
+            direct = fwd[u]
+            # Undecided target -> its bound, in ``outs`` order.
+            open_targets: dict[int, float] = {}
             for w, w_out in outs.items():
-                if w == u:
-                    continue
                 through = w_in + w_out
-                if witness.get(w, _INF) > through:
-                    shortcuts.append((u, w, through))
+                if w != u and direct.get(w, _INF) > through:
+                    open_targets[w] = through
+            if open_targets:
+                self._witness_search(u, v, open_targets, fwd, dist)
+                shortcuts.extend((u, w, through) for w, through in open_targets.items())
         return shortcuts
 
     def _witness_search(
         self,
         source: int,
         excluded: int,
-        limit: float,
+        open_targets: dict[int, float],
         fwd: list[dict[int, float]],
-        targets: Mapping[int, float],
-    ) -> dict[int, float]:
-        """Hop- and distance-limited Dijkstra avoiding ``excluded``.
+        dist: list[float],
+    ) -> None:
+        """Hop-limited Dijkstra avoiding ``excluded``; drops witnessed targets.
 
-        Conservative on purpose: hop limit, distance limit and settle
-        cap can all hide a genuine witness, which merely means an extra
-        shortcut gets added — correctness never depends on this search
-        being complete.  Only the distances of ``targets`` other than
-        ``source`` are read, so the search ends once they have all
-        settled: a settled distance is final, and whatever the search
-        would have done next cannot change it.
+        ``open_targets`` maps each undecided target to its bound; a
+        target whose distance falls to its bound or below is witnessed
+        and deleted, and what is left when the search ends needs its
+        shortcut.  ``dist`` is all ``inf`` on entry and on return.
+
+        The search stops as soon as every decision is fixed.  A
+        relaxation to within a target's bound decides it, because
+        distances only fall.  A popped distance above a target's bound
+        decides it too, because popped distances never fall and weights
+        are non-negative, so no later relaxation gets below the bound.
+        Hence nothing is relaxed past the largest open bound, and the
+        search ends when no target is open or the next pop is past
+        every open bound.
+
+        This makes the same decisions as a search that relaxes up to
+        the static limit ``d(u,v) + max d(v,w)`` and runs until every
+        target settles.  The limit here only shrinks and pops never
+        fall, so an entry that search pushes above the current limit
+        could only pop after this search has stopped; every relaxation
+        at or below the limit happens in both, into the same
+        ``(distance, node, hops)`` heap entry.  The
+        non-stale pops up to the stop are therefore the same sequence,
+        and the settle cap and the hop limit fire at the same pop.  A
+        target open at the stop has a distance above its bound in both
+        searches.
+
+        Conservative on purpose: hop limit and settle cap can hide a
+        genuine witness, which merely means an extra shortcut gets
+        added — correctness never depends on this search being
+        complete.
         """
-        dist: dict[int, float] = {source: 0.0}
-        heap: list[tuple[float, int, int]] = [(0.0, source, 0)]
         hop_limit = self.witness_hop_limit
-        pending = len(targets) - (source in targets)
+        limit = max(open_targets.values())
+        dist[source] = 0.0
+        touched = [source]
+        heap: list[tuple[float, int, int]] = [(0.0, source, 0)]
         settled = 0
-        while heap:
+        while heap and open_targets:
             d, x, h = heappop(heap)
+            if d > limit:
+                break
             if d > dist[x]:
                 continue
             settled += 1
             if settled > _WITNESS_SETTLE_LIMIT:
                 break
-            if x in targets and x != source:
-                pending -= 1
-                if not pending:
-                    break
             if h >= hop_limit:
                 continue
             for y, w in fwd[x].items():
                 if y == excluded:
                     continue
                 nd = d + w
-                if nd <= limit and nd < dist.get(y, _INF):
+                if nd <= limit and nd < dist[y]:
                     dist[y] = nd
+                    touched.append(y)
                     heappush(heap, (nd, y, h + 1))
-        return dist
+                    bound = open_targets.get(y)
+                    if bound is not None and nd <= bound:
+                        del open_targets[y]
+                        if not open_targets:
+                            break
+                        if bound == limit:
+                            limit = max(open_targets.values())
+        for y in touched:
+            dist[y] = _INF
 
     # ------------------------------------------------------------------
     # queries

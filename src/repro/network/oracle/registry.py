@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..graph import RoadGraph, RoadNetwork
     from .spec import OracleSpec
 
-#: Factory signature: ``(graph, *, seed, cache_dir, degradations)`` ->
+#: Factory signature: ``(graph, *, cache_dir, degradations)`` ->
 #: DistanceOracle; a factory ignores the keywords it has no use for.
 OracleFactory = Callable[..., DistanceOracle]
 
@@ -45,7 +45,7 @@ class _CHCacheAttempt:
 
 
 def _ch_from_cache(
-    graph: "RoadGraph", path, seed: int, attempt: _CHCacheAttempt
+    graph: "RoadGraph", path, attempt: _CHCacheAttempt
 ) -> CHOracle | None:
     """One validating load attempt, folded into ``attempt``'s accounting."""
     from .cache import load_ch_preprocessing_outcome, quarantine_cache_file
@@ -56,7 +56,7 @@ def _ch_from_cache(
     if outcome.payload is None:
         return None
     try:
-        oracle = CHOracle(graph, preprocessing=outcome.payload, seed=seed)
+        oracle = CHOracle(graph, preprocessing=outcome.payload)
     except ValueError:
         # Parsed but semantically unusable: quarantine like any other
         # rotten payload and rebuild.
@@ -71,14 +71,13 @@ def _ch_from_cache(
 def _ch_build_and_save(
     graph: "RoadGraph",
     path,
-    seed: int,
     degradations: DegradationLog | None,
 ) -> CHOracle:
     """Contract from scratch and persist the products (best effort)."""
     from .cache import save_ch_preprocessing
 
     fault_point("oracle.ch.build")
-    oracle = CHOracle(graph, seed=seed)
+    oracle = CHOracle(graph)
     try:
         save_ch_preprocessing(path, oracle, graph)
     except OSError as exc:
@@ -97,13 +96,12 @@ def _ch_build_and_save(
 def _make_ch(
     graph: "RoadGraph",
     *,
-    seed: int,
     cache_dir: str | None,
     degradations: DegradationLog | None,
 ) -> CHOracle:
     if not cache_dir:
         fault_point("oracle.ch.build")
-        return CHOracle(graph, seed=seed)
+        return CHOracle(graph)
     # Disk-backed preprocessing: a warm cache directory lets this (and
     # every later) process skip the contraction pass entirely.  A stale
     # or corrupted payload yields a miss (rotten files are quarantined
@@ -119,7 +117,7 @@ def _make_ch(
     # contend with each other (or with anyone) — the payload file is
     # only ever replaced atomically, so a validating load either sees a
     # complete payload or misses.
-    oracle = _ch_from_cache(graph, path, seed, attempt)
+    oracle = _ch_from_cache(graph, path, attempt)
     if oracle is None:
         # Build under a cross-process lock so N processes sharing one
         # cache directory contract the graph exactly once: the winner
@@ -129,9 +127,9 @@ def _make_ch(
         lock = InterProcessLock(path.with_name(path.name + ".lock"), timeout=600.0)
         try:
             with lock:
-                oracle = _ch_from_cache(graph, path, seed, attempt)
+                oracle = _ch_from_cache(graph, path, attempt)
                 if oracle is None:
-                    oracle = _ch_build_and_save(graph, path, seed, degradations)
+                    oracle = _ch_build_and_save(graph, path, degradations)
         except (LockTimeout, OSError) as exc:
             # Availability over the exactly-once economy: a wedged (or
             # glacial) holder — or a lock file that cannot even be
@@ -147,7 +145,7 @@ def _make_ch(
                     f"CH cache lock not acquired ({exc}); contracting "
                     f"locally without cross-process exclusion",
                 )
-            oracle = _ch_build_and_save(graph, path, seed, degradations)
+            oracle = _ch_build_and_save(graph, path, degradations)
     if attempt.corrupt and degradations is not None:
         degradations.record(
             "oracle.cache",
@@ -175,7 +173,6 @@ def create_oracle(
     name: str,
     graph: "RoadGraph",
     *,
-    seed: int = 0,
     cache_dir: str | None = None,
     degradations: DegradationLog | None = None,
 ) -> DistanceOracle:
@@ -194,20 +191,18 @@ def create_oracle(
         raise ConfigurationError(
             unknown_name("oracle backend", name, ORACLE_BACKENDS)
         ) from None
-    return factory(graph, seed=seed, cache_dir=cache_dir, degradations=degradations)
+    return factory(graph, cache_dir=cache_dir, degradations=degradations)
 
 
 def _build(
     spec: "OracleSpec",
     network: "RoadNetwork",
-    seed: int,
     degradations: DegradationLog | None,
 ) -> DistanceOracle:
     """Build ``spec``'s oracle and stamp it with the identity it answers to."""
     oracle = create_oracle(
         spec.backend,
         network.graph,
-        seed=seed,
         cache_dir=spec.cache_dir,
         degradations=degradations,
     )
@@ -233,7 +228,7 @@ def configure_oracle(
     network:
         The road network whose queries should go through the backend.
     config:
-        Supplies ``oracle`` (the :class:`OracleSpec`) and ``seed``.
+        Supplies ``oracle`` (the :class:`OracleSpec`).
     degradations:
         The run's degradation log.  When the requested backend's
         *construction itself* fails (not a config error — e.g. CH
@@ -256,7 +251,7 @@ def configure_oracle(
     ):
         return current
     try:
-        oracle = _build(spec, network, config.seed, degradations)
+        oracle = _build(spec, network, degradations)
     except ConfigurationError:
         raise
     except Exception as exc:  # noqa: BLE001 - degrade, record, keep serving
@@ -272,7 +267,7 @@ def configure_oracle(
         )
         from .spec import OracleSpec
 
-        oracle = _build(OracleSpec(), network, config.seed, None)
+        oracle = _build(OracleSpec(), network, None)
         oracle.degraded_from = spec.backend  # type: ignore[attr-defined]
     network.set_oracle(oracle)
     return oracle

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.config import SimulationConfig
 from repro.datasets.io import (
@@ -139,6 +141,26 @@ class TestWorkloadGeneration:
 
 
 _ORDER_HEADER = "order_id,pickup,dropoff,release_time,shortest_time,deadline,wait_limit,riders"
+_WORKER_HEADER = "worker_id,location,capacity"
+
+#: Cells near the edges of what the readers accept: signs, non-finite
+#: floats, integers too long for a float or for ``int()``, quoting.
+_CELLS = st.one_of(
+    st.sampled_from(
+        ["", "0", "-1", "nan", "-inf", "1e400", "9" * 400, "9" * 5000, " 2 ", '"']
+    ),
+    st.integers(-3, 3).map(str),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _csv_texts(draw) -> str:
+    """A reader's header (or none) over rows of edge-case cells."""
+    header = draw(st.sampled_from([_ORDER_HEADER, _WORKER_HEADER, ""]))
+    rows = draw(st.lists(st.lists(_CELLS, max_size=9).map(",".join), max_size=4))
+    return "\n".join([header, *rows])
 
 
 class TestCsvRoundTrip:
@@ -176,7 +198,7 @@ class TestCsvRoundTrip:
             (orders_from_csv, _ORDER_HEADER, ["1,2,3,0,1,2,3,1", "1,2"], "row 2, column 'dropoff'"),
             (orders_from_csv, _ORDER_HEADER, ["1,2,3,nan,1,2,3,1"], "row 1, column 'release_time'"),
             (orders_from_csv, _ORDER_HEADER, ["1,2,3,0,1,inf,3,1"], "row 1, column 'deadline'"),
-            (workers_from_csv, "worker_id,location,capacity", ["0,5,4", "1,x,4"], "row 2, column 'location'"),
+            (workers_from_csv, _WORKER_HEADER, ["0,5,4", "1,x,4"], "row 2, column 'location'"),
         ],
         ids=["unparsable", "short-row", "nan", "inf", "worker-cell"],
     )
@@ -186,6 +208,44 @@ class TestCsvRoundTrip:
         with pytest.raises(DatasetError, match=where) as excinfo:
             reader(path)
         assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "reader, header, row, reason",
+        [
+            (orders_from_csv, _ORDER_HEADER, "1,2,3,0,1,2,3,-1", "an order must carry at least one rider"),
+            (orders_from_csv, _ORDER_HEADER, "1,2,3,10,1,5,3,1", "deadline must not precede the release time"),
+            (workers_from_csv, _WORKER_HEADER, "0,5,0", "worker capacity must be at least 1"),
+        ],
+        ids=["riders", "deadline", "capacity"],
+    )
+    def test_row_the_model_rejects_names_the_row(self, reader, header, row, reason, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n0,1,2,0,1,2,3,1\n{row}\n")
+        with pytest.raises(DatasetError, match=f"row 2: {reason}") as excinfo:
+            reader(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_text_that_is_not_utf8_is_a_dataset_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(_WORKER_HEADER.encode() + b"\n0,5,4\xe9\n")
+        with pytest.raises(DatasetError, match="latin1.csv"):
+            workers_from_csv(path)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=st.one_of(st.text(), _csv_texts()))
+    def test_any_text_reads_or_raises_a_dataset_error(self, text, tmp_path):
+        path = tmp_path / "fuzz.csv"
+        path.write_text(text, encoding="utf-8")
+        for reader in (orders_from_csv, workers_from_csv):
+            try:
+                loaded = reader(path)
+            except DatasetError:
+                continue
+            assert isinstance(loaded, list)
 
     def test_raw_trips_to_orders(self, tiny_config):
         network = grid_city(rows=4, cols=4, jitter=0.0, seed=0)

@@ -688,8 +688,8 @@ class TestRegistry:
     def test_every_factory_tolerates_uniform_options(self, networks, backend, tmp_path):
         """Factories must accept the full keyword set create_oracle passes.
 
-        Every registered factory receives the uniform keywords (``seed``,
-        ``cache_dir``, ``degradations``) and ignores the ones it has no
+        Every registered factory receives the uniform keywords
+        (``cache_dir``, ``degradations``) and ignores the ones it has no
         use for — a backend that chokes on a keyword another backend
         needs would make the backends non-interchangeable.
         """
@@ -698,7 +698,6 @@ class TestRegistry:
         oracle = create_oracle(
             backend,
             graph,
-            seed=5,
             cache_dir=str(tmp_path),
             degradations=DegradationLog(),
         )
@@ -710,7 +709,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize(
         "option",
-        ["cache_sise", "reverse_cache_size", "lock_timeout", "max_rows", "nodes"],
+        ["cache_sise", "reverse_cache_size", "lock_timeout", "max_rows", "nodes", "seed"],
     )
     def test_an_option_no_backend_reads_names_the_key(self, networks, option):
         for backend in ORACLE_BACKENDS:
