@@ -15,6 +15,9 @@ Quick start::
         spec, algorithms=("WATTER-expect", "WATTER-online", "GDP")
     )
     print(format_comparison_table([run.metrics for run in runs]))
+
+``Session.run`` / ``Session.compare`` are the one way to run a scenario,
+and :func:`run_sweep` sweeps one axis of the paper's experiments.
 """
 
 from .config import ExtraTimeWeights, LearningConfig, SimulationConfig
@@ -28,7 +31,7 @@ from .exceptions import (
     ReproError,
     RoutingError,
 )
-from .model import Group, Order, OrderOutcome, OrderStatus, Route, Worker
+from .model import Group, Order, OrderOutcome, Route, Worker
 from .network import (
     RoadNetwork,
     GridIndex,
@@ -72,7 +75,6 @@ from .api import (
     Session,
     SimulationHooks,
     load_spec,
-    run_scenario,
     save_spec,
 )
 
@@ -92,7 +94,6 @@ __all__ = [
     "DatasetError",
     "Order",
     "OrderOutcome",
-    "OrderStatus",
     "Worker",
     "Group",
     "Route",
@@ -140,7 +141,6 @@ __all__ = [
     "Session",
     "RunResult",
     "SimulationHooks",
-    "run_scenario",
     "load_spec",
     "save_spec",
     "__version__",

@@ -11,14 +11,15 @@ lives behind this package:
 * :class:`Session` — a reusable execution context that prepares the
   road network and the distance oracle **once** and runs many
   scenarios against them, persisting CH preprocessing to an on-disk
-  cache (``oracle_cache_dir``) keyed by a stable graph hash;
+  cache (``oracle_cache_dir``) keyed by a stable graph hash.  Its
+  :meth:`~Session.run` (one algorithm) and :meth:`~Session.compare`
+  (several algorithms over one workload) are the run verbs; a sweep of
+  one parameter is :func:`repro.experiments.sweeps.run_sweep`;
 * :class:`RunResult` — structured output (metrics, per-order outcomes,
   oracle statistics, timings, spec echo, graph hash);
 * :class:`SimulationHooks` — the event-hook protocol
   (``on_order_arrival`` / ``on_periodic_check`` / ``on_assign``) for
-  streaming engine state without forking the loop;
-* :func:`run_scenario` / :func:`compare` / :func:`sweep` — the
-  one-call verbs the CLI and the experiment harness are built on.
+  streaming engine state without forking the loop.
 
 Quick start::
 
@@ -54,9 +55,8 @@ from ..network.generators import grid_city, manhattan_like_city, radial_city
 from ..network.grid import GridIndex
 from ..network.oracle import OracleSpec, graph_signature
 from ..simulation.hooks import CompositeHooks, SimulationHooks
-from .facade import SweepPoint, compare, load_spec, run_scenario, save_spec, sweep
 from .session import RunResult, Session
-from .spec import NETWORK_SOURCES, WORKLOAD_SOURCES, ScenarioSpec
+from .spec import NETWORK_SOURCES, WORKLOAD_SOURCES, ScenarioSpec, load_spec, save_spec
 
 __all__ = [
     # the facade proper
@@ -66,10 +66,6 @@ __all__ = [
     "RunResult",
     "SimulationHooks",
     "CompositeHooks",
-    "SweepPoint",
-    "run_scenario",
-    "compare",
-    "sweep",
     "load_spec",
     "save_spec",
     "NETWORK_SOURCES",

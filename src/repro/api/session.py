@@ -173,8 +173,8 @@ class Session:
     Simultaneous runs — and preparations — over one view share its
     oracle; every query reaches it through
     :class:`~repro.network.graph.RoadNetwork`, which takes the oracle's
-    one lock, so they take turns at it.  Each concurrent run still needs
-    its own order objects (``repro.serve`` clones them per run).
+    one lock, so they take turns at it.  Runs only read the drawn orders,
+    so every run of one shape, concurrent or not, shares them.
 
     Parameters
     ----------
@@ -668,12 +668,8 @@ class Session:
                 drawn = workloads.get(drawn_key)
                 if drawn is None:
                     drawn = workloads[drawn_key] = self._draw(spec, config, entry)
-                # A list of its own: ``Workload`` sorts its orders in place,
-                # and a served run may be cloning the drawn list right now.
                 workloads[key] = (
-                    drawn
-                    if view is drawn.network
-                    else replace(drawn, orders=list(drawn.orders), network=view)
+                    drawn if view is drawn.network else replace(drawn, network=view)
                 )
             workloads.move_to_end(key)
             while len(workloads) > _WORKLOAD_CACHE_SIZE:
@@ -882,11 +878,9 @@ def _training_subsample(
     shifted-seed training workload when the orders are a replayed log
     that cannot be regenerated.
     """
-    orders = list(workload.orders[::2][: max(training_config.num_orders, 1)])
-    if not orders:
-        orders = list(workload.orders)
+    orders = workload.orders[::2][: max(training_config.num_orders, 1)]
     return Workload(
-        orders=orders,
+        orders=orders or workload.orders,
         workers=list(workload.workers),
         network=workload.network,
         name=f"{workload.name}-train",

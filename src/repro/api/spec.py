@@ -11,7 +11,8 @@ Specs are plain data:
 
 * ``to_dict()`` / ``from_dict()`` round-trip losslessly
   (``from_dict(to_dict(spec)) == spec``), so scenarios can live in
-  JSON (or YAML) files next to the experiments that use them;
+  JSON (or YAML) files next to the experiments that use them
+  (:func:`load_spec` / :func:`save_spec`);
 * every field is validated eagerly with a precise
   :class:`~repro.exceptions.ConfigurationError` — unknown keys,
   wrong-typed values and out-of-range numbers all name the offending
@@ -28,7 +29,9 @@ The spec layer never *runs* anything — execution belongs to
 from __future__ import annotations
 
 import argparse
+import json
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 from typing import Any, Mapping
 
 from ..config import ExtraTimeWeights, SimulationConfig
@@ -431,3 +434,46 @@ class ScenarioSpec:
             else f"grid{self.grid_rows}x{self.grid_cols}"
         )
         return f"{source}/{self.workload}/{self.algorithm}"
+
+
+# ----------------------------------------------------------------------
+# spec files
+# ----------------------------------------------------------------------
+def load_spec(path: str | Path) -> ScenarioSpec:
+    """Read a scenario file (JSON; YAML when PyYAML is installed).
+
+    The document must be a flat mapping of :class:`ScenarioSpec`
+    fields; unknown keys and invalid values fail with the spec's
+    precise errors, naming the file.
+    """
+    file_path = Path(path)
+    try:
+        text = file_path.read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read scenario file {path}: {exc}")
+    if file_path.suffix.lower() in (".yaml", ".yml"):
+        try:
+            import yaml  # type: ignore[import-not-found]
+        except ImportError:
+            raise ConfigurationError(
+                f"{path} is a YAML scenario file but PyYAML is not "
+                f"installed; rewrite the spec as JSON or install pyyaml"
+            )
+        data = yaml.safe_load(text)
+    else:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"scenario file {path} is not valid JSON: {exc}")
+    try:
+        return ScenarioSpec.from_dict(data)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"scenario file {path}: {exc}") from exc
+
+
+def save_spec(spec: ScenarioSpec, path: str | Path) -> Path:
+    """Write a scenario to a JSON spec file (round-trips via load_spec)."""
+    file_path = Path(path)
+    file_path.parent.mkdir(parents=True, exist_ok=True)
+    file_path.write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
+    return file_path

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from ..config import SimulationConfig
 from ..model.group import Group
-from ..model.order import Order, OrderStatus
+from ..model.order import Order
 from ..routing.planner import RoutePlanner
 from ..simulation.dispatcher import Dispatcher, DispatchResult, book_group
 from ..simulation.fleet import WorkerFleet
@@ -86,8 +86,6 @@ class GASDispatcher(Dispatcher):
         """Process one final batch, then reject whatever is left."""
         result = self._process_batch(now)
         rejected = tuple(self._buffer)
-        for order in rejected:
-            order.status = OrderStatus.REJECTED
         self._buffer.clear()
         self._planner.forget(order.order_id for order in rejected)
         return result.merge(DispatchResult(rejected=rejected))
@@ -197,8 +195,6 @@ class GASDispatcher(Dispatcher):
     def _drop_expired(self, now: float) -> DispatchResult:
         rejected = tuple(order for order in self._buffer if order.is_expired(now))
         if rejected:
-            for order in rejected:
-                order.status = OrderStatus.REJECTED
             rejected_ids = {order.order_id for order in rejected}
             self._buffer = [
                 order for order in self._buffer if order.order_id not in rejected_ids

@@ -39,7 +39,7 @@ from math import inf
 from typing import TYPE_CHECKING
 
 from ..config import SimulationConfig
-from ..model.order import Order, OrderStatus
+from ..model.order import Order
 from ..model.route import StopKind
 from ..model.worker import Worker
 from ..simulation.dispatcher import Dispatcher, DispatchResult, ServedOrder
@@ -231,7 +231,6 @@ class GDPDispatcher(Dispatcher):
             plan.progress(now)
         best = self._best_insertion(order, now)
         if best is None:
-            order.status = OrderStatus.REJECTED
             return DispatchResult(rejected=(order,))
         self._commit(best, order, now)
         return DispatchResult.empty()
@@ -301,7 +300,6 @@ class GDPDispatcher(Dispatcher):
         plan.legs = insertion.new_legs
         plan.orders[order.order_id] = order
         plan.available_at = max(plan.available_at, now)
-        order.status = OrderStatus.DISPATCHED
         self._fleet.add_travel_time(max(insertion.added_travel_time, 0.0))
         self._scheduled_dropoffs[order.order_id] = (
             order,

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from ..config import SimulationConfig
 from ..model.group import Group
-from ..model.order import Order, OrderStatus
+from ..model.order import Order
 from ..routing.planner import RoutePlanner
 from ..simulation.dispatcher import Dispatcher, DispatchResult, book_group
 from ..simulation.fleet import WorkerFleet
@@ -63,8 +63,6 @@ class NonSharingDispatcher(Dispatcher):
     def flush(self, now: float) -> DispatchResult:
         """Reject everything still queued at the end of the horizon."""
         rejected = tuple(self._queue)
-        for order in rejected:
-            order.status = OrderStatus.REJECTED
         self._queue.clear()
         self._planner.forget(order.order_id for order in rejected)
         return DispatchResult(rejected=rejected)
@@ -85,12 +83,10 @@ class NonSharingDispatcher(Dispatcher):
         while self._queue:
             order = self._queue.popleft()
             if order.is_expired(now):
-                order.status = OrderStatus.REJECTED
                 rejected.append(order)
                 continue
             group = self._singleton_group(order, now)
             if group is None:
-                order.status = OrderStatus.REJECTED
                 rejected.append(order)
                 continue
             records = book_group(self._fleet, group, now)

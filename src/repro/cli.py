@@ -43,7 +43,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .api import RunResult, ScenarioSpec, Session, load_spec
 from .datasets.workloads import DATASETS
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, ReproError
 from .experiments.reporting import (
     format_comparison_table,
     format_full_sweep_report,
@@ -528,12 +528,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigurationError as exc:
         # An invalid scenario is a usage error, reported like argparse's.
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
-    if args.command == "compare":
-        output = _run_compare(args, spec)
-    elif args.command == "run":
-        output = _run_spec_file(args, spec)
-    else:
-        output = _run_sweep(args, spec)
+    try:
+        if args.command == "compare":
+            output = _run_compare(args, spec)
+        elif args.command == "run":
+            output = _run_spec_file(args, spec)
+        else:
+            output = _run_sweep(args, spec)
+    except (ReproError, OSError) as exc:
+        # A run that fails (a torn checkpoint, a missing order log) is
+        # reported in one line, not a traceback.
+        parser.exit(1, f"{parser.prog} {args.command}: error: {exc}\n")
     print(output)
     return 0
 

@@ -21,7 +21,7 @@ so the class exposes factory helpers ``online`` / ``timeout`` /
 from __future__ import annotations
 
 from ..config import SimulationConfig
-from ..model.order import Order, OrderStatus
+from ..model.order import Order
 from ..routing.planner import RoutePlanner
 from ..simulation.dispatcher import Dispatcher, DispatchResult, book_group
 from ..simulation.fleet import WorkerFleet
@@ -156,17 +156,12 @@ class WatterDispatcher(Dispatcher):
                     continue
                 served.extend(records)
             elif decision.reject:
-                order = self._orders[decision.order_id]
-                order.status = OrderStatus.REJECTED
-                rejected.append(order)
+                rejected.append(self._orders[decision.order_id])
         return DispatchResult(served=tuple(served), rejected=tuple(rejected))
 
     def flush(self, now: float) -> DispatchResult:
         """Reject everything still waiting at the end of the horizon."""
         decisions = self._pool.flush(now)
-        rejected = []
-        for decision in decisions:
-            order = self._orders[decision.order_id]
-            order.status = OrderStatus.REJECTED
-            rejected.append(order)
-        return DispatchResult(rejected=tuple(rejected))
+        return DispatchResult(
+            rejected=tuple(self._orders[decision.order_id] for decision in decisions)
+        )

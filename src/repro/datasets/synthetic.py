@@ -74,7 +74,7 @@ class Workload:
     name: str = "synthetic"
 
     def __post_init__(self) -> None:
-        self.orders.sort(key=lambda order: order.release_time)
+        self.orders = sorted(self.orders, key=lambda order: order.release_time)
 
     def __len__(self) -> int:
         return len(self.orders)

@@ -61,7 +61,8 @@ DEFAULT_CHECKPOINT_INTERVAL = 25
 #     persistent id.
 # 11: the ``("graph",)`` persistent id resolves to a ``RoadGraph``, not a
 #     networkx ``DiGraph``; nothing pickled refers to networkx.
-_FORMAT_VERSION = 11
+# 12: a pickled ``Order`` has no ``status`` field.
+_FORMAT_VERSION = 12
 
 
 class CheckpointError(ReproError):

@@ -2,7 +2,7 @@
 
 from .config import default_config, PARAMETER_GRID
 from .runner import ALGORITHMS, DISPATCHERS, make_dispatcher
-from .sweeps import AXES, run_sweep
+from .sweeps import AXES, SweepPoint, run_sweep
 from .worked_example import run_worked_example, WorkedExampleResult
 from .reporting import format_sweep_table, format_comparison_table
 
@@ -13,6 +13,7 @@ __all__ = [
     "DISPATCHERS",
     "make_dispatcher",
     "AXES",
+    "SweepPoint",
     "run_sweep",
     "run_worked_example",
     "WorkedExampleResult",

@@ -14,7 +14,7 @@ from typing import Sequence, TYPE_CHECKING
 from ..simulation.metrics import SimulationMetrics
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..api import SweepPoint
+    from .sweeps import SweepPoint
 
 #: metric attribute -> human-readable column header
 METRIC_LABELS = {

@@ -9,11 +9,12 @@ entry of :data:`AXES`: the swept spec field, its Table III values
 (scaled, see :mod:`repro.experiments.config`) and how one value rewrites
 the base :class:`~repro.api.ScenarioSpec`.
 
-:func:`run_sweep` runs an axis through :func:`repro.api.sweep`: the
+:func:`run_sweep` is the one sweep: it runs
+:meth:`~repro.api.Session.compare` at every value of an axis, and the
 whole sweep shares one :class:`~repro.api.Session`, so the road network
 and any oracle preprocessing are built once (pass ``session=`` to share
 one further, or to give it an on-disk oracle cache).  The returned
-:class:`~repro.api.SweepPoint` records render with
+:class:`SweepPoint` records render with
 :func:`repro.experiments.reporting.format_sweep_table`.
 """
 
@@ -27,7 +28,7 @@ from .config import PARAMETER_GRID, worker_counts_scaled
 from .runner import ALGORITHMS
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..api import ScenarioSpec, Session, SweepPoint
+    from ..api import RunResult, ScenarioSpec, Session
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,15 @@ class Axis:
 
     values: tuple[Any, ...]
     apply: Callable[["ScenarioSpec", Any], "ScenarioSpec"]
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One value of a swept axis and the runs measured there."""
+
+    parameter: str
+    value: Any
+    results: tuple["RunResult", ...]
 
 
 def _orders(spec: "ScenarioSpec", fraction: float) -> "ScenarioSpec":
@@ -101,9 +111,10 @@ def run_sweep(
 ) -> "list[SweepPoint]":
     """Vary one axis of :data:`AXES` around ``spec``, comparing ``algorithms``.
 
-    ``values`` defaults to the axis's Table III values.
+    ``values`` defaults to the axis's Table III values; each value
+    rewrites ``spec`` through the axis's ``apply``.
     """
-    from ..api import sweep
+    from ..api import Session
 
     try:
         entry = AXES[axis]
@@ -111,11 +122,14 @@ def run_sweep(
         raise ConfigurationError(
             f"unknown sweep axis {axis!r}; expected one of {sorted(AXES)}"
         ) from None
-    return sweep(
-        spec,
-        axis,
-        entry.values if values is None else values,
-        algorithms=algorithms,
-        session=session,
-        spec_for_value=entry.apply,
-    )
+    session = session or Session()
+    return [
+        SweepPoint(
+            parameter=axis,
+            value=value,
+            results=tuple(
+                session.compare(entry.apply(spec, value), algorithms=algorithms)
+            ),
+        )
+        for value in (entry.values if values is None else values)
+    ]

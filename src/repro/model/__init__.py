@@ -1,13 +1,12 @@
 """Domain entities: orders, workers, groups, routes."""
 
-from .order import Order, OrderStatus, OrderOutcome
+from .order import Order, OrderOutcome
 from .worker import Worker, WorkerStatus
 from .group import Group
 from .route import Route, RouteStop, StopKind
 
 __all__ = [
     "Order",
-    "OrderStatus",
     "OrderOutcome",
     "Worker",
     "WorkerStatus",

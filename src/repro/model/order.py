@@ -1,16 +1,17 @@
-"""Order entity (Definition 1) and its lifecycle bookkeeping.
+"""Order entity (Definition 1) and its outcome record.
 
 An order ``o(i) = <l_p, l_d, c, t, tau, eta>`` asks for ``c`` riders to
 travel from pickup node ``l_p`` to dropoff node ``l_d``; it is released
 at ``t``, must be dropped off before the deadline ``tau`` and prefers an
-answer within the watch window ``eta``.  The module also defines the
-outcome record the simulator produces for every order (served or
-rejected) from which all of the paper's metrics are computed.
+answer within the watch window ``eta``.  An order is an input: no
+dispatcher writes to it, so one drawn workload serves any number of
+runs.  Its fate is the outcome record the simulator produces for every
+order (served or rejected), from which all of the paper's metrics are
+computed.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
 
@@ -21,15 +22,6 @@ _order_counter = itertools.count()
 
 def _next_order_id() -> int:
     return next(_order_counter)
-
-
-class OrderStatus(enum.Enum):
-    """Lifecycle states of an order inside the platform."""
-
-    PENDING = "pending"      # released, waiting in the pool
-    DISPATCHED = "dispatched"  # grouped and assigned to a worker
-    COMPLETED = "completed"    # dropped off
-    REJECTED = "rejected"      # expired / could not be served
 
 
 @dataclass
@@ -65,7 +57,6 @@ class Order:
     wait_limit: float
     riders: int = 1
     order_id: int = field(default_factory=_next_order_id)
-    status: OrderStatus = OrderStatus.PENDING
 
     def __post_init__(self) -> None:
         if self.riders < 1:

@@ -16,7 +16,7 @@ runs over it, the way a production dispatch backend would:
   pipelines and CI;
 * :class:`JsonlSink` / :class:`MemorySink` — pluggable result sinks on
   the :class:`~repro.simulation.hooks.SimulationHooks` protocol,
-  usable outside the server too (``run_scenario(spec,
+  usable outside the server too (``Session().run(spec,
   hooks=JsonlSink("trace.jsonl"))``).
 
 Start one from the command line with ``python -m repro.cli serve`` —

@@ -7,9 +7,10 @@ executor, prepares each run on its **one session**
 (:class:`~repro.api.Session` — one oracle view per network and oracle
 spec, however many concurrent requests name it; a per-identity circuit
 breaker from :mod:`repro.serve.pool` quarantines one whose preparation
-keeps failing), runs each request on its own clone of the prepared
-orders over the prepared view itself (whose oracle answers one query at
-a time under its own lock), and streams each run's events into sinks
+keeps failing), runs each request through the same ``Session.run`` a
+direct caller uses — over the prepared orders and view, whose oracle
+answers one query at a time under its own lock — and streams each run's
+events into sinks
 (an in-memory store per run, plus a JSONL trace file per run when a
 trace directory is configured).
 
@@ -25,7 +26,6 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -546,22 +546,6 @@ class ScenarioService:
                 session.discard(spec)
             raise
         self._breakers.record_success(key)
-        # Orders carry mutable lifecycle bookkeeping and the prepared
-        # workload is every run's on this view, so each run gets its
-        # own clones (ids kept).  The network is the prepared view: its
-        # oracle serialises queries itself.  Workers need no clone —
-        # ``make_dispatcher`` puts fresh copies in each run's fleet.
-        run_workload = replace(
-            workload, orders=[replace(order) for order in workload.orders]
-        )
-        provider = None
-        if spec.algorithm == "WATTER-expect" and record.resume_path is None:
-            # The memoised provider (fitted to the spec's own source),
-            # exactly as a direct Session.run(spec) would bootstrap it —
-            # passing the cloned workload below must not change which
-            # provider serves the run.  (A resumed dispatcher carries
-            # its provider inside the checkpoint.)
-            provider = session.expect_provider(spec)
         sink = None
         if self._trace_dir is not None:
             sink = JsonlSink(
@@ -573,8 +557,6 @@ class ScenarioService:
             result = session.run(
                 spec,
                 hooks=hooks,
-                workload=run_workload,
-                provider=provider,
                 cancellation=record.cancellation,
                 degradations=degradations,
                 resume_from=record.resume_path,

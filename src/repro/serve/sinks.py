@@ -7,7 +7,7 @@ normalisation once; concrete sinks override :meth:`~EventRecorder.emit`:
 
 * :class:`JsonlSink` appends one JSON line per event to a file — a
   machine-readable run trace.  It is deliberately usable *outside* the
-  server too: pass one straight to ``repro.api.run_scenario(spec,
+  server too: pass one straight to ``Session().run(spec,
   hooks=JsonlSink("trace.jsonl"))`` and the file carries the run-start
   spec echo, every arrival/check/assignment, and the run-end summary.
 * :class:`MemorySink` keeps the events in a bounded in-process list —

@@ -20,8 +20,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..model.order import OrderStatus
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..model.group import Group
     from ..model.order import Order
@@ -122,6 +120,4 @@ def book_group(
     if worker is None:
         return None
     fleet.assign(worker, group, now)
-    for order in group.orders:
-        order.status = OrderStatus.DISPATCHED
     return served_orders_from_group(group, now, worker.worker_id)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.config import SimulationConfig
-from repro.model.order import Order, OrderStatus
+from repro.model.order import Order
 from repro.model.route import RouteStop, StopKind
 from repro.model.worker import Worker
 from repro.simulation.dispatcher import Dispatcher, DispatchResult, ServedOrder
@@ -121,7 +121,6 @@ class ReferenceGDPDispatcher(Dispatcher):
             plan.progress(now)
         best = self._best_insertion(order, now)
         if best is None:
-            order.status = OrderStatus.REJECTED
             return DispatchResult(rejected=(order,))
         self._commit(best, order, now)
         return DispatchResult.empty()
@@ -263,7 +262,6 @@ class ReferenceGDPDispatcher(Dispatcher):
         plan.stops = insertion.new_stops
         plan.orders[order.order_id] = order
         plan.available_at = max(plan.available_at, now)
-        order.status = OrderStatus.DISPATCHED
         self._fleet.add_travel_time(max(insertion.added_travel_time, 0.0))
         self._scheduled_dropoffs[order.order_id] = (
             order,

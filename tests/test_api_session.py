@@ -5,21 +5,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.api import (
+    ALGORITHMS,
     ScenarioSpec,
     Session,
     SimulationHooks,
-    compare,
     orders_to_csv,
-    run_scenario,
-    sweep,
     workers_to_csv,
 )
 from repro.datasets.workloads import build_workload
 from repro.exceptions import ConfigurationError, ReproError
+from repro.experiments.sweeps import run_sweep
 from repro.experiments.runner import make_dispatcher
 from repro.network.oracle import ORACLE_BACKENDS, create_oracle
 from repro.network.oracle.cache import (
@@ -127,10 +127,10 @@ class TestSessionReuse:
         assert second._network.config.loss_weight == 0.75
 
     def test_compare_preserves_the_specs_use_rl(self):
-        # the module-level facade must not clobber spec.use_rl with a
-        # False default; None means "keep the spec's setting"
+        # compare must not clobber spec.use_rl with a False default;
+        # None means "keep the spec's setting"
         spec = _small_spec(algorithm="NonSharing", use_rl=True)
-        result = compare(spec, algorithms=("NonSharing",))[0]
+        result = Session().compare(spec, algorithms=("NonSharing",))[0]
         assert result.spec.use_rl is True
 
     def test_compare_shares_one_workload(self):
@@ -516,19 +516,19 @@ class TestCsvReplay:
 class TestFacadeFunctions:
     def test_run_scenario_and_compare(self):
         spec = _small_spec(algorithm="NonSharing")
-        single = run_scenario(spec)
+        single = Session().run(spec)
         assert single.algorithm == "NonSharing"
-        several = compare(spec, algorithms=("NonSharing", "WATTER-online"))
+        several = Session().compare(spec, algorithms=("NonSharing", "WATTER-online"))
         assert _deterministic(several[0].metrics) == _deterministic(single.metrics)
 
     def test_sweep_shares_a_session(self):
-        points = sweep(
-            _small_spec(algorithm="NonSharing"),
+        points = run_sweep(
             "num_orders",
-            (12, 18),
+            _small_spec(algorithm="NonSharing"),
+            values=(0.5, 0.75),
             algorithms=("NonSharing",),
         )
-        assert [point.value for point in points] == [12, 18]
+        assert [point.value for point in points] == [0.5, 0.75]
         totals = [point.results[0].metrics.total_orders for point in points]
         assert totals == [12, 18]
         # same network either way: the sweep shares one session
@@ -536,7 +536,7 @@ class TestFacadeFunctions:
         assert len(hashes) == 1
 
     def test_run_result_is_self_describing(self):
-        result = run_scenario(_small_spec(name="probe"))
+        result = Session().run(_small_spec(name="probe"))
         assert result.spec.name == "probe"
         assert len(result.graph_hash) == 64
         assert set(result.timings) == {
@@ -547,3 +547,33 @@ class TestFacadeFunctions:
         summary = result.summary()
         assert summary["scenario"] == "probe"
         assert summary["graph_hash"] == result.graph_hash
+
+
+class TestOrdersAreInputs:
+    """A run reads the session's drawn orders and never writes them, so
+    every run of one shape (direct, compared, served or resumed) shares
+    them."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_run_leaves_the_drawn_orders_as_drawn(self, algorithm):
+        session = Session()
+        spec = _small_spec(algorithm=algorithm)
+        drawn = session.workload(spec).orders
+        before = [dataclasses.astuple(order) for order in drawn]
+        session.run(spec)
+        assert session.workload(spec).orders is drawn
+        assert [dataclasses.astuple(order) for order in drawn] == before
+
+    def test_concurrent_runs_of_one_spec_match_a_sequential_run(self):
+        # No jitter: every Dijkstra sum is exact, so the runs may take
+        # turns at the shared oracle in any order.
+        spec = ScenarioSpec(
+            network="grid", grid_rows=7, grid_cols=7, grid_jitter=0.0,
+            num_orders=60, num_workers=10, horizon=900.0, seed=3,
+            algorithm="WATTER-online",
+        )
+        session = Session()
+        sequential = session.run(spec).outcomes
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = list(pool.map(lambda _: session.run(spec).outcomes, range(2)))
+        assert concurrent == [sequential, sequential]

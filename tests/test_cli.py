@@ -229,3 +229,35 @@ class TestMain:
         assert lines[0].startswith("repro run: error: ")
         assert key in lines[0]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("failure", ["garbage checkpoint", "missing order log"])
+    def test_a_failed_run_is_one_error_line(self, capsys, tmp_path, failure):
+        spec = ScenarioSpec(
+            network="grid",
+            grid_rows=4,
+            grid_cols=4,
+            num_orders=8,
+            num_workers=2,
+            horizon=200.0,
+            seed=7,
+            algorithm="GDP",
+        )
+        argv = ["run"]
+        if failure == "garbage checkpoint":
+            garbage = tmp_path / "garbage.ckpt"
+            garbage.write_bytes(b"not a checkpoint\n")
+            argv += ["--resume", str(garbage)]
+        else:
+            spec = spec.with_overrides(
+                workload="csv", orders_csv=str(tmp_path / "missing.csv")
+            )
+        path = save_spec(spec, tmp_path / "scenario.json")
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--spec", str(path)])
+        assert exited.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro run: error: ")
+        assert "Traceback" not in captured.err

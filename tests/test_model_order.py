@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.model.order import Order, OrderOutcome, OrderStatus
+from repro.model.order import Order, OrderOutcome
 
 
 def _order(**overrides):
@@ -37,9 +37,6 @@ class TestOrderValidation:
     def test_wait_limit_must_be_non_negative(self):
         with pytest.raises(ConfigurationError):
             _order(wait_limit=-10.0)
-
-    def test_default_status_is_pending(self):
-        assert _order().status is OrderStatus.PENDING
 
     def test_ids_are_unique(self):
         assert _order().order_id != _order().order_id

@@ -78,3 +78,44 @@ def test_runtime_imports_leave_networkx_unloaded():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert completed.stdout.strip() == "[]"
+
+
+def _documented_imports():
+    """Every ``from repro... import name`` in a parsing ``python`` block
+    of ``README.md`` and ``docs/*.md``, as (file, module, name)."""
+    import ast
+    import re
+    import textwrap
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        for block in re.findall(r"```python\n(.*?)```", path.read_text(), re.S):
+            try:
+                tree = ast.parse(textwrap.dedent(block))
+            except SyntaxError:
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").split(".")[0] == "repro"
+                ):
+                    for alias in node.names:
+                        yield path.name, node.module, alias.name
+
+
+def test_documented_imports_exist():
+    """The docs import only names the package has, so a deleted verb
+    cannot linger in an example."""
+    import importlib
+
+    documented = list(_documented_imports())
+    assert documented
+    missing = []
+    for doc, module_name, name in documented:
+        module = importlib.import_module(module_name)
+        if not hasattr(module, name):
+            try:
+                importlib.import_module(f"{module_name}.{name}")
+            except ImportError:
+                missing.append(f"{doc}: from {module_name} import {name}")
+    assert missing == []

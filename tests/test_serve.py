@@ -5,7 +5,7 @@ and stdin JSON-lines).
 The load-bearing assertions mirror the serving layer's promises:
 
 * a served run's decision-derived metrics are identical to a direct
-  ``repro.api.run_scenario`` execution of the same spec+seed;
+  ``Session.run`` of the same spec+seed;
 * two concurrent submissions naming the same network/oracle identity
   build the oracle exactly once (view hit counter + ``oracle_builds``);
 * malformed specs come back as structured 400-style refusals, on every
@@ -26,7 +26,7 @@ import weakref
 import pytest
 
 import repro.api.session as session_module
-from repro.api import ScenarioSpec, Session, run_scenario
+from repro.api import ScenarioSpec, Session
 from repro.serve import (
     CANCELLED,
     COMPLETED,
@@ -198,10 +198,11 @@ class TestSinks:
         assert all(event["run_id"] == "r1" for event in sink.events)
 
     def test_jsonl_sink_traces_a_direct_run(self, tmp_path):
-        """The sink is usable outside the server: one facade call with
-        ``trace_path`` leaves a complete JSONL trace."""
+        """The sink is usable outside the server: a direct run with the
+        sink as its hooks leaves a complete JSONL trace."""
         trace = tmp_path / "trace.jsonl"
-        result = run_scenario(_grid_spec(), trace_path=trace)
+        with JsonlSink(trace) as sink:
+            result = Session().run(_grid_spec(), hooks=sink)
         events = [json.loads(line) for line in trace.read_text().splitlines()]
         assert events[0]["event"] == "run_start"
         assert events[0]["algorithm"] == "GDP"
@@ -214,7 +215,7 @@ class TestSinks:
     def test_jsonl_sink_as_hooks_argument(self, tmp_path):
         trace = tmp_path / "hooks.jsonl"
         with JsonlSink(trace, context={"run_id": "r9"}) as sink:
-            run_scenario(_grid_spec(), hooks=sink)
+            Session().run(_grid_spec(), hooks=sink)
         first = json.loads(trace.read_text().splitlines()[0])
         assert first["event"] == "run_start"
         assert first["run_id"] == "r9"
@@ -226,7 +227,7 @@ class TestSinks:
 class TestScenarioService:
     def test_served_metrics_match_direct_run(self):
         spec = _grid_spec(oracle={"backend": "ch"})
-        direct = run_scenario(spec)
+        direct = Session().run(spec)
         with ScenarioService(max_runs=2) as service:
             record = service.wait(service.submit_spec(spec).run_id, timeout=_WAIT)
             assert record.status == COMPLETED, record.error
@@ -242,7 +243,7 @@ class TestScenarioService:
             grid_rows=5, grid_cols=5, num_orders=30, num_workers=6,
             horizon=300.0, seed=11, algorithm="WATTER-expect",
         )
-        direct = run_scenario(spec)
+        direct = Session().run(spec)
         with ScenarioService(max_runs=1) as service:
             record = service.wait(service.submit_spec(spec).run_id, timeout=_WAIT)
             assert record.status == COMPLETED, record.error
@@ -261,8 +262,11 @@ class TestScenarioService:
             assert service.wait(record_a.run_id, timeout=_WAIT).status == COMPLETED
             assert service.wait(record_b.run_id, timeout=_WAIT).status == COMPLETED
             pool = service.metrics()["pool"]
+        # A served request looks its view up twice, in ``prepare`` and
+        # in ``run``, as a direct prepare-then-run does: the first
+        # request misses once and hits once, the second hits twice.
         assert pool["misses"] == 1
-        assert pool["hits"] == 1
+        assert pool["hits"] == 3
         assert pool["networks"] == 1
         assert pool["oracle_builds"] == 1
 
@@ -278,7 +282,7 @@ class TestScenarioService:
             )
             for name in ("a", "b")
         ]
-        direct = [run_scenario(spec) for spec in specs]
+        direct = [Session().run(spec) for spec in specs]
         with ScenarioService(max_runs=2) as service:
             records = [service.submit_spec(spec) for spec in specs]
             records = [
@@ -310,7 +314,7 @@ class TestScenarioService:
             base.with_overrides(algorithm="WATTER-online"),
             base.with_overrides(algorithm="GAS"),
         ]
-        direct = [run_scenario(spec) for spec in specs]
+        direct = [Session().run(spec) for spec in specs]
         with ScenarioService(max_runs=2) as service:
             records = [service.submit_spec(spec) for spec in specs]
             records = [
@@ -558,7 +562,7 @@ class TestHttpServer:
         )
         assert status == 200
         assert body["status"] == COMPLETED
-        direct = run_scenario(_grid_spec())
+        direct = Session().run(_grid_spec())
         assert _deterministic(body["result"]["metrics"]) == (
             _deterministic(direct.metrics.summary_row())
         )
