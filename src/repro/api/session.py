@@ -9,8 +9,10 @@ cheap to reuse, in one LRU of *network entries* (at most
   ``RoadNetwork(graph, oracle)`` per resolved
   :class:`~repro.network.oracle.OracleSpec`.  The default ``lazy`` view
   is the network as built; any other view's oracle is built once by
-  :func:`~repro.network.oracle.configure_oracle` and kept, so specs that
-  alternate backends never rebuild an oracle.  With an
+  :func:`~repro.network.oracle.configure_oracle` and kept for the view's
+  life — a ``ch`` build that failed leaves its ``lazy`` stand-in as the
+  view — so specs that alternate backends never rebuild an oracle, and
+  no run ever changes a network's oracle.  With an
   ``oracle_cache_dir`` the CH contraction products are additionally
   persisted to disk keyed by a stable graph hash, so even a *fresh
   process* skips preprocessing;
@@ -204,8 +206,7 @@ class Session:
         # the simulations themselves run outside the lock.
         self._lock = threading.RLock()
         #: How many oracles this session built: one per view other than
-        #: a network's default ``lazy`` one, plus one per oracle
-        #: attached to a caller-built workload's network.
+        #: a network's default ``lazy`` one.
         self.oracle_builds = 0
         self._hits = 0
         self._misses = 0
@@ -237,7 +238,9 @@ class Session:
         workload:
             Escape hatch for custom demand models: run the spec's
             dispatcher and settings over a caller-built workload
-            instead of the spec's source.
+            instead of the spec's source.  It runs on ``workload.network``
+            as given, whatever oracle the spec names: build it on
+            :meth:`network` to run on the spec's view.
         provider:
             Pre-built threshold provider for ``WATTER-expect`` (one is
             bootstrapped and memoised automatically when omitted).
@@ -280,8 +283,6 @@ class Session:
         custom_workload = workload is not None
         if workload is None:
             workload = self._workload(spec, config, degradations)
-        else:
-            self._attach_oracle(workload.network, config, degradations)
         if (
             provider is None
             and resume_from is None
@@ -346,7 +347,6 @@ class Session:
                 config,
                 hooks=hooks,
                 cancellation=cancellation,
-                degradations=degradations,
                 resume=resume,
             ).run()
         except RunCancelled as exc:
@@ -416,7 +416,7 @@ class Session:
     # prepared state
     # ------------------------------------------------------------------
     def network(self, spec: ScenarioSpec) -> RoadNetwork:
-        """The spec's view: the shared graph with the spec's oracle attached."""
+        """The spec's view: the shared graph with the oracle the spec names."""
         spec = self._effective(spec)
         _, view = self._view(spec, spec.config())
         return view
@@ -458,8 +458,7 @@ class Session:
         counts, algorithm) are absent: such specs share one view.
         """
         spec = self._effective(spec)
-        config = spec.config()
-        return (self._network_key(spec, config), config.oracle.resolved())
+        return (self._network_key(spec, spec.config()), _oracle(spec))
 
     def discard(self, spec: ScenarioSpec) -> None:
         """Drop the spec's view and the workloads bound to it.
@@ -532,7 +531,7 @@ class Session:
             )
         key = (
             _shape(spec, config),
-            config.oracle.resolved(),
+            _oracle(spec),
             spec.use_rl,
             spec.loss_weight,
         )
@@ -591,17 +590,6 @@ class Session:
             oracle=replace(oracle, cache_dir=self._oracle_cache_dir)
         )
 
-    def _attach_oracle(
-        self,
-        network: RoadNetwork,
-        config: SimulationConfig,
-        degradations: DegradationLog | None,
-    ) -> None:
-        with self._lock:
-            before = network.oracle
-            if configure_oracle(network, config, degradations=degradations) is not before:
-                self.oracle_builds += 1
-
     def _entry(self, spec: ScenarioSpec, config: SimulationConfig) -> _NetworkEntry:
         """The spec's network entry, built on a miss (most recent in the LRU)."""
         key = self._network_key(spec, config)
@@ -636,7 +624,7 @@ class Session:
         degradations: DegradationLog | None = None,
     ) -> tuple[_NetworkEntry, RoadNetwork]:
         """The spec's entry and view; a new view gets its oracle built here."""
-        oracle = config.oracle.resolved()
+        oracle = _oracle(spec)
         with self._lock:
             known = self._network_key(spec, config) in self._entries
             entry = self._entry(spec, config)
@@ -646,10 +634,11 @@ class Session:
                 return entry, view
             self._misses += 1
             if view is None:
-                drawn = entry.views[_DRAW_VIEW]
-                view = RoadNetwork(drawn.graph, drawn.oracle)
-                self._attach_oracle(view, config, degradations)
-                entry.views[oracle] = view
+                graph = entry.views[_DRAW_VIEW].graph
+                view = entry.views[oracle] = RoadNetwork(
+                    graph, configure_oracle(graph, oracle, degradations)
+                )
+                self.oracle_builds += 1
             return entry, view
 
     def _workload(
@@ -660,7 +649,7 @@ class Session:
     ) -> Workload:
         """The spec's shape drawn on the default view, bound to its own view."""
         shape = _shape(spec, config)
-        key, drawn_key = (shape, config.oracle.resolved()), (shape, _DRAW_VIEW)
+        key, drawn_key = (shape, _oracle(spec)), (shape, _DRAW_VIEW)
         with self._lock:
             entry, view = self._view(spec, config, degradations)
             workloads = entry.workloads
@@ -831,14 +820,14 @@ class Session:
         )
 
 
+def _oracle(spec: ScenarioSpec) -> OracleSpec:
+    """The resolved oracle spec naming the spec's view."""
+    return (spec.oracle or _DRAW_VIEW).resolved()
+
+
 def _shape(spec: ScenarioSpec, config: SimulationConfig) -> tuple:
     """What a drawn workload depends on besides its network: not the oracle."""
-    return (
-        spec.workload,
-        spec.orders_csv,
-        spec.workers_csv,
-        replace(config, oracle=_DRAW_VIEW),
-    )
+    return (spec.workload, spec.orders_csv, spec.workers_csv, config)
 
 
 def _learning_config(spec: ScenarioSpec) -> LearningConfig | None:

@@ -61,7 +61,6 @@ _CONFIG_FIELDS = (
     "horizon",
     "max_group_size",
     "seed",
-    "oracle",
 )
 
 _INT_FIELDS = (
@@ -160,7 +159,9 @@ class ScenarioSpec:
     oracle:
         Typed :class:`OracleSpec` naming the distance-oracle backend
         and its validated options (a mapping is accepted and parsed);
-        ``None`` keeps the default ``lazy`` backend.
+        ``None`` keeps the default ``lazy`` backend.  The one place a
+        backend is named: a :class:`~repro.api.Session` builds its
+        oracle once into the spec's network view.
     num_orders .. max_group_size:
         Optional overrides of the corresponding
         :class:`~repro.config.SimulationConfig` fields; ``None`` keeps

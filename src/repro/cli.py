@@ -52,7 +52,7 @@ from .experiments.reporting import (
 from .experiments.runner import ALGORITHMS
 from .experiments.sweeps import run_sweep
 from .experiments.worked_example import run_worked_example
-from .network.oracle import ORACLE_BACKENDS
+from .network.oracle import ORACLE_BACKENDS, OracleSpec
 
 #: Figure -> the axis of ``repro.experiments.sweeps.AXES`` it sweeps.
 _FIGURES = {
@@ -332,10 +332,10 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _scenario_line(run: RunResult) -> str:
     """One self-describing identity line appended to comparison output."""
-    config = run.spec.config()
+    oracle = run.spec.oracle or OracleSpec()
     return (
-        f"scenario: {run.spec.describe()} oracle={config.oracle.backend} "
-        f"seed={config.seed} graph={run.graph_hash[:12]}"
+        f"scenario: {run.spec.describe()} oracle={oracle.backend} "
+        f"seed={run.spec.config().seed} graph={run.graph_hash[:12]}"
     )
 
 

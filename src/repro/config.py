@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from .exceptions import ConfigurationError
-from .network.oracle.spec import OracleSpec
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,6 @@ class SimulationConfig:
         one passenger, Section VII-A).
     seed:
         Seed for every random decision made during the simulation.
-    oracle:
-        The distance-oracle backend answering shortest-path queries and
-        its options, as one :class:`~repro.network.oracle.OracleSpec`
-        (default: the ``lazy`` backend with its own defaults).
     """
 
     num_orders: int = 2000
@@ -93,7 +88,6 @@ class SimulationConfig:
     weights: ExtraTimeWeights = field(default_factory=ExtraTimeWeights)
     max_group_size: int = 4
     seed: int = 7
-    oracle: OracleSpec = field(default_factory=OracleSpec)
 
     def __post_init__(self) -> None:
         if self.num_orders <= 0:
@@ -119,11 +113,6 @@ class SimulationConfig:
             raise ConfigurationError("horizon must be positive")
         if self.max_group_size < 1:
             raise ConfigurationError("max_group_size must be at least 1")
-        if not isinstance(self.oracle, OracleSpec):
-            raise ConfigurationError(
-                f"SimulationConfig.oracle must be an OracleSpec, "
-                f"got {self.oracle!r}"
-            )
 
     def with_overrides(self, **overrides: Any) -> "SimulationConfig":
         """Return a copy with the given fields replaced.

@@ -87,12 +87,19 @@ def _read_csv(
     """One ``make(**row)`` per data row of a CSV file.
 
     Every way the file can be wrong is a :class:`DatasetError` naming
-    it: text that is not UTF-8 or not CSV, a missing column, a bad cell
-    (:func:`_parse_row`), or a row the model rejects, whose message
-    keeps the model's reason and adds the 1-based data row.
+    it: a file that is missing or cannot be read, text that is not
+    UTF-8 or not CSV, a missing column, a bad cell (:func:`_parse_row`),
+    or a row the model rejects, whose message keeps the model's reason
+    and adds the 1-based data row.
     """
     items = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DatasetError(
+            f"{path}: cannot read the {kind} CSV: {exc.strerror or exc}"
+        ) from None
+    with handle:
         reader = csv.DictReader(handle)
         try:
             missing = set(fields) - set(reader.fieldnames or ())

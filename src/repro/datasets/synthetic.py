@@ -99,7 +99,7 @@ class CityModel:
     #: When set, dropoffs are sampled as a Gaussian displacement of this
     #: spread (coordinate units) around the pickup instead of from the
     #: dropoff hotspots, and trip times come from an early-terminating
-    #: Dijkstra instead of the attached oracle.  This keeps workload
+    #: Dijkstra instead of the network's oracle.  This keeps workload
     #: generation on a 10^5-node city linear in the explored
     #: neighbourhood — no full single-source distance map per order.
     local_trip_spread: float | None = None

@@ -18,7 +18,7 @@ File layout (single file, atomic tmp + rename):
 
 Shared/unpicklable infrastructure is *externalized* through pickle
 persistent ids rather than serialized: the road network (and its
-:class:`~repro.network.graph.RoadGraph`) and the attached distance
+:class:`~repro.network.graph.RoadGraph`) and the network's distance
 oracle, with its query lock.  A checkpoint is therefore small — algorithm state only — and
 resuming binds it to the resume-time network, whose oracle may even be
 a different warm cache of the same graph.
@@ -62,7 +62,8 @@ DEFAULT_CHECKPOINT_INTERVAL = 25
 # 11: the ``("graph",)`` persistent id resolves to a ``RoadGraph``, not a
 #     networkx ``DiGraph``; nothing pickled refers to networkx.
 # 12: a pickled ``Order`` has no ``status`` field.
-_FORMAT_VERSION = 12
+# 13: a pickled ``SimulationConfig`` has no ``oracle`` field.
+_FORMAT_VERSION = 13
 
 
 class CheckpointError(ReproError):

@@ -16,9 +16,12 @@ shortest-path question to a pluggable
 :class:`~repro.network.oracle.DistanceOracle`.  The default backend is
 :class:`~repro.network.oracle.LazyDijkstraOracle` — run one Dijkstra per
 unseen source and cache the distance map (LRU-bounded) — which matches
-the access pattern of small workloads.  The ``ch`` (contraction
-hierarchy) backend swaps in via ``SimulationConfig.oracle`` or the CLI
-without any dispatcher code changing.
+the access pattern of small workloads.  A network is given its oracle
+when it is built and keeps it for life: the ``ch`` (contraction
+hierarchy) backend is a second network over the same graph,
+``RoadNetwork(graph, create_oracle("ch", graph))`` — what a
+``ScenarioSpec``'s ``oracle`` asks a ``Session`` to build — with no
+dispatcher code changing.
 
 Each oracle query runs under the oracle's one ``lock``, so runs and
 workload generation sharing one network (the serve layer's runs on
@@ -35,7 +38,6 @@ from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
 from ..exceptions import NetworkError, UnknownNodeError, UnreachableError
 from .oracle.base import OracleStats
 from .oracle.lazy import LazyDijkstraOracle
-from .oracle.spec import OracleSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .oracle.base import DistanceOracle
@@ -156,8 +158,9 @@ class RoadNetwork:
         The :class:`RoadGraph` (edge weights are travel times in
         seconds); :func:`build_network` builds both from plain tuples.
     oracle:
-        Distance oracle answering shortest-path queries.  Defaults to
-        the oracle the all-defaults :class:`OracleSpec` asks for: a
+        Distance oracle answering shortest-path queries, built over
+        ``graph`` and kept for the network's life.  Defaults to the
+        oracle the all-defaults ``OracleSpec`` asks for: a
         :class:`LazyDijkstraOracle` with its default LRU bound.
     """
 
@@ -175,11 +178,12 @@ class RoadNetwork:
         self._index = graph.index
         self._nearest_index: "_NearestNodeIndex | None" = None
         if oracle is None:
-            # Exactly what ``configure_oracle`` builds for the all-defaults
-            # spec: a default-configured run keeps this oracle and the
-            # cache workload generation warmed in it.
             oracle = LazyDijkstraOracle(graph)
-            oracle.built_from = OracleSpec()
+        elif oracle.graph is not graph:
+            raise NetworkError(
+                "the oracle was built over a different graph; build it over "
+                "the network's RoadGraph"
+            )
         self._oracle: "DistanceOracle" = oracle
 
     # ------------------------------------------------------------------
@@ -219,17 +223,8 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     @property
     def oracle(self) -> "DistanceOracle":
-        """The distance oracle currently answering shortest-path queries."""
+        """The distance oracle answering this network's shortest-path queries."""
         return self._oracle
-
-    def set_oracle(self, oracle: "DistanceOracle") -> None:
-        """Swap in a different distance oracle (must wrap this graph)."""
-        if oracle.graph is not self._graph:
-            raise NetworkError(
-                "the oracle was built over a different graph; build it over "
-                "RoadNetwork.graph"
-            )
-        self._oracle = oracle
 
     # ------------------------------------------------------------------
     # shortest paths

@@ -13,8 +13,10 @@ name        setup                    point-to-point query
             searches)                proportional to the graph
 ==========  =======================  =====================================
 
-Select a backend through ``SimulationConfig(oracle=OracleSpec(...))`` or
-the ``--oracle`` CLI flag.
+Select a backend through ``ScenarioSpec(oracle=OracleSpec(...))`` or the
+``--oracle`` CLI flag; a :class:`~repro.api.Session` builds it once per
+network with :func:`configure_oracle`.  By hand, a network is given its
+oracle when it is built: ``RoadNetwork(graph, create_oracle("ch", graph))``.
 
 Every backend answers the two questions dispatch asks: a scalar leg
 (``travel_time``) and a dense leg block (``leg_matrix``), whose cells

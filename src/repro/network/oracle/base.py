@@ -12,8 +12,10 @@ several ways with very different cost profiles:
 :class:`DistanceOracle` is the interface that hides this choice from the
 routing, pooling and dispatching layers.  Backends register themselves
 in :mod:`repro.network.oracle.registry` and are selected through
-``SimulationConfig.oracle.backend`` (or the ``--oracle`` CLI flag)
-without touching any dispatcher code.
+``ScenarioSpec.oracle.backend`` (or the ``--oracle`` CLI flag)
+without touching any dispatcher code.  A
+:class:`~repro.network.graph.RoadNetwork` is given its oracle when it
+is built and keeps it for life.
 
 An oracle answers two questions: a scalar leg (``travel_time``) and a
 dense block of legs (``leg_matrix``), whose cells are by definition the
@@ -55,7 +57,6 @@ from ...exceptions import UnreachableError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..graph import RoadGraph
-    from .spec import OracleSpec
 
 
 #: Version of the flat oracle-stats schema produced by
@@ -202,12 +203,6 @@ class DistanceOracle(abc.ABC):
 
     #: Registry name; subclasses override.
     name: str = "oracle"
-
-    #: The resolved :class:`~repro.network.oracle.OracleSpec` this
-    #: oracle answers to — what ``configure_oracle`` compares before
-    #: reusing an attached oracle.  ``None`` for an oracle constructed
-    #: by hand, which is therefore never mistaken for a configured one.
-    built_from: "OracleSpec | None" = None
 
     def __init__(self, graph: "RoadGraph") -> None:
         self._graph = graph

@@ -1,10 +1,10 @@
-"""Backend registry: names -> oracle factories, plus config-driven setup.
+"""Backend registry: names -> oracle factories, plus the spec-driven build.
 
 The registry is what makes backends swappable without touching any
-dispatcher code: ``SimulationConfig.oracle`` (an :class:`OracleSpec`;
-the CLI's ``--oracle`` flag sets its ``backend``) names a backend, and
-:func:`configure_oracle` builds and attaches it to the workload's
-:class:`RoadNetwork` before the run starts.  The two backends — ``lazy``
+dispatcher code: ``ScenarioSpec.oracle`` (an :class:`OracleSpec`; the
+CLI's ``--oracle`` flag sets its ``backend``) names a backend, and
+:func:`configure_oracle` builds it once for the ``Session`` view that
+wraps it, ``RoadNetwork(graph, oracle)``.  The two backends — ``lazy``
 and the contraction-hierarchy ``ch`` — are a fixed table:
 :data:`ORACLE_BACKENDS`.
 """
@@ -21,8 +21,7 @@ from .ch import DEFAULT_WITNESS_HOP_LIMIT, CHOracle
 from .lazy import LazyDijkstraOracle
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...config import SimulationConfig
-    from ..graph import RoadGraph, RoadNetwork
+    from ..graph import RoadGraph
     from .spec import OracleSpec
 
 #: Factory signature: ``(graph, *, cache_dir, degradations)`` ->
@@ -194,64 +193,37 @@ def create_oracle(
     return factory(graph, cache_dir=cache_dir, degradations=degradations)
 
 
-def _build(
-    spec: "OracleSpec",
-    network: "RoadNetwork",
-    degradations: DegradationLog | None,
-) -> DistanceOracle:
-    """Build ``spec``'s oracle and stamp it with the identity it answers to."""
-    oracle = create_oracle(
-        spec.backend,
-        network.graph,
-        cache_dir=spec.cache_dir,
-        degradations=degradations,
-    )
-    oracle.built_from = spec.resolved()
-    return oracle
-
-
 def configure_oracle(
-    network: "RoadNetwork",
-    config: "SimulationConfig",
+    graph: "RoadGraph",
+    spec: "OracleSpec",
     degradations: DegradationLog | None = None,
 ) -> DistanceOracle:
-    """Build the oracle ``config.oracle`` describes and attach it to ``network``.
-
-    An attached oracle built from the same *resolved* spec
-    (:meth:`OracleSpec.resolved`) is kept, so several runs over one
-    workload share warm caches — mirroring how the seed shared one
-    Dijkstra cache.  Any other attached oracle (another backend, any
-    option changed) is replaced.
+    """Build the oracle a resolved ``spec`` names over ``graph``.
 
     Parameters
     ----------
-    network:
-        The road network whose queries should go through the backend.
-    config:
-        Supplies ``oracle`` (the :class:`OracleSpec`).
+    graph:
+        The graph whose queries the oracle answers.
+    spec:
+        The resolved :class:`OracleSpec` (:meth:`OracleSpec.resolved`).
     degradations:
         The run's degradation log.  When the requested backend's
         *construction itself* fails (not a config error — e.g. CH
         contraction dying on a pathological graph), the always-buildable
-        ``lazy`` backend is attached instead and the fallback recorded;
+        ``lazy`` backend is built instead and the fallback recorded;
         without a log, the construction error propagates unchanged.
 
-    A degraded stand-in stays sticky: the fallback oracle is tagged
-    with ``degraded_from`` so later calls for the failed backend keep it
-    instead of re-running the failing build every time.
+    The caller keeps what this returns: a ``Session`` wraps it in the
+    spec's view, so a degraded stand-in serves every later request for
+    the failed backend without re-running the failing build.
     """
-    spec = config.oracle
-    current = network.oracle
-    if (
-        current.built_from == spec.resolved()
-        # The attached oracle is the recorded stand-in for the backend
-        # this config asks for — rebuilding would rerun the failing
-        # construction on every request.
-        or getattr(current, "degraded_from", None) == spec.backend
-    ):
-        return current
     try:
-        oracle = _build(spec, network, degradations)
+        return create_oracle(
+            spec.backend,
+            graph,
+            cache_dir=spec.cache_dir,
+            degradations=degradations,
+        )
     except ConfigurationError:
         raise
     except Exception as exc:  # noqa: BLE001 - degrade, record, keep serving
@@ -265,9 +237,4 @@ def configure_oracle(
             f"({type(exc).__name__}: {exc}); serving exact answers from "
             f"the lazy backend",
         )
-        from .spec import OracleSpec
-
-        oracle = _build(OracleSpec(), network, None)
-        oracle.degraded_from = spec.backend  # type: ignore[attr-defined]
-    network.set_oracle(oracle)
-    return oracle
+        return LazyDijkstraOracle(graph)

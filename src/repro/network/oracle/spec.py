@@ -1,9 +1,9 @@
 """Typed oracle configuration: the one carrier of a backend and its options.
 
-:class:`OracleSpec` is what ``SimulationConfig.oracle``,
-``ScenarioSpec.oracle`` and :func:`~repro.network.oracle.configure_oracle`
-all speak.  It lives in the network layer (below ``repro.config``) so the
-configuration dataclasses can hold one; ``repro.api`` re-exports it.
+:class:`OracleSpec` is what ``ScenarioSpec.oracle`` and
+:func:`~repro.network.oracle.configure_oracle` speak.  It lives in the
+network layer, next to the registry it validates against;
+``repro.api`` re-exports it.
 """
 
 from __future__ import annotations

@@ -62,6 +62,20 @@ class ProtocolError(Exception):
         return {"error": self.error, "detail": self.detail, "status": self.status}
 
 
+def parse_seconds(value: Any, name: str) -> float | None:
+    """A transport duration (``timeout``, ``grace``): ``None`` or a JSON number.
+
+    Anything else — text, a boolean — is a 400 ``invalid-request``.
+    """
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(
+            400, "invalid-request", f"{name} must be a number of seconds"
+        )
+    return float(value)
+
+
 def parse_submission(payload: Any) -> tuple[ScenarioSpec, dict[str, Any]]:
     """Validate a submission document into ``(spec, options)``.
 
@@ -88,13 +102,9 @@ def parse_submission(payload: Any) -> tuple[ScenarioSpec, dict[str, Any]]:
                     f"{sorted(_SUBMIT_OPTION_KEYS)}",
                 )
         options["wait"] = bool(payload.get("wait", False))
-        if payload.get("timeout") is not None:
-            timeout = payload["timeout"]
-            if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
-                raise ProtocolError(
-                    400, "invalid-request", "timeout must be a number of seconds"
-                )
-            options["timeout"] = float(timeout)
+        timeout = parse_seconds(payload.get("timeout"), "timeout")
+        if timeout is not None:
+            options["timeout"] = timeout
     else:
         document = payload
     if not isinstance(document, Mapping):

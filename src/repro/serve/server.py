@@ -54,7 +54,7 @@ import sys
 from typing import Any, IO, Mapping
 from urllib.parse import parse_qs, urlsplit
 
-from .protocol import ProtocolError, RunRecord, json_bytes
+from .protocol import ProtocolError, RunRecord, json_bytes, parse_seconds
 from .service import ScenarioService
 
 #: Largest accepted request body (a spec document is a few hundred bytes).
@@ -311,22 +311,10 @@ class ScenarioServer:
             payload = json.loads(body.decode("utf-8") or "{}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ProtocolError(400, "invalid-json", str(exc))
-        wait = query.get("wait", "").lower() in ("1", "true", "yes")
-        if isinstance(payload, dict) and payload.get("wait"):
-            wait = True
-        timeout = None
-        if isinstance(payload, dict) and payload.get("timeout") is not None:
-            timeout = payload["timeout"]
-        elif "timeout" in query:
-            timeout = query["timeout"]
-        if timeout is not None:
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError):
-                raise ProtocolError(
-                    400, "invalid-request", "timeout must be a number of seconds"
-                )
-        record = self._service.submit(payload)
+        query_timeout = _query_seconds(query, "timeout")
+        record, options = self._service.submit(payload)
+        wait = options.get("wait") or _query_flag(query, "wait")
+        timeout = options.get("timeout", query_timeout)
         if not wait:
             return 202, record.as_dict()
         loop = asyncio.get_running_loop()
@@ -347,8 +335,8 @@ def _parse_shutdown(
     query: dict[str, str], body: bytes
 ) -> tuple[bool, float | None]:
     """``(drain?, grace)`` of a shutdown request (query or JSON body)."""
-    drain = query.get("drain", "").lower() in ("1", "true", "yes")
-    grace: Any = query.get("grace")
+    drain = _query_flag(query, "drain")
+    grace = _query_seconds(query, "grace")
     if body:
         try:
             payload = json.loads(body.decode("utf-8"))
@@ -357,15 +345,23 @@ def _parse_shutdown(
         if isinstance(payload, Mapping):
             drain = drain or bool(payload.get("drain"))
             if payload.get("grace") is not None:
-                grace = payload["grace"]
-    if grace is None:
-        return drain, None
-    try:
-        return drain, float(grace)
-    except (TypeError, ValueError):
-        raise ProtocolError(
-            400, "invalid-request", "grace must be a number of seconds"
-        )
+                grace = parse_seconds(payload["grace"], "grace")
+    return drain, grace
+
+
+def _query_flag(query: dict[str, str], name: str) -> bool:
+    return query.get(name, "").lower() in ("1", "true", "yes")
+
+
+def _query_seconds(query: dict[str, str], name: str) -> float | None:
+    """A duration from the query string, whose values are always text."""
+    value: Any = query.get(name)
+    if value is not None:
+        try:
+            value = float(value)
+        except ValueError:
+            pass  # not a number: parse_seconds refuses the text
+    return parse_seconds(value, name)
 
 
 # ----------------------------------------------------------------------
@@ -438,21 +434,29 @@ def _handle_stdin_request(service: ScenarioService, line: str) -> dict[str, Any]
         )
     op = request.get("op", "submit")
     if op == "submit":
-        # A flat-spec submission carries the transport options inline;
-        # strip them (the wrapper form hands them to parse_submission).
-        strip = {"op"} if "spec" in request else {"op", "wait", "timeout"}
-        record = service.submit(
-            {key: value for key, value in request.items() if key not in strip}
-        )
-        if request.get("wait"):
-            record = service.wait(record.run_id, request.get("timeout"))
+        submission = {key: value for key, value in request.items() if key != "op"}
+        if "spec" not in submission:
+            # A flat-spec submission carries the transport options
+            # inline: wrap it, so parse_submission checks them once.
+            inline = {
+                key: submission.pop(key)
+                for key in ("wait", "timeout")
+                if key in submission
+            }
+            submission = {"spec": submission, **inline}
+        record, options = service.submit(submission)
+        if options["wait"]:
+            record = service.wait(record.run_id, options.get("timeout"))
         return _record_reply(record)
     if op == "poll":
         return _record_reply(service.get(_required_run_id(request)))
     if op == "cancel":
         return _record_reply(service.cancel(_required_run_id(request)))
     if op == "wait":
-        record = service.wait(_required_run_id(request), request.get("timeout"))
+        record = service.wait(
+            _required_run_id(request),
+            parse_seconds(request.get("timeout"), "timeout"),
+        )
         if not record.done.is_set():
             raise ProtocolError(
                 408, "wait-timeout", f"run {record.run_id} still {record.status}"
@@ -472,14 +476,7 @@ def _handle_stdin_request(service: ScenarioService, line: str) -> dict[str, Any]
     if op == "metrics":
         return {"ok": True, **service.metrics()}
     if op == "shutdown":
-        grace: Any = request.get("grace", 30.0)
-        if grace is not None:
-            try:
-                grace = float(grace)
-            except (TypeError, ValueError):
-                raise ProtocolError(
-                    400, "invalid-request", "grace must be a number of seconds"
-                )
+        grace = parse_seconds(request.get("grace", 30.0), "grace")
         raise _Shutdown(drain=bool(request.get("drain")), grace=grace)
     raise ProtocolError(
         400,

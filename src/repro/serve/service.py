@@ -39,7 +39,7 @@ from ..durability.checkpoint import (
 )
 from ..durability.journal import RunJournal
 from ..durability.results import ResultStore
-from ..exceptions import ConfigurationError, ReproError
+from ..exceptions import ConfigurationError, DatasetError, ReproError
 from ..network.graph import RoadNetwork
 from ..resilience.cancellation import CancellationToken, RunCancelled
 from ..resilience.degradation import CircuitOpenError, DegradationLog
@@ -68,9 +68,8 @@ DEFAULT_MAX_RUNS = 2
 #: Default bound on finished run records kept queryable.
 DEFAULT_MAX_RECORDS = 1024
 
-#: Transient preparation failures (unreadable cache volumes, racing
-#: CSV readers) get one quick retry before counting against the
-#: identity's circuit breaker.
+#: Transient preparation failures (unreadable cache volumes) get one
+#: quick retry before counting against the identity's circuit breaker.
 PREPARE_RETRY_POLICY = RetryPolicy(
     max_attempts=2, base_delay=0.05, max_delay=0.5, retry_on=(OSError,)
 )
@@ -199,16 +198,18 @@ class ScenarioService:
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    def submit(self, payload: Any) -> RunRecord:
+    def submit(self, payload: Any) -> tuple[RunRecord, dict[str, Any]]:
         """Validate one submission and enqueue its run.
 
-        Returns the queued :class:`RunRecord` immediately; a spec the
-        spec layer rejects raises a 400-style
+        Returns the queued :class:`RunRecord` immediately, with the
+        submission's validated transport options (``wait``,
+        ``timeout``) for the transport to honour; a submission the
+        protocol or spec layer rejects raises a 400-style
         :class:`~repro.serve.protocol.ProtocolError` and never reaches
         the executor.
         """
-        spec, _options = parse_submission(payload)
-        return self.submit_spec(spec)
+        spec, options = parse_submission(payload)
+        return self.submit_spec(spec), options
 
     def submit_spec(self, spec: ScenarioSpec) -> RunRecord:
         """Enqueue an already validated spec (the programmatic door).
@@ -466,7 +467,7 @@ class ScenarioService:
         except ReproError as exc:
             record.mark_failed("run-failed", str(exc))
         except OSError as exc:
-            # Unreadable CSV paths, full disks: the run failed, the
+            # Unreadable cache volumes, full disks: the run failed, the
             # service did not.
             record.mark_failed("run-failed", str(exc))
         except Exception as exc:  # noqa: BLE001 - a run must never kill the service
@@ -539,8 +540,12 @@ class ScenarioService:
         # one quick retry; a failure that survives it counts against the
         # identity's circuit breaker, and one that trips it drops the
         # view: the half-open probe after the cool-down starts clean.
+        # A request error (a log that cannot be read, a node the network
+        # lacks) fails its own run alone: the view is sound.
         try:
             workload = retry_call(prepare, policy=PREPARE_RETRY_POLICY)
+        except (ConfigurationError, DatasetError):
+            raise
         except Exception:
             if self._breakers.record_failure(key):
                 session.discard(spec)
@@ -564,7 +569,8 @@ class ScenarioService:
         finally:
             if sink is not None:
                 sink.close()
-        self._fold_oracle_counters(spec, workload.network)
+        _, oracle = key
+        self._fold_oracle_counters(oracle.backend, workload.network)
         return result
 
     def _hooks_for(
@@ -615,8 +621,11 @@ class ScenarioService:
                     self._degradation_counters.get(site, 0) + 1
                 )
 
-    def _fold_oracle_counters(self, spec: ScenarioSpec, network: RoadNetwork) -> None:
-        """Fold in the prepared oracle's own advance since it was last read.
+    def _fold_oracle_counters(self, backend: str, network: RoadNetwork) -> None:
+        """Fold in the view oracle's own advance since it was last read.
+
+        Totals are keyed by ``backend``, the one the spec names (a
+        degraded ``ch`` view's ``lazy`` stand-in counts under ``ch``).
 
         Not the run's ``oracle_stats``: that is a before/after delta of
         the shared oracle, so runs overlapping on it would count each
@@ -626,7 +635,6 @@ class ScenarioService:
         totals), and ``hit_rate`` is recomputed from the summed hits
         and misses.
         """
-        backend = spec.config().oracle.backend
         oracle = network.oracle
         with self._lock:
             with oracle.lock:

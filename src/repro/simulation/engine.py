@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from ..config import SimulationConfig
 from ..datasets.synthetic import Workload
 from ..durability.checkpoint import LoadedCheckpoint, RunCheckpoint, RunCursor
-from ..network.oracle import configure_oracle
 from ..resilience.cancellation import CancellationToken, RunCancelled
-from ..resilience.degradation import DegradationLog
 from .dispatcher import Dispatcher, DispatchResult
 from .hooks import SimulationHooks
 from .metrics import MetricsCollector, SimulationMetrics
@@ -48,6 +46,9 @@ class Simulator:
     ----------
     workload:
         Orders, workers and the road network of one simulated period.
+        The run asks the network's own oracle, fixed when the network
+        was built (``RoadNetwork(graph, create_oracle("ch", graph))``
+        for a non-default backend); the engine never changes it.
     dispatcher:
         The algorithm under test.
     config:
@@ -63,10 +64,6 @@ class Simulator:
         and before every order submission; a cancelled token (explicit
         or deadline expiry) raises
         :class:`~repro.resilience.cancellation.RunCancelled`.
-    degradations:
-        Optional :class:`~repro.resilience.degradation.DegradationLog`
-        handed to the oracle attach so its fallbacks are recorded
-        against this run.
     resume:
         Optional :class:`~repro.durability.checkpoint.LoadedCheckpoint`
         to continue from.  The caller passes the checkpoint's restored
@@ -86,7 +83,6 @@ class Simulator:
         hooks: SimulationHooks | None = None,
         *,
         cancellation: CancellationToken | None = None,
-        degradations: DegradationLog | None = None,
         resume: LoadedCheckpoint | None = None,
     ) -> None:
         self._workload = workload
@@ -95,12 +91,6 @@ class Simulator:
         self._hooks = hooks
         self._cancellation = cancellation
         self._resume = resume
-        # The config names the distance-oracle backend; attach it here so
-        # every entry point (direct Simulator use, the experiment
-        # runner, the api session) honours it.  A matching oracle that is
-        # already attached is reused, keeping caches warm across the
-        # algorithms compared over one workload.
-        configure_oracle(workload.network, config, degradations=degradations)
         self._collector = (
             resume.collector
             if resume is not None

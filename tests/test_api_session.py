@@ -20,7 +20,7 @@ from repro.api import (
 from repro.datasets.workloads import build_workload
 from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.sweeps import run_sweep
-from repro.experiments.runner import make_dispatcher
+from repro.experiments.runner import DISPATCHERS, make_dispatcher
 from repro.network.oracle import ORACLE_BACKENDS, create_oracle
 from repro.network.oracle.cache import (
     ch_cache_path,
@@ -28,6 +28,7 @@ from repro.network.oracle.cache import (
     load_ch_preprocessing,
 )
 from repro.network.generators import grid_city
+from repro.network.graph import RoadNetwork
 from repro.simulation.engine import Simulator
 
 
@@ -72,7 +73,11 @@ class TestLegacyEquivalence:
     def test_run_on_workload_matches_session_run(self, backend):
         spec = _small_spec(oracle={"backend": backend})
         config = spec.config()
-        workload = build_workload("CDC", config)
+        drawn = build_workload("CDC", config)
+        graph = drawn.network.graph
+        workload = dataclasses.replace(
+            drawn, network=RoadNetwork(graph, create_oracle(backend, graph))
+        )
         legacy = Simulator(
             workload, make_dispatcher("WATTER-timeout", workload, config), config
         ).run()
@@ -83,6 +88,35 @@ class TestLegacyEquivalence:
         # separately generated (but identical) workloads shift them by
         # a constant; everything decision-derived must match exactly.
         assert _strip_ids(facade.outcomes) == _strip_ids(legacy.collector.outcomes)
+
+
+class TestCallerWorkloads:
+    """A caller-built workload runs on its own network, as given."""
+
+    @pytest.mark.parametrize("backend", sorted(ORACLE_BACKENDS))
+    @pytest.mark.parametrize("algorithm", sorted(DISPATCHERS))
+    def test_a_run_never_touches_its_workloads_network(self, algorithm, backend):
+        session = Session()
+        spec = ScenarioSpec(
+            network="grid",
+            grid_rows=6,
+            grid_cols=6,
+            num_orders=16,
+            num_workers=4,
+            horizon=600.0,
+            seed=3,
+            algorithm=algorithm,
+            oracle={"backend": backend},
+        )
+        # The workload is bound to the *other* backend's view.
+        other = "ch" if backend == "lazy" else "lazy"
+        workload = session.workload(spec.with_overrides(oracle={"backend": other}))
+        network, oracle = workload.network, workload.network.oracle
+        result = session.run(spec, workload=workload)
+        assert workload.network is network
+        assert network.oracle is oracle
+        assert result.metrics.oracle_stats["backend"] == other
+        assert result.metrics.total_orders == 16
 
 
 class TestSessionReuse:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import OracleSpec, ScenarioSpec, load_spec, save_spec
+from repro.api import OracleSpec, ScenarioSpec, Session, load_spec, save_spec
 from repro.datasets.workloads import DATASETS, city_by_name
 from repro.baselines.gas import GASDispatcher
 from repro.cli import build_parser
@@ -286,13 +286,14 @@ class TestOracleSpec:
         with pytest.raises(TypeError, match="kernel"):
             CHOracle(network.graph, kernel="csr")
         with pytest.raises(TypeError, match="nodes"):
-            configure_oracle(network, SimulationConfig(), nodes=[0, 1])
+            configure_oracle(network.graph, OracleSpec(), nodes=[0, 1])
         with pytest.raises(TypeError, match="reuse"):
-            configure_oracle(network, SimulationConfig(), reuse=True)
+            configure_oracle(network.graph, OracleSpec(), reuse=True)
         with pytest.raises(TypeError, match="strategy"):
             InterProcessLock("cache.lock", strategy="flock")
 
     def test_overrides_reach_the_config(self):
+        """The spec's oracle names its session view; the config names none."""
         spec = ScenarioSpec(
             oracle=OracleSpec(
                 backend="ch",
@@ -300,13 +301,16 @@ class TestOracleSpec:
                 cache_dir="oracle-cache",
             )
         )
-        assert spec.config().oracle == spec.oracle
+        _, oracle = Session().view_key(spec)
+        assert oracle == spec.oracle.resolved()
+        assert oracle == OracleSpec(backend="ch", cache_dir="oracle-cache")
+        assert "oracle" not in {field.name for field in dataclasses.fields(spec.config())}
 
     def test_unset_options_keep_config_defaults(self):
-        assert ScenarioSpec().config().oracle == OracleSpec()
-        config = ScenarioSpec(oracle=OracleSpec(backend="ch")).config()
-        assert config.oracle.backend == "ch"
-        assert config.oracle.options() == {}
+        assert Session().view_key(ScenarioSpec())[1] == OracleSpec()
+        _, oracle = Session().view_key(ScenarioSpec(oracle=OracleSpec(backend="ch")))
+        assert oracle.backend == "ch"
+        assert oracle.options() == {}
 
 
 class TestResolution:
@@ -322,8 +326,9 @@ class TestResolution:
         )
         config = spec.config()
         assert config.num_orders == 33
-        assert config.oracle.backend == "ch"
-        assert config.oracle.cache_dir == "/tmp/cache"
+        _, oracle = Session().view_key(spec)
+        assert oracle.backend == "ch"
+        assert oracle.cache_dir == "/tmp/cache"
         assert config.weights == ExtraTimeWeights(alpha=2.0, beta=1.0)
 
     def test_grid_network_uses_class_defaults(self):
@@ -381,9 +386,11 @@ class TestCliParity:
     )
     def test_spec_matches_legacy_config_assembly(self, argv, dataset, overrides):
         args = build_parser().parse_args(argv)
-        assert ScenarioSpec.from_args(args).config() == default_config(
-            dataset, **overrides
-        )
+        spec = ScenarioSpec.from_args(args)
+        overrides = dict(overrides)
+        # ``--oracle`` names the spec's backend; the config names none.
+        assert spec.oracle == overrides.pop("oracle", None)
+        assert spec.config() == default_config(dataset, **overrides)
 
     def test_oracle_cache_flag_parsed(self):
         args = build_parser().parse_args(

@@ -175,9 +175,10 @@ def test_plans_on_one_pooled_network(backend):
     from repro.routing.planner import RoutePlanner
 
     def uniform_city():
-        city = grid_city(rows=7, cols=7, edge_travel_time=60.0, jitter=0.0, seed=0)
-        city.set_oracle(create_oracle(backend, city.graph))
-        return city
+        graph = grid_city(
+            rows=7, cols=7, edge_travel_time=60.0, jitter=0.0, seed=0
+        ).graph
+        return RoadNetwork(graph, create_oracle(backend, graph))
 
     pooled = uniform_city()
     nodes = pooled.nodes_sorted()

@@ -225,16 +225,17 @@ class TestCheckpointFiles:
         witness_hops, a v9 one a spatial index holding a lock (a
         ``("lock", ...)`` persistent id), a v10 one was written when the
         ``("graph",)`` id stood for a networkx graph, a v11 one pickles
-        orders carrying a ``status``; the header check refuses all ten
-        before anything is unpickled."""
+        orders carrying a ``status``, a v12 one a config carrying an
+        ``oracle``; the header check refuses all eleven before anything
+        is unpickled."""
         session = Session()
         spec = _spec()
         path = tmp_path / "run.ckpt"
         interrupt_and_checkpoint(session, spec, path, cut=3)
         header_line, _, blob = path.read_bytes().partition(b"\n")
         header = json.loads(header_line)
-        assert header["format"] == 12
-        for older in (2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
+        assert header["format"] == 13
+        for older in (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
             header["format"] = older
             path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + blob)
             with pytest.raises(CheckpointError, match=f"unsupported format {older}"):

@@ -65,23 +65,23 @@ def _side(cls, spec: ScenarioSpec, reference_kernel: bool = False):
 
     Ids are renumbered by position: two sessions draw the same workload
     but fresh ids from the process-wide counters.  ``reference_kernel``
-    attaches a :class:`DictCHOracle` in place of the prepared oracle.
+    runs on a network over the same graph built with a
+    :class:`DictCHOracle` instead of the prepared oracle.
     """
     workload = Session().prepare(spec)
+    network = workload.network
     if reference_kernel:
-        workload.network.set_oracle(DictCHOracle(workload.network.graph))
+        network = RoadNetwork(network.graph, DictCHOracle(network.graph))
     config = spec.config()
     workers = [
         Worker(location=worker.location, capacity=worker.capacity, worker_id=index)
         for index, worker in enumerate(workload.workers)
     ]
-    fleet = WorkerFleet(
-        workers, workload.network, GridIndex(workload.network, size=config.grid_size)
-    )
+    fleet = WorkerFleet(workers, network, GridIndex(network, size=config.grid_size))
     orders = [
         replace(order, order_id=index) for index, order in enumerate(workload.orders)
     ]
-    return cls(workload.network, fleet, config), orders
+    return cls(network, fleet, config), orders
 
 
 def _spy_on_commit(dispatcher) -> list:

@@ -153,8 +153,8 @@ class TestGenerators:
 
 
 def _attach(network: RoadNetwork, backend: str) -> RoadNetwork:
-    network.set_oracle(create_oracle(backend, network.graph))
-    return network
+    """A network over ``network``'s graph built with ``backend``'s oracle."""
+    return RoadNetwork(network.graph, create_oracle(backend, network.graph))
 
 
 class TestOracleRoutedPaths:

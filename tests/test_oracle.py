@@ -8,20 +8,22 @@ Covers:
 * the ``leg_matrix`` block and the network's dict views over it,
 * LRU bounding of the lazy backend,
 * the backend registry, and
-* backend selection through ``SimulationConfig`` and the CLI.
+* backend selection through ``ScenarioSpec`` and the CLI.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import random
+from dataclasses import replace
 
 import networkx as nx
 import pytest
 
+from repro.api import ScenarioSpec, Session
 from repro.cli import build_parser, main
 from repro.config import SimulationConfig
-from repro.exceptions import ConfigurationError, UnreachableError
+from repro.exceptions import ConfigurationError, NetworkError, UnreachableError
 from repro.network.generators import grid_city, manhattan_like_city
 from repro.network.graph import RoadGraph, RoadNetwork, build_network
 from repro.network.oracle import (
@@ -468,8 +470,7 @@ _GRID32_ORDER_SHA256 = "3409a0f59f6b48f84e315c3f1e8fbef098babc893d8762905c0d547e
 
 def _ch_from_spec(graph: RoadGraph, **options) -> CHOracle:
     """The CH oracle an ``OracleSpec(backend="ch", **options)`` builds."""
-    spec = OracleSpec(backend="ch", **options)
-    return configure_oracle(RoadNetwork(graph), SimulationConfig(oracle=spec))
+    return configure_oracle(graph, OracleSpec(backend="ch", **options).resolved())
 
 
 @pytest.fixture(scope="module")
@@ -728,28 +729,35 @@ class TestConfigSelection:
             with pytest.raises(ConfigurationError, match="unknown OracleSpec keys"):
                 OracleSpec.from_dict({"backend": "ch", removed: 8})
         with pytest.raises(ConfigurationError, match="OracleSpec"):
-            SimulationConfig(oracle="ch")
-        assert SimulationConfig().oracle == OracleSpec(backend="lazy")
+            ScenarioSpec(oracle="ch")
+        assert ScenarioSpec().oracle is None
+        # The spec is the one place a backend is named.
+        with pytest.raises(TypeError, match="oracle"):
+            SimulationConfig(oracle=OracleSpec(backend="ch"))
 
-    def test_configure_oracle_attaches_named_backend(self):
-        network = grid_city(5, 5, seed=2)
-        config = SimulationConfig(oracle=OracleSpec(backend="ch"))
-        oracle = configure_oracle(network, config)
-        assert network.oracle is oracle
+    def test_configure_oracle_builds_named_backend(self):
+        graph = grid_city(5, 5, seed=2).graph
+        oracle = configure_oracle(graph, OracleSpec(backend="ch"))
         assert isinstance(oracle, CHOracle)
-        # Same backend requested again: the warm oracle is reused.
-        assert configure_oracle(network, config) is oracle
-        # Different backend: swapped out.
-        lazy = configure_oracle(network, config.with_overrides(oracle=OracleSpec()))
-        assert network.oracle is lazy
+        assert oracle.graph is graph
+        # Every call is a build: the keeping is the caller's.
+        assert configure_oracle(graph, OracleSpec(backend="ch")) is not oracle
+        lazy = configure_oracle(graph, OracleSpec())
         assert isinstance(lazy, LazyDijkstraOracle)
+        # A network keeps the oracle it was built with, over its own graph.
+        network = RoadNetwork(graph, oracle)
+        assert network.oracle is oracle
+        assert not hasattr(network, "set_oracle")
+        with pytest.raises(NetworkError, match="different graph"):
+            RoadNetwork(grid_city(5, 5, seed=2).graph, oracle)
 
     def test_changed_options_rebuild_the_oracle(self, tmp_path):
-        network = grid_city(5, 5, seed=2)
+        session = Session()
+        base = ScenarioSpec(network="grid", grid_rows=5, grid_cols=5, seed=2)
+
         def configure(**options):
-            return configure_oracle(
-                network, SimulationConfig(oracle=OracleSpec(**options))
-            )
+            spec = base.with_overrides(oracle=OracleSpec(**options))
+            return session.network(spec).oracle
 
         lazy = configure(backend="lazy")
         plain = configure(backend="ch")
@@ -763,33 +771,33 @@ class TestConfigSelection:
         assert configure(backend="ch", cache_dir=str(tmp_path / "a")) is cached
         assert configure(backend="ch", cache_dir=str(tmp_path / "b")) is not cached
 
-    def test_simulator_honours_config_backend(self):
-        """A bare Simulator (no runner involved) must attach the named backend."""
+    def test_simulator_runs_on_the_network_as_given(self):
+        """A bare Simulator (no runner involved) asks the workload's own
+        network, built with the ``ch`` backend, and never swaps it."""
         from repro.datasets.workloads import build_workload
         from repro.experiments.config import default_config
         from repro.experiments.runner import make_dispatcher
         from repro.simulation.engine import Simulator
 
-        config = default_config(
-            "CDC",
-            num_orders=15,
-            num_workers=4,
-            horizon=900.0,
-            oracle=OracleSpec(backend="ch"),
-        )
-        workload = build_workload("CDC", config)
+        config = default_config("CDC", num_orders=15, num_workers=4, horizon=900.0)
+        drawn = build_workload("CDC", config)
+        graph = drawn.network.graph
+        network = RoadNetwork(graph, create_oracle("ch", graph))
+        oracle = network.oracle
+        workload = replace(drawn, network=network)
         dispatcher = make_dispatcher("NonSharing", workload, config)
         result = Simulator(workload, dispatcher, config).run()
-        assert isinstance(workload.network.oracle, CHOracle)
+        assert workload.network is network
+        assert network.oracle is oracle
+        assert isinstance(oracle, CHOracle)
         assert result.metrics.oracle_stats["backend"] == "ch"
 
     def test_run_is_backend_independent(self):
         """``lazy`` and its dict-Dijkstra reference produce bit-identical
         simulations.
 
-        Each run gets a fresh oracle of its class after the workload is
-        drawn, stamped with the config's oracle identity so the engine
-        keeps it, and both start equally cold.
+        Each run gets a network over the drawn graph with a fresh oracle
+        of its class, so both start equally cold.
         """
         from repro.datasets.workloads import build_workload
         from repro.experiments.config import default_config
@@ -801,10 +809,9 @@ class TestConfigSelection:
             ("lazy", LazyDijkstraOracle),
             ("reference", DictLazyOracle),
         ):
-            workload = build_workload("CDC", config)
-            oracle = oracle_class(workload.network.graph)
-            oracle.built_from = config.oracle.resolved()
-            workload.network.set_oracle(oracle)
+            drawn = build_workload("CDC", config)
+            oracle = oracle_class(drawn.network.graph)
+            workload = replace(drawn, network=RoadNetwork(oracle.graph, oracle))
             metrics = run_on_workload("WATTER-online", workload, config).metrics
             assert workload.network.oracle is oracle
             assert metrics.oracle_stats["queries"] > 0
@@ -828,11 +835,13 @@ class TestConfigSelection:
         from repro.experiments.config import default_config
         from tests.conftest import run_on_workload
 
-        base = default_config("CDC", num_orders=25, num_workers=6, horizon=900.0)
+        config = default_config("CDC", num_orders=25, num_workers=6, horizon=900.0)
         outcomes = {}
         for backend in ("lazy", "ch"):
-            config = base.with_overrides(oracle=OracleSpec(backend=backend))
-            workload = build_workload("CDC", config)
+            drawn = build_workload("CDC", config)
+            graph = drawn.network.graph
+            network = RoadNetwork(graph, create_oracle(backend, graph))
+            workload = replace(drawn, network=network)
             metrics = run_on_workload("WATTER-online", workload, config).metrics
             assert metrics.oracle_stats["backend"] == backend
             outcomes[backend] = metrics
@@ -893,8 +902,6 @@ class TestSpecToOracleSettings:
         ],
     )
     def test_spec_builds_the_same_oracle(self, backend, options, changed, tmp_path):
-        from repro.api import ScenarioSpec
-
         options = {
             option: str(tmp_path) if value == "TMP" else value
             for option, value in options.items()
@@ -905,8 +912,8 @@ class TestSpecToOracleSettings:
             grid_cols=6,
             oracle={"backend": backend, **options},
         )
-        network = grid_city(6, 6, seed=3)
-        oracle = configure_oracle(network, spec.config())
+        graph = grid_city(6, 6, seed=3).graph
+        oracle = configure_oracle(graph, spec.oracle.resolved())
 
         expected = {**_DEFAULT_SETTINGS[backend], **changed}
         cache_files = expected.pop("cache_files", None)

@@ -236,10 +236,10 @@ def _core_metrics(metrics) -> dict:
 def test_simulation_metrics_identical_across_kernels():
     """A run over the csr oracle reproduces one over the reference bit for bit.
 
-    The reference is attached to the network of the session's workload
-    (after the workload is drawn, whose deadlines ask the oracle the
-    network had then), stamped with the spec's oracle identity, so
-    ``Session.run`` keeps it instead of building its own.
+    The reference answers on a network of its own over the graph of the
+    session's workload (drawn first, whose deadlines ask the oracle the
+    drawing network has), and ``Session.run`` runs that workload's
+    network as given.
     """
     spec = ScenarioSpec(
         dataset="CDC",
@@ -253,12 +253,11 @@ def test_simulation_metrics_identical_across_kernels():
     )
     csr_run = Session().run(spec)
     session = Session()
-    network = session.workload(spec).network
-    reference = DictCHOracle(network.graph)
-    reference.built_from = spec.oracle.resolved()
-    network.set_oracle(reference)
-    reference_run = session.run(spec)
-    assert network.oracle is reference
+    drawn = session.workload(spec)
+    reference = DictCHOracle(drawn.network.graph)
+    workload = replace(drawn, network=RoadNetwork(reference.graph, reference))
+    reference_run = session.run(spec, workload=workload)
+    assert workload.network.oracle is reference
     assert reference_run.metrics.served_orders > 0
     assert _core_metrics(csr_run.metrics) == _core_metrics(reference_run.metrics)
 
@@ -283,15 +282,17 @@ def test_lazy_simulation_metrics_identical_to_the_reference_kernel():
     )
 
     def run_on(kernel):
-        # Attached by hand: the spec's lazy oracle is built at the default
-        # bound, and only a size-8 one keeps evictions in play.
+        # Built by hand: the spec's lazy oracle has the default bound,
+        # and only a size-8 one keeps evictions in play.  The provider
+        # is the spec's own, bootstrapped on its training network.
         session = Session()
-        network = session.workload(spec).network
-        oracle = kernel(network.graph, max_sources=8)
-        oracle.built_from = spec.oracle.resolved()
-        network.set_oracle(oracle)
-        run = session.run(spec)
-        assert network.oracle is oracle
+        drawn = session.workload(spec)
+        oracle = kernel(drawn.network.graph, max_sources=8)
+        workload = replace(drawn, network=RoadNetwork(oracle.graph, oracle))
+        run = session.run(
+            spec, workload=workload, provider=session.expect_provider(spec)
+        )
+        assert workload.network.oracle is oracle
         return run
 
     rows_run = run_on(LazyDijkstraOracle)

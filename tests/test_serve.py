@@ -39,6 +39,7 @@ from repro.serve import (
     parse_submission,
     serve_stdin,
 )
+from repro.resilience import FaultInjector, injected_faults
 
 _WAIT = 240.0  # generous per-run bound; small grids finish in well under a second
 
@@ -419,6 +420,24 @@ class TestScenarioService:
             assert pooled() is None
             assert metrics["batcher"]["serial_queries"] > queries > 0
 
+    def test_missing_order_logs_fail_alone_and_never_quarantine_the_grid(
+        self, tmp_path
+    ):
+        """A log that cannot be read is the request's error, not the view's:
+        three of them on one grid leave it serving the next valid spec."""
+        missing = _grid_spec(workload="csv", orders_csv=str(tmp_path / "gone.csv"))
+        with ScenarioService(max_runs=1) as service:
+            for _ in range(3):
+                record = service.wait(service.submit_spec(missing).run_id, timeout=_WAIT)
+                assert record.status == FAILED
+                assert record.error["error"] == "run-failed"
+                assert "gone.csv" in record.error["detail"]
+            record = service.wait(service.submit_spec(_grid_spec()).run_id, timeout=_WAIT)
+            assert record.status == COMPLETED, record.error
+            pool = service.metrics()["pool"]
+        assert pool["quarantined"] == 0
+        assert pool["networks"] == 1
+
     def test_malformed_submission_is_refused_eagerly(self):
         with ScenarioService() as service:
             with pytest.raises(ProtocolError) as exc_info:
@@ -762,6 +781,36 @@ class TestStdinTransport:
             [{"op": "cancel"}, {"op": "shutdown"}]
         )
         assert not replies[0]["ok"]
+
+    def test_non_numeric_timeouts_are_refused_while_a_run_is_in_flight(self):
+        """A ``timeout`` that is not a number is a 400 on both doors that
+        take one, and the loop keeps serving; the injected preparation
+        latency keeps run-000001 in flight while they arrive."""
+        refusal = {
+            "ok": False,
+            "error": "invalid-request",
+            "status": 400,
+            "detail": "timeout must be a number of seconds",
+        }
+        with injected_faults(
+            FaultInjector({"session.prepare": {"latency_seconds": 0.5}})
+        ):
+            served, replies, service = self._drive(
+                [
+                    {"op": "submit", "spec": _grid_spec().to_dict()},
+                    {"op": "wait", "run_id": "run-000001", "timeout": "soon"},
+                    {**_grid_spec().to_dict(), "wait": True, "timeout": "soon"},
+                    {"op": "wait", "run_id": "run-000001"},
+                ]
+            )
+        assert served == 4
+        submit, bad_wait, bad_submit, wait = replies
+        assert submit["ok"] and submit["status"] != COMPLETED
+        assert bad_wait == refusal
+        assert bad_submit == refusal
+        assert wait["status"] == COMPLETED
+        # The refused submission never reached the executor.
+        assert [record.run_id for record in service.list_runs()] == ["run-000001"]
 
     def test_structured_refusals(self):
         _served, replies, _service = self._drive(
