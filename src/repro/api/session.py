@@ -48,7 +48,6 @@ from ..datasets.synthetic import CityModel, DemandHotspot, Workload
 from ..datasets.workloads import DATASETS
 from ..durability.checkpoint import (
     CheckpointError,
-    Checkpointer,
     LoadedCheckpoint,
     load_checkpoint,
 )
@@ -309,16 +308,6 @@ class Session:
                     event.get("to", ""),
                     event.get("reason", "recorded before interruption"),
                 )
-        self._stamp_checkpoint_meta(
-            hooks,
-            {
-                "graph_hash": graph_hash,
-                "algorithm": spec.algorithm,
-                "total_orders": len(workload.orders),
-                "scenario": spec.describe(),
-                "spec": spec.to_dict(),
-            },
-        )
         prepare_seconds = time.perf_counter() - started
         if cancellation is not None:
             self._check_cancelled(
@@ -330,6 +319,7 @@ class Session:
                 "scenario": spec.describe(),
                 "algorithm": spec.algorithm,
                 "graph_hash": graph_hash,
+                "total_orders": len(workload.orders),
             }
             if resume is not None:
                 start_info["resumed_from"] = resume.cursor.as_dict()
@@ -716,28 +706,6 @@ class Session:
                 f"({loaded.cursor.order_index} > {len(workload.orders)} orders)"
             )
         return loaded
-
-    @staticmethod
-    def _stamp_checkpoint_meta(
-        hooks: SimulationHooks | None, meta: Mapping[str, Any]
-    ) -> None:
-        """Give every attached :class:`Checkpointer` the run's identity.
-
-        Callers attach a bare ``Checkpointer(path)``; the session knows
-        the prepared run's graph hash and order count, so it stamps
-        them here — that is what :meth:`_load_resume` validates against
-        later.  Caller-set meta keys win.
-        """
-        if hooks is None:
-            return
-        stack: list[SimulationHooks] = [hooks]
-        while stack:
-            hook = stack.pop()
-            if isinstance(hook, Checkpointer):
-                hook.meta = {**meta, **hook.meta}
-            children = getattr(hook, "children", None)
-            if children:
-                stack.extend(children)
 
     @staticmethod
     def _check_cancelled(

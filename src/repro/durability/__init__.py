@@ -14,6 +14,9 @@ state that survives the process itself.
 * :mod:`~repro.durability.results` — a durable per-run result store
   next to the in-memory LRU, so finished runs stay queryable across
   restarts;
+* :mod:`~repro.durability.atomic` — the one atomic file write (tmp,
+  fsync, rename) behind results, checkpoints, journal compaction and
+  the CH preprocessing cache;
 * :mod:`~repro.durability.locks` — advisory inter-process file locks
   (``fcntl.flock``, released by the kernel when the holder dies), so
   several serve processes sharing one oracle cache build each

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import pickle
 import zlib
 from dataclasses import dataclass, field
@@ -43,6 +42,7 @@ from typing import Any, Mapping
 from ..exceptions import ReproError
 from ..resilience.degradation import DegradationLog
 from ..resilience.faults import fault_point
+from .atomic import write_atomic
 
 #: Ticks between checkpoints when the caller does not choose.
 DEFAULT_CHECKPOINT_INTERVAL = 25
@@ -64,6 +64,10 @@ DEFAULT_CHECKPOINT_INTERVAL = 25
 # 12: a pickled ``Order`` has no ``status`` field.
 # 13: a pickled ``SimulationConfig`` has no ``oracle`` field.
 _FORMAT_VERSION = 13
+
+
+#: ``on_run_start`` keys a :class:`Checkpointer` stamps into its header.
+_RUN_IDENTITY = ("graph_hash", "algorithm", "total_orders", "scenario", "spec")
 
 
 class CheckpointError(ReproError):
@@ -205,15 +209,7 @@ def write_checkpoint(
             "blob_crc32": zlib.crc32(blob),
         }
         header_line = json.dumps(header, sort_keys=True, default=str).encode("ascii")
-        file_path.parent.mkdir(parents=True, exist_ok=True)
-        scratch = file_path.with_name(file_path.name + ".tmp")
-        with scratch.open("wb") as handle:
-            handle.write(header_line)
-            handle.write(b"\n")
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        scratch.replace(file_path)
+        write_atomic(file_path, header_line + b"\n" + blob)
     except CheckpointError:
         raise
     except (OSError, RuntimeError, TypeError, pickle.PickleError) as exc:
@@ -348,10 +344,16 @@ class Checkpointer:
         self.writes += 1
         self.last_cursor = checkpoint.cursor
 
-    # non-protocol no-ops so Checkpointer can stand alone as hooks -----
     def on_run_start(self, info: Mapping[str, Any]) -> None:
-        pass
+        """Take the run's identity from the start event (caller keys win).
 
+        The header's graph hash, algorithm and order count are what a
+        later resume validates against.
+        """
+        identity = {key: info[key] for key in _RUN_IDENTITY if key in info}
+        self.meta = {**identity, **self.meta}
+
+    # non-protocol no-ops so Checkpointer can stand alone as hooks -----
     def on_order_arrival(self, order: Any, now: float) -> None:
         pass
 

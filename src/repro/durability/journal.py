@@ -32,6 +32,7 @@ from typing import IO, Any, Iterator, Mapping
 
 from ..resilience.faults import fault_point
 from ..resilience.retry import RetryPolicy, retry_call
+from .atomic import write_atomic
 
 #: Lifecycle vocabulary the serving layer writes (documented here so
 #: the journal format has one authoritative list; the reader does not
@@ -191,12 +192,12 @@ class RunJournal:
                 kept.append(record)
             if dropped == 0:
                 return 0
-            scratch = self.path.with_name(self.path.name + ".tmp")
-            with scratch.open("w", encoding="utf-8") as handle:
-                for record in kept:
-                    handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            scratch.replace(self.path)
+            write_atomic(
+                self.path,
+                "".join(
+                    json.dumps(record, sort_keys=True, default=str) + "\n"
+                    for record in kept
+                ),
+            )
             self.compactions += 1
             return dropped

@@ -4,17 +4,18 @@ The serve layer's in-memory record map is an LRU bounded by
 ``--max-runs``; this store is its on-disk shadow under ``--state-dir``
 so a finished run stays queryable after a restart (and after LRU
 eviction).  Documents are whole-record snapshots (the same payload
-``GET /runs/<id>`` serves), written atomically via tmp + rename so a
-crash mid-save leaves either the old document or none — never a torn
-one.
+``GET /runs/<id>`` serves), written atomically
+(:func:`~repro.durability.atomic.write_atomic`) so a crash mid-save
+leaves either the old document or none — never a torn one.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Mapping
+
+from .atomic import write_atomic
 
 
 class ResultStore:
@@ -35,18 +36,13 @@ class ResultStore:
 
     def save(self, run_id: str, document: Mapping[str, Any]) -> bool:
         """Persist a run document; returns whether the write landed."""
-        path = self._path(run_id)
-        scratch = path.with_name(path.name + ".tmp")
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with scratch.open("w", encoding="utf-8") as handle:
-                json.dump(document, handle, sort_keys=True, default=str)
-                handle.flush()
-                os.fsync(handle.fileno())
-            scratch.replace(path)
+            write_atomic(
+                self._path(run_id),
+                json.dumps(document, sort_keys=True, default=str),
+            )
         except OSError:
             self.save_failures += 1
-            scratch.unlink(missing_ok=True)
             return False
         self.saves += 1
         return True

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
+from ...durability.atomic import write_atomic
 from ...resilience.faults import corrupt_file_if_scheduled, fault_point
 from ...resilience.retry import RetryPolicy, retry_call
 
@@ -236,10 +237,7 @@ def save_ch_preprocessing(
 
     def write() -> None:
         fault_point("oracle.cache.save")
-        file_path.parent.mkdir(parents=True, exist_ok=True)
-        scratch = file_path.with_name(file_path.name + ".tmp")
-        scratch.write_text(serialised)
-        scratch.replace(file_path)
+        write_atomic(file_path, serialised)
 
     retry_call(write, policy=CACHE_IO_POLICY)
     return file_path

@@ -14,9 +14,10 @@ layers:
   seeded, so retried runs stay reproducible.
 * **Degradation chains** (:mod:`~repro.resilience.degradation`) —
   recorded fallbacks (:class:`DegradationLog` travels with each run
-  into ``RunResult.degradations`` and ``/metrics``) plus a
-  per-identity :class:`CircuitBreaker` quarantining repeatedly failing
-  session preparations.
+  into ``RunResult.degradations`` and ``/metrics``) plus the
+  :class:`CircuitOpenError` a quarantined view identity refuses with
+  (the serve layer's breaker table quarantines repeatedly failing
+  session preparations).
 * **Deterministic fault injection** (:mod:`~repro.resilience.faults`)
   — seeded :class:`FaultInjector` schedules behind the
   :func:`fault_point` hooks, powering the chaos property tests and
@@ -27,7 +28,6 @@ See ``docs/RESILIENCE.md`` for semantics and the failure-mode table.
 
 from .cancellation import CancellationToken, RunCancelled
 from .degradation import (
-    CircuitBreaker,
     CircuitOpenError,
     DegradationEvent,
     DegradationLog,
@@ -53,7 +53,6 @@ __all__ = [
     "DEFAULT_IO_POLICY",
     "DegradationEvent",
     "DegradationLog",
-    "CircuitBreaker",
     "CircuitOpenError",
     "FaultInjector",
     "InjectedOSError",

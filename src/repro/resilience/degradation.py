@@ -1,4 +1,4 @@
-"""Degradation chains: recorded fallbacks and per-identity circuit breaking.
+"""Degradation chains: recorded fallbacks, and the circuit breaker's refusal.
 
 When a component of the runtime fails persistently, the run should
 *degrade*, not die — a corrupt CH cache rebuilds from scratch, a CH
@@ -8,20 +8,18 @@ still answers, but its :class:`~repro.api.RunResult`
 (``degradations``) and the service ``/metrics`` say exactly what was
 given up, where, and why.
 
-:class:`CircuitBreaker` is the service-side complement: a prepared
+:class:`CircuitOpenError` is the service-side complement: a prepared
 view whose preparation keeps failing (a bad cache volume, an
-impossible oracle config) is quarantined for a cool-down instead of
-re-running its expensive failing build on every request.  The breaker
-follows the classic three states — ``closed`` (normal), ``open``
-(refusing), ``half-open`` (one trial request probes recovery).
+impossible oracle config) is quarantined for a cool-down by the serve
+layer's breaker table (:class:`repro.serve.pool.BreakerTable`) instead
+of re-running its expensive failing build on every request, and every
+request it refuses meanwhile gets this error.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable
 
 from ..exceptions import ReproError
 
@@ -85,100 +83,3 @@ class CircuitOpenError(ReproError):
     def __init__(self, detail: str, *, retry_after_seconds: float | None = None):
         super().__init__(detail)
         self.retry_after_seconds = retry_after_seconds
-
-
-#: Circuit-breaker states.
-CLOSED = "closed"
-OPEN = "open"
-HALF_OPEN = "half-open"
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker with a timed half-open probe.
-
-    Parameters
-    ----------
-    failure_threshold:
-        Consecutive failures that trip the breaker open.
-    reset_seconds:
-        Cool-down after which one trial request is let through
-        (half-open); its success closes the breaker, its failure
-        re-opens it for another full cool-down.
-    clock:
-        Monotonic time source, injectable for tests.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_seconds: float = 30.0,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        if reset_seconds < 0:
-            raise ValueError("reset_seconds must be non-negative")
-        self._failure_threshold = failure_threshold
-        self._reset_seconds = reset_seconds
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._state = CLOSED
-        self._opened_at: float | None = None
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            self._maybe_half_open()
-            return self._state
-
-    def _maybe_half_open(self) -> None:
-        """Open -> half-open after the cool-down (lock held)."""
-        if (
-            self._state == OPEN
-            and self._opened_at is not None
-            and self._clock() - self._opened_at >= self._reset_seconds
-        ):
-            self._state = HALF_OPEN
-
-    def allow(self) -> bool:
-        """Whether a request may proceed; a half-open probe is consumed.
-
-        At most one trial runs per cool-down window: the transition to
-        half-open admits exactly one caller (this call), and further
-        calls are refused until that trial reports back.
-        """
-        with self._lock:
-            self._maybe_half_open()
-            if self._state == CLOSED:
-                return True
-            if self._state == HALF_OPEN:
-                # Consume the probe: revert to OPEN with a fresh window
-                # so concurrent callers are refused while it runs.
-                self._state = OPEN
-                self._opened_at = self._clock()
-                return True
-            return False
-
-    def seconds_until_retry(self) -> float | None:
-        """Cool-down remaining while open (``None`` when requests flow)."""
-        with self._lock:
-            self._maybe_half_open()
-            if self._state != OPEN or self._opened_at is None:
-                return None
-            remaining = self._reset_seconds - (self._clock() - self._opened_at)
-            return max(0.0, remaining)
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._failures += 1
-            if self._failures >= self._failure_threshold:
-                self._state = OPEN
-                self._opened_at = self._clock()
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._failures = 0
-            self._state = CLOSED
-            self._opened_at = None

@@ -76,6 +76,19 @@ def parse_seconds(value: Any, name: str) -> float | None:
     return float(value)
 
 
+def parse_flag(value: Any, name: str) -> bool:
+    """A transport switch (``wait``, ``drain``): absent, ``null`` or a JSON boolean.
+
+    Anything else — text such as ``"no"``, a number — is a 400
+    ``invalid-request``, never read as true.
+    """
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise ProtocolError(400, "invalid-request", f"{name} must be true or false")
+    return value
+
+
 def parse_submission(payload: Any) -> tuple[ScenarioSpec, dict[str, Any]]:
     """Validate a submission document into ``(spec, options)``.
 
@@ -101,7 +114,7 @@ def parse_submission(payload: Any) -> tuple[ScenarioSpec, dict[str, Any]]:
                     f"unknown submission key {key!r}; expected "
                     f"{sorted(_SUBMIT_OPTION_KEYS)}",
                 )
-        options["wait"] = bool(payload.get("wait", False))
+        options["wait"] = parse_flag(payload.get("wait"), "wait")
         timeout = parse_seconds(payload.get("timeout"), "timeout")
         if timeout is not None:
             options["timeout"] = timeout

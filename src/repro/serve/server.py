@@ -1,49 +1,46 @@
 """Transports of the scenario service: asyncio HTTP and stdin JSON-lines.
 
 Both are stdlib-only adapters over
-:class:`~repro.serve.service.ScenarioService`.
+:class:`~repro.serve.service.ScenarioService`, and both answer every
+verb they share from one op table, :func:`answer`, which returns
+``(status, payload)``:
 
-**HTTP** (:class:`ScenarioServer`) — a deliberately small HTTP/1.1
-surface on ``asyncio.start_server`` (no framework, no dependency):
+=======  ============================  ===========  ================================
+op       HTTP                          stdin        status and payload
+=======  ============================  ===========  ================================
+submit   ``POST /runs``                ``submit``   202 + the queued record; with
+                                       (default)    ``wait``, 200 + the finished
+                                                    record, or 408 ``wait-timeout``
+                                                    + the ``run`` so far
+poll     ``GET /runs/<id>``            ``poll``     200 + the record, result included
+wait     —                             ``wait``     200 or 408, as a waiting submit
+cancel   ``POST /runs/<id>/cancel``    ``cancel``   202 + the record, no result
+events   ``GET /runs/<id>/events``     ``events``   200 + the retained events
+list     ``GET /runs``                 ``list``     200 + the records, no results
+metrics  ``GET /metrics``              ``metrics``  200 + pool / oracle / queue /
+                                                    latency counters
+=======  ============================  ===========  ================================
 
-========  =================  ==============================================
-method    path               meaning
-========  =================  ==============================================
-POST      ``/runs``          submit a ScenarioSpec JSON document; returns
-                             202 + the queued run record.  ``{"spec": ...,
-                             "wait": true}`` (or ``?wait=1``) blocks until
-                             the run finished and returns the full record.
-GET       ``/runs``          list retained run records (without results)
-GET       ``/runs/<id>``     one run record, result included when finished
-GET       ``/runs/<id>/events``  the run's retained progress events
-POST      ``/runs/<id>/cancel``  cancel a queued run now, or ask a
-                             running one to stop at its next tick
-                             boundary; returns 202 + the record
-GET       ``/metrics``       pool / oracle-lock / queue / latency counters
-GET       ``/healthz``       liveness probe
-POST      ``/shutdown``      stop the server; ``?drain=1`` (or a body of
-                             ``{"drain": true, "grace": seconds}``) first
-                             performs a graceful drain — admission stops
-                             with a structured 503 ``draining`` refusal,
-                             in-flight runs finish or checkpoint within
-                             the grace budget, and a clean-shutdown
-                             marker is journaled before the process exits
-========  =================  ==============================================
+``GET /healthz`` (liveness) is HTTP's own.  ``shutdown`` (``POST
+/shutdown`` or the stdin op) reads its options with one parser and acts
+per transport: ``{"drain": true, "grace": seconds}`` first drains —
+admission stops with a structured 503 ``draining`` refusal, in-flight
+runs finish or checkpoint within the grace budget, and a clean-shutdown
+marker is journaled before the process exits.
 
-Every response is JSON; refusals carry the structured
-:class:`~repro.serve.protocol.ProtocolError` payload with a matching
-status code.  Simulations never run on the event loop — the service's
-bounded executor runs them, and ``wait`` blocks in a side thread via
-``run_in_executor``.
-
-**stdin JSON-lines** (:func:`serve_stdin`) — the no-socket fallback for
-pipelines and CI: one JSON request per line on stdin, one JSON reply
-per line on stdout.  ``{"op": "submit", "spec": {...}, "wait": true}``
-submits (and optionally blocks), ``poll``/``events``/``metrics``/
-``list`` observe, ``cancel`` stops a run, ``shutdown`` exits the loop
-— ``{"op": "shutdown", "drain": true, "grace": seconds}`` first runs
-the same graceful drain as ``POST /shutdown?drain=1`` and replies with
-the drain summary.
+HTTP writes ``(status, payload)`` as the response.  A submission's
+options ride in the body (``{"spec": {...}, "wait": true, "timeout":
+seconds}``) or the query (``?wait=1&timeout=seconds``); the body's
+win.  stdin reads one JSON object per line and writes one
+``{"ok": status < 400, **payload}`` line per request; a line without
+``"op"`` is a submission, and a flat spec line may carry ``wait`` /
+``timeout`` inline.  ``wait`` and ``drain`` must be JSON booleans,
+``timeout`` and ``grace`` JSON numbers (query text reads ``1`` /
+``true`` / ``yes`` as true and must spell a number); anything else is a
+400 ``invalid-request``.  Refusals are the structured
+:class:`~repro.serve.protocol.ProtocolError` payload.  Simulations never
+run on the event loop: the service's executor runs them, and a waiting
+HTTP submission blocks in a side thread.
 """
 
 from __future__ import annotations
@@ -51,10 +48,17 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
-from typing import Any, IO, Mapping
+from typing import Any, Callable, IO, Mapping
 from urllib.parse import parse_qs, urlsplit
 
-from .protocol import ProtocolError, RunRecord, json_bytes, parse_seconds
+from .protocol import (
+    ProtocolError,
+    RunRecord,
+    json_bytes,
+    parse_flag,
+    parse_seconds,
+    parse_submission,
+)
 from .service import ScenarioService
 
 #: Largest accepted request body (a spec document is a few hundred bytes).
@@ -71,6 +75,107 @@ _STATUS_PHRASES = {
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
+}
+
+#: ``(status, payload)``: what every op answers, on either transport.
+Reply = tuple[int, dict[str, Any]]
+
+
+# ----------------------------------------------------------------------
+# the op table both transports answer from
+# ----------------------------------------------------------------------
+def answer(service: ScenarioService, op: Any, fields: Mapping[str, Any]) -> Reply:
+    """Answer one verb the transports share: ``(status, payload)``.
+
+    ``fields`` is the request: the submission document for ``submit``,
+    ``run_id`` (and ``timeout`` for ``wait``) for the run verbs.  A
+    waiting submission and the ``wait`` op block until the run finished
+    or the timeout elapsed.  Refusals raise :class:`ProtocolError`.
+    """
+    handler = _OPS.get(op) if isinstance(op, str) else None
+    if handler is None:
+        raise ProtocolError(
+            400, "unknown-op", f"unknown op {op!r}; expected {'/'.join(_OPS)}/shutdown"
+        )
+    return handler(service, fields)
+
+
+def _submit(service: ScenarioService, fields: Mapping[str, Any]) -> Reply:
+    spec, options = parse_submission(fields)
+    record = service.submit_spec(spec)
+    if not options.get("wait"):
+        return 202, record.as_dict()
+    return _settled(service.wait(record.run_id, options.get("timeout")))
+
+
+def _wait(service: ScenarioService, fields: Mapping[str, Any]) -> Reply:
+    run_id = _run_id(fields)
+    return _settled(
+        service.wait(run_id, parse_seconds(fields.get("timeout"), "timeout"))
+    )
+
+
+def _settled(record: RunRecord) -> Reply:
+    """200 + the finished record, or 408 ``wait-timeout`` + the run so far."""
+    if record.done.is_set():
+        return 200, record.as_dict()
+    return 408, {
+        "error": "wait-timeout",
+        "detail": f"run {record.run_id} still {record.status}",
+        "status": 408,
+        "run": record.as_dict(include_result=False),
+    }
+
+
+def _events(service: ScenarioService, fields: Mapping[str, Any]) -> Reply:
+    run_id = _run_id(fields)
+    return 200, {"run_id": run_id, "events": service.events(run_id)}
+
+
+def _run_id(fields: Mapping[str, Any]) -> str:
+    run_id = fields.get("run_id")
+    if not isinstance(run_id, str) or not run_id:
+        raise ProtocolError(400, "invalid-request", "run_id is required")
+    return run_id
+
+
+_OPS: dict[str, Callable[[ScenarioService, Mapping[str, Any]], Reply]] = {
+    "submit": _submit,
+    "poll": lambda service, fields: (200, service.get(_run_id(fields)).as_dict()),
+    "wait": _wait,
+    "cancel": lambda service, fields: (
+        202,
+        service.cancel(_run_id(fields)).as_dict(include_result=False),
+    ),
+    "events": _events,
+    "list": lambda service, fields: (
+        200,
+        {"runs": [run.as_dict(include_result=False) for run in service.list_runs()]},
+    ),
+    "metrics": lambda service, fields: (200, service.metrics()),
+}
+
+
+def _shutdown_options(fields: Mapping[str, Any]) -> tuple[bool, float | None]:
+    """``(drain?, grace)`` of a shutdown request; ``grace`` is ``None`` unset."""
+    return (
+        parse_flag(fields.get("drain"), "drain"),
+        parse_seconds(fields.get("grace"), "grace"),
+    )
+
+
+# ----------------------------------------------------------------------
+# HTTP transport
+# ----------------------------------------------------------------------
+#: Route -> method -> op.  ``<id>`` is the run id the path carries.
+_ROUTES = {
+    "/healthz": {"GET": "healthz"},
+    "/metrics": {"GET": "metrics"},
+    "/shutdown": {"POST": "shutdown"},
+    "/runs": {"POST": "submit", "GET": "list"},
+    "/runs/<id>": {"GET": "poll"},
+    "/runs/<id>/events": {"GET": "events"},
+    "/runs/<id>/cancel": {"POST": "cancel"},
 }
 
 
@@ -102,7 +207,6 @@ class ScenarioServer:
         self._server: asyncio.AbstractServer | None = None
         self._stop = asyncio.Event()
         self._drain_task: asyncio.Task | None = None
-        self._drain_summary: dict[str, Any] | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -161,9 +265,7 @@ class ScenarioServer:
         loop = asyncio.get_running_loop()
 
         async def _drain_then_stop() -> None:
-            self._drain_summary = await loop.run_in_executor(
-                None, self._service.drain, budget
-            )
+            await loop.run_in_executor(None, self._service.drain, budget)
             self._stop.set()
 
         self._drain_task = loop.create_task(_drain_then_stop())
@@ -210,9 +312,7 @@ class ScenarioServer:
             except (ConnectionError, OSError):  # pragma: no cover - client gone
                 pass
 
-    async def _handle_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[int, Any]:
+    async def _handle_request(self, reader: asyncio.StreamReader) -> Reply:
         request_line = (await reader.readline()).decode("latin-1").strip()
         if not request_line:
             raise ProtocolError(400, "invalid-request", "empty request")
@@ -253,124 +353,100 @@ class ScenarioServer:
         query = {
             key: values[-1] for key, values in parse_qs(split.query).items()
         }
-        return await self._route(method.upper(), split.path, query, body)
+        return await self._answer(method.upper(), split.path, query, body)
 
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    async def _route(
+    async def _answer(
         self, method: str, path: str, query: dict[str, str], body: bytes
-    ) -> tuple[int, Any]:
-        if path == "/healthz" and method == "GET":
+    ) -> Reply:
+        op, fields = _http_op(method, path)
+        if op == "healthz":
             return 200, {"status": "ok"}
-        if path == "/metrics" and method == "GET":
-            return 200, self._service.metrics()
-        if path == "/shutdown" and method == "POST":
-            drain, grace = _parse_shutdown(query, body)
-            if drain:
-                self.request_drain(grace)
-                return 202, {
-                    "status": "draining",
-                    "grace": self._drain_grace if grace is None else grace,
+        if op == "shutdown":
+            document = _json_body(body)
+            drain, grace = _shutdown_options(
+                {
+                    **_query_options(query, ("drain", "grace")),
+                    **(document if isinstance(document, Mapping) else {}),
                 }
-            self.request_stop()
-            return 200, {"status": "shutting-down"}
-        if path == "/runs" and method == "POST":
-            return await self._submit(query, body)
-        if path == "/runs" and method == "GET":
-            return 200, {
-                "runs": [
-                    record.as_dict(include_result=False)
-                    for record in self._service.list_runs()
-                ]
+            )
+            if not drain:
+                self.request_stop()
+                return 200, {"status": "shutting-down"}
+            self.request_drain(grace)
+            return 202, {
+                "status": "draining",
+                "grace": self._drain_grace if grace is None else grace,
             }
-        if path.startswith("/runs/"):
-            rest = path[len("/runs/"):]
-            if rest.endswith("/cancel"):
-                if method != "POST":
-                    raise ProtocolError(
-                        405, "method-not-allowed", f"{method} {path}"
-                    )
-                run_id = rest[: -len("/cancel")]
-                record = self._service.cancel(run_id)
-                return 202, record.as_dict(include_result=False)
-            if method != "GET":
-                raise ProtocolError(405, "method-not-allowed", f"{method} {path}")
-            if rest.endswith("/events"):
-                run_id = rest[: -len("/events")]
-                return 200, {"run_id": run_id, "events": self._service.events(run_id)}
-            return 200, self._service.get(rest).as_dict()
-        if path in ("/runs", "/metrics", "/healthz", "/shutdown"):
-            raise ProtocolError(405, "method-not-allowed", f"{method} {path}")
-        raise ProtocolError(404, "unknown-path", f"no route for {path}")
-
-    async def _submit(
-        self, query: dict[str, str], body: bytes
-    ) -> tuple[int, Any]:
-        try:
-            payload = json.loads(body.decode("utf-8") or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ProtocolError(400, "invalid-json", str(exc))
-        query_timeout = _query_seconds(query, "timeout")
-        record, options = self._service.submit(payload)
-        wait = options.get("wait") or _query_flag(query, "wait")
-        timeout = options.get("timeout", query_timeout)
-        if not wait:
-            return 202, record.as_dict()
-        loop = asyncio.get_running_loop()
-        record = await loop.run_in_executor(
-            None, self._service.wait, record.run_id, timeout
+        if op != "submit":
+            return answer(self._service, op, fields)
+        # A submission may wait for its run: block a side thread, not the loop.
+        return await asyncio.get_running_loop().run_in_executor(
+            None, answer, self._service, op, _submission(query, body)
         )
-        if not record.done.is_set():
-            return 408, {
-                "error": "wait-timeout",
-                "detail": f"run {record.run_id} still {record.status}",
-                "status": 408,
-                "run": record.as_dict(include_result=False),
-            }
-        return 200, record.as_dict()
 
 
-def _parse_shutdown(
-    query: dict[str, str], body: bytes
-) -> tuple[bool, float | None]:
-    """``(drain?, grace)`` of a shutdown request (query or JSON body)."""
-    drain = _query_flag(query, "drain")
-    grace = _query_seconds(query, "grace")
-    if body:
+def _http_op(method: str, path: str) -> tuple[str, dict[str, Any]]:
+    """The op a method and path name, with the run id the path carries."""
+    fields: dict[str, Any] = {}
+    route = path
+    if path.startswith("/runs/"):
+        rest = path[len("/runs/"):]
+        run_id, slash, verb = rest.rpartition("/")
+        if slash and verb in ("events", "cancel"):
+            route = f"/runs/<id>/{verb}"
+        else:
+            run_id, route = rest, "/runs/<id>"
+        fields["run_id"] = run_id
+    methods = _ROUTES.get(route)
+    if methods is None:
+        raise ProtocolError(404, "unknown-path", f"no route for {path}")
+    if method not in methods:
+        raise ProtocolError(405, "method-not-allowed", f"{method} {path}")
+    return methods[method], fields
+
+
+def _submission(query: dict[str, str], body: bytes) -> Any:
+    """The submission document, with the query's options where the body has none."""
+    document = _json_body(body)
+    options = _query_options(query, ("wait", "timeout"))
+    if not options or not isinstance(document, Mapping):
+        return document
+    if "spec" in document:
+        return {**options, **document}
+    return {"spec": document, **options}
+
+
+def _json_body(body: bytes) -> Any:
+    try:
+        return json.loads(body.decode("utf-8") or "{}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ProtocolError(400, "invalid-json", str(exc))
+
+
+def _query_options(query: dict[str, str], names: tuple[str, ...]) -> dict[str, Any]:
+    """The ``names`` options of a query string, as the values a body holds.
+
+    Query values are always text: a flag reads ``1`` / ``true`` /
+    ``yes`` as true, a duration must spell a number (else a 400).
+    """
+    options: dict[str, Any] = {}
+    for name in names:
+        if name not in query:
+            continue
+        text = query[name]
+        if name in ("wait", "drain"):
+            options[name] = text.lower() in ("1", "true", "yes")
+            continue
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ProtocolError(400, "invalid-json", str(exc))
-        if isinstance(payload, Mapping):
-            drain = drain or bool(payload.get("drain"))
-            if payload.get("grace") is not None:
-                grace = parse_seconds(payload["grace"], "grace")
-    return drain, grace
-
-
-def _query_flag(query: dict[str, str], name: str) -> bool:
-    return query.get(name, "").lower() in ("1", "true", "yes")
-
-
-def _query_seconds(query: dict[str, str], name: str) -> float | None:
-    """A duration from the query string, whose values are always text."""
-    value: Any = query.get(name)
-    if value is not None:
-        try:
-            value = float(value)
+            options[name] = float(text)
         except ValueError:
-            pass  # not a number: parse_seconds refuses the text
-    return parse_seconds(value, name)
+            options[name] = parse_seconds(text, name)  # refuses the text
+    return options
 
 
 # ----------------------------------------------------------------------
 # stdin JSON-lines transport
 # ----------------------------------------------------------------------
-def _record_reply(record: RunRecord) -> dict[str, Any]:
-    return {"ok": True, **record.as_dict()}
-
-
 def serve_stdin(
     service: ScenarioService,
     in_stream: IO[str] | None = None,
@@ -399,31 +475,26 @@ def serve_stdin(
                 continue
             served += 1
             try:
-                reply(_handle_stdin_request(service, line))
+                op, fields = _stdin_request(line)
+                if op == "shutdown":
+                    drain, grace = _shutdown_options(fields)
+                    if drain:
+                        summary = service.drain(30.0 if grace is None else grace)
+                        reply({"ok": True, "status": "drained", **summary})
+                    else:
+                        reply({"ok": True, "status": "shutting-down"})
+                    break
+                status, payload = answer(service, op, fields)
             except ProtocolError as exc:
-                reply({"ok": False, **exc.payload})
-            except _Shutdown as stop:
-                if stop.drain:
-                    summary = service.drain(stop.grace)
-                    reply({"ok": True, "status": "drained", **summary})
-                else:
-                    reply({"ok": True, "status": "shutting-down"})
-                break
+                status, payload = exc.status, exc.payload
+            reply({"ok": status < 400, **payload})
     finally:
         service.shutdown(wait=True)
     return served
 
 
-class _Shutdown(Exception):
-    """Internal control flow: the stdin loop saw a shutdown op."""
-
-    def __init__(self, drain: bool = False, grace: float | None = 30.0) -> None:
-        super().__init__("shutdown")
-        self.drain = drain
-        self.grace = grace
-
-
-def _handle_stdin_request(service: ScenarioService, line: str) -> dict[str, Any]:
+def _stdin_request(line: str) -> tuple[Any, dict[str, Any]]:
+    """``(op, fields)`` of one request line."""
     try:
         request = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -432,69 +503,20 @@ def _handle_stdin_request(service: ScenarioService, line: str) -> dict[str, Any]
         raise ProtocolError(
             400, "invalid-request", "each line must be a JSON object"
         )
-    op = request.get("op", "submit")
-    if op == "submit":
-        submission = {key: value for key, value in request.items() if key != "op"}
-        if "spec" not in submission:
-            # A flat-spec submission carries the transport options
-            # inline: wrap it, so parse_submission checks them once.
-            inline = {
-                key: submission.pop(key)
-                for key in ("wait", "timeout")
-                if key in submission
-            }
-            submission = {"spec": submission, **inline}
-        record, options = service.submit(submission)
-        if options["wait"]:
-            record = service.wait(record.run_id, options.get("timeout"))
-        return _record_reply(record)
-    if op == "poll":
-        return _record_reply(service.get(_required_run_id(request)))
-    if op == "cancel":
-        return _record_reply(service.cancel(_required_run_id(request)))
-    if op == "wait":
-        record = service.wait(
-            _required_run_id(request),
-            parse_seconds(request.get("timeout"), "timeout"),
-        )
-        if not record.done.is_set():
-            raise ProtocolError(
-                408, "wait-timeout", f"run {record.run_id} still {record.status}"
-            )
-        return _record_reply(record)
-    if op == "events":
-        run_id = _required_run_id(request)
-        return {"ok": True, "run_id": run_id, "events": service.events(run_id)}
-    if op == "list":
-        return {
-            "ok": True,
-            "runs": [
-                record.as_dict(include_result=False)
-                for record in service.list_runs()
-            ],
+    op = request.pop("op", "submit")
+    if op == "submit" and "spec" not in request:
+        # A flat-spec submission carries the transport options inline:
+        # wrap it, so parse_submission checks them once.
+        inline = {
+            key: request.pop(key) for key in ("wait", "timeout") if key in request
         }
-    if op == "metrics":
-        return {"ok": True, **service.metrics()}
-    if op == "shutdown":
-        grace = parse_seconds(request.get("grace", 30.0), "grace")
-        raise _Shutdown(drain=bool(request.get("drain")), grace=grace)
-    raise ProtocolError(
-        400,
-        "unknown-op",
-        f"unknown op {op!r}; expected submit/poll/cancel/wait/events/"
-        f"list/metrics/shutdown",
-    )
-
-
-def _required_run_id(request: dict[str, Any]) -> str:
-    run_id = request.get("run_id")
-    if not isinstance(run_id, str) or not run_id:
-        raise ProtocolError(400, "invalid-request", "run_id is required")
-    return run_id
+        request = {"spec": request, **inline}
+    return op, request
 
 
 __all__ = [
     "ScenarioServer",
+    "answer",
     "serve_stdin",
     "MAX_BODY_BYTES",
 ]

@@ -1,22 +1,21 @@
 """The scenario service core: submit, execute, observe — no transport.
 
 :class:`ScenarioService` is everything the server does minus the wire:
-it validates submissions eagerly (:func:`~repro.serve.protocol.
-parse_submission`), multiplexes accepted runs over a bounded thread
-executor, prepares each run on its **one session**
-(:class:`~repro.api.Session` — one oracle view per network and oracle
-spec, however many concurrent requests name it; a per-identity circuit
-breaker from :mod:`repro.serve.pool` quarantines one whose preparation
-keeps failing), runs each request through the same ``Session.run`` a
-direct caller uses — over the prepared orders and view, whose oracle
-answers one query at a time under its own lock — and streams each run's
-events into sinks
-(an in-memory store per run, plus a JSONL trace file per run when a
-trace directory is configured).
+it admits validated specs (:meth:`ScenarioService.submit_spec`),
+multiplexes accepted runs over a bounded thread executor, prepares each
+run on its **one session** (:class:`~repro.api.Session` — one oracle
+view per network and oracle spec, however many concurrent requests name
+it; the breaker table of :mod:`repro.serve.pool` quarantines one whose
+preparation keeps failing), runs each request through the same
+``Session.run`` a direct caller uses — over the prepared orders and
+view, whose oracle answers one query at a time under its own lock — and
+streams each run's events into sinks (an in-memory store per run, plus a
+JSONL trace file per run when a trace directory is configured).
 
 Both transports in :mod:`repro.serve.server` — the asyncio HTTP server
-and the stdin JSON-lines loop — are thin adapters over this class, so
-tests can drive the full service lifecycle without opening a socket.
+and the stdin JSON-lines loop — answer from one op table over this
+class (:func:`~repro.serve.server.answer`), so tests can drive the full
+service lifecycle without opening a socket.
 """
 
 from __future__ import annotations
@@ -53,11 +52,10 @@ from .protocol import (
     FAILED,
     INTERRUPTED,
     QUEUED,
-    RUNNING,
+    RUN_STATES,
     TERMINAL_STATES,
     ProtocolError,
     RunRecord,
-    parse_submission,
 )
 from .sinks import JsonlSink, MemorySink
 
@@ -198,26 +196,15 @@ class ScenarioService:
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    def submit(self, payload: Any) -> tuple[RunRecord, dict[str, Any]]:
-        """Validate one submission and enqueue its run.
-
-        Returns the queued :class:`RunRecord` immediately, with the
-        submission's validated transport options (``wait``,
-        ``timeout``) for the transport to honour; a submission the
-        protocol or spec layer rejects raises a 400-style
-        :class:`~repro.serve.protocol.ProtocolError` and never reaches
-        the executor.
-        """
-        spec, options = parse_submission(payload)
-        return self.submit_spec(spec), options
-
     def submit_spec(self, spec: ScenarioSpec) -> RunRecord:
-        """Enqueue an already validated spec (the programmatic door).
+        """Enqueue a validated spec; returns its queued record at once.
 
-        Refuses structurally before queuing work it cannot serve: a
-        full admission queue comes back as a 429-shaped ``overloaded``
-        error, and an identity whose circuit breaker is open as a
-        503-shaped ``session-quarantined`` error.
+        Both transports parse a submission first
+        (:func:`~repro.serve.protocol.parse_submission`), so a bad one
+        never reaches this door.  Refuses structurally before queuing
+        work it cannot serve: a full admission queue comes back as a
+        429-shaped ``overloaded`` error, and an identity whose circuit
+        breaker is open as a 503-shaped ``session-quarantined`` error.
         """
         if self._breakers.is_open(self._session.view_key(spec)):
             raise ProtocolError(
@@ -726,17 +713,7 @@ class ScenarioService:
             }
             rejected_total = self._rejected_total
             degradations = dict(self._degradation_counters)
-        by_status = {
-            state: 0
-            for state in (
-                QUEUED,
-                RUNNING,
-                COMPLETED,
-                FAILED,
-                CANCELLED,
-                INTERRUPTED,
-            )
-        }
+        by_status = dict.fromkeys(RUN_STATES, 0)
         latencies = []
         for record in records:
             by_status[record.status] = by_status.get(record.status, 0) + 1

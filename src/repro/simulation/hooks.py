@@ -41,7 +41,8 @@ class SimulationHooks:
     oracle are prepared but before the first engine event, and
     ``on_run_end`` fires once after the run's result is assembled.
     Both receive a flat JSON-able mapping (spec echo, algorithm, graph
-    hash; the end event adds wall-clock timings and the metric summary
+    hash, order count — the identity a checkpointer stamps into its
+    files; the end event adds wall-clock timings and the metric summary
     row), which is what lets file sinks stream a self-describing trace
     without knowing anything about the facade's types.  Code that
     drives :class:`~repro.simulation.engine.Simulator` directly never
@@ -99,13 +100,6 @@ class CompositeHooks(SimulationHooks):
         self._hooks: tuple[SimulationHooks, ...] = tuple(
             hook for hook in hooks if hook is not None
         )
-
-    @property
-    def children(self) -> tuple[SimulationHooks, ...]:
-        """The composed observers (the facade uses this to find, e.g.,
-        an attached :class:`~repro.durability.checkpoint.Checkpointer`
-        and stamp it with run-identity metadata)."""
-        return self._hooks
 
     def on_run_start(self, info: Mapping[str, Any]) -> None:
         for hook in self._hooks:

@@ -27,7 +27,7 @@ from repro.network.oracle.cache import (
 )
 from repro.resilience import (
     CancellationToken,
-    CircuitBreaker,
+    CircuitOpenError,
     DegradationLog,
     FaultInjector,
     InjectedOSError,
@@ -38,7 +38,6 @@ from repro.resilience import (
     injected_faults,
     retry_call,
 )
-from repro.resilience.degradation import CLOSED, HALF_OPEN, OPEN
 from repro.serve import (
     CANCELLED,
     COMPLETED,
@@ -47,6 +46,7 @@ from repro.serve import (
     ProtocolError,
     ScenarioService,
 )
+from repro.serve.pool import FAILURE_THRESHOLD, RESET_SECONDS, BreakerTable
 
 SCHEDULE_DIR = Path(__file__).parent / "fault_schedules"
 SCHEDULES = sorted(SCHEDULE_DIR.glob("*.json"))
@@ -226,57 +226,80 @@ class TestCancellationToken:
 # ----------------------------------------------------------------------
 # circuit breaker
 # ----------------------------------------------------------------------
+_VIEW = ("grid", 4, 4, 7)
+
+
 class TestCircuitBreaker:
+    """The service's breaker table: a view identity opens after
+    ``FAILURE_THRESHOLD`` consecutive failures and admits one half-open
+    probe per ``RESET_SECONDS`` cool-down."""
+
+    @staticmethod
+    def _tripped(clock: FakeClock) -> BreakerTable:
+        table = BreakerTable(clock=clock)
+        for _ in range(FAILURE_THRESHOLD):
+            table.record_failure(_VIEW)
+        return table
+
     def test_trips_after_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_seconds=30.0, clock=clock)
-        assert breaker.state == CLOSED
-        for _ in range(3):
-            assert breaker.allow()
-            breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-        assert breaker.seconds_until_retry() == pytest.approx(30.0)
+        table = BreakerTable(clock=FakeClock())
+        assert not table.is_open(_VIEW)
+        for attempt in range(1, FAILURE_THRESHOLD + 1):
+            table.admit(_VIEW)
+            assert table.record_failure(_VIEW) == (attempt == FAILURE_THRESHOLD)
+        assert table.is_open(_VIEW)
+        with pytest.raises(CircuitOpenError) as exc_info:
+            table.admit(_VIEW)
+        assert exc_info.value.retry_after_seconds == pytest.approx(RESET_SECONDS)
+        assert table.stats() == {"quarantined": 1, "quarantine_refusals": 1}
+        assert not table.is_open(("grid", 5, 5, 7))
 
     def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=3, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
+        table = BreakerTable(clock=FakeClock())
+        for _ in range(FAILURE_THRESHOLD - 1):
+            table.record_failure(_VIEW)
+        table.record_success(_VIEW)
+        for _ in range(FAILURE_THRESHOLD - 1):
+            assert not table.record_failure(_VIEW)
+        assert not table.is_open(_VIEW)
+        table.admit(_VIEW)
 
     def test_half_open_admits_exactly_one_probe(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_seconds=10.0, clock=clock)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(10.5)
-        assert breaker.state == HALF_OPEN
-        assert breaker.allow()  # the probe
-        assert not breaker.allow()  # everyone else waits for its verdict
+        table = self._tripped(clock)
+        with pytest.raises(CircuitOpenError):
+            table.admit(_VIEW)
+        clock.advance(RESET_SECONDS + 0.5)
+        assert not table.is_open(_VIEW)  # half-open: due its probe
+        assert table.stats()["quarantined"] == 0
+        table.admit(_VIEW)  # the probe
+        with pytest.raises(CircuitOpenError):
+            table.admit(_VIEW)  # everyone else waits for its verdict
+        assert table.is_open(_VIEW)
 
     def test_probe_success_closes(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_seconds=10.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(10.5)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
+        table = self._tripped(clock)
+        clock.advance(RESET_SECONDS + 0.5)
+        table.admit(_VIEW)
+        table.record_success(_VIEW)
+        assert not table.is_open(_VIEW)
+        table.admit(_VIEW)
+        table.admit(_VIEW)
+        # Closed means the streak starts over.
+        assert not table.record_failure(_VIEW)
 
     def test_probe_failure_reopens_with_fresh_cooldown(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_seconds=10.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(10.5)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        clock.advance(5.0)  # not a full cool-down yet
-        assert not breaker.allow()
+        table = self._tripped(clock)
+        clock.advance(RESET_SECONDS + 0.5)
+        table.admit(_VIEW)
+        assert table.record_failure(_VIEW)
+        assert table.is_open(_VIEW)
+        clock.advance(RESET_SECONDS / 2)  # not a full cool-down yet
+        with pytest.raises(CircuitOpenError) as exc_info:
+            table.admit(_VIEW)
+        assert exc_info.value.retry_after_seconds == pytest.approx(RESET_SECONDS / 2)
 
 
 # ----------------------------------------------------------------------

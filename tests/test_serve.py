@@ -9,11 +9,14 @@ The load-bearing assertions mirror the serving layer's promises:
 * two concurrent submissions naming the same network/oracle identity
   build the oracle exactly once (view hit counter + ``oracle_builds``);
 * malformed specs come back as structured 400-style refusals, on every
-  entry point, without reaching the executor.
+  entry point, without reaching the executor;
+* both transports answer every op they share with the same status,
+  error code and payload keys.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import io
 import json
@@ -40,6 +43,7 @@ from repro.serve import (
     serve_stdin,
 )
 from repro.resilience import FaultInjector, injected_faults
+from repro.serve.server import answer
 
 _WAIT = 240.0  # generous per-run bound; small grids finish in well under a second
 
@@ -92,6 +96,12 @@ class TestProtocol:
     def test_bad_timeout_is_400(self):
         with pytest.raises(ProtocolError, match="timeout"):
             parse_submission({"spec": _grid_spec().to_dict(), "timeout": "soon"})
+
+    def test_non_boolean_wait_is_400(self):
+        with pytest.raises(ProtocolError, match="wait must be true or false") as exc_info:
+            parse_submission({"spec": _grid_spec().to_dict(), "wait": "no"})
+        assert exc_info.value.status == 400
+        assert exc_info.value.error == "invalid-request"
 
     def test_invalid_spec_reuses_spec_layer_message(self):
         with pytest.raises(ProtocolError) as exc_info:
@@ -441,7 +451,7 @@ class TestScenarioService:
     def test_malformed_submission_is_refused_eagerly(self):
         with ScenarioService() as service:
             with pytest.raises(ProtocolError) as exc_info:
-                service.submit({"network": "hexagonal"})
+                answer(service, "submit", {"network": "hexagonal"})
             assert exc_info.value.status == 400
             assert exc_info.value.error == "invalid-spec"
             assert service.list_runs() == []  # never reached the executor
@@ -525,51 +535,62 @@ class TestScenarioService:
 # ----------------------------------------------------------------------
 # HTTP transport
 # ----------------------------------------------------------------------
-class TestHttpServer:
-    @pytest.fixture()
-    def http_server(self):
-        import asyncio
+@contextlib.contextmanager
+def _http_serving(service: ScenarioService):
+    """Serve ``service`` over HTTP on a free port in a side thread;
+    yields ``(address, server, loop)`` and stops the server after."""
+    import asyncio
 
-        from repro.serve import ScenarioServer
+    from repro.serve import ScenarioServer
 
-        service = ScenarioService(max_runs=2)
-        server = ScenarioServer(service, port=0)
-        loop = asyncio.new_event_loop()
-        started = threading.Event()
-        address: list = []
+    server = ScenarioServer(service, port=0)
+    loop = asyncio.new_event_loop()
+    started = threading.Event()
+    address: list = []
 
-        async def main():
-            await server.start()
-            address.append(server.address)
-            started.set()
-            await server.serve_forever()
+    async def main():
+        await server.start()
+        address.append(server.address)
+        started.set()
+        await server.serve_forever()
 
-        thread = threading.Thread(
-            target=lambda: loop.run_until_complete(main()), daemon=True
-        )
-        thread.start()
-        assert started.wait(timeout=30)
+    thread = threading.Thread(
+        target=lambda: loop.run_until_complete(main()), daemon=True
+    )
+    thread.start()
+    assert started.wait(timeout=30)
+    try:
         yield address[0], server, loop
+    finally:
         if thread.is_alive():
             loop.call_soon_threadsafe(server.request_stop)
             thread.join(timeout=30)
         loop.close()
 
-    @staticmethod
-    def _request(address, method, path, body=None):
-        import urllib.error
-        import urllib.request
 
-        host, port = address
-        data = json.dumps(body).encode() if body is not None else None
-        request = urllib.request.Request(
-            f"http://{host}:{port}{path}", data=data, method=method
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=_WAIT) as response:
-                return response.status, json.loads(response.read())
-        except urllib.error.HTTPError as error:
-            return error.code, json.loads(error.read())
+def _http_request(address, method, path, body=None):
+    import urllib.error
+    import urllib.request
+
+    host, port = address
+    data = json.dumps(body).encode() if body is not None else None
+    request = urllib.request.Request(
+        f"http://{host}:{port}{path}", data=data, method=method
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=_WAIT) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+class TestHttpServer:
+    @pytest.fixture()
+    def http_server(self):
+        with _http_serving(ScenarioService(max_runs=2)) as serving:
+            yield serving
+
+    _request = staticmethod(_http_request)
 
     def test_full_request_cycle(self, http_server):
         address, _server, _loop = http_server
@@ -619,6 +640,25 @@ class TestHttpServer:
         while loop.is_running() and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not loop.is_running()
+
+    def test_non_boolean_wait_is_400(self, http_server):
+        address, _server, _loop = http_server
+        status, body = self._request(
+            address, "POST", "/runs", {"spec": _grid_spec().to_dict(), "wait": "no"}
+        )
+        assert (status, body["error"]) == (400, "invalid-request")
+        assert body["detail"] == "wait must be true or false"
+        assert self._request(address, "GET", "/runs") == (200, {"runs": []})
+
+    def test_non_boolean_drain_is_400(self, http_server):
+        """``"drain": "no"`` is refused, not read as a drain: the server
+        keeps serving."""
+        address, _server, loop = http_server
+        status, body = self._request(address, "POST", "/shutdown", {"drain": "no"})
+        assert (status, body["error"]) == (400, "invalid-request")
+        assert body["detail"] == "drain must be true or false"
+        assert self._request(address, "GET", "/healthz") == (200, {"status": "ok"})
+        assert loop.is_running()
 
     @staticmethod
     def _raw_request(address, payload: bytes, *, close_early: bool = False):
@@ -812,6 +852,37 @@ class TestStdinTransport:
         # The refused submission never reached the executor.
         assert [record.run_id for record in service.list_runs()] == ["run-000001"]
 
+    def test_non_boolean_wait_is_refused(self):
+        spec = _grid_spec().to_dict()
+        served, replies, service = self._drive(
+            [
+                {"op": "submit", "spec": spec, "wait": "no"},
+                {**spec, "wait": "no"},
+            ]
+        )
+        assert served == 2
+        for reply in replies:
+            assert reply == {
+                "ok": False,
+                "error": "invalid-request",
+                "status": 400,
+                "detail": "wait must be true or false",
+            }
+        assert service.list_runs() == []
+
+    def test_non_boolean_drain_is_refused(self):
+        """``"drain": "no"`` is a 400 and the loop keeps serving until the
+        real shutdown."""
+        served, replies, _service = self._drive(
+            [{"op": "shutdown", "drain": "no"}, {"op": "metrics"}, {"op": "shutdown"}]
+        )
+        assert served == 3
+        refused, metrics, farewell = replies
+        assert (refused["ok"], refused["status"]) == (False, 400)
+        assert refused["detail"] == "drain must be true or false"
+        assert metrics["ok"]
+        assert farewell == {"ok": True, "status": "shutting-down"}
+
     def test_structured_refusals(self):
         _served, replies, _service = self._drive(
             [
@@ -826,3 +897,90 @@ class TestStdinTransport:
         assert replies[1]["error"] == "invalid-request"
         assert replies[2]["error"] == "unknown-op"
         assert replies[3]["error"] == "invalid-spec"
+
+
+# ----------------------------------------------------------------------
+# both transports answer alike
+# ----------------------------------------------------------------------
+_SPEC = _grid_spec().to_dict()
+_WAITED = ("submit", {"spec": _SPEC, "wait": True})
+
+#: case -> (requests before the one compared, the compared request,
+#: the status both transports give it, whether preparation is held: a
+#: tiny grid run may finish before its 202 record is read).
+_PARITY_CASES = {
+    "submit": ([], ("submit", {"spec": _SPEC}), 202, True),
+    "submit-wait": ([], _WAITED, 200, False),
+    "submit-wait-timeout": (
+        [],
+        ("submit", {"spec": _SPEC, "wait": True, "timeout": 0.01}),
+        408,
+        True,
+    ),
+    "poll": ([_WAITED], ("poll", {"run_id": "run-000001"}), 200, False),
+    "events": ([_WAITED], ("events", {"run_id": "run-000001"}), 200, False),
+    "cancel": ([_WAITED], ("cancel", {"run_id": "run-000001"}), 202, False),
+    "list": ([_WAITED], ("list", {}), 200, False),
+    "metrics": ([_WAITED], ("metrics", {}), 200, False),
+    "unknown-run": ([], ("poll", {"run_id": "run-999999"}), 404, False),
+    "invalid-spec": (
+        [], ("submit", {"spec": {"network": "hexagonal"}}), 400, False
+    ),
+}
+
+
+def _http_form(op: str, fields: dict) -> tuple:
+    """The HTTP method, path and body of one op."""
+    if op == "submit":
+        return "POST", "/runs", fields
+    if op == "list":
+        return "GET", "/runs", None
+    if op == "metrics":
+        return "GET", "/metrics", None
+    path = f"/runs/{fields['run_id']}"
+    return {
+        "poll": ("GET", path, None),
+        "events": ("GET", f"{path}/events", None),
+        "cancel": ("POST", f"{path}/cancel", None),
+    }[op]
+
+
+class TestTransportParity:
+    """Every op the transports share gives the same status, error code
+    and payload keys over HTTP and over stdin, where ``ok`` says
+    whether the status is below 400."""
+
+    @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+    def test_both_transports_answer_alike(self, case):
+        before, (op, fields), expected, held = _PARITY_CASES[case]
+        hold = (
+            injected_faults(
+                FaultInjector({"session.prepare": {"latency_seconds": 0.5}})
+            )
+            if held
+            else contextlib.nullcontext()
+        )
+        with hold:
+            lines = [{"op": name, **body} for name, body in before]
+            lines.append({"op": op, **fields})
+            out_stream = io.StringIO()
+            serve_stdin(
+                ScenarioService(max_runs=1),
+                io.StringIO("".join(json.dumps(line) + "\n" for line in lines)),
+                out_stream,
+            )
+            reply = json.loads(out_stream.getvalue().splitlines()[-1])
+            with _http_serving(ScenarioService(max_runs=1)) as (address, _, _):
+                for name, body in before:
+                    _http_request(address, *_http_form(name, body))
+                status, payload = _http_request(address, *_http_form(op, fields))
+        assert status == expected
+        assert reply.pop("ok") == (status < 400)
+        assert set(reply) == set(payload)
+        if status >= 400:
+            assert (reply["status"], reply["error"]) == (status, payload["error"])
+        if status == 408:
+            assert payload["error"] == "wait-timeout"
+            assert payload["run"]["status"] != COMPLETED
+        if op == "cancel":
+            assert "result" not in payload
