@@ -9,9 +9,11 @@ not be grouped or assigned stay buffered for the next batch until their
 deadline makes them unservable.
 
 The group enumeration inside each batch is exhaustive: every buffered
-singleton and every pair of the oldest buffered orders is planned again
-on every batch.  Most of those plans repeat an earlier one, and the
-route planner answers the repeats from its memo of exact plans.  The
+singleton and every pair of the oldest buffered orders is a candidate
+on every batch.  Most pairs never share, and a pair found unshareable
+stays so while both members wait (deadlines only come closer), so GAS
+remembers those pairs and skips them in later batches; the route
+planner answers the other repeats from its memo of exact plans.  The
 batch boundary is what prevents GAS from matching orders across batches
 (Example 1), so its extra time and service rate trail the WATTER
 variants.
@@ -20,7 +22,6 @@ variants.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
 
 from ..config import SimulationConfig
 from ..model.group import Group
@@ -28,9 +29,6 @@ from ..model.order import Order
 from ..routing.planner import RoutePlanner
 from ..simulation.dispatcher import Dispatcher, DispatchResult, book_group
 from ..simulation.fleet import WorkerFleet
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 #: Maximum number of buffered orders entering the combinatorial group
@@ -59,6 +57,23 @@ class GASDispatcher(Dispatcher):
         self._max_group = min(config.max_group_size, 2)
         self._buffer: list[Order] = []
         self._next_batch_end: float | None = None
+        self._forget_unshareable()
+
+    def _forget_unshareable(self) -> None:
+        # Pairs whose plan was infeasible, keyed by member ids in
+        # enumeration order (the planner memo's key), while both wait.
+        self._unshareable: set[tuple[int, int]] = set()
+
+    def __getstate__(self) -> dict:
+        # Like the planner memo, the set is a cache: a checkpoint
+        # carries the dispatcher without it.
+        state = dict(self.__dict__)
+        del state["_unshareable"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._forget_unshareable()
 
     @property
     def fleet(self) -> WorkerFleet:
@@ -87,7 +102,7 @@ class GASDispatcher(Dispatcher):
         result = self._process_batch(now)
         rejected = tuple(self._buffer)
         self._buffer.clear()
-        self._planner.forget(order.order_id for order in rejected)
+        self._forget({order.order_id for order in rejected})
         return result.merge(DispatchResult(rejected=rejected))
 
     # ------------------------------------------------------------------
@@ -121,7 +136,7 @@ class GASDispatcher(Dispatcher):
         self._buffer = [
             order for order in self._buffer if order.order_id not in assigned
         ]
-        self._planner.forget(assigned)
+        self._forget(assigned)
         return expired.merge(DispatchResult(served=tuple(served)))
 
     def _enumerate_groups(self, now: float) -> list[tuple[float, Group]]:
@@ -133,19 +148,18 @@ class GASDispatcher(Dispatcher):
 
         The enumeration is exhaustive and repeats every batch.  To keep
         the per-batch cost bounded when unassigned orders accumulate, the
-        combinatorial part considers at most the ``_ENUMERATION_CAP``
-        oldest buffered orders (the full additive tree of [2] is
-        exponential in the batch size); a cheap temporal-compatibility
-        filter prunes pairs whose deadlines cannot possibly be combined
-        before the route planner is invoked.  A group planned in an
-        earlier batch is answered from the planner's memo while its
-        route still meets every deadline.
+        pairs are drawn from at most the ``_ENUMERATION_CAP`` oldest
+        buffered orders (the full additive tree of [2] is exponential in
+        the batch size).  A pair found unshareable in an earlier batch is
+        skipped before anything is planned; a group planned in an earlier
+        batch is answered from the planner's memo while its route still
+        meets every deadline.
         """
         groups: list[tuple[float, Group]] = []
+        capacity = self._config.max_capacity
         buffer = sorted(self._buffer, key=lambda order: order.release_time)
-        window = buffer[:_ENUMERATION_CAP]
         for order in buffer:
-            planned = self._planner.try_plan([order], self._config.max_capacity, now)
+            planned = self._planner.try_plan([order], capacity, now)
             if planned is None:
                 continue
             groups.append(
@@ -159,38 +173,26 @@ class GASDispatcher(Dispatcher):
                     ),
                 )
             )
-        for size in range(2, self._max_group + 1):
-            for combo in itertools.combinations(window, size):
-                if sum(order.riders for order in combo) > self._config.max_capacity:
-                    continue
-                if not self._temporally_compatible(combo, now):
-                    continue
-                planned = self._planner.try_plan(
-                    list(combo), self._config.max_capacity, now
-                )
-                if planned is None:
-                    continue
-                group = Group(
-                    orders=tuple(combo),
-                    route=planned.route,
-                    created_at=now,
-                    weights=self._config.weights,
-                )
-                individual = sum(order.shortest_time for order in combo)
-                utility = individual - planned.total_travel_time
-                groups.append((utility, group))
+        if self._max_group < 2:
+            return groups
+        unshareable = self._unshareable
+        for first, second in itertools.combinations(buffer[:_ENUMERATION_CAP], 2):
+            pair = (first.order_id, second.order_id)
+            if pair in unshareable or first.riders + second.riders > capacity:
+                continue
+            planned = self._planner.try_plan([first, second], capacity, now)
+            if planned is None:
+                unshareable.add(pair)
+                continue
+            group = Group(
+                orders=(first, second),
+                route=planned.route,
+                created_at=now,
+                weights=self._config.weights,
+            )
+            individual = first.shortest_time + second.shortest_time
+            groups.append((individual - planned.total_travel_time, group))
         return groups
-
-    @staticmethod
-    def _temporally_compatible(orders, now: float) -> bool:
-        """Necessary condition for a shared route to exist.
-
-        Every member must still be deliverable even if its own trip were
-        the last leg of the shared route, i.e. its remaining slack must
-        at least cover its direct travel time.  Orders that fail this on
-        their own can never participate in a feasible shared route.
-        """
-        return all(order.deadline - now - order.shortest_time >= 0 for order in orders)
 
     def _drop_expired(self, now: float) -> DispatchResult:
         rejected = tuple(order for order in self._buffer if order.is_expired(now))
@@ -199,5 +201,15 @@ class GASDispatcher(Dispatcher):
             self._buffer = [
                 order for order in self._buffer if order.order_id not in rejected_ids
             ]
-            self._planner.forget(rejected_ids)
+            self._forget(rejected_ids)
         return DispatchResult(rejected=rejected)
+
+    def _forget(self, order_ids: set[int]) -> None:
+        """Drop the plans and unshareable pairs of orders that left."""
+        self._planner.forget(order_ids)
+        if self._unshareable:
+            self._unshareable = {
+                pair
+                for pair in self._unshareable
+                if pair[0] not in order_ids and pair[1] not in order_ids
+            }

@@ -294,13 +294,23 @@ class RoadNetwork:
         :meth:`travel_time` answers for the pair after the call — one
         oracle hop for every leg a route plan can use.
         """
-        index = self._index
-        for node in set(sources).union(targets):
-            if node not in index:
-                raise UnknownNodeError(node)
+        self._require_nodes(sources, targets)
         oracle = self._oracle
         with oracle.lock:
             return oracle.leg_matrix(sources, targets)
+
+    def warm_legs(self, sources: Sequence[int], targets: Sequence[int]) -> None:
+        """Prime the oracle for the :meth:`leg_matrix` block over these
+        arguments without building it.
+
+        The oracle's :meth:`~repro.network.oracle.DistanceOracle.warm`:
+        on ``lazy`` the block's searches and nothing else, so reads that
+        follow answer from warm rows.
+        """
+        self._require_nodes(sources, targets)
+        oracle = self._oracle
+        with oracle.lock:
+            oracle.warm(sources, targets)
 
     def shortest_path(self, source: int, target: int) -> list[int]:
         """Return the node sequence of a shortest path.
@@ -363,6 +373,12 @@ class RoadNetwork:
     def _require_node(self, node_id: int) -> None:
         if node_id not in self._index:
             raise UnknownNodeError(node_id)
+
+    def _require_nodes(self, sources: Iterable[int], targets: Iterable[int]) -> None:
+        index = self._index
+        for node in set(sources).union(targets):
+            if node not in index:
+                raise UnknownNodeError(node)
 
 
 class _NearestNodeIndex:

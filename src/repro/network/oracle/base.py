@@ -19,8 +19,9 @@ is built and keeps it for life.
 
 An oracle answers two questions: a scalar leg (``travel_time``) and a
 dense block of legs (``leg_matrix``), whose cells are by definition the
-scalar answers.  A backend must implement ``travel_time`` and
-``clear``; the default block is scalar reads.  The pair-keyed and
+scalar answers.  ``warm`` does a block's work without answering it.  A
+backend must implement ``travel_time`` and ``clear``; the default block
+is scalar reads.  The pair-keyed and
 all-to-one dict views are :class:`~repro.network.graph.RoadNetwork`'s,
 a few lines over ``leg_matrix``.
 
@@ -275,6 +276,16 @@ class DistanceOracle(abc.ABC):
                     row.append(inf)
             rows.append(row)
         return rows
+
+    def warm(self, sources: Sequence[int], targets: Sequence[int]) -> None:
+        """Do the work a :meth:`leg_matrix` block over the same arguments
+        would, for a caller that reads the cells later.
+
+        This default runs the block and drops it: a backend whose later
+        reads come from what the block fills (``ch``'s pair cache) needs
+        exactly that.  ``lazy`` runs the searches alone.
+        """
+        self.leg_matrix(sources, targets)
 
     def is_reachable(self, source: int, target: int) -> bool:
         """Whether a path exists from ``source`` to ``target``."""

@@ -122,7 +122,7 @@ class LazyDijkstraOracle(DistanceOracle):
             return [[] for _ in sources]
         bound = self.max_sources
         if bound is not None and max(len(sources), len(targets)) > bound:
-            self._warm(sources, targets)
+            self._search_rows(sources, targets)
             return super().leg_matrix(sources, targets)
         self._batched_queries += cells
         self._queries += cells
@@ -168,7 +168,33 @@ class LazyDijkstraOracle(DistanceOracle):
         missing_reverse = {t for t in targets if t not in self._rcache}
         return len(missing_reverse) >= len(missing_forward)
 
-    def _warm(self, sources: Sequence[int], targets: Sequence[int]) -> None:
+    def warm(self, sources: Sequence[int], targets: Sequence[int]) -> None:
+        """Run the searches :meth:`leg_matrix` would for this block; read no cell.
+
+        Rows are built in the block's direction and argument order, and
+        a reverse block also moves the sources' cached forward rows to
+        the recent end, as the block's reads would: the caches end as
+        the block leaves them.  A block too big for the caches reads its
+        cells as scalars, which may search again, so it is warmed by
+        running it.
+        """
+        if not sources or not targets:
+            return
+        bound = self.max_sources
+        if bound is not None and max(len(sources), len(targets)) > bound:
+            super().warm(sources, targets)
+        elif self._forward_first(sources, targets):
+            for source in sources:
+                self._distances_from(source)
+        else:
+            for target in targets:
+                self._arrivals_to(target)
+            cache = self._cache
+            for source in sources:
+                if source in cache:
+                    cache.move_to_end(source)
+
+    def _search_rows(self, sources: Sequence[int], targets: Sequence[int]) -> None:
         """Build a block's rows, one search per missing label, in the
         direction :meth:`_forward_first` picks."""
         if self._forward_first(sources, targets):

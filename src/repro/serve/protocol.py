@@ -168,6 +168,9 @@ class RunRecord:
     #: Checkpoint file the executor should resume from (recovery only;
     #: never serialized).
     resume_path: str | None = field(default=None, repr=False)
+    #: :meth:`as_dict` as it read when the run was queued: what a 202
+    #: reply to the submission carries, however soon the run finishes.
+    admitted: dict[str, Any] = field(default_factory=dict, repr=False)
     _state_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False
     )

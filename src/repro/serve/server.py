@@ -104,7 +104,7 @@ def _submit(service: ScenarioService, fields: Mapping[str, Any]) -> Reply:
     spec, options = parse_submission(fields)
     record = service.submit_spec(spec)
     if not options.get("wait"):
-        return 202, record.as_dict()
+        return 202, record.admitted
     return _settled(service.wait(record.run_id, options.get("timeout")))
 
 

@@ -197,7 +197,10 @@ class ScenarioService:
     # submission
     # ------------------------------------------------------------------
     def submit_spec(self, spec: ScenarioSpec) -> RunRecord:
-        """Enqueue a validated spec; returns its queued record at once.
+        """Enqueue a validated spec; returns its record at once.
+
+        The record's ``admitted`` view is taken before the executor can
+        see the run, so it always reads ``queued``.
 
         Both transports parse a submission first
         (:func:`~repro.serve.protocol.parse_submission`), so a bad one
@@ -249,6 +252,7 @@ class ScenarioService:
                 spec=spec,
                 cancellation=CancellationToken(deadline),
             )
+            record.admitted = record.as_dict()
             self._records[run_id] = record
             self._record_order.append(run_id)
             self._evict_records()

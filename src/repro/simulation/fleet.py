@@ -171,14 +171,15 @@ class WorkerFleet:
     def prime_approaches(self, pickups: Collection[int], now: float) -> None:
         """Warm every idle worker's approach leg to each of ``pickups``.
 
-        One :meth:`RoadNetwork.leg_matrix` block, distinct idle locations
+        One :meth:`RoadNetwork.warm_legs` call, distinct idle locations
         against ``pickups`` (one reverse-graph search per pickup on the
-        lazy backend), so the nearest-worker searches of a batch that
-        follow answer from warm caches.  The caller picks the pickups.
+        lazy backend, and no matrix), so the nearest-worker searches of
+        a batch that follow answer from warm caches.  The caller picks
+        the pickups.
         """
         idle_locations = set(self.idle_locations(now))
         if idle_locations and pickups:
-            self._network.leg_matrix(list(idle_locations), list(pickups))
+            self._network.warm_legs(list(idle_locations), list(pickups))
 
     # ------------------------------------------------------------------
     # lifecycle

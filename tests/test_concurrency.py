@@ -263,23 +263,27 @@ class _OverlapProbe:
         return entered
 
 
-def test_served_run_and_a_prepare_never_share_the_oracle_at_once(monkeypatch):
-    """A prepare of a new workload shape overlapping a served run on one
-    pooled ``lazy`` session: generation (``is_reachable`` /
-    ``travel_time``) and the run (``leg_matrix`` blocks) interleave, but
-    never with two threads inside the oracle at once."""
+def _run_beside_prepares(monkeypatch, algorithm: str, block: str) -> _OverlapProbe:
+    """One long served run of ``algorithm`` on a pooled ``lazy`` grid and,
+    once the run has asked its first ``block``, three prepares of new
+    workload shapes on the same session; returns the probe after all
+    finished.
+
+    The probe also checks that workload generation on another thread
+    really ran while the long run was between two of its blocks.
+    """
     from repro.api import ScenarioSpec
     from repro.network.oracle.lazy import LazyDijkstraOracle
     from repro.serve import COMPLETED, ScenarioService
 
     probe = _OverlapProbe()
-    for name in ("travel_time", "leg_matrix", "is_reachable", "clear", "stats"):
+    for name in ("travel_time", "leg_matrix", "warm", "is_reachable", "clear", "stats"):
         monkeypatch.setattr(
             LazyDijkstraOracle, name, probe.wrap(getattr(LazyDijkstraOracle, name))
         )
     base = ScenarioSpec(
         network="grid", grid_rows=12, grid_cols=12, num_orders=600,
-        num_workers=30, horizon=6000.0, seed=4, algorithm="GDP",
+        num_workers=30, horizon=6000.0, seed=4, algorithm=algorithm,
         oracle={"backend": "lazy"},
     )
     # New order counts: each is a workload the pooled session has not
@@ -295,7 +299,7 @@ def test_served_run_and_a_prepare_never_share_the_oracle_at_once(monkeypatch):
             long_run = service.submit_spec(base)
             # Only a run asks by blocks: once one is in, it is simulating.
             deadline = time.monotonic() + 60
-            while not any(name == "leg_matrix" for _, name in probe.calls):
+            while not any(name == block for _, name in probe.calls):
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
             records = [service.submit_spec(spec) for spec in shapes]
@@ -306,17 +310,31 @@ def test_served_run_and_a_prepare_never_share_the_oracle_at_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(record.status == COMPLETED for record in records)
-    # Workload generation on another thread really ran while the long
-    # run was between two of its blocks ...
-    run_thread = next(thread for thread, name in probe.calls if name == "leg_matrix")
+    run_thread = next(thread for thread, name in probe.calls if name == block)
     blocks = [
         index
         for index, (thread, name) in enumerate(probe.calls)
-        if thread == run_thread and name == "leg_matrix"
+        if thread == run_thread and name == block
     ]
     assert any(
         thread != run_thread and name == "is_reachable"
         for thread, name in probe.calls[blocks[0] : blocks[-1]]
     )
-    # ... and never was inside the oracle at the same time.
+    return probe
+
+
+def test_served_run_and_a_prepare_never_share_the_oracle_at_once(monkeypatch):
+    """A prepare of a new workload shape overlapping a served run on one
+    pooled ``lazy`` session: generation (``is_reachable`` /
+    ``travel_time``) and the run (``leg_matrix`` blocks) interleave, but
+    never with two threads inside the oracle at once."""
+    probe = _run_beside_prepares(monkeypatch, "GDP", "leg_matrix")
+    assert probe.overlaps == 0
+
+
+def test_primed_approaches_never_share_the_oracle_with_a_prepare(monkeypatch):
+    """GAS primes each batch's approach legs through
+    ``RoadNetwork.warm_legs``: its ``warm`` calls interleave with a
+    prepare on another thread, never overlapping it either."""
+    probe = _run_beside_prepares(monkeypatch, "GAS", "warm")
     assert probe.overlaps == 0

@@ -634,6 +634,7 @@ class TestServedProcessCrash:
             if proc.poll() is None:  # pragma: no cover - cleanup
                 proc.kill()
                 proc.wait(timeout=30)
+            proc.stdout.close()
         # Restart on the same state dir: the accepted run is either
         # resumed to completion or reported interrupted — never lost.
         with ScenarioService(max_runs=1, state_dir=state) as service:
@@ -658,6 +659,7 @@ class TestServedProcessCrash:
             if proc.poll() is None:  # pragma: no cover - cleanup
                 proc.kill()
                 proc.wait(timeout=30)
+            proc.stdout.close()
         types = [e.get("type") for e in read_jsonl_tolerant(state / "journal.jsonl")]
         assert types[-1] == "clean_shutdown"
 

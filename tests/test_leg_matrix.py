@@ -1,6 +1,6 @@
 """The dense leg call and the Dijkstra kernel under it.
 
-Four contracts, each held to ``==``:
+Five contracts, each held to ``==``:
 
 * ``leg_matrix`` is the scalar answer: every cell equals what
   ``travel_time`` returns for the pair straight after the call, on every
@@ -13,7 +13,10 @@ Four contracts, each held to ``==``:
   reference kernel's map, forward and against the edges, cell for cell
   (``inf`` where the map has no key), searched over the graph's own
   shared lists;
-* a distance is a ``float``, a node's distance to itself included.
+* a distance is a ``float``, a node's distance to itself included;
+* ``warm_legs`` leaves ``lazy``'s caches and search counters as the
+  ``leg_matrix`` block would and counts no cell, and is the block on
+  ``ch``.
 """
 
 from __future__ import annotations
@@ -356,6 +359,77 @@ class TestChOverride:
         before = oracle.stats()
         oracle.leg_matrix(sources[:2], targets)
         assert (oracle.stats() - before).queries == 4
+
+
+def _lazy_state(oracle: LazyDijkstraOracle):
+    """Both row caches in LRU order, and the search counters."""
+    stats = oracle.stats()
+    return (
+        list(oracle._cache.items()),
+        list(oracle._rcache.items()),
+        stats.sssp_runs,
+        stats.reverse_sssp_runs,
+    )
+
+
+class TestWarmLegs:
+    """``RoadNetwork.warm_legs`` does a block's work and builds no block."""
+
+    @pytest.mark.parametrize("max_sources", [None, 3])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_lazy_runs_the_blocks_searches_and_reads_no_cell(self, seed, max_sources):
+        """The same rows in the same LRU order and the same searches as
+        the ``leg_matrix`` block; a block that fits counts no cell.  A
+        block too big for the caches (``max_sources=3``) is run."""
+        graph = _digraph(20, seed)
+        read = RoadNetwork(graph, oracle=LazyDijkstraOracle(graph, max_sources))
+        warmed = RoadNetwork(graph, oracle=LazyDijkstraOracle(graph, max_sources))
+        rng = random.Random(seed)
+        for sources, targets in _blocks(rng, 20, count=30, size=6):
+            # Mixed caches first, alike on both sides.
+            if rng.random() < 0.3:
+                node = rng.randrange(20)
+                for network in (read, warmed):
+                    network.travel_times_to(node)
+            read.leg_matrix(sources, targets)
+            before = warmed.oracle_stats()
+            warmed.warm_legs(sources, targets)
+            spent = warmed.oracle_stats() - before
+            assert _lazy_state(warmed.oracle) == _lazy_state(read.oracle)
+            if max_sources is None:
+                assert (spent.queries, spent.batched_queries) == (0, 0)
+        assert read.leg_matrix(range(20), range(20)) == warmed.leg_matrix(
+            range(20), range(20)
+        )
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_ch_warm_is_the_block(self, seed):
+        """``ch``'s pair-cache fill is what later reads return, so its
+        warm runs the block: the same counters and the same answers."""
+        graph = _digraph(20, seed)
+        read, warmed = _network("ch-csr", graph), _network("ch-csr", graph)
+        rng = random.Random(seed)
+        for sources, targets in _blocks(rng, 20, count=20, size=6):
+            read.leg_matrix(sources, targets)
+            warmed.warm_legs(sources, targets)
+            assert warmed.oracle_stats().counters() == read.oracle_stats().counters()
+        assert read.leg_matrix(range(20), range(20)) == warmed.leg_matrix(
+            range(20), range(20)
+        )
+
+    def test_an_empty_block_searches_nothing(self):
+        network = _network("lazy", _digraph(8, seed=1))
+        network.warm_legs([], [1, 2])
+        network.warm_legs([1, 2], [])
+        assert _lazy_state(network.oracle) == ([], [], 0, 0)
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_unknown_nodes_are_refused(self, name):
+        network = _network(name, _digraph(8, seed=1))
+        with pytest.raises(UnknownNodeError):
+            network.warm_legs([0, 99], [1])
+        with pytest.raises(UnknownNodeError):
+            network.warm_legs([0], [-1])
 
 
 class _ScalarOnly(DistanceOracle):

@@ -984,3 +984,42 @@ class TestTransportParity:
             assert payload["run"]["status"] != COMPLETED
         if op == "cancel":
             assert "result" not in payload
+
+
+class TestSubmitReply:
+    """A 202 reply to a submission is the run as it was queued, on both
+    transports, whether preparation holds the run or the run (a 4x4 GDP
+    grid, a few milliseconds) has already finished when the reply is
+    written."""
+
+    @pytest.mark.parametrize("finished", [False, True], ids=["held", "finished"])
+    def test_202_reply_reads_queued(self, finished, monkeypatch):
+        if finished:
+            submit_spec = ScenarioService.submit_spec
+
+            def submit_and_finish(service, spec):
+                record = submit_spec(service, spec)
+                assert service.wait(record.run_id, timeout=_WAIT).status == COMPLETED
+                return record
+
+            monkeypatch.setattr(ScenarioService, "submit_spec", submit_and_finish)
+            hold = contextlib.nullcontext()
+        else:
+            hold = injected_faults(
+                FaultInjector({"session.prepare": {"latency_seconds": 0.5}})
+            )
+        with hold:
+            out_stream = io.StringIO()
+            serve_stdin(
+                ScenarioService(max_runs=1),
+                io.StringIO(json.dumps({"op": "submit", "spec": _SPEC}) + "\n"),
+                out_stream,
+            )
+            reply = json.loads(out_stream.getvalue().splitlines()[-1])
+            with _http_serving(ScenarioService(max_runs=1)) as (address, _, _):
+                status, payload = _http_request(address, "POST", "/runs", {"spec": _SPEC})
+        assert status == 202 and reply.pop("ok") is True
+        assert set(reply) == set(payload)
+        for body in (reply, payload):
+            assert body["status"] == QUEUED
+            assert body["started_at"] is None and "result" not in body
